@@ -292,24 +292,33 @@ def sqrt_approx(x: Fraction, digits: int) -> Fraction:
     return round_to_digits(approx, digits)
 
 
+def power_too_large(x: Fraction, n: int) -> bool:
+    """True when the exact x^n would exceed 200 000 bits (|n| times the size of x)."""
+    return abs(n) * (x.numerator.bit_length() + x.denominator.bit_length()) > 200_000
+
+
+def int_pow(x: Fraction, n: int, digits: int) -> Fraction:
+    """x^n for integer n: exact, or exp(n ln x) to 10^-digits when the exact
+    power is too large to build (which overflows for a base above 1)."""
+    if power_too_large(x, n):
+        if x == 0:
+            return ZERO if n > 0 else _raise_zero_pow()
+        if x < 0:
+            raise ApproxOverflow(f"huge power of negative base {x}")
+        g = digits + _GUARD + _digits_of(n)
+        return round_to_digits(exp_approx(n * ln_approx(x, g), g - 4), digits)
+    if n >= 0:
+        return x**n
+    if x == 0:
+        raise DivisionByZero("0 raised to a negative power")
+    return ONE / x ** (-n)
+
+
 @lru_cache(maxsize=None)
 def pow_approx(x: Fraction, r: Fraction, digits: int) -> Fraction:
     """x^r with error < 10^-digits; exact for integer r and perfect roots."""
     if r.denominator == 1:
-        n = r.numerator
-        bits = x.numerator.bit_length() + x.denominator.bit_length()
-        if abs(n) * bits > 200_000:  # exact power too large; use exp(r ln x)
-            if x == 0:
-                return ZERO if n > 0 else _raise_zero_pow()
-            if x < 0:
-                raise ApproxOverflow(f"huge power of negative base {x}")
-            g = digits + _GUARD + _digits_of(n)
-            return round_to_digits(exp_approx(n * ln_approx(x, g), g - 4), digits)
-        if n >= 0:
-            return x**n
-        if x == 0:
-            raise DivisionByZero("0 raised to a negative power")
-        return ONE / x ** (-n)
+        return int_pow(x, r.numerator, digits)
     if x == 0:
         if r > 0:
             return ZERO

@@ -90,11 +90,7 @@ def _parse_exprs(text: str) -> list[Expr]:
     return [parse(part.strip()) for part in text.split(";")]
 
 
-def _parse_point(text: str) -> list[Fraction]:
-    return [parse_rational(part) for part in text.split(",")]
-
-
-def _parse_meshes(text: str) -> list[Fraction]:
+def _parse_rationals(text: str) -> list[Fraction]:
     return [parse_rational(part) for part in text.split(",")]
 
 
@@ -358,7 +354,7 @@ def _cmd_curvature(args, cfg: Field) -> None:
 
 def _cmd_jacobian(args, cfg: Field) -> None:
     comps = _parse_exprs(args.map)
-    point = _parse_point(args.at)
+    point = _parse_rationals(args.at)
     res = calculus.jacobian(comps, point, cfg)
     rows = [[_fmt(x) for x in row] for row in res.matrix]
     text = "\n".join("[" + ", ".join(row) + "]" for row in rows)
@@ -496,7 +492,7 @@ def _cmd_measure(args, cfg: Field) -> None:
               if k not in ("command", "format", "precision", "window", "seed")
               and v is not None}
     if args.meshes and args.kind in ("area", "moment", "mass", "impulse"):
-        meshes = _parse_meshes(args.meshes)
+        meshes = _parse_rationals(args.meshes)
         values = {}
 
         def target(mesh: Fraction) -> Fraction:
@@ -522,7 +518,7 @@ def _cmd_measure(args, cfg: Field) -> None:
 
 def _cmd_converge(args, cfg: Field) -> None:
     d = cfg.precision
-    meshes = sorted(_parse_meshes(args.meshes), reverse=True)
+    meshes = sorted(_parse_rationals(args.meshes), reverse=True)
     params = {k: v for k, v in vars(args).items()
               if k not in ("command", "format", "precision", "window", "seed")
               and v is not None}
@@ -563,7 +559,6 @@ def _cmd_converge(args, cfg: Field) -> None:
             res = integration.measure_curve_length(curve, a, b, _cells_for(a, b, mesh), d)
             return getattr(res, which)
 
-        speed_sq = "+".join(f"(({c})_d)^2" for c in args.curve.split(";"))
         quad = None  # oracle must be rational or computed below
     elif args.op == "work":
         a, b = _parse_interval(args.on)
@@ -607,7 +602,7 @@ def _cmd_converge(args, cfg: Field) -> None:
 
 def _cmd_probe_supernear(args, cfg: Field) -> None:
     a, b = _parse_interval(args.on)
-    meshes = [int((b - a) / m) for m in sorted(_parse_meshes(args.meshes), reverse=True)]
+    meshes = [int((b - a) / m) for m in sorted(_parse_rationals(args.meshes), reverse=True)]
     rep = integration.supernearness_probe(parse(args.generator), parse(args.target),
                                           a, b, meshes, cfg.precision)
     rows = [{"mesh": _fmt(m), "max_deviation": _fmt(dev)} for m, dev in rep.rows]

@@ -351,15 +351,11 @@ def eval_real(e: Expr, env: dict[str, Fraction], precision: int = 40) -> Fractio
     if isinstance(e, Binary):
         if e.op == "^":
             base = eval_real(e.left, env, precision)
-            if isinstance(e.right, Const) and e.right.value.denominator == 1:
-                n = int(e.right.value)
-                if n >= 0:
-                    return base**n
-                if base == 0:
-                    raise DivisionByZero("0 raised to a negative power", e.pos)
-                return 1 / base ** (-n)
-            r = eval_real(e.right, env, precision)
+            integer = isinstance(e.right, Const) and e.right.value.denominator == 1
+            r = e.right.value if integer else eval_real(e.right, env, precision)
             try:
+                if integer:
+                    return approx.int_pow(base, int(r), precision)
                 return approx.pow_approx(base, r, precision)
             except MathError as ex:
                 raise type(ex)(str(ex), e.pos) from None
@@ -610,10 +606,7 @@ def compile_real(e: Expr, names: tuple[str, ...], precision: int = 40) -> Callab
         if isinstance(node, Binary):
             if node.op == "^":
                 if isinstance(node.right, Const) and node.right.value.denominator == 1:
-                    n = int(node.right.value)
-                    if n >= 0:
-                        return f"({gen(node.left)}**{n})"
-                    return f"_div(_one, {gen(node.left)}**{-n})"
+                    return f"_ipow({gen(node.left)}, {int(node.right.value)}, {precision})"
                 return f"_powr({gen(node.left)}, {gen(node.right)})"
             a, b = gen(node.left), gen(node.right)
             if node.op == "/":
@@ -625,8 +618,8 @@ def compile_real(e: Expr, names: tuple[str, ...], precision: int = 40) -> Callab
     body = gen(e)
     d = precision
     ctx.update(
-        _one=Fraction(1),
         _div=_compiled_div,
+        _ipow=approx.int_pow,
         _powr=lambda a, b: approx.pow_approx(a, b, d),
         _abs=abs,
         _sin=lambda v: approx.sin_approx(v, d),

@@ -8,6 +8,14 @@ with 1/eps larger than every real.  Each value keeps only exponents below
 window*); operations that drop nonzero terms mark their result ``saturated``
 so truncation stays observable.
 
+Every series map shares one kernel, ``_power_series``: factor x into a
+monomial head times (const + u) with u of positive leading exponent mu, then
+sum c_k*u^k from a per-map coefficient rule (geometric for the reciprocal,
+binomial for roots and real powers, exp, ln, and a sin/cos mix).  If c_k0 is
+the first nonzero coefficient, the result leads at k0*mu, and the kernel
+keeps exactly the exponents below k0*mu + window, the relative window of the
+result's own leading term; such results are always marked saturated.
+
 The classification trichotomy is read off the leading exponent:
 
 * empty series            -> zero (a member of the infinitesimals)
@@ -26,10 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from itertools import count
+from typing import Iterable, Iterator, Union
 
 from . import approx
 from .errors import (
+    ApproxOverflow,
     DivisionByZero,
     DomainError,
     NonPositiveLeading,
@@ -98,14 +108,6 @@ ExtendedReal.POS_INF = ExtendedReal(None, 1)
 ExtendedReal.NEG_INF = ExtendedReal(None, -1)
 
 Term = tuple[Fraction, Fraction]  # (exponent, coefficient), coefficient != 0
-
-
-def _within(x: "HyperReal", cap: Fraction) -> "HyperReal":
-    """Drop terms at or above an absolute exponent cap (marks saturation)."""
-    kept = tuple(t for t in x.terms if t[0] < cap)
-    if len(kept) == len(x.terms):
-        return x
-    return HyperReal(kept, x.window, x.precision, True)
 
 
 class HyperReal:
@@ -222,25 +224,16 @@ class HyperReal:
     __rmul__ = __mul__
 
     def inv(self) -> "HyperReal":
-        """Reciprocal: factor the leading monomial, geometric series on the tail."""
+        """Reciprocal: factor the leading monomial a*eps^lam, geometric series
+        (1 + u/a)^-1 on the shifted tail u."""
         if self.is_zero:
             raise DivisionByZero("reciprocal of the zero element")
         lam, a = self.terms[0]
-        head_inv = self._lift([(-lam, 1 / a)])
         if len(self.terms) == 1:
-            return self._lift(head_inv.terms, self.saturated)
-        # u = tail / (a eps^lam): all exponents strictly positive and < window
-        u = self._lift([(e - lam, c / a) for e, c in self.terms[1:]])
-        mu = u.terms[0][0]
-        steps = int(self.window / mu) + 1
-        geo = self._lift([(Fraction(0), Fraction(1))])
-        upow = geo
-        for _ in range(steps):
-            upow = _within(upow * (-u), self.window)
-            if upow.is_zero:
-                break
-            geo = geo + upow
-        return self._lift((geo * head_inv).terms, True)
+            return self._lift([(-lam, 1 / a)], self.saturated)
+        return _power_series(
+            self._shifted_tail(), _binomial(Fraction(-1), a), (-lam, 1 / a)
+        )
 
     def __truediv__(self, other) -> "HyperReal":
         o = self._coerce(other)
@@ -254,6 +247,10 @@ class HyperReal:
     def __pow__(self, n: int) -> "HyperReal":
         if not isinstance(n, int):
             raise TypeError("series power requires an integer exponent")
+        if self.terms and approx.power_too_large(self.terms[0][1], n):
+            raise ApproxOverflow(
+                f"power {n} of a series with leading coefficient {self.terms[0][1]}"
+            )
         if n < 0:
             return self.inv() ** (-n)
         result = self._lift([(Fraction(0), Fraction(1))])
@@ -267,7 +264,8 @@ class HyperReal:
         return result
 
     def nth_root(self, n: int) -> "HyperReal":
-        """n-th root; leading exponent divides by n, binomial series on the tail.
+        """n-th root; leading exponent divides by n, binomial series
+        (1 + u/a)^(1/n) on the shifted tail u.
 
         The leading coefficient's root is exact for perfect powers and a
         rational approximation at the configured precision otherwise.
@@ -282,23 +280,16 @@ class HyperReal:
                 f"nth root with non-positive leading coefficient {a}"
             )
         root_a = approx.nth_root_approx(a, n, self.precision)
-        head = self._lift([(lam / n, root_a)])
         if len(self.terms) == 1:
-            return self._lift(head.terms, self.saturated)
-        u = self._lift([(e - lam, c / a) for e, c in self.terms[1:]])
-        mu = u.terms[0][0]
-        steps = int(self.window / mu) + 1
-        series = self._lift([(Fraction(0), Fraction(1))])
-        upow = series
-        coeff = Fraction(1)
-        alpha = Fraction(1, n)
-        for k in range(1, steps + 1):
-            coeff *= (alpha - (k - 1)) / k
-            upow = _within(upow * u, self.window)
-            if upow.is_zero:
-                break
-            series = series + upow * coeff
-        return self._lift((series * head).terms, True)
+            return self._lift([(lam / n, root_a)], self.saturated)
+        return _power_series(
+            self._shifted_tail(), _binomial(Fraction(1, n), a), (lam / n, root_a)
+        )
+
+    def _shifted_tail(self) -> "HyperReal":
+        """The terms after the leading one, shifted down by the leading exponent."""
+        lam = self.terms[0][0]
+        return self._lift([(e - lam, c) for e, c in self.terms[1:]])
 
     def sqrt(self) -> "HyperReal":
         return self.nth_root(2)
@@ -333,20 +324,23 @@ class HyperReal:
 
     def _compare_scalar(self, q: Fraction) -> int:
         """Sign of self - q without building a series for q."""
+        # signs are read from the integer numerators: comparing a Fraction
+        # with 0 costs several times more
+        q_sign = q.numerator
         matched_zero = False
         for e, c in self.terms:
-            if e < 0:
-                return 1 if c > 0 else -1
-            if e == 0:
+            if e.numerator < 0:
+                return 1 if c.numerator > 0 else -1
+            if e.numerator == 0:
                 if c != q:
                     return 1 if c > q else -1
                 matched_zero = True
                 continue
-            if not matched_zero and q != 0:
-                return -1 if q > 0 else 1
-            return 1 if c > 0 else -1
-        if not matched_zero and q != 0:
-            return -1 if q > 0 else 1
+            if not matched_zero and q_sign:
+                return -1 if q_sign > 0 else 1
+            return 1 if c.numerator > 0 else -1
+        if not matched_zero and q_sign:
+            return -1 if q_sign > 0 else 1
         return 0
 
     def __lt__(self, other):
@@ -488,37 +482,12 @@ def epsilon(q: Rational = 1, field: Field = DEFAULT_FIELD) -> HyperReal:
     return field.epsilon(q)
 
 
-def add(x: HyperReal, y: HyperReal) -> HyperReal:
-    return x + y
-
-
-def neg(x: HyperReal) -> HyperReal:
-    return -x
-
-
-def sub(x: HyperReal, y: HyperReal) -> HyperReal:
-    return x - y
-
-
-def mul(x: HyperReal, y: HyperReal) -> HyperReal:
-    return x * y
-
-
-def inv(x: HyperReal) -> HyperReal:
-    return x.inv()
-
-
-def div(x: HyperReal, y: HyperReal) -> HyperReal:
-    return x / y
-
-
-def nth_root(x: HyperReal, n: int) -> HyperReal:
-    return x.nth_root(n)
+_ORDER_SYMBOL = {-1: "<", 0: "=", 1: ">"}
 
 
 def compare(x: HyperReal, y) -> str:
     """Total order against another series or a plain rational."""
-    return {-1: "<", 0: "=", 1: ">"}[x.compare(y)]
+    return _ORDER_SYMBOL[x.compare(y)]
 
 
 def classify(x: HyperReal) -> Classification:
@@ -568,68 +537,83 @@ def _split_limited(x: HyperReal, what: str) -> tuple[Fraction, HyperReal]:
     return s, x - s
 
 
-def _series_steps(h: HyperReal) -> int:
-    """Terms needed so the h-power series fills the whole relative window."""
-    mu = h.terms[0][0]
-    return int(h.window / mu) + 2
+def _power_series(
+    u: HyperReal, coeffs: Iterator[Fraction], head: Term = (Fraction(0), Fraction(1))
+) -> HyperReal:
+    """head * sum_k c_k u^k for u with positive leading exponent mu.
+
+    ``coeffs`` yields c_0, c_1, ... and must not be all zero; ``head`` is the
+    monomial (exponent, coefficient) the sum is multiplied by.  If c_k0 is
+    the first nonzero coefficient, the result's leading exponent is k0*mu, so
+    the sum keeps exactly the exponents below k0*mu + window: the relative
+    window of the result's own leading term.  Each power u^k is truncated
+    below the same cap (below k*mu + window until k0 is found), which drops
+    nothing that could fall under the cap in a later power.  The result is
+    always marked saturated.
+    """
+    shift, scale = head
+    acc: dict[Fraction, Fraction] = {}
+    if scale:
+        mu = u.terms[0][0]
+        cap = None
+        upow: list[Term] = [(Fraction(0), Fraction(1))]
+        for k, c in enumerate(coeffs):
+            if c:
+                if cap is None:
+                    cap = k * mu + u.window
+                c *= scale
+                for e, a in upow:
+                    acc[e] = acc.get(e, 0) + c * a
+            limit = (k + 1) * mu + u.window if cap is None else cap
+            nxt: dict[Fraction, Fraction] = {}
+            for e1, a1 in upow:
+                for e2, a2 in u.terms:
+                    e = e1 + e2
+                    if e >= limit:
+                        break
+                    nxt[e] = nxt.get(e, 0) + a1 * a2
+            upow = [t for t in nxt.items() if t[1]]
+            if not upow:
+                break
+    return HyperReal(
+        [(e + shift, c) for e, c in acc.items()], u.window, u.precision, True
+    )
 
 
-def _exp_series(h: HyperReal) -> HyperReal:
-    cap = h.terms[0][0] + h.window
-    total = h._lift([(Fraction(0), Fraction(1))])
-    term = total
-    for k in range(1, _series_steps(h)):
-        term = _within(term * h / k, cap)
-        if term.is_zero:
-            break
-        total = total + term
-    return total._lift(total.terms, True)
+# Coefficient rules c_0, c_1, ... for _power_series.
 
 
-def _sin_cos_series(h: HyperReal) -> tuple[HyperReal, HyperReal]:
-    cap = h.terms[0][0] + h.window
-    one = h._lift([(Fraction(0), Fraction(1))])
-    s = h
-    c = one
-    term = h
-    k = 1
-    steps = _series_steps(h)
-    while k <= steps:
-        term = _within(term * h / (k + 1), cap)
-        if term.is_zero:
-            break
-        if k % 2 == 1:  # next is even order -> cosine
-            c = c + (term if (k + 1) % 4 == 0 else -term)
-        else:
-            s = s + (term if (k + 1) % 4 == 1 else -term)
-        k += 1
-    return s._lift(s.terms, True), c._lift(c.terms, True)
+def _binomial(alpha: Fraction, s: Fraction) -> Iterator[Fraction]:
+    """(1 + u/s)^alpha."""
+    c = Fraction(1)
+    for k in count(1):
+        yield c
+        c = c * (alpha - k + 1) / (k * s)
 
 
-def _ln1p_series(u: HyperReal) -> HyperReal:
-    cap = u.terms[0][0] + u.window
-    total = u._lift([])
-    upow = u._lift([(Fraction(0), Fraction(1))])
-    for k in range(1, _series_steps(u)):
-        upow = _within(upow * u, cap)
-        if upow.is_zero:
-            break
-        total = total + upow * Fraction((-1) ** (k + 1), k)
-    return total._lift(total.terms, True)
+def _exp_coeffs() -> Iterator[Fraction]:
+    """exp(u)."""
+    c = Fraction(1)
+    for k in count(1):
+        yield c
+        c /= k
 
 
-def _binomial_series(u: HyperReal, alpha: Fraction) -> HyperReal:
-    cap = u.terms[0][0] + u.window
-    total = u._lift([(Fraction(0), Fraction(1))])
-    upow = total
-    coeff = Fraction(1)
-    for k in range(1, _series_steps(u)):
-        coeff *= (alpha - (k - 1)) / k
-        upow = _within(upow * u, cap)
-        if upow.is_zero:
-            break
-        total = total + upow * coeff
-    return total._lift(total.terms, True)
+def _trig(a: Fraction, b: Fraction) -> Iterator[Fraction]:
+    """a*cos(u) + b*sin(u)."""
+    f = Fraction(1)  # 1/k!
+    for k in count():
+        yield (a if k % 2 == 0 else b) * (f if k % 4 < 2 else -f)
+        f /= k + 1
+
+
+def _ln_coeffs(ln_s: Fraction, s: Fraction) -> Iterator[Fraction]:
+    """ln(s + u), given ln_s = ln(s)."""
+    yield ln_s
+    p = Fraction(1)
+    for k in count(1):
+        p /= -s  # (-1/s)^k
+        yield -p / k
 
 
 def hr_exp(x: HyperReal) -> HyperReal:
@@ -637,7 +621,7 @@ def hr_exp(x: HyperReal) -> HyperReal:
     const = approx.exp_approx(s, x.precision)
     if h.is_zero:
         return x._lift([(Fraction(0), const)] if const else [], x.saturated)
-    return _exp_series(h) * const
+    return _power_series(h, _exp_coeffs(), (Fraction(0), const))
 
 
 def hr_ln(x: HyperReal) -> HyperReal:
@@ -647,7 +631,7 @@ def hr_ln(x: HyperReal) -> HyperReal:
     const = approx.ln_approx(s, x.precision)
     if h.is_zero:
         return x._lift([(Fraction(0), const)] if const else [], x.saturated)
-    return _ln1p_series(h / s) + const
+    return _power_series(h, _ln_coeffs(const, s))
 
 
 def hr_sin(x: HyperReal) -> HyperReal:
@@ -656,8 +640,7 @@ def hr_sin(x: HyperReal) -> HyperReal:
     cos_s = approx.cos_approx(s, x.precision)
     if h.is_zero:
         return x._lift([(Fraction(0), sin_s)] if sin_s else [], x.saturated)
-    sh, ch = _sin_cos_series(h)
-    return ch * sin_s + sh * cos_s
+    return _power_series(h, _trig(sin_s, cos_s))
 
 
 def hr_cos(x: HyperReal) -> HyperReal:
@@ -666,8 +649,7 @@ def hr_cos(x: HyperReal) -> HyperReal:
     cos_s = approx.cos_approx(s, x.precision)
     if h.is_zero:
         return x._lift([(Fraction(0), cos_s)] if cos_s else [], x.saturated)
-    sh, ch = _sin_cos_series(h)
-    return ch * cos_s - sh * sin_s
+    return _power_series(h, _trig(cos_s, -sin_s))
 
 
 def hr_tan(x: HyperReal) -> HyperReal:
@@ -694,7 +676,7 @@ def hr_pow(x: HyperReal, r: Fraction) -> HyperReal:
     const = approx.pow_approx(s, r, x.precision)
     if h.is_zero:
         return x._lift([(Fraction(0), const)], x.saturated)
-    return _binomial_series(h / s, r) * const
+    return _power_series(h, _binomial(r, s), (Fraction(0), const))
 
 
 _ANALYTIC = {
@@ -723,10 +705,6 @@ def apply_analytic(fn: str, x: HyperReal, exponent: Rational | None = None) -> H
 
 
 # -- canonical text round trip ----------------------------------------------------
-
-
-def render_hyperreal(x: HyperReal) -> str:
-    return x.render()
 
 
 def parse_hyperreal(

@@ -25,7 +25,7 @@ from .errors import (
     ZeroMass,
 )
 from .exprs import Binary, Const, Expr, Unary, Var, compile_real, free_vars
-from .field import DEFAULT_PRECISION
+from .field import DEFAULT_PRECISION, Field
 from .rationals import decimal_str, format_rational
 
 TAG_RULES = ("min-vertex", "center", "corner-nearest-origin", "seeded-random")
@@ -465,13 +465,14 @@ def measure_surface_revolution(
     var = sorted(free_vars(f)) or ["x"]
     fn = compile_real(f, (var[0],), precision)
     pi = approx.pi_approx(precision)
+    cfg = Field(precision=precision)
     breaks = _interval_breaks(a, b, m)
     total = Fraction(0)
     for lo, hi in zip(breaks, breaks[1:]):
         r = fn(lo)
         if r < 0:
             raise NegativeRadius(f"f({lo}) = {r} < 0")
-        slope = taylor_jet(f, lo, 1, var=var[0]).derivative(1)
+        slope = taylor_jet(f, lo, 1, cfg, var[0]).derivative(1)
         total += 2 * pi * r * approx.sqrt_approx(1 + slope * slope, precision) * (hi - lo)
     return total
 
@@ -501,12 +502,13 @@ def measure_curve_length(
         polygonal += approx.sqrt_approx(
             sum(((x - y) ** 2 for x, y in zip(p, q)), Fraction(0)), precision
         )
+    cfg = Field(precision=precision)
     integral = Fraction(0)
     for lo, hi in zip(breaks, breaks[1:]):
         mid = (lo + hi) / 2
         speed_sq = Fraction(0)
         for comp in curve.components:
-            d = taylor_jet(comp, mid, 1, var=curve.param).derivative(1)
+            d = taylor_jet(comp, mid, 1, cfg, curve.param).derivative(1)
             speed_sq += d * d
         integral += approx.sqrt_approx(speed_sq, precision) * (hi - lo)
     return LengthResult(polygonal, integral)
@@ -612,6 +614,7 @@ def line_integral_work(
     comp_fns = [compile_real(c, (curve.param,), precision) for c in curve.components]
     breaks = _interval_breaks(a, b, m)
     points = [tuple(fn(t) for fn in comp_fns) for t in breaks]
+    cfg = Field(precision=precision)
     chord = Fraction(0)
     integrand = Fraction(0)
     for j, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
@@ -623,7 +626,7 @@ def line_integral_work(
             (fi * (x1 - x0) for fi, x0, x1 in zip(force, prev, here)), Fraction(0)
         )
         speed = [
-            taylor_jet(c, tag, 1, var=curve.param).derivative(1)
+            taylor_jet(c, tag, 1, cfg, curve.param).derivative(1)
             for c in curve.components
         ]
         integrand += sum(

@@ -94,6 +94,17 @@ def test_huge_integer_power_reroutes():
     assert v == 0  # underflows cleanly instead of materializing 2^-2^40
 
 
+def test_integer_power_size_cap():
+    # 3 takes 3 bits (numerator and denominator), so 3^66666 is just under the cap
+    assert approx.int_pow(F(3), 66666, 40) == F(3) ** 66666
+    with pytest.raises(ApproxOverflow):
+        approx.int_pow(F(3), 66667, 40)
+    assert approx.int_pow(F(3), -66667, 40) == 0
+    assert approx.int_pow(F(0), 66667, 40) == 0
+    with pytest.raises(DivisionByZero):
+        approx.int_pow(F(0), -66667, 40)
+
+
 def test_pow_domain_errors():
     with pytest.raises(DivisionByZero):
         approx.pow_approx(F(0), F(-1), 40)

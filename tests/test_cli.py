@@ -167,6 +167,11 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: DivisionByZero:")
 
+    def test_huge_power_is_one(self, capsys):
+        code, _, err = invoke(capsys, "eval", "3^200000")
+        assert code == 1
+        assert err.startswith("error: ApproxOverflow:")
+
     def test_parse_error_is_two(self, capsys):
         code, _, err = invoke(capsys, "eval", "2*")
         assert code == 2

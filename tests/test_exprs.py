@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from hrw.errors import (
+    ApproxOverflow,
     DivisionByZero,
     DomainError,
     ParseError,
@@ -151,6 +152,13 @@ class TestEvalReal:
             eval_real(parse("1/(x-1)"), {"x": F(1)})
         assert err.value.pos == 1
 
+    def test_integer_power_size_cap(self):
+        assert eval_real(parse("3^66666"), {}) == F(3) ** 66666
+        with pytest.raises(ApproxOverflow) as err:
+            eval_real(parse("3^200000"), {})
+        assert err.value.pos == 1
+        assert eval_real(parse("3^-200000"), {}) == 0
+
     def test_root_index_must_be_integer(self):
         with pytest.raises(DomainError):
             eval_real(parse("root(x, 8)"), {"x": F(5, 2)})
@@ -167,6 +175,13 @@ class TestEvalHyper:
     def test_transcendental_on_unlimited(self):
         with pytest.raises(TranscendentalOnUnlimited):
             eval_hyper(parse("ln(n)"), {"n": FLD.gamma()}, FLD)
+
+    def test_integer_power_size_cap(self):
+        # the cap applies to the leading coefficient of the base
+        with pytest.raises(ApproxOverflow):
+            eval_hyper(parse("(3*x)^200000"), {"x": FLD.epsilon()}, FLD)
+        v = eval_hyper(parse("(3*x)^66666"), {"x": FLD.epsilon()}, FLD)
+        assert v == FLD.monomial(F(3) ** 66666, 66666)
 
     def test_abs_resolved_by_order(self):
         v = eval_hyper(parse("abs(x)"), {"x": -FLD.epsilon()}, FLD)
@@ -236,6 +251,13 @@ class TestCompiled:
             except (DivisionByZero, DomainError):
                 continue
             assert fn(*(point[n] for n in names)) == expected
+
+    def test_integer_power_size_cap(self):
+        fn = compile_real(parse("x^200000"), ("x",))
+        with pytest.raises(ApproxOverflow):
+            fn(F(3))
+        assert fn(F(1, 3)) == 0
+        assert compile_real(parse("x^-66666"), ("x",))(F(3)) == F(1, 3) ** 66666
 
     def test_division_error_type(self):
         fn = compile_real(parse("1/x"), ("x",))

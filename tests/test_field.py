@@ -22,10 +22,12 @@ from hrw.field import (
     classify,
     close_of_order,
     compare,
+    hr_cos,
     hr_exp,
     hr_ln,
     hr_pow,
     hr_sin,
+    hr_tan,
     in_monad,
     in_order_ideal,
     infinitely_close,
@@ -185,6 +187,12 @@ class TestOrder:
     def test_total_order_antisymmetry(self, x, y):
         assert x.compare(y) == -y.compare(x)
 
+    @settings(max_examples=200, deadline=None)
+    @given(series(), coeffs)
+    def test_scalar_compare_matches_series_compare(self, x, q):
+        for r in (q, F(0), x.coefficient(0)):
+            assert x.compare(r) == x.compare(FLD.rational(r))
+
     @settings(max_examples=100, deadline=None)
     @given(series(limited=True), series(limited=True))
     def test_order_monotone_under_st(self, x, y):
@@ -328,6 +336,39 @@ class TestAnalytic:
         assert e.coefficient(1) == 1
         assert e.coefficient(2) == F(1, 2)
         assert e.coefficient(3) == F(1, 6)
+
+    def test_exact_taylor_coefficients(self):
+        fact = [1]
+        for k in range(1, 16):
+            fact.append(fact[-1] * k)
+        cos_e = hr_cos(EPS)
+        tan_e = hr_tan(EPS)
+        ln_e = hr_ln(ONE + EPS)
+        tan_odd = [F(1), F(1, 3), F(2, 15), F(17, 315), F(62, 2835), F(1382, 155925),
+                   F(21844, 6081075), F(929569, 638512875)]
+        for k in range(16):
+            assert cos_e.coefficient(k) == (F((-1) ** (k // 2), fact[k]) if k % 2 == 0 else 0)
+            assert tan_e.coefficient(k) == (tan_odd[k // 2] if k % 2 else 0)
+            assert ln_e.coefficient(k) == (F((-1) ** (k + 1), k) if k else 0)
+
+    def test_ln_keeps_window_above_its_leading_term(self):
+        # ln(1) is exactly 0, so the result leads with eps^(3/2) and keeps
+        # every term below 3/2 + 16, not only those below 16
+        v = hr_ln(ONE + FLD.epsilon(F(3, 2)))
+        assert [e for e, _ in v.terms] == [F(3 * k, 2) for k in range(1, 12)]
+        assert [c for _, c in v.terms] == [F((-1) ** (k + 1), k) for k in range(1, 12)]
+
+    def test_identities_exact_on_fractional_infinitesimals(self, rng):
+        exps = [F(k, d) for d in (2, 3) for k in range(1, 13)]
+        for _ in range(25):
+            h = HyperReal(
+                [(e, rand_fraction(rng)) for e in rng.sample(exps, rng.randint(1, 4))],
+                FLD.window, FLD.precision,
+            )
+            ep, em, s, c = hr_exp(h), hr_exp(-h), hr_sin(h), hr_cos(h)
+            assert all(v.saturated for v in (ep, em, s, c))
+            assert ep * em == ONE
+            assert s * s + c * c == ONE
 
     def test_sin_ratio(self):
         assert (hr_sin(EPS) / EPS).st_fraction() == 1

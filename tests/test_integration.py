@@ -1,5 +1,6 @@
 """Partition sums, measures, gauges, supernearness, convergence."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -232,6 +233,27 @@ class TestMeasures:
         par = CurveDef.from_exprs([parse("t"), parse("t^2")])
         res = measure_curve_length(par, F(0), F(1), 4096)
         assert abs(res.polygonal - res.integral) < F(1, 10**6)
+
+    def test_curve_length_integral_honours_precision(self):
+        # the same midpoint sum of sqrt(1 + cos(t)^2) / 8, recomputed in 100-digit decimal
+        curve = CurveDef.from_exprs([parse("t"), parse("sin(t)")])
+        res = measure_curve_length(curve, F(0), F(1), 8, precision=80)
+        with localcontext() as ctx:
+            ctx.prec = 100
+
+            def cos(x: Decimal) -> Decimal:
+                term = total = Decimal(1)
+                k = 0
+                while abs(term) > Decimal(10) ** -110:
+                    k += 2
+                    term = -term * x * x / ((k - 1) * k)
+                    total += term
+                return total
+
+            expected = sum(
+                (1 + cos(Decimal(2 * j + 1) / 16) ** 2).sqrt() for j in range(8)
+            ) / 8
+        assert abs(res.integral - F(expected)) < F(1, 10**78)
 
     def test_mass_centroid_unit_square(self):
         props = measure_mass_moment_com(
