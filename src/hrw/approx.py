@@ -1,10 +1,28 @@
 """Rational approximations of elementary constants.
 
 Every function returns an exact :class:`Fraction` within 10^-digits of the
-true real value, produced by rational Taylor/Machin series with explicit tail
-bounds and a final round to the 10^-digits grid (nearest, ties to even).  No
-floating point is involved anywhere, so results are identical across runs and
-platforms and can be cached by value.
+true real value and finishes with a round to the 10^-digits grid (nearest,
+ties to even).  No floating point is involved anywhere, so results are
+identical across runs and platforms and can be cached by value.
+
+Every series runs on integers scaled by 10^g, g = digits + guard digits, in
+one of two kernels:
+
+* ``_taylor_sums(y, scale)`` sums ``floor(|y|^k/k! * scale)`` grouped by
+  ``k mod 4``, so ``exp = S0+S2 ± (S1+S3)``, ``cos = S0-S2`` and
+  ``sin = ±(S1-S3)`` (arguments reduced to |y| <= 1/2 for exp, |y| <= 4
+  for sin and cos);
+* ``_atan_sums(u, scale)`` sums ``floor(|u|^(2k+1)/(2k+1) * scale)`` over
+  even and odd k, so ``arctan = A0-A1`` (pi by Machin) and ``artanh = A0+A1``
+  (``ln``, with ``ln 2 = 2 artanh(1/3)``), for |u| <= 1/3.
+
+Each term is computed from the previous one by one floor division, which
+loses less than one grid unit; the error carried from earlier terms is
+multiplied by the term ratio (|y|/k <= 4/k, or u^2 <= 1/9), so it stays
+below ten units per term.  A series has at most a few hundred terms, so the
+floors cost less than 10^4 units of 10^-g, and the guard digits (at least
+12) keep that below 10^-(digits+8): far under the final rounding.  A series
+stops when its scaled term reaches 0, after which the tail is below one unit.
 
 Exact cases short-circuit: integer powers, perfect roots, sin(0), ln(1).
 """
@@ -24,62 +42,49 @@ HALF = Fraction(1, 2)
 
 _GUARD = 12  # guard digits on top of the requested precision
 _EXP_ARG_CAP = 300  # e^300 ~ 10^130; enough to witness any divergence bound
+CACHE_SIZE = 4096  # entries kept per cached function (least recently used evicted)
+POWER_BITS = 200_000  # largest exact power built, in bits
 
 
 def _digits_of(n: int) -> int:
     return len(str(abs(int(n)))) if n else 1
 
 
-def _tiny(g: int) -> Fraction:
-    return Fraction(1, 10**g)
+def _taylor_sums(y: Fraction, scale: int) -> list[int]:
+    """[S0, S1, S2, S3]: S_j sums floor(|y|^k/k! * scale) over k = j mod 4."""
+    n, d = abs(y.numerator), y.denominator
+    sums = [0, 0, 0, 0]
+    m, k = scale, 0
+    while m:
+        sums[k & 3] += m
+        k += 1
+        m = (m * n) // (d * k)
+    return sums
 
 
-@lru_cache(maxsize=None)
-def _atan_inv(m: int, g: int) -> Fraction:
-    """arctan(1/m) for integer m >= 2, alternating series, error < 10^-g."""
-    term = Fraction(1, m)
-    total = term
-    k = 1
-    m2 = m * m
-    eps = _tiny(g + 1)
-    while True:
-        term /= m2
-        k += 2
-        piece = term / k
-        total += -piece if (k // 2) % 2 else piece
-        if piece < eps:  # alternating: tail bounded by the next term
-            break
-    return total
+def _atan_sums(u: Fraction, scale: int) -> list[int]:
+    """[A0, A1]: A_j sums floor(|u|^(2k+1)/(2k+1) * scale) over k = j mod 2."""
+    n, d = abs(u.numerator), u.denominator
+    n2, d2 = n * n, d * d
+    sums = [0, 0]
+    p, k = (n * scale) // d, 0  # p = floor(|u|^(2k+1) * scale)
+    while p:
+        sums[k & 1] += p // (2 * k + 1)
+        k += 1
+        p = (p * n2) // d2
+    return sums
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def pi_approx(digits: int) -> Fraction:
     """pi via Machin: 16*arctan(1/5) - 4*arctan(1/239)."""
-    g = digits + _GUARD
-    value = 16 * _atan_inv(5, g + 2) - 4 * _atan_inv(239, g + 2)
-    return round_to_digits(value, digits)
+    scale = 10 ** (digits + _GUARD + 2)
+    a0, a1 = _atan_sums(Fraction(1, 5), scale)
+    b0, b1 = _atan_sums(Fraction(1, 239), scale)
+    return round_to_digits(Fraction(16 * (a0 - a1) - 4 * (b0 - b1), scale), digits)
 
 
-@lru_cache(maxsize=None)
-def _ln2(g: int) -> Fraction:
-    """ln 2 = 2*atanh(1/3), error < 10^-g."""
-    u = Fraction(1, 3)
-    u2 = u * u
-    term = u
-    total = term
-    k = 1
-    eps = _tiny(g + 1)
-    while True:
-        term *= u2
-        k += 2
-        piece = term / k
-        total += piece
-        if piece < eps:  # ratio <= 1/9, tail < piece/8
-            break
-    return 2 * total
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def exp_approx(x: Fraction, digits: int) -> Fraction:
     """e^x with absolute error < 10^-digits.
 
@@ -101,26 +106,20 @@ def exp_approx(x: Fraction, digits: int) -> Fraction:
     extra = (abs(int(x)) * 4343) // 10000 + 2  # digits of e^|x|
     g = digits + _GUARD + halvings + extra
     scale = 10**g
-    sgn = -1 if y < 0 else 1
-    yn, yd = abs(y.numerator), y.denominator
-    m = scale
-    total = scale
-    k = 0
-    cur = 1
-    while m:  # |y| <= 1/2 so magnitudes decay to zero
-        k += 1
-        m = (m * yn) // (yd * k)
-        cur *= sgn
-        total += cur * m
-    result = Fraction(total, scale)
+    s0, s1, s2, s3 = _taylor_sums(y, scale)
+    odd = s1 + s3 if y > 0 else -(s1 + s3)
+    result = Fraction(s0 + s2 + odd, scale)
     for _ in range(halvings):
         result = round_to_digits(result * result, g)
     return round_to_digits(result, digits)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def ln_approx(x: Fraction, digits: int) -> Fraction:
-    """ln x for x > 0, absolute error < 10^-digits."""
+    """ln x for x > 0, absolute error < 10^-digits.
+
+    x = 2^e2 * t with t in [3/4, 3/2], and ln t = 2 artanh((t-1)/(t+1)).
+    """
     if x <= 0:
         raise DomainError(f"ln of non-positive value {x}")
     if x == 1:
@@ -133,103 +132,59 @@ def ln_approx(x: Fraction, digits: int) -> Fraction:
     while t < Fraction(3, 4):
         t *= 2
         e2 -= 1
-    g = digits + _GUARD + _digits_of(e2)
+    scale = 10 ** (digits + _GUARD + _digits_of(e2))
     u = (t - 1) / (t + 1)  # |u| <= 1/5
-    u2 = u * u
-    term = u
-    total = term
-    k = 1
-    eps = _tiny(g + 1)
-    while abs(term) >= eps:
-        term *= u2
-        k += 2
-        total += term / k
-    value = 2 * total
+    total = sum(_atan_sums(u, scale))
+    if u < 0:
+        total = -total
     if e2:
-        value += e2 * _ln2(g)
-    return round_to_digits(value, digits)
+        total += e2 * sum(_atan_sums(Fraction(1, 3), scale))
+    return round_to_digits(Fraction(2 * total, scale), digits)
 
 
-def _sin_cos_reduced(r: Fraction, g: int) -> tuple[Fraction, Fraction]:
-    """Taylor sin and cos for |r| <= 4 with error < 10^-g each.
+def _sin_cos(x: Fraction, g: int) -> tuple[Fraction, Fraction]:
+    """(sin x, cos x), each within 10^-(g-4).
 
-    Runs on integers scaled by 10^g (term magnitudes with explicit alternating
-    signs); the floor division costs at most one grid unit per step, covered
-    by the guard digits.
+    Arguments past 4 are first reduced by the nearest multiple of 2pi, with
+    pi and the series carrying extra digits for the size of x.
     """
-    sign_r = -1 if r < 0 else 1
-    r = abs(r)
+    if abs(x) > 4:
+        g += _digits_of(int(abs(x))) + 2
+        two_pi = 2 * pi_approx(g)
+        x -= round(x / two_pi) * two_pi
     scale = 10**g
-    num2 = r.numerator * r.numerator
-    den2 = r.denominator * r.denominator
-    # sin: magnitudes m_i = r^(2i+1)/(2i+1)!
-    m = (r.numerator * scale) // r.denominator
-    total_s = m
-    k = 1
-    sign = 1
-    while m:
-        m = (m * num2) // (den2 * (k + 1) * (k + 2))
-        k += 2
-        sign = -sign
-        total_s += sign * m
-    # cos: magnitudes m_i = r^(2i)/(2i)!
-    m = scale
-    total_c = m
-    k = 0
-    sign = 1
-    while m:
-        m = (m * num2) // (den2 * (k + 1) * (k + 2))
-        k += 2
-        sign = -sign
-        total_c += sign * m
-    return Fraction(sign_r * total_s, scale), Fraction(total_c, scale)
+    s0, s1, s2, s3 = _taylor_sums(x, scale)
+    odd = s1 - s3 if x >= 0 else s3 - s1
+    return Fraction(odd, scale), Fraction(s0 - s2, scale)
 
 
-def _reduce_angle(x: Fraction, g: int) -> tuple[Fraction, int]:
-    """Return (r, extra_digits) with r = x - k*2pi, |r| <= 4."""
-    if abs(x) <= 4:
-        return x, 0
-    extra = _digits_of(int(abs(x))) + 2
-    two_pi = 2 * pi_approx(g + extra)
-    k = round(x / two_pi)
-    return x - k * two_pi, extra
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def sin_approx(x: Fraction, digits: int) -> Fraction:
     if x == 0:
         return ZERO
-    g = digits + _GUARD
-    r, extra = _reduce_angle(x, g)
-    s, _ = _sin_cos_reduced(r, g + extra)
+    s, _ = _sin_cos(x, digits + _GUARD)
     return round_to_digits(s, digits)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def cos_approx(x: Fraction, digits: int) -> Fraction:
     if x == 0:
         return ONE
-    g = digits + _GUARD
-    r, extra = _reduce_angle(x, g)
-    _, c = _sin_cos_reduced(r, g + extra)
+    _, c = _sin_cos(x, digits + _GUARD)
     return round_to_digits(c, digits)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def tan_approx(x: Fraction, digits: int) -> Fraction:
     """tan x; refuses arguments whose cosine is 0 at working precision."""
     if x == 0:
         return ZERO
     g = digits + _GUARD + 4
-    c = cos_approx(x, g)
-    if abs(c) < _tiny(max(2, digits // 2)):
+    s, c = _sin_cos(x, g + _GUARD)
+    c = round_to_digits(c, g)
+    if abs(c) * 10 ** max(2, digits // 2) < 1:
         raise DomainError(f"tan undefined near {x}: cos too close to 0")
-    s = sin_approx(x, g)
-    return round_to_digits(s / c, digits)
-
-
-def _raise_zero_pow():
-    raise DivisionByZero("0 raised to a negative power")
+    return round_to_digits(round_to_digits(s, g) / c, digits)
 
 
 def _int_nthroot(a: int, n: int) -> int:
@@ -265,7 +220,7 @@ def exact_nth_root(x: Fraction, n: int) -> Fraction | None:
     return Fraction(rn, rd)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def sqrt_approx(x: Fraction, digits: int) -> Fraction:
     """sqrt(x) for x >= 0, error < 10^-digits.
 
@@ -293,20 +248,29 @@ def sqrt_approx(x: Fraction, digits: int) -> Fraction:
 
 
 def power_too_large(x: Fraction, n: int) -> bool:
-    """True when the exact x^n would exceed 200 000 bits (|n| times the size of x)."""
-    return abs(n) * (x.numerator.bit_length() + x.denominator.bit_length()) > 200_000
+    """True when the exact x^n would exceed POWER_BITS (|n| times the size of x)."""
+    return abs(n) * (x.numerator.bit_length() + x.denominator.bit_length()) > POWER_BITS
+
+
+def _exp_ln(x: Fraction, r: Fraction, g: int, digits: int) -> Fraction:
+    """x^r = exp(r ln x) for x > 0 to 10^-digits, ln taken to g digits; an
+    overflow names the power rather than the exponent of exp."""
+    try:
+        return round_to_digits(exp_approx(r * ln_approx(x, g), g - 4), digits)
+    except ApproxOverflow:
+        base = x if x.denominator == 1 else f"({x})"
+        power = r if r.denominator == 1 else f"({r})"
+        raise ApproxOverflow(f"power {base}^{power} exceeds magnitude cap") from None
 
 
 def int_pow(x: Fraction, n: int, digits: int) -> Fraction:
     """x^n for integer n: exact, or exp(n ln x) to 10^-digits when the exact
-    power is too large to build (which overflows for a base above 1)."""
-    if power_too_large(x, n):
-        if x == 0:
-            return ZERO if n > 0 else _raise_zero_pow()
+    power is too large to build (which overflows for a base above 1); powers
+    of 0, 1 and -1 are trivial and always exact."""
+    if abs(x) not in (ZERO, ONE) and power_too_large(x, n):
         if x < 0:
             raise ApproxOverflow(f"huge power of negative base {x}")
-        g = digits + _GUARD + _digits_of(n)
-        return round_to_digits(exp_approx(n * ln_approx(x, g), g - 4), digits)
+        return _exp_ln(x, Fraction(n), digits + _GUARD + _digits_of(n), digits)
     if n >= 0:
         return x**n
     if x == 0:
@@ -314,7 +278,7 @@ def int_pow(x: Fraction, n: int, digits: int) -> Fraction:
     return ONE / x ** (-n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def pow_approx(x: Fraction, r: Fraction, digits: int) -> Fraction:
     """x^r with error < 10^-digits; exact for integer r and perfect roots."""
     if r.denominator == 1:
@@ -329,11 +293,10 @@ def pow_approx(x: Fraction, r: Fraction, digits: int) -> Fraction:
     if root is not None:
         return pow_approx(root, Fraction(r.numerator), digits)
     g = digits + _GUARD + _digits_of(r.numerator) + _digits_of(r.denominator)
-    y = r * ln_approx(x, g)
-    return round_to_digits(exp_approx(y, g - 4), digits)
+    return _exp_ln(x, r, g, digits)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def nth_root_approx(x: Fraction, n: int, digits: int) -> Fraction:
     """x^(1/n) for x > 0 and integer n >= 1; exact when x is a perfect power."""
     if n < 1:

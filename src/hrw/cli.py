@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import calculus, integration
 from .calculus import CurveDef
@@ -634,9 +635,14 @@ _COMMANDS = {
 }
 
 
+@cache
+def _parser() -> _Parser:
+    """The process-wide parser; parse_args leaves it unchanged, so requests share it."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _field_from(args)
         _COMMANDS[args.command](args, cfg)

@@ -247,7 +247,7 @@ class HyperReal:
     def __pow__(self, n: int) -> "HyperReal":
         if not isinstance(n, int):
             raise TypeError("series power requires an integer exponent")
-        if self.terms and approx.power_too_large(self.terms[0][1], n):
+        if self.terms and self._power_too_costly(n):
             raise ApproxOverflow(
                 f"power {n} of a series with leading coefficient {self.terms[0][1]}"
             )
@@ -262,6 +262,20 @@ class HyperReal:
             base = base * base if k > 1 else base
             k >>= 1
         return result
+
+    def _power_too_costly(self, n: int) -> bool:
+        """True when self^n is too costly to build exactly.
+
+        The leading coefficient a gives a^n, held to approx.POWER_BITS unless
+        a = +-1.  With more than one term, the binomial coefficients of the
+        window's ~window terms reach about window * bit_length(n) bits and
+        take bit_length(n) squarings to build; their product is held to the
+        same budget, so a huge exponent is refused even when a = +-1.
+        """
+        lead = self.terms[0][1]
+        if abs(lead) != 1 and approx.power_too_large(lead, n):
+            return True
+        return len(self.terms) > 1 and self.window * n.bit_length() ** 2 > approx.POWER_BITS
 
     def nth_root(self, n: int) -> "HyperReal":
         """n-th root; leading exponent divides by n, binomial series

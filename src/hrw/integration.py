@@ -727,8 +727,10 @@ def cousin_partition(
 
     def accept(u: Fraction, v: Fraction) -> bool:
         if mode == "mcshane" and tags:
-            center = (u + v) / 2
-            anchor = min(tags, key=lambda t: (abs(t - center), t))
+            # cells are accepted left to right and every tag is at most its
+            # cell's right end, so tags never decrease and the last one is the
+            # accepted tag nearest to this cell
+            anchor = tags[-1]
             if fits(u, v, anchor):
                 cells.append((u, v))
                 tags.append(anchor)

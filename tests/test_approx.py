@@ -1,5 +1,7 @@
 """Constant approximation kernel: accuracy, exactness, determinism."""
 
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -87,6 +89,8 @@ def test_exp_underflow_to_zero():
 def test_exp_overflow_guard():
     with pytest.raises(ApproxOverflow):
         approx.exp_approx(F(10**6), 40)
+    with pytest.raises(ApproxOverflow, match=r"^power \(3/2\)\^\(2001/2\) exceeds magnitude cap$"):
+        approx.pow_approx(F(3, 2), F(2001, 2), 40)
 
 
 def test_huge_integer_power_reroutes():
@@ -97,12 +101,16 @@ def test_huge_integer_power_reroutes():
 def test_integer_power_size_cap():
     # 3 takes 3 bits (numerator and denominator), so 3^66666 is just under the cap
     assert approx.int_pow(F(3), 66666, 40) == F(3) ** 66666
-    with pytest.raises(ApproxOverflow):
+    with pytest.raises(ApproxOverflow, match=r"^power 3\^66667 exceeds magnitude cap$"):
         approx.int_pow(F(3), 66667, 40)
     assert approx.int_pow(F(3), -66667, 40) == 0
     assert approx.int_pow(F(0), 66667, 40) == 0
     with pytest.raises(DivisionByZero):
         approx.int_pow(F(0), -66667, 40)
+    # powers of 0, 1 and -1 are trivial, so the cap never applies to them
+    assert approx.int_pow(F(0), 10**12, 40) == 0
+    assert approx.int_pow(F(-1), 10**12 + 1, 40) == -1
+    assert approx.int_pow(F(1), -(10**12), 40) == 1
 
 
 def test_pow_domain_errors():
@@ -122,3 +130,100 @@ def test_determinism_same_object():
     a = approx.sin_approx(F(7, 11), 40)
     b = approx.sin_approx(F(7, 11), 40)
     assert a == b
+
+
+def test_caches_are_bounded():
+    cached = [v for k, v in vars(approx).items() if not k.startswith("_") and hasattr(v, "cache_info")]
+    assert {f.__name__ for f in cached} >= {"pi_approx", "exp_approx", "ln_approx", "sin_approx",
+                                            "cos_approx", "tan_approx", "sqrt_approx",
+                                            "pow_approx", "nth_root_approx"}
+    assert all(f.cache_info().maxsize == approx.CACHE_SIZE for f in cached)
+    approx.sin_approx.cache_clear()
+    for k in range(1, 10_001):
+        approx.sin_approx(F(k, 10_007), 5)
+    assert approx.sin_approx.cache_info().currsize <= approx.CACHE_SIZE
+    approx.sin_approx.cache_clear()
+
+
+# -- agreement with stdlib decimal at 80 digits ------------------------------------------
+
+D80 = 80
+D80_TOL = F(1, 10**D80)
+
+
+def _dec(q: F) -> Decimal:
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def _args(seed: int, lo: int, hi: int, count: int = 40) -> list[F]:
+    """Seeded rationals in [lo, hi] with denominators up to 10^6."""
+    rng = random.Random(seed)
+    dens = [rng.randint(1, 10**6) for _ in range(count)]
+    return [F(rng.randint(lo * d, hi * d), d) for d in dens]
+
+
+def _decimal_taylor(x: F) -> tuple[Decimal, Decimal]:
+    """(sin x, cos x) from the unreduced Taylor series, at 140 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 140
+        y = _dec(x)
+        term, k, s, c = Decimal(1), 0, Decimal(0), Decimal(0)
+        while k < 40 or abs(term) > Decimal(10) ** -130:
+            if k % 4 == 0:
+                c += term
+            elif k % 4 == 1:
+                s += term
+            elif k % 4 == 2:
+                c -= term
+            else:
+                s -= term
+            k += 1
+            term = term * y / k
+        return s, c
+
+
+def test_exp_matches_decimal():
+    xs = _args(1, -30, 30)
+    assert any(x < 0 for x in xs) and any(abs(x) > 4 for x in xs)  # halvings, both signs
+    xs += [F(1, 3), F(-1, 7), F(1, 2)]
+    for x in xs:
+        with localcontext() as ctx:
+            ctx.prec = 120
+            ref = F(_dec(x).exp())
+        assert abs(approx.exp_approx(x, D80) - ref) < D80_TOL, x
+
+
+def test_ln_matches_decimal():
+    xs = [q for q in _args(2, 0, 2) + _args(6, 0, 1000) if q > 0] + [F(1, 10**30), F(10**40 + 1)]
+    assert any(q < F(3, 4) for q in xs) and any(q > F(3, 2) for q in xs)  # e2 < 0 and e2 > 0
+    assert any(F(3, 4) <= q <= F(3, 2) for q in xs)  # e2 = 0
+    for x in xs:
+        with localcontext() as ctx:
+            ctx.prec = 120
+            ref = F(_dec(x).ln())
+        assert abs(approx.ln_approx(x, D80) - ref) < D80_TOL, x
+
+
+def test_pow_and_root_match_decimal():
+    rng = random.Random(3)
+    for _ in range(30):
+        x = F(rng.randint(1, 50 * 10**4), rng.randint(1, 10**4))
+        r = F(rng.randint(-25, 25), rng.randint(2, 7))
+        n = rng.randint(3, 9)
+        with localcontext() as ctx:
+            ctx.prec = 130
+            ln_x = _dec(x).ln()
+            ref_pow = F((_dec(r) * ln_x).exp())
+            ref_root = F((ln_x / n).exp())
+        assert abs(approx.pow_approx(x, r, D80) - ref_pow) < D80_TOL, (x, r)
+        assert abs(approx.nth_root_approx(x, n, D80) - ref_root) < D80_TOL, (x, n)
+
+
+def test_sin_cos_match_decimal_taylor():
+    xs = _args(4, -40, 40)
+    assert any(x < 0 for x in xs) and any(abs(x) > 4 for x in xs)  # reduced, both signs
+    assert any(abs(x) <= 4 for x in _args(5, -4, 4))
+    for x in xs + _args(5, -4, 4):
+        s, c = _decimal_taylor(x)
+        assert abs(approx.sin_approx(x, D80) - F(s)) < D80_TOL, x
+        assert abs(approx.cos_approx(x, D80) - F(c)) < D80_TOL, x

@@ -170,7 +170,7 @@ class TestExitCodes:
     def test_huge_power_is_one(self, capsys):
         code, _, err = invoke(capsys, "eval", "3^200000")
         assert code == 1
-        assert err.startswith("error: ApproxOverflow:")
+        assert err == "error: ApproxOverflow: power 3^200000 exceeds magnitude cap (at offset 1)\n"
 
     def test_parse_error_is_two(self, capsys):
         code, _, err = invoke(capsys, "eval", "2*")
@@ -244,3 +244,21 @@ class TestEnvPrecision:
         _, out, _ = invoke(capsys, "--precision", "12", "eval", "pi")
         _, _, den = out.strip().partition("/")
         assert int(den) > 10**6
+
+
+class TestOneProcess:
+    def test_requests_share_one_parser(self, capsys):
+        requests = [["--precision", "60", "eval", "pi"], ["eval", "pi"], ["eval", "pi", "--bogus"]]
+        for argv in requests:
+            try:
+                code = run(argv)
+            except SystemExit as ex:
+                code = ex.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from hrw.cli import run; sys.exit(run(sys.argv[1:]))", *argv],
+                capture_output=True, text=True,
+            )
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == 2 and captured.err.startswith("usage-error:")

@@ -182,6 +182,19 @@ class TestEvalHyper:
             eval_hyper(parse("(3*x)^200000"), {"x": FLD.epsilon()}, FLD)
         v = eval_hyper(parse("(3*x)^66666"), {"x": FLD.epsilon()}, FLD)
         assert v == FLD.monomial(F(3) ** 66666, 66666)
+        # powers of a leading coefficient +-1 stay small, so the cap does not apply
+        v = eval_hyper(parse("(1+x)^100001"), {"x": FLD.epsilon()}, FLD)
+        assert v.terms[:3] == ((0, 1), (1, 100001), (2, 100001 * 100000 // 2))
+        assert len(v.terms) == FLD.window
+        w = eval_hyper(parse("(x-1)^100001"), {"x": FLD.epsilon()}, FLD)
+        assert w.terms[:3] == ((0, -1), (1, 100001), (2, -(100001 * 100000 // 2)))
+        # a huge exponent still builds huge binomial coefficients, so it is refused
+        with pytest.raises(ApproxOverflow):
+            eval_hyper(parse("(1+x)^1" + "0" * 1000), {"x": FLD.epsilon()}, FLD)
+        with pytest.raises(ApproxOverflow):
+            eval_hyper(parse("(1-x)^(-2^113)"), {"x": FLD.epsilon()}, FLD)
+        # a lone term with coefficient +-1 only multiplies its exponent
+        assert eval_hyper(parse("(-x)^(10^1000)"), {"x": FLD.epsilon()}, FLD) == FLD.monomial(1, 10**1000)
 
     def test_abs_resolved_by_order(self):
         v = eval_hyper(parse("abs(x)"), {"x": -FLD.epsilon()}, FLD)

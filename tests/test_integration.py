@@ -1,5 +1,6 @@
 """Partition sums, measures, gauges, supernearness, convergence."""
 
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
@@ -422,6 +423,35 @@ class TestGauges:
     def test_mcshane_square(self):
         value = gauge_sum(parse("x^2"), F(0), F(1), Gauge(parse("1/1000")), mode="mcshane")
         assert abs(value - F(1, 3)) <= F(1, 100)
+
+    def test_mcshane_nearest_tag_matches_full_scan(self):
+        # reference: the nearest accepted tag by a scan over every tag, ties to the smaller
+        def by_scan(gauge):
+            delta = gauge.compiled(40)
+            cells, tags, stack = [], [], [(F(0), F(1))]
+            while stack:
+                u, v = stack.pop()
+                mid = (u + v) / 2
+                near = [min(tags, key=lambda t: (abs(t - mid), t))] if tags else []
+                for x in near + [u, mid]:
+                    if x - delta(x) <= u and v <= x + delta(x):
+                        cells.append(((u, v),))
+                        tags.append(x)
+                        break
+                else:
+                    stack += [(mid, v), (u, mid)]
+            return tuple(cells), tuple((t,) for t in tags)
+
+        rng = random.Random(11)
+        outside = 0
+        for _ in range(12):
+            c0, c1 = F(rng.randint(5, 60), 1000), F(rng.randint(0, 40), 100)
+            m, k = F(rng.randint(0, 32), 32), rng.randint(10, 400)
+            gauge = Gauge(parse(f"{c0} + {c1}*exp(-{k}*(x-{m})^2)"))
+            part = cousin_partition(gauge, F(0), F(1), mode="mcshane")
+            assert (part.cells, part.tags) == by_scan(gauge)
+            outside += sum(not u <= t <= v for ((u, v),), (t,) in zip(part.cells, part.tags))
+        assert outside > 0  # the nearest-tag rule was exercised
 
 
 class TestSupernearness:
