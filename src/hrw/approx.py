@@ -176,14 +176,23 @@ def cos_approx(x: Fraction, digits: int) -> Fraction:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def tan_approx(x: Fraction, digits: int) -> Fraction:
-    """tan x; refuses arguments whose cosine is 0 at working precision."""
+    """tan x; refuses arguments with |cos x| < 10^-max(2, digits).
+
+    The error of s/c grows as 1/cos^2, so when |cos x| < 10^-k (k leading
+    zero digits) sin and cos are recomputed with 2k more guard digits.
+    """
     if x == 0:
         return ZERO
     g = digits + _GUARD + 4
     s, c = _sin_cos(x, g + _GUARD)
     c = round_to_digits(c, g)
-    if abs(c) * 10 ** max(2, digits // 2) < 1:
+    if abs(c) * 10 ** max(2, digits) < 1:
         raise DomainError(f"tan undefined near {x}: cos too close to 0")
+    k = g - _digits_of(int(abs(c) * 10**g))
+    if k > 0:
+        g += 2 * k
+        s, c = _sin_cos(x, g + _GUARD)
+        c = round_to_digits(c, g)
     return round_to_digits(round_to_digits(s, g) / c, digits)
 
 

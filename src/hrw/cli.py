@@ -9,6 +9,7 @@ Output is byte-identical across runs for identical invocations and seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,14 +29,18 @@ from .integration import (
     TAG_RULES,
     adaptive_simpson,
     converge_study,
+    first_variable,
 )
 from .rationals import decimal_str, format_rational, parse_rational
 
 
+class _UsageError(ValueError):
+    """An argparse usage error; ``run`` reports it as one line with exit code 2."""
+
+
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # single-line usage errors, exit code 2
-        sys.stderr.write(f"usage-error: {message}\n")
-        sys.exit(2)
+    def error(self, message):
+        raise _UsageError(message)
 
 
 def _fmt(q: Fraction) -> str:
@@ -414,9 +419,26 @@ def _cmd_integrate(args, cfg: Field) -> None:
     _emit(args, "integrate", params, {"value": _fmt(value)}, _pretty(value))
 
 
+# options each measure kind / converge op reads without a default
+_MEASURE_NEEDS = {
+    "area": ("on", "f", "g"), "volume-rev": ("on", "f"), "surface-rev": ("on", "f"),
+    "length": ("on", "curve"), "mass": ("region",), "com": ("region",),
+    "moment": ("region", "integrand"), "work": ("on", "field", "curve"),
+    "impulse": ("on", "force"), "morley": (),
+}
+_CONVERGE_NEEDS = {
+    "riemann": ("on", "expr"), "area": ("on", "f", "g"), "length": ("on", "curve"),
+    "work": ("on", "field", "curve"), "moment": ("region",), "impulse": ("on", "force"),
+}
+
+
+def _require(args, names: tuple[str, ...], what: str) -> None:
+    missing = [f"--{name}" for name in names if not getattr(args, name)]
+    if missing:
+        raise ParseError(0, f"{' and '.join(missing)} for {what}", "missing")
+
+
 def _region_from(args) -> Region:
-    if not args.region:
-        raise ParseError(0, "--region", "missing")
     membership = parse(args.region)
     if args.rect:
         rect = _parse_rect(args.rect)
@@ -489,28 +511,22 @@ def _measure_single(args, cfg: Field, mesh: Fraction) -> tuple[dict, str]:
 
 
 def _cmd_measure(args, cfg: Field) -> None:
+    _require(args, _MEASURE_NEEDS[args.kind], f"measure {args.kind}")
     params = {k: v for k, v in vars(args).items()
               if k not in ("command", "format", "precision", "window", "seed")
               and v is not None}
     if args.meshes and args.kind in ("area", "moment", "mass", "impulse"):
-        meshes = _parse_rationals(args.meshes)
-        values = {}
+        meshes = sorted(_parse_rationals(args.meshes), reverse=True)
 
         def target(mesh: Fraction) -> Fraction:
-            args_mesh = argparse.Namespace(**{**vars(args), "mesh": str(mesh)})
-            result, _ = _measure_single(args_mesh, cfg, mesh)
+            result, _ = _measure_single(args, cfg, mesh)
             return parse_rational(result["value"] if "value" in result else result["mass"])
 
-        rows = [(m, target(m)) for m in sorted(meshes, reverse=True)]
-        estimate = integration.extrapolate([v for _, v in rows])
-        notes = []
-        if args.oracle:
-            oracle = parse_rational(args.oracle)
-        else:
-            oracle = estimate
-            notes.append("oracle: extrapolated (no closed form supplied)")
-        report = integration.ConvergenceReport(
-            f"measure {args.kind}", params, tuple(rows), estimate, oracle, tuple(notes))
+        oracle = parse_rational(args.oracle) if args.oracle else Fraction(0)
+        notes = () if args.oracle else ("oracle: extrapolated (no closed form supplied)",)
+        report = converge_study(f"measure {args.kind}", target, meshes, oracle, params, notes)
+        if not args.oracle:
+            report = dataclasses.replace(report, oracle=report.estimate)
         _emit_report(args, report)
         return
     result, text = _measure_single(args, cfg, parse_rational(args.mesh))
@@ -518,6 +534,7 @@ def _cmd_measure(args, cfg: Field) -> None:
 
 
 def _cmd_converge(args, cfg: Field) -> None:
+    _require(args, _CONVERGE_NEEDS[args.op], f"converge {args.op}")
     d = cfg.precision
     meshes = sorted(_parse_rationals(args.meshes), reverse=True)
     params = {k: v for k, v in vars(args).items()
@@ -591,8 +608,7 @@ def _cmd_converge(args, cfg: Field) -> None:
     if args.oracle == "simpson":
         if quad is None:
             raise ParseError(0, "a rational --oracle for this op", "'simpson'")
-        names = sorted(free_vars(quad)) or ["x"]
-        fn = compile_real(quad, (names[0],), d)
+        fn = compile_real(quad, (first_variable("x", quad),), d)
         oracle = adaptive_simpson(fn, a, b)
         notes.append("oracle: adaptive Simpson, tolerance 1e-10")
     else:
@@ -642,8 +658,8 @@ def _parser() -> _Parser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = _field_from(args)
         _COMMANDS[args.command](args, cfg)
         return 0
@@ -653,7 +669,7 @@ def run(argv: list[str] | None = None) -> int:
     except MathError as ex:
         sys.stderr.write(f"error: {ex.case}: {ex}\n")
         return 1
-    except ValueError as ex:  # invalid geometry/argument combinations
+    except ValueError as ex:  # usage errors, invalid geometry/argument combinations
         sys.stderr.write(f"usage-error: {ex}\n")
         return 2
 

@@ -4,13 +4,24 @@ Infinite-mesh statements are emulated by sequences of finite partitions with
 shrinking mesh; every sum is an exact rational, so results are identical
 across runs and across any evaluation order.  A rational adaptive-Simpson
 quadrature serves as the independent oracle for convergence studies.
+
+Every box sum runs over one cell grid: ``_breaks`` cuts each axis into equal
+widths (or explicit breakpoints are used), ``_cells`` enumerates the cells in
+row-major order (first axis outermost, last axis fastest) and ``_volume`` is a
+cell's product of widths.  Region sums (``inner_sum``, ``measure_moment``,
+``measure_mass_moment_com``) classify the region once per call with
+``_inner_cells`` (a sweep sharing vertex columns in the plane, a cached
+vertex classifier otherwise) and then sum over its inner cells.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import approx
@@ -68,12 +79,6 @@ class Rect:
     def dimension(self) -> int:
         return len(self.intervals)
 
-    def volume(self) -> Fraction:
-        v = Fraction(1)
-        for a, b in self.intervals:
-            v *= b - a
-        return v
-
 
 @dataclass(frozen=True)
 class PartitionSpec:
@@ -104,11 +109,7 @@ class PartitionSpec:
                 counts = counts * rect.dimension
             if len(counts) != rect.dimension:
                 raise ValueError("one count per axis required")
-            out = []
-            for (a, b), m in zip(rect.intervals, counts):
-                step = (b - a) / m
-                out.append([a + k * step for k in range(m)] + [b])
-            return out
+            return [_breaks(a, b, m) for (a, b), m in zip(rect.intervals, counts)]
         if len(self.points) != rect.dimension:
             raise ValueError("one breakpoint list per axis required")
         for axis, (a, b) in zip(self.points, rect.intervals):
@@ -116,20 +117,36 @@ class PartitionSpec:
                 raise ValueError("breakpoints must include the endpoints")
         return [list(axis) for axis in self.points]
 
-    def max_width(self, rect: Rect) -> Fraction:
-        return max(
-            max(b - a for a, b in zip(axis, axis[1:]))
-            for axis in self.breakpoints(rect)
-        )
+
+Cell = tuple[tuple[Fraction, Fraction], ...]
+
+
+def _breaks(a, b, m: int) -> list[Fraction]:
+    """m equal-width cells of [a, b]: the m + 1 breakpoints."""
+    a, b = Fraction(a), Fraction(b)
+    step = (b - a) / m
+    return [a + k * step for k in range(m)] + [b]
+
+
+def _cells(breaks: list[list[Fraction]]) -> Iterable[Cell]:
+    """Row-major cell enumeration (first axis outermost)."""
+    return product(*(list(zip(axis, axis[1:])) for axis in breaks))
+
+
+def _volume(cell: Cell) -> Fraction:
+    return math.prod(hi - lo for lo, hi in cell)
+
+
+def first_variable(default: str, *exprs: Expr) -> str:
+    """The alphabetically first free variable of the expressions, else default."""
+    return min(set().union(*map(free_vars, exprs)), default=default)
 
 
 def _mix_seed(seed: int, index: int) -> int:
     return ((seed + 1) * 2654435761 + index * 40503) % (1 << 63)
 
 
-def _tag_for(
-    cell: tuple[tuple[Fraction, Fraction], ...], rule: str, seed: int, index: int
-) -> tuple[Fraction, ...]:
+def _tag_for(cell: Cell, rule: str, seed: int, index: int) -> tuple[Fraction, ...]:
     if rule == "min-vertex":
         return tuple(lo for lo, _ in cell)
     if rule == "center":
@@ -153,7 +170,7 @@ class TaggedPartition:
     """
 
     rect: Rect
-    cells: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
+    cells: tuple[Cell, ...]
     tags: tuple[tuple[Fraction, ...], ...]
     tag_rule: str
     tags_in_cells: bool = True
@@ -168,40 +185,13 @@ class TaggedPartition:
                         raise ValueError(f"tag {tag} outside its cell {cell}")
 
     def volumes(self) -> list[Fraction]:
-        out = []
-        for cell in self.cells:
-            v = Fraction(1)
-            for lo, hi in cell:
-                v *= hi - lo
-            out.append(v)
-        return out
-
-
-def _iter_cells(
-    breaks: list[list[Fraction]],
-) -> Iterable[tuple[tuple[Fraction, Fraction], ...]]:
-    """Row-major cell enumeration (first axis outermost)."""
-    dims = [len(axis) - 1 for axis in breaks]
-    idx = [0] * len(dims)
-    total = 1
-    for m in dims:
-        total *= m
-    for _ in range(total):
-        yield tuple(
-            (breaks[k][idx[k]], breaks[k][idx[k] + 1]) for k in range(len(dims))
-        )
-        for k in reversed(range(len(dims))):
-            idx[k] += 1
-            if idx[k] < dims[k]:
-                break
-            idx[k] = 0
+        return [_volume(cell) for cell in self.cells]
 
 
 def tagged_partition(
     rect: Rect, spec: PartitionSpec, tag_rule: str = "min-vertex", seed: int = 0
 ) -> TaggedPartition:
-    breaks = spec.breakpoints(rect)
-    cells = tuple(_iter_cells(breaks))
+    cells = tuple(_cells(spec.breakpoints(rect)))
     tags = tuple(_tag_for(cell, tag_rule, seed, i) for i, cell in enumerate(cells))
     return TaggedPartition(rect, cells, tags, tag_rule)
 
@@ -218,15 +208,10 @@ def riemann_sum(
     precision: int = DEFAULT_PRECISION,
 ) -> Fraction:
     """sum f(tag) * volume(cell) over the tagged partition; exact rational."""
-    names = axis_names(rect.dimension)
-    fn = compile_real(f, names, precision)
+    fn = compile_real(f, axis_names(rect.dimension), precision)
     total = Fraction(0)
-    for i, cell in enumerate(_iter_cells(spec.breakpoints(rect))):
-        tag = _tag_for(cell, tag_rule, seed, i)
-        v = Fraction(1)
-        for lo, hi in cell:
-            v *= hi - lo
-        total += fn(*tag) * v
+    for i, cell in enumerate(_cells(spec.breakpoints(rect))):
+        total += fn(*_tag_for(cell, tag_rule, seed, i)) * _volume(cell)
     return total
 
 
@@ -250,51 +235,34 @@ def darboux_bounds(
     """
     if samples_per_axis < 2:
         raise ValueError("need at least the two endpoint samples per axis")
-    names = axis_names(rect.dimension)
-    fn = compile_real(f, names, precision)
+    fn = compile_real(f, axis_names(rect.dimension), precision)
     s = samples_per_axis
     lower = Fraction(0)
     upper = Fraction(0)
     flagged = 0
-    for cell in _iter_cells(spec.breakpoints(rect)):
+    for cell in _cells(spec.breakpoints(rect)):
         axes = [
             [lo + Fraction(j, s - 1) * (hi - lo) for j in range(s)] for lo, hi in cell
         ]
-        grid: dict[tuple[int, ...], Fraction] = {}
-        idx = [0] * len(axes)
-        while True:
-            grid[tuple(idx)] = fn(*(axes[k][idx[k]] for k in range(len(axes))))
-            for k in reversed(range(len(axes))):
-                idx[k] += 1
-                if idx[k] < s:
-                    break
-                idx[k] = 0
-            else:
-                break
-            if all(i == 0 for i in idx):
-                break
-        values = list(grid.values())
-        v = Fraction(1)
-        for lo, hi in cell:
-            v *= hi - lo
+        values = [fn(*p) for p in product(*axes)]
+        v = _volume(cell)
         lower += min(values) * v
         upper += max(values) * v
-        if not _grid_monotone(grid, len(axes), s):
+        if not _grid_monotone(values, len(axes), s):
             flagged += 1
     return DarbouxBounds(lower, upper, flagged)
 
 
-def _grid_monotone(grid: dict[tuple[int, ...], Fraction], dim: int, s: int) -> bool:
+def _grid_monotone(values: list[Fraction], dim: int, s: int) -> bool:
+    """Is every axis-parallel line of the row-major s^dim sample grid monotone?"""
     for axis in range(dim):
-        lines: dict[tuple[int, ...], list[Fraction]] = {}
-        for idx, val in grid.items():
-            key = idx[:axis] + idx[axis + 1 :]
-            lines.setdefault(key, [None] * s)[idx[axis]] = val
-        for seq in lines.values():
-            up = all(a <= b for a, b in zip(seq, seq[1:]))
-            down = all(a >= b for a, b in zip(seq, seq[1:]))
-            if not (up or down):
-                return False
+        stride = s ** (dim - 1 - axis)
+        for start in range(len(values)):
+            if start // stride % s == 0:  # first sample of a line along this axis
+                seq = values[start : start + s * stride : stride]
+                up = all(a <= b for a, b in zip(seq, seq[1:]))
+                if not (up or all(a >= b for a, b in zip(seq, seq[1:]))):
+                    return False
     return True
 
 
@@ -307,11 +275,10 @@ class Region:
 
     bounding: Rect
     membership: Expr
-    exact_content: Fraction | None = None
 
     @staticmethod
     def whole(rect: Rect) -> "Region":
-        return Region(rect, Const(Fraction(-1)), rect.volume())
+        return Region(rect, Const(Fraction(-1)))
 
 
 class InnerSumResult(NamedTuple):
@@ -320,6 +287,53 @@ class InnerSumResult(NamedTuple):
     boundary: int
     exterior: int
     boundary_volume: Fraction
+
+
+def _inner_cells(region: Region, spec: PartitionSpec, precision: int):
+    """Classify every cell of the bounding box's partition (see ``inner_sum``).
+
+    Returns the inner cells as (min-vertex, volume) pairs, the boundary and
+    exterior counts and the boundary volume.
+    """
+    rect = region.bounding
+    member = compile_real(region.membership, axis_names(rect.dimension), precision)
+    classify = _sweep_2d if rect.dimension == 2 else _classify_cells
+    inner: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    boundary = exterior = 0
+    boundary_volume = Fraction(0)
+    for corner, v, flags in classify(member, spec.breakpoints(rect)):
+        if all(flags):
+            inner.append((corner, v))
+        elif not any(flags):
+            exterior += 1
+        else:
+            boundary += 1
+            boundary_volume += v
+    return inner, boundary, exterior, boundary_volume
+
+
+def _classify_cells(member, breaks):
+    """Any dimension: vertex verdicts cached across the cells sharing them."""
+    inside = cache(lambda *point: member(*point) <= 0)
+    for cell in _cells(breaks):
+        flags = [inside(*vertex) for vertex in product(*cell)]
+        flags.append(member(*((lo + hi) / 2 for lo, hi in cell)) <= 0)
+        yield tuple(lo for lo, _ in cell), _volume(cell), flags
+
+
+def _sweep_2d(member, breaks):
+    """Plane case: columns of vertex verdicts shared between adjacent cells."""
+    xs, ys = breaks
+    y_mids = [(lo + hi) / 2 for lo, hi in zip(ys, ys[1:])]
+    left = [member(xs[0], y) <= 0 for y in ys]
+    for x_lo, x_hi in zip(xs, xs[1:]):
+        x_mid = (x_lo + x_hi) / 2
+        right = [member(x_hi, y) <= 0 for y in ys]
+        dx = x_hi - x_lo
+        for j, y_mid in enumerate(y_mids):
+            flags = (left[j], left[j + 1], right[j], right[j + 1], member(x_mid, y_mid) <= 0)
+            yield (x_lo, ys[j]), dx * (ys[j + 1] - ys[j]), flags
+        left = right
 
 
 def inner_sum(
@@ -335,85 +349,13 @@ def inner_sum(
     vertex+center sampling is exact for convex and smooth-boundary regions
     at fine meshes and heuristic in general.
     """
-    rect = region.bounding
-    names = axis_names(rect.dimension)
-    member = compile_real(region.membership, names, precision)
-    fn = compile_real(f, names, precision)
-    if rect.dimension == 2:
-        return _inner_sum_2d(member, fn, spec.breakpoints(rect))
-    dim = rect.dimension
-    inside_cache: dict[tuple[Fraction, ...], bool] = {}
-
-    def inside(point: tuple[Fraction, ...]) -> bool:
-        got = inside_cache.get(point)
-        if got is None:
-            got = member(*point) <= 0
-            inside_cache[point] = got
-        return got
-
-    inner = boundary = exterior = 0
-    value = Fraction(0)
-    boundary_volume = Fraction(0)
-    for cell in _iter_cells(spec.breakpoints(rect)):
-        flags = []
-        for mask in range(1 << dim):
-            vertex = tuple(
-                cell[k][1] if (mask >> k) & 1 else cell[k][0] for k in range(dim)
-            )
-            flags.append(inside(vertex))
-        flags.append(member(*(((lo + hi) / 2) for lo, hi in cell)) <= 0)
-        v = Fraction(1)
-        for lo, hi in cell:
-            v *= hi - lo
-        if all(flags):
-            inner += 1
-            value += fn(*(lo for lo, _ in cell)) * v
-        elif not any(flags):
-            exterior += 1
-        else:
-            boundary += 1
-            boundary_volume += v
-    return InnerSumResult(value, inner, boundary, exterior, boundary_volume)
-
-
-def _inner_sum_2d(member, fn, breaks) -> InnerSumResult:
-    """Plane case of inner_sum: vertex rows shared between adjacent cells."""
-    xs, ys = breaks
-    x_mids = [(lo + hi) / 2 for lo, hi in zip(xs, xs[1:])]
-    inner = boundary = exterior = 0
-    value = Fraction(0)
-    boundary_volume = Fraction(0)
-    row_below = [member(x, ys[0]) <= 0 for x in xs]
-    for j in range(len(ys) - 1):
-        y_lo, y_hi = ys[j], ys[j + 1]
-        y_mid = (y_lo + y_hi) / 2
-        row_above = [member(x, y_hi) <= 0 for x in xs]
-        dy = y_hi - y_lo
-        for i in range(len(xs) - 1):
-            f00 = row_below[i]
-            f10 = row_below[i + 1]
-            f01 = row_above[i]
-            f11 = row_above[i + 1]
-            fc = member(x_mids[i], y_mid) <= 0
-            v = (xs[i + 1] - xs[i]) * dy
-            if f00 and f10 and f01 and f11 and fc:
-                inner += 1
-                value += fn(xs[i], y_lo) * v
-            elif not (f00 or f10 or f01 or f11 or fc):
-                exterior += 1
-            else:
-                boundary += 1
-                boundary_volume += v
-        row_below = row_above
-    return InnerSumResult(value, inner, boundary, exterior, boundary_volume)
+    fn = compile_real(f, axis_names(region.bounding.dimension), precision)
+    cells, boundary, exterior, boundary_volume = _inner_cells(region, spec, precision)
+    value = sum((fn(*corner) * v for corner, v in cells), Fraction(0))
+    return InnerSumResult(value, len(cells), boundary, exterior, boundary_volume)
 
 
 # -- one-dimensional measures --------------------------------------------------------------
-
-
-def _interval_breaks(a: Fraction, b: Fraction, m: int) -> list[Fraction]:
-    step = (Fraction(b) - Fraction(a)) / m
-    return [Fraction(a) + k * step for k in range(m)] + [Fraction(b)]
 
 
 def measure_area_between(
@@ -426,11 +368,10 @@ def measure_area_between(
     precision: int = DEFAULT_PRECISION,
 ) -> Fraction:
     """Riemann sum of (g - f) on [a, b]; f <= g checked at partition points."""
-    name = axis_names(1)[0]
-    var = sorted(free_vars(f) | free_vars(g)) or [name]
-    fn_f = compile_real(f, (var[0],), precision)
-    fn_g = compile_real(g, (var[0],), precision)
-    breaks = _interval_breaks(a, b, m)
+    var = (first_variable("x", f, g),)
+    fn_f = compile_real(f, var, precision)
+    fn_g = compile_real(g, var, precision)
+    breaks = _breaks(a, b, m)
     for t in breaks:
         if fn_f(t) > fn_g(t):
             raise OrderViolation(f"lower curve exceeds upper curve at {t}")
@@ -445,10 +386,10 @@ def measure_volume_revolution(
     f: Expr, a: Fraction, b: Fraction, m: int, precision: int = DEFAULT_PRECISION
 ) -> Fraction:
     """Solid of revolution about the axis: Riemann sum of pi * f(x)^2."""
-    var = sorted(free_vars(f)) or ["x"]
-    fn = compile_real(f, (var[0],), precision)
+    var = first_variable("x", f)
+    fn = compile_real(f, (var,), precision)
     pi = approx.pi_approx(precision)
-    breaks = _interval_breaks(a, b, m)
+    breaks = _breaks(a, b, m)
     total = Fraction(0)
     for lo, hi in zip(breaks, breaks[1:]):
         r = fn(lo)
@@ -462,17 +403,17 @@ def measure_surface_revolution(
     f: Expr, a: Fraction, b: Fraction, m: int, precision: int = DEFAULT_PRECISION
 ) -> Fraction:
     """Surface of revolution: Riemann sum of 2 pi f(x) sqrt(1 + f'(x)^2)."""
-    var = sorted(free_vars(f)) or ["x"]
-    fn = compile_real(f, (var[0],), precision)
+    var = first_variable("x", f)
+    fn = compile_real(f, (var,), precision)
     pi = approx.pi_approx(precision)
     cfg = Field(precision=precision)
-    breaks = _interval_breaks(a, b, m)
+    breaks = _breaks(a, b, m)
     total = Fraction(0)
     for lo, hi in zip(breaks, breaks[1:]):
         r = fn(lo)
         if r < 0:
             raise NegativeRadius(f"f({lo}) = {r} < 0")
-        slope = taylor_jet(f, lo, 1, cfg, var[0]).derivative(1)
+        slope = taylor_jet(f, lo, 1, cfg, var).derivative(1)
         total += 2 * pi * r * approx.sqrt_approx(1 + slope * slope, precision) * (hi - lo)
     return total
 
@@ -495,7 +436,7 @@ def measure_curve_length(
     second-order accuracy so the two paths track each other at fine meshes.
     """
     fns = [compile_real(c, (curve.param,), precision) for c in curve.components]
-    breaks = _interval_breaks(a, b, m)
+    breaks = _breaks(a, b, m)
     points = [tuple(fn(t) for fn in fns) for t in breaks]
     polygonal = Fraction(0)
     for p, q in zip(points, points[1:]):
@@ -536,14 +477,20 @@ def measure_mass_moment_com(
     spec: PartitionSpec,
     precision: int = DEFAULT_PRECISION,
 ) -> MassProperties:
-    """Mass and first moments by inner-rectangle sums of rho and coord*rho."""
-    names = axis_names(region.bounding.dimension)
-    mass = inner_sum(rho, region, spec, precision)
-    moments = []
-    for name in names:
-        integrand = Binary("*", Var(name), rho)
-        moments.append(inner_sum(integrand, region, spec, precision).value)
-    return MassProperties(mass.value, tuple(moments), mass)
+    """Mass and first moments: inner-rectangle sums of rho and coord*rho,
+    accumulated in one pass over one classification of the region."""
+    dim = region.bounding.dimension
+    fn = compile_real(rho, axis_names(dim), precision)
+    cells, boundary, exterior, boundary_volume = _inner_cells(region, spec, precision)
+    mass = Fraction(0)
+    moments = [Fraction(0)] * dim
+    for corner, v in cells:
+        w = fn(*corner) * v
+        mass += w
+        for k, x in enumerate(corner):
+            moments[k] += x * w
+    counts = InnerSumResult(mass, len(cells), boundary, exterior, boundary_volume)
+    return MassProperties(mass, tuple(moments), counts)
 
 
 def measure_moment(
@@ -612,7 +559,7 @@ def line_integral_work(
     names = axis_names(curve.dimension)
     field_fns = [compile_real(comp, names, precision) for comp in field_components]
     comp_fns = [compile_real(c, (curve.param,), precision) for c in curve.components]
-    breaks = _interval_breaks(a, b, m)
+    breaks = _breaks(a, b, m)
     points = [tuple(fn(t) for fn in comp_fns) for t in breaks]
     cfg = Field(precision=precision)
     chord = Fraction(0)
@@ -647,10 +594,9 @@ def riemann_stieltjes_sum(
 ) -> Fraction:
     """sum f(tag_i) (phi(t_i) - phi(t_{i-1})) over a partition of [a, b]."""
     rect = Rect.interval(a, b)
-    fvar = sorted(free_vars(f)) or ["x"]
-    pvar = sorted(free_vars(phi)) or fvar
-    fn = compile_real(f, (fvar[0],), precision)
-    fphi = compile_real(phi, (pvar[0],), precision)
+    fvar = first_variable("x", f)
+    fn = compile_real(f, (fvar,), precision)
+    fphi = compile_real(phi, (first_variable(fvar, phi),), precision)
     breaks = spec.breakpoints(rect)[0]
     total = Fraction(0)
     for i, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
@@ -663,9 +609,8 @@ def impulse(
     force: Expr, a: Fraction, b: Fraction, m: int, precision: int = DEFAULT_PRECISION
 ) -> Fraction:
     """Impulse of a time-dependent force: plain Riemann sum of F over [a, b]."""
-    var = sorted(free_vars(force)) or ["t"]
-    fn = compile_real(force, (var[0],), precision)
-    breaks = _interval_breaks(a, b, m)
+    fn = compile_real(force, (first_variable("t", force),), precision)
+    breaks = _breaks(a, b, m)
     return sum(
         (fn(lo) * (hi - lo) for lo, hi in zip(breaks, breaks[1:])), Fraction(0)
     )
@@ -681,8 +626,7 @@ class Gauge:
     radius: Expr
 
     def compiled(self, precision: int) -> Callable[[Fraction], Fraction]:
-        var = sorted(free_vars(self.radius)) or ["x"]
-        fn = compile_real(self.radius, (var[0],), precision)
+        fn = compile_real(self.radius, (first_variable("x", self.radius),), precision)
 
         def delta(x: Fraction) -> Fraction:
             value = fn(x)
@@ -780,8 +724,7 @@ def gauge_sum(
 ) -> Fraction:
     """Tagged Riemann sum over a gauge-fine partition of [a, b]."""
     part = cousin_partition(gauge, a, b, mode, precision)
-    var = sorted(free_vars(f)) or ["x"]
-    fn = compile_real(f, (var[0],), precision)
+    fn = compile_real(f, (first_variable("x", f),), precision)
     total = Fraction(0)
     for ((lo, hi),), (tag,) in zip(part.cells, part.tags):
         total += fn(tag) * (hi - lo)
@@ -853,13 +796,13 @@ def supernearness_probe(
     are the cell endpoints and center.  The trend detects whether the
     generator's cell averages cling to the target at every infinitesimal
     scale, or fail to."""
-    var = sorted(free_vars(generator) | free_vars(target)) or ["x"]
-    anti = polynomial_antiderivative(generator, var[0])
-    fn_anti = compile_real(anti, (var[0],), precision)
-    fn_target = compile_real(target, (var[0],), precision)
+    var = first_variable("x", generator, target)
+    anti = polynomial_antiderivative(generator, var)
+    fn_anti = compile_real(anti, (var,), precision)
+    fn_target = compile_real(target, (var,), precision)
     rows = []
     for m in meshes:
-        breaks = _interval_breaks(a, b, m)
+        breaks = _breaks(a, b, m)
         worst = Fraction(0)
         for lo, hi in zip(breaks, breaks[1:]):
             avg = (fn_anti(hi) - fn_anti(lo)) / (hi - lo)

@@ -162,13 +162,13 @@ def _args(seed: int, lo: int, hi: int, count: int = 40) -> list[F]:
     return [F(rng.randint(lo * d, hi * d), d) for d in dens]
 
 
-def _decimal_taylor(x: F) -> tuple[Decimal, Decimal]:
-    """(sin x, cos x) from the unreduced Taylor series, at 140 significant digits."""
+def _decimal_taylor(x: F, prec: int = 140) -> tuple[Decimal, Decimal]:
+    """(sin x, cos x) from the unreduced Taylor series, at prec significant digits."""
     with localcontext() as ctx:
-        ctx.prec = 140
+        ctx.prec = prec
         y = _dec(x)
         term, k, s, c = Decimal(1), 0, Decimal(0), Decimal(0)
-        while k < 40 or abs(term) > Decimal(10) ** -130:
+        while k < 40 or abs(term) > Decimal(10) ** (10 - prec):
             if k % 4 == 0:
                 c += term
             elif k % 4 == 1:
@@ -227,3 +227,23 @@ def test_sin_cos_match_decimal_taylor():
         s, c = _decimal_taylor(x)
         assert abs(approx.sin_approx(x, D80) - F(s)) < D80_TOL, x
         assert abs(approx.cos_approx(x, D80) - F(c)) < D80_TOL, x
+
+
+def test_tan_near_poles_matches_decimal():
+    # the error of s/c grows as 1/cos^2: both sides of pi/2, and 3pi/2
+    half_pi = approx.pi_approx(150) / 2
+    xs = [half_pi - F(1, 10**9), half_pi - F(1, 10**19), half_pi + F(1, 10**30),
+          3 * half_pi + F(1, 10**12), F(157, 100), F(-157, 100), F(11, 7)]
+    computed = refused = 0
+    for digits in (4, 20, 40, 80):
+        for x in xs:
+            s, c = _decimal_taylor(x, 260)
+            if abs(c) < Decimal(10) ** -digits:
+                refused += 1
+                with pytest.raises(DomainError):
+                    approx.tan_approx(x, digits)
+            else:
+                computed += 1
+                assert abs(approx.tan_approx(x, digits) - F(s) / F(c)) < F(1, 10**digits), (x, digits)
+    assert (computed, refused) == (23, 5)
+    assert approx.tan_approx(F(157, 100), 4) == F("1255.7656")

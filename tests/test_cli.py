@@ -186,9 +186,18 @@ class TestExitCodes:
         assert code == 1 and "ZeroVelocity" in err
 
     def test_unknown_flag(self, capsys):
+        code, out, err = invoke(capsys, "diff", "x", "--at", "0", "--bogus")
+        assert (code, out, err) == (2, "", "usage-error: unrecognized arguments: --bogus\n")
+
+    def test_argparse_usage_error_returns_two(self, capsys):
+        code, out, err = invoke(capsys, "eval")
+        assert (code, out) == (2, "")
+        assert err == "usage-error: the following arguments are required: expr\n"
+
+    def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(["diff", "x", "--at", "0", "--bogus"])
-        assert exc.value.code == 2
+            run(["--help"])
+        assert exc.value.code == 0 and "hyperreal workbench" in capsys.readouterr().out
 
     def test_mixed_curve_parameters_usage_error(self, capsys):
         code, _, err = invoke(capsys, "tangent", "--curve", "cos(t); sin(u)", "--at", "0")
@@ -250,10 +259,7 @@ class TestOneProcess:
     def test_requests_share_one_parser(self, capsys):
         requests = [["--precision", "60", "eval", "pi"], ["eval", "pi"], ["eval", "pi", "--bogus"]]
         for argv in requests:
-            try:
-                code = run(argv)
-            except SystemExit as ex:
-                code = ex.code
+            code = run(argv)
             captured = capsys.readouterr()
             fresh = subprocess.run(
                 [sys.executable, "-c",
@@ -262,3 +268,76 @@ class TestOneProcess:
             )
             assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
         assert code == 2 and captured.err.startswith("usage-error:")
+
+
+# every measure kind and converge op: the options it needs, and a full request
+_DISC = {"--region": "x^2+y^2-1"}
+_CURVE = {"--curve": "t; t^2", "--on": "0,1"}
+REQUESTS = {
+    ("measure", "area"): ({"--f": "0", "--g": "x^2", "--on": "0,1"}, ["--mesh", "1/4"]),
+    ("measure", "volume-rev"): ({"--f": "x", "--on": "0,1"}, ["--mesh", "1/4"]),
+    ("measure", "surface-rev"): ({"--f": "x", "--on": "0,1"}, ["--mesh", "1/4"]),
+    ("measure", "length"): (_CURVE, ["--mesh", "1/4"]),
+    ("measure", "mass"): (_DISC, ["--mesh", "1/4"]),
+    ("measure", "com"): (_DISC, ["--mesh", "1/4"]),
+    ("measure", "moment"): ({**_DISC, "--integrand": "x^2+y^2"}, ["--mesh", "1/4"]),
+    ("measure", "work"): ({"--field": "y; x", **_CURVE}, ["--mesh", "1/4"]),
+    ("measure", "impulse"): ({"--force": "t", "--on": "0,1"}, ["--mesh", "1/4"]),
+    ("measure", "morley"): ({}, ["--n", "4"]),
+    ("converge", "riemann"): ({"--expr": "x^2", "--on": "0,1"}, ["--meshes", "1/4,1/8"]),
+    ("converge", "area"): ({"--f": "0", "--g": "x^2", "--on": "0,1"}, ["--meshes", "1/4,1/8"]),
+    ("converge", "length"): (_CURVE, ["--meshes", "1/4,1/8", "--oracle", "1"]),
+    ("converge", "work"): ({"--field": "y; x", **_CURVE}, ["--meshes", "1/4,1/8", "--oracle", "1"]),
+    ("converge", "moment"): (_DISC, ["--meshes", "1/4,1/8", "--oracle", "1"]),
+    ("converge", "impulse"): ({"--force": "t", "--on": "0,1"}, ["--meshes", "1/4,1/8"]),
+}
+
+
+def _request(command, kind, drop=None):
+    needs, extra = REQUESTS[command, kind]
+    argv = [command, kind, *extra]
+    for flag, value in needs.items():
+        if flag != drop:
+            argv += [flag, value]
+    return argv
+
+
+class TestRequiredOptions:
+    def test_every_kind_listed(self):
+        from hrw.cli import build_parser
+
+        sub = build_parser()._subparsers._group_actions[0].choices
+        for command, positional in (("measure", "kind"), ("converge", "op")):
+            action = next(a for a in sub[command]._actions if a.dest == positional)
+            assert {k for c, k in REQUESTS if c == command} == set(action.choices)
+
+    @pytest.mark.parametrize("command,kind", sorted(REQUESTS))
+    def test_full_request_succeeds(self, capsys, command, kind):
+        code, out, err = invoke(capsys, *_request(command, kind))
+        assert code == 0 and out and not err
+
+    @pytest.mark.parametrize(
+        "command,kind,flag",
+        [(c, k, flag) for (c, k), (needs, _) in sorted(REQUESTS.items()) for flag in needs],
+    )
+    def test_missing_option_is_one_parse_error(self, capsys, command, kind, flag):
+        code, out, err = invoke(capsys, *_request(command, kind, drop=flag))
+        assert (code, out) == (2, "")
+        assert err.startswith("parse-error: ") and err.count("\n") == 1
+        assert flag in err and f"{command} {kind}" in err
+
+
+class TestMeasureMeshes:
+    def test_repeated_mesh_rejected_like_converge(self, capsys):
+        area = ["--f", "0", "--g", "x^2", "--on", "0,1", "--meshes", "1/4,1/4,1/8"]
+        measured = invoke(capsys, "measure", "area", *area)
+        converged = invoke(capsys, "converge", "area", *area)
+        assert measured == converged
+        assert measured == (2, "", "usage-error: meshes must be strictly decreasing\n")
+
+    def test_report_lists_meshes_in_decreasing_order(self, capsys):
+        code, out, _ = invoke(capsys, "--format", "json", "measure", "impulse", "--force", "t",
+                              "--on", "0,1", "--meshes", "1/8,1/2,1/4")
+        doc = json.loads(out)
+        assert code == 0 and [row["mesh"] for row in doc["rows"]] == ["1/2", "1/4", "1/8"]
+        assert doc["oracle"] == doc["estimate"]

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from hrw import integration
 from hrw.approx import pi_approx, sqrt_approx
 from hrw.calculus import CurveDef
 from hrw.errors import (
@@ -184,8 +185,22 @@ class TestInnerSum:
             volumes.append(res.boundary_volume)
         assert volumes[0] > volumes[1] > volumes[2] > volumes[3]
 
-    def test_generic_path_agrees_with_2d_fast_path(self):
-        # 3-D region exercises the generic classifier
+    @pytest.mark.parametrize("membership", ["x^2+y^2-1", "(x^2+y^2-1)*(16*x^2+16*y^2-1)"])
+    def test_general_classifier_matches_2d_sweep(self, membership):
+        # a unit-height cylinder cut into one z cell is the plane region,
+        # classified by the general (any-dimension) path instead of the sweep;
+        # at m = 3 the annulus's centre cell has every vertex inside, its
+        # centre in the hole
+        plane = Region(Rect.box((-1, 1), (-1, 1)), parse(membership))
+        cylinder = Region(Rect.box((-1, 1), (-1, 1), (0, 1)), parse(membership))
+        f = parse("1 + x - x*y^2")
+        for m in (3, 4, 7, 16):
+            flat = inner_sum(f, plane, PartitionSpec.simple(m, m))
+            solid = inner_sum(f, cylinder, PartitionSpec.simple(m, m, 1))
+            assert solid == flat
+        assert flat.inner > 0 and flat.boundary > 0 and flat.exterior > 0
+
+    def test_ball_inner_cells(self):
         ball = Region(
             Rect.box((-1, 1), (-1, 1), (-1, 1)), parse("x^2+y^2+z^2-1")
         )
@@ -279,6 +294,47 @@ class TestMeasures:
         assert len(props.moments) == 3
         for coord in props.centroid:
             assert abs(coord - F(1, 2)) < F(1, 10)
+
+    @pytest.mark.parametrize(
+        "region,counts",
+        [
+            (Region(Rect.box((-1, 1), (-1, 1)), parse("x^2+y^2-1")), (9, 9)),
+            (Region(Rect.box((F(-1, 2), 2), (-1, 1)), parse("(x-1)^2+y^2-1")), (5, 8)),
+            (Region(Rect.box((-1, 1), (-1, 1), (0, 2)), parse("x^2+y^2+(z-1)^2-1")), (4, 5, 3)),
+        ],
+    )
+    def test_mass_com_matches_separate_inner_sums(self, region, counts):
+        rho = "2 + x*y - z/3" if region.bounding.dimension == 3 else "2 + x*y"
+        spec = PartitionSpec.simple(*counts)
+        props = measure_mass_moment_com(parse(rho), region, spec)
+        mass = inner_sum(parse(rho), region, spec)
+        assert props.counts == mass and props.mass == mass.value and mass.inner > 0
+        names = ("x", "y", "z")[: region.bounding.dimension]
+        assert props.moments == tuple(
+            inner_sum(parse(f"{name}*({rho})"), region, spec).value for name in names
+        )
+
+    @pytest.mark.parametrize(
+        "box,counts,calls",
+        [
+            (((-1, 1), (-1, 1)), (4, 6), 5 * 7 + 4 * 6),
+            (((-1, 1), (-1, 1), (-1, 1)), (3, 3, 2), 4 * 4 * 3 + 3 * 3 * 2),
+        ],
+    )
+    def test_mass_com_tests_each_vertex_and_centre_once(self, monkeypatch, box, counts, calls):
+        region = Region(Rect.box(*box), parse("x^2+y^2-1"))
+        seen = []
+        compile_real = integration.compile_real
+
+        def counting(e, names, precision):
+            fn = compile_real(e, names, precision)
+            if e is not region.membership:
+                return fn
+            return lambda *p: seen.append(p) or fn(*p)
+
+        monkeypatch.setattr(integration, "compile_real", counting)
+        measure_mass_moment_com(parse("1 + x"), region, PartitionSpec.simple(*counts))
+        assert len(seen) == len(set(seen)) == calls
 
     def test_zero_mass_centroid_raises(self):
         from hrw.errors import ZeroMass
