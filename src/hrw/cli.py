@@ -426,6 +426,8 @@ _MEASURE_NEEDS = {
     "moment": ("region", "integrand"), "work": ("on", "field", "curve"),
     "impulse": ("on", "force"), "morley": (),
 }
+# measure kinds that run a convergence study for --meshes (and report --oracle)
+_MESH_KINDS = ("area", "moment", "mass", "impulse")
 _CONVERGE_NEEDS = {
     "riemann": ("on", "expr"), "area": ("on", "f", "g"), "length": ("on", "curve"),
     "work": ("on", "field", "curve"), "moment": ("region",), "impulse": ("on", "force"),
@@ -512,10 +514,14 @@ def _measure_single(args, cfg: Field, mesh: Fraction) -> tuple[dict, str]:
 
 def _cmd_measure(args, cfg: Field) -> None:
     _require(args, _MEASURE_NEEDS[args.kind], f"measure {args.kind}")
+    if (args.meshes or args.oracle) and args.kind not in _MESH_KINDS:
+        raise _UsageError(
+            f"--meshes and --oracle apply to measure {'/'.join(_MESH_KINDS)}, not {args.kind}"
+        )
     params = {k: v for k, v in vars(args).items()
               if k not in ("command", "format", "precision", "window", "seed")
               and v is not None}
-    if args.meshes and args.kind in ("area", "moment", "mass", "impulse"):
+    if args.meshes:
         meshes = sorted(_parse_rationals(args.meshes), reverse=True)
 
         def target(mesh: Fraction) -> Fraction:

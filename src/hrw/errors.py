@@ -67,7 +67,7 @@ class ZeroMass(MathError):
 
 
 class DepthExceeded(MathError):
-    """Gauge partition bisection passed the depth cap."""
+    """Gauge partition bisection passed the depth cap or the cell cap."""
 
 
 class UnknownFunctional(MathError):

@@ -1,12 +1,20 @@
 """A computable non-Archimedean ordered field of truncated formal series.
 
 Values are finite sums  sum_q  a_q * eps^q  with exact rational coefficients
-a_q and exact rational exponents q, sorted by increasing exponent.  ``eps`` is
-a fixed positive infinitesimal generator: smaller than every positive real,
-with 1/eps larger than every real.  Each value keeps only exponents below
-``lambda + window`` where ``lambda`` is its least exponent (the *relative
-window*); operations that drop nonzero terms mark their result ``saturated``
-so truncation stays observable.
+a_q and exact rational exponents q.  ``eps`` is a fixed positive infinitesimal
+generator: smaller than every positive real, with 1/eps larger than every
+real.  Each value keeps only exponents below ``lambda + window`` where
+``lambda`` is its least exponent (the *relative window*); operations that drop
+nonzero terms mark their result ``saturated`` so truncation stays observable.
+
+A value holds its terms as a tuple of (exponent, coefficient) pairs sorted by
+increasing exponent, with no zero coefficient.  An integral exponent (and an
+integral window) is held as an ``int``, any other as a ``Fraction``; the two
+compare and hash alike, so this only spares the hot loops ``Fraction``
+arithmetic on exponent keys.  Coefficients are always ``Fraction``.  The
+public ``HyperReal(...)`` constructor merges, sorts and normalises any terms
+it is given; every internal result is built by ``_series``, which takes
+terms already in that form and applies only the window cap.
 
 Every series map shares one kernel, ``_power_series``: factor x into a
 monomial head times (const + u) with u of positive leading exponent mu, then
@@ -107,7 +115,16 @@ class ExtendedReal:
 ExtendedReal.POS_INF = ExtendedReal(None, 1)
 ExtendedReal.NEG_INF = ExtendedReal(None, -1)
 
-Term = tuple[Fraction, Fraction]  # (exponent, coefficient), coefficient != 0
+Term = tuple[Fraction | int, Fraction]  # (exponent, coefficient), coefficient != 0
+
+
+def _exponent(q) -> Fraction | int:
+    """q as an int when integral, else as a Fraction."""
+    if type(q) is int:
+        return q
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 
 class HyperReal:
@@ -122,29 +139,21 @@ class HyperReal:
         precision: int = DEFAULT_PRECISION,
         saturated: bool = False,
     ):
-        merged: dict[Fraction, Fraction] = {}
+        merged: dict[Fraction | int, Fraction] = {}
         for e, c in terms:
             if c:
-                merged[e] = merged.get(e, Fraction(0)) + c
-        ordered = sorted((e, c) for e, c in merged.items() if c)
-        if ordered:
-            cap = ordered[0][0] + window
-            kept = [t for t in ordered if t[0] < cap]
-            if len(kept) < len(ordered):
-                saturated = True
-            ordered = kept
-        object.__setattr__(self, "terms", tuple(ordered))
-        object.__setattr__(self, "window", Fraction(window))
-        object.__setattr__(self, "precision", int(precision))
-        object.__setattr__(self, "saturated", bool(saturated))
+                e = _exponent(e)
+                merged[e] = merged[e] + c if e in merged else Fraction(c)
+        _fill(self, _canonical(merged), _exponent(window), int(precision), bool(saturated))
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("HyperReal is immutable")
 
     # -- construction helpers -------------------------------------------------
 
-    def _lift(self, terms: Iterable[Term], saturated: bool = False) -> "HyperReal":
-        return HyperReal(terms, self.window, self.precision, saturated)
+    def _lift(self, terms: list[Term], saturated: bool = False) -> "HyperReal":
+        """A value of this configuration from terms in canonical form."""
+        return _series(terms, self.window, self.precision, saturated)
 
     def _coerce(self, other) -> "HyperReal":
         if isinstance(other, HyperReal):
@@ -152,7 +161,7 @@ class HyperReal:
                 raise ValueError("operands carry different field configurations")
             return other
         if isinstance(other, (int, Fraction)):
-            return self._lift([(Fraction(0), Fraction(other))])
+            return self._lift([(0, Fraction(other))] if other else [])
         return NotImplemented  # type: ignore[return-value]
 
     # -- structure inspection --------------------------------------------------
@@ -165,11 +174,11 @@ class HyperReal:
         """(least exponent, its coefficient), or None for the zero element."""
         return self.terms[0] if self.terms else None
 
-    def leading_exponent(self) -> Fraction | None:
+    def leading_exponent(self) -> Fraction | int | None:
         return self.terms[0][0] if self.terms else None
 
     def coefficient(self, exponent: Rational) -> Fraction:
-        e = Fraction(exponent)
+        e = _exponent(exponent)
         for te, tc in self.terms:
             if te == e:
                 return tc
@@ -183,9 +192,10 @@ class HyperReal:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self._lift(
-            list(self.terms) + list(o.terms), self.saturated or o.saturated
-        )
+        acc = dict(self.terms)
+        for e, c in o.terms:
+            acc[e] = acc[e] + c if e in acc else c
+        return self._lift(_canonical(acc), self.saturated or o.saturated)
 
     __radd__ = __add__
 
@@ -207,19 +217,22 @@ class HyperReal:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return self._lift([], self.saturated or o.saturated)
+        # o.terms is sorted, so a row ends at its first exponent past the cap;
+        # the leading product cannot cancel, so this cap is the result's own
         cap = self.terms[0][0] + o.terms[0][0] + self.window
-        acc: dict[Fraction, Fraction] = {}
+        acc: dict[Fraction | int, Fraction] = {}
         dropped = False
         for e1, c1 in self.terms:
             for e2, c2 in o.terms:
                 e = e1 + e2
                 if e >= cap:
                     dropped = True
-                    continue
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return self._lift(
-            acc.items(), self.saturated or o.saturated or dropped
-        )
+                    break
+                if e in acc:
+                    acc[e] += c1 * c2
+                else:
+                    acc[e] = c1 * c2
+        return self._lift(_canonical(acc), self.saturated or o.saturated or dropped)
 
     __rmul__ = __mul__
 
@@ -253,7 +266,7 @@ class HyperReal:
             )
         if n < 0:
             return self.inv() ** (-n)
-        result = self._lift([(Fraction(0), Fraction(1))])
+        result = self._lift([(0, Fraction(1))])
         base = self
         k = n
         while k:
@@ -294,16 +307,15 @@ class HyperReal:
                 f"nth root with non-positive leading coefficient {a}"
             )
         root_a = approx.nth_root_approx(a, n, self.precision)
+        head = (_exponent(Fraction(lam, n)), root_a)
         if len(self.terms) == 1:
-            return self._lift([(lam / n, root_a)], self.saturated)
-        return _power_series(
-            self._shifted_tail(), _binomial(Fraction(1, n), a), (lam / n, root_a)
-        )
+            return self._lift([head] if root_a else [], self.saturated)
+        return _power_series(self._shifted_tail(), _binomial(Fraction(1, n), a), head)
 
     def _shifted_tail(self) -> "HyperReal":
         """The terms after the leading one, shifted down by the leading exponent."""
         lam = self.terms[0][0]
-        return self._lift([(e - lam, c) for e, c in self.terms[1:]])
+        return self._lift([(_exponent(e - lam), c) for e, c in self.terms[1:]])
 
     def sqrt(self) -> "HyperReal":
         return self.nth_root(2)
@@ -442,6 +454,40 @@ class HyperReal:
         return f"HyperReal({self.render()!r})"
 
 
+def _fill(x: HyperReal, terms: list[Term], window, precision: int, saturated: bool) -> None:
+    """Set x's slots from sorted, merged, nonzero terms, applying the window cap."""
+    if terms:
+        cap = terms[0][0] + window
+        if terms[-1][0] >= cap:
+            terms = [t for t in terms if t[0] < cap]
+            saturated = True
+    object.__setattr__(x, "terms", tuple(terms))
+    object.__setattr__(x, "window", window)
+    object.__setattr__(x, "precision", precision)
+    object.__setattr__(x, "saturated", saturated)
+
+
+def _series(terms: list[Term], window, precision: int, saturated: bool) -> HyperReal:
+    """The canonical constructor of internal results.
+
+    ``terms`` must already be merged, sorted by exponent, free of zero
+    coefficients and hold integral exponents as ints; ``window`` is
+    normalised the same way.  Only the window cap is applied.
+    """
+    x = object.__new__(HyperReal)
+    _fill(x, terms, window, precision, saturated)
+    return x
+
+
+def _canonical(acc: dict) -> list[Term]:
+    """Accumulated exponent -> coefficient sums as canonical terms."""
+    return [
+        (e if type(e) is int else _exponent(e), c)
+        for e, c in sorted(acc.items())
+        if c
+    ]
+
+
 @dataclass(frozen=True)
 class Field:
     """Field configuration and value factory.
@@ -461,10 +507,10 @@ class Field:
         object.__setattr__(self, "window", Fraction(self.window))
 
     def rational(self, q: Rational) -> HyperReal:
-        return HyperReal([(Fraction(0), Fraction(q))], self.window, self.precision)
+        return self.monomial(q, 0)
 
     def zero(self) -> HyperReal:
-        return HyperReal([], self.window, self.precision)
+        return self.rational(0)
 
     def one(self) -> HyperReal:
         return self.rational(1)
@@ -472,14 +518,18 @@ class Field:
     def epsilon(self, q: Rational = 1) -> HyperReal:
         """The monomial eps^q; epsilon(1) is the canonical infinitesimal,
         epsilon(-1) the canonical infinite element."""
-        return HyperReal([(Fraction(q), Fraction(1))], self.window, self.precision)
+        return self.monomial(1, q)
 
     def gamma(self) -> HyperReal:
         return self.epsilon(-1)
 
     def monomial(self, coeff: Rational, exponent: Rational) -> HyperReal:
-        return HyperReal(
-            [(Fraction(exponent), Fraction(coeff))], self.window, self.precision
+        c = Fraction(coeff)
+        return _series(
+            [(_exponent(exponent), c)] if c else [],
+            _exponent(self.window),
+            int(self.precision),
+            False,
         )
 
     def parse(self, text: str) -> HyperReal:
@@ -552,7 +602,7 @@ def _split_limited(x: HyperReal, what: str) -> tuple[Fraction, HyperReal]:
 
 
 def _power_series(
-    u: HyperReal, coeffs: Iterator[Fraction], head: Term = (Fraction(0), Fraction(1))
+    u: HyperReal, coeffs: Iterator[Fraction], head: Term = (0, Fraction(1))
 ) -> HyperReal:
     """head * sum_k c_k u^k for u with positive leading exponent mu.
 
@@ -566,32 +616,38 @@ def _power_series(
     always marked saturated.
     """
     shift, scale = head
-    acc: dict[Fraction, Fraction] = {}
+    acc: dict[Fraction | int, Fraction] = {}
     if scale:
         mu = u.terms[0][0]
         cap = None
-        upow: list[Term] = [(Fraction(0), Fraction(1))]
+        upow: list[Term] = [(0, Fraction(1))]
         for k, c in enumerate(coeffs):
             if c:
                 if cap is None:
                     cap = k * mu + u.window
                 c *= scale
                 for e, a in upow:
-                    acc[e] = acc.get(e, 0) + c * a
+                    if e in acc:
+                        acc[e] += c * a
+                    else:
+                        acc[e] = c * a
             limit = (k + 1) * mu + u.window if cap is None else cap
-            nxt: dict[Fraction, Fraction] = {}
+            nxt: dict[Fraction | int, Fraction] = {}
             for e1, a1 in upow:
                 for e2, a2 in u.terms:
                     e = e1 + e2
                     if e >= limit:
                         break
-                    nxt[e] = nxt.get(e, 0) + a1 * a2
+                    if e in nxt:
+                        nxt[e] += a1 * a2
+                    else:
+                        nxt[e] = a1 * a2
             upow = [t for t in nxt.items() if t[1]]
             if not upow:
                 break
-    return HyperReal(
-        [(e + shift, c) for e, c in acc.items()], u.window, u.precision, True
-    )
+    if shift:
+        acc = {e + shift: c for e, c in acc.items()}
+    return _series(_canonical(acc), u.window, u.precision, True)
 
 
 # Coefficient rules c_0, c_1, ... for _power_series.
@@ -634,8 +690,8 @@ def hr_exp(x: HyperReal) -> HyperReal:
     s, h = _split_limited(x, "exp")
     const = approx.exp_approx(s, x.precision)
     if h.is_zero:
-        return x._lift([(Fraction(0), const)] if const else [], x.saturated)
-    return _power_series(h, _exp_coeffs(), (Fraction(0), const))
+        return x._lift([(0, const)] if const else [], x.saturated)
+    return _power_series(h, _exp_coeffs(), (0, const))
 
 
 def hr_ln(x: HyperReal) -> HyperReal:
@@ -644,7 +700,7 @@ def hr_ln(x: HyperReal) -> HyperReal:
         raise DomainError(f"ln requires a positive standard part, got {s}")
     const = approx.ln_approx(s, x.precision)
     if h.is_zero:
-        return x._lift([(Fraction(0), const)] if const else [], x.saturated)
+        return x._lift([(0, const)] if const else [], x.saturated)
     return _power_series(h, _ln_coeffs(const, s))
 
 
@@ -653,7 +709,7 @@ def hr_sin(x: HyperReal) -> HyperReal:
     sin_s = approx.sin_approx(s, x.precision)
     cos_s = approx.cos_approx(s, x.precision)
     if h.is_zero:
-        return x._lift([(Fraction(0), sin_s)] if sin_s else [], x.saturated)
+        return x._lift([(0, sin_s)] if sin_s else [], x.saturated)
     return _power_series(h, _trig(sin_s, cos_s))
 
 
@@ -662,7 +718,7 @@ def hr_cos(x: HyperReal) -> HyperReal:
     sin_s = approx.sin_approx(s, x.precision)
     cos_s = approx.cos_approx(s, x.precision)
     if h.is_zero:
-        return x._lift([(Fraction(0), cos_s)] if cos_s else [], x.saturated)
+        return x._lift([(0, cos_s)] if cos_s else [], x.saturated)
     return _power_series(h, _trig(cos_s, -sin_s))
 
 
@@ -673,7 +729,7 @@ def hr_tan(x: HyperReal) -> HyperReal:
         raise DomainError(f"tan undefined near {s}: cos too close to 0")
     if h.is_zero:  # the exact ratio the series path's constant term carries
         const = approx.sin_approx(s, x.precision) / cos_s
-        return x._lift([(Fraction(0), const)] if const else [], x.saturated)
+        return x._lift([(0, const)] if const else [], x.saturated)
     return hr_sin(x) / hr_cos(x)
 
 
@@ -689,8 +745,8 @@ def hr_pow(x: HyperReal, r: Fraction) -> HyperReal:
         )
     const = approx.pow_approx(s, r, x.precision)
     if h.is_zero:
-        return x._lift([(Fraction(0), const)], x.saturated)
-    return _power_series(h, _binomial(r, s), (Fraction(0), const))
+        return x._lift([(0, const)] if const else [], x.saturated)
+    return _power_series(h, _binomial(r, s), (0, const))
 
 
 _ANALYTIC = {

@@ -638,6 +638,10 @@ class Gauge:
 
 
 _BISECT_CAP = 64
+# bounds the work, not the depth: a gauge that vanishes to second order at a
+# point bisection never samples (1/3, -pi/2) needs about 2^k cells in the
+# k-th dyadic shell around it
+_CELL_CAP = 2048
 
 
 def cousin_partition(
@@ -653,8 +657,12 @@ def cousin_partition(
     Cells are found by recursive bisection, trying the left endpoint and then
     the midpoint as in-cell tags; McShane mode first tries the nearest
     already-accepted tag, which may lie outside the cell.  Positivity of the
-    gauge makes every bisection chain terminate; a depth cap of 64 guards
-    against gauges that vanish at machine scale.
+    gauge makes every bisection chain terminate, but not the partition: a
+    gauge that tends to 0 at a point needs ever more cells near it.  So a
+    depth cap of 64 guards against gauges that vanish at machine scale, and a
+    cap of 2048 accepted cells (a constant gauge of 1/2500 on a unit interval
+    still fits) against gauges that vanish at a point; passing either raises
+    DepthExceeded naming the cell reached.
     """
     if mode not in ("tag-in-cell", "mcshane"):
         raise ValueError("mode must be 'tag-in-cell' or 'mcshane'")
@@ -690,6 +698,11 @@ def cousin_partition(
     while stack:
         u, v, depth = stack.pop()
         if accept(u, v):
+            if len(cells) > _CELL_CAP:
+                raise DepthExceeded(
+                    f"more than {_CELL_CAP} gauge-fine cells, the last [{u}, {v}]"
+                    f" at depth {depth}, delta({u}) = {delta(u)}"
+                )
             continue
         if depth >= _BISECT_CAP:
             raise DepthExceeded(

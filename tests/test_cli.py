@@ -341,3 +341,11 @@ class TestMeasureMeshes:
         doc = json.loads(out)
         assert code == 0 and [row["mesh"] for row in doc["rows"]] == ["1/2", "1/4", "1/8"]
         assert doc["oracle"] == doc["estimate"]
+
+    @pytest.mark.parametrize("kind", ["volume-rev", "surface-rev", "length", "com", "work", "morley"])
+    @pytest.mark.parametrize("option", [["--meshes", "1/3,1/5,1/7"], ["--oracle", "1/3"]])
+    def test_study_options_refused_for_single_value_kinds(self, capsys, kind, option):
+        code, out, err = invoke(capsys, *_request("measure", kind), *option)
+        assert (code, out) == (2, "")
+        assert err == (f"usage-error: --meshes and --oracle apply to measure "
+                       f"area/moment/mass/impulse, not {kind}\n")

@@ -466,3 +466,173 @@ class TestSaturation:
 
     def test_flag_propagates(self):
         assert ((ONE - EPS).inv() + ONE).saturated
+
+
+# -- the term representation against a naive reference --------------------------
+#
+# Each reference builds its result only through the public HyperReal(...)
+# constructor: all pairwise products, then merge, sort and window-truncate.
+
+WINDOWS = [F(16), F(7), F(5, 2)]
+
+
+def _binom(alpha, k):
+    c = F(1)
+    for j in range(k):
+        c = c * (alpha - j) / (j + 1)
+    return c
+
+
+def _ref_mul(x, y):
+    sat = x.saturated or y.saturated
+    if x.is_zero or y.is_zero:
+        return HyperReal([], x.window, x.precision, sat)
+    cap = x.terms[0][0] + y.terms[0][0] + x.window
+    pairs = [(e1 + e2, c1 * c2) for e1, c1 in x.terms for e2, c2 in y.terms]
+    kept = [t for t in pairs if t[0] < cap]
+    return HyperReal(kept, x.window, x.precision, sat or len(kept) < len(pairs))
+
+
+def _ref_add(x, y):
+    return HyperReal(list(x.terms) + list(y.terms), x.window, x.precision,
+                     x.saturated or y.saturated)
+
+
+def _ref_pow(x, n):
+    """Square and multiply, in the order HyperReal.__pow__ uses."""
+    result, base = HyperReal([(0, 1)], x.window, x.precision), x
+    while n:
+        if n & 1:
+            result = _ref_mul(result, base)
+        base = _ref_mul(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+def _ref_series(u, coeff, head):
+    """head * sum_k coeff(k) u^k, keeping exponents below k0*mu + window."""
+    shift, scale = head
+    w, p = u.window, u.precision
+    if not scale:
+        return HyperReal([], w, p, True)
+    mu = u.terms[0][0]
+    k0 = next(k for k in range(10**6) if coeff(k))
+    cap = k0 * mu + w
+    terms, power, k = [], HyperReal([(0, 1)], w, p), 0
+    while k * mu < cap:
+        terms += [(e + shift, scale * coeff(k) * a) for e, a in power.terms]
+        power = HyperReal([(e1 + e2, a1 * a2) for e1, a1 in power.terms
+                           for e2, a2 in u.terms if e1 + e2 < cap], w, p)
+        k += 1
+    return HyperReal([t for t in terms if t[0] < cap + shift], w, p, True)
+
+
+def _ref_tail(x):
+    lam, a = x.terms[0]
+    return HyperReal([(e - lam, c) for e, c in x.terms[1:]], x.window, x.precision), lam, a
+
+
+def _ref_inv(x):
+    u, lam, a = _ref_tail(x)
+    if u.is_zero:
+        return HyperReal([(-lam, 1 / a)], x.window, x.precision, x.saturated)
+    return _ref_series(u, lambda k: F(-1, 1) ** k / a**k, (-lam, 1 / a))
+
+
+def _ref_root(x, n):
+    from hrw.approx import nth_root_approx
+
+    u, lam, a = _ref_tail(x)
+    head = (F(lam) / n, nth_root_approx(a, n, x.precision))
+    if u.is_zero:
+        return HyperReal([head], x.window, x.precision, x.saturated)
+    return _ref_series(u, lambda k: _binom(F(1, n), k) / a**k, head)
+
+
+def _ref_exp(x):
+    from hrw.approx import exp_approx
+
+    s = x.coefficient(0)
+    h = _ref_add(x, HyperReal([(0, -s)], x.window, x.precision))
+    const = exp_approx(s, x.precision)
+    if h.is_zero:
+        return HyperReal([(0, const)], x.window, x.precision, x.saturated)
+    fact = [1]
+    for k in range(1, 200):
+        fact.append(fact[-1] * k)
+    return _ref_series(h, lambda k: F(1, fact[k]), (0, const))
+
+
+def _ref_ln(x):
+    from hrw.approx import ln_approx
+
+    s = x.coefficient(0)
+    h = _ref_add(x, HyperReal([(0, -s)], x.window, x.precision))
+    const = ln_approx(s, x.precision)
+    if h.is_zero:
+        return HyperReal([(0, const)], x.window, x.precision, x.saturated)
+    return _ref_series(h, lambda k: const if k == 0 else F((-1) ** (k + 1), k) / s**k, (0, 1))
+
+
+def _grid_series(limited=False):
+    exps = [F(k, d) for d in (1, 2, 3) for k in range(0 if limited else -4, 10)]
+    # integral exponents are given as Fraction or int at random
+    exponent = st_.sampled_from(exps).flatmap(
+        lambda e: st_.sampled_from([e, int(e)] if e.denominator == 1 else [e]))
+    return st_.lists(st_.tuples(exponent, coeffs), max_size=4)
+
+
+def _assert_canonical(v):
+    assert all(type(c) is F and c for _, c in v.terms)
+    assert all(type(e) is int or (type(e) is F and e.denominator != 1) for e, _ in v.terms)
+    assert [e for e, _ in v.terms] == sorted({e for e, _ in v.terms})
+    assert type(v.window) is int or v.window.denominator != 1
+    assert parse_hyperreal(v.render(), v.window, v.precision) == v
+
+
+def _same(got, want):
+    _assert_canonical(got)
+    assert got.terms == want.terms
+    assert got.saturated == want.saturated
+    assert hash(got) == hash(want)
+
+
+class TestRepresentation:
+    def test_integral_exponents_are_ints(self):
+        x = HyperReal([(F(2), F(3)), (F(1, 2), 1), (0, F(1))])
+        assert [type(e) for e, _ in x.terms] == [int, F, int]
+        assert all(type(c) is F for _, c in x.terms)
+        half = FLD.epsilon(F(1, 2))
+        assert type((half * half).terms[0][0]) is int
+        assert type((FLD.epsilon(F(3, 2)) + EPS).inv().terms[1][0]) is F
+
+    def test_fraction_and_int_exponents_build_one_value(self):
+        a = HyperReal([(F(2), F(3)), (F(-1), F(1, 7))])
+        b = HyperReal([(2, 3), (-1, F(1, 7))])
+        assert a == b and hash(a) == hash(b) and a.terms == b.terms
+        assert HyperReal([(F(2), 1), (2, 1)]).terms == ((2, F(2)),)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st_.sampled_from(WINDOWS), _grid_series(), _grid_series(), st_.booleans())
+    def test_ring_ops_match_naive_reference(self, w, xs, ys, sat):
+        x, y = HyperReal(xs, w, 40, sat), HyperReal(ys, w, 40)
+        _same(x + y, _ref_add(x, y))
+        _same(x - y, _ref_add(x, HyperReal([(e, -c) for e, c in y.terms], w, 40, y.saturated)))
+        _same(-x, HyperReal([(e, -c) for e, c in x.terms], w, 40, x.saturated))
+        _same(x * y, _ref_mul(x, y))
+        _same(x * 3 + 1, _ref_add(_ref_mul(x, HyperReal([(0, 3)], w, 40)), HyperReal([(0, 1)], w, 40)))
+        _same(x**3, _ref_pow(x, 3))
+        if not x.is_zero:
+            _same(x.inv(), _ref_inv(x))
+            _same(x**-2, _ref_pow(_ref_inv(x), 2))
+            if x.terms[0][1] > 0:
+                _same(x.nth_root(2), _ref_root(x, 2))
+                _same(x.nth_root(3), _ref_root(x, 3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st_.sampled_from(WINDOWS), _grid_series(limited=True), coeffs)
+    def test_series_maps_match_naive_reference(self, w, xs, s):
+        x = HyperReal(xs + [(0, s)], w, 40)
+        _same(hr_exp(x), _ref_exp(x))
+        if x.coefficient(0) > 0:
+            _same(hr_ln(x), _ref_ln(x))

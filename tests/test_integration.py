@@ -1,6 +1,7 @@
 """Partition sums, measures, gauges, supernearness, convergence."""
 
 import random
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
@@ -453,6 +454,21 @@ class TestGauges:
     def test_vanishing_gauge_depth_cap(self):
         with pytest.raises(DepthExceeded):
             cousin_partition(Gauge(parse("0.000000000000000000000000000001")), F(0), F(1))
+
+    @pytest.mark.parametrize("text,a,b", [("(x - 1/3)^2", 0, 1), ("1/40*(1 + sin(x))", -2, -1)])
+    def test_gauge_vanishing_off_the_dyadic_grid_hits_cell_cap(self, text, a, b):
+        # positive at every dyadic point but 0 at 1/3 (resp. -pi/2): each
+        # dyadic shell towards the zero needs twice the cells of the last
+        for mode in ("tag-in-cell", "mcshane"):
+            start = time.perf_counter()
+            with pytest.raises(DepthExceeded, match="more than 2048 gauge-fine cells"):
+                cousin_partition(Gauge(parse(text)), F(a), F(b), mode)
+            assert time.perf_counter() - start < 1
+
+    def test_gauge_bounded_away_from_zero_fits_under_cell_cap(self):
+        gauge = Gauge(parse("1/40*(2 + sin(x))"))
+        assert len(cousin_partition(gauge, F(-2), F(-1)).cells) == 32
+        assert len(cousin_partition(Gauge(parse("1/2500")), F(0), F(1)).cells) == 2048
 
     def test_nonpositive_gauge_rejected(self):
         with pytest.raises(DomainError):
