@@ -15,12 +15,23 @@ named constants resolved to rational approximations at evaluation time.
 Expressions evaluate both over exact rationals (:func:`eval_real`) and over
 the truncated series field (:func:`eval_hyper`); a rule-based symbolic
 derivative for +,-,*,/ and integer powers serves as an independent oracle.
+
+For the partition sums, :func:`compile_real` generates straight-line Python
+over integer numerator/denominator pairs: ``+ - *`` cross-multiply without a
+gcd, denominators stay positive (a division moves the divisor's sign up),
+and the result is reduced once, on return.  An integer power is taken on
+the unreduced parts only while they cannot trip the 200 000-bit exact-power
+guard (``approx.POWER_BITS``); otherwise ``approx.int_pow`` sees the reduced
+value, so guarded powers come out as in :func:`eval_real`.  Every MathError
+from compiled code carries the offset of the node that raised it, exactly as
+from :func:`eval_real`, which stays the independent tree-walking oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Union
 
 from . import approx
@@ -577,84 +588,236 @@ def symbolic_derivative(e: Expr, var: str) -> Expr:
 
 
 def compile_real(e: Expr, names: tuple[str, ...], precision: int = 40) -> Callable[..., Fraction]:
-    """Compile to a plain function of Fractions; same semantics as eval_real.
+    """Compile to a function of rationals with eval_real's values and errors.
 
-    Used by the partition sums where tree-walking per tag would dominate.
-    Error positions are not attached on this path.
+    The i-th positional argument binds ``names[i]``.  The generated code is
+    straight-line arithmetic on Python ints: each argument is split once into
+    numerator and denominator, ``+ - *`` cross-multiply without taking a gcd
+    (a denominator known to be 1 is left out when the code is generated), and
+    ``/`` raises on a zero divisor and moves the divisor's sign into the
+    numerator, so every denominator stays positive.  An integer power n
+    raises both parts while the unreduced operand has at most
+    ``POWER_BITS // |n|`` bits; past that it calls ``approx.int_pow`` on the
+    reduced value, whose own size guard then decides as in eval_real.
+    ``sqrt``, ``root``, real powers and the transcendental calls take
+    ``Fraction`` operands.  The result is reduced once, on return.
+
+    A MathError carries the offset of the node that raised it, as in
+    eval_real; an unbound variable is refused here, at compile time.
+
+    Constants, offsets and the precision enter the code as closure
+    variables, so expressions of one shape share one compiled code object.
     """
-    ctx: dict[str, object] = {}
-    counter = iter(range(10**6))
+    gen = _Codegen(names, precision)
+    result = _fraction(gen.part(e))
+    head = [f"n{i} = a{i}.numerator; d{i} = a{i}.denominator" for i in sorted(gen.used)]
+    lines = [*head, *gen.lines, f"return {result}"]
+    make = _function_maker(len(gen.consts), len(names), "\n".join(lines))
+    return make(*gen.consts)
 
-    def bind(value) -> str:
-        name = f"_k{next(counter)}"
-        ctx[name] = value
+
+Part = tuple[str, Union[str, None]]  # code for (numerator, denominator); None means 1
+
+
+class _Codegen:
+    """Statements and (numerator, denominator) code for one expression.
+
+    Part code is pure int arithmetic on names and closure constants, so it
+    may be evaluated later than it is generated; whatever can raise becomes
+    a statement in evaluation order.
+    """
+
+    def __init__(self, names: tuple[str, ...], precision: int):
+        self.names = names
+        self.lines: list[str] = []
+        self.used: set[int] = set()
+        self.consts: list = []
+        self.temps = 0
+        self.precision = precision
+        self.digits = self.const(precision)  # its name in the code
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"c{len(self.consts) - 1}"
+
+    def const_part(self, value: Fraction) -> Part:
+        den = self.const(value.denominator) if value.denominator != 1 else None
+        return self.const(value.numerator), den
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps - 1}"
+
+    def atom(self, text: str | None) -> str | None:
+        """The text itself if it is a name (or None), else a new temporary."""
+        if text is None or text.isidentifier():
+            return text
+        name = self.temp()
+        self.lines.append(f"{name} = {text}")
         return name
 
-    def gen(node: Expr) -> str:
+    def shallow(self, text: str | None) -> str | None:
+        """Bound the nesting of generated expressions (Python's parser
+        refuses 200 levels): deep code goes to a temporary."""
+        return self.atom(text) if text and text.count("(") > 40 else text
+
+    def call(self, pos: int, head: str) -> Part:
+        """Finish a helper call with the node's offset; the helper's
+        (numerator, denominator) result goes to two temporaries."""
+        n, d = self.temp(), self.temp()
+        self.lines.append(f"{n}, {d} = {head}, {self.const(pos)})")
+        return n, d
+
+    def part(self, node: Expr) -> Part:
         if isinstance(node, Const):
-            return bind(node.value)
+            return self.const_part(Fraction(node.value))
         if isinstance(node, Var):
-            if node.name in names:
-                return node.name
+            if node.name in self.names:
+                i = self.names.index(node.name)
+                self.used.add(i)
+                return f"n{i}", f"d{i}"
             if node.name == "pi":
-                return bind(approx.pi_approx(precision))
+                return self.const_part(approx.pi_approx(self.precision))
             if node.name == "e":
-                return bind(approx.exp_approx(Fraction(1), precision))
+                return self.const_part(approx.exp_approx(Fraction(1), self.precision))
             raise DomainError(f"unbound variable {node.name!r}", node.pos)
         if isinstance(node, Unary):
-            return f"(-{gen(node.operand)})"
+            n, d = self.part(node.operand)
+            return self.shallow(f"(-{n})"), d
         if isinstance(node, Binary):
             if node.op == "^":
-                if isinstance(node.right, Const) and node.right.value.denominator == 1:
-                    return f"_ipow({gen(node.left)}, {int(node.right.value)}, {precision})"
-                return f"_powr({gen(node.left)}, {gen(node.right)})"
-            a, b = gen(node.left), gen(node.right)
-            if node.op == "/":
-                return f"_div({a}, {b})"
-            return f"({a} {node.op} {b})"
-        args = [gen(a) for a in node.args]
-        return f"_{node.fn}({', '.join(args)})"
+                return self.power(node)
+            n, d = self.binary(node)
+            return self.shallow(n), self.shallow(d)
+        p = self.digits
+        if node.fn == "root":
+            index = node.args[0]
+            if isinstance(index, Const) and index.value.denominator == 1 and index.value >= 2:
+                k = str(int(index.value))
+            else:
+                k = self.temp()
+                self.lines.append(
+                    f"{k} = _index({_fraction(self.part(index))}, {self.const(index.pos)})"
+                )
+            return self.call(node.pos, f"_root({k}, {_fraction(self.part(node.args[1]))}, {p}")
+        n, d = self.part(node.args[0])
+        if node.fn == "abs":
+            return f"abs({n})", d
+        if node.fn == "sqrt":
+            return self.call(node.pos, f"_sqrt({_fraction((n, d))}, {p}")
+        return self.call(node.pos, f"_approx(_A.{node.fn}_approx, {_fraction((n, d))}, {p}")
 
-    body = gen(e)
-    d = precision
-    ctx.update(
-        _div=_compiled_div,
-        _ipow=approx.int_pow,
-        _powr=lambda a, b: approx.pow_approx(a, b, d),
-        _abs=abs,
-        _sin=lambda v: approx.sin_approx(v, d),
-        _cos=lambda v: approx.cos_approx(v, d),
-        _tan=lambda v: approx.tan_approx(v, d),
-        _exp=lambda v: approx.exp_approx(v, d),
-        _ln=lambda v: approx.ln_approx(v, d),
-        _sqrt=lambda v: _compiled_sqrt(v, d),
-        _root=lambda n, v: _compiled_root(n, v, d),
-    )
-    src = f"def _f({', '.join(names)}):\n    return {body}\n"
-    scope: dict[str, object] = dict(ctx)
-    exec(src, scope)  # noqa: S102 - generated from a validated AST
-    return scope["_f"]  # type: ignore[return-value]
+    def binary(self, node: Binary) -> Part:
+        an, ad = self.part(node.left)
+        if node.op == "/" and isinstance(node.right, Const) and node.right.value != 0:
+            bn, bd = self.const_part(1 / node.right.value)  # the sign is in bn
+            return _times(an, bn), _times(ad, bd)
+        bn, bd = self.part(node.right)
+        if node.op == "*":
+            return _times(an, bn), _times(ad, bd)
+        if node.op == "/":
+            bn = self.atom(bn)
+            n, d = self.temp(), self.temp()
+            self.lines += [
+                f"if {bn} == 0: raise _DZ('division by zero', {self.const(node.pos)})",
+                f"{n} = {_times(an, bd)}; {d} = {_times(ad, bn)}",
+                f"if {bn} < 0: {n} = -{n}; {d} = -{d}",
+            ]
+            return n, d
+        if ad == bd:  # both 1, or one shared denominator
+            return f"({an} {node.op} {bn})", ad
+        ad, bd = self.atom(ad), self.atom(bd)
+        return f"({_times(an, bd)} {node.op} {_times(bn, ad)})", _times(ad, bd)
+
+    def power(self, node: Binary) -> Part:
+        base = self.part(node.left)
+        if not (isinstance(node.right, Const) and node.right.value.denominator == 1):
+            exponent = _fraction(self.part(node.right))
+            return self.call(
+                node.pos, f"_approx(_A.pow_approx, {_fraction(base)}, {exponent}, {self.digits}"
+            )
+        k = int(node.right.value)
+        if k == 0:
+            return self.const_part(Fraction(1))
+        an, ad = self.atom(base[0]), self.atom(base[1])
+        m, limit = abs(k), approx.POWER_BITS // abs(k)
+        if ad:
+            small = f"{an}.bit_length() + {ad}.bit_length() <= {limit}"
+        else:
+            small = f"{an}.bit_length() < {limit}"  # a reduced denominator 1 has 1 bit
+        d_pow = f"{ad} ** {m}" if ad else "1"
+        n, d = self.temp(), self.temp()
+        if k > 0:
+            self.lines.append(f"if {small}: {n} = {an} ** {m}; {d} = {d_pow}")
+        else:  # a zero base takes the int_pow path, which raises DivisionByZero
+            self.lines += [
+                f"if {an} and {small}:",
+                f"    {n} = {d_pow}; {d} = {an} ** {m}",
+                f"    if {d} < 0: {n} = -{n}; {d} = -{d}",
+            ]
+        fallback = f"_approx(_A.int_pow, {_fraction((an, ad))}, {k}, {self.digits}"
+        self.lines.append(f"else: {n}, {d} = {fallback}, {self.const(node.pos)})")
+        return n, d
 
 
-def _compiled_div(a: Fraction, b: Fraction) -> Fraction:
-    if b == 0:
-        raise DivisionByZero("division by zero")
-    return a / b
+def _times(a: str | None, b: str | None) -> str | None:
+    """Product code; a factor that is None (1) is left out."""
+    if a is None or b is None:
+        return b if a is None else a
+    return f"({a} * {b})"
 
 
-def _compiled_sqrt(v: Fraction, d: int) -> Fraction:
+def _fraction(part: Part) -> str:
+    n, d = part
+    return f"_F({n}, {d})" if d is not None else f"_F({n})"
+
+
+@lru_cache(maxsize=256)
+def _function_maker(n_consts: int, arity: int, body: str):
+    """Compile ``body`` once per shape: the returned function binds the
+    constants and returns the compiled function of ``arity`` arguments."""
+    consts = ", ".join(f"c{i}" for i in range(n_consts))
+    params = ", ".join(f"a{i}" for i in range(arity))
+    indented = "".join(f"        {line}\n" for line in body.split("\n"))
+    source = f"def _make({consts}):\n    def _f({params}):\n{indented}    return _f\n"
+    scope = dict(_COMPILED_SCOPE)
+    exec(source, scope)  # noqa: S102 - generated from a validated AST
+    return scope["_make"]
+
+
+def _approx(fn, *args) -> tuple[int, int]:
+    """fn(*args[:-1]) as (numerator, denominator); a MathError is located at
+    the offset args[-1]."""
+    try:
+        v = fn(*args[:-1])
+    except MathError as ex:
+        raise type(ex)(str(ex), args[-1]) from None
+    return v.numerator, v.denominator
+
+
+def _sqrt(v: Fraction, digits: int, pos: int) -> tuple[int, int]:
     if v < 0:
-        raise DomainError(f"sqrt of negative value {v}")
-    return approx.sqrt_approx(v, d)
+        raise DomainError(f"sqrt of negative value {v}", pos)
+    return _approx(approx.sqrt_approx, v, digits, pos)
 
 
-def _compiled_root(n: Fraction, v: Fraction, d: int) -> Fraction:
-    idx = _require_root_index(n, -1)
-    if v == 0:
-        return Fraction(0)
-    if v < 0:
-        raise DomainError(f"root of negative value {v}")
-    return approx.nth_root_approx(v, idx, d)
+def _root(n: int, v: Fraction, digits: int, pos: int) -> tuple[int, int]:
+    if v <= 0:
+        if v == 0:
+            return 0, 1
+        raise DomainError(f"root of negative value {v}", pos)
+    return _approx(approx.nth_root_approx, v, n, digits, pos)
+
+
+_COMPILED_SCOPE = {
+    "_F": Fraction,
+    "_DZ": DivisionByZero,
+    "_A": approx,
+    "_approx": _approx,
+    "_sqrt": _sqrt,
+    "_root": _root,
+    "_index": _require_root_index,
+}
 
 
 # -- function definition files ----------------------------------------------------------------

@@ -8,10 +8,15 @@ quadrature serves as the independent oracle for convergence studies.
 Every box sum runs over one cell grid: ``_breaks`` cuts each axis into equal
 widths (or explicit breakpoints are used), ``_cells`` enumerates the cells in
 row-major order (first axis outermost, last axis fastest) and ``_volume`` is a
-cell's product of widths.  Region sums (``inner_sum``, ``measure_moment``,
-``measure_mass_moment_com``) classify the region once per call with
-``_inner_cells`` (a sweep sharing vertex columns in the plane, a cached
-vertex classifier otherwise) and then sum over its inner cells.
+cell's product of widths.  ``_tags`` yields the tags in the same order; a
+deterministic rule is applied once per axis interval, not per cell.
+``_cell_sum`` adds value * volume over the grid: on equal-width axes it sums
+the values over the lcm of their denominators (``_exact_sum``, one
+reduction) and multiplies by the one cell volume.  Region sums
+(``inner_sum``, ``measure_moment``, ``measure_mass_moment_com``) classify
+the region once per call with ``_inner_cells`` (a sweep sharing vertex
+columns in the plane, a cached vertex classifier otherwise) and then sum
+over its inner cells.
 """
 
 from __future__ import annotations
@@ -146,19 +151,50 @@ def _mix_seed(seed: int, index: int) -> int:
     return ((seed + 1) * 2654435761 + index * 40503) % (1 << 63)
 
 
-def _tag_for(cell: Cell, rule: str, seed: int, index: int) -> tuple[Fraction, ...]:
+def _tags(breaks: list[list[Fraction]], rule: str, seed: int) -> Iterable[tuple[Fraction, ...]]:
+    """The tag of every cell, in ``_cells`` order.
+
+    A deterministic rule takes each coordinate from that axis's interval
+    alone, so it is computed once per interval; seeded-random draws 30 bits
+    per axis for the i-th cell from ``Random(_mix_seed(seed, i))``.
+    """
+    intervals = [list(zip(axis, axis[1:])) for axis in breaks]
     if rule == "min-vertex":
-        return tuple(lo for lo, _ in cell)
+        return product(*([lo for lo, _ in axis] for axis in intervals))
     if rule == "center":
-        return tuple((lo + hi) / 2 for lo, hi in cell)
+        return product(*([(lo + hi) / 2 for lo, hi in axis] for axis in intervals))
     if rule == "corner-nearest-origin":
-        return tuple(lo if abs(lo) <= abs(hi) else hi for lo, hi in cell)
+        return product(
+            *([lo if abs(lo) <= abs(hi) else hi for lo, hi in axis] for axis in intervals)
+        )
     if rule == "seeded-random":
-        rng = random.Random(_mix_seed(seed, index))
-        return tuple(
+        return _seeded_tags(intervals, seed)
+    raise ValueError(f"unknown tag rule {rule!r}; choose from {TAG_RULES}")
+
+
+def _seeded_tags(intervals, seed: int) -> Iterable[tuple[Fraction, ...]]:
+    rng = random.Random()
+    for i, cell in enumerate(product(*intervals)):
+        rng.seed(_mix_seed(seed, i))
+        yield tuple(
             lo + Fraction(rng.getrandbits(30), 1 << 30) * (hi - lo) for lo, hi in cell
         )
-    raise ValueError(f"unknown tag rule {rule!r}; choose from {TAG_RULES}")
+
+
+def _exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """Sum over the lcm of the denominators, reduced once."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
+
+
+def _cell_sum(values: Iterable[Fraction], breaks: list[list[Fraction]]) -> Fraction:
+    """sum of value * volume over the cells in ``_cells`` order; when every
+    axis has equal widths the values are summed first and scaled once."""
+    widths = [[hi - lo for lo, hi in zip(axis, axis[1:])] for axis in breaks]
+    if all(w.count(w[0]) == len(w) for w in widths):
+        return math.prod(w[0] for w in widths) * _exact_sum(values)
+    return _exact_sum(v * math.prod(w) for v, w in zip(values, product(*widths)))
 
 
 @dataclass(frozen=True)
@@ -191,9 +227,9 @@ class TaggedPartition:
 def tagged_partition(
     rect: Rect, spec: PartitionSpec, tag_rule: str = "min-vertex", seed: int = 0
 ) -> TaggedPartition:
-    cells = tuple(_cells(spec.breakpoints(rect)))
-    tags = tuple(_tag_for(cell, tag_rule, seed, i) for i, cell in enumerate(cells))
-    return TaggedPartition(rect, cells, tags, tag_rule)
+    breaks = spec.breakpoints(rect)
+    cells = tuple(_cells(breaks))
+    return TaggedPartition(rect, cells, tuple(_tags(breaks, tag_rule, seed)), tag_rule)
 
 
 # -- Riemann and Darboux sums --------------------------------------------------------
@@ -209,10 +245,8 @@ def riemann_sum(
 ) -> Fraction:
     """sum f(tag) * volume(cell) over the tagged partition; exact rational."""
     fn = compile_real(f, axis_names(rect.dimension), precision)
-    total = Fraction(0)
-    for i, cell in enumerate(_cells(spec.breakpoints(rect))):
-        total += fn(*_tag_for(cell, tag_rule, seed, i)) * _volume(cell)
-    return total
+    breaks = spec.breakpoints(rect)
+    return _cell_sum((fn(*tag) for tag in _tags(breaks, tag_rule, seed)), breaks)
 
 
 class DarbouxBounds(NamedTuple):
@@ -237,20 +271,21 @@ def darboux_bounds(
         raise ValueError("need at least the two endpoint samples per axis")
     fn = compile_real(f, axis_names(rect.dimension), precision)
     s = samples_per_axis
-    lower = Fraction(0)
-    upper = Fraction(0)
+    breaks = spec.breakpoints(rect)
+    samples = [  # per axis interval, once
+        [[lo + Fraction(j, s - 1) * (hi - lo) for j in range(s)] for lo, hi in zip(axis, axis[1:])]
+        for axis in breaks
+    ]
+    lows: list[Fraction] = []
+    highs: list[Fraction] = []
     flagged = 0
-    for cell in _cells(spec.breakpoints(rect)):
-        axes = [
-            [lo + Fraction(j, s - 1) * (hi - lo) for j in range(s)] for lo, hi in cell
-        ]
+    for axes in product(*samples):
         values = [fn(*p) for p in product(*axes)]
-        v = _volume(cell)
-        lower += min(values) * v
-        upper += max(values) * v
+        lows.append(min(values))
+        highs.append(max(values))
         if not _grid_monotone(values, len(axes), s):
             flagged += 1
-    return DarbouxBounds(lower, upper, flagged)
+    return DarbouxBounds(_cell_sum(lows, breaks), _cell_sum(highs, breaks), flagged)
 
 
 def _grid_monotone(values: list[Fraction], dim: int, s: int) -> bool:
@@ -351,7 +386,7 @@ def inner_sum(
     """
     fn = compile_real(f, axis_names(region.bounding.dimension), precision)
     cells, boundary, exterior, boundary_volume = _inner_cells(region, spec, precision)
-    value = sum((fn(*corner) * v for corner, v in cells), Fraction(0))
+    value = _exact_sum(fn(*corner) * v for corner, v in cells)
     return InnerSumResult(value, len(cells), boundary, exterior, boundary_volume)
 
 
@@ -375,11 +410,8 @@ def measure_area_between(
     for t in breaks:
         if fn_f(t) > fn_g(t):
             raise OrderViolation(f"lower curve exceeds upper curve at {t}")
-    total = Fraction(0)
-    for i, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
-        (tag,) = _tag_for(((lo, hi),), tag_rule, 0, i)
-        total += (fn_g(tag) - fn_f(tag)) * (hi - lo)
-    return total
+    values = (fn_g(tag) - fn_f(tag) for (tag,) in _tags([breaks], tag_rule, 0))
+    return _cell_sum(values, [breaks])
 
 
 def measure_volume_revolution(
@@ -564,8 +596,8 @@ def line_integral_work(
     cfg = Field(precision=precision)
     chord = Fraction(0)
     integrand = Fraction(0)
-    for j, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
-        (tag,) = _tag_for(((lo, hi),), tag_rule, 0, j)
+    tags = _tags([breaks], tag_rule, 0)
+    for j, ((lo, hi), (tag,)) in enumerate(zip(zip(breaks, breaks[1:]), tags)):
         pos = tuple(fn(tag) for fn in comp_fns)
         force = [fn(*pos) for fn in field_fns]
         prev, here = points[j], points[j + 1]
@@ -598,11 +630,10 @@ def riemann_stieltjes_sum(
     fn = compile_real(f, (fvar,), precision)
     fphi = compile_real(phi, (first_variable(fvar, phi),), precision)
     breaks = spec.breakpoints(rect)[0]
-    total = Fraction(0)
-    for i, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
-        (tag,) = _tag_for(((lo, hi),), tag_rule, seed, i)
-        total += fn(tag) * (fphi(hi) - fphi(lo))
-    return total
+    tags = _tags([breaks], tag_rule, seed)
+    return _exact_sum(
+        fn(tag) * (fphi(hi) - fphi(lo)) for (tag,), lo, hi in zip(tags, breaks, breaks[1:])
+    )
 
 
 def impulse(

@@ -37,9 +37,12 @@ def format_rational(q: Fraction) -> str:
 
 
 def round_to_digits(x: Fraction, digits: int) -> Fraction:
-    """Round to the nearest multiple of 10^-digits (ties to even)."""
+    """Round to the nearest multiple of 10^-digits (ties to even), in integers."""
     scale = 10**digits
-    return Fraction(round(x * scale), scale)
+    q, r = divmod(x.numerator * scale, x.denominator)
+    if 2 * r > x.denominator or (2 * r == x.denominator and q & 1):
+        q += 1
+    return Fraction(q, scale)
 
 
 def decimal_str(q: Fraction, digits: int = 12) -> str:

@@ -5,9 +5,12 @@ from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hrw import approx
 from hrw.errors import ApproxOverflow, DivisionByZero, DomainError
+from hrw.rationals import round_to_digits
 
 # 50-digit references, checked far beyond the 40-digit working precision
 PI = F("3.14159265358979323846264338327950288419716939937511")
@@ -247,3 +250,22 @@ def test_tan_near_poles_matches_decimal():
                 assert abs(approx.tan_approx(x, digits) - F(s) / F(c)) < F(1, 10**digits), (x, digits)
     assert (computed, refused) == (23, 5)
     assert approx.tan_approx(F(157, 100), 4) == F("1255.7656")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.fractions(max_denominator=10**50),
+        # exact ties at the rounding grid, of both signs
+        st.builds(lambda k, d: F(2 * k + 1, 2 * 10**d), st.integers(-10**6, 10**6),
+                  st.integers(0, 44)),
+    ),
+    st.integers(0, 60),
+)
+@example(F(5, 2), 0)
+@example(F(-5, 2), 0)
+@example(F(-7, 2), 0)
+@example(F(1, 20), 1)
+@example(F(-3, 20), 1)
+def test_round_to_digits_matches_fraction_round(x, digits):
+    assert round_to_digits(x, digits) == F(round(x * 10**digits), 10**digits)

@@ -277,6 +277,12 @@ class TestCompiled:
         with pytest.raises(DivisionByZero):
             fn(F(0))
 
+    def test_long_expressions_compile(self):
+        # generated code stays below the parser's 200 nested parentheses
+        for source in ("+".join(["x*0.5"] * 250), "*".join(f"(x + {i})" for i in range(250))):
+            expr = parse(source)
+            assert compile_real(expr, ("x",))(F(1, 3)) == eval_real(expr, {"x": F(1, 3)})
+
 
 class TestFunctionDefs:
     def test_parse_and_inline(self):

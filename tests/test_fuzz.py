@@ -1,0 +1,330 @@
+"""Seeded differential tests: the compiled evaluator and the partition sums
+against the tree-walking evaluator ``eval_real``.
+
+Expressions are random trees over ``+ - * /``, unary minus, ``pi`` and ``e``,
+integer powers (negative ones, and ones on either side of the 200 000-bit
+exact-power guard), fractional and variable powers, ``abs``, ``sqrt``,
+``root`` and the transcendental calls.  They are rendered to text and parsed
+back, so every node carries a real source offset, and evaluated at random
+rationals drawn partly from the constants of the trees, so zero divisors,
+zero bases and negative radicands occur.  ``compile_real`` must give the
+value of ``eval_real`` exactly, or raise the same exception with the same
+text (offset included).
+
+Each partition sum is checked against a naive sum of ``eval_real(tag) *
+volume`` whose cells, tags and classification are written out here.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction as F
+from itertools import product
+
+import pytest
+
+from hrw import approx
+from hrw.exprs import Binary, Call, Const, Expr, Unary, Var, compile_real, eval_real, parse, render
+from hrw.integration import (
+    Gauge,
+    PartitionSpec,
+    Rect,
+    Region,
+    cousin_partition,
+    darboux_bounds,
+    gauge_sum,
+    inner_sum,
+    riemann_stieltjes_sum,
+    riemann_sum,
+)
+
+PRECISION = 12
+NAMES = ("x", "y", "z")
+POOL = [F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 3), F(3, 7), F(-5, 4), F(5, 2)]
+SEEDS = range(8)
+
+
+def rand_rational(rng: random.Random) -> F:
+    if rng.random() < 0.6:
+        return rng.choice(POOL)
+    return F(rng.randint(-40, 40), rng.randint(1, 12))
+
+
+class ExprGen:
+    """Random expression trees; ``big`` allows powers at the size guard."""
+
+    def __init__(self, rng: random.Random, names=NAMES[:2]):
+        self.rng = rng
+        self.names = names
+
+    def leaf(self) -> Expr:
+        r = self.rng.random()
+        if r < 0.5:
+            return Var(self.rng.choice(self.names))
+        if r < 0.9:
+            return Const(rand_rational(self.rng))
+        return Var(self.rng.choice(("pi", "e")))
+
+    def tree(self, depth: int, big: bool = True) -> Expr:
+        rng = self.rng
+        if depth == 0 or rng.random() < 0.2:
+            return self.leaf()
+        kind = rng.choices(
+            ["+", "-", "*", "/", "neg", "abs", "ipow", "guard", "rpow", "call"],
+            [4, 3, 4, 4, 1, 2, 3, 1 if big else 0, 1, 3],
+        )[0]
+        sub = lambda: self.tree(depth - 1, big)  # noqa: E731
+        if kind in "+-*/":
+            return Binary(kind, sub(), sub())
+        if kind == "neg":
+            return Unary("-", sub())
+        if kind == "abs":
+            return Call("abs", (sub(),))
+        if kind == "ipow":
+            exponent = Const(F(rng.choice([0, 1, 2, 3, 5, -1, -2, -3])))
+            return Binary("^", self.tree(depth - 1, big=False), exponent)
+        if kind == "guard":
+            # a constant base or a variable at a pool point: an exponent at
+            # the bit guard of the reduced value, or just past it
+            base = self.leaf()
+            if isinstance(base, Var):
+                bits = rng.choice([2, 3, 5, 6])
+            else:
+                bits = base.value.numerator.bit_length() + base.value.denominator.bit_length()
+            k = approx.POWER_BITS // bits + rng.choice([0, 1])
+            return Binary("^", base, Const(F(k * rng.choice([1, -1]))))
+        if kind == "rpow":
+            if rng.random() < 0.7:
+                exponent = Const(rng.choice([F(1, 2), F(-1, 2), F(3, 2), F(2, 3), F(-1, 3)]))
+            else:
+                exponent = self.tree(depth - 1, big=False)
+            return Binary("^", self.tree(depth - 1, big=False), exponent)
+        fn = rng.choice(["sqrt", "root", "sin", "cos", "tan", "exp", "ln"])
+        if fn == "root":
+            index = Const(F(rng.choice([2, 3, 4]))) if rng.random() < 0.8 else self.leaf()
+            return Call("root", (index, self.tree(depth - 1, big=False)))
+        return Call(fn, (self.tree(depth - 1, big=False),))
+
+
+def outcome(fn, *args):
+    """The value, or the exception's type and text."""
+    try:
+        return fn(*args)
+    except Exception as ex:  # noqa: BLE001 - any difference counts
+        return type(ex).__name__, str(ex)
+
+
+def parsed(e: Expr) -> Expr:
+    """Round trip through text, so every node has its source offset."""
+    return parse(render(e))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compiled_equals_tree_walk(seed):
+    rng = random.Random(seed)
+    gen = ExprGen(rng)
+    for _ in range(100):
+        e = parsed(gen.tree(rng.randint(1, 4)))
+        fn = compile_real(e, ("x", "y"), PRECISION)
+        for _ in range(5):
+            x, y = rand_rational(rng), rand_rational(rng)
+            want = outcome(eval_real, e, {"x": x, "y": y}, PRECISION)
+            got = outcome(fn, x, y)
+            assert got == want, (render(e), x, y)
+            if isinstance(got, F):
+                assert type(got) is F and math.gcd(got.numerator, got.denominator) == 1
+
+
+def test_compiled_error_offsets():
+    cases = {
+        "1/x": "DivisionByZero: division by zero (at offset 1)",
+        "2 + sqrt(x - 1)": "DomainError: sqrt of negative value -1 (at offset 4)",
+        "root(3, x - 1)": "DomainError: root of negative value -1 (at offset 0)",
+        "root(x, 2)": "DomainError: root index must be an integer >= 2, got 0 (at offset 5)",
+        "x^-2": "DivisionByZero: 0 raised to a negative power (at offset 1)",
+        "(x - 1)^0.5": "DomainError: non-integer power of negative value -1 (at offset 7)",
+        "ln(x)": "DomainError: ln of non-positive value 0 (at offset 0)",
+    }
+    for text, want in cases.items():
+        e = parse(text)
+        got = outcome(compile_real(e, ("x",)), 0)
+        assert f"{got[0]}: {got[1]}" == want
+        assert got == outcome(eval_real, e, {"x": F(0)})
+
+
+def test_power_guard_reads_the_reduced_value():
+    # x*2/2 at 3/7 is 6/14 unreduced (7 bits) and 3/7 reduced (5 bits): the
+    # guard at 200 000 bits passes 40 000 * 5 and refuses 40 001 * 5
+    for k in (40000, 40001, -40000, -40001):
+        e = parse(f"(x*2/2)^{k}")
+        assert outcome(compile_real(e, ("x",)), F(3, 7)) == outcome(eval_real, e, {"x": F(3, 7)})
+    assert compile_real(parse("(x*2/2)^40000"), ("x",))(F(3, 7)) == F(3, 7) ** 40000
+
+
+# -- partition sums against naive sums written here -------------------------------------------
+
+
+def naive_breaks(a: F, b: F, m: int) -> list[F]:
+    return [a + (b - a) * k / m for k in range(m + 1)]
+
+
+def naive_tag(cell, rule: str, seed: int, index: int) -> tuple[F, ...]:
+    if rule == "min-vertex":
+        return tuple(lo for lo, _ in cell)
+    if rule == "center":
+        return tuple((lo + hi) / 2 for lo, hi in cell)
+    if rule == "corner-nearest-origin":
+        return tuple(lo if abs(lo) <= abs(hi) else hi for lo, hi in cell)
+    rng = random.Random(((seed + 1) * 2654435761 + index * 40503) % (1 << 63))
+    return tuple(lo + F(rng.getrandbits(30), 1 << 30) * (hi - lo) for lo, hi in cell)
+
+
+def naive_cells(rect: Rect, counts) -> list:
+    axes = [naive_breaks(a, b, m) for (a, b), m in zip(rect.intervals, counts)]
+    return list(product(*(list(zip(ax, ax[1:])) for ax in axes)))
+
+
+def volume(cell) -> F:
+    v = F(1)
+    for lo, hi in cell:
+        v *= hi - lo
+    return v
+
+
+def at(e: Expr, point) -> F:
+    return eval_real(e, dict(zip(NAMES, point)), PRECISION)
+
+
+def rand_rect(rng: random.Random, dim: int) -> Rect:
+    intervals = []
+    for _ in range(dim):
+        a = F(rng.randint(-8, 4), rng.choice([1, 2, 4, 3]))
+        intervals.append((a, a + F(rng.randint(1, 8), rng.choice([1, 2, 3, 5]))))
+    return Rect(tuple(intervals))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_riemann_sum_all_rules(seed):
+    rng = random.Random(100 + seed)
+    for dim in (1, 2, 3):
+        gen = ExprGen(rng, NAMES[:dim])
+        for rule in ("min-vertex", "center", "corner-nearest-origin", "seeded-random"):
+            f = parsed(gen.tree(3, big=False))
+            rect = rand_rect(rng, dim)
+            counts = [rng.randint(1, (12, 5, 3)[dim - 1]) for _ in range(dim)]
+            tag_seed = rng.getrandbits(32)
+
+            def naive():
+                return sum(
+                    (at(f, naive_tag(cell, rule, tag_seed, i)) * volume(cell)
+                     for i, cell in enumerate(naive_cells(rect, counts))),
+                    F(0),
+                )
+
+            got = outcome(riemann_sum, f, rect, PartitionSpec.simple(*counts), rule, tag_seed,
+                          PRECISION)
+            assert got == outcome(naive), (render(f), rect, counts, rule)
+
+
+def naive_monotone(values: dict, dim: int, s: int) -> bool:
+    for axis in range(dim):
+        for rest in product(range(s), repeat=dim - 1):
+            seq = [values[rest[:axis] + (j,) + rest[axis:]] for j in range(s)]
+            pairs = list(zip(seq, seq[1:]))
+            if not (all(a <= b for a, b in pairs) or all(a >= b for a, b in pairs)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_darboux_bounds(seed):
+    rng = random.Random(200 + seed)
+    for dim in (1, 2):
+        f = parsed(ExprGen(rng, NAMES[:dim]).tree(3, big=False))
+        rect = rand_rect(rng, dim)
+        counts = [rng.randint(1, 4) for _ in range(dim)]
+        s = rng.randint(2, 4)
+
+        def naive():
+            lower = upper = F(0)
+            flagged = 0
+            for cell in naive_cells(rect, counts):
+                grid = [[lo + (hi - lo) * j / (s - 1) for j in range(s)] for lo, hi in cell]
+                values = {idx: at(f, [grid[k][j] for k, j in enumerate(idx)])
+                          for idx in product(range(s), repeat=dim)}
+                lower += min(values.values()) * volume(cell)
+                upper += max(values.values()) * volume(cell)
+                flagged += not naive_monotone(values, dim, s)
+            return lower, upper, flagged
+
+        got = outcome(darboux_bounds, f, rect, PartitionSpec.simple(*counts), s, PRECISION)
+        assert got == outcome(naive), render(f)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_riemann_stieltjes_and_gauge_sums(seed):
+    rng = random.Random(300 + seed)
+    gen = ExprGen(rng, ("x",))
+    for rule in ("min-vertex", "center", "corner-nearest-origin", "seeded-random"):
+        f, phi = parsed(gen.tree(3, big=False)), parsed(gen.tree(2, big=False))
+        (a, b), = rand_rect(rng, 1).intervals
+        m = rng.randint(1, 10)
+        tag_seed = rng.getrandbits(32)
+
+        def naive():
+            breaks = naive_breaks(a, b, m)
+            total = F(0)
+            for i, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
+                (tag,) = naive_tag(((lo, hi),), rule, tag_seed, i)
+                total += at(f, (tag,)) * (at(phi, (hi,)) - at(phi, (lo,)))
+            return total
+
+        got = outcome(riemann_stieltjes_sum, f, phi, a, b, PartitionSpec.simple(m), rule,
+                      tag_seed, PRECISION)
+        assert got == outcome(naive), (render(f), render(phi))
+
+    for mode in ("tag-in-cell", "mcshane"):
+        f = parsed(gen.tree(3, big=False))
+        (a, b), = rand_rect(rng, 1).intervals
+        gauge = Gauge(parse(f"{F(rng.randint(1, 9), 16)} + x^2/{rng.randint(2, 9)}"))
+
+        def naive_gauge():
+            part = cousin_partition(gauge, a, b, mode, PRECISION)
+            return sum((at(f, tag) * (hi - lo) for ((lo, hi),), tag in zip(part.cells, part.tags)),
+                       F(0))
+
+        got = outcome(gauge_sum, f, a, b, gauge, mode, PRECISION)
+        assert got == outcome(naive_gauge), render(f)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_inner_sum(seed):
+    rng = random.Random(400 + seed)
+    for dim in (1, 2, 3):
+        f = parsed(ExprGen(rng, NAMES[:dim]).tree(3, big=False))
+        rect = rand_rect(rng, dim)
+        center = [(lo + hi) / 2 for lo, hi in rect.intervals]
+        radius = max(hi - lo for lo, hi in rect.intervals) * F(rng.randint(2, 7), 10)
+        membership = parse(" + ".join(f"({n} - ({c}))^2" for n, c in zip(NAMES, center))
+                           + f" - ({radius})^2")
+        counts = [rng.randint(1, (12, 6, 3)[dim - 1]) for _ in range(dim)]
+
+        def naive():
+            inner, boundary, exterior, boundary_volume = [], 0, 0, F(0)
+            for cell in naive_cells(rect, counts):
+                points = [*product(*cell), tuple((lo + hi) / 2 for lo, hi in cell)]
+                flags = [at(membership, p) <= 0 for p in points]
+                if all(flags):
+                    inner.append(cell)
+                elif any(flags):
+                    boundary += 1
+                    boundary_volume += volume(cell)
+                else:
+                    exterior += 1
+            value = sum((at(f, [lo for lo, _ in c]) * volume(c) for c in inner), F(0))
+            return value, len(inner), boundary, exterior, boundary_volume
+
+        got = outcome(inner_sum, f, Region(rect, membership), PartitionSpec.simple(*counts),
+                      PRECISION)
+        assert got == outcome(naive), render(f)
