@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import ApproxOverflow, DivisionByZero, DomainError
-from .rationals import round_to_digits
+from .rationals import round_to_digits, show_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -97,7 +97,7 @@ def exp_approx(x: Fraction, digits: int) -> Fraction:
     if x <= -3 * (digits + 2):  # e^{-3k} < 10^{-1.3k}
         return ZERO
     if x > _EXP_ARG_CAP:
-        raise ApproxOverflow(f"exp argument {x} exceeds magnitude cap")
+        raise ApproxOverflow(f"exp argument {show_rational(x)} exceeds magnitude cap")
     halvings = 0
     y = x
     while abs(y) > HALF:
@@ -121,7 +121,7 @@ def ln_approx(x: Fraction, digits: int) -> Fraction:
     x = 2^e2 * t with t in [3/4, 3/2], and ln t = 2 artanh((t-1)/(t+1)).
     """
     if x <= 0:
-        raise DomainError(f"ln of non-positive value {x}")
+        raise DomainError(f"ln of non-positive value {show_rational(x)}")
     if x == 1:
         return ZERO
     e2 = 0
@@ -175,6 +175,15 @@ def cos_approx(x: Fraction, digits: int) -> Fraction:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def sin_cos_approx(x: Fraction, digits: int) -> tuple[Fraction, Fraction]:
+    """(sin_approx(x, digits), cos_approx(x, digits)) from one pass."""
+    if x == 0:
+        return ZERO, ONE
+    s, c = _sin_cos(x, digits + _GUARD)
+    return round_to_digits(s, digits), round_to_digits(c, digits)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def tan_approx(x: Fraction, digits: int) -> Fraction:
     """tan x; refuses arguments with |cos x| < 10^-max(2, digits).
 
@@ -187,7 +196,7 @@ def tan_approx(x: Fraction, digits: int) -> Fraction:
     s, c = _sin_cos(x, g + _GUARD)
     c = round_to_digits(c, g)
     if abs(c) * 10 ** max(2, digits) < 1:
-        raise DomainError(f"tan undefined near {x}: cos too close to 0")
+        raise DomainError(f"tan undefined near {show_rational(x)}: cos too close to 0")
     k = g - _digits_of(int(abs(c) * 10**g))
     if k > 0:
         g += 2 * k
@@ -238,7 +247,7 @@ def sqrt_approx(x: Fraction, digits: int) -> Fraction:
     of scaled copies of one segment then agree exactly across mesh sizes.
     """
     if x < 0:
-        raise DomainError(f"sqrt of negative value {x}")
+        raise DomainError(f"sqrt of negative value {show_rational(x)}")
     if x == 0:
         return ZERO
     exact = exact_nth_root(x, 2)
@@ -267,8 +276,8 @@ def _exp_ln(x: Fraction, r: Fraction, g: int, digits: int) -> Fraction:
     try:
         return round_to_digits(exp_approx(r * ln_approx(x, g), g - 4), digits)
     except ApproxOverflow:
-        base = x if x.denominator == 1 else f"({x})"
-        power = r if r.denominator == 1 else f"({r})"
+        base = show_rational(x) if x.denominator == 1 else f"({show_rational(x)})"
+        power = show_rational(r) if r.denominator == 1 else f"({show_rational(r)})"
         raise ApproxOverflow(f"power {base}^{power} exceeds magnitude cap") from None
 
 
@@ -278,7 +287,7 @@ def int_pow(x: Fraction, n: int, digits: int) -> Fraction:
     of 0, 1 and -1 are trivial and always exact."""
     if abs(x) not in (ZERO, ONE) and power_too_large(x, n):
         if x < 0:
-            raise ApproxOverflow(f"huge power of negative base {x}")
+            raise ApproxOverflow(f"huge power of negative base {show_rational(x)}")
         return _exp_ln(x, Fraction(n), digits + _GUARD + _digits_of(n), digits)
     if n >= 0:
         return x**n
@@ -297,7 +306,7 @@ def pow_approx(x: Fraction, r: Fraction, digits: int) -> Fraction:
             return ZERO
         raise DivisionByZero("0 raised to a negative power")
     if x < 0:
-        raise DomainError(f"non-integer power of negative value {x}")
+        raise DomainError(f"non-integer power of negative value {show_rational(x)}")
     root = exact_nth_root(x, r.denominator)
     if root is not None:
         return pow_approx(root, Fraction(r.numerator), digits)
@@ -311,7 +320,7 @@ def nth_root_approx(x: Fraction, n: int, digits: int) -> Fraction:
     if n < 1:
         raise ValueError("root index must be a positive integer")
     if x <= 0:
-        raise DomainError(f"nth root of non-positive value {x}")
+        raise DomainError(f"nth root of non-positive value {show_rational(x)}")
     if n == 1:
         return x
     if n == 2:

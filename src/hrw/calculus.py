@@ -6,24 +6,61 @@ series, and take standard parts.  Monad quantifiers are realized by a fixed
 probe set (the canonical infinitesimal, its negation and square, and rational
 multiples); for the expression grammar this is sound for jets of analytic
 compositions and is documented rather than claimed complete.
+
+Probes widen on demand.  Each one first evaluates at the narrowest window
+that can hold what it reads (order+1 for a jet; for a standard part 1, or 2
+when the probe point p +- eps needs it; 2 for a chord read to first order; 3
+for a Jacobian's residual along eps^2) and doubles the window while the
+certified order of a value it reads (see :mod:`hrw.field`) does not cover
+that read.  ``cfg.window`` is the ceiling: past it the probe raises
+:class:`~hrw.errors.PrecisionExhausted` rather than return a coefficient the
+field cannot vouch for.  A coefficient read at any window is the exact one,
+so results do not depend on the window they were certified at.
+``nth_increment`` returns its whole series, so it evaluates in the caller's
+field and only checks that the order it is read at is certified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from . import approx
 from .errors import (
     DomainError,
     MathError,
     NonSmoothAtPoint,
-    TranscendentalOnUnlimited,
+    PrecisionExhausted,
     ZeroVelocity,
 )
-from .exprs import Expr, contains_division, eval_hyper_traced, eval_real, free_vars
+from .exprs import Expr, eval_hyper_traced, eval_real, free_vars
 from .field import DEFAULT_FIELD, ExtendedReal, Field, HyperReal, in_order_ideal
+from .rationals import format_rational
+
+T = TypeVar("T")
+
+
+# -- widening -----------------------------------------------------------------------
+
+
+def _widen(cfg: Field, start: int, probe: Callable[[Field], T]) -> T:
+    """probe(field) at windows start, 2*start, 4*start, ... up to cfg.window.
+
+    The probe raises PrecisionExhausted when a value it reads is not
+    certified far enough; the first window where it does not is the answer.
+    At the ceiling cfg.window the error propagates.
+    """
+    window = min(Fraction(start), cfg.window)
+    while True:
+        try:
+            return probe(Field(window, cfg.precision))
+        except PrecisionExhausted as ex:
+            if window >= cfg.window:
+                raise PrecisionExhausted(
+                    f"{ex}; window {format_rational(cfg.window)} is the ceiling"
+                ) from None
+            window = min(2 * window, cfg.window)
 
 # -- jets --------------------------------------------------------------------------
 
@@ -57,18 +94,6 @@ def infer_variable(f: Expr, var: str | None = None) -> str:
     return names[0] if names else "x"
 
 
-def _probe_field(f: Expr, order: int, cfg: Field) -> Field:
-    """Evaluation field for a jet of the given order.
-
-    Division can shift leading exponents below zero and back, so it needs the
-    caller's full window; pure analytic composition keeps exponents >= 0 and a
-    window of order+1 already carries every coefficient exactly.
-    """
-    if contains_division(f):
-        return cfg
-    return Field(min(cfg.window, Fraction(order + 1)), cfg.precision)
-
-
 def taylor_jet(
     f: Expr,
     x0: Fraction,
@@ -79,7 +104,8 @@ def taylor_jet(
     """Coefficients of eps^0..eps^order of f(x0 + eps).
 
     Exact for algebraic expressions; constants of transcendental calls are
-    rational approximations at the configured precision.
+    rational approximations at the configured precision.  Evaluated from
+    window order+1 up, until every order read is certified.
     """
     x0 = Fraction(x0)
     if order < 0:
@@ -87,21 +113,24 @@ def taylor_jet(
     if order >= cfg.window:
         raise ValueError(f"jet order {order} does not fit the window {cfg.window}")
     name = infer_variable(f, var)
-    probe = _probe_field(f, order, cfg)
-    value, trace = eval_hyper_traced(f, {name: probe.rational(x0) + probe.epsilon()}, probe)
-    if trace.abs_nonsmooth:
-        raise NonSmoothAtPoint(f"abs argument vanishes at {x0}")
-    coeffs = []
-    for e, c in value.terms:
-        if e < 0:
+
+    def probe(fld: Field) -> Jet:
+        value, trace = eval_hyper_traced(f, {name: fld.rational(x0) + fld.epsilon()}, fld)
+        if trace.abs_nonsmooth:
+            raise NonSmoothAtPoint(f"abs argument vanishes at {x0}")
+        if value.terms and value.terms[0][0] < 0:
             raise DomainError(f"expression unbounded on the monad of {x0}")
-        if e > order:
-            break
-        if e.denominator != 1:
-            raise NonSmoothAtPoint(f"fractional order eps^{e} at {x0}")
-        coeffs.append((int(e), c))
-    table = dict(coeffs)
-    return Jet(x0, tuple(table.get(k, Fraction(0)) for k in range(order + 1)))
+        value.certify(order, f"jet of order {order}")
+        table = {}
+        for e, c in value.terms:
+            if e > order:
+                break
+            if e.denominator != 1:
+                raise NonSmoothAtPoint(f"fractional order eps^{e} at {x0}")
+            table[e] = c
+        return Jet(x0, tuple(table.get(k, Fraction(0)) for k in range(order + 1)))
+
+    return _widen(cfg, order + 1, probe)
 
 
 def derivative(
@@ -125,7 +154,11 @@ def nth_increment(
     cfg: Field = DEFAULT_FIELD,
     var: str | None = None,
 ) -> HyperReal:
-    """Alternating binomial difference sum_k (-1)^k C(n,k) f(c + (n-k) h)."""
+    """Alternating binomial difference sum_k (-1)^k C(n,k) f(c + (n-k) h).
+
+    The whole series is returned, so it is evaluated in the caller's field;
+    it must be certified up to h^n, the order the increment is read at.
+    """
     if n < 1:
         raise ValueError("increment order must be >= 1")
     c = Fraction(c)
@@ -140,6 +173,7 @@ def nth_increment(
         if trace.abs_nonsmooth:
             raise NonSmoothAtPoint(f"abs argument vanishes near {c}")
         total = total + value * Fraction((-1) ** k * binom)
+    total.certify(n * (h.leading_exponent() or 0), f"increment of order {n}")
     return total
 
 
@@ -178,8 +212,10 @@ _CAUCHY_RUN = 3  # consecutive small gaps required
 
 
 def _field_seq_limit(S: Expr, cfg: Field, name: str) -> LimitResult:
-    value, _ = eval_hyper_traced(S, {name: cfg.gamma()}, cfg)
-    return LimitResult(value.st(), "field-evaluation")
+    def probe(fld: Field) -> ExtendedReal:
+        return eval_hyper_traced(S, {name: fld.gamma()}, fld)[0].st()
+
+    return LimitResult(_widen(cfg, 1, probe), "field-evaluation")
 
 
 def _numeric_seq_limit(S: Expr, cfg: Field, name: str) -> LimitResult:
@@ -229,7 +265,9 @@ def seq_limit(
     """Limit of the sequence S(n): substitute the canonical infinite element
     and take the standard part; fall back to sampling at n = 2^10..2^40 when
     the field path raises (e.g. a transcendental applied to an unlimited
-    argument, or a root index that is not standard)."""
+    argument, or a root index that is not standard).  A standard part that
+    no window up to the ceiling certifies raises PrecisionExhausted: the
+    samples would meet the same cancellation."""
     name = infer_variable(S, var) if free_vars(S) else "n"
     if method == "field":
         return _field_seq_limit(S, cfg, name)
@@ -237,6 +275,8 @@ def seq_limit(
         return _numeric_seq_limit(S, cfg, name)
     try:
         return _field_seq_limit(S, cfg, name)
+    except PrecisionExhausted:
+        raise
     except MathError:
         return _numeric_seq_limit(S, cfg, name)
 
@@ -247,16 +287,17 @@ def fn_limit(
     """Two-sided limit at p from the deleted-monad probes p - eps and p + eps.
 
     When only one side is evaluable the limit is taken along the domain and
-    that side's standard part is returned.
+    that side's standard part is returned.  A side whose standard part no
+    window up to the ceiling certifies raises PrecisionExhausted.
     """
     p = Fraction(p)
     name = infer_variable(f, var)
 
     def side(sign: int) -> ExtendedReal | None:
         try:
-            point = cfg.rational(p) + cfg.epsilon() * sign
-            value, _ = eval_hyper_traced(f, {name: point}, cfg)
-            return value.st()
+            return _widen(cfg, _point_window(p), lambda fld: _side_st(f, name, p, sign, fld))
+        except PrecisionExhausted:
+            raise
         except MathError:
             return None
 
@@ -287,14 +328,25 @@ def continuity_check(
         raise DomainError(f"function undefined at {p}: {ex.case}") from ex
     for sign in (-1, 1):
         try:
-            point = cfg.rational(p) + cfg.epsilon() * sign
-            value, _ = eval_hyper_traced(f, {name: point}, cfg)
+            s = _widen(cfg, _point_window(p), lambda fld: _side_st(f, name, p, sign, fld))
+        except PrecisionExhausted:
+            raise
         except MathError:
             return False
-        s = value.st()
         if not s.is_finite or s.as_fraction() != at_p:
             return False
     return True
+
+
+def _point_window(p: Fraction) -> int:
+    """The narrowest window that holds the probe point p +- eps itself."""
+    return 2 if p else 1
+
+
+def _side_st(f: Expr, name: str, p: Fraction, sign: int, fld: Field) -> ExtendedReal:
+    """st(f(p + sign*eps)) in the field fld."""
+    point = fld.rational(p) + fld.epsilon() * sign
+    return eval_hyper_traced(f, {name: point}, fld)[0].st()
 
 
 # -- curves: tangents and curvature ----------------------------------------------------
@@ -368,20 +420,24 @@ def tangent_certificate(
     series field; +-1 for a genuine tangent direction."""
     t0 = Fraction(t0)
     T = tuple(vector) if vector is not None else unit_tangent(c, t0, cfg)
-    chord = []
-    for comp in c.components:
-        at = eval_hyper_traced(comp, {c.param: cfg.rational(t0) + cfg.epsilon()}, cfg)[0]
-        chord.append(at - eval_real(comp, {c.param: t0}, cfg.precision))
-    norm_sq = chord[0] * chord[0]
-    for ch in chord[1:]:
-        norm_sq = norm_sq + ch * ch
-    if norm_sq.is_zero:
-        raise ZeroVelocity(f"chord vanishes at {t0}")
-    norm = norm_sq.nth_root(2)
-    dot = cfg.zero()
-    for ti, ch in zip(T, chord):
-        dot = dot + ch * ti
-    return (dot / norm).st_fraction()
+    at_t0 = [eval_real(comp, {c.param: t0}, cfg.precision) for comp in c.components]
+
+    def probe(fld: Field) -> Fraction:
+        chord = []
+        for comp, base in zip(c.components, at_t0):
+            at = eval_hyper_traced(comp, {c.param: fld.rational(t0) + fld.epsilon()}, fld)[0]
+            chord.append(at - base)
+        norm_sq = chord[0] * chord[0]
+        for ch in chord[1:]:
+            norm_sq = norm_sq + ch * ch
+        if norm_sq.is_zero and not norm_sq.saturated:
+            raise ZeroVelocity(f"chord vanishes at {t0}")
+        dot = fld.zero()
+        for ti, ch in zip(T, chord):
+            dot = dot + ch * ti
+        return (dot / norm_sq.nth_root(2)).st_fraction()
+
+    return _widen(cfg, 2, probe)  # the chord is read to its first order
 
 
 @dataclass(frozen=True)
@@ -466,53 +522,51 @@ def jacobian(
     base_env = {name: Fraction(v) for name, v in zip(varnames, point)}
     f_at_c = [eval_real(comp, base_env, d) for comp in F]
 
-    def eval_at(offsets: Sequence[HyperReal]) -> list[HyperReal]:
-        env = {
-            name: cfg.rational(v) + off
-            for name, v, off in zip(varnames, point, offsets)
-        }
-        out = []
-        for comp in F:
-            value, trace = eval_hyper_traced(comp, env, cfg)
-            if trace.abs_nonsmooth:
-                raise NonSmoothAtPoint(f"abs argument vanishes at {tuple(point)}")
-            out.append(value)
-        return out
+    def probe(fld: Field) -> JacobianResult:
+        def eval_at(offsets: Sequence[HyperReal]) -> list[HyperReal]:
+            env = {
+                name: fld.rational(v) + off
+                for name, v, off in zip(varnames, point, offsets)
+            }
+            out = []
+            for comp in F:
+                value, trace = eval_hyper_traced(comp, env, fld)
+                if trace.abs_nonsmooth:
+                    raise NonSmoothAtPoint(f"abs argument vanishes at {tuple(point)}")
+                out.append(value)
+            return out
 
-    eps = cfg.epsilon()
-    zero = cfg.zero()
-    matrix = []
-    for i in range(len(F)):
-        matrix.append([Fraction(0)] * n)
-    for j in range(n):
-        offsets = [eps if k == j else zero for k in range(n)]
-        values = eval_at(offsets)
-        for i, value in enumerate(values):
-            matrix[i][j] = ((value - f_at_c[i]) / eps).st_fraction()
+        eps = fld.epsilon()
+        zero = fld.zero()
+        matrix = [[Fraction(0)] * n for _ in F]
+        for j in range(n):
+            offsets = [eps if k == j else zero for k in range(n)]
+            for i, value in enumerate(eval_at(offsets)):
+                matrix[i][j] = ((value - f_at_c[i]) / eps).st_fraction()
 
-    probes = [
-        [eps for _ in range(n)],
-        [eps if k % 2 == 0 else -eps for k in range(n)],
-        [eps * eps if k == 0 else zero for k in range(n)],
-    ]
-    ok = True
-    for b in probes:
-        values = eval_at(b)
-        norm_b_sq = b[0] * b[0]
-        for extra in b[1:]:
-            norm_b_sq = norm_b_sq + extra * extra
-        residual_sq = cfg.zero()
-        for i, value in enumerate(values):
-            linear = cfg.zero()
-            for j in range(n):
-                linear = linear + b[j] * matrix[i][j]
-            r = value - f_at_c[i] - linear
-            residual_sq = residual_sq + r * r
-        if not residual_sq.is_zero:
-            ok = ok and in_order_ideal(
-                residual_sq.nth_root(2), norm_b_sq.nth_root(2)
-            )
-    return JacobianResult(tuple(tuple(row) for row in matrix), ok)
+        probes = [
+            [eps for _ in range(n)],
+            [eps if k % 2 == 0 else -eps for k in range(n)],
+            [eps * eps if k == 0 else zero for k in range(n)],
+        ]
+        ok = True
+        for b in probes:
+            values = eval_at(b)
+            norm_b_sq = b[0] * b[0]
+            for extra in b[1:]:
+                norm_b_sq = norm_b_sq + extra * extra
+            residual_sq = zero
+            for i, value in enumerate(values):
+                linear = zero
+                for j in range(n):
+                    linear = linear + b[j] * matrix[i][j]
+                r = value - f_at_c[i] - linear
+                residual_sq = residual_sq + r * r
+            # r in o(||b||) exactly when ||r||^2 is in o(||b||^2)
+            ok = ok and in_order_ideal(residual_sq, norm_b_sq)
+        return JacobianResult(tuple(tuple(row) for row in matrix), ok)
+
+    return _widen(cfg, 3, probe)  # the eps^2 probe reads the residual past order 2
 
 
 # -- kinematics -----------------------------------------------------------------------------

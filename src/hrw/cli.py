@@ -142,7 +142,9 @@ def build_parser() -> _Parser:
         # parser already set (argparse clobbers the namespace before 3.13)
         d = (lambda v: v) if defaults else (lambda v: argparse.SUPPRESS)
         common = _Parser(add_help=False)
-        common.add_argument("--window", default=d("16"), help="relative truncation width")
+        common.add_argument("--window", default=d("16"),
+                            help="ceiling of the window calculus probes widen to; relative "
+                                 "truncation width of series literals (default 16)")
         common.add_argument("--precision", type=int, default=d(None),
                             help="decimal digits for constants (default 40 or HRW_PRECISION)")
         common.add_argument("--format", choices=("text", "json"), default=d("text"))

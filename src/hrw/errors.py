@@ -82,6 +82,10 @@ class ApproxOverflow(MathError):
     """Constant approximation would exceed the representable magnitude cap."""
 
 
+class PrecisionExhausted(MathError):
+    """A probe needs orders that no window up to the ceiling certifies."""
+
+
 class ParseError(Exception):
     """Malformed textual input; carries the character offset."""
 

@@ -37,6 +37,7 @@ from typing import Callable, Union
 from . import approx
 from .errors import DivisionByZero, DomainError, MathError, ParseError, UnsupportedNode
 from .field import Field, HyperReal, hr_cos, hr_exp, hr_ln, hr_sin, hr_tan
+from .rationals import show_rational
 
 # -- tokens ------------------------------------------------------------------------
 
@@ -321,27 +322,12 @@ def free_vars(e: Expr) -> set[str]:
     return set()
 
 
-def contains_division(e: Expr) -> bool:
-    """Division or negative integer power anywhere in the tree."""
-    if isinstance(e, Binary):
-        if e.op == "/":
-            return True
-        if e.op == "^" and isinstance(e.right, Const) and e.right.value < 0:
-            return True
-        return contains_division(e.left) or contains_division(e.right)
-    if isinstance(e, Unary):
-        return contains_division(e.operand)
-    if isinstance(e, Call):
-        return any(contains_division(a) for a in e.args)
-    return False
-
-
 # -- evaluation over exact rationals ---------------------------------------------------
 
 
 def _require_root_index(value: Fraction, pos: int) -> int:
     if value.denominator != 1 or value < 2:
-        raise DomainError(f"root index must be an integer >= 2, got {value}", pos)
+        raise DomainError(f"root index must be an integer >= 2, got {show_rational(value)}", pos)
     return int(value)
 
 
@@ -389,7 +375,7 @@ def eval_real(e: Expr, env: dict[str, Fraction], precision: int = 40) -> Fractio
         if e.fn == "sqrt":
             v = eval_real(args[0], env, precision)
             if v < 0:
-                raise DomainError(f"sqrt of negative value {v}")
+                raise DomainError(f"sqrt of negative value {show_rational(v)}")
             return approx.sqrt_approx(v, precision)
         if e.fn == "root":
             n = _require_root_index(eval_real(args[0], env, precision), args[0].pos)
@@ -397,7 +383,7 @@ def eval_real(e: Expr, env: dict[str, Fraction], precision: int = 40) -> Fractio
             if v <= 0:
                 if v == 0:
                     return Fraction(0)
-                raise DomainError(f"root of negative value {v}")
+                raise DomainError(f"root of negative value {show_rational(v)}")
             return approx.nth_root_approx(v, n, precision)
         v = eval_real(args[0], env, precision)
         fn = {
@@ -451,6 +437,8 @@ def eval_hyper_traced(
                     if isinstance(node.right, Const) and node.right.value.denominator == 1:
                         return base ** int(node.right.value)
                     r = go(node.right)
+                    if r.saturated:  # not a certified constant
+                        return hr_exp(hr_ln(base) * r)
                     if r.is_zero:
                         return cfg.one()
                     if (
@@ -797,7 +785,7 @@ def _approx(fn, *args) -> tuple[int, int]:
 
 def _sqrt(v: Fraction, digits: int, pos: int) -> tuple[int, int]:
     if v < 0:
-        raise DomainError(f"sqrt of negative value {v}", pos)
+        raise DomainError(f"sqrt of negative value {show_rational(v)}", pos)
     return _approx(approx.sqrt_approx, v, digits, pos)
 
 
@@ -805,7 +793,7 @@ def _root(n: int, v: Fraction, digits: int, pos: int) -> tuple[int, int]:
     if v <= 0:
         if v == 0:
             return 0, 1
-        raise DomainError(f"root of negative value {v}", pos)
+        raise DomainError(f"root of negative value {show_rational(v)}", pos)
     return _approx(approx.nth_root_approx, v, n, digits, pos)
 
 

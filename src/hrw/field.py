@@ -4,17 +4,39 @@ Values are finite sums  sum_q  a_q * eps^q  with exact rational coefficients
 a_q and exact rational exponents q.  ``eps`` is a fixed positive infinitesimal
 generator: smaller than every positive real, with 1/eps larger than every
 real.  Each value keeps only exponents below ``lambda + window`` where
-``lambda`` is its least exponent (the *relative window*); operations that drop
-nonzero terms mark their result ``saturated`` so truncation stays observable.
+``lambda`` is its least exponent (the *relative window*).
+
+Every value also carries its certified absolute order ``N`` (``order``): it
+stands for ``terms + O(eps^N)``, every exponent below ``N`` is exact and no
+stored term lies at or above ``N``.  ``N`` is infinite (``math.inf``) for an
+untruncated value.  It follows the rules of absolute-precision power series:
+
+* a sum takes the smaller ``N`` of its operands;
+* a product takes ``min(N_a + v_b, N_b + v_a)``, ``v`` being the leading
+  exponent (``N`` itself for a value without terms);
+* the reciprocal, roots and every analytic map keep the argument's relative
+  precision: a result leading at ``lambda`` gets ``N = lambda + (N_u - mu)``
+  from an argument tail leading at ``mu`` (sharper where the first-order
+  coefficient vanishes);
+* wherever the window cap drops a term, ``N`` falls to that cap.
+
+``saturated`` is the read-only flag "``N`` is finite".  Equality, hashing and
+``render`` look at the terms and the window only, never at ``N``.  Reads that
+depend on uncertain terms raise :class:`PrecisionExhausted` instead of
+guessing: the standard part needs ``N > 0`` (or a certified negative leading
+term), the reciprocal needs a leading term, and so do classification, order
+ideals and the analytic maps.  ``coefficient`` and ``compare`` read the
+stored terms only.
 
 A value holds its terms as a tuple of (exponent, coefficient) pairs sorted by
 increasing exponent, with no zero coefficient.  An integral exponent (and an
-integral window) is held as an ``int``, any other as a ``Fraction``; the two
-compare and hash alike, so this only spares the hot loops ``Fraction``
-arithmetic on exponent keys.  Coefficients are always ``Fraction``.  The
-public ``HyperReal(...)`` constructor merges, sorts and normalises any terms
-it is given; every internal result is built by ``_series``, which takes
-terms already in that form and applies only the window cap.
+integral window or order) is held as an ``int``, any other as a ``Fraction``;
+the two compare and hash alike, so this only spares the hot loops
+``Fraction`` arithmetic on exponent keys.  Coefficients are always
+``Fraction``.  The public ``HyperReal(...)`` constructor merges, sorts and
+normalises any terms it is given; every internal result is built by
+``_series``, which takes terms already in that form and applies only the
+order and window caps.
 
 Every series map shares one kernel, ``_power_series``: factor x into a
 monomial head times (const + u) with u of positive leading exponent mu, then
@@ -22,7 +44,7 @@ sum c_k*u^k from a per-map coefficient rule (geometric for the reciprocal,
 binomial for roots and real powers, exp, ln, and a sin/cos mix).  If c_k0 is
 the first nonzero coefficient, the result leads at k0*mu, and the kernel
 keeps exactly the exponents below k0*mu + window, the relative window of the
-result's own leading term; such results are always marked saturated.
+result's own leading term, or below the order u's own truncation allows.
 
 The classification trichotomy is read off the leading exponent:
 
@@ -43,6 +65,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import count
+from math import inf
 from typing import Iterable, Iterator, Union
 
 from . import approx
@@ -53,9 +76,10 @@ from .errors import (
     NonPositiveLeading,
     NotInfinitesimal,
     ParseError,
+    PrecisionExhausted,
     TranscendentalOnUnlimited,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, show_rational
 
 Rational = Union[Fraction, int]
 
@@ -127,33 +151,62 @@ def _exponent(q) -> Fraction | int:
     return q.numerator if q.denominator == 1 else q
 
 
+def _order(q):
+    """A certified order in canonical form: ``inf``, an int or a Fraction."""
+    return q if q == inf else _exponent(q)
+
+
+def _plus(n, v):
+    """Order n moved by the exponent v (inf stays inf without converting v,
+    which may be too large for a float)."""
+    return n if n == inf else n + v
+
+
 class HyperReal:
     """One element of the truncated series field.  Immutable."""
 
-    __slots__ = ("terms", "window", "precision", "saturated")
+    __slots__ = ("terms", "window", "precision", "order")
 
     def __init__(
         self,
         terms: Iterable[Term],
         window: Fraction = DEFAULT_WINDOW,
         precision: int = DEFAULT_PRECISION,
-        saturated: bool = False,
+        order=inf,
     ):
+        if isinstance(order, bool):
+            raise TypeError("order is an exponent (math.inf when exact), not a flag")
         merged: dict[Fraction | int, Fraction] = {}
         for e, c in terms:
             if c:
                 e = _exponent(e)
                 merged[e] = merged[e] + c if e in merged else Fraction(c)
-        _fill(self, _canonical(merged), _exponent(window), int(precision), bool(saturated))
+        _fill(self, _canonical(merged), _exponent(window), int(precision), _order(order))
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("HyperReal is immutable")
 
+    @property
+    def saturated(self) -> bool:
+        """True when the value is truncated: its certified order is finite."""
+        return self.order != inf
+
     # -- construction helpers -------------------------------------------------
 
-    def _lift(self, terms: list[Term], saturated: bool = False) -> "HyperReal":
+    def _lift(self, terms: list[Term], order=inf) -> "HyperReal":
         """A value of this configuration from terms in canonical form."""
-        return _series(terms, self.window, self.precision, saturated)
+        return _series(terms, self.window, self.precision, order)
+
+    def _uncertain(self, what: str) -> PrecisionExhausted:
+        return PrecisionExhausted(
+            f"{what} not certified: the value is known only below eps^{format_rational(self.order)}"
+        )
+
+    def certify(self, through, what: str) -> None:
+        """Raise PrecisionExhausted, naming the read ``what``, unless every
+        exponent up to ``through`` is certified (``order > through``)."""
+        if self.order <= through:
+            raise self._uncertain(what)
 
     def _coerce(self, other) -> "HyperReal":
         if isinstance(other, HyperReal):
@@ -178,6 +231,7 @@ class HyperReal:
         return self.terms[0][0] if self.terms else None
 
     def coefficient(self, exponent: Rational) -> Fraction:
+        """The stored coefficient of eps^exponent; certified below ``order``."""
         e = _exponent(exponent)
         for te, tc in self.terms:
             if te == e:
@@ -195,12 +249,12 @@ class HyperReal:
         acc = dict(self.terms)
         for e, c in o.terms:
             acc[e] = acc[e] + c if e in acc else c
-        return self._lift(_canonical(acc), self.saturated or o.saturated)
+        return self._lift(_canonical(acc), min(self.order, o.order))
 
     __radd__ = __add__
 
     def __neg__(self) -> "HyperReal":
-        return self._lift([(e, -c) for e, c in self.terms], self.saturated)
+        return self._lift([(e, -c) for e, c in self.terms], self.order)
 
     def __sub__(self, other) -> "HyperReal":
         o = self._coerce(other)
@@ -215,24 +269,32 @@ class HyperReal:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return self._lift([], self.saturated or o.saturated)
-        # o.terms is sorted, so a row ends at its first exponent past the cap;
-        # the leading product cannot cancel, so this cap is the result's own
-        cap = self.terms[0][0] + o.terms[0][0] + self.window
+        a, b = self.terms, o.terms
+        na, nb = self.order, o.order
+        va = a[0][0] if a else na
+        vb = b[0][0] if b else nb
+        order = inf if na == nb == inf else min(_plus(na, vb), _plus(nb, va))
+        if not a or not b:
+            return self._lift([], order)
+        # the leading product cannot cancel, so the window cap is the result's
+        # own; products at or above the order are uncertain and left out too
+        cap = va + vb + self.window
+        if cap >= order:
+            cap = order
+        elif a[-1][0] + b[-1][0] >= cap:
+            order = cap
+        # b is sorted, so a row ends at its first exponent past the cap
         acc: dict[Fraction | int, Fraction] = {}
-        dropped = False
-        for e1, c1 in self.terms:
-            for e2, c2 in o.terms:
+        for e1, c1 in a:
+            for e2, c2 in b:
                 e = e1 + e2
                 if e >= cap:
-                    dropped = True
                     break
                 if e in acc:
                     acc[e] += c1 * c2
                 else:
                     acc[e] = c1 * c2
-        return self._lift(_canonical(acc), self.saturated or o.saturated or dropped)
+        return self._lift(_canonical(acc), order)
 
     __rmul__ = __mul__
 
@@ -240,10 +302,10 @@ class HyperReal:
         """Reciprocal: factor the leading monomial a*eps^lam, geometric series
         (1 + u/a)^-1 on the shifted tail u."""
         if self.is_zero:
+            if self.saturated:
+                raise self._uncertain("reciprocal")
             raise DivisionByZero("reciprocal of the zero element")
         lam, a = self.terms[0]
-        if len(self.terms) == 1:
-            return self._lift([(-lam, 1 / a)], self.saturated)
         return _power_series(
             self._shifted_tail(), _binomial(Fraction(-1), a), (-lam, 1 / a)
         )
@@ -262,7 +324,7 @@ class HyperReal:
             raise TypeError("series power requires an integer exponent")
         if self.terms and self._power_too_costly(n):
             raise ApproxOverflow(
-                f"power {n} of a series with leading coefficient {self.terms[0][1]}"
+                f"power {n} of a series with leading coefficient {show_rational(self.terms[0][1])}"
             )
         if n < 0:
             return self.inv() ** (-n)
@@ -300,22 +362,24 @@ class HyperReal:
         if not isinstance(n, int) or n < 1:
             raise ValueError("root index must be a positive integer")
         if self.is_zero:
-            return self._lift([], self.saturated)
+            if self.saturated:  # its sign, and so the root's domain, is unknown
+                raise self._uncertain("root")
+            return self
         lam, a = self.terms[0]
         if a <= 0:
             raise NonPositiveLeading(
-                f"nth root with non-positive leading coefficient {a}"
+                f"nth root with non-positive leading coefficient {show_rational(a)}"
             )
         root_a = approx.nth_root_approx(a, n, self.precision)
         head = (_exponent(Fraction(lam, n)), root_a)
-        if len(self.terms) == 1:
-            return self._lift([head] if root_a else [], self.saturated)
         return _power_series(self._shifted_tail(), _binomial(Fraction(1, n), a), head)
 
     def _shifted_tail(self) -> "HyperReal":
         """The terms after the leading one, shifted down by the leading exponent."""
         lam = self.terms[0][0]
-        return self._lift([(_exponent(e - lam), c) for e, c in self.terms[1:]])
+        return self._lift(
+            [(_exponent(e - lam), c) for e, c in self.terms[1:]], _order(_plus(self.order, -lam))
+        )
 
     def sqrt(self) -> "HyperReal":
         return self.nth_root(2)
@@ -398,6 +462,8 @@ class HyperReal:
 
     def classify(self) -> Classification:
         if not self.terms:
+            if self.saturated:
+                raise self._uncertain("classification")
             return Classification.ZERO
         lam, a = self.terms[0]
         if lam > 0:
@@ -412,19 +478,21 @@ class HyperReal:
 
     @property
     def is_limited(self) -> bool:
+        if not self.terms and self.order >= 0:
+            return True
         return self.classify().is_limited
 
     @property
     def is_infinitesimal(self) -> bool:
+        if not self.terms and self.order > 0:
+            return True
         return self.classify().is_infinitesimal
 
     def st(self) -> ExtendedReal:
         """Standard part: the exponent-0 coefficient, or a signed infinity."""
-        c = self.classify()
-        if c is Classification.INFINITE_POSITIVE:
-            return ExtendedReal.POS_INF
-        if c is Classification.INFINITE_NEGATIVE:
-            return ExtendedReal.NEG_INF
+        if self.terms and self.terms[0][0] < 0:
+            return ExtendedReal.POS_INF if self.terms[0][1] > 0 else ExtendedReal.NEG_INF
+        self.certify(0, "standard part")
         return ExtendedReal(self.coefficient(0))
 
     def st_fraction(self) -> Fraction:
@@ -454,28 +522,33 @@ class HyperReal:
         return f"HyperReal({self.render()!r})"
 
 
-def _fill(x: HyperReal, terms: list[Term], window, precision: int, saturated: bool) -> None:
-    """Set x's slots from sorted, merged, nonzero terms, applying the window cap."""
+def _fill(x: HyperReal, terms: list[Term], window, precision: int, order) -> None:
+    """Set x's slots from sorted, merged, nonzero terms: drop the terms at or
+    above the order, then apply the window cap, which lowers the order to
+    the cap when it drops a term."""
+    if terms and terms[-1][0] >= order:
+        terms = [t for t in terms if t[0] < order]
     if terms:
         cap = terms[0][0] + window
         if terms[-1][0] >= cap:
             terms = [t for t in terms if t[0] < cap]
-            saturated = True
+            order = cap
     object.__setattr__(x, "terms", tuple(terms))
     object.__setattr__(x, "window", window)
     object.__setattr__(x, "precision", precision)
-    object.__setattr__(x, "saturated", saturated)
+    object.__setattr__(x, "order", order)
 
 
-def _series(terms: list[Term], window, precision: int, saturated: bool) -> HyperReal:
+def _series(terms: list[Term], window, precision: int, order=inf) -> HyperReal:
     """The canonical constructor of internal results.
 
     ``terms`` must already be merged, sorted by exponent, free of zero
-    coefficients and hold integral exponents as ints; ``window`` is
-    normalised the same way.  Only the window cap is applied.
+    coefficients and hold integral exponents as ints; ``window`` and a
+    finite ``order`` are normalised the same way.  Only the order and window
+    caps are applied.
     """
     x = object.__new__(HyperReal)
-    _fill(x, terms, window, precision, saturated)
+    _fill(x, terms, window, precision, order)
     return x
 
 
@@ -529,7 +602,6 @@ class Field:
             [(_exponent(exponent), c)] if c else [],
             _exponent(self.window),
             int(self.precision),
-            False,
         )
 
     def parse(self, text: str) -> HyperReal:
@@ -575,13 +647,15 @@ def in_order_ideal(x: HyperReal, e: HyperReal) -> bool:
     """True iff x lies in o(e) = {e*h : h infinitesimal}.
 
     Requires e to be a nonzero infinitesimal; membership depends only on the
-    leading exponent of e.
+    leading exponent of e, and on x's leading exponent or certified order.
     """
     if e.classify() is not Classification.INFINITESIMAL:
         raise NotInfinitesimal(f"order-ideal generator must be a nonzero infinitesimal, got {e}")
-    if x.is_zero:
-        return True
-    return x.terms[0][0] > e.terms[0][0]
+    lam = e.terms[0][0]
+    if x.terms:
+        return x.terms[0][0] > lam
+    x.certify(lam, "order-ideal membership")
+    return True
 
 
 def close_of_order(a: HyperReal, b: HyperReal, e: HyperReal, n: int) -> bool:
@@ -594,9 +668,9 @@ def close_of_order(a: HyperReal, b: HyperReal, e: HyperReal, n: int) -> bool:
 
 def _split_limited(x: HyperReal, what: str) -> tuple[Fraction, HyperReal]:
     """Split a limited x into (standard part, infinitesimal tail)."""
-    c = x.classify()
-    if not c.is_limited:
+    if x.terms and x.terms[0][0] < 0:
         raise TranscendentalOnUnlimited(f"{what} of an unlimited argument")
+    x.certify(0, f"standard part of the {what} argument")
     s = x.coefficient(0)
     return s, x - s
 
@@ -604,50 +678,64 @@ def _split_limited(x: HyperReal, what: str) -> tuple[Fraction, HyperReal]:
 def _power_series(
     u: HyperReal, coeffs: Iterator[Fraction], head: Term = (0, Fraction(1))
 ) -> HyperReal:
-    """head * sum_k c_k u^k for u with positive leading exponent mu.
+    """head * sum_k c_k u^k for an infinitesimal u (leading exponent mu > 0,
+    or no terms and a positive order).
 
     ``coeffs`` yields c_0, c_1, ... and must not be all zero; ``head`` is the
     monomial (exponent, coefficient) the sum is multiplied by.  If c_k0 is
     the first nonzero coefficient, the result's leading exponent is k0*mu, so
-    the sum keeps exactly the exponents below k0*mu + window: the relative
-    window of the result's own leading term.  Each power u^k is truncated
-    below the same cap (below k*mu + window until k0 is found), which drops
-    nothing that could fall under the cap in a later power.  The result is
-    always marked saturated.
+    the sum keeps the exponents below k0*mu + window: the relative window of
+    the result's own leading term.  u's truncation, O(eps^N) with N its
+    order, reaches the sum first in c_k1 u^k1 (k1 the first k >= 1 with
+    c_k nonzero), as O(eps^(N + (k1-1)*mu)); the kept exponents stop there
+    when that comes first, and the result's order is where they stop.  Each
+    power u^k is truncated below the same cap (below k*mu + window until k0
+    is found), which drops nothing that could fall under the cap later.
     """
     shift, scale = head
+    window, trunc = u.window, u.order
+    if not u.terms:  # u = O(eps^N): c_0 is the whole known part
+        c0 = next(coeffs)
+        if trunc != inf:
+            trunc = _exponent(shift + next(k for k, c in enumerate(coeffs, 1) if c) * trunc)
+        c0 *= scale
+        return _series([(shift, c0)] if c0 else [], window, u.precision, trunc)
+    mu = u.terms[0][0]
+    if not scale:
+        return _series([], window, u.precision, _exponent(shift + min(window, trunc)))
     acc: dict[Fraction | int, Fraction] = {}
-    if scale:
-        mu = u.terms[0][0]
-        cap = None
-        upow: list[Term] = [(0, Fraction(1))]
-        for k, c in enumerate(coeffs):
-            if c:
-                if cap is None:
-                    cap = k * mu + u.window
-                c *= scale
-                for e, a in upow:
-                    if e in acc:
-                        acc[e] += c * a
-                    else:
-                        acc[e] = c * a
-            limit = (k + 1) * mu + u.window if cap is None else cap
-            nxt: dict[Fraction | int, Fraction] = {}
-            for e1, a1 in upow:
-                for e2, a2 in u.terms:
-                    e = e1 + e2
-                    if e >= limit:
-                        break
-                    if e in nxt:
-                        nxt[e] += a1 * a2
-                    else:
-                        nxt[e] = a1 * a2
-            upow = [t for t in nxt.items() if t[1]]
-            if not upow:
-                break
+    cap = None
+    upow: list[Term] = [(0, Fraction(1))]
+    for k, c in enumerate(coeffs):
+        if c:
+            if cap is None:
+                cap = k * mu + window
+            if k and trunc != inf:  # k is k1: u's truncation enters here
+                cap = min(cap, trunc + (k - 1) * mu)
+                trunc = inf
+            c *= scale
+            for e, a in upow:
+                if e in acc:
+                    acc[e] += c * a
+                else:
+                    acc[e] = c * a
+        limit = (k + 1) * mu + window if cap is None else cap
+        nxt: dict[Fraction | int, Fraction] = {}
+        for e1, a1 in upow:
+            for e2, a2 in u.terms:
+                e = e1 + e2
+                if e >= limit:
+                    break
+                if e in nxt:
+                    nxt[e] += a1 * a2
+                else:
+                    nxt[e] = a1 * a2
+        upow = [t for t in nxt.items() if t[1]]
+        if not upow:
+            break
     if shift:
         acc = {e + shift: c for e, c in acc.items()}
-    return _series(_canonical(acc), u.window, u.precision, True)
+    return _series(_canonical(acc), window, u.precision, _exponent(shift + limit))
 
 
 # Coefficient rules c_0, c_1, ... for _power_series.
@@ -688,49 +776,35 @@ def _ln_coeffs(ln_s: Fraction, s: Fraction) -> Iterator[Fraction]:
 
 def hr_exp(x: HyperReal) -> HyperReal:
     s, h = _split_limited(x, "exp")
-    const = approx.exp_approx(s, x.precision)
-    if h.is_zero:
-        return x._lift([(0, const)] if const else [], x.saturated)
-    return _power_series(h, _exp_coeffs(), (0, const))
+    return _power_series(h, _exp_coeffs(), (0, approx.exp_approx(s, x.precision)))
 
 
 def hr_ln(x: HyperReal) -> HyperReal:
     s, h = _split_limited(x, "ln")
     if s <= 0:
-        raise DomainError(f"ln requires a positive standard part, got {s}")
-    const = approx.ln_approx(s, x.precision)
-    if h.is_zero:
-        return x._lift([(0, const)] if const else [], x.saturated)
-    return _power_series(h, _ln_coeffs(const, s))
+        raise DomainError(f"ln requires a positive standard part, got {show_rational(s)}")
+    return _power_series(h, _ln_coeffs(approx.ln_approx(s, x.precision), s))
 
 
 def hr_sin(x: HyperReal) -> HyperReal:
     s, h = _split_limited(x, "sin")
-    sin_s = approx.sin_approx(s, x.precision)
-    cos_s = approx.cos_approx(s, x.precision)
-    if h.is_zero:
-        return x._lift([(0, sin_s)] if sin_s else [], x.saturated)
+    sin_s, cos_s = approx.sin_cos_approx(s, x.precision)
     return _power_series(h, _trig(sin_s, cos_s))
 
 
 def hr_cos(x: HyperReal) -> HyperReal:
     s, h = _split_limited(x, "cos")
-    sin_s = approx.sin_approx(s, x.precision)
-    cos_s = approx.cos_approx(s, x.precision)
-    if h.is_zero:
-        return x._lift([(0, cos_s)] if cos_s else [], x.saturated)
+    sin_s, cos_s = approx.sin_cos_approx(s, x.precision)
     return _power_series(h, _trig(cos_s, -sin_s))
 
 
 def hr_tan(x: HyperReal) -> HyperReal:
+    """tan(s + u) = (t cos u + sin u) / (cos u - t sin u) with t = tan(s)
+    from ``tan_approx``, so the constant term is tan_approx(s) itself and the
+    pole bound is tan_approx's."""
     s, h = _split_limited(x, "tan")
-    cos_s = approx.cos_approx(s, x.precision)
-    if abs(cos_s) < Fraction(1, 10 ** max(2, x.precision // 2)):
-        raise DomainError(f"tan undefined near {s}: cos too close to 0")
-    if h.is_zero:  # the exact ratio the series path's constant term carries
-        const = approx.sin_approx(s, x.precision) / cos_s
-        return x._lift([(0, const)] if const else [], x.saturated)
-    return hr_sin(x) / hr_cos(x)
+    t = approx.tan_approx(s, x.precision)
+    return _power_series(h, _trig(t, Fraction(1))) / _power_series(h, _trig(Fraction(1), -t))
 
 
 def hr_pow(x: HyperReal, r: Fraction) -> HyperReal:
@@ -741,12 +815,9 @@ def hr_pow(x: HyperReal, r: Fraction) -> HyperReal:
     s, h = _split_limited(x, "real power")
     if s <= 0:
         raise DomainError(
-            f"non-integer power requires a positive standard part, got {s}"
+            f"non-integer power requires a positive standard part, got {show_rational(s)}"
         )
-    const = approx.pow_approx(s, r, x.precision)
-    if h.is_zero:
-        return x._lift([(0, const)] if const else [], x.saturated)
-    return _power_series(h, _binomial(r, s), (0, const))
+    return _power_series(h, _binomial(r, s), (0, approx.pow_approx(s, r, x.precision)))
 
 
 _ANALYTIC = {

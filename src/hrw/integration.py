@@ -42,7 +42,7 @@ from .errors import (
 )
 from .exprs import Binary, Const, Expr, Unary, Var, compile_real, free_vars
 from .field import DEFAULT_PRECISION, Field
-from .rationals import decimal_str, format_rational
+from .rationals import decimal_str, format_rational, show_rational
 
 TAG_RULES = ("min-vertex", "center", "corner-nearest-origin", "seeded-random")
 
@@ -426,7 +426,7 @@ def measure_volume_revolution(
     for lo, hi in zip(breaks, breaks[1:]):
         r = fn(lo)
         if r < 0:
-            raise NegativeRadius(f"f({lo}) = {r} < 0")
+            raise NegativeRadius(f"f({lo}) = {show_rational(r)} < 0")
         total += pi * r * r * (hi - lo)
     return total
 
@@ -444,7 +444,7 @@ def measure_surface_revolution(
     for lo, hi in zip(breaks, breaks[1:]):
         r = fn(lo)
         if r < 0:
-            raise NegativeRadius(f"f({lo}) = {r} < 0")
+            raise NegativeRadius(f"f({lo}) = {show_rational(r)} < 0")
         slope = taylor_jet(f, lo, 1, cfg, var).derivative(1)
         total += 2 * pi * r * approx.sqrt_approx(1 + slope * slope, precision) * (hi - lo)
     return total
@@ -662,7 +662,7 @@ class Gauge:
         def delta(x: Fraction) -> Fraction:
             value = fn(x)
             if value <= 0:
-                raise DomainError(f"gauge must be positive, delta({x}) = {value}")
+                raise DomainError(f"gauge must be positive, delta({x}) = {show_rational(value)}")
             return value
 
         return delta

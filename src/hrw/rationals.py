@@ -7,6 +7,7 @@ kernel.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
@@ -34,6 +35,18 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def show_rational(q) -> str:
+    """q for an error text: ``str(q)``, or the bit sizes of its numerator and
+    denominator once either nears Python's int-to-str digit limit (more than
+    3 bits a digit), past which ``str`` raises."""
+    q = Fraction(q)
+    num_bits, den_bits = q.numerator.bit_length(), q.denominator.bit_length()
+    limit = sys.get_int_max_str_digits()
+    if limit and max(num_bits, den_bits) > 3 * limit:
+        return f"<rational of {num_bits}/{den_bits} bits>"
+    return str(q)
 
 
 def round_to_digits(x: Fraction, digits: int) -> Fraction:

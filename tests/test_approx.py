@@ -67,6 +67,16 @@ def test_tan_near_pole_rejected():
         approx.tan_approx(half_pi, 40)
 
 
+def test_sin_cos_one_pass_is_bit_identical():
+    rng = random.Random(31)
+    args = [F(0), F(1), F(-7, 3), F(100), F(355, 113)]
+    args += [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(60)]
+    for x in args:
+        for digits in (5, 12, 40):
+            assert approx.sin_cos_approx(x, digits) == (
+                approx.sin_approx(x, digits), approx.cos_approx(x, digits))
+
+
 def test_exact_shortcuts():
     assert approx.sqrt_approx(F(4), 40) == 2
     assert approx.sqrt_approx(F(9, 16), 40) == F(3, 4)

@@ -19,10 +19,12 @@ from hrw.calculus import (
     taylor_jet,
     unit_tangent,
 )
-from hrw.errors import DomainError, NonSmoothAtPoint, ZeroVelocity
+from hrw import approx
+from hrw.errors import DomainError, NonSmoothAtPoint, PrecisionExhausted, ZeroVelocity
 from hrw.exprs import eval_real, parse, symbolic_derivative
 from hrw.field import DEFAULT_FIELD as FLD
-from hrw.field import ExtendedReal, in_order_ideal
+from hrw.field import ExtendedReal, Field, in_order_ideal
+from hrw.rationals import round_to_digits
 
 EPS = FLD.epsilon()
 TIGHT = F(1, 10**38)
@@ -74,6 +76,64 @@ class TestJets:
     def test_abs_kink_rejected(self):
         with pytest.raises(NonSmoothAtPoint):
             taylor_jet(parse("abs(x)"), F(0), 1)
+
+
+class TestCertifiedOrder:
+    """A map whose leading terms cancel leaves only O(eps^N) behind; a later
+    division moves that hole down to the orders a jet or limit reads."""
+
+    CANCELLING = [
+        ("limit", "(sin(x^8)-x^8)/x^24", 0, (F(-1, 6),)),
+        ("jet", "(cos(x^8)-1)/x^16", 1, (F(-1, 2), F(0))),
+        ("jet", "(exp(x^9)-1-x^9)/x^18", 0, (F(1, 2),)),
+        # an exponent known only to O(eps^24) is not the exact constant 0
+        ("limit", "(2^(sin(x^8)-x^8)-1)/x^24", 0, (-approx.ln_approx(F(2), 40) / 6,)),
+    ]
+
+    @staticmethod
+    def _read(kind, source, order, cfg):
+        if kind == "limit":
+            return (fn_limit(parse(source), F(0), cfg).value.as_fraction(),)
+        return taylor_jet(parse(source), F(0), order, cfg).coeffs
+
+    @pytest.mark.parametrize("kind,source,order,want", CANCELLING)
+    def test_true_value_or_refusal_at_the_default_window(self, kind, source, order, want):
+        try:
+            got = self._read(kind, source, order, FLD)
+        except PrecisionExhausted:
+            return
+        assert got == want
+
+    @pytest.mark.parametrize("kind,source,order,want", CANCELLING)
+    def test_true_value_at_window_32(self, kind, source, order, want):
+        assert self._read(kind, source, order, Field(window=32)) == want
+
+    def test_refusal_names_the_ceiling(self):
+        with pytest.raises(PrecisionExhausted, match="window 16 is the ceiling"):
+            fn_limit(parse("(sin(x^8)-x^8)/x^24"), F(0))
+        S = parse("(sin(1/n^8)-1/n^8)*n^24")
+        with pytest.raises(PrecisionExhausted):
+            seq_limit(S)
+        assert seq_limit(S, Field(window=32)).value.as_fraction() == F(-1, 6)
+
+    def test_cancellation_without_division(self):
+        # 2 - 2 cos(x) = x^2 - x^4/12 + ...: its root is x - x^3/24 + ... on the right
+        f = parse("sqrt(2-2*cos(x))")
+        assert taylor_jet(f, F(0), 1).coeffs == (F(0), F(1))
+        assert taylor_jet(f, F(0), 3).coeffs == (F(0), F(1), F(0), F(-1, 24))
+
+    def test_tan_near_a_pole(self):
+        # cos x = -8.4e-27: tan_approx and eval_real give -1.196e26
+        x = round_to_digits(approx.pi_approx(40) / 2, 25)
+        t = approx.tan_approx(x, 40)
+        assert t == eval_real(parse("tan(x)"), {"x": x})
+        assert -F(12, 10) * 10**26 < t < -F(11, 10) * 10**26
+        assert taylor_jet(parse("tan(x)"), x, 1).coeffs == (t, 1 + t * t)
+
+    def test_tan_limit_reads_only_the_standard_part(self):
+        res = fn_limit(parse("tan(7/3 + root(4,x) + root(3,x))"), F(0))
+        assert res.value.as_fraction() == approx.tan_approx(F(7, 3), 40)
+        assert res.note == "one-sided"
 
 
 class TestDerivative:

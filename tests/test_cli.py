@@ -172,6 +172,22 @@ class TestExitCodes:
         assert code == 1
         assert err == "error: ApproxOverflow: power 3^200000 exceeds magnitude cap (at offset 1)\n"
 
+    def test_oversized_value_in_error_text(self, capsys):
+        # (7/3)^40000 is exact with a 33 804-digit numerator, past the
+        # int-to-str limit; the overflow text shows its size instead
+        code, _, err = invoke(capsys, "eval", "((7/3)^40000)^5")
+        assert code == 1
+        assert err == ("error: ApproxOverflow: power (<rational of 112295/63399 bits>)^5 "
+                       "exceeds magnitude cap (at offset 13)\n")
+
+    def test_precision_exhausted_is_one(self, capsys):
+        code, _, err = invoke(capsys, "limit-fn", "(sin(x^8)-x^8)/x^24", "--at", "0")
+        assert code == 1 and err.startswith("error: PrecisionExhausted:")
+        assert "window 16 is the ceiling" in err
+        code, out, _ = invoke(capsys, "limit-fn", "(sin(x^8)-x^8)/x^24", "--at", "0",
+                              "--window", "32")
+        assert code == 0 and out == "-1/6 (method: field-evaluation)\n"
+
     def test_parse_error_is_two(self, capsys):
         code, _, err = invoke(capsys, "eval", "2*")
         assert code == 2

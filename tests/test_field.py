@@ -11,6 +11,7 @@ from hrw.errors import (
     DivisionByZero,
     NonPositiveLeading,
     NotInfinitesimal,
+    PrecisionExhausted,
     TranscendentalOnUnlimited,
 )
 from hrw.field import (
@@ -472,8 +473,11 @@ class TestSaturation:
 #
 # Each reference builds its result only through the public HyperReal(...)
 # constructor: all pairwise products, then merge, sort and window-truncate.
+# The certified order is derived independently, from the absolute-precision
+# rules spelled out case by case.
 
 WINDOWS = [F(16), F(7), F(5, 2)]
+INF = float("inf")
 
 
 def _binom(alpha, k):
@@ -483,19 +487,28 @@ def _binom(alpha, k):
     return c
 
 
+def _val(x):
+    """Leading exponent, or the order of a value without terms."""
+    return x.terms[0][0] if x.terms else x.order
+
+
 def _ref_mul(x, y):
-    sat = x.saturated or y.saturated
+    # (X + O(eps^Nx)) (Y + O(eps^Ny)) = XY + O(eps^min(Nx + vy, Ny + vx))
+    order = min(INF if x.order == INF else x.order + _val(y),
+                INF if y.order == INF else y.order + _val(x))
     if x.is_zero or y.is_zero:
-        return HyperReal([], x.window, x.precision, sat)
+        return HyperReal([], x.window, x.precision, order)
     cap = x.terms[0][0] + y.terms[0][0] + x.window
     pairs = [(e1 + e2, c1 * c2) for e1, c1 in x.terms for e2, c2 in y.terms]
     kept = [t for t in pairs if t[0] < cap]
-    return HyperReal(kept, x.window, x.precision, sat or len(kept) < len(pairs))
+    if len(kept) < len(pairs):
+        order = min(order, cap)
+    return HyperReal(kept, x.window, x.precision, order)
 
 
 def _ref_add(x, y):
     return HyperReal(list(x.terms) + list(y.terms), x.window, x.precision,
-                     x.saturated or y.saturated)
+                     min(x.order, y.order))
 
 
 def _ref_pow(x, n):
@@ -510,32 +523,39 @@ def _ref_pow(x, n):
 
 
 def _ref_series(u, coeff, head):
-    """head * sum_k coeff(k) u^k, keeping exponents below k0*mu + window."""
+    """head * sum_k coeff(k) u^k, keeping exponents below k0*mu + window and
+    below u's truncation as it enters c_k1 u^k1 (k1 the first k >= 1 with a
+    nonzero coefficient)."""
     shift, scale = head
     w, p = u.window, u.precision
-    if not scale:
-        return HyperReal([], w, p, True)
+    k1 = next(k for k in range(1, 10**6) if coeff(k))
+    if u.is_zero:  # u = O(eps^N): head * (c_0 + O(eps^(k1 N)))
+        order = INF if u.order == INF else shift + k1 * u.order
+        return HyperReal([(shift, scale * coeff(0))], w, p, order)
     mu = u.terms[0][0]
     k0 = next(k for k in range(10**6) if coeff(k))
     cap = k0 * mu + w
+    if u.order != INF:
+        cap = min(cap, u.order + (k1 - 1) * mu)
+    if not scale:
+        return HyperReal([], w, p, shift + min(w, u.order))
     terms, power, k = [], HyperReal([(0, 1)], w, p), 0
     while k * mu < cap:
         terms += [(e + shift, scale * coeff(k) * a) for e, a in power.terms]
         power = HyperReal([(e1 + e2, a1 * a2) for e1, a1 in power.terms
                            for e2, a2 in u.terms if e1 + e2 < cap], w, p)
         k += 1
-    return HyperReal([t for t in terms if t[0] < cap + shift], w, p, True)
+    return HyperReal([t for t in terms if t[0] < cap + shift], w, p, cap + shift)
 
 
 def _ref_tail(x):
     lam, a = x.terms[0]
-    return HyperReal([(e - lam, c) for e, c in x.terms[1:]], x.window, x.precision), lam, a
+    order = INF if x.order == INF else x.order - lam
+    return HyperReal([(e - lam, c) for e, c in x.terms[1:]], x.window, x.precision, order), lam, a
 
 
 def _ref_inv(x):
     u, lam, a = _ref_tail(x)
-    if u.is_zero:
-        return HyperReal([(-lam, 1 / a)], x.window, x.precision, x.saturated)
     return _ref_series(u, lambda k: F(-1, 1) ** k / a**k, (-lam, 1 / a))
 
 
@@ -544,8 +564,6 @@ def _ref_root(x, n):
 
     u, lam, a = _ref_tail(x)
     head = (F(lam) / n, nth_root_approx(a, n, x.precision))
-    if u.is_zero:
-        return HyperReal([head], x.window, x.precision, x.saturated)
     return _ref_series(u, lambda k: _binom(F(1, n), k) / a**k, head)
 
 
@@ -555,8 +573,6 @@ def _ref_exp(x):
     s = x.coefficient(0)
     h = _ref_add(x, HyperReal([(0, -s)], x.window, x.precision))
     const = exp_approx(s, x.precision)
-    if h.is_zero:
-        return HyperReal([(0, const)], x.window, x.precision, x.saturated)
     fact = [1]
     for k in range(1, 200):
         fact.append(fact[-1] * k)
@@ -569,8 +585,6 @@ def _ref_ln(x):
     s = x.coefficient(0)
     h = _ref_add(x, HyperReal([(0, -s)], x.window, x.precision))
     const = ln_approx(s, x.precision)
-    if h.is_zero:
-        return HyperReal([(0, const)], x.window, x.precision, x.saturated)
     return _ref_series(h, lambda k: const if k == 0 else F((-1) ** (k + 1), k) / s**k, (0, 1))
 
 
@@ -580,6 +594,10 @@ def _grid_series(limited=False):
     exponent = st_.sampled_from(exps).flatmap(
         lambda e: st_.sampled_from([e, int(e)] if e.denominator == 1 else [e]))
     return st_.lists(st_.tuples(exponent, coeffs), max_size=4)
+
+
+# certified orders: exact, or a truncation inside or past the exponent grid
+ORDERS = st_.sampled_from([INF, F(-2), 0, F(1, 2), 1, F(7, 3), 4, 9, 12])
 
 
 def _assert_canonical(v):
@@ -593,6 +611,7 @@ def _assert_canonical(v):
 def _same(got, want):
     _assert_canonical(got)
     assert got.terms == want.terms
+    assert got.order == want.order
     assert got.saturated == want.saturated
     assert hash(got) == hash(want)
 
@@ -613,12 +632,12 @@ class TestRepresentation:
         assert HyperReal([(F(2), 1), (2, 1)]).terms == ((2, F(2)),)
 
     @settings(max_examples=150, deadline=None)
-    @given(st_.sampled_from(WINDOWS), _grid_series(), _grid_series(), st_.booleans())
-    def test_ring_ops_match_naive_reference(self, w, xs, ys, sat):
-        x, y = HyperReal(xs, w, 40, sat), HyperReal(ys, w, 40)
+    @given(st_.sampled_from(WINDOWS), _grid_series(), _grid_series(), ORDERS, ORDERS)
+    def test_ring_ops_match_naive_reference(self, w, xs, ys, nx, ny):
+        x, y = HyperReal(xs, w, 40, nx), HyperReal(ys, w, 40, ny)
         _same(x + y, _ref_add(x, y))
-        _same(x - y, _ref_add(x, HyperReal([(e, -c) for e, c in y.terms], w, 40, y.saturated)))
-        _same(-x, HyperReal([(e, -c) for e, c in x.terms], w, 40, x.saturated))
+        _same(x - y, _ref_add(x, HyperReal([(e, -c) for e, c in y.terms], w, 40, y.order)))
+        _same(-x, HyperReal([(e, -c) for e, c in x.terms], w, 40, x.order))
         _same(x * y, _ref_mul(x, y))
         _same(x * 3 + 1, _ref_add(_ref_mul(x, HyperReal([(0, 3)], w, 40)), HyperReal([(0, 1)], w, 40)))
         _same(x**3, _ref_pow(x, 3))
@@ -630,9 +649,14 @@ class TestRepresentation:
                 _same(x.nth_root(3), _ref_root(x, 3))
 
     @settings(max_examples=60, deadline=None)
-    @given(st_.sampled_from(WINDOWS), _grid_series(limited=True), coeffs)
-    def test_series_maps_match_naive_reference(self, w, xs, s):
-        x = HyperReal(xs + [(0, s)], w, 40)
+    @given(st_.sampled_from(WINDOWS), _grid_series(limited=True), coeffs, ORDERS)
+    def test_series_maps_match_naive_reference(self, w, xs, s, n):
+        x = HyperReal(xs + [(0, s)], w, 40, n)
+        if n <= 0:  # the standard part is not certified
+            for fn in (hr_exp, hr_ln):
+                with pytest.raises(PrecisionExhausted):
+                    fn(x)
+            return
         _same(hr_exp(x), _ref_exp(x))
         if x.coefficient(0) > 0:
             _same(hr_ln(x), _ref_ln(x))

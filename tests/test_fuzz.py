@@ -13,6 +13,13 @@ text (offset included).
 
 Each partition sum is checked against a naive sum of ``eval_real(tag) *
 volume`` whose cells, tags and classification are written out here.
+
+Jets of random expressions (division, ``sqrt``/``root``, the transcendental
+calls, and the cancellation shape f(x^k) minus its Taylor polynomial) must
+equal the coefficients of one direct evaluation at window 64 wherever the
+jet is returned; otherwise the jet must raise ``PrecisionExhausted``.  Jets
+of rational expressions must equal ``eval_real`` of the n-fold
+``symbolic_derivative`` divided by n!.
 """
 
 from __future__ import annotations
@@ -23,9 +30,27 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrw import approx
-from hrw.exprs import Binary, Call, Const, Expr, Unary, Var, compile_real, eval_real, parse, render
+from hrw.calculus import taylor_jet
+from hrw.errors import PrecisionExhausted
+from hrw.exprs import (
+    Binary,
+    Call,
+    Const,
+    Expr,
+    Unary,
+    Var,
+    compile_real,
+    eval_hyper,
+    eval_real,
+    parse,
+    render,
+    symbolic_derivative,
+)
+from hrw.field import Field
 from hrw.integration import (
     Gauge,
     PartitionSpec,
@@ -328,3 +353,137 @@ def test_inner_sum(seed):
         got = outcome(inner_sum, f, Region(rect, membership), PartitionSpec.simple(*counts),
                       PRECISION)
         assert got == outcome(naive), render(f)
+
+
+# -- jets: certified orders against one wide evaluation and the symbolic derivative ----------
+
+NARROW = Field(precision=PRECISION)  # the default ceiling, window 16
+WIDE = Field(window=64, precision=PRECISION)
+
+# f(u) and its Taylor polynomial at 0 to the given number of terms
+TAYLOR = {
+    "sin": ["u", "-u^3/6", "u^5/120"],
+    "cos": ["1", "-u^2/2", "u^4/24"],
+    "exp": ["1", "u", "u^2/2"],
+    "ln": ["u", "-u^2/2", "u^3/3"],  # of ln(1 + u)
+}
+
+
+def cancellation(rng: random.Random) -> str:
+    """f(c x^k) minus m terms of its Taylor polynomial, over x^j: the leading
+    terms cancel, and the division moves the remainder down to low order."""
+    fn = rng.choice(sorted(TAYLOR))
+    k, m = rng.randint(1, 9), rng.randint(1, 3)
+    u = f"({rng.choice(['1', '2', '-1/2'])}*x^{k})"
+    call = f"ln(1 + {u})" if fn == "ln" else f"{fn}({u})"
+    poly = " - ".join(f"({t.replace('u', u)})" for t in TAYLOR[fn][:m])
+    return f"({call} - {poly})/x^{rng.randint(0, 3 * k)}"
+
+
+class JetGen:
+    """Random expressions in x: rational ones over + - * / and integer powers,
+    or with sqrt/root, the transcendental calls and cancellation shapes."""
+
+    def __init__(self, rng: random.Random, rational: bool):
+        self.rng, self.rational = rng, rational
+
+    def tree(self, depth: int) -> str:
+        rng = self.rng
+        if depth == 0 or rng.random() < 0.25:
+            return "x" if rng.random() < 0.6 else f"({rand_rational(rng)})"
+        kinds = ["+-*/", "ipow"] if self.rational else ["+-*/", "ipow", "root", "call", "cancel"]
+        kind = rng.choice(kinds)
+        sub = lambda: self.tree(depth - 1)  # noqa: E731
+        if kind == "+-*/":
+            return f"({sub()} {rng.choice('+-*/')} {sub()})"
+        if kind == "ipow":
+            return f"({sub()})^{rng.choice([2, 3, -1, -2])}"
+        if kind == "root":
+            return rng.choice([f"sqrt({sub()})", f"root({rng.randint(3, 4)}, {sub()})"])
+        if kind == "call":
+            return f"{rng.choice(['sin', 'cos', 'exp', 'ln'])}({sub()})"
+        return cancellation(rng)
+
+
+def wide_jet(e: Expr, x0: F, order: int):
+    """Coefficients 0..order of one evaluation at window 64, if it certifies
+    them, else None."""
+    value = eval_hyper(e, {"x": WIDE.rational(x0) + WIDE.epsilon()}, WIDE)
+    if value.order <= order or (value.terms and value.terms[0][0] < 0):
+        return None
+    table = {ex: c for ex, c in value.terms if ex <= order}
+    if any(type(ex) is not int for ex in table):
+        return None
+    return tuple(table.get(k, F(0)) for k in range(order + 1))
+
+
+def check_jet(e: Expr, x0: F, order: int) -> str:
+    """'jet' or 'refused' when the narrow jet passes the check, else fails."""
+    got = outcome(taylor_jet, e, x0, order, NARROW)
+    if isinstance(got, tuple):
+        if got[0] == "PrecisionExhausted":
+            return "refused"
+        # any other refusal is certified: the window-64 ceiling repeats it
+        assert outcome(taylor_jet, e, x0, order, WIDE)[0] == got[0], (render(e), x0, order)
+        return got[0]
+    assert got.coeffs == wide_jet(e, x0, order), (render(e), x0, order)
+    return "jet"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_jets_equal_the_wide_window(seed):
+    rng = random.Random(500 + seed)
+    seen = []
+    for _ in range(40):
+        e = parse(JetGen(rng, rational=False).tree(rng.randint(1, 3)))
+        x0 = F(0) if rng.random() < 0.5 else rand_rational(rng)
+        seen.append(check_jet(e, x0, rng.randint(0, 6)))
+    assert seen.count("jet") >= 10
+
+
+def test_cancellation_jets_refused_or_exact():
+    rng = random.Random(600)
+    seen = [check_jet(parse(cancellation(rng)), F(0), rng.randint(0, 6)) for _ in range(60)]
+    assert seen.count("jet") >= 10 and seen.count("refused") >= 5
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rational_jets_equal_symbolic_derivatives(seed):
+    rng = random.Random(700 + seed)
+    returned = 0
+    for _ in range(25):
+        e = parse(JetGen(rng, rational=True).tree(rng.randint(1, 3)))
+        x0, order = rand_rational(rng), rng.randint(0, 6)
+        got = outcome(taylor_jet, e, x0, order, NARROW)
+        if isinstance(got, tuple):
+            assert got[0] in ("DomainError", "DivisionByZero", "PrecisionExhausted"), (render(e), x0, got)
+            continue
+        returned += 1
+        d, fact = e, 1
+        for k in range(order + 1):
+            if k:
+                d, fact = symbolic_derivative(d, "x"), fact * k
+            assert got.coeffs[k] == eval_real(d, {"x": x0}) / fact, (render(e), x0, k)
+    assert returned >= 10
+
+
+jet_exprs = st.recursive(
+    st.sampled_from(["x", "(1/2)", "(-3)", "(2/3)"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt"]), inner).map(
+            lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(inner, st.sampled_from([2, 3, -1])).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.integers(0, 2**32).map(lambda s: cancellation(random.Random(s))),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(jet_exprs, st.sampled_from([F(0), F(1, 2), F(-1), F(3, 2)]), st.integers(0, 6))
+def test_returned_jet_coefficients_equal_window_64(text, x0, order):
+    e = parse(text)
+    got = outcome(taylor_jet, e, x0, order, NARROW)
+    if not isinstance(got, tuple):
+        assert got.coeffs == wide_jet(e, x0, order)
