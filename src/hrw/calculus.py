@@ -94,6 +94,15 @@ def infer_variable(f: Expr, var: str | None = None) -> str:
     return names[0] if names else "x"
 
 
+def _smooth(f: Expr, env: dict[str, HyperReal], fld: Field, where: str) -> HyperReal:
+    """f over the series field, refused when an abs argument vanishes ``where``
+    (the probe point): |x| has no jet there."""
+    value, trace = eval_hyper_traced(f, env, fld)
+    if trace.abs_nonsmooth:
+        raise NonSmoothAtPoint(f"abs argument vanishes {where}")
+    return value
+
+
 def taylor_jet(
     f: Expr,
     x0: Fraction,
@@ -115,9 +124,7 @@ def taylor_jet(
     name = infer_variable(f, var)
 
     def probe(fld: Field) -> Jet:
-        value, trace = eval_hyper_traced(f, {name: fld.rational(x0) + fld.epsilon()}, fld)
-        if trace.abs_nonsmooth:
-            raise NonSmoothAtPoint(f"abs argument vanishes at {x0}")
+        value = _smooth(f, {name: fld.rational(x0) + fld.epsilon()}, fld, f"at {x0}")
         if value.terms and value.terms[0][0] < 0:
             raise DomainError(f"expression unbounded on the monad of {x0}")
         value.certify(order, f"jet of order {order}")
@@ -169,9 +176,7 @@ def nth_increment(
         if k:
             binom = binom * (n - k + 1) // k
         point = cfg.rational(c) + h * (n - k)
-        value, trace = eval_hyper_traced(f, {name: point}, cfg)
-        if trace.abs_nonsmooth:
-            raise NonSmoothAtPoint(f"abs argument vanishes near {c}")
+        value = _smooth(f, {name: point}, cfg, f"near {c}")
         total = total + value * Fraction((-1) ** k * binom)
     total.certify(n * (h.leading_exponent() or 0), f"increment of order {n}")
     return total
@@ -293,15 +298,7 @@ def fn_limit(
     p = Fraction(p)
     name = infer_variable(f, var)
 
-    def side(sign: int) -> ExtendedReal | None:
-        try:
-            return _widen(cfg, _point_window(p), lambda fld: _side_st(f, name, p, sign, fld))
-        except PrecisionExhausted:
-            raise
-        except MathError:
-            return None
-
-    left, right = side(-1), side(+1)
+    left, right = _side(f, name, p, -1, cfg), _side(f, name, p, +1, cfg)
     if left is None and right is None:
         return LimitResult(None, "field-evaluation", left, right, note="neither side evaluable")
     if left is None or right is None:
@@ -327,26 +324,27 @@ def continuity_check(
     except MathError as ex:
         raise DomainError(f"function undefined at {p}: {ex.case}") from ex
     for sign in (-1, 1):
-        try:
-            s = _widen(cfg, _point_window(p), lambda fld: _side_st(f, name, p, sign, fld))
-        except PrecisionExhausted:
-            raise
-        except MathError:
-            return False
-        if not s.is_finite or s.as_fraction() != at_p:
+        s = _side(f, name, p, sign, cfg)
+        if s is None or not s.is_finite or s.as_fraction() != at_p:
             return False
     return True
 
 
-def _point_window(p: Fraction) -> int:
-    """The narrowest window that holds the probe point p +- eps itself."""
-    return 2 if p else 1
+def _side(f: Expr, name: str, p: Fraction, sign: int, cfg: Field) -> ExtendedReal | None:
+    """st(f(p + sign*eps)), widened from the narrowest window that holds the
+    probe point itself; None when that side is not evaluable.  PrecisionExhausted
+    propagates: the side is evaluable but no window certifies it."""
 
+    def probe(fld: Field) -> ExtendedReal:
+        point = fld.rational(p) + fld.epsilon() * sign
+        return eval_hyper_traced(f, {name: point}, fld)[0].st()
 
-def _side_st(f: Expr, name: str, p: Fraction, sign: int, fld: Field) -> ExtendedReal:
-    """st(f(p + sign*eps)) in the field fld."""
-    point = fld.rational(p) + fld.epsilon() * sign
-    return eval_hyper_traced(f, {name: point}, fld)[0].st()
+    try:
+        return _widen(cfg, 2 if p else 1, probe)
+    except PrecisionExhausted:
+        raise
+    except MathError:
+        return None
 
 
 # -- curves: tangents and curvature ----------------------------------------------------
@@ -528,13 +526,7 @@ def jacobian(
                 name: fld.rational(v) + off
                 for name, v, off in zip(varnames, point, offsets)
             }
-            out = []
-            for comp in F:
-                value, trace = eval_hyper_traced(comp, env, fld)
-                if trace.abs_nonsmooth:
-                    raise NonSmoothAtPoint(f"abs argument vanishes at {tuple(point)}")
-                out.append(value)
-            return out
+            return [_smooth(comp, env, fld, f"at {tuple(point)}") for comp in F]
 
         eps = fld.epsilon()
         zero = fld.zero()

@@ -89,7 +89,7 @@ def _parse_rect(text: str) -> Rect:
 
 
 def _parse_curve(text: str) -> CurveDef:
-    return CurveDef.from_exprs([parse(part.strip()) for part in text.split(";")])
+    return CurveDef.from_exprs(_parse_exprs(text))
 
 
 def _parse_exprs(text: str) -> list[Expr]:
@@ -117,13 +117,6 @@ def _emit(args, operation: str, params: dict, result: dict, text: str) -> None:
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     else:
         print(text)
-
-
-def _emit_report(args, report) -> None:
-    if args.format == "json":
-        print(json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")))
-    else:
-        print(report.to_text())
 
 
 def _limit_json(res: calculus.LimitResult) -> dict:
@@ -408,8 +401,7 @@ def _cmd_integrate(args, cfg: Field) -> None:
         rect = Rect.interval(*_parse_interval(args.on))
     else:
         raise ParseError(0, "--on or --rect", "missing")
-    counts = tuple(_cells_for(a, b, mesh) for a, b in rect.intervals)
-    spec = PartitionSpec.simple(*counts)
+    spec = _spec(rect, mesh)
     if args.method == "darboux":
         res = integration.darboux_bounds(expr, rect, spec, args.samples, cfg.precision)
         _emit(args, "integrate", params,
@@ -421,19 +413,25 @@ def _cmd_integrate(args, cfg: Field) -> None:
     _emit(args, "integrate", params, {"value": _fmt(value)}, _pretty(value))
 
 
-# options each measure kind / converge op reads without a default
-_MEASURE_NEEDS = {
-    "area": ("on", "f", "g"), "volume-rev": ("on", "f"), "surface-rev": ("on", "f"),
-    "length": ("on", "curve"), "mass": ("region",), "com": ("region",),
-    "moment": ("region", "integrand"), "work": ("on", "field", "curve"),
-    "impulse": ("on", "force"), "morley": (),
+# -- the sums of measure and converge -----------------------------------------------------
+
+# each sum kind: the options it reads without a default, and the result a study
+# follows unless --path names another
+_SUMS = {
+    "riemann": (("on", "expr"), "value"),
+    "area": (("on", "f", "g"), "value"),
+    "volume-rev": (("on", "f"), "value"),
+    "surface-rev": (("on", "f"), "value"),
+    "length": (("on", "curve"), "integral"),
+    "mass": (("region",), "mass"),
+    "com": (("region",), "mass"),
+    "moment": (("region",), "value"),
+    "work": (("on", "field", "curve"), "integrand"),
+    "impulse": (("on", "force"), "value"),
+    "morley": ((), "value"),
 }
 # measure kinds that run a convergence study for --meshes (and report --oracle)
 _MESH_KINDS = ("area", "moment", "mass", "impulse")
-_CONVERGE_NEEDS = {
-    "riemann": ("on", "expr"), "area": ("on", "f", "g"), "length": ("on", "curve"),
-    "work": ("on", "field", "curve"), "moment": ("region",), "impulse": ("on", "force"),
-}
 
 
 def _require(args, names: tuple[str, ...], what: str) -> None:
@@ -442,187 +440,141 @@ def _require(args, names: tuple[str, ...], what: str) -> None:
         raise ParseError(0, f"{' and '.join(missing)} for {what}", "missing")
 
 
-def _region_from(args) -> Region:
-    membership = parse(args.region)
-    if args.rect:
-        rect = _parse_rect(args.rect)
-    else:
-        dim = max(len(free_vars(membership) & {"x", "y", "z"}), 1)
-        rect = Rect.box(*(((-1, 1),) * dim))
-    return Region(rect, membership)
+def _spec(rect: Rect, mesh: Fraction) -> PartitionSpec:
+    return PartitionSpec.simple(*(_cells_for(a, b, mesh) for a, b in rect.intervals))
 
 
-def _measure_single(args, cfg: Field, mesh: Fraction) -> tuple[dict, str]:
-    kind = args.kind
-    d = cfg.precision
-    if kind == "area":
-        a, b = _parse_interval(args.on)
-        m = _cells_for(a, b, mesh)
-        v = integration.measure_area_between(parse(args.f), parse(args.g), a, b, m,
-                                             args.tags, d)
-        return {"value": _fmt(v)}, _pretty(v)
-    if kind == "volume-rev":
-        a, b = _parse_interval(args.on)
-        v = integration.measure_volume_revolution(parse(args.f), a, b,
-                                                  _cells_for(a, b, mesh), d)
-        return {"value": _fmt(v)}, _pretty(v)
-    if kind == "surface-rev":
-        a, b = _parse_interval(args.on)
-        v = integration.measure_surface_revolution(parse(args.f), a, b,
-                                                   _cells_for(a, b, mesh), d)
-        return {"value": _fmt(v)}, _pretty(v)
-    if kind == "length":
-        a, b = _parse_interval(args.on)
-        res = integration.measure_curve_length(_parse_curve(args.curve), a, b,
-                                               _cells_for(a, b, mesh), d)
-        return ({"polygonal": _fmt(res.polygonal), "integral": _fmt(res.integral)},
-                f"polygonal = {_pretty(res.polygonal)}  integral = {_pretty(res.integral)}")
-    if kind in ("mass", "com"):
-        region = _region_from(args)
-        counts = tuple(_cells_for(a, b, mesh) for a, b in region.bounding.intervals)
-        props = integration.measure_mass_moment_com(
-            parse(args.rho or "1"), region, PartitionSpec.simple(*counts), d)
-        result = {"mass": _fmt(props.mass),
-                  "moments": [_fmt(x) for x in props.moments]}
-        if kind == "com":
-            result["centroid"] = [_fmt(x) for x in props.centroid]
-            text = "centroid = (" + ", ".join(result["centroid"]) + ")"
-        else:
-            text = f"mass = {result['mass']}"
-        return result, text
-    if kind == "moment":
-        region = _region_from(args)
-        counts = tuple(_cells_for(a, b, mesh) for a, b in region.bounding.intervals)
-        v = integration.measure_moment(parse(args.rho or "1"), parse(args.integrand),
-                                       region, PartitionSpec.simple(*counts), d)
-        return {"value": _fmt(v)}, _pretty(v)
-    if kind == "work":
-        a, b = _parse_interval(args.on)
-        res = integration.line_integral_work(_parse_exprs(args.field),
-                                             _parse_curve(args.curve), a, b,
-                                             _cells_for(a, b, mesh), "center", d)
-        return ({"chord": _fmt(res.chord), "integrand": _fmt(res.integrand)},
-                f"chord = {_pretty(res.chord)}  integrand = {_pretty(res.integrand)}")
-    if kind == "impulse":
-        a, b = _parse_interval(args.on)
-        v = integration.impulse(parse(args.force), a, b, _cells_for(a, b, mesh), d)
-        return {"value": _fmt(v)}, _pretty(v)
+def _parse_sum(args, kind: str, d: int):
+    """Parse the options of a sum kind once. Return the function of the mesh that
+    yields the kind's named exact results, and a thunk for the integrand of
+    converge's Simpson oracle (None where the kind has no single integrand)."""
     if kind == "morley":
-        v = integration.morley_strip_sum(parse_rational(args.radius), args.n,
-                                         args.edge, d)
-        return {"value": _fmt(v)}, _pretty(v)
-    raise ParseError(0, "measure kind", kind)
+        radius = parse_rational(args.radius)
+        return (lambda mesh: {"value": integration.morley_strip_sum(
+            radius, args.n, args.edge, d)}), None
+    if kind in ("mass", "com", "moment"):
+        membership = parse(args.region)
+        if args.rect:
+            rect = _parse_rect(args.rect)
+        else:
+            dim = max(len(free_vars(membership) & {"x", "y", "z"}), 1)
+            rect = Rect.box(*(((-1, 1),) * dim))
+        region, rho = Region(rect, membership), parse(args.rho or "1")
+        if kind == "moment":
+            integrand = parse(args.integrand or "1")
+            return (lambda mesh: {"value": integration.measure_moment(
+                rho, integrand, region, _spec(rect, mesh), d)}), None
+
+        def mass(mesh):
+            props = integration.measure_mass_moment_com(rho, region, _spec(rect, mesh), d)
+            result = {"mass": props.mass, "moments": props.moments}
+            return result | {"centroid": props.centroid} if kind == "com" else result
+
+        return mass, None
+    a, b = _parse_interval(args.on)
+    if kind == "riemann":
+        expr, rect = parse(args.expr), Rect.interval(a, b)
+        return (lambda mesh: {"value": integration.riemann_sum(
+            expr, rect, _spec(rect, mesh), args.tags, args.seed, d)}), lambda: expr
+    if kind == "area":
+        f, g = parse(args.f), parse(args.g)
+        return ((lambda mesh: {"value": integration.measure_area_between(
+            f, g, a, b, _cells_for(a, b, mesh), args.tags, d)}),
+                lambda: parse(f"({args.g})-({args.f})"))
+    if kind == "length":
+        curve = _parse_curve(args.curve)
+        return (lambda mesh: integration.measure_curve_length(
+            curve, a, b, _cells_for(a, b, mesh), d)._asdict()), None
+    if kind == "work":
+        # a request with both malformed reports measure's --field, converge's --curve
+        if args.command == "measure":
+            field, curve = _parse_exprs(args.field), _parse_curve(args.curve)
+        else:
+            curve, field = _parse_curve(args.curve), _parse_exprs(args.field)
+        return (lambda mesh: integration.line_integral_work(
+            field, curve, a, b, _cells_for(a, b, mesh), "center", d)._asdict()), None
+    # volume-rev, surface-rev and impulse sum one expression
+    expr = parse(args.force if kind == "impulse" else args.f)
+    total = {"volume-rev": integration.measure_volume_revolution,
+             "surface-rev": integration.measure_surface_revolution,
+             "impulse": integration.impulse}[kind]
+    return (lambda mesh: {"value": total(expr, a, b, _cells_for(a, b, mesh), d)},
+            (lambda: expr) if kind == "impulse" else None)
+
+
+def _params(args) -> dict:
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "format", "precision", "window", "seed") and v is not None}
+
+
+def _study(args, operation: str, values, study: str, meshes: list[Fraction],
+           oracle: Fraction | None, notes: tuple[str, ...]) -> None:
+    """Tabulate the result --path names, else ``study``, of values(mesh) over the
+    meshes against the oracle (None: the study's extrapolated estimate); print it."""
+    path = getattr(args, "path", None)
+
+    def target(mesh: Fraction) -> Fraction:
+        result = values(mesh)
+        return result.get(path, result[study])
+
+    report = converge_study(operation, target, meshes, oracle or 0, _params(args), notes)
+    if oracle is None:
+        report = dataclasses.replace(report, oracle=report.estimate)
+    if args.format == "json":
+        print(json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")))
+    else:
+        print(report.to_text())
+
+
+def _measure_text(result: dict) -> str:
+    if "centroid" in result:
+        return "centroid = (" + ", ".join(map(_fmt, result["centroid"])) + ")"
+    if "mass" in result:
+        return f"mass = {_fmt(result['mass'])}"
+    if "value" in result:
+        return _pretty(result["value"])
+    return "  ".join(f"{k} = {_pretty(v)}" for k, v in result.items())
 
 
 def _cmd_measure(args, cfg: Field) -> None:
-    _require(args, _MEASURE_NEEDS[args.kind], f"measure {args.kind}")
+    needs, study = _SUMS[args.kind]
+    # measure moment has no default --integrand; converge moment integrates rho alone
+    _require(args, needs + ("integrand",) * (args.kind == "moment"), f"measure {args.kind}")
     if (args.meshes or args.oracle) and args.kind not in _MESH_KINDS:
         raise _UsageError(
             f"--meshes and --oracle apply to measure {'/'.join(_MESH_KINDS)}, not {args.kind}"
         )
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("command", "format", "precision", "window", "seed")
-              and v is not None}
     if args.meshes:
         meshes = sorted(_parse_rationals(args.meshes), reverse=True)
-
-        def target(mesh: Fraction) -> Fraction:
-            result, _ = _measure_single(args, cfg, mesh)
-            return parse_rational(result["value"] if "value" in result else result["mass"])
-
-        oracle = parse_rational(args.oracle) if args.oracle else Fraction(0)
+        oracle = parse_rational(args.oracle) if args.oracle else None
         notes = () if args.oracle else ("oracle: extrapolated (no closed form supplied)",)
-        report = converge_study(f"measure {args.kind}", target, meshes, oracle, params, notes)
-        if not args.oracle:
-            report = dataclasses.replace(report, oracle=report.estimate)
-        _emit_report(args, report)
+        # the options are read at the first mesh, after converge_study has checked the meshes
+        values = cache(lambda: _parse_sum(args, args.kind, cfg.precision)[0])
+        _study(args, f"measure {args.kind}", lambda mesh: values()(mesh), study, meshes, oracle,
+               notes)
         return
-    result, text = _measure_single(args, cfg, parse_rational(args.mesh))
-    _emit(args, f"measure {args.kind}", params, result, text)
+    mesh = parse_rational(args.mesh)
+    result = _parse_sum(args, args.kind, cfg.precision)[0](mesh)
+    shown = {k: [_fmt(x) for x in v] if isinstance(v, tuple) else _fmt(v)
+             for k, v in result.items()}
+    _emit(args, f"measure {args.kind}", _params(args), shown, _measure_text(result))
 
 
 def _cmd_converge(args, cfg: Field) -> None:
-    _require(args, _CONVERGE_NEEDS[args.op], f"converge {args.op}")
-    d = cfg.precision
+    needs, study = _SUMS[args.op]
+    _require(args, needs, f"converge {args.op}")
     meshes = sorted(_parse_rationals(args.meshes), reverse=True)
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("command", "format", "precision", "window", "seed")
-              and v is not None}
-
-    if args.op == "riemann":
-        a, b = _parse_interval(args.on)
-        expr = parse(args.expr)
-
-        def target(mesh):
-            m = _cells_for(a, b, mesh)
-            return integration.riemann_sum(expr, Rect.interval(a, b),
-                                           PartitionSpec.simple(m), args.tags, args.seed, d)
-
-        quad = expr
-    elif args.op == "area":
-        a, b = _parse_interval(args.on)
-        f, g = parse(args.f), parse(args.g)
-
-        def target(mesh):
-            return integration.measure_area_between(f, g, a, b, _cells_for(a, b, mesh),
-                                                    args.tags, d)
-
-        quad = parse(f"({args.g})-({args.f})")
-    elif args.op == "impulse":
-        a, b = _parse_interval(args.on)
-        force = parse(args.force)
-
-        def target(mesh):
-            return integration.impulse(force, a, b, _cells_for(a, b, mesh), d)
-
-        quad = force
-    elif args.op == "length":
-        a, b = _parse_interval(args.on)
-        curve = _parse_curve(args.curve)
-        which = "polygonal" if args.path == "polygonal" else "integral"
-
-        def target(mesh):
-            res = integration.measure_curve_length(curve, a, b, _cells_for(a, b, mesh), d)
-            return getattr(res, which)
-
-        quad = None  # oracle must be rational or computed below
-    elif args.op == "work":
-        a, b = _parse_interval(args.on)
-        curve = _parse_curve(args.curve)
-        comps = _parse_exprs(args.field)
-        which = "chord" if args.path == "chord" else "integrand"
-
-        def target(mesh):
-            res = integration.line_integral_work(comps, curve, a, b,
-                                                 _cells_for(a, b, mesh), "center", d)
-            return getattr(res, which)
-
-        quad = None
-    elif args.op == "moment":
-        region = _region_from(args)
-        rho = parse(args.rho or "1")
-        integrand = parse(args.integrand or "1")
-
-        def target(mesh):
-            counts = tuple(_cells_for(a, b, mesh) for a, b in region.bounding.intervals)
-            return integration.measure_moment(rho, integrand, region,
-                                              PartitionSpec.simple(*counts), d)
-
-        quad = None
+    values, integrand = _parse_sum(args, args.op, cfg.precision)
+    if args.oracle != "simpson":
+        oracle, notes = parse_rational(args.oracle), ()
+    elif integrand is None:
+        raise ParseError(0, "a rational --oracle for this op", "'simpson'")
     else:
-        raise ParseError(0, "converge op", args.op)
-
-    notes = []
-    if args.oracle == "simpson":
-        if quad is None:
-            raise ParseError(0, "a rational --oracle for this op", "'simpson'")
-        fn = compile_real(quad, (first_variable("x", quad),), d)
-        oracle = adaptive_simpson(fn, a, b)
-        notes.append("oracle: adaptive Simpson, tolerance 1e-10")
-    else:
-        oracle = parse_rational(args.oracle)
-    report = converge_study(f"converge {args.op}", target, meshes, oracle, params, notes)
-    _emit_report(args, report)
+        quad = integrand()
+        fn = compile_real(quad, (first_variable("x", quad),), cfg.precision)
+        oracle = adaptive_simpson(fn, *_parse_interval(args.on))
+        notes = ("oracle: adaptive Simpson, tolerance 1e-10",)
+    _study(args, f"converge {args.op}", values, study, meshes, oracle, notes)
 
 
 def _cmd_probe_supernear(args, cfg: Field) -> None:

@@ -36,7 +36,7 @@ from typing import Callable, Union
 
 from . import approx
 from .errors import DivisionByZero, DomainError, MathError, ParseError, UnsupportedNode
-from .field import Field, HyperReal, hr_cos, hr_exp, hr_ln, hr_sin, hr_tan
+from .field import Field, HyperReal, apply_analytic, hr_exp, hr_ln
 from .rationals import show_rational
 
 # -- tokens ------------------------------------------------------------------------
@@ -331,6 +331,36 @@ def _require_root_index(value: Fraction, pos: int) -> int:
     return int(value)
 
 
+def _named_constant(name: str, precision: int, pos: int) -> Fraction:
+    """``pi`` or ``e`` to 10^-precision; any other name is an unbound variable."""
+    if name == "pi":
+        return approx.pi_approx(precision)
+    if name == "e":
+        return approx.exp_approx(Fraction(1), precision)
+    raise DomainError(f"unbound variable {name!r}", pos)
+
+
+def _real_root(n: int, v: Fraction, digits: int) -> Fraction:
+    """The real n-th root of v to 10^-digits: 0 at 0, refused below."""
+    if v <= 0:
+        if v == 0:
+            return Fraction(0)
+        raise DomainError(f"root of negative value {show_rational(v)}")
+    return approx.nth_root_approx(v, n, digits)
+
+
+# the one-argument calls over the rationals; compiled code reaches the same
+# kernels as ``approx.<name>_approx``
+_REAL_CALLS = {
+    "sqrt": approx.sqrt_approx,
+    "sin": approx.sin_approx,
+    "cos": approx.cos_approx,
+    "tan": approx.tan_approx,
+    "exp": approx.exp_approx,
+    "ln": approx.ln_approx,
+}
+
+
 def eval_real(e: Expr, env: dict[str, Fraction], precision: int = 40) -> Fraction:
     """Exact rational evaluation; transcendental calls approximated to 10^-precision."""
     if isinstance(e, Const):
@@ -338,11 +368,7 @@ def eval_real(e: Expr, env: dict[str, Fraction], precision: int = 40) -> Fractio
     if isinstance(e, Var):
         if e.name in env:
             return Fraction(env[e.name])
-        if e.name == "pi":
-            return approx.pi_approx(precision)
-        if e.name == "e":
-            return approx.exp_approx(Fraction(1), precision)
-        raise DomainError(f"unbound variable {e.name!r}", e.pos)
+        return _named_constant(e.name, precision, e.pos)
     if isinstance(e, Unary):
         return -eval_real(e.operand, env, precision)
     if isinstance(e, Binary):
@@ -372,28 +398,10 @@ def eval_real(e: Expr, env: dict[str, Fraction], precision: int = 40) -> Fractio
     try:
         if e.fn == "abs":
             return abs(eval_real(args[0], env, precision))
-        if e.fn == "sqrt":
-            v = eval_real(args[0], env, precision)
-            if v < 0:
-                raise DomainError(f"sqrt of negative value {show_rational(v)}")
-            return approx.sqrt_approx(v, precision)
         if e.fn == "root":
             n = _require_root_index(eval_real(args[0], env, precision), args[0].pos)
-            v = eval_real(args[1], env, precision)
-            if v <= 0:
-                if v == 0:
-                    return Fraction(0)
-                raise DomainError(f"root of negative value {show_rational(v)}")
-            return approx.nth_root_approx(v, n, precision)
-        v = eval_real(args[0], env, precision)
-        fn = {
-            "sin": approx.sin_approx,
-            "cos": approx.cos_approx,
-            "tan": approx.tan_approx,
-            "exp": approx.exp_approx,
-            "ln": approx.ln_approx,
-        }[e.fn]
-        return fn(v, precision)
+            return _real_root(n, eval_real(args[1], env, precision), precision)
+        return _REAL_CALLS[e.fn](eval_real(args[0], env, precision), precision)
     except MathError as ex:
         if ex.pos is None:
             raise type(ex)(str(ex), e.pos) from None
@@ -423,11 +431,7 @@ def eval_hyper_traced(
         if isinstance(node, Var):
             if node.name in env:
                 return env[node.name]
-            if node.name == "pi":
-                return cfg.rational(approx.pi_approx(cfg.precision))
-            if node.name == "e":
-                return cfg.rational(approx.exp_approx(Fraction(1), cfg.precision))
-            raise DomainError(f"unbound variable {node.name!r}", node.pos)
+            return cfg.rational(_named_constant(node.name, cfg.precision, node.pos))
         if isinstance(node, Unary):
             return -go(node.operand)
         if isinstance(node, Binary):
@@ -475,11 +479,7 @@ def eval_hyper_traced(
                     raise DomainError("root index must be a standard integer >= 2", node.args[0].pos)
                 n = _require_root_index(idx.terms[0][1], node.args[0].pos)
                 return go(node.args[1]).nth_root(n)
-            v = go(node.args[0])
-            fn = {"sin": hr_sin, "cos": hr_cos, "tan": hr_tan, "exp": hr_exp, "ln": hr_ln}[
-                node.fn
-            ]
-            return fn(v)
+            return apply_analytic(node.fn, go(node.args[0]))
         except MathError as ex:
             if ex.pos is None:
                 raise type(ex)(str(ex), node.pos) from None
@@ -664,11 +664,7 @@ class _Codegen:
                 i = self.names.index(node.name)
                 self.used.add(i)
                 return f"n{i}", f"d{i}"
-            if node.name == "pi":
-                return self.const_part(approx.pi_approx(self.precision))
-            if node.name == "e":
-                return self.const_part(approx.exp_approx(Fraction(1), self.precision))
-            raise DomainError(f"unbound variable {node.name!r}", node.pos)
+            return self.const_part(_named_constant(node.name, self.precision, node.pos))
         if isinstance(node, Unary):
             n, d = self.part(node.operand)
             return self.shallow(f"(-{n})"), d
@@ -687,12 +683,11 @@ class _Codegen:
                 self.lines.append(
                     f"{k} = _index({_fraction(self.part(index))}, {self.const(index.pos)})"
                 )
-            return self.call(node.pos, f"_root({k}, {_fraction(self.part(node.args[1]))}, {p}")
+            radicand = _fraction(self.part(node.args[1]))
+            return self.call(node.pos, f"_approx(_real_root, {k}, {radicand}, {p}")
         n, d = self.part(node.args[0])
         if node.fn == "abs":
             return f"abs({n})", d
-        if node.fn == "sqrt":
-            return self.call(node.pos, f"_sqrt({_fraction((n, d))}, {p}")
         return self.call(node.pos, f"_approx(_A.{node.fn}_approx, {_fraction((n, d))}, {p}")
 
     def binary(self, node: Binary) -> Part:
@@ -783,27 +778,12 @@ def _approx(fn, *args) -> tuple[int, int]:
     return v.numerator, v.denominator
 
 
-def _sqrt(v: Fraction, digits: int, pos: int) -> tuple[int, int]:
-    if v < 0:
-        raise DomainError(f"sqrt of negative value {show_rational(v)}", pos)
-    return _approx(approx.sqrt_approx, v, digits, pos)
-
-
-def _root(n: int, v: Fraction, digits: int, pos: int) -> tuple[int, int]:
-    if v <= 0:
-        if v == 0:
-            return 0, 1
-        raise DomainError(f"root of negative value {show_rational(v)}", pos)
-    return _approx(approx.nth_root_approx, v, n, digits, pos)
-
-
 _COMPILED_SCOPE = {
     "_F": Fraction,
     "_DZ": DivisionByZero,
     "_A": approx,
     "_approx": _approx,
-    "_sqrt": _sqrt,
-    "_root": _root,
+    "_real_root": _real_root,
     "_index": _require_root_index,
 }
 

@@ -30,11 +30,28 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(0, "rational number", repr(text)) from None
 
 
+def _int_str(n: int) -> str:
+    """``str(n)`` for an int of any size.
+
+    Python refuses ``str`` past ``sys.get_int_max_str_digits()`` digits; a
+    larger int is split by a power of ten into halves written separately, so
+    the process-wide limit stays as it is.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or n.bit_length() <= 3 * limit:  # over 3 bits a digit: below the limit
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    half = n.bit_length() * 3 // 20  # about half the digits (log10 2 > 3/10)
+    high, low = divmod(n, 10**half)
+    return _int_str(high) + _int_str(low).zfill(half)
+
+
 def format_rational(q: Fraction) -> str:
     """Lowest-terms ``p/q``; bare integer when the denominator is 1."""
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_str(q.numerator)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 def show_rational(q) -> str:
@@ -64,4 +81,4 @@ def decimal_str(q: Fraction, digits: int = 12) -> str:
     q = abs(q)
     scaled = round(q * 10**digits)
     whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+    return f"{sign}{_int_str(whole)}.{_int_str(frac).zfill(digits)}"

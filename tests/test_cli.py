@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -179,6 +180,15 @@ class TestExitCodes:
         assert code == 1
         assert err == ("error: ApproxOverflow: power (<rational of 112295/63399 bits>)^5 "
                        "exceeds magnitude cap (at offset 13)\n")
+
+    def test_result_past_the_int_to_str_limit(self, capsys):
+        # the exact value is printed in full; Decimal writes the digits here
+        # without going through int's str, which refuses past 4 300 digits
+        limit = sys.get_int_max_str_digits()
+        code, out, err = invoke(capsys, "eval", "(7/3)^40000")
+        assert (code, err) == (0, "")
+        assert out == f"{Decimal(7**40000)}/{Decimal(3**40000)}\n"
+        assert sys.get_int_max_str_digits() == limit  # the process-wide limit is kept
 
     def test_precision_exhausted_is_one(self, capsys):
         code, _, err = invoke(capsys, "limit-fn", "(sin(x^8)-x^8)/x^24", "--at", "0")

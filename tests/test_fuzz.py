@@ -14,6 +14,12 @@ text (offset included).
 Each partition sum is checked against a naive sum of ``eval_real(tag) *
 volume`` whose cells, tags and classification are written out here.
 
+The standard part of a series evaluation at a rational point must equal
+``eval_real`` there exactly, or both must refuse at the same offset.
+
+``measure K --meshes`` and ``converge K --meshes`` must tabulate the same
+study for seeded area, moment and impulse requests with a rational oracle.
+
 Jets of random expressions (division, ``sqrt``/``root``, the transcendental
 calls, and the cancellation shape f(x^k) minus its Taylor polynomial) must
 equal the coefficients of one direct evaluation at window 64 wherever the
@@ -24,6 +30,7 @@ of rational expressions must equal ``eval_real`` of the n-fold
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -35,7 +42,8 @@ from hypothesis import strategies as st
 
 from hrw import approx
 from hrw.calculus import taylor_jet
-from hrw.errors import PrecisionExhausted
+from hrw.cli import run
+from hrw.errors import DomainError, MathError, NonPositiveLeading, PrecisionExhausted
 from hrw.exprs import (
     Binary,
     Call,
@@ -52,6 +60,7 @@ from hrw.exprs import (
 )
 from hrw.field import Field
 from hrw.integration import (
+    TAG_RULES,
     Gauge,
     PartitionSpec,
     Rect,
@@ -77,11 +86,13 @@ def rand_rational(rng: random.Random) -> F:
 
 
 class ExprGen:
-    """Random expression trees; ``big`` allows powers at the size guard."""
+    """Random expression trees; ``big`` allows powers at the size guard,
+    ``real_powers`` non-integer and variable exponents."""
 
-    def __init__(self, rng: random.Random, names=NAMES[:2]):
+    def __init__(self, rng: random.Random, names=NAMES[:2], real_powers: bool = True):
         self.rng = rng
         self.names = names
+        self.real_powers = real_powers
 
     def leaf(self) -> Expr:
         r = self.rng.random()
@@ -97,7 +108,7 @@ class ExprGen:
             return self.leaf()
         kind = rng.choices(
             ["+", "-", "*", "/", "neg", "abs", "ipow", "guard", "rpow", "call"],
-            [4, 3, 4, 4, 1, 2, 3, 1 if big else 0, 1, 3],
+            [4, 3, 4, 4, 1, 2, 3, 1 if big else 0, 1 if self.real_powers else 0, 3],
         )[0]
         sub = lambda: self.tree(depth - 1, big)  # noqa: E731
         if kind in "+-*/":
@@ -176,6 +187,37 @@ def test_compiled_error_offsets():
         got = outcome(compile_real(e, ("x",)), 0)
         assert f"{got[0]}: {got[1]}" == want
         assert got == outcome(eval_real, e, {"x": F(0)})
+
+
+def refusal_or_value(fn, *args):
+    """The value, or the MathError raised."""
+    try:
+        return fn(*args)
+    except MathError as ex:
+        return ex
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_series_standard_part_equals_eval_real(seed):
+    # no non-integer powers: the series side takes those as exp(r ln x)
+    rng = random.Random(300 + seed)
+    gen = ExprGen(rng, ("x",), real_powers=False)
+    fld = Field(precision=PRECISION)
+    for _ in range(200):
+        e = parsed(gen.tree(rng.randint(1, 4), big=False))
+        for _ in range(5):
+            q = rand_rational(rng)
+            want = refusal_or_value(eval_real, e, {"x": q}, PRECISION)
+            got = refusal_or_value(
+                lambda: eval_hyper(e, {"x": fld.rational(q)}, fld).st_fraction())
+            where = (render(e), q, want, got)
+            if isinstance(want, F) or isinstance(got, F):
+                assert got == want, where
+                continue
+            assert got.pos == want.pos, where
+            if type(got) is not type(want):  # a negative radicand, refused by kind
+                assert (type(want), type(got)) == (DomainError, NonPositiveLeading), where
+                assert str(want).startswith(("sqrt of negative", "root of negative")), where
 
 
 def test_power_guard_reads_the_reduced_value():
@@ -487,3 +529,36 @@ def test_returned_jet_coefficients_equal_window_64(text, x0, order):
     got = outcome(taylor_jet, e, x0, order, NARROW)
     if not isinstance(got, tuple):
         assert got.coeffs == wide_jet(e, x0, order)
+
+
+# -- measure --meshes against converge ---------------------------------------------------------
+
+
+def rand_poly(rng: random.Random, var: str) -> str:
+    return " + ".join(f"({rand_rational(rng)})*{var}^{k}" for k in range(rng.randint(1, 3)))
+
+
+def study(capsys, *argv: str) -> dict:
+    assert run(["--format", "json", *argv]) == 0, argv
+    doc = json.loads(capsys.readouterr().out)
+    return {key: doc[key] for key in ("rows", "estimate", "oracle", "error")}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_measure_meshes_equals_converge(seed, capsys):
+    rng = random.Random(400 + seed)
+    for _ in range(3):
+        a = rand_rational(rng)
+        on = f"--on={a},{a + rng.choice([F(1), F(1, 2), F(3, 2)])}"
+        f = rand_poly(rng, "x")
+        requests = [
+            ("area", f"--f={f}", f"--g={f} + 1 + x^2", on),
+            ("impulse", f"--force={rand_poly(rng, 't')}", on),
+            ("moment", "--region=x^2+y^2-1", f"--rho=1 + {rand_poly(rng, 'x')}^2",
+             f"--integrand={rand_poly(rng, 'y')}"),
+        ]
+        meshes = rng.choice(["1/2,1/4", "1/2,1/3,1/4", "1/3,1/6,1/12", "1/4"])
+        for kind, *options in requests:
+            tail = [*options, f"--meshes={meshes}", f"--oracle={rand_rational(rng)}",
+                    f"--tags={rng.choice(TAG_RULES)}"]
+            assert study(capsys, "measure", kind, *tail) == study(capsys, "converge", kind, *tail)
