@@ -100,11 +100,22 @@ def _parse_rationals(text: str) -> list[Fraction]:
     return [parse_rational(part) for part in text.split(",")]
 
 
+def _parse_mesh(text: str) -> Fraction:
+    mesh = parse_rational(text)
+    if mesh <= 0:
+        raise ParseError(0, "positive mesh", repr(text))
+    return mesh
+
+
+def _parse_meshes(text: str) -> list[Fraction]:
+    """The meshes of a study, widest first."""
+    return sorted(map(_parse_mesh, text.split(",")), reverse=True)
+
+
 def _cells_for(a: Fraction, b: Fraction, mesh: Fraction) -> int:
+    """The fewest cells of width at most ``mesh`` (positive) covering [a, b]."""
     m = int((b - a) / mesh)
-    if m * mesh < b - a:
-        m += 1
-    return max(m, 1)
+    return m + 1 if m * mesh < b - a else m
 
 
 def _emit(args, operation: str, params: dict, result: dict, text: str) -> None:
@@ -373,7 +384,7 @@ def _cmd_kinematics(args, cfg: Field) -> None:
 
 def _cmd_integrate(args, cfg: Field) -> None:
     expr = parse(args.expr)
-    mesh = parse_rational(args.mesh)
+    mesh = _parse_mesh(args.mesh)
     params = {"expr": args.expr, "method": args.method, "mesh": args.mesh}
     if args.method in ("gauge", "mcshane"):
         if not args.on or not args.gauge:
@@ -545,7 +556,7 @@ def _cmd_measure(args, cfg: Field) -> None:
             f"--meshes and --oracle apply to measure {'/'.join(_MESH_KINDS)}, not {args.kind}"
         )
     if args.meshes:
-        meshes = sorted(_parse_rationals(args.meshes), reverse=True)
+        meshes = _parse_meshes(args.meshes)
         oracle = parse_rational(args.oracle) if args.oracle else None
         notes = () if args.oracle else ("oracle: extrapolated (no closed form supplied)",)
         # the options are read at the first mesh, after converge_study has checked the meshes
@@ -553,7 +564,7 @@ def _cmd_measure(args, cfg: Field) -> None:
         _study(args, f"measure {args.kind}", lambda mesh: values()(mesh), study, meshes, oracle,
                notes)
         return
-    mesh = parse_rational(args.mesh)
+    mesh = _parse_mesh(args.mesh)
     result = _parse_sum(args, args.kind, cfg.precision)[0](mesh)
     shown = {k: [_fmt(x) for x in v] if isinstance(v, tuple) else _fmt(v)
              for k, v in result.items()}
@@ -563,7 +574,7 @@ def _cmd_measure(args, cfg: Field) -> None:
 def _cmd_converge(args, cfg: Field) -> None:
     needs, study = _SUMS[args.op]
     _require(args, needs, f"converge {args.op}")
-    meshes = sorted(_parse_rationals(args.meshes), reverse=True)
+    meshes = _parse_meshes(args.meshes)
     values, integrand = _parse_sum(args, args.op, cfg.precision)
     if args.oracle != "simpson":
         oracle, notes = parse_rational(args.oracle), ()
@@ -579,7 +590,7 @@ def _cmd_converge(args, cfg: Field) -> None:
 
 def _cmd_probe_supernear(args, cfg: Field) -> None:
     a, b = _parse_interval(args.on)
-    meshes = [int((b - a) / m) for m in sorted(_parse_rationals(args.meshes), reverse=True)]
+    meshes = [int((b - a) / m) for m in _parse_meshes(args.meshes)]
     rep = integration.supernearness_probe(parse(args.generator), parse(args.target),
                                           a, b, meshes, cfg.precision)
     rows = [{"mesh": _fmt(m), "max_deviation": _fmt(dev)} for m, dev in rep.rows]

@@ -233,6 +233,22 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "jacobian", "--map", "x*y*z", "--at", "1,2")
         assert code == 2 and err.startswith("usage-error:")
 
+    @pytest.mark.parametrize("argv", [
+        ("measure", "area", "--f=0", "--g=1", "--on=0,1", "--mesh=0"),
+        ("measure", "mass", "--region=x^2+y^2-1", "--mesh=-1/4"),
+        ("measure", "impulse", "--force=t", "--on=0,1", "--meshes=1/2,0"),
+        ("converge", "moment", "--region=x^2+y^2-1", "--meshes=-1/2,1/4", "--oracle=1"),
+        ("converge", "riemann", "--expr=x", "--on=0,1", "--meshes=1/2,0", "--oracle=1/2"),
+        ("integrate", "x", "--on=0,1", "--mesh=0"),
+        ("integrate", "x", "--on=0,1", "--method=darboux", "--mesh=-1/8"),
+        ("probe-supernear", "--generator=x", "--target=x", "--on=0,1", "--meshes=1/2,0"),
+        ("probe-supernear", "--generator=x", "--target=x", "--on=0,1", "--meshes=-1/2,1/4"),
+    ])
+    def test_non_positive_mesh_is_a_parse_error(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse-error: expected positive mesh") and err.count("\n") == 1
+
 
 class TestDeterminism:
     INVOCATIONS = [

@@ -43,7 +43,14 @@ from hypothesis import strategies as st
 from hrw import approx
 from hrw.calculus import taylor_jet
 from hrw.cli import run
-from hrw.errors import DomainError, MathError, NonPositiveLeading, PrecisionExhausted
+from hrw.errors import (
+    DomainError,
+    MathError,
+    NegativeRadius,
+    NonPositiveLeading,
+    OrderViolation,
+    PrecisionExhausted,
+)
 from hrw.exprs import (
     Binary,
     Call,
@@ -68,10 +75,16 @@ from hrw.integration import (
     cousin_partition,
     darboux_bounds,
     gauge_sum,
+    impulse,
     inner_sum,
+    measure_area_between,
+    measure_mass_moment_com,
+    measure_volume_revolution,
     riemann_stieltjes_sum,
     riemann_sum,
+    tagged_partition,
 )
+from hrw.rationals import show_rational
 
 PRECISION = 12
 NAMES = ("x", "y", "z")
@@ -248,7 +261,11 @@ def naive_tag(cell, rule: str, seed: int, index: int) -> tuple[F, ...]:
 
 
 def naive_cells(rect: Rect, counts) -> list:
-    axes = [naive_breaks(a, b, m) for (a, b), m in zip(rect.intervals, counts)]
+    return cells_of([naive_breaks(a, b, m) for (a, b), m in zip(rect.intervals, counts)])
+
+
+def cells_of(axes) -> list:
+    """Row-major cells of per-axis breakpoint lists, first axis outermost."""
     return list(product(*(list(zip(ax, ax[1:])) for ax in axes)))
 
 
@@ -304,6 +321,19 @@ def naive_monotone(values: dict, dim: int, s: int) -> bool:
     return True
 
 
+def naive_darboux(f: Expr, cells, dim: int, s: int):
+    lower = upper = F(0)
+    flagged = 0
+    for cell in cells:
+        grid = [[lo + (hi - lo) * j / (s - 1) for j in range(s)] for lo, hi in cell]
+        values = {idx: at(f, [grid[k][j] for k, j in enumerate(idx)])
+                  for idx in product(range(s), repeat=dim)}
+        lower += min(values.values()) * volume(cell)
+        upper += max(values.values()) * volume(cell)
+        flagged += not naive_monotone(values, dim, s)
+    return lower, upper, flagged
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_darboux_bounds(seed):
     rng = random.Random(200 + seed)
@@ -312,21 +342,8 @@ def test_darboux_bounds(seed):
         rect = rand_rect(rng, dim)
         counts = [rng.randint(1, 4) for _ in range(dim)]
         s = rng.randint(2, 4)
-
-        def naive():
-            lower = upper = F(0)
-            flagged = 0
-            for cell in naive_cells(rect, counts):
-                grid = [[lo + (hi - lo) * j / (s - 1) for j in range(s)] for lo, hi in cell]
-                values = {idx: at(f, [grid[k][j] for k, j in enumerate(idx)])
-                          for idx in product(range(s), repeat=dim)}
-                lower += min(values.values()) * volume(cell)
-                upper += max(values.values()) * volume(cell)
-                flagged += not naive_monotone(values, dim, s)
-            return lower, upper, flagged
-
         got = outcome(darboux_bounds, f, rect, PartitionSpec.simple(*counts), s, PRECISION)
-        assert got == outcome(naive), render(f)
+        assert got == outcome(naive_darboux, f, naive_cells(rect, counts), dim, s), render(f)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -339,17 +356,10 @@ def test_riemann_stieltjes_and_gauge_sums(seed):
         m = rng.randint(1, 10)
         tag_seed = rng.getrandbits(32)
 
-        def naive():
-            breaks = naive_breaks(a, b, m)
-            total = F(0)
-            for i, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
-                (tag,) = naive_tag(((lo, hi),), rule, tag_seed, i)
-                total += at(f, (tag,)) * (at(phi, (hi,)) - at(phi, (lo,)))
-            return total
-
         got = outcome(riemann_stieltjes_sum, f, phi, a, b, PartitionSpec.simple(m), rule,
                       tag_seed, PRECISION)
-        assert got == outcome(naive), (render(f), render(phi))
+        want = outcome(naive_stieltjes, f, phi, naive_breaks(a, b, m), rule, tag_seed)
+        assert got == want, (render(f), render(phi))
 
     for mode in ("tag-in-cell", "mcshane"):
         f = parsed(gen.tree(3, big=False))
@@ -365,36 +375,206 @@ def test_riemann_stieltjes_and_gauge_sums(seed):
         assert got == outcome(naive_gauge), render(f)
 
 
+def naive_stieltjes(f: Expr, phi: Expr, breaks, rule: str, tag_seed: int) -> F:
+    total = F(0)
+    for i, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
+        (tag,) = naive_tag(((lo, hi),), rule, tag_seed, i)
+        total += at(f, (tag,)) * (at(phi, (hi,)) - at(phi, (lo,)))
+    return total
+
+
+def rand_ball(rng: random.Random, rect: Rect) -> Expr:
+    """A ball about the box's center, of radius 0.2 to 0.7 times its widest side."""
+    center = [(lo + hi) / 2 for lo, hi in rect.intervals]
+    radius = max(hi - lo for lo, hi in rect.intervals) * F(rng.randint(2, 7), 10)
+    return parse(" + ".join(f"({n} - ({c}))^2" for n, c in zip(NAMES, center))
+                 + f" - ({radius})^2")
+
+
+def naive_classify(membership: Expr, cells):
+    """Inner cells (every vertex and the center inside), and the boundary and
+    exterior counts and the boundary volume."""
+    inner, boundary, exterior, boundary_volume = [], 0, 0, F(0)
+    for cell in cells:
+        points = [*product(*cell), tuple((lo + hi) / 2 for lo, hi in cell)]
+        flags = [at(membership, p) <= 0 for p in points]
+        if all(flags):
+            inner.append(cell)
+        elif any(flags):
+            boundary += 1
+            boundary_volume += volume(cell)
+        else:
+            exterior += 1
+    return inner, boundary, exterior, boundary_volume
+
+
+def naive_inner_sum(f: Expr, membership: Expr, cells):
+    inner, boundary, exterior, boundary_volume = naive_classify(membership, cells)
+    value = sum((at(f, [lo for lo, _ in c]) * volume(c) for c in inner), F(0))
+    return value, len(inner), boundary, exterior, boundary_volume
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_inner_sum(seed):
     rng = random.Random(400 + seed)
     for dim in (1, 2, 3):
         f = parsed(ExprGen(rng, NAMES[:dim]).tree(3, big=False))
         rect = rand_rect(rng, dim)
-        center = [(lo + hi) / 2 for lo, hi in rect.intervals]
-        radius = max(hi - lo for lo, hi in rect.intervals) * F(rng.randint(2, 7), 10)
-        membership = parse(" + ".join(f"({n} - ({c}))^2" for n, c in zip(NAMES, center))
-                           + f" - ({radius})^2")
+        membership = rand_ball(rng, rect)
         counts = [rng.randint(1, (12, 6, 3)[dim - 1]) for _ in range(dim)]
-
-        def naive():
-            inner, boundary, exterior, boundary_volume = [], 0, 0, F(0)
-            for cell in naive_cells(rect, counts):
-                points = [*product(*cell), tuple((lo + hi) / 2 for lo, hi in cell)]
-                flags = [at(membership, p) <= 0 for p in points]
-                if all(flags):
-                    inner.append(cell)
-                elif any(flags):
-                    boundary += 1
-                    boundary_volume += volume(cell)
-                else:
-                    exterior += 1
-            value = sum((at(f, [lo for lo, _ in c]) * volume(c) for c in inner), F(0))
-            return value, len(inner), boundary, exterior, boundary_volume
-
         got = outcome(inner_sum, f, Region(rect, membership), PartitionSpec.simple(*counts),
                       PRECISION)
-        assert got == outcome(naive), render(f)
+        assert got == outcome(naive_inner_sum, f, membership, naive_cells(rect, counts)), render(f)
+
+
+def rand_explicit(rng: random.Random, rect: Rect, most: int) -> list[list[F]]:
+    """Breakpoints of uneven widths and mixed denominators: the endpoints and
+    up to most - 1 interior points a + (b - a) k / den."""
+    axes = []
+    for a, b in rect.intervals:
+        dens = rng.choices([2, 3, 5, 7, 12], k=rng.randint(0, most - 1))
+        inner = {a + (b - a) * F(rng.randint(1, den - 1), den) for den in dens}
+        axes.append([a, *sorted(inner), b])
+    return axes
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_explicit_partitions(seed):
+    rng = random.Random(800 + seed)
+    for dim in (1, 2, 3):
+        gen = ExprGen(rng, NAMES[:dim])
+        rect = rand_rect(rng, dim)
+        axes = rand_explicit(rng, rect, (10, 5, 3)[dim - 1])
+        spec, cells = PartitionSpec.explicit(*axes), cells_of(axes)
+        for rule in TAG_RULES:
+            f = parsed(gen.tree(3, big=False))
+            tag_seed = rng.getrandbits(32)
+
+            def naive():
+                return sum((at(f, naive_tag(cell, rule, tag_seed, i)) * volume(cell)
+                            for i, cell in enumerate(cells)), F(0))
+
+            got = outcome(riemann_sum, f, rect, spec, rule, tag_seed, PRECISION)
+            assert got == outcome(naive), (render(f), axes, rule)
+            if dim == 1:
+                phi = parsed(gen.tree(2, big=False))
+                (a, b), = rect.intervals
+                got = outcome(riemann_stieltjes_sum, f, phi, a, b, spec, rule, tag_seed,
+                              PRECISION)
+                assert got == outcome(naive_stieltjes, f, phi, axes[0], rule, tag_seed), (
+                    render(f), render(phi), axes, rule)
+        f, s = parsed(gen.tree(3, big=False)), rng.randint(2, 3)
+        got = outcome(darboux_bounds, f, rect, spec, s, PRECISION)
+        assert got == outcome(naive_darboux, f, cells, dim, s), (render(f), axes)
+        f, membership = parsed(gen.tree(3, big=False)), rand_ball(rng, rect)
+        got = outcome(inner_sum, f, Region(rect, membership), spec, PRECISION)
+        assert got == outcome(naive_inner_sum, f, membership, cells), (render(f), axes)
+
+
+def mass_properties(rho: Expr, region: Region, spec: PartitionSpec):
+    props = measure_mass_moment_com(rho, region, spec, PRECISION)
+    return props.mass, props.moments, tuple(props.counts)
+
+
+def naive_mass_properties(rho: Expr, membership: Expr, cells, dim: int):
+    inner, boundary, exterior, boundary_volume = naive_classify(membership, cells)
+    mass, moments = F(0), [F(0)] * dim
+    for cell in inner:
+        corner = [lo for lo, _ in cell]
+        w = at(rho, corner) * volume(cell)
+        mass += w
+        moments = [mu + x * w for mu, x in zip(moments, corner)]
+    return mass, tuple(moments), (mass, len(inner), boundary, exterior, boundary_volume)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mass_moments(seed):
+    rng = random.Random(900 + seed)
+    for dim in (1, 2, 3):
+        rho = parsed(ExprGen(rng, NAMES[:dim]).tree(3, big=False))
+        rect = rand_rect(rng, dim)
+        membership = rand_ball(rng, rect)
+        if rng.random() < 0.5:
+            counts = [rng.randint(1, (12, 6, 3)[dim - 1]) for _ in range(dim)]
+            spec, cells = PartitionSpec.simple(*counts), naive_cells(rect, counts)
+        else:
+            axes = rand_explicit(rng, rect, (12, 6, 3)[dim - 1])
+            spec, cells = PartitionSpec.explicit(*axes), cells_of(axes)
+        got = outcome(mass_properties, rho, Region(rect, membership), spec)
+        assert got == outcome(naive_mass_properties, rho, membership, cells, dim), render(rho)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_dimensional_measures(seed):
+    rng = random.Random(1000 + seed)
+    gen = ExprGen(rng, ("x",))
+    pi = approx.pi_approx(PRECISION)
+    for rule in TAG_RULES:
+        (a, b), = rand_rect(rng, 1).intervals
+        m = rng.randint(1, 12)
+        breaks = naive_breaks(a, b, m)
+        f = parsed(gen.tree(3, big=False))
+        # g - f is a square plus a constant half the time, crossing 0 when it is negative
+        if rng.random() < 0.5:
+            gap = parse(f"(x - ({rand_rational(rng)}))^2 + ({rand_rational(rng)})")
+        else:
+            gap = gen.tree(2, big=False)
+        g = parsed(Binary("+", f, gap))
+
+        def naive_area():
+            for t in breaks:
+                if at(f, (t,)) > at(g, (t,)):
+                    raise OrderViolation(f"lower curve exceeds upper curve at {t}")
+            total = F(0)
+            for i, cell in enumerate(zip(breaks, breaks[1:])):
+                tag = naive_tag((cell,), rule, 0, i)
+                total += (at(g, tag) - at(f, tag)) * (cell[1] - cell[0])
+            return total
+
+        got = outcome(measure_area_between, f, g, a, b, m, rule, PRECISION)
+        assert got == outcome(naive_area), (render(f), render(g), rule)
+
+        force = parsed(gen.tree(3, big=False))
+
+        def naive_impulse():
+            return sum((at(force, (lo,)) * (hi - lo) for lo, hi in zip(breaks, breaks[1:])), F(0))
+
+        got = outcome(impulse, force, a, b, m, PRECISION)
+        assert got == outcome(naive_impulse), render(force)
+
+        radius = gen.tree(3, big=False)
+        radius = parsed(Call("abs", (radius,)) if rng.random() < 0.5 else radius)
+
+        def naive_volume():
+            total = F(0)
+            for lo, hi in zip(breaks, breaks[1:]):
+                r = at(radius, (lo,))
+                if r < 0:
+                    raise NegativeRadius(f"f({lo}) = {show_rational(r)} < 0")
+                total += pi * r * r * (hi - lo)
+            return total
+
+        got = outcome(measure_volume_revolution, radius, a, b, m, PRECISION)
+        assert got == outcome(naive_volume), render(radius)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_tagged_partition_tags(seed):
+    rng = random.Random(1100 + seed)
+    for dim in (1, 2, 3):
+        rect = rand_rect(rng, dim)
+        if rng.random() < 0.5:
+            counts = [rng.randint(1, (12, 5, 3)[dim - 1]) for _ in range(dim)]
+            spec, cells = PartitionSpec.simple(*counts), naive_cells(rect, counts)
+        else:
+            axes = rand_explicit(rng, rect, (12, 5, 3)[dim - 1])
+            spec, cells = PartitionSpec.explicit(*axes), cells_of(axes)
+        for rule in TAG_RULES:
+            tag_seed = rng.getrandbits(32)
+            part = tagged_partition(rect, spec, rule, tag_seed)
+            assert part.cells == tuple(cells)
+            assert part.tags == tuple(naive_tag(cell, rule, tag_seed, i)
+                                      for i, cell in enumerate(cells)), (rect, rule)
 
 
 # -- jets: certified orders against one wide evaluation and the symbolic derivative ----------
