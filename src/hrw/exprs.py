@@ -19,10 +19,11 @@ derivative for +,-,*,/ and integer powers serves as an independent oracle.
 For the partition sums, :func:`compile_real` generates straight-line Python
 over integer numerator/denominator pairs: ``+ - *`` cross-multiply without a
 gcd, denominators stay positive (a division moves the divisor's sign up),
-and the result is reduced once, on return.  An integer power is taken on
-the unreduced parts only while they cannot trip the 200 000-bit exact-power
-guard (``approx.POWER_BITS``); otherwise ``approx.int_pow`` sees the reduced
-value, so guarded powers come out as in :func:`eval_real`.  Every MathError
+and the result is reduced once, on return, or, in the pair calling
+convention the partition grid uses, returned unreduced.  An integer power is
+taken on the unreduced parts only while they cannot trip the 200 000-bit
+exact-power guard (``approx.POWER_BITS``); otherwise ``approx.int_pow`` sees
+the reduced value, so guarded powers come out as in :func:`eval_real`.  Every MathError
 from compiled code carries the offset of the node that raised it, exactly as
 from :func:`eval_real`, which stays the independent tree-walking oracle.
 """
@@ -575,7 +576,9 @@ def symbolic_derivative(e: Expr, var: str) -> Expr:
 # -- compiled evaluation (hot loops) -------------------------------------------------------
 
 
-def compile_real(e: Expr, names: tuple[str, ...], precision: int = 40) -> Callable[..., Fraction]:
+def compile_real(
+    e: Expr, names: tuple[str, ...], precision: int = 40, *, pairs: bool = False
+) -> Callable[..., Fraction]:
     """Compile to a function of rationals with eval_real's values and errors.
 
     The i-th positional argument binds ``names[i]``.  The generated code is
@@ -590,6 +593,14 @@ def compile_real(e: Expr, names: tuple[str, ...], precision: int = 40) -> Callab
     ``sqrt``, ``root``, real powers and the transcendental calls take
     ``Fraction`` operands.  The result is reduced once, on return.
 
+    With ``pairs`` the same code serves a second calling convention: each
+    argument is two ints, a numerator and a positive denominator that need
+    not be reduced (``f(n0, d0, n1, d1, ...)``), and the function returns
+    its unreduced ``(numerator, denominator)``, the denominator positive.
+    The power size check may then see operands with common factors; they
+    can only make it fail, which defers to ``approx.int_pow`` on the reduced
+    value, so values and errors are those of eval_real at n_i / d_i.
+
     A MathError carries the offset of the node that raised it, as in
     eval_real; an unbound variable is refused here, at compile time.
 
@@ -597,10 +608,15 @@ def compile_real(e: Expr, names: tuple[str, ...], precision: int = 40) -> Callab
     variables, so expressions of one shape share one compiled code object.
     """
     gen = _Codegen(names, precision)
-    result = _fraction(gen.part(e))
-    head = [f"n{i} = a{i}.numerator; d{i} = a{i}.denominator" for i in sorted(gen.used)]
-    lines = [*head, *gen.lines, f"return {result}"]
-    make = _function_maker(len(gen.consts), len(names), "\n".join(lines))
+    n, d = gen.part(e)
+    if pairs:
+        params = [f"n{i}, d{i}" for i in range(len(names))]
+        lines = [*gen.lines, f"return {n}, {d or 1}"]
+    else:
+        params = [f"a{i}" for i in range(len(names))]
+        head = [f"n{i} = a{i}.numerator; d{i} = a{i}.denominator" for i in sorted(gen.used)]
+        lines = [*head, *gen.lines, f"return {_fraction((n, d))}"]
+    make = _function_maker(len(gen.consts), ", ".join(params), "\n".join(lines))
     return make(*gen.consts)
 
 
@@ -756,11 +772,10 @@ def _fraction(part: Part) -> str:
 
 
 @lru_cache(maxsize=256)
-def _function_maker(n_consts: int, arity: int, body: str):
+def _function_maker(n_consts: int, params: str, body: str):
     """Compile ``body`` once per shape: the returned function binds the
-    constants and returns the compiled function of ``arity`` arguments."""
+    constants and returns the compiled function of ``params``."""
     consts = ", ".join(f"c{i}" for i in range(n_consts))
-    params = ", ".join(f"a{i}" for i in range(arity))
     indented = "".join(f"        {line}\n" for line in body.split("\n"))
     source = f"def _make({consts}):\n    def _f({params}):\n{indented}    return _f\n"
     scope = dict(_COMPILED_SCOPE)

@@ -5,18 +5,27 @@ shrinking mesh; every sum is an exact rational, so results are identical
 across runs and across any evaluation order.  A rational adaptive-Simpson
 quadrature serves as the independent oracle for convergence studies.
 
-Every box sum runs over one cell grid: ``_breaks`` cuts each axis into equal
-widths (or explicit breakpoints are used), ``_cells`` enumerates the cells in
-row-major order (first axis outermost, last axis fastest) and ``_volume`` is a
-cell's product of widths.  ``_tags`` yields the tags in the same order; a
-deterministic rule is applied once per axis interval, not per cell.
-``_cell_sum`` adds value * volume over the grid: on equal-width axes it sums
-the values over the lcm of their denominators (``_exact_sum``, one
-reduction) and multiplies by the one cell volume.  Region sums
-(``inner_sum``, ``measure_moment``, ``measure_mass_moment_com``) classify
-the region once per call with ``_inner_cells`` (a sweep sharing vertex
-columns in the plane, a cached vertex classifier otherwise) and then sum
-over its inner cells.
+Every box sum runs on one integer grid.  An axis (``_Axis``) is a list of
+integer breakpoint numerators over one positive denominator q: m equal
+widths of [A/D, B/D] put breakpoint k at (A m + k (B - A)) / (D m), and
+explicit breakpoints are written over the lcm of their denominators.  Cells
+run in row-major order (first axis outermost).  ``_tag_args`` writes each
+tag as integers over the axis denominator: the min-vertex lo / q, the center
+(lo + hi) / 2q, the corner nearest the origin, or seeded-random
+((lo << 30) + r (hi - lo)) / (q << 30), where the i-th cell draws 30 bits r
+per axis from ``Random(_mix_seed(seed, i))``; a deterministic rule is
+applied once per axis interval, not per cell.  Integrands are compiled in
+the pair convention of ``compile_real`` and return unreduced
+(numerator, denominator) pairs.  ``_total`` adds the numerators per
+distinct denominator and reduces once; the sum is then scaled by the one
+cell volume, with integer widths per cell on uneven explicit axes
+(``_volumes``).  Region sums (``inner_sum``, ``measure_moment``,
+``measure_mass_moment_com``) classify the region once per call with
+``_inner_cells`` (a sweep sharing vertex columns in the plane, a cached
+vertex classifier otherwise), reading only the sign of each membership
+numerator, and then sum over the inner cells.  ``_breaks``,
+``PartitionSpec.breakpoints`` and ``tagged_partition`` are ``Fraction``
+views of the same grid.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import product, repeat, starmap
+from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import approx
@@ -85,6 +95,33 @@ class Rect:
         return len(self.intervals)
 
 
+class _Axis(NamedTuple):
+    """Breakpoint k is nums[k] / q; q > 0, and the pairs are not reduced."""
+
+    nums: list[int]
+    q: int
+
+
+def _axis(a, b, m: int) -> _Axis:
+    """m equal-width cells of [a, b] = [A/D, B/D], D the lcm of the two
+    denominators: breakpoint k is (A m + k (B - A)) / (D m)."""
+    if m < 1:
+        raise ValueError("need at least one cell")
+    a, b = Fraction(a), Fraction(b)
+    den = math.lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    return _Axis([lo * m + k * (hi - lo) for k in range(m + 1)], den * m)
+
+
+def _explicit_axis(points: Sequence[Fraction]) -> _Axis:
+    den = math.lcm(*(p.denominator for p in points))
+    return _Axis([p.numerator * (den // p.denominator) for p in points], den)
+
+
+def _fractions(axis: _Axis) -> list[Fraction]:
+    return [Fraction(n, axis.q) for n in axis.nums]
+
+
 @dataclass(frozen=True)
 class PartitionSpec:
     """Equal-width counts per axis, or explicit per-axis breakpoints."""
@@ -107,20 +144,24 @@ class PartitionSpec:
                 raise ValueError("explicit breakpoints must be strictly increasing")
         return PartitionSpec("explicit", None, fixed)
 
-    def breakpoints(self, rect: Rect) -> list[list[Fraction]]:
+    def grid(self, rect: Rect) -> list[_Axis]:
+        """The integer grid of this partition of the rectangle, one axis each."""
         if self.kind == "simple":
             counts = self.counts
             if len(counts) == 1 and rect.dimension > 1:
                 counts = counts * rect.dimension
             if len(counts) != rect.dimension:
                 raise ValueError("one count per axis required")
-            return [_breaks(a, b, m) for (a, b), m in zip(rect.intervals, counts)]
+            return [_axis(a, b, m) for (a, b), m in zip(rect.intervals, counts)]
         if len(self.points) != rect.dimension:
             raise ValueError("one breakpoint list per axis required")
         for axis, (a, b) in zip(self.points, rect.intervals):
             if axis[0] != a or axis[-1] != b:
                 raise ValueError("breakpoints must include the endpoints")
-        return [list(axis) for axis in self.points]
+        return [_explicit_axis(axis) for axis in self.points]
+
+    def breakpoints(self, rect: Rect) -> list[list[Fraction]]:
+        return [_fractions(axis) for axis in self.grid(rect)]
 
 
 Cell = tuple[tuple[Fraction, Fraction], ...]
@@ -128,9 +169,7 @@ Cell = tuple[tuple[Fraction, Fraction], ...]
 
 def _breaks(a, b, m: int) -> list[Fraction]:
     """m equal-width cells of [a, b]: the m + 1 breakpoints."""
-    a, b = Fraction(a), Fraction(b)
-    step = (b - a) / m
-    return [a + k * step for k in range(m)] + [b]
+    return _fractions(_axis(a, b, m))
 
 
 def _cells(breaks: list[list[Fraction]]) -> Iterable[Cell]:
@@ -147,54 +186,98 @@ def first_variable(default: str, *exprs: Expr) -> str:
     return min(set().union(*map(free_vars, exprs)), default=default)
 
 
+# -- sums on the grid -------------------------------------------------------------------
+
+
+def _row_major(axes: Sequence[Sequence[tuple]]) -> Iterable[tuple]:
+    """One tuple per cell, the concatenation of its entries on each axis, in
+    row-major order; an entry is (numerator, denominator), so a cell's tuple
+    is the pair-convention argument list (n0, d0, n1, d1, ...)."""
+    cells = axes[0]
+    for axis in axes[1:]:
+        cells = starmap(add, product(cells, axis))
+    return cells
+
+
 def _mix_seed(seed: int, index: int) -> int:
     return ((seed + 1) * 2654435761 + index * 40503) % (1 << 63)
 
 
-def _tags(breaks: list[list[Fraction]], rule: str, seed: int) -> Iterable[tuple[Fraction, ...]]:
-    """The tag of every cell, in ``_cells`` order.
+def _tag_args(grid: list[_Axis], rule: str, seed: int) -> Iterable[tuple[int, ...]]:
+    """The tag of every cell as pair-convention arguments, in row-major order.
 
     A deterministic rule takes each coordinate from that axis's interval
     alone, so it is computed once per interval; seeded-random draws 30 bits
     per axis for the i-th cell from ``Random(_mix_seed(seed, i))``.
     """
-    intervals = [list(zip(axis, axis[1:])) for axis in breaks]
-    if rule == "min-vertex":
-        return product(*([lo for lo, _ in axis] for axis in intervals))
-    if rule == "center":
-        return product(*([(lo + hi) / 2 for lo, hi in axis] for axis in intervals))
-    if rule == "corner-nearest-origin":
-        return product(
-            *([lo if abs(lo) <= abs(hi) else hi for lo, hi in axis] for axis in intervals)
-        )
     if rule == "seeded-random":
-        return _seeded_tags(intervals, seed)
-    raise ValueError(f"unknown tag rule {rule!r}; choose from {TAG_RULES}")
+        return _seeded_args(grid, seed)
+    per_axis = []
+    for nums, q in grid:
+        cells = zip(nums, nums[1:])
+        if rule == "min-vertex":
+            per_axis.append([(lo, q) for lo in nums[:-1]])
+        elif rule == "center":
+            per_axis.append([(lo + hi, 2 * q) for lo, hi in cells])
+        elif rule == "corner-nearest-origin":
+            per_axis.append([(lo if abs(lo) <= abs(hi) else hi, q) for lo, hi in cells])
+        else:
+            raise ValueError(f"unknown tag rule {rule!r}; choose from {TAG_RULES}")
+    return _row_major(per_axis)
 
 
-def _seeded_tags(intervals, seed: int) -> Iterable[tuple[Fraction, ...]]:
+def _seeded_args(grid: list[_Axis], seed: int) -> Iterable[tuple[int, ...]]:
     rng = random.Random()
-    for i, cell in enumerate(product(*intervals)):
+    spans = [[(lo << 30, hi - lo) for lo, hi in zip(nums, nums[1:])] for nums, _ in grid]
+    dens = [q << 30 for _, q in grid]
+    for i, cell in enumerate(product(*spans)):
         rng.seed(_mix_seed(seed, i))
-        yield tuple(
-            lo + Fraction(rng.getrandbits(30), 1 << 30) * (hi - lo) for lo, hi in cell
-        )
+        args: list[int] = []
+        for (lo, width), den in zip(cell, dens):
+            args += (lo + rng.getrandbits(30) * width, den)
+        yield tuple(args)
 
 
-def _exact_sum(values: Iterable[Fraction]) -> Fraction:
-    """Sum over the lcm of the denominators, reduced once."""
-    values = list(values)
-    den = math.lcm(*(v.denominator for v in values))
-    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
+def _fraction_tags(grid: list[_Axis], rule: str, seed: int) -> Iterable[tuple[Fraction, ...]]:
+    """``_tag_args`` as Fraction coordinates."""
+    return (tuple(map(Fraction, args[::2], args[1::2])) for args in _tag_args(grid, rule, seed))
 
 
-def _cell_sum(values: Iterable[Fraction], breaks: list[list[Fraction]]) -> Fraction:
-    """sum of value * volume over the cells in ``_cells`` order; when every
-    axis has equal widths the values are summed first and scaled once."""
-    widths = [[hi - lo for lo, hi in zip(axis, axis[1:])] for axis in breaks]
-    if all(w.count(w[0]) == len(w) for w in widths):
-        return math.prod(w[0] for w in widths) * _exact_sum(values)
-    return _exact_sum(v * math.prod(w) for v, w in zip(values, product(*widths)))
+def _volumes(grid: list[_Axis]) -> tuple[Fraction, list[int] | None]:
+    """Every cell's volume as scale * weight: the integer weights in
+    row-major order, or None when all cells have the one volume ``scale``."""
+    scale, widths, uneven = Fraction(1), [], False
+    for nums, q in grid:
+        w = [hi - lo for lo, hi in zip(nums, nums[1:])]
+        if w.count(w[0]) == len(w):
+            scale *= Fraction(w[0], q)
+            w = [1] * len(w)
+        else:
+            scale /= q
+            uneven = True
+        widths.append(w)
+    return scale, list(map(math.prod, product(*widths))) if uneven else None
+
+
+def _total(values: Iterable[tuple[int, int]], weights: Iterable[int] | None = None) -> Fraction:
+    """The sum of (numerator, positive denominator) pairs, each numerator
+    times its weight if weights are given: numerators are added per distinct
+    denominator, then over the lcm of those, and reduced once."""
+    sums: dict[int, int] = {}
+    if weights is None:
+        for n, d in values:
+            sums[d] = sums.get(d, 0) + n
+    else:
+        for (n, d), w in zip(values, weights):
+            sums[d] = sums.get(d, 0) + n * w
+    den = math.lcm(*sums)
+    return Fraction(sum(n * (den // d) for d, n in sums.items()), den)
+
+
+def _box_sum(fn, grid: list[_Axis], rule: str, seed: int) -> Fraction:
+    """sum of fn(tag) * volume(cell) over the grid, fn in the pair convention."""
+    scale, weights = _volumes(grid)
+    return scale * _total(starmap(fn, _tag_args(grid, rule, seed)), weights)
 
 
 @dataclass(frozen=True)
@@ -227,9 +310,9 @@ class TaggedPartition:
 def tagged_partition(
     rect: Rect, spec: PartitionSpec, tag_rule: str = "min-vertex", seed: int = 0
 ) -> TaggedPartition:
-    breaks = spec.breakpoints(rect)
-    cells = tuple(_cells(breaks))
-    return TaggedPartition(rect, cells, tuple(_tags(breaks, tag_rule, seed)), tag_rule)
+    grid = spec.grid(rect)
+    cells = tuple(_cells([_fractions(axis) for axis in grid]))
+    return TaggedPartition(rect, cells, tuple(_fraction_tags(grid, tag_rule, seed)), tag_rule)
 
 
 # -- Riemann and Darboux sums --------------------------------------------------------
@@ -244,9 +327,8 @@ def riemann_sum(
     precision: int = DEFAULT_PRECISION,
 ) -> Fraction:
     """sum f(tag) * volume(cell) over the tagged partition; exact rational."""
-    fn = compile_real(f, axis_names(rect.dimension), precision)
-    breaks = spec.breakpoints(rect)
-    return _cell_sum((fn(*tag) for tag in _tags(breaks, tag_rule, seed)), breaks)
+    fn = compile_real(f, axis_names(rect.dimension), precision, pairs=True)
+    return _box_sum(fn, spec.grid(rect), tag_rule, seed)
 
 
 class DarbouxBounds(NamedTuple):
@@ -269,26 +351,36 @@ def darboux_bounds(
     """
     if samples_per_axis < 2:
         raise ValueError("need at least the two endpoint samples per axis")
-    fn = compile_real(f, axis_names(rect.dimension), precision)
+    fn = compile_real(f, axis_names(rect.dimension), precision, pairs=True)
     s = samples_per_axis
-    breaks = spec.breakpoints(rect)
-    samples = [  # per axis interval, once
-        [[lo + Fraction(j, s - 1) * (hi - lo) for j in range(s)] for lo, hi in zip(axis, axis[1:])]
-        for axis in breaks
+    grid = spec.grid(rect)
+    samples = [  # per axis interval, once: s points over q (s - 1)
+        [[(lo * (s - 1) + j * (hi - lo), q * (s - 1)) for j in range(s)]
+         for lo, hi in zip(nums, nums[1:])]
+        for nums, q in grid
     ]
-    lows: list[Fraction] = []
-    highs: list[Fraction] = []
+    lows: list[tuple[int, int]] = []
+    highs: list[tuple[int, int]] = []
     flagged = 0
     for axes in product(*samples):
-        values = [fn(*p) for p in product(*axes)]
-        lows.append(min(values))
-        highs.append(max(values))
-        if not _grid_monotone(values, len(axes), s):
+        values = list(starmap(fn, _row_major(axes)))
+        den = values[0][1]
+        if all(d == den for _, d in values):  # compare numerators
+            keys = [n for n, _ in values]
+            lows.append((min(keys), den))
+            highs.append((max(keys), den))
+        else:
+            keys = list(starmap(Fraction, values))
+            low, high = min(keys), max(keys)
+            lows.append((low.numerator, low.denominator))
+            highs.append((high.numerator, high.denominator))
+        if not _grid_monotone(keys, len(axes), s):
             flagged += 1
-    return DarbouxBounds(_cell_sum(lows, breaks), _cell_sum(highs, breaks), flagged)
+    scale, weights = _volumes(grid)
+    return DarbouxBounds(scale * _total(lows, weights), scale * _total(highs, weights), flagged)
 
 
-def _grid_monotone(values: list[Fraction], dim: int, s: int) -> bool:
+def _grid_monotone(values: list, dim: int, s: int) -> bool:
     """Is every axis-parallel line of the row-major s^dim sample grid monotone?"""
     for axis in range(dim):
         stride = s ** (dim - 1 - axis)
@@ -324,50 +416,62 @@ class InnerSumResult(NamedTuple):
     boundary_volume: Fraction
 
 
-def _inner_cells(region: Region, spec: PartitionSpec, precision: int):
-    """Classify every cell of the bounding box's partition (see ``inner_sum``).
+class _InnerCells(NamedTuple):
+    corners: list[tuple[int, ...]]  # min-vertex of each inner cell, pair-convention arguments
+    weights: list[int] | None  # their integer volume weights (see ``_volumes``)
+    scale: Fraction
+    boundary: int
+    exterior: int
+    boundary_volume: Fraction
 
-    Returns the inner cells as (min-vertex, volume) pairs, the boundary and
-    exterior counts and the boundary volume.
-    """
+
+def _inner_cells(region: Region, spec: PartitionSpec, precision: int) -> _InnerCells:
+    """Classify every cell of the bounding box's grid (see ``inner_sum``)."""
     rect = region.bounding
-    member = compile_real(region.membership, axis_names(rect.dimension), precision)
+    member = compile_real(region.membership, axis_names(rect.dimension), precision, pairs=True)
+    grid = spec.grid(rect)
+    scale, weights = _volumes(grid)
     classify = _sweep_2d if rect.dimension == 2 else _classify_cells
-    inner: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    boundary = exterior = 0
-    boundary_volume = Fraction(0)
-    for corner, v, flags in classify(member, spec.breakpoints(rect)):
+    corners: list[tuple[int, ...]] = []
+    inner_weights: list[int] = []
+    boundary = exterior = boundary_weight = 0
+    for (corner, flags), w in zip(classify(member, grid), weights or repeat(1)):
         if all(flags):
-            inner.append((corner, v))
+            corners.append(corner)
+            inner_weights.append(w)
         elif not any(flags):
             exterior += 1
         else:
             boundary += 1
-            boundary_volume += v
-    return inner, boundary, exterior, boundary_volume
+            boundary_weight += w
+    return _InnerCells(corners, inner_weights if weights else None, scale, boundary, exterior,
+                       scale * boundary_weight)
 
 
-def _classify_cells(member, breaks):
-    """Any dimension: vertex verdicts cached across the cells sharing them."""
-    inside = cache(lambda *point: member(*point) <= 0)
-    for cell in _cells(breaks):
-        flags = [inside(*vertex) for vertex in product(*cell)]
-        flags.append(member(*((lo + hi) / 2 for lo, hi in cell)) <= 0)
-        yield tuple(lo for lo, _ in cell), _volume(cell), flags
+def _classify_cells(member, grid: list[_Axis]):
+    """Any dimension: vertex verdicts cached across the cells sharing them.
+    Yields each cell's min-vertex arguments and its vertex and center flags."""
+    inside = cache(lambda *point: member(*point)[0] <= 0)
+    intervals = [
+        [((lo, q), (hi, q), (lo + hi, 2 * q)) for lo, hi in zip(nums, nums[1:])]
+        for nums, q in grid
+    ]
+    for cell in product(*intervals):
+        flags = [inside(*vertex) for vertex in _row_major([(lo, hi) for lo, hi, _ in cell])]
+        flags.append(member(*sum((mid for _, _, mid in cell), ()))[0] <= 0)
+        yield sum((lo for lo, _, _ in cell), ()), flags
 
 
-def _sweep_2d(member, breaks):
+def _sweep_2d(member, grid: list[_Axis]):
     """Plane case: columns of vertex verdicts shared between adjacent cells."""
-    xs, ys = breaks
-    y_mids = [(lo + hi) / 2 for lo, hi in zip(ys, ys[1:])]
-    left = [member(xs[0], y) <= 0 for y in ys]
+    (xs, qx), (ys, qy) = grid
+    y_mids = [lo + hi for lo, hi in zip(ys, ys[1:])]
+    left = [member(xs[0], qx, y, qy)[0] <= 0 for y in ys]
     for x_lo, x_hi in zip(xs, xs[1:]):
-        x_mid = (x_lo + x_hi) / 2
-        right = [member(x_hi, y) <= 0 for y in ys]
-        dx = x_hi - x_lo
+        right = [member(x_hi, qx, y, qy)[0] <= 0 for y in ys]
         for j, y_mid in enumerate(y_mids):
-            flags = (left[j], left[j + 1], right[j], right[j + 1], member(x_mid, y_mid) <= 0)
-            yield (x_lo, ys[j]), dx * (ys[j + 1] - ys[j]), flags
+            center = member(x_lo + x_hi, 2 * qx, y_mid, 2 * qy)[0] <= 0
+            yield (x_lo, qx, ys[j], qy), (left[j], left[j + 1], right[j], right[j + 1], center)
         left = right
 
 
@@ -384,10 +488,12 @@ def inner_sum(
     vertex+center sampling is exact for convex and smooth-boundary regions
     at fine meshes and heuristic in general.
     """
-    fn = compile_real(f, axis_names(region.bounding.dimension), precision)
-    cells, boundary, exterior, boundary_volume = _inner_cells(region, spec, precision)
-    value = _exact_sum(fn(*corner) * v for corner, v in cells)
-    return InnerSumResult(value, len(cells), boundary, exterior, boundary_volume)
+    fn = compile_real(f, axis_names(region.bounding.dimension), precision, pairs=True)
+    cells = _inner_cells(region, spec, precision)
+    value = cells.scale * _total(starmap(fn, cells.corners), cells.weights)
+    return InnerSumResult(
+        value, len(cells.corners), cells.boundary, cells.exterior, cells.boundary_volume
+    )
 
 
 # -- one-dimensional measures --------------------------------------------------------------
@@ -404,31 +510,35 @@ def measure_area_between(
 ) -> Fraction:
     """Riemann sum of (g - f) on [a, b]; f <= g checked at partition points."""
     var = (first_variable("x", f, g),)
-    fn_f = compile_real(f, var, precision)
-    fn_g = compile_real(g, var, precision)
-    breaks = _breaks(a, b, m)
-    for t in breaks:
-        if fn_f(t) > fn_g(t):
-            raise OrderViolation(f"lower curve exceeds upper curve at {t}")
-    values = (fn_g(tag) - fn_f(tag) for (tag,) in _tags([breaks], tag_rule, 0))
-    return _cell_sum(values, [breaks])
+    fn_f = compile_real(f, var, precision, pairs=True)
+    fn_g = compile_real(g, var, precision, pairs=True)
+    axis = _axis(a, b, m)
+    for t in axis.nums:
+        (fn, fd), (gn, gd) = fn_f(t, axis.q), fn_g(t, axis.q)
+        if fn * gd > gn * fd:
+            raise OrderViolation(f"lower curve exceeds upper curve at {Fraction(t, axis.q)}")
+
+    def gap(n: int, d: int) -> tuple[int, int]:
+        (gn, gd), (fn, fd) = fn_g(n, d), fn_f(n, d)
+        return (gn - fn, gd) if gd == fd else (gn * fd - fn * gd, gd * fd)
+
+    return _box_sum(gap, [axis], tag_rule, 0)
 
 
 def measure_volume_revolution(
     f: Expr, a: Fraction, b: Fraction, m: int, precision: int = DEFAULT_PRECISION
 ) -> Fraction:
     """Solid of revolution about the axis: Riemann sum of pi * f(x)^2."""
-    var = first_variable("x", f)
-    fn = compile_real(f, (var,), precision)
+    fn = compile_real(f, (first_variable("x", f),), precision, pairs=True)
     pi = approx.pi_approx(precision)
-    breaks = _breaks(a, b, m)
-    total = Fraction(0)
-    for lo, hi in zip(breaks, breaks[1:]):
-        r = fn(lo)
-        if r < 0:
-            raise NegativeRadius(f"f({lo}) = {show_rational(r)} < 0")
-        total += pi * r * r * (hi - lo)
-    return total
+
+    def squared(lo: int, q: int) -> tuple[int, int]:
+        n, d = fn(lo, q)
+        if n < 0:
+            raise NegativeRadius(f"f({Fraction(lo, q)}) = {show_rational(Fraction(n, d))} < 0")
+        return n * n, d * d
+
+    return pi * _box_sum(squared, [_axis(a, b, m)], "min-vertex", 0)
 
 
 def measure_surface_revolution(
@@ -512,17 +622,20 @@ def measure_mass_moment_com(
     """Mass and first moments: inner-rectangle sums of rho and coord*rho,
     accumulated in one pass over one classification of the region."""
     dim = region.bounding.dimension
-    fn = compile_real(rho, axis_names(dim), precision)
-    cells, boundary, exterior, boundary_volume = _inner_cells(region, spec, precision)
-    mass = Fraction(0)
-    moments = [Fraction(0)] * dim
-    for corner, v in cells:
-        w = fn(*corner) * v
-        mass += w
-        for k, x in enumerate(corner):
-            moments[k] += x * w
-    counts = InnerSumResult(mass, len(cells), boundary, exterior, boundary_volume)
-    return MassProperties(mass, tuple(moments), counts)
+    fn = compile_real(rho, axis_names(dim), precision, pairs=True)
+    cells = _inner_cells(region, spec, precision)
+    masses: list[tuple[int, int]] = []
+    moments: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
+    for corner, w in zip(cells.corners, cells.weights or repeat(1)):
+        n, d = fn(*corner)
+        masses.append((n * w, d))
+        for k, terms in enumerate(moments):
+            terms.append((corner[2 * k] * n * w, corner[2 * k + 1] * d))
+    mass = cells.scale * _total(masses)
+    counts = InnerSumResult(
+        mass, len(cells.corners), cells.boundary, cells.exterior, cells.boundary_volume
+    )
+    return MassProperties(mass, tuple(cells.scale * _total(t) for t in moments), counts)
 
 
 def measure_moment(
@@ -591,12 +704,13 @@ def line_integral_work(
     names = axis_names(curve.dimension)
     field_fns = [compile_real(comp, names, precision) for comp in field_components]
     comp_fns = [compile_real(c, (curve.param,), precision) for c in curve.components]
-    breaks = _breaks(a, b, m)
+    axis = _axis(a, b, m)
+    breaks = _fractions(axis)
     points = [tuple(fn(t) for fn in comp_fns) for t in breaks]
     cfg = Field(precision=precision)
     chord = Fraction(0)
     integrand = Fraction(0)
-    tags = _tags([breaks], tag_rule, 0)
+    tags = _fraction_tags([axis], tag_rule, 0)
     for j, ((lo, hi), (tag,)) in enumerate(zip(zip(breaks, breaks[1:]), tags)):
         pos = tuple(fn(tag) for fn in comp_fns)
         force = [fn(*pos) for fn in field_fns]
@@ -627,24 +741,26 @@ def riemann_stieltjes_sum(
     """sum f(tag_i) (phi(t_i) - phi(t_{i-1})) over a partition of [a, b]."""
     rect = Rect.interval(a, b)
     fvar = first_variable("x", f)
-    fn = compile_real(f, (fvar,), precision)
-    fphi = compile_real(phi, (first_variable(fvar, phi),), precision)
-    breaks = spec.breakpoints(rect)[0]
-    tags = _tags([breaks], tag_rule, seed)
-    return _exact_sum(
-        fn(tag) * (fphi(hi) - fphi(lo)) for (tag,), lo, hi in zip(tags, breaks, breaks[1:])
-    )
+    fn = compile_real(f, (fvar,), precision, pairs=True)
+    fphi = compile_real(phi, (first_variable(fvar, phi),), precision, pairs=True)
+    axis = spec.grid(rect)[0]
+    nums, q = axis
+    tags = _tag_args([axis], tag_rule, seed)
+
+    def terms() -> Iterable[tuple[int, int]]:
+        for tag, lo, hi in zip(tags, nums, nums[1:]):
+            (n, d), (hn, hd), (ln, ld) = fn(*tag), fphi(hi, q), fphi(lo, q)
+            yield (n * (hn - ln), d * hd) if hd == ld else (n * (hn * ld - ln * hd), d * hd * ld)
+
+    return _total(terms())
 
 
 def impulse(
     force: Expr, a: Fraction, b: Fraction, m: int, precision: int = DEFAULT_PRECISION
 ) -> Fraction:
     """Impulse of a time-dependent force: plain Riemann sum of F over [a, b]."""
-    fn = compile_real(force, (first_variable("t", force),), precision)
-    breaks = _breaks(a, b, m)
-    return sum(
-        (fn(lo) * (hi - lo) for lo, hi in zip(breaks, breaks[1:])), Fraction(0)
-    )
+    fn = compile_real(force, (first_variable("t", force),), precision, pairs=True)
+    return _box_sum(fn, [_axis(a, b, m)], "min-vertex", 0)
 
 
 # -- gauge partitions -----------------------------------------------------------------------------

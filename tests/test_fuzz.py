@@ -242,6 +242,49 @@ def test_power_guard_reads_the_reduced_value():
     assert compile_real(parse("(x*2/2)^40000"), ("x",))(F(3, 7)) == F(3, 7) ** 40000
 
 
+def pair_outcome(fn, *args):
+    """The compiled-pair result as a Fraction, its denominator checked
+    positive, or the exception's type and text."""
+    try:
+        n, d = fn(*args)
+    except Exception as ex:  # noqa: BLE001 - any difference counts
+        return type(ex).__name__, str(ex)
+    assert type(n) is int and type(d) is int and d > 0, (n, d)
+    return F(n, d)
+
+
+def unreduced(q: F, k: int) -> tuple[int, int]:
+    return k * q.numerator, k * q.denominator
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pair_convention_equals_tree_walk(seed):
+    # arguments (k n, k d): a common factor must change no value, error or offset
+    rng = random.Random(1200 + seed)
+    gen = ExprGen(rng)
+    for _ in range(100):
+        e = parsed(gen.tree(rng.randint(1, 4)))
+        fn = compile_real(e, ("x", "y"), PRECISION, pairs=True)
+        for _ in range(5):
+            x, y = rand_rational(rng), rand_rational(rng)
+            args = (*unreduced(x, rng.randint(1, 6)), *unreduced(y, rng.randint(1, 6)))
+            want = outcome(eval_real, e, {"x": x, "y": y}, PRECISION)
+            assert pair_outcome(fn, *args) == want, (render(e), args)
+
+
+def test_pair_power_guard_reads_the_reduced_value():
+    # 3/7 has 5 bits reduced: the guard at 200 000 bits passes 40 000 * 5 and
+    # refuses 40 001 * 5, however large the unreduced operand the code sees
+    # (x^k at (3, 7) takes the unreduced power, every other case int_pow)
+    for k, base in product((40000, 40001, -40000, -40001), ("x", "(x*2/2)")):
+        e = parse(f"{base}^{k}")
+        fn = compile_real(e, ("x",), pairs=True)
+        want = outcome(eval_real, e, {"x": F(3, 7)})
+        for args in ((3, 7), (6, 14), (3 << 20, 7 << 20)):
+            assert pair_outcome(fn, *args) == want, (k, base, args)
+    assert compile_real(parse("x^2"), ("x",), pairs=True)(2, 4) == (4, 16)
+
+
 # -- partition sums against naive sums written here -------------------------------------------
 
 

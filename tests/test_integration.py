@@ -327,8 +327,8 @@ class TestMeasures:
         seen = []
         compile_real = integration.compile_real
 
-        def counting(e, names, precision):
-            fn = compile_real(e, names, precision)
+        def counting(e, names, precision, **calling_convention):
+            fn = compile_real(e, names, precision, **calling_convention)
             if e is not region.membership:
                 return fn
             return lambda *p: seen.append(p) or fn(*p)
