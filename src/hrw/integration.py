@@ -274,6 +274,12 @@ def _total(values: Iterable[tuple[int, int]], weights: Iterable[int] | None = No
     return Fraction(sum(n * (den // d) for d, n in sums.items()), den)
 
 
+def _minus(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a - b for (numerator, positive denominator) pairs, not reduced."""
+    (an, ad), (bn, bd) = a, b
+    return (an - bn, ad) if ad == bd else (an * bd - bn * ad, ad * bd)
+
+
 def _box_sum(fn, grid: list[_Axis], rule: str, seed: int) -> Fraction:
     """sum of fn(tag) * volume(cell) over the grid, fn in the pair convention."""
     scale, weights = _volumes(grid)
@@ -514,15 +520,10 @@ def measure_area_between(
     fn_g = compile_real(g, var, precision, pairs=True)
     axis = _axis(a, b, m)
     for t in axis.nums:
-        (fn, fd), (gn, gd) = fn_f(t, axis.q), fn_g(t, axis.q)
-        if fn * gd > gn * fd:
+        lower = fn_f(t, axis.q)
+        if _minus(fn_g(t, axis.q), lower)[0] < 0:
             raise OrderViolation(f"lower curve exceeds upper curve at {Fraction(t, axis.q)}")
-
-    def gap(n: int, d: int) -> tuple[int, int]:
-        (gn, gd), (fn, fd) = fn_g(n, d), fn_f(n, d)
-        return (gn - fn, gd) if gd == fd else (gn * fd - fn * gd, gd * fd)
-
-    return _box_sum(gap, [axis], tag_rule, 0)
+    return _box_sum(lambda n, d: _minus(fn_g(n, d), fn_f(n, d)), [axis], tag_rule, 0)
 
 
 def measure_volume_revolution(
@@ -749,8 +750,9 @@ def riemann_stieltjes_sum(
 
     def terms() -> Iterable[tuple[int, int]]:
         for tag, lo, hi in zip(tags, nums, nums[1:]):
-            (n, d), (hn, hd), (ln, ld) = fn(*tag), fphi(hi, q), fphi(lo, q)
-            yield (n * (hn - ln), d * hd) if hd == ld else (n * (hn * ld - ln * hd), d * hd * ld)
+            n, d = fn(*tag)
+            dn, dd = _minus(fphi(hi, q), fphi(lo, q))
+            yield n * dn, d * dd
 
     return _total(terms())
 

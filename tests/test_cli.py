@@ -249,6 +249,12 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("parse-error: expected positive mesh") and err.count("\n") == 1
 
+    def test_probe_mesh_wider_than_the_interval(self, capsys):
+        # the probe takes floor((b - a) / mesh) cells: none here
+        code, out, err = invoke(capsys, "probe-supernear", "--generator=x", "--target=x",
+                                "--on=0,1", "--meshes=2")
+        assert (code, out, err) == (2, "", "usage-error: need at least one cell\n")
+
 
 class TestDeterminism:
     INVOCATIONS = [

@@ -82,6 +82,22 @@ class TestPartitions:
                 for (lo, hi), coord in zip(cell, tag):
                     assert lo <= coord <= hi
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_no_cells_refused(self, m):
+        # a count below one cell: a ZeroDivisionError at 0 and an empty sum
+        # of 0 below it before every 1-D grid refused it
+        one = parse("1")
+        calls = [
+            lambda: impulse(one, F(0), F(1), m),
+            lambda: measure_area_between(one, one, F(0), F(1), m),
+            lambda: measure_volume_revolution(one, F(0), F(1), m),
+            lambda: measure_curve_length(CurveDef.from_exprs([parse("t"), one]), F(0), F(1), m),
+            lambda: supernearness_probe(one, one, F(0), F(1), [m]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="need at least one cell"):
+                call()
+
     def test_seeded_tags_reproducible(self):
         rect = Rect.interval(0, 1)
         a = tagged_partition(rect, PartitionSpec.simple(8), "seeded-random", seed=3)
