@@ -23,9 +23,10 @@ and the result is reduced once, on return, or, in the pair calling
 convention the partition grid uses, returned unreduced.  An integer power is
 taken on the unreduced parts only while they cannot trip the 200 000-bit
 exact-power guard (``approx.POWER_BITS``); otherwise ``approx.int_pow`` sees
-the reduced value, so guarded powers come out as in :func:`eval_real`.  Every MathError
-from compiled code carries the offset of the node that raised it, exactly as
-from :func:`eval_real`, which stays the independent tree-walking oracle.
+the reduced value, so guarded powers come out as in :func:`eval_real`.
+Every MathError from compiled code carries the offset of the node that
+raised it, exactly as from :func:`eval_real`, which stays the independent
+tree-walking oracle.
 """
 
 from __future__ import annotations
@@ -578,7 +579,7 @@ def symbolic_derivative(e: Expr, var: str) -> Expr:
 
 def compile_real(
     e: Expr, names: tuple[str, ...], precision: int = 40, *, pairs: bool = False
-) -> Callable[..., Fraction]:
+) -> Callable[..., Fraction | tuple[int, int]]:
     """Compile to a function of rationals with eval_real's values and errors.
 
     The i-th positional argument binds ``names[i]``.  The generated code is

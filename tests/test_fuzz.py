@@ -9,10 +9,13 @@ back, so every node carries a real source offset, and evaluated at random
 rationals drawn partly from the constants of the trees, so zero divisors,
 zero bases and negative radicands occur.  ``compile_real`` must give the
 value of ``eval_real`` exactly, or raise the same exception with the same
-text (offset included).
+text (offset included).  Its pair calling convention must do the same on
+arguments given as unreduced numerator/denominator pairs.
 
-Each partition sum is checked against a naive sum of ``eval_real(tag) *
-volume`` whose cells, tags and classification are written out here.
+Each partition sum and measure is checked against a naive sum of
+``eval_real(tag) * volume`` whose cells, tags and classification are
+written out here, on equal-width and on explicit uneven partitions with
+mixed denominators; ``tagged_partition`` must return those cells and tags.
 
 The standard part of a series evaluation at a rational point must equal
 ``eval_real`` there exactly, or both must refuse at the same offset.
