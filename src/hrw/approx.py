@@ -159,28 +159,20 @@ def _sin_cos(x: Fraction, g: int) -> tuple[Fraction, Fraction]:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def sin_approx(x: Fraction, digits: int) -> Fraction:
-    if x == 0:
-        return ZERO
-    s, _ = _sin_cos(x, digits + _GUARD)
-    return round_to_digits(s, digits)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def cos_approx(x: Fraction, digits: int) -> Fraction:
-    if x == 0:
-        return ONE
-    _, c = _sin_cos(x, digits + _GUARD)
-    return round_to_digits(c, digits)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
 def sin_cos_approx(x: Fraction, digits: int) -> tuple[Fraction, Fraction]:
-    """(sin_approx(x, digits), cos_approx(x, digits)) from one pass."""
+    """(sin x, cos x), each within 10^-digits, from one pass."""
     if x == 0:
         return ZERO, ONE
     s, c = _sin_cos(x, digits + _GUARD)
     return round_to_digits(s, digits), round_to_digits(c, digits)
+
+
+def sin_approx(x: Fraction, digits: int) -> Fraction:
+    return sin_cos_approx(x, digits)[0]
+
+
+def cos_approx(x: Fraction, digits: int) -> Fraction:
+    return sin_cos_approx(x, digits)[1]
 
 
 @lru_cache(maxsize=CACHE_SIZE)

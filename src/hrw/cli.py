@@ -590,7 +590,7 @@ def _cmd_converge(args, cfg: Field) -> None:
 
 def _cmd_probe_supernear(args, cfg: Field) -> None:
     a, b = _parse_interval(args.on)
-    meshes = [int((b - a) / m) for m in _parse_meshes(args.meshes)]
+    meshes = [_cells_for(a, b, m) for m in _parse_meshes(args.meshes)]
     rep = integration.supernearness_probe(parse(args.generator), parse(args.target),
                                           a, b, meshes, cfg.precision)
     rows = [{"mesh": _fmt(m), "max_deviation": _fmt(dev)} for m, dev in rep.rows]

@@ -38,7 +38,7 @@ from typing import Callable, Union
 
 from . import approx
 from .errors import DivisionByZero, DomainError, MathError, ParseError, UnsupportedNode
-from .field import Field, HyperReal, apply_analytic, hr_exp, hr_ln
+from .field import Field, HyperReal, apply_analytic, hr_exp, hr_ln, hr_pow
 from .rationals import show_rational
 
 # -- tokens ------------------------------------------------------------------------
@@ -443,16 +443,8 @@ def eval_hyper_traced(
                     if isinstance(node.right, Const) and node.right.value.denominator == 1:
                         return base ** int(node.right.value)
                     r = go(node.right)
-                    if r.saturated:  # not a certified constant
-                        return hr_exp(hr_ln(base) * r)
-                    if r.is_zero:
-                        return cfg.one()
-                    if (
-                        len(r.terms) == 1
-                        and r.terms[0][0] == 0
-                        and r.terms[0][1].denominator == 1
-                    ):  # standard integer exponent: stay exact
-                        return base ** int(r.terms[0][1])
+                    if not r.saturated and all(ex == 0 for ex, _ in r.terms):  # standard
+                        return hr_pow(base, r.coefficient(0))
                     return hr_exp(hr_ln(base) * r)
                 a = go(node.left)
                 b = go(node.right)
@@ -491,6 +483,12 @@ def eval_hyper_traced(
 
 
 def eval_hyper(e: Expr, env: dict[str, HyperReal], cfg: Field) -> HyperReal:
+    """Series evaluation.  ``^`` takes an integer literal exponent exactly, a
+    certified standard one by ``hr_pow``, any other as exp(r ln x).  At a
+    rational point the standard part equals ``eval_real`` there (constants
+    come from the same ``approx`` kernels), or both refuse at the same
+    offset, except that an integer power past the exact-power guard is
+    refused here where ``eval_real`` takes exp(n ln x)."""
     value, _ = eval_hyper_traced(e, env, cfg)
     return value
 

@@ -46,6 +46,10 @@ the first nonzero coefficient, the result leads at k0*mu, and the kernel
 keeps exactly the exponents below k0*mu + window, the relative window of the
 result's own leading term, or below the order u's own truncation allows.
 
+Roots and non-integer rational powers x^r take one rule at any x with a
+positive leading coefficient: a*eps^lam goes to a^r*eps^(lam*r), a^r from
+the ``approx`` kernel of the rational evaluator, times (1 + u/a)^r.
+
 The classification trichotomy is read off the leading exponent:
 
 * empty series            -> zero (a member of the infinitesimals)
@@ -66,7 +70,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import count
 from math import inf
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from . import approx
 from .errors import (
@@ -353,26 +357,33 @@ class HyperReal:
         return len(self.terms) > 1 and self.window * n.bit_length() ** 2 > approx.POWER_BITS
 
     def nth_root(self, n: int) -> "HyperReal":
-        """n-th root; leading exponent divides by n, binomial series
-        (1 + u/a)^(1/n) on the shifted tail u.
-
-        The leading coefficient's root is exact for perfect powers and a
-        rational approximation at the configured precision otherwise.
-        """
+        """n-th root: the real power 1/n, its head from ``nth_root_approx``
+        (exact for perfect powers)."""
         if not isinstance(n, int) or n < 1:
             raise ValueError("root index must be a positive integer")
+        return self._real_power(
+            Fraction(1, n), lambda a: approx.nth_root_approx(a, n, self.precision), "nth root"
+        )
+
+    def _real_power(
+        self, r: Fraction, head: Callable[[Fraction], Fraction], what: str
+    ) -> "HyperReal":
+        """self^r for a rational r: the leading monomial a*eps^lam (a > 0)
+        goes to head(a)*eps^(lam*r), head(a) = a^r to the configured
+        precision, times (1 + u/a)^r on the shifted tail u.  An exact zero
+        gives 0 for r > 0 and is refused for r < 0."""
         if self.is_zero:
-            if self.saturated:  # its sign, and so the root's domain, is unknown
-                raise self._uncertain("root")
+            if self.saturated:  # its sign, and so the power's domain, is unknown
+                raise self._uncertain(what)
+            if r < 0:
+                raise DivisionByZero("0 raised to a negative power")
             return self
         lam, a = self.terms[0]
         if a <= 0:
             raise NonPositiveLeading(
-                f"nth root with non-positive leading coefficient {show_rational(a)}"
+                f"{what} with non-positive leading coefficient {show_rational(a)}"
             )
-        root_a = approx.nth_root_approx(a, n, self.precision)
-        head = (_exponent(Fraction(lam, n)), root_a)
-        return _power_series(self._shifted_tail(), _binomial(Fraction(1, n), a), head)
+        return _power_series(self._shifted_tail(), _binomial(r, a), (_exponent(lam * r), head(a)))
 
     def _shifted_tail(self) -> "HyperReal":
         """The terms after the leading one, shifted down by the leading exponent."""
@@ -808,16 +819,13 @@ def hr_tan(x: HyperReal) -> HyperReal:
 
 
 def hr_pow(x: HyperReal, r: Fraction) -> HyperReal:
-    """Real power x^r; exact for integer r, binomial series otherwise."""
+    """x^r for a rational r: exact for integer r; otherwise the real-power
+    rule of ``nth_root``, its head from ``pow_approx``, the kernel
+    ``eval_real`` takes for ``^``."""
     r = Fraction(r)
     if r.denominator == 1:
         return x ** r.numerator
-    s, h = _split_limited(x, "real power")
-    if s <= 0:
-        raise DomainError(
-            f"non-integer power requires a positive standard part, got {show_rational(s)}"
-        )
-    return _power_series(h, _binomial(r, s), (0, approx.pow_approx(s, r, x.precision)))
+    return x._real_power(r, lambda a: approx.pow_approx(a, r, x.precision), "real power")
 
 
 _ANALYTIC = {
@@ -830,7 +838,7 @@ _ANALYTIC = {
 
 
 def apply_analytic(fn: str, x: HyperReal, exponent: Rational | None = None) -> HyperReal:
-    """Apply an analytic map at a limited argument.
+    """Apply an analytic map at a limited argument, or a real power.
 
     ``fn`` is one of exp, ln, sin, cos, tan, pow_real; pow_real takes the
     real exponent as ``exponent``.

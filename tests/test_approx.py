@@ -147,15 +147,15 @@ def test_determinism_same_object():
 
 def test_caches_are_bounded():
     cached = [v for k, v in vars(approx).items() if not k.startswith("_") and hasattr(v, "cache_info")]
-    assert {f.__name__ for f in cached} >= {"pi_approx", "exp_approx", "ln_approx", "sin_approx",
-                                            "cos_approx", "tan_approx", "sqrt_approx",
+    assert {f.__name__ for f in cached} >= {"pi_approx", "exp_approx", "ln_approx",
+                                            "sin_cos_approx", "tan_approx", "sqrt_approx",
                                             "pow_approx", "nth_root_approx"}
     assert all(f.cache_info().maxsize == approx.CACHE_SIZE for f in cached)
-    approx.sin_approx.cache_clear()
+    approx.sin_cos_approx.cache_clear()
     for k in range(1, 10_001):
-        approx.sin_approx(F(k, 10_007), 5)
-    assert approx.sin_approx.cache_info().currsize <= approx.CACHE_SIZE
-    approx.sin_approx.cache_clear()
+        approx.sin_cos_approx(F(k, 10_007), 5)
+    assert approx.sin_cos_approx.cache_info().currsize <= approx.CACHE_SIZE
+    approx.sin_cos_approx.cache_clear()
 
 
 # -- agreement with stdlib decimal at 80 digits ------------------------------------------

@@ -389,6 +389,41 @@ class TestJacobian:
         assert res.matrix == ((F(12), F(6)), (F(2), F(4)))
 
 
+class TestRationalPowers:
+    """x^(p/q) in the series field has eval_real's constant term, so the
+    probes that compare the two hold at real powers as at roots."""
+
+    def test_limit_of_difference_quotient(self):
+        res = fn_limit(parse("(x^(3/2) - 1000)/(x - 100)"), F(100))
+        assert str(res) == "15 (method: field-evaluation)"
+
+    def test_jacobian_entry(self):
+        res = jacobian([parse("x^(3/2)"), parse("y")], [F(3), F(1)])
+        assert res.matrix[0][0] == eval_real(parse("3^(3/2)"), {}) / 2
+        assert res.residual_order_ok
+
+    def test_tangent_certificate(self):
+        c = CurveDef.from_exprs([parse("t"), parse("t^(3/2)")])
+        assert abs(tangent_certificate(c, F(3)) - 1) < TIGHT
+
+    @pytest.mark.parametrize("source,p", [("x^(3/2)", F(3)), ("x^(5/2)", F(1000))])
+    def test_continuity(self, source, p):
+        assert continuity_check(parse(source), p)
+
+    def test_sequence_limits_by_the_field(self):
+        assert str(seq_limit(parse("(n^3+n)^(1/3) - n"))) == "0 (method: field-evaluation)"
+        assert str(seq_limit(parse("n^(1/2)"))) == "+inf (method: field-evaluation)"
+
+    def test_limit_value_equals_eval_real(self):
+        cfg = Field(precision=12)
+        assert fn_limit(parse("x^(5/2)"), F(1000), cfg).value == ExtendedReal(
+            eval_real(parse("1000^(5/2)"), {}, 12))
+
+    def test_half_power_at_zero_as_sqrt(self):
+        assert fn_limit(parse("x^(1/2)"), F(0)) == fn_limit(parse("sqrt(x)"), F(0))
+        assert fn_limit(parse("x^(1/2)"), F(0)).value == ExtendedReal(F(0))
+
+
 class TestKinematics:
     def test_square_law(self):
         assert kinematics(parse("16*t^2"), F(1)) == (F(32), F(32))

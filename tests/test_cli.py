@@ -1,9 +1,11 @@
 """CLI surface: dispatch, formats, exit codes, determinism."""
 
 import json
+import shlex
 import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,29 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """(command, expected start of stdout) for each README line ``hrw ...  # text``;
+    a trailing ``...`` in the text stands for the rest of the line."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = []
+    for line in readme.read_text().splitlines():
+        command, sep, expected = line.partition("  # ")
+        if line.startswith("hrw ") and sep:
+            examples.append((command.strip(), expected.strip().removesuffix("...").rstrip()))
+    return examples
+
+
+@pytest.mark.parametrize("command, expected", readme_examples())
+def test_readme_example(capsys, command, expected):
+    code, out, err = invoke(capsys, *shlex.split(command)[1:])
+    assert code == 0, err
+    assert out.startswith(expected), out
+
+
+def test_readme_examples_found():
+    assert len(readme_examples()) >= 8
 
 
 class TestValues:
@@ -250,10 +275,18 @@ class TestExitCodes:
         assert err.startswith("parse-error: expected positive mesh") and err.count("\n") == 1
 
     def test_probe_mesh_wider_than_the_interval(self, capsys):
-        # the probe takes floor((b - a) / mesh) cells: none here
-        code, out, err = invoke(capsys, "probe-supernear", "--generator=x", "--target=x",
-                                "--on=0,1", "--meshes=2")
-        assert (code, out, err) == (2, "", "usage-error: need at least one cell\n")
+        # the cell count is rounded up, as for every other command: one cell here
+        code, out, _ = invoke(capsys, "probe-supernear", "--generator=x", "--target=x",
+                              "--on=0,1", "--meshes=2", "--format=json")
+        assert code == 0
+        assert [row["mesh"] for row in json.loads(out)["result"]["rows"]] == ["1"]
+
+    def test_probe_rounds_cells_up(self, capsys):
+        # 2/3 on [0, 1] takes two cells of 1/2, as measure and converge do
+        code, out, _ = invoke(capsys, "probe-supernear", "--generator=x", "--target=x",
+                              "--on=0,1", "--meshes=2/3,1/3", "--format=json")
+        assert code == 0
+        assert [row["mesh"] for row in json.loads(out)["result"]["rows"]] == ["1/2", "1/3"]
 
 
 class TestDeterminism:

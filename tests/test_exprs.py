@@ -53,6 +53,8 @@ CORPUS = [
     "tan(x/4)",
     "x^2*y + x*y^2",
     "sqrt(1+4*t^2)",
+    "x^(3/2)",
+    "(x+1)^(-1/3)",
 ]
 
 
@@ -208,9 +210,8 @@ class TestEvalHyper:
 
     @pytest.mark.parametrize("source", [s for s in CORPUS if free_vars(parse(s)) <= {"x"}])
     def test_evaluator_coherence(self, source):
-        # f evaluated at x + 0*eps has the standard part of the real path:
-        # exact for algebraic expressions, within 10^(2-d) otherwise (tan's
-        # constant term is the exact sin/cos ratio, the scalar path rounds)
+        # f evaluated at x + 0*eps has exactly the standard part of the real
+        # path: both take every constant from the same approx kernel
         expr = parse(source)
         for point in (F(1, 2), F(2), F(7, 3)):
             try:
@@ -218,10 +219,7 @@ class TestEvalHyper:
             except (DivisionByZero, DomainError):
                 continue
             hyper_value = eval_hyper(expr, {"x": FLD.rational(point)}, FLD)
-            delta = abs(hyper_value.st_fraction() - real_value)
-            assert delta < F(1, 10**38)
-            if "tan" not in source:
-                assert delta == 0
+            assert hyper_value.st_fraction() == real_value
 
 
 class TestSymbolicDerivative:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from conftest import EXPONENT_GRID, rand_fraction, rand_hyper
+from hrw import approx
 from hrw.errors import (
     DivisionByZero,
     NonPositiveLeading,
@@ -389,6 +390,24 @@ class TestAnalytic:
         r = hr_pow(x, F(1, 2))
         assert r.coefficient(0) == 2
         assert r.coefficient(1) == F(1, 4)
+
+    def test_pow_real_takes_the_root_rule(self):
+        # the leading monomial a*eps^lam goes to a^r*eps^(lam*r) at any value
+        assert hr_pow(GAMMA, F(1, 2)) == FLD.epsilon(F(-1, 2))
+        assert hr_pow(4 * EPS, F(3, 2)) == FLD.monomial(8, F(3, 2))
+        assert hr_pow(EPS, F(1, 2)) == EPS.nth_root(2)
+        x = FLD.rational(2) + EPS
+        assert hr_pow(x, F(1, 3)) == x.nth_root(3)
+        assert hr_pow(x, F(5, 2)).coefficient(0) == approx.pow_approx(F(2), F(5, 2), FLD.precision)
+
+    def test_pow_real_at_zero_and_negative_bases(self):
+        assert hr_pow(FLD.zero(), F(1, 2)) == FLD.zero()
+        with pytest.raises(DivisionByZero, match="0 raised to a negative power"):
+            hr_pow(FLD.zero(), F(-1, 2))
+        with pytest.raises(PrecisionExhausted):
+            hr_pow(HyperReal([], FLD.window, FLD.precision, order=3), F(1, 2))
+        with pytest.raises(NonPositiveLeading, match="real power with non-positive leading"):
+            hr_pow(-EPS, F(1, 2))
 
     def test_dispatcher(self):
         assert apply_analytic("exp", FLD.zero()) == ONE

@@ -18,17 +18,20 @@ written out here, on equal-width and on explicit uneven partitions with
 mixed denominators; ``tagged_partition`` must return those cells and tags.
 
 The standard part of a series evaluation at a rational point must equal
-``eval_real`` there exactly, or both must refuse at the same offset.
+``eval_real`` there exactly, or both must refuse at the same offset; real
+powers included, since both evaluators take a^r from ``pow_approx``.
 
 ``measure K --meshes`` and ``converge K --meshes`` must tabulate the same
 study for seeded area, moment and impulse requests with a rational oracle.
 
-Jets of random expressions (division, ``sqrt``/``root``, the transcendental
-calls, and the cancellation shape f(x^k) minus its Taylor polynomial) must
-equal the coefficients of one direct evaluation at window 64 wherever the
-jet is returned; otherwise the jet must raise ``PrecisionExhausted``.  Jets
-of rational expressions must equal ``eval_real`` of the n-fold
-``symbolic_derivative`` divided by n!.
+Jets of random expressions (division, ``sqrt``/``root``, rational powers,
+the transcendental calls, and the cancellation shape f(x^k) minus its Taylor
+polynomial) must equal the coefficients of one direct evaluation at window
+64 wherever the jet is returned; otherwise the jet must raise
+``PrecisionExhausted``.  Wherever an order-0 jet is returned, its
+coefficient must equal ``eval_real`` at the point, unless that divides by
+zero there.  Jets of rational expressions must equal ``eval_real`` of the
+n-fold ``symbolic_derivative`` divided by n!.
 """
 
 from __future__ import annotations
@@ -102,13 +105,11 @@ def rand_rational(rng: random.Random) -> F:
 
 
 class ExprGen:
-    """Random expression trees; ``big`` allows powers at the size guard,
-    ``real_powers`` non-integer and variable exponents."""
+    """Random expression trees; ``big`` allows powers at the size guard."""
 
-    def __init__(self, rng: random.Random, names=NAMES[:2], real_powers: bool = True):
+    def __init__(self, rng: random.Random, names=NAMES[:2]):
         self.rng = rng
         self.names = names
-        self.real_powers = real_powers
 
     def leaf(self) -> Expr:
         r = self.rng.random()
@@ -124,7 +125,7 @@ class ExprGen:
             return self.leaf()
         kind = rng.choices(
             ["+", "-", "*", "/", "neg", "abs", "ipow", "guard", "rpow", "call"],
-            [4, 3, 4, 4, 1, 2, 3, 1 if big else 0, 1 if self.real_powers else 0, 3],
+            [4, 3, 4, 4, 1, 2, 3, 1 if big else 0, 1, 3],
         )[0]
         sub = lambda: self.tree(depth - 1, big)  # noqa: E731
         if kind in "+-*/":
@@ -215,9 +216,8 @@ def refusal_or_value(fn, *args):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_series_standard_part_equals_eval_real(seed):
-    # no non-integer powers: the series side takes those as exp(r ln x)
     rng = random.Random(300 + seed)
-    gen = ExprGen(rng, ("x",), real_powers=False)
+    gen = ExprGen(rng, ("x",))
     fld = Field(precision=PRECISION)
     for _ in range(200):
         e = parsed(gen.tree(rng.randint(1, 4), big=False))
@@ -231,9 +231,11 @@ def test_series_standard_part_equals_eval_real(seed):
                 assert got == want, where
                 continue
             assert got.pos == want.pos, where
-            if type(got) is not type(want):  # a negative radicand, refused by kind
+            if type(got) is not type(want):  # a negative radicand or base, refused by kind
                 assert (type(want), type(got)) == (DomainError, NonPositiveLeading), where
-                assert str(want).startswith(("sqrt of negative", "root of negative")), where
+                assert str(want).startswith(
+                    ("sqrt of negative", "root of negative", "non-integer power of negative")
+                ), where
 
 
 def test_power_guard_reads_the_reduced_value():
@@ -650,7 +652,8 @@ def cancellation(rng: random.Random) -> str:
 
 class JetGen:
     """Random expressions in x: rational ones over + - * / and integer powers,
-    or with sqrt/root, the transcendental calls and cancellation shapes."""
+    or with sqrt/root, rational powers, the transcendental calls and
+    cancellation shapes."""
 
     def __init__(self, rng: random.Random, rational: bool):
         self.rng, self.rational = rng, rational
@@ -659,7 +662,8 @@ class JetGen:
         rng = self.rng
         if depth == 0 or rng.random() < 0.25:
             return "x" if rng.random() < 0.6 else f"({rand_rational(rng)})"
-        kinds = ["+-*/", "ipow"] if self.rational else ["+-*/", "ipow", "root", "call", "cancel"]
+        kinds = ["+-*/", "ipow"] if self.rational else [
+            "+-*/", "ipow", "root", "rpow", "call", "cancel"]
         kind = rng.choice(kinds)
         sub = lambda: self.tree(depth - 1)  # noqa: E731
         if kind == "+-*/":
@@ -668,6 +672,8 @@ class JetGen:
             return f"({sub()})^{rng.choice([2, 3, -1, -2])}"
         if kind == "root":
             return rng.choice([f"sqrt({sub()})", f"root({rng.randint(3, 4)}, {sub()})"])
+        if kind == "rpow":
+            return f"({sub()})^({rng.choice(['1/2', '-1/2', '3/2', '2/3', '-1/3'])})"
         if kind == "call":
             return f"{rng.choice(['sin', 'cos', 'exp', 'ln'])}({sub()})"
         return cancellation(rng)
@@ -713,6 +719,27 @@ def test_cancellation_jets_refused_or_exact():
     rng = random.Random(600)
     seen = [check_jet(parse(cancellation(rng)), F(0), rng.randint(0, 6)) for _ in range(60)]
     assert seen.count("jet") >= 10 and seen.count("refused") >= 5
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_jet_constant_equals_eval_real(seed):
+    # jacobian, tangent_certificate and continuity_check compare eval_real at
+    # a point with the constant term of the series there
+    rng = random.Random(1300 + seed)
+    returned = 0
+    for _ in range(40):
+        e = parse(JetGen(rng, rational=False).tree(rng.randint(1, 3)))
+        p = rand_rational(rng)
+        got = outcome(taylor_jet, e, p, 0, NARROW)
+        if isinstance(got, tuple):
+            continue
+        want = outcome(eval_real, e, {"x": p}, PRECISION)
+        if isinstance(want, tuple):  # a removable singularity at p
+            assert want[0] == "DivisionByZero", (render(e), p, want)
+            continue
+        returned += 1
+        assert got.coeffs[0] == want, (render(e), p)
+    assert returned >= 10
 
 
 @pytest.mark.parametrize("seed", SEEDS)
