@@ -324,6 +324,16 @@ def free_vars(e: Expr) -> set[str]:
     return set()
 
 
+def _exact(e: Expr, env: dict) -> bool:
+    """Whether e is computed without rounding: no call, named constant or real power."""
+    if isinstance(e, Unary):
+        return _exact(e.operand, env)
+    if isinstance(e, Binary):
+        whole = e.op != "^" or (isinstance(e.right, Const) and e.right.value.denominator == 1)
+        return whole and _exact(e.left, env) and _exact(e.right, env)
+    return isinstance(e, Const) or (isinstance(e, Var) and e.name in env)
+
+
 # -- evaluation over exact rationals ---------------------------------------------------
 
 
@@ -443,7 +453,9 @@ def eval_hyper_traced(
                     if isinstance(node.right, Const) and node.right.value.denominator == 1:
                         return base ** int(node.right.value)
                     r = go(node.right)
-                    if not r.saturated and all(ex == 0 for ex, _ in r.terms):  # standard
+                    standard = not r.saturated and all(ex == 0 for ex, _ in r.terms)
+                    lam = base.terms[0][0] if base.terms else 0  # a rounded r would move lam*r
+                    if standard and (lam == 0 or _exact(node.right, env)):
                         return hr_pow(base, r.coefficient(0))
                     return hr_exp(hr_ln(base) * r)
                 a = go(node.left)
@@ -484,7 +496,9 @@ def eval_hyper_traced(
 
 def eval_hyper(e: Expr, env: dict[str, HyperReal], cfg: Field) -> HyperReal:
     """Series evaluation.  ``^`` takes an integer literal exponent exactly, a
-    certified standard one by ``hr_pow``, any other as exp(r ln x).  At a
+    certified standard one r by ``hr_pow`` where the base leads at eps^0 or r
+    is computed without rounding (a rounded r would move the order lam*r of
+    a base a*eps^lam), any other as exp(r ln x).  At a
     rational point the standard part equals ``eval_real`` there (constants
     come from the same ``approx`` kernels), or both refuse at the same
     offset, except that an integer power past the exact-power guard is

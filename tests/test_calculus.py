@@ -419,6 +419,18 @@ class TestRationalPowers:
         assert fn_limit(parse("x^(5/2)"), F(1000), cfg).value == ExtendedReal(
             eval_real(parse("1000^(5/2)"), {}, 12))
 
+    def test_rounded_exponent_at_a_non_standard_base(self):
+        # sqrt(2)^2 is 2 only to 10^-40; at n or at eps that rounding would
+        # move the order lam*r of the power, so the field does not read it
+        seq = seq_limit(parse("n^(sqrt(2)^2)/n^2"))
+        assert seq.method == "numeric-fallback"
+        assert abs(seq.value.finite - 1) < F(1, 10**20)
+        res = fn_limit(parse("x^(sqrt(2)^2)/x^2"), F(0))
+        assert res.value is None and res.left is None and res.right is None
+        # an exponent built without rounding still takes the field
+        assert str(seq_limit(parse("n^(2^2/8)/n^(1/2)"))) == "1 (method: field-evaluation)"
+        assert str(fn_limit(parse("x^(-2/4)*x^(1/2)"), F(0))) == "1 (method: field-evaluation)"
+
     def test_half_power_at_zero_as_sqrt(self):
         assert fn_limit(parse("x^(1/2)"), F(0)) == fn_limit(parse("sqrt(x)"), F(0))
         assert fn_limit(parse("x^(1/2)"), F(0)).value == ExtendedReal(F(0))

@@ -19,7 +19,9 @@ mixed denominators; ``tagged_partition`` must return those cells and tags.
 
 The standard part of a series evaluation at a rational point must equal
 ``eval_real`` there exactly, or both must refuse at the same offset; real
-powers included, since both evaluators take a^r from ``pow_approx``.
+powers included, since both evaluators take a^r from ``pow_approx``.  At an
+infinitesimal or unlimited base the order of a power must not depend on the
+precision: a rounded exponent is refused there.
 
 ``measure K --meshes`` and ``converge K --meshes`` must tabulate the same
 study for seeded area, moment and impulse requests with a rational oracle.
@@ -236,6 +238,25 @@ def test_series_standard_part_equals_eval_real(seed):
                 assert str(want).startswith(
                     ("sqrt of negative", "root of negative", "non-integer power of negative")
                 ), where
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_power_order_does_not_depend_on_precision(seed):
+    # at c*eps^k an exponent r rounded to the precision would move the order
+    # k*r: an exponent computed exactly leads at the same order at any
+    # precision, and any other is refused at both
+    rng = random.Random(1500 + seed)
+    gen = ExprGen(rng, ("y",))
+    for _ in range(100):
+        e = parsed(Binary("^", Var("x"), gen.tree(rng.randint(1, 3), big=False)))
+        c, k = rng.choice([F(1), F(2), F(1, 3)]), rng.choice([1, -1, F(1, 2)])
+        y = rand_rational(rng)
+        leads = set()
+        for fld in (Field(precision=PRECISION), Field(precision=2 * PRECISION)):
+            env = {"x": fld.monomial(c, k), "y": fld.rational(y)}
+            got = refusal_or_value(eval_hyper, e, env, fld)
+            leads.add(None if isinstance(got, MathError) else got.leading_exponent())
+        assert len(leads) == 1, (render(e), c, k, y, leads)
 
 
 def test_power_guard_reads_the_reduced_value():
