@@ -6,8 +6,7 @@ than unary minus)::
     expr    := mul (('+' | '-') mul)*
     mul     := unary (('*' | '/') unary)*
     unary   := '-' unary | power
-    power   := primary ['^' powrhs]
-    powrhs  := '-' powrhs | power
+    power   := primary ['^' unary]
     primary := number | name | name '(' expr (',' expr)* ')' | '(' expr ')'
 
 Decimal literals become exact rationals (0.25 -> 1/4).  ``pi`` and ``e`` are
@@ -31,6 +30,7 @@ tree-walking oracle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from functools import lru_cache
@@ -163,21 +163,19 @@ class _Parser:
             raise ParseError(t.pos, text or kind, t.text or "end of input")
         return self.next()
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_mul()
-        while self.peek().kind == "operator" and self.peek().text in "+-":
+    def fold(self, ops: str, operand: Callable[[], Expr]) -> Expr:
+        """operand ((op in ops) operand)*, folded to the left."""
+        node = operand()
+        while self.peek().kind == "operator" and self.peek().text in ops:
             op = self.next()
-            rhs = self.parse_mul()
-            node = Binary(op.text, node, rhs, op.pos)
+            node = Binary(op.text, node, operand(), op.pos)
         return node
 
+    def parse_expr(self) -> Expr:
+        return self.fold("+-", self.parse_mul)
+
     def parse_mul(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek().kind == "operator" and self.peek().text in "*/":
-            op = self.next()
-            rhs = self.parse_unary()
-            node = Binary(op.text, node, rhs, op.pos)
-        return node
+        return self.fold("*/", self.parse_unary)
 
     def parse_unary(self) -> Expr:
         t = self.peek()
@@ -194,18 +192,8 @@ class _Parser:
         t = self.peek()
         if t.kind == "operator" and t.text == "^":
             self.next()
-            return Binary("^", base, self.parse_powrhs(), t.pos)
+            return Binary("^", base, self.parse_unary(), t.pos)
         return base
-
-    def parse_powrhs(self) -> Expr:
-        t = self.peek()
-        if t.kind == "operator" and t.text == "-":
-            self.next()
-            operand = self.parse_powrhs()
-            if isinstance(operand, Const):
-                return Const(-operand.value, t.pos)
-            return Unary("-", operand, t.pos)
-        return self.parse_power()
 
     def parse_primary(self) -> Expr:
         t = self.peek()
@@ -324,12 +312,20 @@ def free_vars(e: Expr) -> set[str]:
     return set()
 
 
+def int_exponent(e: Binary) -> int | None:
+    """The exponent of a ``^`` node when it is an integer literal, else None.
+    Every evaluator takes such a power exactly (``int_pow``, ``**``), and the
+    symbolic rules treat it as a polynomial power; any other is a real power."""
+    r = e.right
+    return int(r.value) if isinstance(r, Const) and r.value.denominator == 1 else None
+
+
 def _exact(e: Expr, env: dict) -> bool:
     """Whether e is computed without rounding: no call, named constant or real power."""
     if isinstance(e, Unary):
         return _exact(e.operand, env)
     if isinstance(e, Binary):
-        whole = e.op != "^" or (isinstance(e.right, Const) and e.right.value.denominator == 1)
+        whole = e.op != "^" or int_exponent(e) is not None
         return whole and _exact(e.left, env) and _exact(e.right, env)
     return isinstance(e, Const) or (isinstance(e, Var) and e.name in env)
 
@@ -361,8 +357,18 @@ def _real_root(n: int, v: Fraction, digits: int) -> Fraction:
     return approx.nth_root_approx(v, n, digits)
 
 
-# the one-argument calls over the rationals; compiled code reaches the same
-# kernels as ``approx.<name>_approx``
+def _at(ex: MathError, pos: int) -> MathError:
+    """ex located at the offset of the node that raised it, unless an inner
+    node has located it already."""
+    return ex if ex.pos is not None else type(ex)(str(ex), pos)
+
+
+# the four arithmetic operators, in both tree walks; eval_real refuses a zero
+# divisor before the table sees it
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+# the one-argument calls over the rationals, read by eval_real and by compiled
+# code (as ``_R``); dict values, so a wrapper installed here reaches both
 _REAL_CALLS = {
     "sqrt": approx.sqrt_approx,
     "sin": approx.sin_approx,
@@ -384,27 +390,19 @@ def eval_real(e: Expr, env: dict[str, Fraction], precision: int = 40) -> Fractio
     if isinstance(e, Unary):
         return -eval_real(e.operand, env, precision)
     if isinstance(e, Binary):
-        if e.op == "^":
-            base = eval_real(e.left, env, precision)
-            integer = isinstance(e.right, Const) and e.right.value.denominator == 1
-            r = e.right.value if integer else eval_real(e.right, env, precision)
-            try:
-                if integer:
-                    return approx.int_pow(base, int(r), precision)
-                return approx.pow_approx(base, r, precision)
-            except MathError as ex:
-                raise type(ex)(str(ex), e.pos) from None
         a = eval_real(e.left, env, precision)
+        if e.op == "^":
+            k = int_exponent(e)
+            try:  # an error of the exponent's own nodes is located already
+                if k is not None:
+                    return approx.int_pow(a, k, precision)
+                return approx.pow_approx(a, eval_real(e.right, env, precision), precision)
+            except MathError as ex:
+                raise _at(ex, e.pos) from None
         b = eval_real(e.right, env, precision)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0:
+        if e.op == "/" and b == 0:
             raise DivisionByZero("division by zero", e.pos)
-        return a / b
+        return _ARITH[e.op](a, b)
     # Call
     args = e.args
     try:
@@ -415,9 +413,7 @@ def eval_real(e: Expr, env: dict[str, Fraction], precision: int = 40) -> Fractio
             return _real_root(n, eval_real(args[1], env, precision), precision)
         return _REAL_CALLS[e.fn](eval_real(args[0], env, precision), precision)
     except MathError as ex:
-        if ex.pos is None:
-            raise type(ex)(str(ex), e.pos) from None
-        raise
+        raise _at(ex, e.pos) from None
 
 
 # -- evaluation over the series field ---------------------------------------------------
@@ -450,27 +446,18 @@ def eval_hyper_traced(
             try:
                 if node.op == "^":
                     base = go(node.left)
-                    if isinstance(node.right, Const) and node.right.value.denominator == 1:
-                        return base ** int(node.right.value)
+                    k = int_exponent(node)
+                    if k is not None:
+                        return base**k
                     r = go(node.right)
                     standard = not r.saturated and all(ex == 0 for ex, _ in r.terms)
                     lam = base.terms[0][0] if base.terms else 0  # a rounded r would move lam*r
                     if standard and (lam == 0 or _exact(node.right, env)):
                         return hr_pow(base, r.coefficient(0))
                     return hr_exp(hr_ln(base) * r)
-                a = go(node.left)
-                b = go(node.right)
-                if node.op == "+":
-                    return a + b
-                if node.op == "-":
-                    return a - b
-                if node.op == "*":
-                    return a * b
-                return a / b
+                return _ARITH[node.op](go(node.left), go(node.right))
             except MathError as ex:
-                if ex.pos is None:
-                    raise type(ex)(str(ex), node.pos) from None
-                raise
+                raise _at(ex, node.pos) from None
         try:
             if node.fn == "abs":
                 v = go(node.args[0])
@@ -487,9 +474,7 @@ def eval_hyper_traced(
                 return go(node.args[1]).nth_root(n)
             return apply_analytic(node.fn, go(node.args[0]))
         except MathError as ex:
-            if ex.pos is None:
-                raise type(ex)(str(ex), node.pos) from None
-            raise
+            raise _at(ex, node.pos) from None
 
     return go(e), trace
 
@@ -574,8 +559,8 @@ def symbolic_derivative(e: Expr, var: str) -> Expr:
                 _mul(e.left, symbolic_derivative(e.right, var)),
             )
             return Binary("/", num, Binary("^", e.right, _const(2)))
-        if e.op == "^" and isinstance(e.right, Const) and e.right.value.denominator == 1:
-            n = e.right.value
+        n = int_exponent(e)  # e is a power
+        if n is not None:
             if n == 0:
                 return _const(0)
             return _mul(
@@ -717,7 +702,7 @@ class _Codegen:
         n, d = self.part(node.args[0])
         if node.fn == "abs":
             return f"abs({n})", d
-        return self.call(node.pos, f"_approx(_A.{node.fn}_approx, {_fraction((n, d))}, {p}")
+        return self.call(node.pos, f"_approx(_R[{node.fn!r}], {_fraction((n, d))}, {p}")
 
     def binary(self, node: Binary) -> Part:
         an, ad = self.part(node.left)
@@ -743,12 +728,12 @@ class _Codegen:
 
     def power(self, node: Binary) -> Part:
         base = self.part(node.left)
-        if not (isinstance(node.right, Const) and node.right.value.denominator == 1):
+        k = int_exponent(node)
+        if k is None:
             exponent = _fraction(self.part(node.right))
             return self.call(
                 node.pos, f"_approx(_A.pow_approx, {_fraction(base)}, {exponent}, {self.digits}"
             )
-        k = int(node.right.value)
         if k == 0:
             return self.const_part(Fraction(1))
         an, ad = self.atom(base[0]), self.atom(base[1])
@@ -802,7 +787,7 @@ def _approx(fn, *args) -> tuple[int, int]:
     try:
         v = fn(*args[:-1])
     except MathError as ex:
-        raise type(ex)(str(ex), args[-1]) from None
+        raise _at(ex, args[-1]) from None
     return v.numerator, v.denominator
 
 
@@ -810,6 +795,7 @@ _COMPILED_SCOPE = {
     "_F": Fraction,
     "_DZ": DivisionByZero,
     "_A": approx,
+    "_R": _REAL_CALLS,
     "_approx": _approx,
     "_real_root": _real_root,
     "_index": _require_root_index,

@@ -50,7 +50,7 @@ from .errors import (
     UnknownFunctional,
     ZeroMass,
 )
-from .exprs import Binary, Const, Expr, Unary, Var, compile_real, free_vars
+from .exprs import Binary, Const, Expr, Unary, Var, compile_real, free_vars, int_exponent
 from .field import DEFAULT_PRECISION, Field
 from .rationals import decimal_str, format_rational, show_rational
 
@@ -899,7 +899,6 @@ def gauge_sum(
 def polynomial_antiderivative(e: Expr, var: str) -> Expr:
     """Antiderivative of a polynomial expression; raises UnknownFunctional
     for anything whose exact cell integral is not closed-form here."""
-    zero = Fraction(0)
     if isinstance(e, Const):
         return Binary("*", e, Var(var))
     if isinstance(e, Var):
@@ -922,18 +921,10 @@ def polynomial_antiderivative(e: Expr, var: str) -> Expr:
                 return Binary("*", e.right, polynomial_antiderivative(e.left, var))
         if e.op == "/" and var not in free_vars(e.right):
             return Binary("/", polynomial_antiderivative(e.left, var), e.right)
-        if (
-            e.op == "^"
-            and isinstance(e.left, Var)
-            and e.left.name == var
-            and isinstance(e.right, Const)
-            and e.right.value.denominator == 1
-            and e.right.value >= zero
-        ):
-            n = e.right.value
-            return Binary(
-                "/", Binary("^", Var(var), Const(n + 1)), Const(n + 1)
-            )
+        n = int_exponent(e) if e.op == "^" else None
+        if n is not None and n >= 0 and isinstance(e.left, Var) and e.left.name == var:
+            n1 = Const(Fraction(n + 1))
+            return Binary("/", Binary("^", Var(var), n1), n1)
     raise UnknownFunctional(f"no closed-form cell integral for this generator")
 
 
