@@ -590,12 +590,14 @@ def _cmd_converge(args, cfg: Field) -> None:
 
 def _cmd_probe_supernear(args, cfg: Field) -> None:
     a, b = _parse_interval(args.on)
-    meshes = [_cells_for(a, b, m) for m in _parse_meshes(args.meshes)]
-    rep = integration.supernearness_probe(parse(args.generator), parse(args.target),
-                                          a, b, meshes, cfg.precision)
-    rows = [{"mesh": _fmt(m), "max_deviation": _fmt(dev)} for m, dev in rep.rows]
+    meshes = _parse_meshes(args.meshes)
+    rep = integration.supernearness_probe(parse(args.generator), parse(args.target), a, b,
+                                          [_cells_for(a, b, m) for m in meshes], cfg.precision)
+    # each row at its requested mesh, as in measure and converge
+    devs = [(m, dev) for m, (_, dev) in zip(meshes, rep.rows)]
+    rows = [{"mesh": _fmt(m), "max_deviation": _fmt(dev)} for m, dev in devs]
     text_lines = ["supernearness probe (finite-scale emulation)"]
-    text_lines += [f"  mesh {_fmt(m):>10}  max deviation {_fmt(dev)}" for m, dev in rep.rows]
+    text_lines += [f"  mesh {_fmt(m):>10}  max deviation {_fmt(dev)}" for m, dev in devs]
     text_lines.append(f"  decreasing: {rep.decreasing()}")
     _emit(args, "probe-supernear",
           {"generator": args.generator, "target": args.target, "on": args.on},

@@ -64,10 +64,11 @@ def tokenize(source: str) -> list[Token]:
             i += 1
             continue
         start = i
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        # decimal digits only: Fraction refuses other digits, such as '²'
+        if ch.isdecimal() or (ch == "." and i + 1 < n and source[i + 1].isdecimal()):
             i += 1
             seen_dot = ch == "."
-            while i < n and (source[i].isdigit() or (source[i] == "." and not seen_dot)):
+            while i < n and (source[i].isdecimal() or (source[i] == "." and not seen_dot)):
                 seen_dot = seen_dot or source[i] == "."
                 i += 1
             tokens.append(Token("number", source[start:i], start))
@@ -305,10 +306,7 @@ def free_vars(e: Expr) -> set[str]:
     if isinstance(e, Binary):
         return free_vars(e.left) | free_vars(e.right)
     if isinstance(e, Call):
-        out: set[str] = set()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
+        return set().union(*map(free_vars, e.args))
     return set()
 
 
@@ -486,8 +484,7 @@ def eval_hyper(e: Expr, env: dict[str, HyperReal], cfg: Field) -> HyperReal:
     a base a*eps^lam), any other as exp(r ln x).  At a
     rational point the standard part equals ``eval_real`` there (constants
     come from the same ``approx`` kernels), or both refuse at the same
-    offset, except that an integer power past the exact-power guard is
-    refused here where ``eval_real`` takes exp(n ln x)."""
+    offset."""
     value, _ = eval_hyper_traced(e, env, cfg)
     return value
 
@@ -538,36 +535,28 @@ def symbolic_derivative(e: Expr, var: str) -> Expr:
     if isinstance(e, Const):
         return _const(0)
     if isinstance(e, Var):
-        if e.name == var:
-            return _const(1)
-        return _const(0)
+        return _const(1 if e.name == var else 0)
     if isinstance(e, Unary):
         return Unary("-", symbolic_derivative(e.operand, var))
-    if isinstance(e, Binary):
+    if isinstance(e, Binary) and e.op != "^":
+        dl, dr = symbolic_derivative(e.left, var), symbolic_derivative(e.right, var)
         if e.op == "+":
-            return _add(symbolic_derivative(e.left, var), symbolic_derivative(e.right, var))
+            return _add(dl, dr)
         if e.op == "-":
-            return _sub(symbolic_derivative(e.left, var), symbolic_derivative(e.right, var))
+            return _sub(dl, dr)
+        terms = (_mul(dl, e.right), _mul(e.left, dr))  # f'g, fg': product and quotient rules
         if e.op == "*":
-            return _add(
-                _mul(symbolic_derivative(e.left, var), e.right),
-                _mul(e.left, symbolic_derivative(e.right, var)),
-            )
-        if e.op == "/":
-            num = _sub(
-                _mul(symbolic_derivative(e.left, var), e.right),
-                _mul(e.left, symbolic_derivative(e.right, var)),
-            )
-            return Binary("/", num, Binary("^", e.right, _const(2)))
-        n = int_exponent(e)  # e is a power
-        if n is not None:
-            if n == 0:
-                return _const(0)
-            return _mul(
-                _mul(_const(n), Binary("^", e.left, _const(n - 1))),
-                symbolic_derivative(e.left, var),
-            )
-        raise UnsupportedNode(f"derivative rule for ^ with non-integer exponent", e.pos)
+            return _add(*terms)
+        return Binary("/", _sub(*terms), Binary("^", e.right, _const(2)))
+    if isinstance(e, Binary):
+        n = int_exponent(e)
+        if n is None:
+            raise UnsupportedNode("derivative rule for ^ with non-integer exponent", e.pos)
+        if n == 0:
+            return _const(0)
+        return _mul(
+            _mul(_const(n), Binary("^", e.left, _const(n - 1))), symbolic_derivative(e.left, var)
+        )
     raise UnsupportedNode(f"derivative rule for call {e.fn!r}", e.pos)
 
 

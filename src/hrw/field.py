@@ -324,12 +324,28 @@ class HyperReal:
         return self._coerce(other) / self
 
     def __pow__(self, n: int) -> "HyperReal":
+        """self^n for an integer n.  Past the exact-power guard of the leading
+        coefficient a (``approx.power_too_large``) a < 0 is refused, and a > 0
+        takes the real-power rule with the head a^n from ``int_pow``, exp(n ln a)
+        to the precision, as in ``eval_real``.  With more than one term the
+        binomial coefficients of the window's ~window terms reach about
+        window * bit_length(n) bits and take bit_length(n) squarings; their
+        product is held to approx.POWER_BITS, so a huge exponent is refused
+        even when a = +-1."""
         if not isinstance(n, int):
             raise TypeError("series power requires an integer exponent")
-        if self.terms and self._power_too_costly(n):
-            raise ApproxOverflow(
-                f"power {n} of a series with leading coefficient {show_rational(self.terms[0][1])}"
-            )
+        if self.terms:
+            lead = self.terms[0][1]
+            guarded = abs(lead) != 1 and approx.power_too_large(lead, n)
+            wide = len(self.terms) > 1 and self.window * n.bit_length() ** 2 > approx.POWER_BITS
+            if wide or (guarded and lead < 0):
+                raise ApproxOverflow(
+                    f"power {n} of a series with leading coefficient {show_rational(lead)}"
+                )
+            if guarded:
+                return self._real_power(
+                    Fraction(n), lambda a: approx.int_pow(a, n, self.precision), "power"
+                )
         if n < 0:
             return self.inv() ** (-n)
         result = self._lift([(0, Fraction(1))])
@@ -341,20 +357,6 @@ class HyperReal:
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-    def _power_too_costly(self, n: int) -> bool:
-        """True when self^n is too costly to build exactly.
-
-        The leading coefficient a gives a^n, held to approx.POWER_BITS unless
-        a = +-1.  With more than one term, the binomial coefficients of the
-        window's ~window terms reach about window * bit_length(n) bits and
-        take bit_length(n) squarings to build; their product is held to the
-        same budget, so a huge exponent is refused even when a = +-1.
-        """
-        lead = self.terms[0][1]
-        if abs(lead) != 1 and approx.power_too_large(lead, n):
-            return True
-        return len(self.terms) > 1 and self.window * n.bit_length() ** 2 > approx.POWER_BITS
 
     def nth_root(self, n: int) -> "HyperReal":
         """n-th root: the real power 1/n, its head from ``nth_root_approx``

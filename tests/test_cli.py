@@ -58,6 +58,12 @@ class TestValues:
         code, out, _ = invoke(capsys, "limit-fn", "1/x", "--at", "0")
         assert code == 0 and "left: -inf" in out and "right: +inf" in out
 
+    def test_limit_fn_past_the_exact_power_guard(self, capsys):
+        # the series takes a^n past the guard from int_pow, as eval does
+        assert invoke(capsys, "eval", "(1/2)^300000") == (0, "0\n", "")
+        code, out, _ = invoke(capsys, "limit-fn", "(x/2)^300000", "--at", "1")
+        assert (code, out) == (0, "0 (method: field-evaluation)\n")
+
     def test_eval(self, capsys):
         code, out, _ = invoke(capsys, "eval", "x^2+1", "--at", "x=2")
         assert code == 0 and out == "5\n"
@@ -228,6 +234,12 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("parse-error:")
 
+    def test_non_decimal_digit_is_a_parse_error(self, capsys):
+        # '²' is a digit to str.isdigit but not a decimal digit to Fraction
+        code, _, err = invoke(capsys, "eval", "2²")
+        assert code == 2
+        assert err == "parse-error: expected token at offset 1, found '²'\n"
+
     def test_domain_error_named(self, capsys):
         code, _, err = invoke(capsys, "eval", "ln(-1)")
         assert code == 1 and "DomainError" in err
@@ -275,18 +287,22 @@ class TestExitCodes:
         assert err.startswith("parse-error: expected positive mesh") and err.count("\n") == 1
 
     def test_probe_mesh_wider_than_the_interval(self, capsys):
-        # the cell count is rounded up, as for every other command: one cell here
+        # the cell count is rounded up, as for every other command: one cell
+        # here, in a row at the requested mesh
         code, out, _ = invoke(capsys, "probe-supernear", "--generator=x", "--target=x",
                               "--on=0,1", "--meshes=2", "--format=json")
         assert code == 0
-        assert [row["mesh"] for row in json.loads(out)["result"]["rows"]] == ["1"]
+        assert [row["mesh"] for row in json.loads(out)["result"]["rows"]] == ["2"]
 
     def test_probe_rounds_cells_up(self, capsys):
-        # 2/3 on [0, 1] takes two cells of 1/2, as measure and converge do
+        # 2/3 on [0, 1] takes two cells of 1/2, and its row reads the
+        # requested 2/3, as in measure and converge
         code, out, _ = invoke(capsys, "probe-supernear", "--generator=x", "--target=x",
                               "--on=0,1", "--meshes=2/3,1/3", "--format=json")
         assert code == 0
-        assert [row["mesh"] for row in json.loads(out)["result"]["rows"]] == ["1/2", "1/3"]
+        rows = json.loads(out)["result"]["rows"]
+        assert [row["mesh"] for row in rows] == ["2/3", "1/3"]
+        assert [row["max_deviation"] for row in rows] == ["1/4", "1/6"]
 
 
 class TestDeterminism:

@@ -70,6 +70,13 @@ class TestTokens:
             tokenize("2 ? 3")
         assert err.value.pos == 2
 
+    def test_numbers_take_decimal_digits_only(self):
+        with pytest.raises(ParseError) as err:
+            parse("2²")
+        assert err.value.pos == 1
+        assert parse("x²") == Var("x²")  # still one identifier
+        assert parse("٣.5") == Const(F(7, 2))  # decimal digits of another script
+
 
 class TestParser:
     def test_precedence_tree(self):

@@ -5,7 +5,8 @@ Expressions are random trees over ``+ - * /``, unary minus, ``pi`` and ``e``,
 integer powers (negative ones, and ones on either side of the 200 000-bit
 exact-power guard), fractional and variable powers, ``abs``, ``sqrt``,
 ``root`` and the transcendental calls.  They are rendered to text and parsed
-back, so every node carries a real source offset, and evaluated at random
+back, so every node carries a real source offset (and the text of a parsed
+tree must render back to itself), and evaluated at random
 rationals drawn partly from the constants of the trees, so zero divisors,
 zero bases and negative radicands occur.  ``compile_real`` must give the
 value of ``eval_real`` exactly, or raise the same exception with the same
@@ -175,6 +176,17 @@ def parsed(e: Expr) -> Expr:
     return parse(render(e))
 
 
+def test_render_parse_fixpoint():
+    # render(parse(t)) == t for the text of every parsed tree: the parser's
+    # productions and the renderer's parentheses agree on random trees
+    rng = random.Random(2000)
+    gen = ExprGen(rng, NAMES)
+    for _ in range(2000):
+        e = parsed(gen.tree(rng.randint(1, 5)))
+        t = render(e)
+        assert parse(t) == e and render(parse(t)) == t, t
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_compiled_equals_tree_walk(seed):
     rng = random.Random(seed)
@@ -222,7 +234,7 @@ def test_series_standard_part_equals_eval_real(seed):
     gen = ExprGen(rng, ("x",))
     fld = Field(precision=PRECISION)
     for _ in range(200):
-        e = parsed(gen.tree(rng.randint(1, 4), big=False))
+        e = parsed(gen.tree(rng.randint(1, 4)))  # powers at the exact-power guard too
         for _ in range(5):
             q = rand_rational(rng)
             want = refusal_or_value(eval_real, e, {"x": q}, PRECISION)
