@@ -306,7 +306,10 @@ def free_vars(e: Expr) -> set[str]:
     if isinstance(e, Binary):
         return free_vars(e.left) | free_vars(e.right)
     if isinstance(e, Call):
-        return set().union(*map(free_vars, e.args))
+        out: set[str] = set()
+        for a in e.args:
+            out |= free_vars(a)
+        return out
     return set()
 
 
@@ -356,8 +359,8 @@ def _real_root(n: int, v: Fraction, digits: int) -> Fraction:
 
 
 def _at(ex: MathError, pos: int) -> MathError:
-    """ex located at the offset of the node that raised it, unless an inner
-    node has located it already."""
+    """ex located at pos, the offset of the node whose rule raised it, or ex
+    itself when an inner node has located it already."""
     return ex if ex.pos is not None else type(ex)(str(ex), pos)
 
 
@@ -535,7 +538,9 @@ def symbolic_derivative(e: Expr, var: str) -> Expr:
     if isinstance(e, Const):
         return _const(0)
     if isinstance(e, Var):
-        return _const(1 if e.name == var else 0)
+        if e.name == var:
+            return _const(1)
+        return _const(0)
     if isinstance(e, Unary):
         return Unary("-", symbolic_derivative(e.operand, var))
     if isinstance(e, Binary) and e.op != "^":
