@@ -20,7 +20,9 @@ mixed denominators; ``tagged_partition`` must return those cells and tags.
 
 The standard part of a series evaluation at a rational point must equal
 ``eval_real`` there exactly, or both must refuse at the same offset; real
-powers included, since both evaluators take a^r from ``pow_approx``.  At an
+powers included, since both evaluators take a^r from ``pow_approx``, and
+integer powers past the exact-power guard, whose a^n both take from
+``int_pow``.  At an
 infinitesimal or unlimited base the order of a power must not depend on the
 precision: a rounded exponent is refused there.
 
