@@ -1,28 +1,50 @@
 """Rational approximations of elementary constants.
 
 Every function returns an exact :class:`Fraction` within 10^-digits of the
-true real value and finishes with a round to the 10^-digits grid (nearest,
-ties to even).  No floating point is involved anywhere, so results are
-identical across runs and platforms and can be cached by value.
+true real value: an exact value, a point of the 10^-digits grid (a guarded
+approximation rounded to nearest, ties to even), or for sqrt(v/m^2) that
+point for sqrt(v) divided by m.  No floating point is involved anywhere, so
+results are identical across runs and platforms and can be cached by value.
 
-Every series runs on integers scaled by 10^g, g = digits + guard digits, in
-one of two kernels:
+Each kernel runs on integers, from its argument's numerator n and
+denominator d to its final rounding.  A series value is an integer S that
+stands for S/10^g, g = digits + guard digits; the result is S rounded once
+to the 10^-digits grid by one ``divmod`` (``rationals.round_half_even``),
+and the kernel builds no :class:`Fraction` but that result.  Two series
+kernels do the work:
 
-* ``_taylor_sums(y, scale)`` sums ``floor(|y|^k/k! * scale)`` grouped by
+* ``_taylor_sums(n, d, scale)`` sums ``floor((n/d)^k/k! * scale)`` grouped by
   ``k mod 4``, so ``exp = S0+S2 ± (S1+S3)``, ``cos = S0-S2`` and
   ``sin = ±(S1-S3)`` (arguments reduced to |y| <= 1/2 for exp, |y| <= 4
   for sin and cos);
-* ``_atan_sums(u, scale)`` sums ``floor(|u|^(2k+1)/(2k+1) * scale)`` over
-  even and odd k, so ``arctan = A0-A1`` (pi by Machin) and ``artanh = A0+A1``
-  (``ln``, with ``ln 2 = 2 artanh(1/3)``), for |u| <= 1/3.
+* ``_atan_sums(n, d, scale)`` sums ``floor((n/d)^(2k+1)/(2k+1) * scale)``
+  over even and odd k, so ``arctan = A0-A1`` (pi by Machin) and
+  ``artanh = A0+A1`` (``ln``, with ``ln 2 = 2 artanh(1/3)``, summed once
+  per scale), for n/d <= 1/3.
 
-Each term is computed from the previous one by one floor division, which
-loses less than one grid unit; the error carried from earlier terms is
-multiplied by the term ratio (|y|/k <= 4/k, or u^2 <= 1/9), so it stays
-below ten units per term.  A series has at most a few hundred terms, so the
-floors cost less than 10^4 units of 10^-g, and the guard digits (at least
-12) keep that below 10^-(digits+8): far under the final rounding.  A series
-stops when its scaled term reaches 0, after which the tail is below one unit.
+A floor of ``m*n // (d*k)`` depends only on the ratio n/d, so no fraction is
+ever reduced.  The range reductions are integer operations too:
+
+* exp halves its argument h times, to |x|/2^h <= 1/2, by shifting d, then
+  squares the series value h times, each square rounded back to the grid:
+  ``R = round_half_even(R*R, 10^g)``;
+* ln writes x = 2^e2 * t with t in [3/4, 3/2], e2 taken from bit lengths,
+  and sums ln t = 2 artanh((t-1)/(t+1)), |(t-1)/(t+1)| <= 1/5;
+* sin and cos past |x| = 4 subtract k*2pi, k = round(x/2pi), as
+  ``(n*Q - k*P*d) / (d*Q)`` with 2pi = P/Q, pi and the series carrying
+  extra digits for the size of x.
+
+Error budget.  Each term is computed from the previous one by one floor
+division, which loses less than one grid unit; the error carried from
+earlier terms is multiplied by the term ratio (|y|/k <= 4/k, or u^2 <= 1/9),
+so it stays below ten units per term.  A series has at most a few hundred
+terms, so the floors cost less than 10^4 units of 10^-g, and the guard
+digits (at least 12) keep that below 10^-(digits+8): far under the final
+rounding.  A series stops when its scaled term reaches 0, after which the
+tail is below one unit.  Each of exp's h squarings doubles the relative
+error of R and adds half a unit, so they multiply the series error by at
+most 2^h < 10^h, and the value e^x has at most (|x| log10 e) + 1 integer
+digits: exp carries h plus that many more guard digits.
 
 Exact cases short-circuit: integer powers, perfect roots, sin(0), ln(1).
 """
@@ -34,11 +56,10 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import ApproxOverflow, DivisionByZero, DomainError
-from .rationals import round_to_digits, show_rational
+from .rationals import round_half_even, show_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 _GUARD = 12  # guard digits on top of the requested precision
 _EXP_ARG_CAP = 300  # e^300 ~ 10^130; enough to witness any divergence bound
@@ -50,9 +71,8 @@ def _digits_of(n: int) -> int:
     return len(str(abs(int(n)))) if n else 1
 
 
-def _taylor_sums(y: Fraction, scale: int) -> list[int]:
-    """[S0, S1, S2, S3]: S_j sums floor(|y|^k/k! * scale) over k = j mod 4."""
-    n, d = abs(y.numerator), y.denominator
+def _taylor_sums(n: int, d: int, scale: int) -> list[int]:
+    """[S0, S1, S2, S3]: S_j sums floor((n/d)^k/k! * scale) over k = j mod 4, n >= 0."""
     sums = [0, 0, 0, 0]
     m, k = scale, 0
     while m:
@@ -62,12 +82,11 @@ def _taylor_sums(y: Fraction, scale: int) -> list[int]:
     return sums
 
 
-def _atan_sums(u: Fraction, scale: int) -> list[int]:
-    """[A0, A1]: A_j sums floor(|u|^(2k+1)/(2k+1) * scale) over k = j mod 2."""
-    n, d = abs(u.numerator), u.denominator
+def _atan_sums(n: int, d: int, scale: int) -> list[int]:
+    """[A0, A1]: A_j sums floor((n/d)^(2k+1)/(2k+1) * scale) over k = j mod 2, n >= 0."""
     n2, d2 = n * n, d * d
     sums = [0, 0]
-    p, k = (n * scale) // d, 0  # p = floor(|u|^(2k+1) * scale)
+    p, k = (n * scale) // d, 0  # p = floor((n/d)^(2k+1) * scale)
     while p:
         sums[k & 1] += p // (2 * k + 1)
         k += 1
@@ -75,13 +94,19 @@ def _atan_sums(u: Fraction, scale: int) -> list[int]:
     return sums
 
 
+def _grid(n: int, d: int, digits: int) -> Fraction:
+    """round(n/d) / 10^digits, ties to even, for d > 0: a kernel's one rounding."""
+    return Fraction(round_half_even(n, d), 10**digits)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def pi_approx(digits: int) -> Fraction:
     """pi via Machin: 16*arctan(1/5) - 4*arctan(1/239)."""
-    scale = 10 ** (digits + _GUARD + 2)
-    a0, a1 = _atan_sums(Fraction(1, 5), scale)
-    b0, b1 = _atan_sums(Fraction(1, 239), scale)
-    return round_to_digits(Fraction(16 * (a0 - a1) - 4 * (b0 - b1), scale), digits)
+    g = digits + _GUARD + 2
+    scale = 10**g
+    a0, a1 = _atan_sums(1, 5, scale)
+    b0, b1 = _atan_sums(1, 239, scale)
+    return _grid(16 * (a0 - a1) - 4 * (b0 - b1), 10 ** (g - digits), digits)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -92,26 +117,30 @@ def exp_approx(x: Fraction, digits: int) -> Fraction:
     magnitude cap raise ApproxOverflow rather than materializing an enormous
     numerator (callers probing divergence treat that as an oversize sample).
     """
-    if x == 0:
+    n, d = x.numerator, x.denominator
+    if n == 0:
         return ONE
-    if x <= -3 * (digits + 2):  # e^{-3k} < 10^{-1.3k}
+    if n <= -3 * (digits + 2) * d:  # e^{-3k} < 10^{-1.3k}
         return ZERO
-    if x > _EXP_ARG_CAP:
+    if n > _EXP_ARG_CAP * d:
         raise ApproxOverflow(f"exp argument {show_rational(x)} exceeds magnitude cap")
-    halvings = 0
-    y = x
-    while abs(y) > HALF:
-        y /= 2
-        halvings += 1
-    extra = (abs(int(x)) * 4343) // 10000 + 2  # digits of e^|x|
+    a = abs(n)
+    halvings = 0  # the least h with a/(d*2^h) <= 1/2
+    if 2 * a > d:
+        halvings = (2 * a).bit_length() - d.bit_length()
+        if d << halvings < 2 * a:
+            halvings += 1
+    extra = (a // d * 4343) // 10000 + 2  # digits of e^|x|
     g = digits + _GUARD + halvings + extra
     scale = 10**g
-    s0, s1, s2, s3 = _taylor_sums(y, scale)
-    odd = s1 + s3 if y > 0 else -(s1 + s3)
-    result = Fraction(s0 + s2 + odd, scale)
+    s0, s1, s2, s3 = _taylor_sums(a, d << halvings, scale)
+    r = s0 + s2 + (s1 + s3 if n > 0 else -(s1 + s3))
     for _ in range(halvings):
-        result = round_to_digits(result * result, g)
-    return round_to_digits(result, digits)
+        r = round_half_even(r * r, scale)
+    return _grid(r, 10 ** (g - digits), digits)
+
+
+_ARTANH_THIRD: dict[int, int] = {}  # g -> A0+A1 of artanh(1/3) over 10^g (ln 2 = 2 artanh(1/3))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -120,42 +149,52 @@ def ln_approx(x: Fraction, digits: int) -> Fraction:
 
     x = 2^e2 * t with t in [3/4, 3/2], and ln t = 2 artanh((t-1)/(t+1)).
     """
-    if x <= 0:
+    n, d = x.numerator, x.denominator
+    if n <= 0:
         raise DomainError(f"ln of non-positive value {show_rational(x)}")
-    if x == 1:
+    if n == d:
         return ZERO
     e2 = 0
-    t = x
-    while t > Fraction(3, 2):
-        t /= 2
-        e2 += 1
-    while t < Fraction(3, 4):
-        t *= 2
-        e2 -= 1
-    scale = 10 ** (digits + _GUARD + _digits_of(e2))
-    u = (t - 1) / (t + 1)  # |u| <= 1/5
-    total = sum(_atan_sums(u, scale))
-    if u < 0:
+    if 2 * n > 3 * d:  # the least e2 with t = n/(d*2^e2) <= 3/2
+        e2 = (2 * n).bit_length() - (3 * d).bit_length()
+        if (3 * d) << e2 < 2 * n:
+            e2 += 1
+        d <<= e2
+    elif 4 * n < 3 * d:  # the least -e2 with t = n*2^-e2/d >= 3/4
+        e2 = (4 * n).bit_length() - (3 * d).bit_length()
+        if (4 * n) << -e2 < 3 * d:
+            e2 -= 1
+        n <<= -e2
+    g = digits + _GUARD + _digits_of(e2)
+    scale = 10**g
+    total = sum(_atan_sums(abs(n - d), n + d, scale))  # artanh |t-1|/(t+1)
+    if n < d:
         total = -total
     if e2:
-        total += e2 * sum(_atan_sums(Fraction(1, 3), scale))
-    return round_to_digits(Fraction(2 * total, scale), digits)
+        third = _ARTANH_THIRD.get(g)
+        if third is None:
+            if len(_ARTANH_THIRD) >= CACHE_SIZE:
+                _ARTANH_THIRD.clear()
+            third = _ARTANH_THIRD[g] = sum(_atan_sums(1, 3, scale))
+        total += e2 * third
+    return _grid(2 * total, 10 ** (g - digits), digits)
 
 
-def _sin_cos(x: Fraction, g: int) -> tuple[Fraction, Fraction]:
-    """(sin x, cos x), each within 10^-(g-4).
+def _sin_cos(x: Fraction, g: int) -> tuple[int, int, int]:
+    """(S, C, g'): sin x and cos x as S/10^g' and C/10^g', each within 10^-(g-4).
 
     Arguments past 4 are first reduced by the nearest multiple of 2pi, with
-    pi and the series carrying extra digits for the size of x.
+    pi and the series carrying g' - g extra digits for the size of x.
     """
-    if abs(x) > 4:
-        g += _digits_of(int(abs(x))) + 2
-        two_pi = 2 * pi_approx(g)
-        x -= round(x / two_pi) * two_pi
-    scale = 10**g
-    s0, s1, s2, s3 = _taylor_sums(x, scale)
-    odd = s1 - s3 if x >= 0 else s3 - s1
-    return Fraction(odd, scale), Fraction(s0 - s2, scale)
+    n, d = x.numerator, x.denominator
+    if abs(n) > 4 * d:
+        g += _digits_of(abs(n) // d) + 2
+        pi = pi_approx(g)
+        p, q = 2 * pi.numerator, pi.denominator  # 2pi = p/q
+        k = round_half_even(n * q, p * d)
+        n, d = n * q - k * p * d, d * q
+    s0, s1, s2, s3 = _taylor_sums(abs(n), d, 10**g)
+    return (s1 - s3 if n >= 0 else s3 - s1), s0 - s2, g
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -163,8 +202,9 @@ def sin_cos_approx(x: Fraction, digits: int) -> tuple[Fraction, Fraction]:
     """(sin x, cos x), each within 10^-digits, from one pass."""
     if x == 0:
         return ZERO, ONE
-    s, c = _sin_cos(x, digits + _GUARD)
-    return round_to_digits(s, digits), round_to_digits(c, digits)
+    s, c, g = _sin_cos(x, digits + _GUARD)
+    unit = 10 ** (g - digits)
+    return _grid(s, unit, digits), _grid(c, unit, digits)
 
 
 def sin_approx(x: Fraction, digits: int) -> Fraction:
@@ -185,16 +225,19 @@ def tan_approx(x: Fraction, digits: int) -> Fraction:
     if x == 0:
         return ZERO
     g = digits + _GUARD + 4
-    s, c = _sin_cos(x, g + _GUARD)
-    c = round_to_digits(c, g)
-    if abs(c) * 10 ** max(2, digits) < 1:
+    s, c, gs = _sin_cos(x, g + _GUARD)
+    c = round_half_even(c, 10 ** (gs - g))  # cos x over 10^g
+    if abs(c) < 10 ** (g - max(2, digits)):
         raise DomainError(f"tan undefined near {show_rational(x)}: cos too close to 0")
-    k = g - _digits_of(int(abs(c) * 10**g))
+    k = g - _digits_of(c)
     if k > 0:
         g += 2 * k
-        s, c = _sin_cos(x, g + _GUARD)
-        c = round_to_digits(c, g)
-    return round_to_digits(round_to_digits(s, g) / c, digits)
+        s, c, gs = _sin_cos(x, g + _GUARD)
+        c = round_half_even(c, 10 ** (gs - g))
+    s = round_half_even(s, 10 ** (gs - g))
+    if c < 0:
+        s, c = -s, -c
+    return _grid(s * 10**digits, c, digits)
 
 
 def _int_nthroot(a: int, n: int) -> int:
@@ -237,24 +280,25 @@ def sqrt_approx(x: Fraction, digits: int) -> Fraction:
     Perfect-square parts of the numerator and denominator are factored out
     before approximating, so sqrt(v/m^2) = sqrt~(v)/m exactly; polygonal sums
     of scaled copies of one segment then agree exactly across mesh sizes.
+    sqrt(m^2/v) is m/sqrt~(v) rounded, sqrt~(v) taken to 6 more digits and
+    to as many more as m/v has integer digits.
     """
     if x < 0:
         raise DomainError(f"sqrt of negative value {show_rational(x)}")
     if x == 0:
         return ZERO
-    exact = exact_nth_root(x, 2)
-    if exact is not None:
-        return exact
     num, den = x.numerator, x.denominator
-    sd = isqrt(den)
-    if den > 1 and sd * sd == den:
+    sn, sd = isqrt(num), isqrt(den)
+    num_square, den_square = sn * sn == num, sd * sd == den
+    if num_square and den_square:
+        return Fraction(sn, sd)
+    if den > 1 and den_square:
         return sqrt_approx(Fraction(num), digits) / sd
-    sn = isqrt(num)
-    if den > 1 and sn * sn == num:
-        return round_to_digits(sn / sqrt_approx(Fraction(den), digits + 6), digits)
+    if num_square:  # den > 1, as den is not a square
+        r = sqrt_approx(Fraction(den), digits + 6 + (_digits_of(sn // den) if sn > den else 0))
+        return _grid(sn * r.denominator * 10**digits, r.numerator, digits)
     g = digits + 6
-    approx = Fraction(isqrt(num * den * 10 ** (2 * g)), den * 10**g)
-    return round_to_digits(approx, digits)
+    return _grid(isqrt(num * den * 10 ** (2 * g)), den * 10 ** (g - digits), digits)
 
 
 def power_too_large(x: Fraction, n: int) -> bool:
@@ -266,11 +310,12 @@ def _exp_ln(x: Fraction, r: Fraction, g: int, digits: int) -> Fraction:
     """x^r = exp(r ln x) for x > 0 to 10^-digits, ln taken to g digits; an
     overflow names the power rather than the exponent of exp."""
     try:
-        return round_to_digits(exp_approx(r * ln_approx(x, g), g - 4), digits)
+        v = exp_approx(r * ln_approx(x, g), g - 4)
     except ApproxOverflow:
         base = show_rational(x) if x.denominator == 1 else f"({show_rational(x)})"
         power = show_rational(r) if r.denominator == 1 else f"({show_rational(r)})"
         raise ApproxOverflow(f"power {base}^{power} exceeds magnitude cap") from None
+    return _grid(v.numerator * 10**digits, v.denominator, digits)
 
 
 def int_pow(x: Fraction, n: int, digits: int) -> Fraction:

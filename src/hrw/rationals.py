@@ -66,13 +66,18 @@ def show_rational(q) -> str:
     return str(q)
 
 
+def round_half_even(n: int, d: int) -> int:
+    """The integer nearest n/d for d > 0, ties to even: one ``divmod``."""
+    q, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and q & 1):
+        q += 1
+    return q
+
+
 def round_to_digits(x: Fraction, digits: int) -> Fraction:
     """Round to the nearest multiple of 10^-digits (ties to even), in integers."""
     scale = 10**digits
-    q, r = divmod(x.numerator * scale, x.denominator)
-    if 2 * r > x.denominator or (2 * r == x.denominator and q & 1):
-        q += 1
-    return Fraction(q, scale)
+    return Fraction(round_half_even(x.numerator * scale, x.denominator), scale)
 
 
 def decimal_str(q: Fraction, digits: int = 12) -> str:

@@ -262,6 +262,76 @@ def test_tan_near_poles_matches_decimal():
     assert approx.tan_approx(F(157, 100), 4) == F("1255.7656")
 
 
+# -- the edges of the range reductions, against decimal ----------------------------------
+
+EDGE_DIGITS = (12, 40)
+NUDGE = F(1, 10**6)
+
+
+def _decimal(method: str, x: F, prec: int = 200) -> F:
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return F(getattr(_dec(x), method)())
+
+
+@pytest.mark.parametrize("digits", EDGE_DIGITS)
+def test_ln_at_the_reduction_edges(digits):
+    # x = 2^e2 * t reaches t = 3/2 from above and t = 3/4 from below; a power
+    # of 2 read off bit lengths can land on the other end of [3/4, 3/2]
+    xs = [3 * F(2) ** j for j in range(-12, 13)] + [F(3, 4), F(3, 2)]
+    xs += [x * (1 + s * NUDGE) for x in xs for s in (1, -1)]
+    for x in xs:
+        assert abs(approx.ln_approx(x, digits) - _decimal("ln", x)) < F(1, 10**digits), x
+
+
+@pytest.mark.parametrize("digits", EDGE_DIGITS)
+def test_exp_at_the_underflow_edge_and_the_cap(digits):
+    edge = F(-3 * (digits + 2))  # at and below it exp returns exact 0
+    for x in (edge - NUDGE, edge, edge + NUDGE, F(-1, 2) - NUDGE, F(1, 2) + NUDGE,
+              F(300) - NUDGE, F(300)):
+        assert abs(approx.exp_approx(x, digits) - _decimal("exp", x)) < F(1, 10**digits), x
+    assert approx.exp_approx(edge, digits) == 0
+    with pytest.raises(ApproxOverflow, match=r"^exp argument 300000001/1000000 exceeds magnitude cap$"):
+        approx.exp_approx(F(300) + NUDGE, digits)
+
+
+@pytest.mark.parametrize("digits", EDGE_DIGITS)
+def test_sin_cos_where_the_reduction_starts(digits):
+    for x in (F(4), F(-4), F(4) + NUDGE, F(4) - NUDGE, F(-4) + NUDGE, F(-4) - NUDGE):
+        s, c = _decimal_taylor(x)
+        assert abs(approx.sin_approx(x, digits) - F(s)) < F(1, 10**digits), x
+        assert abs(approx.cos_approx(x, digits) - F(c)) < F(1, 10**digits), x
+
+
+@pytest.mark.parametrize("digits", EDGE_DIGITS)
+def test_sqrt_with_one_square_part(digits):
+    # only the numerator a square (a large one too), or only the denominator
+    for m in (2, 150, 10**4, 10**8):
+        for v in (3, 7, 149, 10**6 + 3):
+            for x in (F(m * m, v), F(v, m * m)):
+                assert abs(approx.sqrt_approx(x, digits) - _decimal("sqrt", x)) < F(1, 10**digits), x
+
+
+@pytest.mark.parametrize("digits", (4, 12, 40))
+def test_tan_next_to_the_pole_refusal(digits):
+    # refused where |cos x| < 10^-max(2, digits): 9/10 of that refuses, 11/10 computes
+    half_pi = approx.pi_approx(200) / 2
+    limit = F(1, 10 ** max(2, digits))
+    refused = 0
+    for pole in (half_pi, -half_pi, 3 * half_pi):
+        for side in (1, -1):
+            for f in (F(9, 10), F(11, 10)):
+                x = pole + side * f * limit
+                s, c = _decimal_taylor(x, 260)
+                if abs(F(c)) < limit:
+                    refused += 1
+                    with pytest.raises(DomainError, match=r"^tan undefined near .*: cos too close to 0$"):
+                        approx.tan_approx(x, digits)
+                else:
+                    assert abs(approx.tan_approx(x, digits) - F(s) / F(c)) < F(1, 10**digits), x
+    assert refused == 6
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(

@@ -29,6 +29,12 @@ precision: a rounded exponent is refused there.
 ``measure K --meshes`` and ``converge K --meshes`` must tabulate the same
 study for seeded area, moment and impulse requests with a rational oracle.
 
+``exp``, ``ln``, ``sin``, ``cos``, ``tan`` and ``sqrt`` at seeded rationals
+and 12, 20 and 40 digits must return the point of the 10^-digits grid
+nearest to a 200-digit ``decimal`` value (ties to even), whatever method the
+kernels use; a value within 10^-(digits+6) of a grid midpoint, where the
+kernels' guard digits promise nothing, is skipped, and skips must be rare.
+
 Jets of random expressions (division, ``sqrt``/``root``, rational powers,
 the transcendental calls, and the cancellation shape f(x^k) minus its Taylor
 polynomial) must equal the coefficients of one direct evaluation at window
@@ -44,6 +50,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction as F
 from itertools import product
 
@@ -850,3 +857,79 @@ def test_measure_meshes_equals_converge(seed, capsys):
             tail = [*options, f"--meshes={meshes}", f"--oracle={rand_rational(rng)}",
                     f"--tags={rng.choice(TAG_RULES)}"]
             assert study(capsys, "measure", kind, *tail) == study(capsys, "converge", kind, *tail)
+
+
+# -- correct rounding of the approx kernels -------------------------------------------------
+
+REF_PREC = 200
+
+
+def decimal_value(name: str, x: F) -> Decimal:
+    """name(x) from ``decimal`` at REF_PREC digits: exp, ln and sqrt directly;
+    sin, cos and tan from the Taylor series at x, unreduced (|x| <= 100 loses
+    at most 44 of the digits to cancellation)."""
+    with localcontext() as ctx:
+        ctx.prec = REF_PREC
+        y = Decimal(x.numerator) / Decimal(x.denominator)
+        if name in ("exp", "ln", "sqrt"):
+            return getattr(y, name)()
+        parts = [Decimal(0)] * 4  # Taylor terms grouped by k mod 4
+        term, k = Decimal(1), 0
+        while k < 8 or abs(term) > Decimal(10) ** (10 - REF_PREC):
+            parts[k % 4] += term
+            k += 1
+            term = term * y / k
+        s, c = parts[1] - parts[3], parts[0] - parts[2]
+        return {"sin": s, "cos": c, "tan": s / c}[name]
+
+
+def nearest_grid_point(v: Decimal, digits: int) -> tuple[F, bool]:
+    """(v rounded to the 10^-digits grid, ties to even; whether v lies within
+    10^-(digits+6) of a grid midpoint)."""
+    with localcontext() as ctx:
+        ctx.prec = REF_PREC
+        scaled = v.scaleb(digits)
+        near = abs(scaled - scaled.to_integral_value(ROUND_FLOOR) - Decimal("0.5")) < Decimal("1e-6")
+        return F(int(scaled.to_integral_value(ROUND_HALF_EVEN)), 10**digits), near
+
+
+def kernel_argument(rng: random.Random, name: str, digits: int) -> F:
+    d = rng.randint(1, 10 ** rng.randint(0, 9))
+    if name == "exp":  # down past the underflow edge -3(digits+2), up to e^50
+        return F(rng.randint(-3 * (digits + 3) * d, 50 * d), d)
+    if name in ("sin", "cos", "tan"):
+        bound = rng.choice([4, 100])
+        return F(rng.randint(-bound * d, bound * d), d)
+    if name == "sqrt" and rng.random() < 0.3:  # only the numerator a square, up to 10^16
+        m = rng.randint(1, 10 ** rng.randint(1, 8))
+        while math.isqrt(d) ** 2 == d:
+            d += 1
+        return F(m * m, d)
+    while True:  # ln and sqrt: from 10^-12 to 10^12
+        x = F(rng.randint(1, 10 ** rng.randint(1, 12)), rng.randint(1, 10 ** rng.randint(0, 12)))
+        # sqrt(v/m^2) is sqrt(v)/m by design, off the grid; a perfect square is exact
+        if name == "ln" or math.isqrt(x.denominator) ** 2 != x.denominator:
+            return x
+
+
+KERNELS = {"exp": approx.exp_approx, "ln": approx.ln_approx, "sin": approx.sin_approx,
+           "cos": approx.cos_approx, "tan": approx.tan_approx, "sqrt": approx.sqrt_approx}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_kernels_round_correctly(seed):
+    rng = random.Random(900 + seed)
+    checked = skipped = 0
+    for digits in (12, 20, 40):
+        for name, kernel in KERNELS.items():
+            for _ in range(8):
+                x = kernel_argument(rng, name, digits)
+                got = kernel(x, digits)
+                assert (got * 10**digits).denominator == 1, (name, x, digits)
+                want, near_midpoint = nearest_grid_point(decimal_value(name, x), digits)
+                if near_midpoint:
+                    skipped += 1
+                    continue
+                checked += 1
+                assert got == want, (name, x, digits)
+    assert skipped * 100 <= checked
