@@ -219,7 +219,7 @@ def build_parser() -> _Parser:
                    choices=("riemann", "darboux", "stieltjes", "gauge", "mcshane"))
     p.add_argument("--on", default=None, help="interval a,b")
     p.add_argument("--rect", default=None, help="box a,b;c,d (riemann/darboux)")
-    p.add_argument("--mesh", default="1/64", help="cell width")
+    p.add_argument("--mesh", default="1/64", help="cell width; the gauge methods do not read it")
     p.add_argument("--tags", default="min-vertex", choices=TAG_RULES)
     p.add_argument("--phi", default=None, help="integrator for stieltjes")
     p.add_argument("--gauge", default=None, help="gauge radius expression")
@@ -384,17 +384,17 @@ def _cmd_kinematics(args, cfg: Field) -> None:
 
 def _cmd_integrate(args, cfg: Field) -> None:
     expr = parse(args.expr)
-    mesh = _parse_mesh(args.mesh)
-    params = {"expr": args.expr, "method": args.method, "mesh": args.mesh}
-    if args.method in ("gauge", "mcshane"):
+    if args.method in ("gauge", "mcshane"):  # the gauge sets the cells: no mesh
         if not args.on or not args.gauge:
             raise ParseError(0, "--on and --gauge for gauge methods", "missing")
         a, b = _parse_interval(args.on)
         mode = "mcshane" if args.method == "mcshane" else "tag-in-cell"
         value = integration.gauge_sum(expr, a, b, Gauge(parse(args.gauge)), mode, cfg.precision)
-        params["gauge"] = args.gauge
-        _emit(args, "integrate", params, {"value": _fmt(value)}, _pretty(value))
+        _emit(args, "integrate", {"expr": args.expr, "method": args.method, "gauge": args.gauge},
+              {"value": _fmt(value)}, _pretty(value))
         return
+    mesh = _parse_mesh(args.mesh)
+    params = {"expr": args.expr, "method": args.method, "mesh": args.mesh}
     if args.method == "stieltjes":
         if not args.on or not args.phi:
             raise ParseError(0, "--on and --phi for stieltjes", "missing")

@@ -26,6 +26,16 @@ vertex classifier otherwise), reading only the sign of each membership
 numerator, and then sum over the inner cells.  ``_breaks``,
 ``PartitionSpec.breakpoints`` and ``tagged_partition`` are ``Fraction``
 views of the same grid.
+
+Gauge partitions (``cousin_partition``) bisect on a dyadic integer grid: with
+[a, b] = [A/D, B/D], a point of depth j is an integer N over D 2^j, so cell
+k of depth j is [A 2^j + k (B - A), A 2^j + (k + 1)(B - A)] / (D 2^j).  The
+gauge is compiled in the pair convention and called on (N, D 2^j); a cell
+lies in the ball of a tag of radius n/d when (x - u) d <= n S and
+(v - x) d <= n S, with x, u, v the integer tag and cell ends at the finer
+depth and S its denominator.  Fractions are built only for the returned
+partition, one per distinct endpoint or tag; ``gauge_sum`` adds its pair
+values with ``_total``.
 """
 
 from __future__ import annotations
@@ -780,10 +790,14 @@ class Gauge:
         def delta(x: Fraction) -> Fraction:
             value = fn(x)
             if value <= 0:
-                raise DomainError(f"gauge must be positive, delta({x}) = {show_rational(value)}")
+                raise _not_positive(x, value)
             return value
 
         return delta
+
+
+def _not_positive(x: Fraction, value: Fraction) -> DomainError:
+    return DomainError(f"gauge must be positive, delta({x}) = {show_rational(value)}")
 
 
 _BISECT_CAP = 64
@@ -811,66 +825,100 @@ def cousin_partition(
     depth cap of 64 guards against gauges that vanish at machine scale, and a
     cap of 2048 accepted cells (a constant gauge of 1/2500 on a unit interval
     still fits) against gauges that vanish at a point; passing either raises
-    DepthExceeded naming the cell reached.
+    DepthExceeded naming the cell reached.  The bisection runs on the dyadic
+    integer grid of the module docstring.
     """
     if mode not in ("tag-in-cell", "mcshane"):
         raise ValueError("mode must be 'tag-in-cell' or 'mcshane'")
     a, b = Fraction(a), Fraction(b)
     if a >= b:
         raise ValueError("empty interval")
-    delta = gauge.compiled(precision)
-    cells: list[tuple[Fraction, Fraction]] = []
-    tags: list[Fraction] = []
+    fn = compile_real(gauge.radius, (first_variable("x", gauge.radius),), precision, pairs=True)
+    den = math.lcm(a.denominator, b.denominator)
+    base = a.numerator * (den // a.denominator)
+    width = b.numerator * (den // b.denominator) - base
 
-    def fits(u: Fraction, v: Fraction, x: Fraction) -> bool:
-        d = delta(x)
-        return x - d <= u and v <= x + d
+    def radius(x: int, j: int) -> tuple[int, int]:
+        """delta at x / (D 2^j) as an unreduced pair, refused unless positive."""
+        n, d = fn(x, den << j)
+        if n <= 0:
+            raise _not_positive(Fraction(x, den << j), Fraction(n, d))
+        return n, d
 
-    def accept(u: Fraction, v: Fraction) -> bool:
-        if mode == "mcshane" and tags:
-            # cells are accepted left to right and every tag is at most its
-            # cell's right end, so tags never decrease and the last one is the
-            # accepted tag nearest to this cell
-            anchor = tags[-1]
-            if fits(u, v, anchor):
-                cells.append((u, v))
-                tags.append(anchor)
-                return True
-        for candidate in (u, (u + v) / 2):
-            if fits(u, v, candidate):
-                cells.append((u, v))
-                tags.append(candidate)
-                return True
-        return False
+    def fits(u: int, j: int, tag: tuple[int, int, int, int]) -> bool:
+        """Cell [u, u + W] of depth j lies in the ball of radius n/d about
+        the tag x of depth jx, (x, jx, n, d), compared at the finer depth."""
+        x, jx, n, d = tag
+        if jx > j:
+            u, w, r = u << (jx - j), width << (jx - j), n * (den << jx)
+        else:
+            x, w, r = x << (j - jx), width, n * (den << j)
+        return (x - u) * d <= r and (u + w - x) * d <= r
 
-    stack = [(a, b, 0)]
+    def shown(u: int, j: int) -> tuple[str, str]:
+        """[u, v] and delta(u) of a cell, for a cap's error text."""
+        lo, hi = Fraction(u, den << j), Fraction(u + width, den << j)
+        return f"[{lo}, {hi}]", f"delta({lo}) = {show_rational(Fraction(*radius(u, j)))}"
+
+    mcshane = mode == "mcshane"
+    cells: list[tuple[int, int]] = []  # (u, j): each accepted cell's left end, left to right
+    tags: list[tuple[int, int, int, int]] = []  # (x, jx, n, d): tag x / (D 2^jx), radius n/d
+    stack = [(0, 0)]  # (k, j): cell k of depth j
     while stack:
-        u, v, depth = stack.pop()
-        if accept(u, v):
-            if len(cells) > _CELL_CAP:
-                raise DepthExceeded(
-                    f"more than {_CELL_CAP} gauge-fine cells, the last [{u}, {v}]"
-                    f" at depth {depth}, delta({u}) = {delta(u)}"
-                )
-            continue
-        if depth >= _BISECT_CAP:
+        k, j = stack.pop()
+        u = (base << j) + k * width
+        # cells are accepted left to right and every tag is at most its
+        # cell's right end, so tags never decrease and the last one is the
+        # accepted tag nearest to this cell; its radius is kept with it
+        if mcshane and tags and fits(u, j, tags[-1]):
+            tags.append(tags[-1])
+        else:
+            # the left end u and the midpoint 2u + W of depth j + 1 are both
+            # W from the far side of the cell at their own depth
+            for x, jx in ((u, j), (2 * u + width, j + 1)):
+                n, d = radius(x, jx)
+                if width * d <= n * (den << jx):
+                    tags.append((x, jx, n, d))
+                    break
+            else:
+                if j >= _BISECT_CAP:
+                    near, delta = shown(u, j)
+                    raise DepthExceeded(
+                        f"no gauge-fine cell after {_BISECT_CAP} bisections near {near}, {delta}"
+                    )
+                stack.append((2 * k + 1, j + 1))  # left half processed first
+                stack.append((2 * k, j + 1))
+                continue
+        cells.append((u, j))
+        if len(cells) > _CELL_CAP:
+            last, delta = shown(u, j)
             raise DepthExceeded(
-                f"no gauge-fine cell after {_BISECT_CAP} bisections near "
-                f"[{u}, {v}], delta({u}) = {delta(u)}"
+                f"more than {_CELL_CAP} gauge-fine cells, the last {last} at depth {j}, {delta}"
             )
-        mid = (u + v) / 2
-        stack.append((mid, v, depth + 1))  # left half processed first
-        stack.append((u, mid, depth + 1))
 
-    # post-condition, asserted on every construction
-    for (u, v), x in zip(cells, tags):
-        d = delta(x)
-        if not (x - d <= u and v <= x + d):
+    # neighbouring cells share an endpoint, and a McShane tag kept for the
+    # next cell is the same point
+    ends = [Fraction(u, den << j) for u, j in cells] + [b]
+    points = dict(zip(cells, ends))
+    tagged = []
+    for x, jx, _, _ in tags:
+        point = points.get((x, jx))
+        if point is None:
+            point = points[x, jx] = Fraction(x, den << jx)
+        tagged.append(point)
+    # post-condition, asserted on every construction: each returned cell
+    # [u, v] lies in the ball of a fresh gauge value n/d at its tag x,
+    # cross-multiplied on the reduced Fractions
+    for u, v, x in zip(ends, ends[1:], tagged):
+        (un, ud), (vn, vd) = u.as_integer_ratio(), v.as_integer_ratio()
+        xn, xd = x.as_integer_ratio()
+        n, d = fn(xn, xd)
+        if (xn * ud - un * xd) * d > n * xd * ud or (vn * xd - xn * vd) * d > n * xd * vd:
             raise AssertionError(f"cell [{u}, {v}] escapes the ball of tag {x}")
     return TaggedPartition(
         Rect.interval(a, b),
-        tuple(((u, v),) for u, v in cells),
-        tuple((t,) for t in tags),
+        tuple(((u, v),) for u, v in zip(ends, ends[1:])),
+        tuple((t,) for t in tagged),
         "gauge",
         tags_in_cells=(mode == "tag-in-cell"),
     )
@@ -886,11 +934,15 @@ def gauge_sum(
 ) -> Fraction:
     """Tagged Riemann sum over a gauge-fine partition of [a, b]."""
     part = cousin_partition(gauge, a, b, mode, precision)
-    fn = compile_real(f, (first_variable("x", f),), precision)
-    total = Fraction(0)
-    for ((lo, hi),), (tag,) in zip(part.cells, part.tags):
-        total += fn(tag) * (hi - lo)
-    return total
+    fn = compile_real(f, (first_variable("x", f),), precision, pairs=True)
+
+    def terms() -> Iterable[tuple[int, int]]:
+        for ((lo, hi),), (tag,) in zip(part.cells, part.tags):
+            n, d = fn(*tag.as_integer_ratio())
+            (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+            yield n * (hn * ld - ln * hd), d * ld * hd  # f(tag) * (hi - lo)
+
+    return _total(terms())
 
 
 # -- supernearness probes ------------------------------------------------------------------------

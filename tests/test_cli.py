@@ -122,6 +122,13 @@ class TestValues:
         )
         assert code == 0 and out == "1\n"
 
+    @pytest.mark.parametrize("method", ["gauge", "mcshane"])
+    def test_integrate_gauge_ignores_mesh(self, capsys, method):
+        # gauge methods take their cells from the gauge: a mesh is not read
+        code, out, err = invoke(capsys, "integrate", "1", "--on", "0,1", f"--method={method}",
+                                "--gauge=1", "--mesh=0")
+        assert (code, out, err) == (0, "1\n", "")
+
     def test_measure_morley(self, capsys):
         code, out, _ = invoke(capsys, "measure", "morley", "--radius", "1", "--n", "10")
         assert code == 0 and "(~ 1.9" in out
@@ -137,6 +144,13 @@ class TestJson:
     def test_flag_position_after_subcommand(self, capsys):
         code, out, _ = invoke(capsys, "diff", "x^3", "--at", "2", "--format", "json")
         assert code == 0 and json.loads(out)["result"]["value"] == "12"
+
+    def test_gauge_params_leave_out_mesh(self, capsys):
+        code, out, _ = invoke(capsys, "--format", "json", "integrate", "x", "--on", "0,1",
+                              "--method", "mcshane", "--gauge", "1/4")
+        doc = json.loads(out)
+        assert code == 0 and set(doc["result"]) == {"value"}
+        assert doc["params"] == {"expr": "x", "method": "mcshane", "gauge": "1/4"}
 
     def test_convergence_schema(self, capsys):
         code, out, _ = invoke(
@@ -220,6 +234,13 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert out == f"{Decimal(7**40000)}/{Decimal(3**40000)}\n"
         assert sys.get_int_max_str_digits() == limit  # the process-wide limit is kept
+
+    def test_gauge_cap_with_a_large_radius_is_one(self, capsys):
+        # the radius in the cap's text is past the int-to-str digit limit
+        code, _, err = invoke(capsys, "integrate", "x", "--on", "0,1", "--method", "gauge",
+                              "--gauge", "(1/10)^5000")
+        assert code == 1
+        assert err.startswith("error: DepthExceeded: no gauge-fine cell after 64 bisections")
 
     def test_precision_exhausted_is_one(self, capsys):
         code, _, err = invoke(capsys, "limit-fn", "(sin(x^8)-x^8)/x^24", "--at", "0")

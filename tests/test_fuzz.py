@@ -17,6 +17,10 @@ Each partition sum and measure is checked against a naive sum of
 ``eval_real(tag) * volume`` whose cells, tags and classification are
 written out here, on equal-width and on explicit uneven partitions with
 mixed denominators; ``tagged_partition`` must return those cells and tags.
+``cousin_partition`` must return the cells and tags of a recursive bisection
+on Fractions written out here, or raise the same exception with the same
+text, for seeded gauges over odd and decimal denominators in both modes,
+non-positive gauges and both caps included.
 
 The standard part of a series evaluation at a rational point must equal
 ``eval_real`` there exactly, or both must refuse at the same offset; real
@@ -62,6 +66,7 @@ from hrw import approx
 from hrw.calculus import taylor_jet
 from hrw.cli import run
 from hrw.errors import (
+    DepthExceeded,
     DomainError,
     MathError,
     NegativeRadius,
@@ -471,6 +476,79 @@ def naive_stieltjes(f: Expr, phi: Expr, breaks, rule: str, tag_seed: int) -> F:
         (tag,) = naive_tag(((lo, hi),), rule, tag_seed, i)
         total += at(f, (tag,)) * (at(phi, (hi,)) - at(phi, (lo,)))
     return total
+
+
+def naive_cousin(gauge: Gauge, a: F, b: F, mode: str):
+    """cousin_partition by recursive bisection on Fractions, as cells, tags
+    and tags_in_cells: a cell is taken with the first fitting tag among the
+    last accepted one (McShane mode), its left end and its midpoint; past 64
+    bisections, or past 2048 cells, DepthExceeded."""
+    delta = gauge.compiled(PRECISION)
+    cells, tags, stack = [], [], [(a, b, 0)]
+    while stack:
+        u, v, depth = stack.pop()
+        mid = (u + v) / 2
+        for x in ([tags[-1][0]] if mode == "mcshane" and tags else []) + [u, mid]:
+            d = delta(x)
+            if x - d <= u and v <= x + d:
+                cells.append(((u, v),))
+                tags.append((x,))
+                if len(cells) > 2048:
+                    raise DepthExceeded(f"more than 2048 gauge-fine cells, the last [{u}, {v}]"
+                                        f" at depth {depth}, delta({u}) = {show_rational(delta(u))}")
+                break
+        else:
+            if depth >= 64:
+                raise DepthExceeded(f"no gauge-fine cell after 64 bisections near [{u}, {v}], "
+                                    f"delta({u}) = {show_rational(delta(u))}")
+            stack += [(mid, v, depth + 1), (u, mid, depth + 1)]
+    return tuple(cells), tuple(tags), mode == "tag-in-cell"
+
+
+def partition_outcome(gauge: Gauge, a: F, b: F, mode: str):
+    part = cousin_partition(gauge, a, b, mode, PRECISION)
+    return part.cells, part.tags, part.tags_in_cells
+
+
+def rand_gauge(rng: random.Random) -> str:
+    """A positive gauge: a polynomial, an exp bump or a rational function."""
+    c0 = F(rng.randint(1, 6), rng.choice([64, 96, 100, 150]))
+    c1 = F(rng.randint(1, 9), rng.choice([8, 16, 30]))
+    m = F(rng.randint(-12, 12), rng.choice([3, 4, 10]))
+    return rng.choice([
+        f"{c0} + {c1}*x^2",
+        f"{c0} + {c1}*(x - {m})^2*(x + 1)^2",
+        f"{c0} + {c1}*exp(-{rng.randint(5, 200)}*(x - {m})^2)",
+        f"{c0} + {c1}/(1 + (x - {m})^2)",
+        f"1/({rng.randint(20, 90)} + {c1}*x^2)",
+    ])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gauge_partitions_equal_fraction_bisection(seed):
+    # odd and decimal denominators, so no endpoint sits on a dyadic grid of 1
+    rng = random.Random(1100 + seed)
+    dens = [1, 3, 7, 10, 25, 4, 9]
+    for mode in ("tag-in-cell", "mcshane"):
+        cases = []
+        for _ in range(4):
+            a = F(rng.randint(-30, 20), rng.choice(dens))
+            cases.append((rand_gauge(rng), a, a + F(rng.randint(1, 30), rng.choice(dens))))
+        a = F(rng.randint(-8, 0), rng.choice(dens))
+        cases += [
+            (f"{a + F(rng.randint(1, 20), 10)} - x", a, a + 2),  # reaches 0 inside
+            (f"1/10^{rng.randint(19, 25)}", a, a + F(1, 3)),  # the bisection cap
+        ]
+        if (seed + (mode == "mcshane")) % 2:  # the cell cap, one mode per seed
+            third = F(rng.randint(1, 20), 3)
+            below = F(rng.choice([1, 2, 3, 4, 5, 7, 8, 9]), 10)  # 6/16 would be dyadic
+            cases.append((f"(x - {third})^2", third - below, third + 1))
+        else:  # exactly 2048 cells, in the other mode
+            cases.append(("1/2500", a, a + 1))
+        for text, a, b in cases:
+            gauge = Gauge(parse(text))
+            want = outcome(naive_cousin, gauge, a, b, mode)
+            assert outcome(partition_outcome, gauge, a, b, mode) == want, (text, a, b, mode)
 
 
 def rand_ball(rng: random.Random, rect: Rect) -> Expr:

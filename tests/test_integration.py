@@ -481,6 +481,18 @@ class TestGauges:
                 cousin_partition(Gauge(parse(text)), F(a), F(b), mode)
             assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("text,cap", [
+        ("(1/10)^5000", "no gauge-fine cell after 64 bisections near [0, 1/18446744073709551616]"),
+        ("1/5000 + (1/10)^5000", "more than 2048 gauge-fine cells, the last [1/2, 2049/4096]"),
+    ])
+    def test_cap_texts_show_a_large_radius_by_size(self, text, cap):
+        # str of 10^-5000 would pass the int-to-str digit limit
+        for mode in ("tag-in-cell", "mcshane"):
+            with pytest.raises(DepthExceeded) as exc:
+                cousin_partition(Gauge(parse(text)), F(0), F(1), mode)
+            assert str(exc.value).startswith(cap), str(exc.value)
+            assert str(exc.value).endswith("bits>")
+
     def test_gauge_bounded_away_from_zero_fits_under_cell_cap(self):
         gauge = Gauge(parse("1/40*(2 + sin(x))"))
         assert len(cousin_partition(gauge, F(-2), F(-1)).cells) == 32
