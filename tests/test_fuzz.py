@@ -20,7 +20,10 @@ mixed denominators; ``tagged_partition`` must return those cells and tags.
 ``cousin_partition`` must return the cells and tags of a recursive bisection
 on Fractions written out here, or raise the same exception with the same
 text, for seeded gauges over odd and decimal denominators in both modes,
-non-positive gauges and both caps included.
+non-positive gauges and both caps included.  Surface of revolution, both
+paths of curve length and of line work, and the supernearness probe must
+equal cell loops on Fractions written out here, slopes and velocities taken
+from ``taylor_jet``, or raise the same exception with the same text.
 
 The standard part of a series evaluation at a rational point must equal
 ``eval_real`` there exactly, or both must refuse at the same offset; real
@@ -63,7 +66,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrw import approx
-from hrw.calculus import taylor_jet
+from hrw.calculus import CurveDef, taylor_jet
 from hrw.cli import run
 from hrw.errors import (
     DepthExceeded,
@@ -95,16 +98,22 @@ from hrw.integration import (
     PartitionSpec,
     Rect,
     Region,
+    SupernearReport,
     cousin_partition,
     darboux_bounds,
     gauge_sum,
     impulse,
     inner_sum,
+    line_integral_work,
     measure_area_between,
+    measure_curve_length,
     measure_mass_moment_com,
+    measure_surface_revolution,
     measure_volume_revolution,
+    polynomial_antiderivative,
     riemann_stieltjes_sum,
     riemann_sum,
+    supernearness_probe,
     tagged_partition,
 )
 from hrw.rationals import show_rational
@@ -113,6 +122,7 @@ PRECISION = 12
 NAMES = ("x", "y", "z")
 POOL = [F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 3), F(3, 7), F(-5, 4), F(5, 2)]
 SEEDS = range(8)
+JET_FIELD = Field(precision=PRECISION)
 
 
 def rand_rational(rng: random.Random) -> F:
@@ -724,6 +734,75 @@ def test_one_dimensional_measures(seed):
 
         got = outcome(measure_volume_revolution, radius, a, b, m, PRECISION)
         assert got == outcome(naive_volume), render(radius)
+
+        def naive_surface():
+            total = F(0)
+            for lo, hi in zip(breaks, breaks[1:]):
+                r = at(radius, (lo,))
+                if r < 0:
+                    raise NegativeRadius(f"f({lo}) = {show_rational(r)} < 0")
+                slope = taylor_jet(radius, lo, 1, JET_FIELD, "x").derivative(1)
+                total += 2 * pi * r * approx.sqrt_approx(1 + slope * slope, PRECISION) * (hi - lo)
+            return total
+
+        got = outcome(measure_surface_revolution, radius, a, b, m, PRECISION)
+        assert got == outcome(naive_surface), render(radius)
+
+        curve = CurveDef(tuple(parsed(gen.tree(2, big=False)) for _ in range(2)), "x")
+        points = lambda: [tuple(at(c, (t,)) for c in curve.components) for t in breaks]  # noqa: E731
+        speed = lambda t: [taylor_jet(c, t, 1, JET_FIELD, "x").derivative(1)  # noqa: E731
+                           for c in curve.components]
+
+        def naive_length():
+            ends = points()
+            polygonal = F(0)
+            for p, q in zip(ends, ends[1:]):
+                polygonal += approx.sqrt_approx(
+                    sum(((x - y) ** 2 for x, y in zip(p, q)), F(0)), PRECISION)
+            integral = F(0)
+            for lo, hi in zip(breaks, breaks[1:]):
+                integral += approx.sqrt_approx(
+                    sum((v * v for v in speed((lo + hi) / 2)), F(0)), PRECISION) * (hi - lo)
+            return polygonal, integral
+
+        got = outcome(measure_curve_length, curve, a, b, m, PRECISION)
+        assert got == outcome(naive_length), tuple(map(render, curve.components))
+
+        force = [parsed(ExprGen(rng, NAMES[:2]).tree(2, big=False)) for _ in range(2)]
+
+        def naive_work():
+            ends = points()
+            chord = integrand = F(0)
+            for (lo, hi), p, q in zip(zip(breaks, breaks[1:]), ends, ends[1:]):
+                tag = (lo + hi) / 2
+                pos = tuple(at(c, (tag,)) for c in curve.components)
+                pull = [at(fc, pos) for fc in force]
+                chord += sum((fi * (x1 - x0) for fi, x0, x1 in zip(pull, p, q)), F(0))
+                integrand += sum((fi * vi for fi, vi in zip(pull, speed(tag))), F(0)) * (hi - lo)
+            return chord, integrand
+
+        got = outcome(lambda: line_integral_work(force, curve, a, b, m, precision=PRECISION))
+        assert got == outcome(naive_work), tuple(map(render, [*force, *curve.components]))
+
+        generator, target = parse(rand_poly(rng, "x")), parsed(gen.tree(2, big=False))
+        meshes = [rng.randint(1, 6) for _ in range(2)]
+
+        def naive_supernear():
+            anti = polynomial_antiderivative(generator, "x")
+            rows = []
+            for k in meshes:
+                cuts = naive_breaks(a, b, k)
+                worst = F(0)
+                for lo, hi in zip(cuts, cuts[1:]):
+                    avg = (at(anti, (hi,)) - at(anti, (lo,))) / (hi - lo)
+                    for p in (lo, hi, (lo + hi) / 2):
+                        worst = max(worst, abs(avg - at(target, (p,))))
+                rows.append(((b - a) / k, worst))
+            return tuple(rows)
+
+        got = outcome(supernearness_probe, generator, target, a, b, meshes, PRECISION)
+        got = got.rows if isinstance(got, SupernearReport) else got
+        assert got == outcome(naive_supernear), (render(generator), render(target))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
