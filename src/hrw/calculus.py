@@ -418,7 +418,7 @@ def tangent_certificate(
     series field; +-1 for a genuine tangent direction."""
     t0 = Fraction(t0)
     T = tuple(vector) if vector is not None else unit_tangent(c, t0, cfg)
-    at_t0 = [eval_real(comp, {c.param: t0}, cfg.precision) for comp in c.components]
+    at_t0 = c.point(t0, cfg.precision)
 
     def probe(fld: Field) -> Fraction:
         chord = []

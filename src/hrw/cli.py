@@ -503,7 +503,7 @@ def _parse_sum(args, kind: str, d: int):
         else:
             curve, field = _parse_curve(args.curve), _parse_exprs(args.field)
         return (lambda mesh: integration.line_integral_work(
-            field, curve, a, b, _cells_for(a, b, mesh), "center", d)._asdict()), None
+            field, curve, a, b, _cells_for(a, b, mesh), d)._asdict()), None
     # volume-rev, surface-rev and impulse sum one expression
     expr = parse(args.force if kind == "impulse" else args.f)
     total = {"volume-rev": integration.measure_volume_revolution,
@@ -584,7 +584,7 @@ def _cmd_converge(args, cfg: Field) -> None:
         quad = integrand()
         fn = compile_real(quad, (first_variable("x", quad),), cfg.precision)
         oracle = adaptive_simpson(fn, *_parse_interval(args.on))
-        notes = ("oracle: adaptive Simpson, tolerance 1e-10",)
+        notes = (f"oracle: adaptive Simpson, tolerance 1e-{integration.SIMPSON_DIGITS}",)
     _study(args, f"converge {args.op}", values, study, meshes, oracle, notes)
 
 

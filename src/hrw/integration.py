@@ -23,7 +23,7 @@ cell volume, with integer widths per cell on uneven explicit axes
 ``measure_mass_moment_com``) classify the region once per call with
 ``_inner_cells`` (a sweep sharing vertex columns in the plane, a cached
 vertex classifier otherwise), reading only the sign of each membership
-numerator, and then sum over the inner cells.  ``_breaks``,
+numerator, and then sum over the inner cells.
 ``PartitionSpec.breakpoints`` and ``tagged_partition`` are ``Fraction``
 views of the same grid.
 
@@ -46,11 +46,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product, repeat, starmap
-from operator import add
+from operator import add, mul, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import approx
-from .calculus import CurveDef, taylor_jet
+from .calculus import CurveDef, _norm_sq, taylor_jet
 from .errors import (
     DepthExceeded,
     DomainError,
@@ -177,11 +177,6 @@ class PartitionSpec:
 Cell = tuple[tuple[Fraction, Fraction], ...]
 
 
-def _breaks(a, b, m: int) -> list[Fraction]:
-    """m equal-width cells of [a, b]: the m + 1 breakpoints."""
-    return _fractions(_axis(a, b, m))
-
-
 def _cells(breaks: list[list[Fraction]]) -> Iterable[Cell]:
     """Row-major cell enumeration (first axis outermost)."""
     return product(*(list(zip(axis, axis[1:])) for axis in breaks))
@@ -246,11 +241,6 @@ def _seeded_args(grid: list[_Axis], seed: int) -> Iterable[tuple[int, ...]]:
         for (lo, width), den in zip(cell, dens):
             args += (lo + rng.getrandbits(30) * width, den)
         yield tuple(args)
-
-
-def _fraction_tags(grid: list[_Axis], rule: str, seed: int) -> Iterable[tuple[Fraction, ...]]:
-    """``_tag_args`` as Fraction coordinates."""
-    return (tuple(map(Fraction, args[::2], args[1::2])) for args in _tag_args(grid, rule, seed))
 
 
 def _volumes(grid: list[_Axis]) -> tuple[Fraction, list[int] | None]:
@@ -328,7 +318,8 @@ def tagged_partition(
 ) -> TaggedPartition:
     grid = spec.grid(rect)
     cells = tuple(_cells([_fractions(axis) for axis in grid]))
-    return TaggedPartition(rect, cells, tuple(_fraction_tags(grid, tag_rule, seed)), tag_rule)
+    tags = (tuple(map(Fraction, args[::2], args[1::2])) for args in _tag_args(grid, tag_rule, seed))
+    return TaggedPartition(rect, cells, tuple(tags), tag_rule)
 
 
 # -- Riemann and Darboux sums --------------------------------------------------------
@@ -536,20 +527,30 @@ def measure_area_between(
     return _box_sum(lambda n, d: _minus(fn_g(n, d), fn_f(n, d)), [axis], tag_rule, 0)
 
 
+def _radius(f: Expr, var: str, precision: int) -> Callable[[int, int], tuple[int, int]]:
+    """f compiled in the pair convention, refused where negative."""
+    fn = compile_real(f, (var,), precision, pairs=True)
+
+    def radius(lo: int, q: int) -> tuple[int, int]:
+        n, d = fn(lo, q)
+        if n < 0:
+            raise NegativeRadius(f"f({Fraction(lo, q)}) = {show_rational(Fraction(n, d))} < 0")
+        return n, d
+
+    return radius
+
+
 def measure_volume_revolution(
     f: Expr, a: Fraction, b: Fraction, m: int, precision: int = DEFAULT_PRECISION
 ) -> Fraction:
     """Solid of revolution about the axis: Riemann sum of pi * f(x)^2."""
-    fn = compile_real(f, (first_variable("x", f),), precision, pairs=True)
-    pi = approx.pi_approx(precision)
+    radius = _radius(f, first_variable("x", f), precision)
 
     def squared(lo: int, q: int) -> tuple[int, int]:
-        n, d = fn(lo, q)
-        if n < 0:
-            raise NegativeRadius(f"f({Fraction(lo, q)}) = {show_rational(Fraction(n, d))} < 0")
+        n, d = radius(lo, q)
         return n * n, d * d
 
-    return pi * _box_sum(squared, [_axis(a, b, m)], "min-vertex", 0)
+    return approx.pi_approx(precision) * _box_sum(squared, [_axis(a, b, m)], "min-vertex", 0)
 
 
 def measure_surface_revolution(
@@ -557,18 +558,16 @@ def measure_surface_revolution(
 ) -> Fraction:
     """Surface of revolution: Riemann sum of 2 pi f(x) sqrt(1 + f'(x)^2)."""
     var = first_variable("x", f)
-    fn = compile_real(f, (var,), precision)
-    pi = approx.pi_approx(precision)
+    radius = _radius(f, var, precision)
     cfg = Field(precision=precision)
-    breaks = _breaks(a, b, m)
-    total = Fraction(0)
-    for lo, hi in zip(breaks, breaks[1:]):
-        r = fn(lo)
-        if r < 0:
-            raise NegativeRadius(f"f({lo}) = {show_rational(r)} < 0")
-        slope = taylor_jet(f, lo, 1, cfg, var).derivative(1)
-        total += 2 * pi * r * approx.sqrt_approx(1 + slope * slope, precision) * (hi - lo)
-    return total
+
+    def band(lo: int, q: int) -> tuple[int, int]:
+        n, d = radius(lo, q)
+        slope = taylor_jet(f, Fraction(lo, q), 1, cfg, var).derivative(1)
+        s = approx.sqrt_approx(1 + slope * slope, precision)
+        return n * s.numerator, d * s.denominator
+
+    return 2 * approx.pi_approx(precision) * _box_sum(band, [_axis(a, b, m)], "min-vertex", 0)
 
 
 class LengthResult(NamedTuple):
@@ -589,23 +588,21 @@ def measure_curve_length(
     second-order accuracy so the two paths track each other at fine meshes.
     """
     fns = [compile_real(c, (curve.param,), precision) for c in curve.components]
-    breaks = _breaks(a, b, m)
-    points = [tuple(fn(t) for fn in fns) for t in breaks]
-    polygonal = Fraction(0)
-    for p, q in zip(points, points[1:]):
-        polygonal += approx.sqrt_approx(
-            sum(((x - y) ** 2 for x, y in zip(p, q)), Fraction(0)), precision
-        )
+    axis = _axis(a, b, m)
+    points = [tuple(fn(t) for fn in fns) for t in _fractions(axis)]
+    polygonal = sum(
+        (approx.sqrt_approx(_norm_sq(list(map(sub, q, p))), precision)
+         for p, q in zip(points, points[1:])),
+        Fraction(0),
+    )
     cfg = Field(precision=precision)
-    integral = Fraction(0)
-    for lo, hi in zip(breaks, breaks[1:]):
-        mid = (lo + hi) / 2
-        speed_sq = Fraction(0)
-        for comp in curve.components:
-            d = taylor_jet(comp, mid, 1, cfg, curve.param).derivative(1)
-            speed_sq += d * d
-        integral += approx.sqrt_approx(speed_sq, precision) * (hi - lo)
-    return LengthResult(polygonal, integral)
+
+    def speed(n: int, d: int) -> tuple[int, int]:
+        velocity = [j.derivative(1) for j in curve.jets(Fraction(n, d), 1, cfg)]
+        s = approx.sqrt_approx(_norm_sq(velocity), precision)
+        return s.numerator, s.denominator
+
+    return LengthResult(polygonal, _box_sum(speed, [axis], "center", 0))
 
 
 # -- mass, moments, centroid ------------------------------------------------------------------
@@ -700,43 +697,32 @@ def line_integral_work(
     a: Fraction,
     b: Fraction,
     m: int,
-    tag_rule: str = "center",
     precision: int = DEFAULT_PRECISION,
 ) -> WorkResult:
     """Work along a curve, two ways over the same partition: the chord sum
     F(c(tag_j)) . (c(t_j) - c(t_{j-1})) and the Riemann sum of the pulled-back
     integrand sum_i F_i(c(t)) c_i'(t).
 
-    Tags are any intermediate point of each parameter cell; the default uses
-    cell centers, whose second-order accuracy both paths share.
+    The tags are the cell centers, whose second-order accuracy both paths
+    share; c'(t) is read from the curve's jets.
     """
     if len(field_components) != curve.dimension:
         raise ValueError("field dimension must match the curve")
     names = axis_names(curve.dimension)
     field_fns = [compile_real(comp, names, precision) for comp in field_components]
     comp_fns = [compile_real(c, (curve.param,), precision) for c in curve.components]
-    axis = _axis(a, b, m)
-    breaks = _fractions(axis)
+    breaks = _fractions(_axis(a, b, m))
     points = [tuple(fn(t) for fn in comp_fns) for t in breaks]
     cfg = Field(precision=precision)
-    chord = Fraction(0)
-    integrand = Fraction(0)
-    tags = _fraction_tags([axis], tag_rule, 0)
-    for j, ((lo, hi), (tag,)) in enumerate(zip(zip(breaks, breaks[1:]), tags)):
-        pos = tuple(fn(tag) for fn in comp_fns)
+    chord = integrand = Fraction(0)
+    for lo, hi, prev, here in zip(breaks, breaks[1:], points, points[1:]):
+        tag = (lo + hi) / 2
+        pos = [fn(tag) for fn in comp_fns]
         force = [fn(*pos) for fn in field_fns]
-        prev, here = points[j], points[j + 1]
-        chord += sum(
-            (fi * (x1 - x0) for fi, x0, x1 in zip(force, prev, here)), Fraction(0)
-        )
-        speed = [
-            taylor_jet(c, tag, 1, cfg, curve.param).derivative(1)
-            for c in curve.components
-        ]
-        integrand += sum(
-            (fi * vi for fi, vi in zip(force, speed)), Fraction(0)
-        ) * (hi - lo)
-    return WorkResult(chord, integrand)
+        velocity = [j.derivative(1) for j in curve.jets(tag, 1, cfg)]
+        chord += sum(map(mul, force, map(sub, here, prev)), Fraction(0))
+        integrand += sum(map(mul, force, velocity), Fraction(0))
+    return WorkResult(chord, integrand * (breaks[1] - breaks[0]))
 
 
 def riemann_stieltjes_sum(
@@ -1007,7 +993,7 @@ def supernearness_probe(
     fn_target = compile_real(target, (var,), precision)
     rows = []
     for m in meshes:
-        breaks = _breaks(a, b, m)
+        breaks = _fractions(_axis(a, b, m))
         worst = Fraction(0)
         for lo, hi in zip(breaks, breaks[1:]):
             avg = (fn_anti(hi) - fn_anti(lo)) / (hi - lo)
@@ -1022,18 +1008,17 @@ def supernearness_probe(
 # -- quadrature oracle and convergence studies -----------------------------------------------------
 
 
-def adaptive_simpson(
-    fn: Callable[[Fraction], Fraction],
-    a: Fraction,
-    b: Fraction,
-    tol: Fraction = Fraction(1, 10**10),
-    max_intervals: int = 10**6,
-) -> Fraction:
+SIMPSON_DIGITS = 10  # adaptive_simpson's tolerance is 10^-SIMPSON_DIGITS
+_SIMPSON_CAP = 10**6
+
+
+def adaptive_simpson(fn: Callable[[Fraction], Fraction], a: Fraction, b: Fraction) -> Fraction:
     """Adaptive Simpson quadrature in exact rational arithmetic.
 
-    Interval splits stop once |S(half) - S(whole)| <= 15 * local tolerance;
-    exceeding the interval cap raises OracleFailure rather than returning a
-    silently degraded value.
+    Interval splits stop once |S(half) - S(whole)| <= 15 * local tolerance,
+    the tolerance 10^-SIMPSON_DIGITS halved with each split; exceeding 10^6
+    intervals raises OracleFailure rather than returning a silently degraded
+    value.
     """
     a, b = Fraction(a), Fraction(b)
 
@@ -1045,8 +1030,8 @@ def adaptive_simpson(
     def recurse(lo, hi, flo, fhi, fmid, whole, budget) -> Fraction:
         nonlocal used
         used += 1
-        if used > max_intervals:
-            raise OracleFailure(f"quadrature exceeded {max_intervals} intervals")
+        if used > _SIMPSON_CAP:
+            raise OracleFailure(f"quadrature exceeded {_SIMPSON_CAP} intervals")
         mid = (lo + hi) / 2
         lmid = (lo + mid) / 2
         rmid = (mid + hi) / 2
@@ -1064,7 +1049,7 @@ def adaptive_simpson(
     fa, fb = fn(a), fn(b)
     fm = fn((a + b) / 2)
     whole = simpson(a, b, fa, fb, fm)
-    return recurse(a, b, fa, fb, fm, whole, Fraction(tol))
+    return recurse(a, b, fa, fb, fm, whole, Fraction(1, 10**SIMPSON_DIGITS))
 
 
 @dataclass(frozen=True)
