@@ -144,11 +144,33 @@ FUNCTIONS = {
 
 CONSTANTS = ("pi", "e")
 
+# Recursion bounds, refused by the parser.  The parser takes up to 7 Python
+# frames per nesting level (a parenthesis, call, minus sign or ``^``); every
+# tree walk (``render``, ``free_vars``, ``eval_real``, ``eval_hyper``,
+# ``compile_real``, ``symbolic_derivative``) takes one per level of the tree.
+MAX_NESTING = 100
+MAX_HEIGHT = 800
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.nesting = 0  # levels open at the current token
+        self.height = 0  # of the tree last parsed
+
+    def enter(self, t: Token) -> None:
+        """Open a nesting level at t."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(t.pos, f"at most {MAX_NESTING} nested levels", t.text)
+
+    def node(self, node: Expr, height: int, t: Token) -> Expr:
+        """node, of the given height, built at t."""
+        if height > MAX_HEIGHT:
+            raise ParseError(t.pos, f"at most {MAX_HEIGHT} levels of operations", t.text)
+        self.height = height
+        return node
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -169,7 +191,9 @@ class _Parser:
         node = operand()
         while self.peek().kind == "operator" and self.peek().text in ops:
             op = self.next()
-            node = Binary(op.text, node, operand(), op.pos)
+            height = self.height
+            right = operand()
+            node = self.node(Binary(op.text, node, right, op.pos), max(height, self.height) + 1, op)
         return node
 
     def parse_expr(self) -> Expr:
@@ -182,10 +206,12 @@ class _Parser:
         t = self.peek()
         if t.kind == "operator" and t.text == "-":
             self.next()
+            self.enter(t)
             operand = self.parse_unary()
+            self.nesting -= 1
             if isinstance(operand, Const):  # fold so "-3" round-trips structurally
                 return Const(-operand.value, t.pos)
-            return Unary("-", operand, t.pos)
+            return self.node(Unary("-", operand, t.pos), self.height + 1, t)
         return self.parse_power()
 
     def parse_power(self) -> Expr:
@@ -193,13 +219,18 @@ class _Parser:
         t = self.peek()
         if t.kind == "operator" and t.text == "^":
             self.next()
-            return Binary("^", base, self.parse_unary(), t.pos)
+            self.enter(t)
+            height = self.height
+            exponent = self.parse_unary()
+            self.nesting -= 1
+            return self.node(Binary("^", base, exponent, t.pos), max(height, self.height) + 1, t)
         return base
 
     def parse_primary(self) -> Expr:
         t = self.peek()
         if t.kind == "number":
             self.next()
+            self.height = 1
             return Const(Fraction(t.text), t.pos)
         if t.kind == "identifier":
             self.next()
@@ -207,21 +238,28 @@ class _Parser:
                 if t.text not in FUNCTIONS:
                     raise ParseError(t.pos, "function name", t.text)
                 self.next()
+                self.enter(t)
                 args = [self.parse_expr()]
+                height = self.height
                 while self.peek().kind == "comma":
                     self.next()
                     args.append(self.parse_expr())
+                    height = max(height, self.height)
                 self.expect("paren", ")")
+                self.nesting -= 1
                 if len(args) != FUNCTIONS[t.text]:
                     raise ParseError(
                         t.pos, f"{FUNCTIONS[t.text]} argument(s) to {t.text}", f"{len(args)}"
                     )
-                return Call(t.text, tuple(args), t.pos)
+                return self.node(Call(t.text, tuple(args), t.pos), height + 1, t)
+            self.height = 1
             return Var(t.text, t.pos)
         if t.kind == "paren" and t.text == "(":
             self.next()
+            self.enter(t)
             node = self.parse_expr()
             self.expect("paren", ")")
+            self.nesting -= 1
             return node
         raise ParseError(t.pos, "expression", t.text or "end of input")
 
@@ -677,9 +715,17 @@ class _Codegen:
             n, d = self.part(node.operand)
             return self.shallow(f"(-{n})"), d
         if isinstance(node, Binary):
+            # both operands are generated here, so a level takes one frame; an
+            # integer exponent or a nonzero constant divisor is folded instead
+            left, r = self.part(node.left), node.right
             if node.op == "^":
-                return self.power(node)
-            n, d = self.binary(node)
+                folded = int_exponent(node) is not None
+            else:
+                folded = node.op == "/" and isinstance(r, Const) and r.value != 0
+            right = None if folded else self.part(r)
+            if node.op == "^":
+                return self.power(node, left, right)
+            n, d = self.binary(node, left, right)
             return self.shallow(n), self.shallow(d)
         p = self.digits
         if node.fn == "root":
@@ -698,12 +744,13 @@ class _Codegen:
             return f"abs({n})", d
         return self.call(node.pos, f"_approx(_R[{node.fn!r}], {_fraction((n, d))}, {p}")
 
-    def binary(self, node: Binary) -> Part:
-        an, ad = self.part(node.left)
-        if node.op == "/" and isinstance(node.right, Const) and node.right.value != 0:
+    def binary(self, node: Binary, left: Part, right: Part | None) -> Part:
+        """right is None for a nonzero constant divisor."""
+        an, ad = left
+        if right is None:
             bn, bd = self.const_part(1 / node.right.value)  # the sign is in bn
             return _times(an, bn), _times(ad, bd)
-        bn, bd = self.part(node.right)
+        bn, bd = right
         if node.op == "*":
             return _times(an, bn), _times(ad, bd)
         if node.op == "/":
@@ -720,14 +767,12 @@ class _Codegen:
         ad, bd = self.atom(ad), self.atom(bd)
         return f"({_times(an, bd)} {node.op} {_times(bn, ad)})", _times(ad, bd)
 
-    def power(self, node: Binary) -> Part:
-        base = self.part(node.left)
+    def power(self, node: Binary, base: Part, exponent: Part | None) -> Part:
+        """exponent is None for an integer literal exponent."""
+        if exponent is not None:
+            return self.call(node.pos, f"_approx(_A.pow_approx, {_fraction(base)}, "
+                                       f"{_fraction(exponent)}, {self.digits}")
         k = int_exponent(node)
-        if k is None:
-            exponent = _fraction(self.part(node.right))
-            return self.call(
-                node.pos, f"_approx(_A.pow_approx, {_fraction(base)}, {exponent}, {self.digits}"
-            )
         if k == 0:
             return self.const_part(Fraction(1))
         an, ad = self.atom(base[0]), self.atom(base[1])

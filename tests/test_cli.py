@@ -326,6 +326,38 @@ class TestExitCodes:
         assert [row["max_deviation"] for row in rows] == ["1/4", "1/6"]
 
 
+class TestDeepExpressions:
+    """Too deep for the recursive walks: one parse error at the offset where
+    the parser's bound is passed (100 nested levels, 800 levels of operations)."""
+
+    @pytest.mark.parametrize("expr, offset, found", [
+        ("(" * 200 + "x" + ")" * 200, 100, "("),
+        ("sin(" * 150 + "x" + ")" * 150, 400, "sin"),
+    ], ids=["parentheses", "calls"])
+    def test_nesting_is_a_parse_error(self, capsys, expr, offset, found):
+        code, out, err = invoke(capsys, "eval", expr, "--at", "x=1")
+        assert (code, out) == (2, "")
+        assert err == f"parse-error: expected at most 100 nested levels at offset {offset}, found {found}\n"
+
+    def test_long_sum_is_a_parse_error(self, capsys):
+        # the 800th '+' makes the tree 801 levels high
+        code, out, err = invoke(capsys, "eval", " + ".join(["x"] * 3000), "--at", "x=1")
+        assert (code, out) == (2, "")
+        assert err == "parse-error: expected at most 800 levels of operations at offset 3198, found +\n"
+
+    def test_long_sum_compiles(self, capsys):
+        # 500 terms: past what two frames a level in the code generator allowed
+        expr = " + ".join(f"{k}*x" for k in range(1, 501))
+        assert invoke(capsys, "integrate", expr, "--on", "0,1", "--mesh", "1/4") == (0, "187875/4\n", "")
+        assert invoke(capsys, "eval", expr, "--at", "x=1") == (0, "125250\n", "")
+        assert invoke(capsys, "diff", expr, "--at", "0") == (0, "125250\n", "")
+
+    def test_sum_at_the_bound(self, capsys):
+        expr = "x" + " + x" * 799
+        assert invoke(capsys, "integrate", expr, "--on", "0,1", "--mesh", "1/2") == (0, "200\n", "")
+        assert invoke(capsys, "diff", expr, "--at", "1") == (0, "800\n", "")
+
+
 class TestDeterminism:
     INVOCATIONS = [
         ("--format", "json", "diff", "sin(x)", "--at", "1/3"),

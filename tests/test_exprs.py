@@ -15,6 +15,8 @@ from hrw.errors import (
     UnsupportedNode,
 )
 from hrw.exprs import (
+    MAX_HEIGHT,
+    MAX_NESTING,
     Binary,
     Call,
     Const,
@@ -125,6 +127,60 @@ class TestParser:
     def test_trailing_junk(self):
         with pytest.raises(ParseError):
             parse("1 + 2 )")
+
+
+class TestDepthBounds:
+    """The parser refuses what a recursive walk could not finish: every walk
+    runs on the deepest tree it accepts, from inside a test."""
+
+    @staticmethod
+    def deepest(leaf: str = "sin(x)", levels: int = 2) -> str:
+        return leaf + " + x" * (MAX_HEIGHT - levels)  # the leaf is that many levels high
+
+    def test_every_walk_at_the_height_bound(self):
+        e = parse(self.deepest())
+        assert render(parse(render(e))) == render(e)
+        assert free_vars(e) == {"x"}
+        at = F(1, 2)
+        value = eval_real(e, {"x": at}, 12)
+        assert compile_real(e, ("x",), 12)(at) == value
+        assert F(*compile_real(e, ("x",), 12, pairs=True)(1, 2)) == value
+        assert eval_hyper(e, {"x": FLD.rational(at)}, FLD).st_fraction() == eval_real(e, {"x": at})
+        total = parse("x" + " + x" * (MAX_HEIGHT - 1))
+        assert eval_real(symbolic_derivative(total, "x"), {}) == MAX_HEIGHT
+        # the product rule returns a higher tree than it walks
+        symbolic_derivative(parse("x" + " * x" * (MAX_HEIGHT - 1)), "x")
+
+    @pytest.mark.parametrize("leaf, levels", [
+        ("tan(x)", 2), ("x^(1/3)", 3), ("root(3, x)", 2), ("exp(x)", 2), ("ln(x)", 2)])
+    def test_deep_leaves_at_the_height_bound(self, leaf, levels):
+        e = parse(self.deepest(leaf, levels))
+        assert compile_real(e, ("x",), 12)(F(1, 2)) == eval_real(e, {"x": F(1, 2)}, 12)
+        eval_hyper(e, {"x": FLD.rational(F(1, 2)) + FLD.epsilon()}, FLD)
+
+    def test_one_level_more_is_refused(self):
+        text = self.deepest() + " + x"
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.pos == text.rindex("+")
+        assert str(err.value) == (f"expected at most {MAX_HEIGHT} levels of operations "
+                                  f"at offset {text.rindex('+')}, found +")
+
+    @pytest.mark.parametrize("opening", ["(", "sin("])
+    def test_nesting_bound(self, opening):
+        closing = ")" * MAX_NESTING
+        assert free_vars(parse(opening * MAX_NESTING + "x" + closing)) == {"x"}
+        text = opening * (MAX_NESTING + 1) + "x" + closing + ")"
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.pos == len(opening) * MAX_NESTING
+
+    def test_minus_signs_and_powers_are_levels(self):
+        parse("-" * MAX_NESTING + "x")
+        parse("x" + "^x" * MAX_NESTING)
+        for text in ("-" * (MAX_NESTING + 1) + "3", "x" + "^x" * (MAX_NESTING + 1)):
+            with pytest.raises(ParseError):
+                parse(text)
 
 
 class TestRoundTrip:
