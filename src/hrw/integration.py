@@ -1009,47 +1009,52 @@ def supernearness_probe(
 
 
 SIMPSON_DIGITS = 10  # adaptive_simpson's tolerance is 10^-SIMPSON_DIGITS
-_SIMPSON_CAP = 10**6
+_SIMPSON_CAP = 10**6  # intervals
+_SIMPSON_DEPTH = 1000  # halvings of [a, b]
 
 
 def adaptive_simpson(fn: Callable[[Fraction], Fraction], a: Fraction, b: Fraction) -> Fraction:
     """Adaptive Simpson quadrature in exact rational arithmetic.
 
     Interval splits stop once |S(half) - S(whole)| <= 15 * local tolerance,
-    the tolerance 10^-SIMPSON_DIGITS halved with each split; exceeding 10^6
-    intervals raises OracleFailure rather than returning a silently degraded
-    value.
+    the tolerance 10^-SIMPSON_DIGITS halved with each split.  An interval
+    that would need more than 1000 halvings of [a, b] (a jump no dyadic point
+    hits, a root steeper than x^(1/40) at 0), or more than 10^6 intervals in
+    all, raises OracleFailure rather than returning a silently degraded
+    value.  Intervals are visited depth first, left before right, from an
+    explicit stack, so no caller's stack limits the depth.
     """
     a, b = Fraction(a), Fraction(b)
 
     def simpson(lo: Fraction, hi: Fraction, flo, fhi, fmid) -> Fraction:
         return (hi - lo) / 6 * (flo + 4 * fmid + fhi)
 
+    fa, fb = fn(a), fn(b)
+    fm = fn((a + b) / 2)
+    total = Fraction(0)
+    stack = [(a, b, fa, fb, fm, simpson(a, b, fa, fb, fm), Fraction(1, 10**SIMPSON_DIGITS), 0)]
     used = 0
-
-    def recurse(lo, hi, flo, fhi, fmid, whole, budget) -> Fraction:
-        nonlocal used
+    while stack:
         used += 1
         if used > _SIMPSON_CAP:
             raise OracleFailure(f"quadrature exceeded {_SIMPSON_CAP} intervals")
+        lo, hi, flo, fhi, fmid, whole, budget, depth = stack.pop()
         mid = (lo + hi) / 2
-        lmid = (lo + mid) / 2
-        rmid = (mid + hi) / 2
-        flmid = fn(lmid)
-        frmid = fn(rmid)
+        flmid = fn((lo + mid) / 2)
+        frmid = fn((mid + hi) / 2)
         left = simpson(lo, mid, flo, fmid, flmid)
         right = simpson(mid, hi, fmid, fhi, frmid)
         if abs(left + right - whole) <= 15 * budget:
-            return left + right + (left + right - whole) / 15
-        half = budget / 2
-        return recurse(lo, mid, flo, fmid, flmid, left, half) + recurse(
-            mid, hi, fmid, fhi, frmid, right, half
-        )
-
-    fa, fb = fn(a), fn(b)
-    fm = fn((a + b) / 2)
-    whole = simpson(a, b, fa, fb, fm)
-    return recurse(a, b, fa, fb, fm, whole, Fraction(1, 10**SIMPSON_DIGITS))
+            total += left + right + (left + right - whole) / 15
+        elif depth == _SIMPSON_DEPTH:
+            raise OracleFailure(
+                f"quadrature exceeded {_SIMPSON_DEPTH} halvings near {decimal_str(lo)}"
+            )
+        else:
+            half = budget / 2
+            stack.append((mid, hi, fmid, fhi, frmid, right, half, depth + 1))
+            stack.append((lo, mid, flo, fmid, flmid, left, half, depth + 1))
+    return total
 
 
 @dataclass(frozen=True)

@@ -242,6 +242,12 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: DepthExceeded: no gauge-fine cell after 64 bisections")
 
+    def test_simpson_oracle_at_a_jump_is_one(self, capsys):
+        code, out, err = invoke(capsys, "converge", "riemann", "--expr", "abs(x-1/3)/(x-1/3)",
+                                "--on", "0,1", "--meshes", "1/4,1/8", "--oracle", "simpson")
+        assert (code, out) == (1, "")
+        assert err == "error: OracleFailure: quadrature exceeded 1000 halvings near 0.333333333333\n"
+
     def test_precision_exhausted_is_one(self, capsys):
         code, _, err = invoke(capsys, "limit-fn", "(sin(x^8)-x^8)/x^24", "--at", "0")
         assert code == 1 and err.startswith("error: PrecisionExhausted:")

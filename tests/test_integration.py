@@ -13,6 +13,7 @@ from hrw.calculus import CurveDef
 from hrw.errors import (
     DepthExceeded,
     DomainError,
+    OracleFailure,
     OrderViolation,
     UnknownFunctional,
 )
@@ -582,6 +583,21 @@ class TestOracleAndConvergence:
         fn = compile_real(parse("sin(x)"), ("x",), 30)
         value = adaptive_simpson(fn, F(0), pi_approx(30))
         assert abs(value - 2) < F(1, 10**9)
+
+    def test_simpson_steep_root(self):
+        # halvings near 0 go 511 deep
+        value = adaptive_simpson(compile_real(parse("x^(1/20)"), ("x",)), F(0), F(1))
+        assert abs(value - F(20, 21)) < F(1, 10**9)
+
+    @pytest.mark.parametrize("text, near", [
+        ("x^(1/40)", "0.000000000000"),  # converges only at 1026 halvings
+        ("sqrt(abs(x-1/3))^(1/8)", "0.333333333333"),
+        ("abs(x-1/3)/(x-1/3)", "0.333333333333"),  # a jump no dyadic point hits
+    ])
+    def test_simpson_halving_cap(self, text, near):
+        with pytest.raises(OracleFailure) as err:
+            adaptive_simpson(compile_real(parse(text), ("x",)), F(0), F(1))
+        assert str(err.value) == f"quadrature exceeded 1000 halvings near {near}"
 
     def test_riemann_square_study(self):
         expr = parse("x^2")
