@@ -36,7 +36,7 @@ from .errors import (
 )
 from .exprs import Expr, eval_hyper_traced, eval_real, free_vars
 from .field import DEFAULT_FIELD, ExtendedReal, Field, HyperReal, in_order_ideal
-from .rationals import format_rational
+from .rationals import format_rational, show_rational
 
 T = TypeVar("T")
 
@@ -120,20 +120,21 @@ def taylor_jet(
     if order < 0:
         raise ValueError("jet order must be >= 0")
     if order >= cfg.window:
-        raise ValueError(f"jet order {order} does not fit the window {cfg.window}")
+        raise ValueError(f"jet order {order} does not fit the window {show_rational(cfg.window)}")
     name = infer_variable(f, var)
+    shown = show_rational(x0)
 
     def probe(fld: Field) -> Jet:
-        value = _smooth(f, {name: fld.rational(x0) + fld.epsilon()}, fld, f"at {x0}")
+        value = _smooth(f, {name: fld.rational(x0) + fld.epsilon()}, fld, f"at {shown}")
         if value.terms and value.terms[0][0] < 0:
-            raise DomainError(f"expression unbounded on the monad of {x0}")
+            raise DomainError(f"expression unbounded on the monad of {shown}")
         value.certify(order, f"jet of order {order}")
         table = {}
         for e, c in value.terms:
             if e > order:
                 break
             if e.denominator != 1:
-                raise NonSmoothAtPoint(f"fractional order eps^{e} at {x0}")
+                raise NonSmoothAtPoint(f"fractional order eps^{e} at {shown}")
             table[e] = c
         return Jet(x0, tuple(table.get(k, Fraction(0)) for k in range(order + 1)))
 
@@ -176,7 +177,7 @@ def nth_increment(
         if k:
             binom = binom * (n - k + 1) // k
         point = cfg.rational(c) + h * (n - k)
-        value = _smooth(f, {name: point}, cfg, f"near {c}")
+        value = _smooth(f, {name: point}, cfg, f"near {show_rational(c)}")
         total = total + value * Fraction((-1) ** k * binom)
     total.certify(n * (h.leading_exponent() or 0), f"increment of order {n}")
     return total
@@ -322,7 +323,7 @@ def continuity_check(
     try:
         at_p = eval_real(f, {name: p}, cfg.precision)
     except MathError as ex:
-        raise DomainError(f"function undefined at {p}: {ex.case}") from ex
+        raise DomainError(f"function undefined at {show_rational(p)}: {ex.case}") from ex
     for sign in (-1, 1):
         s = _side(f, name, p, sign, cfg)
         if s is None or not s.is_finite or s.as_fraction() != at_p:
@@ -395,7 +396,7 @@ def velocity(c: CurveDef, t0: Fraction, cfg: Field = DEFAULT_FIELD) -> tuple[Fra
     jets = c.jets(Fraction(t0), 1, cfg)
     v = tuple(j.coeffs[1] for j in jets)
     if all(x == 0 for x in v):
-        raise ZeroVelocity(f"velocity vanishes at {t0}")
+        raise ZeroVelocity(f"velocity vanishes at {show_rational(t0)}")
     return v
 
 
@@ -429,7 +430,7 @@ def tangent_certificate(
         for ch in chord[1:]:
             norm_sq = norm_sq + ch * ch
         if norm_sq.is_zero and not norm_sq.saturated:
-            raise ZeroVelocity(f"chord vanishes at {t0}")
+            raise ZeroVelocity(f"chord vanishes at {show_rational(t0)}")
         dot = fld.zero()
         for ti, ch in zip(T, chord):
             dot = dot + ch * ti
@@ -460,7 +461,7 @@ def curvature(c: CurveDef, t0: Fraction, cfg: Field = DEFAULT_FIELD) -> Curvatur
     d1 = tuple(j.coeffs[1] for j in jets)
     d2 = tuple(2 * j.coeffs[2] for j in jets)
     if all(x == 0 for x in d1):
-        raise ZeroVelocity(f"velocity vanishes at {t0}")
+        raise ZeroVelocity(f"velocity vanishes at {show_rational(t0)}")
     speed_sq = _norm_sq(d1)
     if c.dimension == 2:
         cross_sq = (d1[0] * d2[1] - d1[1] * d2[0]) ** 2

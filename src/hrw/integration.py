@@ -89,7 +89,7 @@ class Rect:
         fixed = tuple((Fraction(a), Fraction(b)) for a, b in self.intervals)
         for a, b in fixed:
             if a >= b:
-                raise ValueError(f"degenerate interval [{a}, {b}]")
+                raise ValueError(f"degenerate interval [{show_rational(a)}, {show_rational(b)}]")
         object.__setattr__(self, "intervals", fixed)
 
     @staticmethod
@@ -523,7 +523,9 @@ def measure_area_between(
     for t in axis.nums:
         lower = fn_f(t, axis.q)
         if _minus(fn_g(t, axis.q), lower)[0] < 0:
-            raise OrderViolation(f"lower curve exceeds upper curve at {Fraction(t, axis.q)}")
+            raise OrderViolation(
+                f"lower curve exceeds upper curve at {show_rational(Fraction(t, axis.q))}"
+            )
     return _box_sum(lambda n, d: _minus(fn_g(n, d), fn_f(n, d)), [axis], tag_rule, 0)
 
 
@@ -534,7 +536,8 @@ def _radius(f: Expr, var: str, precision: int) -> Callable[[int, int], tuple[int
     def radius(lo: int, q: int) -> tuple[int, int]:
         n, d = fn(lo, q)
         if n < 0:
-            raise NegativeRadius(f"f({Fraction(lo, q)}) = {show_rational(Fraction(n, d))} < 0")
+            x, r = show_rational(Fraction(lo, q)), show_rational(Fraction(n, d))
+            raise NegativeRadius(f"f({x}) = {r} < 0")
         return n, d
 
     return radius
@@ -783,7 +786,9 @@ class Gauge:
 
 
 def _not_positive(x: Fraction, value: Fraction) -> DomainError:
-    return DomainError(f"gauge must be positive, delta({x}) = {show_rational(value)}")
+    return DomainError(
+        f"gauge must be positive, delta({show_rational(x)}) = {show_rational(value)}"
+    )
 
 
 _BISECT_CAP = 64
@@ -843,7 +848,7 @@ def cousin_partition(
 
     def shown(u: int, j: int) -> tuple[str, str]:
         """[u, v] and delta(u) of a cell, for a cap's error text."""
-        lo, hi = Fraction(u, den << j), Fraction(u + width, den << j)
+        lo, hi = show_rational(Fraction(u, den << j)), show_rational(Fraction(u + width, den << j))
         return f"[{lo}, {hi}]", f"delta({lo}) = {show_rational(Fraction(*radius(u, j)))}"
 
     mcshane = mode == "mcshane"
@@ -900,6 +905,7 @@ def cousin_partition(
         xn, xd = x.as_integer_ratio()
         n, d = fn(xn, xd)
         if (xn * ud - un * xd) * d > n * xd * ud or (vn * xd - xn * vd) * d > n * xd * vd:
+            u, v, x = map(show_rational, (u, v, x))
             raise AssertionError(f"cell [{u}, {v}] escapes the ball of tag {x}")
     return TaggedPartition(
         Rect.interval(a, b),

@@ -21,7 +21,7 @@ from hrw.calculus import (
 )
 from hrw import approx
 from hrw.errors import DomainError, NonSmoothAtPoint, PrecisionExhausted, ZeroVelocity
-from hrw.exprs import eval_real, parse, symbolic_derivative
+from hrw.exprs import Binary, Const, Var, eval_real, parse, symbolic_derivative
 from hrw.field import DEFAULT_FIELD as FLD
 from hrw.field import ExtendedReal, Field, in_order_ideal
 from hrw.rationals import round_to_digits
@@ -76,6 +76,28 @@ class TestJets:
     def test_abs_kink_rejected(self):
         with pytest.raises(NonSmoothAtPoint):
             taylor_jet(parse("abs(x)"), F(0), 1)
+
+
+class TestPointsPastTheDigitLimit:
+    # 1/10^5000 cannot be written with str(); texts show its bit sizes
+    TINY = F(1, 10**5000)
+    SHOWN = "<rational of 1/16610 bits>"
+
+    def test_jet(self):
+        assert taylor_jet(parse("x^2"), self.TINY, 1).coeffs == (self.TINY**2, 2 * self.TINY)
+
+    def test_unbounded_jet(self):
+        pole = Binary("/", Const(F(1)), Binary("-", Var("x"), Const(self.TINY)))
+        with pytest.raises(DomainError) as err:
+            taylor_jet(pole, self.TINY, 1)
+        assert str(err.value) == f"expression unbounded on the monad of {self.SHOWN}"
+
+    def test_zero_velocity(self):
+        square = Binary("^", Binary("-", Var("t"), Const(self.TINY)), Const(F(2)))
+        curve = CurveDef((square, Binary("*", Const(F(0)), Var("t"))), "t")
+        with pytest.raises(ZeroVelocity) as err:
+            unit_tangent(curve, self.TINY)
+        assert str(err.value) == f"velocity vanishes at {self.SHOWN}"
 
 
 class TestCertifiedOrder:

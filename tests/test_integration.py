@@ -13,6 +13,7 @@ from hrw.calculus import CurveDef
 from hrw.errors import (
     DepthExceeded,
     DomainError,
+    NegativeRadius,
     OracleFailure,
     OrderViolation,
     UnknownFunctional,
@@ -553,6 +554,40 @@ class TestGauges:
             assert (part.cells, part.tags) == by_scan(gauge)
             outside += sum(not u <= t <= v for ((u, v),), (t,) in zip(part.cells, part.tags))
         assert outside > 0  # the nearest-tag rule was exercised
+
+
+class TestHugeRationalsInErrorTexts:
+    """An endpoint past Python's int-to-str digit limit is shown by its bit
+    sizes in an error text, which keeps its type."""
+
+    TINY = F(1, 10**5000)
+    SHOWN = "<rational of 1/16610 bits>"
+
+    def test_gauge_not_positive(self):
+        with pytest.raises(DomainError) as err:
+            cousin_partition(Gauge(parse("x - 1")), self.TINY, F(1))
+        assert str(err.value).startswith(f"gauge must be positive, delta({self.SHOWN}) = <rational")
+
+    def test_gauge_cap(self):
+        with pytest.raises(DepthExceeded) as err:
+            cousin_partition(Gauge(parse("1/10^30")), self.TINY, F(1))
+        assert str(err.value).startswith(
+            f"no gauge-fine cell after 64 bisections near [{self.SHOWN}, <rational")
+
+    def test_compiled_gauge(self):
+        with pytest.raises(DomainError) as err:
+            Gauge(parse("x - 1")).compiled(40)(self.TINY)
+        assert str(err.value).startswith(f"gauge must be positive, delta({self.SHOWN}) = ")
+
+    def test_negative_radius(self):
+        with pytest.raises(NegativeRadius) as err:
+            measure_volume_revolution(parse("x - 1"), self.TINY, F(1), 2)
+        assert str(err.value).startswith(f"f({self.SHOWN}) = <rational")
+
+    def test_order_violation(self):
+        with pytest.raises(OrderViolation) as err:
+            measure_area_between(parse("x"), parse("x - 1"), self.TINY, F(1), 2)
+        assert str(err.value) == f"lower curve exceeds upper curve at {self.SHOWN}"
 
 
 class TestSupernearness:
