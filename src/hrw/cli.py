@@ -426,20 +426,20 @@ def _cmd_integrate(args, cfg: Field) -> None:
 
 # -- the sums of measure and converge -----------------------------------------------------
 
-# each sum kind: the options it reads without a default, and the result a study
-# follows unless --path names another
+# each sum kind: the options it reads without a default, the other options it
+# reads, and the result a study follows unless --path names another
 _SUMS = {
-    "riemann": (("on", "expr"), "value"),
-    "area": (("on", "f", "g"), "value"),
-    "volume-rev": (("on", "f"), "value"),
-    "surface-rev": (("on", "f"), "value"),
-    "length": (("on", "curve"), "integral"),
-    "mass": (("region",), "mass"),
-    "com": (("region",), "mass"),
-    "moment": (("region",), "value"),
-    "work": (("on", "field", "curve"), "integrand"),
-    "impulse": (("on", "force"), "value"),
-    "morley": ((), "value"),
+    "riemann": (("on", "expr"), ("tags",), "value"),
+    "area": (("on", "f", "g"), ("tags",), "value"),
+    "volume-rev": (("on", "f"), (), "value"),
+    "surface-rev": (("on", "f"), (), "value"),
+    "length": (("on", "curve"), ("path",), "integral"),
+    "mass": (("region",), ("rect", "rho"), "mass"),
+    "com": (("region",), ("rect", "rho"), "mass"),
+    "moment": (("region",), ("rect", "rho", "integrand"), "value"),
+    "work": (("on", "field", "curve"), ("path",), "integrand"),
+    "impulse": (("on", "force"), (), "value"),
+    "morley": ((), ("radius", "n", "edge"), "value"),
 }
 # measure kinds that run a convergence study for --meshes (and report --oracle)
 _MESH_KINDS = ("area", "moment", "mass", "impulse")
@@ -513,22 +513,27 @@ def _parse_sum(args, kind: str, d: int):
             (lambda: expr) if kind == "impulse" else None)
 
 
-def _params(args) -> dict:
-    return {k: v for k, v in vars(args).items()
-            if k not in ("command", "format", "precision", "window", "seed") and v is not None}
+def _params(args, kind: str) -> dict:
+    """The options a request of the sum kind reads, in the order of vars(args):
+    the kind's own, and --meshes and --oracle or else the --mesh it sums at."""
+    needs, optional, _ = _SUMS[kind]
+    meshes = ("meshes", "oracle") if args.meshes else ("mesh",) * (kind != "morley")
+    names = ("kind", "op", *needs, *optional, *meshes)
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
 
 
-def _study(args, operation: str, values, study: str, meshes: list[Fraction],
+def _study(args, kind: str, values, study: str, meshes: list[Fraction],
            oracle: Fraction | None, notes: tuple[str, ...]) -> None:
     """Tabulate the result --path names, else ``study``, of values(mesh) over the
     meshes against the oracle (None: the study's extrapolated estimate); print it."""
+    operation = f"{args.command} {kind}"
     path = getattr(args, "path", None)
 
     def target(mesh: Fraction) -> Fraction:
         result = values(mesh)
         return result.get(path, result[study])
 
-    report = converge_study(operation, target, meshes, oracle or 0, _params(args), notes)
+    report = converge_study(operation, target, meshes, oracle or 0, _params(args, kind), notes)
     if oracle is None:
         report = dataclasses.replace(report, oracle=report.estimate)
     if args.format == "json":
@@ -548,7 +553,7 @@ def _measure_text(result: dict) -> str:
 
 
 def _cmd_measure(args, cfg: Field) -> None:
-    needs, study = _SUMS[args.kind]
+    needs, _, study = _SUMS[args.kind]
     # measure moment has no default --integrand; converge moment integrates rho alone
     _require(args, needs + ("integrand",) * (args.kind == "moment"), f"measure {args.kind}")
     if (args.meshes or args.oracle) and args.kind not in _MESH_KINDS:
@@ -561,18 +566,17 @@ def _cmd_measure(args, cfg: Field) -> None:
         notes = () if args.oracle else ("oracle: extrapolated (no closed form supplied)",)
         # the options are read at the first mesh, after converge_study has checked the meshes
         values = cache(lambda: _parse_sum(args, args.kind, cfg.precision)[0])
-        _study(args, f"measure {args.kind}", lambda mesh: values()(mesh), study, meshes, oracle,
-               notes)
+        _study(args, args.kind, lambda mesh: values()(mesh), study, meshes, oracle, notes)
         return
     mesh = _parse_mesh(args.mesh)
     result = _parse_sum(args, args.kind, cfg.precision)[0](mesh)
     shown = {k: [_fmt(x) for x in v] if isinstance(v, tuple) else _fmt(v)
              for k, v in result.items()}
-    _emit(args, f"measure {args.kind}", _params(args), shown, _measure_text(result))
+    _emit(args, f"measure {args.kind}", _params(args, args.kind), shown, _measure_text(result))
 
 
 def _cmd_converge(args, cfg: Field) -> None:
-    needs, study = _SUMS[args.op]
+    needs, _, study = _SUMS[args.op]
     _require(args, needs, f"converge {args.op}")
     meshes = _parse_meshes(args.meshes)
     values, integrand = _parse_sum(args, args.op, cfg.precision)
@@ -585,7 +589,7 @@ def _cmd_converge(args, cfg: Field) -> None:
         fn = compile_real(quad, (first_variable("x", quad),), cfg.precision)
         oracle = adaptive_simpson(fn, *_parse_interval(args.on))
         notes = (f"oracle: adaptive Simpson, tolerance 1e-{integration.SIMPSON_DIGITS}",)
-    _study(args, f"converge {args.op}", values, study, meshes, oracle, notes)
+    _study(args, args.op, values, study, meshes, oracle, notes)
 
 
 def _cmd_probe_supernear(args, cfg: Field) -> None:

@@ -152,6 +152,43 @@ class TestJson:
         assert code == 0 and set(doc["result"]) == {"value"}
         assert doc["params"] == {"expr": "x", "method": "mcshane", "gauge": "1/4"}
 
+    @pytest.mark.parametrize("argv, params", [
+        # work sums at cell centers and reads no tag rule or morley option
+        (("measure", "work", "--field=y;x", "--curve=t;t^2", "--on=0,1", "--mesh=1/4",
+          "--tags=seeded-random"),
+         {"kind": "work", "field": "y;x", "curve": "t;t^2", "on": "0,1", "mesh": "1/4"}),
+        # volume-rev sums at min-vertex whatever --tags says
+        (("measure", "volume-rev", "--f=x", "--on=0,1", "--mesh=1/4", "--tags=center"),
+         {"kind": "volume-rev", "f": "x", "on": "0,1", "mesh": "1/4"}),
+        (("measure", "area", "--f=0", "--g=1", "--on=0,1", "--tags=center"),
+         {"kind": "area", "f": "0", "g": "1", "on": "0,1", "mesh": "1/64", "tags": "center"}),
+        (("measure", "moment", "--region=x^2+y^2-1", "--integrand=x^2", "--mesh=1/4"),
+         {"kind": "moment", "region": "x^2+y^2-1", "integrand": "x^2", "mesh": "1/4"}),
+        # the strip sum reads no mesh
+        (("measure", "morley", "--n=4"),
+         {"kind": "morley", "radius": "1", "n": "4", "edge": "outer"}),
+    ], ids=["work", "volume-rev", "area", "moment", "morley"])
+    def test_measure_params_are_the_options_read(self, capsys, argv, params):
+        code, out, err = invoke(capsys, "--format", "json", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"] == params
+
+    @pytest.mark.parametrize("argv, params", [
+        (("measure", "area", "--f=0", "--g=1", "--on=0,1", "--meshes=1/2,1/4"),
+         {"kind": "area", "f": "0", "g": "1", "on": "0,1", "meshes": "1/2,1/4",
+          "tags": "min-vertex"}),
+        (("converge", "riemann", "--expr=x", "--on=0,1", "--meshes=1/2,1/4"),
+         {"op": "riemann", "expr": "x", "on": "0,1", "meshes": "1/2,1/4", "oracle": "simpson",
+          "tags": "min-vertex"}),
+        (("converge", "length", "--curve=t;t", "--on=0,1", "--meshes=1/2,1/4", "--oracle=1"),
+         {"op": "length", "curve": "t;t", "on": "0,1", "meshes": "1/2,1/4", "oracle": "1",
+          "path": "integral"}),
+    ], ids=["measure-area", "converge-riemann", "converge-length"])
+    def test_study_params_are_the_options_read(self, capsys, argv, params):
+        code, out, err = invoke(capsys, "--format", "json", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"] == params
+
     def test_convergence_schema(self, capsys):
         code, out, _ = invoke(
             capsys, "converge", "riemann", "--expr", "x^2", "--on", "0,1",
