@@ -2,6 +2,8 @@
 
 A deterministic series generator (seeded random.Random) backs both the
 hypothesis strategies and the large seeded loops in the acceptance suite.
+Hypothesis runs under its built-in ``ci`` profile everywhere: derandomized
+and without an example database, so every run draws the same examples.
 """
 
 from __future__ import annotations
@@ -10,8 +12,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from hrw.field import DEFAULT_FIELD, Field, HyperReal
+
+settings.load_profile("ci")
 
 EXPONENT_GRID = [Fraction(k, d) for d in (1, 2, 3) for k in range(-6, 13)]
 
