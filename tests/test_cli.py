@@ -283,7 +283,8 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "converge", "riemann", "--expr", "abs(x-1/3)/(x-1/3)",
                                 "--on", "0,1", "--meshes", "1/4,1/8", "--oracle", "simpson")
         assert (code, out) == (1, "")
-        assert err == "error: OracleFailure: quadrature exceeded 1000 halvings near 0.333333333333\n"
+        assert err == ("error: OracleFailure: quadrature exceeded 1000 halvings "
+                       "near 0.333333333333\n")
 
     def test_precision_exhausted_is_one(self, capsys):
         code, _, err = invoke(capsys, "limit-fn", "(sin(x^8)-x^8)/x^24", "--at", "0")
@@ -380,18 +381,21 @@ class TestDeepExpressions:
     def test_nesting_is_a_parse_error(self, capsys, expr, offset, found):
         code, out, err = invoke(capsys, "eval", expr, "--at", "x=1")
         assert (code, out) == (2, "")
-        assert err == f"parse-error: expected at most 100 nested levels at offset {offset}, found {found}\n"
+        assert err == (f"parse-error: expected at most 100 nested levels "
+                       f"at offset {offset}, found {found}\n")
 
     def test_long_sum_is_a_parse_error(self, capsys):
         # the 800th '+' makes the tree 801 levels high
         code, out, err = invoke(capsys, "eval", " + ".join(["x"] * 3000), "--at", "x=1")
         assert (code, out) == (2, "")
-        assert err == "parse-error: expected at most 800 levels of operations at offset 3198, found +\n"
+        assert err == ("parse-error: expected at most 800 levels of operations "
+                       "at offset 3198, found +\n")
 
     def test_long_sum_compiles(self, capsys):
         # 500 terms: past what two frames a level in the code generator allowed
         expr = " + ".join(f"{k}*x" for k in range(1, 501))
-        assert invoke(capsys, "integrate", expr, "--on", "0,1", "--mesh", "1/4") == (0, "187875/4\n", "")
+        integrated = invoke(capsys, "integrate", expr, "--on", "0,1", "--mesh", "1/4")
+        assert integrated == (0, "187875/4\n", "")
         assert invoke(capsys, "eval", expr, "--at", "x=1") == (0, "125250\n", "")
         assert invoke(capsys, "diff", expr, "--at", "0") == (0, "125250\n", "")
 

@@ -749,9 +749,12 @@ def test_one_dimensional_measures(seed):
         assert got == outcome(naive_surface), render(radius)
 
         curve = CurveDef(tuple(parsed(gen.tree(2, big=False)) for _ in range(2)), "x")
-        points = lambda: [tuple(at(c, (t,)) for c in curve.components) for t in breaks]  # noqa: E731
-        speed = lambda t: [taylor_jet(c, t, 1, JET_FIELD, "x").derivative(1)  # noqa: E731
-                           for c in curve.components]
+
+        def points():
+            return [tuple(at(c, (t,)) for c in curve.components) for t in breaks]
+
+        def speed(t):
+            return [taylor_jet(c, t, 1, JET_FIELD, "x").derivative(1) for c in curve.components]
 
         def naive_length():
             ends = points()
