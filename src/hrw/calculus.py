@@ -520,6 +520,7 @@ def jacobian(
 
     base_env = {name: Fraction(v) for name, v in zip(varnames, point)}
     f_at_c = [eval_real(comp, base_env, d) for comp in F]
+    where = f"at ({', '.join(map(show_rational, point))})"
 
     def probe(fld: Field) -> JacobianResult:
         def eval_at(offsets: Sequence[HyperReal]) -> list[HyperReal]:
@@ -527,7 +528,7 @@ def jacobian(
                 name: fld.rational(v) + off
                 for name, v, off in zip(varnames, point, offsets)
             }
-            return [_smooth(comp, env, fld, f"at {tuple(point)}") for comp in F]
+            return [_smooth(comp, env, fld, where) for comp in F]
 
         eps = fld.epsilon()
         zero = fld.zero()

@@ -21,7 +21,7 @@ from hrw.calculus import (
 )
 from hrw import approx
 from hrw.errors import DomainError, NonSmoothAtPoint, PrecisionExhausted, ZeroVelocity
-from hrw.exprs import Binary, Const, Var, eval_real, parse, symbolic_derivative
+from hrw.exprs import Binary, Call, Const, Var, eval_real, parse, symbolic_derivative
 from hrw.field import DEFAULT_FIELD as FLD
 from hrw.field import ExtendedReal, Field, in_order_ideal
 from hrw.rationals import round_to_digits
@@ -91,6 +91,15 @@ class TestPointsPastTheDigitLimit:
         with pytest.raises(DomainError) as err:
             taylor_jet(pole, self.TINY, 1)
         assert str(err.value) == f"expression unbounded on the monad of {self.SHOWN}"
+
+    def test_jacobian_point(self):
+        kink = Call("abs", (Binary("-", Var("x"), Const(self.TINY)),))
+        with pytest.raises(NonSmoothAtPoint) as err:
+            jacobian([kink, Var("y")], [self.TINY, F(1)])
+        assert str(err.value) == f"abs argument vanishes at ({self.SHOWN}, 1)"
+        with pytest.raises(NonSmoothAtPoint) as err:
+            jacobian([parse("abs(x - 1/2)"), parse("y")], [F(1, 2), F(1)])
+        assert str(err.value) == "abs argument vanishes at (1/2, 1)"
 
     def test_zero_velocity(self):
         square = Binary("^", Binary("-", Var("t"), Const(self.TINY)), Const(F(2)))
