@@ -9,6 +9,10 @@ than unary minus)::
     power   := primary ['^' unary]
     primary := number | name | name '(' expr (',' expr)* ')' | '(' expr ')'
 
+The parser refuses more than ``MAX_NESTING`` nested levels and trees more
+than ``MAX_HEIGHT`` levels high, so every recursive walk below fits in
+Python's default recursion limit.
+
 Decimal literals become exact rationals (0.25 -> 1/4).  ``pi`` and ``e`` are
 named constants resolved to rational approximations at evaluation time.
 Expressions evaluate both over exact rationals (:func:`eval_real`) and over
@@ -148,6 +152,10 @@ CONSTANTS = ("pi", "e")
 # frames per nesting level (a parenthesis, call, minus sign or ``^``); every
 # tree walk (``render``, ``free_vars``, ``eval_real``, ``eval_hyper``,
 # ``compile_real``, ``symbolic_derivative``) takes one per level of the tree.
+# At these bounds the deepest request (``measure length``, which walks a
+# curve component under its jets) leaves room for 174 caller frames on
+# Python 3.10-3.13, against 34 under pytest (49 in a Hypothesis test); the
+# parser leaves room for 289.
 MAX_NESTING = 100
 MAX_HEIGHT = 800
 
