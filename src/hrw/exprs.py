@@ -727,13 +727,10 @@ class _Codegen:
             # integer exponent or a nonzero constant divisor is folded instead
             left, r = self.part(node.left), node.right
             if node.op == "^":
-                folded = int_exponent(node) is not None
-            else:
-                folded = node.op == "/" and isinstance(r, Const) and r.value != 0
-            right = None if folded else self.part(r)
-            if node.op == "^":
-                return self.power(node, left, right)
-            n, d = self.binary(node, left, right)
+                whole = int_exponent(node) is not None
+                return self.power(node, left, None if whole else self.part(r))
+            folded = node.op == "/" and isinstance(r, Const) and r.value != 0
+            n, d = self.binary(node, left, None if folded else self.part(r))
             return self.shallow(n), self.shallow(d)
         p = self.digits
         if node.fn == "root":
