@@ -58,7 +58,7 @@ def show_rational(q) -> str:
     """q for an error text: ``str(q)``, or the bit sizes of its numerator and
     denominator once either nears Python's int-to-str digit limit (more than
     3 bits a digit), past which ``str`` raises."""
-    q = Fraction(q)
+    q = q if isinstance(q, Fraction) else Fraction(q)
     num_bits, den_bits = q.numerator.bit_length(), q.denominator.bit_length()
     limit = sys.get_int_max_str_digits()
     if limit and max(num_bits, den_bits) > 3 * limit:
