@@ -54,9 +54,12 @@ n-fold ``symbolic_derivative`` divided by n!.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import random
+import re
 from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction as F
 from itertools import product
@@ -1093,3 +1096,224 @@ def test_kernels_round_correctly(seed):
                 checked += 1
                 assert got == want, (name, x, digits)
     assert skipped * 100 <= checked
+
+
+# -- random CLI requests ------------------------------------------------------------------------
+
+CLI_COMMANDS = ("eval", "st", "classify", "limit-seq", "limit-fn", "diff", "jet", "increment",
+                "tangent", "curvature", "jacobian", "kinematics", "integrate", "measure",
+                "converge", "probe-supernear")
+MESHES = ("1", "1/2", "2/3", "1/3", "1/4", "3/8", "1/5", "1/8", "1/16")
+REGIONS = ("x^2+y^2-1", "x^2+y^2-1/4", "abs(x)+abs(y)-1", "x^2+y^2+z^2-1", "x-y")
+GAUGES = ("1/4", "1/8", "1/16", "x/8+1/16", "abs(x)/4+1/32", "(x-1/3)^2", "0", "x", "1/(x-1)")
+CLI_ERROR = re.compile(r"(error: [A-Z][A-Za-z]*: |parse-error: |usage-error: )[^\n]*\n")
+
+
+class RequestGen:
+    """Random argv lists over every subcommand.  Options are drawn, left
+    out or malformed at random, so parse, usage and math errors all occur;
+    meshes stay at 1/16 or wider, orders at 5 or less, and intervals inside
+    the rationals of POOL, so a request takes milliseconds."""
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+
+    def chance(self, p: float) -> bool:
+        return self.rng.random() < p
+
+    def expr(self, *names: str) -> str:
+        rng = self.rng
+        text = render(ExprGen(rng, names).tree(rng.randint(0, 3), big=False))
+        if self.chance(0.05):
+            cut = rng.randint(0, len(text))
+            text = text[:cut] + rng.choice(["*", ")", "(", ",", "^^", "$", "9" * 4400]) + text[cut:]
+        return text
+
+    def exprs(self, *names: str) -> str:
+        count = self.rng.randint(2, 3) if self.chance(0.9) else 1
+        return "; ".join(self.expr(*names) for _ in range(count))
+
+    def rational(self) -> str:
+        if self.chance(0.04):
+            return self.rng.choice(["", "1/0", "x", "0.5.5", "9" * 4400])
+        return str(rand_rational(self.rng))
+
+    def interval(self) -> str:
+        if self.chance(0.05):
+            return self.rng.choice(["1", "1,0", "0,0", "a,b", "0,1,2"])
+        a, b = sorted(self.rng.sample(sorted(set(POOL)), 2))
+        return f"{a},{b}"
+
+    def mesh(self, coarse: bool = False) -> str:
+        if self.chance(0.05):
+            return self.rng.choice(["0", "-1/4", "q"])
+        return self.rng.choice(MESHES[:5] if coarse else MESHES)
+
+    def meshes(self, coarse: bool = False) -> str:
+        rng = self.rng
+        drawn = rng.sample(MESHES[:5] if coarse else MESHES, rng.randint(1, 3))
+        drawn.sort(key=F, reverse=not self.chance(0.05))
+        if self.chance(0.05):
+            drawn.append(rng.choice(["0", drawn[-1]]))
+        return ",".join(drawn)
+
+    def series(self) -> str:
+        rng = self.rng
+        terms = [f"{rand_rational(rng)}*eps^{rng.choice(['-1', '0', '1/2', '1', '2'])}"
+                 for _ in range(rng.randint(1, 3))]
+        text = " + ".join(terms) if self.chance(0.9) else rng.choice(["", "0", "1*eps^", "3 +"])
+        return text
+
+    def options(self, **drawn) -> list[str]:
+        """--name=value for each (probability, draw) pair that comes up."""
+        return [f"--{name.rstrip('_')}={draw()}" for name, (p, draw) in drawn.items()
+                if self.chance(p)]
+
+    def request(self) -> list[str]:
+        rng = self.rng
+        command = rng.choice(CLI_COMMANDS)
+        positional, options = getattr(self, "r_" + command.replace("-", "_"))()
+        common = self.options(precision=(0.2, lambda: rng.choice([12, 20])),
+                              window=(0.1, lambda: rng.choice([8, 32])))
+        if self.chance(0.5):
+            common.append("--format=json")
+        argv = [command, *options, *common]
+        if positional is not None:
+            argv += ["--", positional] if self.chance(0.5) else [positional]
+        return argv
+
+    def r_eval(self):
+        at = lambda: f"x={self.rational()},y={self.rational()}"  # noqa: E731
+        return self.expr("x", "y"), self.options(at=(0.8, at))
+
+    def r_st(self):
+        return self.series(), []
+
+    r_classify = r_st
+
+    def r_limit_seq(self):
+        return self.expr("n"), self.options(method=(0.3, lambda: self.rng.choice(
+            ["auto", "field", "numeric"])))
+
+    def r_limit_fn(self):
+        return self.expr("x"), self.options(at=(0.97, self.rational))
+
+    def r_diff(self):
+        order = lambda: self.rng.randint(-1 if self.chance(0.05) else 0, 5)  # noqa: E731
+        return self.expr("x"), self.options(at=(0.97, self.rational), order=(0.7, order))
+
+    r_jet = r_increment = r_diff
+
+    def r_tangent(self):
+        return None, self.options(curve=(0.97, lambda: self.exprs("t")),
+                                  at=(0.97, self.rational))
+
+    r_curvature = r_tangent
+
+    def r_jacobian(self):
+        at = lambda: ",".join(self.rational() for _ in range(self.rng.randint(1, 3)))  # noqa: E731
+        return None, self.options(map=(0.97, lambda: self.exprs("x", "y")), at=(0.97, at))
+
+    def r_kinematics(self):
+        return self.expr("t"), self.options(at=(0.97, self.rational))
+
+    def sum_options(self, kind: str, study: bool, poly: bool = False) -> list[str]:
+        """The options of a partition sum: likely those of its kind, rarely
+        others; polynomial integrands where the Simpson oracle integrates them
+        (near a pole its 1000 halvings take minutes)."""
+        rng = self.rng
+        wanted = lambda *names: 0.85 if kind in names else 0.05  # noqa: E731
+        one = (lambda var: rand_poly(rng, var)) if poly else self.expr
+        return self.options(
+            expr=(wanted("riemann"), lambda: one("x")),
+            f=(wanted("area", "volume-rev", "surface-rev"), lambda: one("x")),
+            g=(wanted("area"), lambda: one("x")),
+            rho=(wanted("mass", "com", "moment") / 2, lambda: self.expr("x", "y")),
+            integrand=(wanted("moment"), lambda: self.expr("x", "y")),
+            region=(wanted("mass", "com", "moment"), lambda: rng.choice(REGIONS)),
+            rect=(wanted("mass", "com", "moment", "riemann") / 4,
+                  lambda: ";".join(self.interval() for _ in range(rng.randint(1, 2)))),
+            curve=(wanted("length", "work"), lambda: self.exprs("t")),
+            field=(wanted("work"), lambda: self.exprs("x", "y")),
+            force=(wanted("impulse"), lambda: one("t")),
+            on=(wanted("riemann", "area", "volume-rev", "surface-rev", "length", "work",
+                       "impulse"), self.interval),
+            meshes=(0.97 if study else 0.05, lambda: self.meshes(kind in REGION_KINDS)),
+            tags=(0.4, lambda: rng.choice(TAG_RULES)),
+            seed=(0.3, lambda: rng.randint(0, 9)),
+        )
+
+    def r_integrate(self):
+        rng = self.rng
+        method = rng.choice(["riemann", "darboux", "stieltjes", "gauge", "mcshane"])
+        box = method in ("riemann", "darboux") and self.chance(0.2)
+        rect = lambda: ";".join(self.interval() for _ in range(rng.randint(1, 2)))  # noqa: E731
+        options = self.options(
+            method=(0.9, lambda: method), on=(0.05 if box else 0.9, self.interval),
+            rect=(0.9 if box else 0.02, rect), mesh=(0.7, self.mesh),
+            tags=(0.4, lambda: rng.choice(TAG_RULES)), seed=(0.3, lambda: rng.randint(0, 9)),
+            phi=(0.85 if method == "stieltjes" else 0.05, lambda: self.expr("x")),
+            gauge=(0.85 if "a" in method[1:] else 0.05, lambda: rng.choice(GAUGES)),
+            samples=(0.2, lambda: rng.randint(1, 5)))
+        return self.expr("x", "y") if box else self.expr("x"), options
+
+    def r_measure(self):
+        rng = self.rng
+        kind = rng.choice(["area", "volume-rev", "surface-rev", "length", "mass", "com",
+                           "moment", "work", "impulse", "morley"])
+        study = kind in ("area", "moment", "mass", "impulse") and self.chance(0.3)
+        options = self.sum_options(kind, study)
+        # the default mesh 1/64 is left to one-dimensional sums; a solid
+        # region always gets a coarse one
+        solid = "--region=x^2+y^2+z^2-1" in options
+        options += self.options(
+            mesh=(1 if solid else 0.97 if kind in REGION_KINDS else 0.6,
+                  lambda: self.mesh(kind in REGION_KINDS)),
+            oracle=(0.5 if study else 0.03, self.rational),
+            radius=(0.5 if kind == "morley" else 0.03, self.rational),
+            n=(0.7 if kind == "morley" else 0.03, lambda: rng.randint(-1, 50)),
+            edge=(0.4, lambda: rng.choice(["outer", "inner"])))
+        return kind, options
+
+    def r_converge(self):
+        rng = self.rng
+        op = rng.choice(["riemann", "area", "length", "work", "moment", "impulse"])
+        oracle = rng.choice([None, "simpson", self.rational()])
+        options = self.sum_options(op, True, oracle in (None, "simpson")) + self.options(
+            oracle=(oracle is not None, lambda: oracle),
+            path=(0.3, lambda: rng.choice(["integral", "polygonal", "chord", "integrand"])))
+        return op, options
+
+    def r_probe_supernear(self):
+        generator = lambda: rand_poly(self.rng, "x") if self.chance(0.6) else self.expr("x")  # noqa: E731
+        return None, self.options(generator=(0.97, generator),
+                                  target=(0.97, lambda: self.expr("x")),
+                                  on=(0.97, self.interval), meshes=(0.97, self.meshes))
+
+
+REGION_KINDS = ("mass", "com", "moment")
+
+
+def cli_outcome(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cli_requests(seed):
+    # every request ends in one of the three exits: a value on stdout, or
+    # nothing on stdout and one named line on stderr; and it repeats exactly
+    gen = RequestGen(random.Random(1500 + seed))
+    for _ in range(150):
+        argv = gen.request()
+        code, out, err = outcome = cli_outcome(argv)
+        assert code in (0, 1, 2), argv
+        if code:
+            assert out == "" and CLI_ERROR.fullmatch(err), (argv, err)
+        else:
+            assert err == "" and out.endswith("\n"), argv
+            if "--format=json" in argv:
+                json.loads(out)
+        assert cli_outcome(argv) == outcome, argv
