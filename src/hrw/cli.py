@@ -15,6 +15,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from . import calculus, integration
 from .calculus import CurveDef
@@ -31,7 +32,7 @@ from .integration import (
     converge_study,
     first_variable,
 )
-from .rationals import decimal_str, format_rational, parse_rational
+from .rationals import decimal_str, format_rational as _fmt, parse_rational
 
 
 class _UsageError(ValueError):
@@ -43,13 +44,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(q: Fraction) -> str:
-    return format_rational(q)
-
-
 def _pretty(q: Fraction) -> str:
     """Exact rational, with a decimal hint once the digits stop being readable."""
-    text = format_rational(q)
+    text = _fmt(q)
     if q.denominator > 10**6:
         return f"{text} (~ {decimal_str(q)})"
     return text
@@ -118,11 +115,11 @@ def _cells_for(a: Fraction, b: Fraction, mesh: Fraction) -> int:
     return m + 1 if m * mesh < b - a else m
 
 
-def _emit(args, operation: str, params: dict, result: dict, text: str) -> None:
+def _emit(args, operation: str, result: dict, text: str) -> None:
     if args.format == "json":
         doc = {
             "operation": operation,
-            "params": {k: str(v) for k, v in params.items()},
+            "params": {k: str(v) for k, v in _params(args).items()},
             "result": result,
         }
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
@@ -161,8 +158,16 @@ def build_parser() -> _Parser:
 
     class sub:  # noqa: N801 - local shorthand for subparser registration
         @staticmethod
-        def add_parser(name, **kw):
-            return subparsers.add_parser(name, parents=[sub_common], **kw)
+        def add_parser(name, *parents, **kw):
+            return subparsers.add_parser(name, parents=[sub_common, *parents], **kw)
+
+    sums = _Parser(add_help=False)  # the options measure and converge share
+    helps = {"region": "membership expression <= 0",
+             "rect": "box a,b;c,d: riemann's domain, or a region's (default [-1,1] per axis)",
+             "field": "force components separated by ';'"}
+    for name in ("f", "g", "rho", "integrand", "region", "rect", "curve", "field", "force", "on"):
+        sums.add_argument(f"--{name}", default=None, help=helps.get(name))
+    sums.add_argument("--tags", default="min-vertex", choices=TAG_RULES)
 
     p = sub.add_parser("eval", help="evaluate an expression at rational points")
     p.add_argument("expr")
@@ -225,45 +230,23 @@ def build_parser() -> _Parser:
     p.add_argument("--gauge", default=None, help="gauge radius expression")
     p.add_argument("--samples", type=int, default=5, help="darboux grid per axis")
 
-    p = sub.add_parser("measure", help="named geometric and physical measures")
+    p = sub.add_parser("measure", sums, help="named geometric and physical measures")
     p.add_argument("kind", choices=("area", "volume-rev", "surface-rev", "length",
                                     "mass", "com", "moment", "work", "impulse",
                                     "morley"))
-    p.add_argument("--f", default=None)
-    p.add_argument("--g", default=None)
-    p.add_argument("--rho", default=None)
-    p.add_argument("--integrand", default=None)
-    p.add_argument("--region", default=None, help="membership expression <= 0")
-    p.add_argument("--rect", default=None, help="bounding box, default [-1,1] per axis")
-    p.add_argument("--curve", default=None)
-    p.add_argument("--field", default=None, help="force components separated by ';'")
-    p.add_argument("--force", default=None)
-    p.add_argument("--on", default=None)
-    p.add_argument("--mesh", default="1/64")
+    p.add_argument("--mesh", default="1/64", help="cell width; morley does not read it")
     p.add_argument("--meshes", default=None, help="run a convergence study instead")
     p.add_argument("--oracle", default=None, help="closed-form value for reports")
     p.add_argument("--radius", default="1", help="disc radius for morley")
     p.add_argument("--n", type=int, default=10, help="strip count for morley")
     p.add_argument("--edge", default="outer", choices=("outer", "inner"))
-    p.add_argument("--tags", default="min-vertex", choices=TAG_RULES)
 
-    p = sub.add_parser("converge", help="mesh-indexed study of a sum operation")
+    p = sub.add_parser("converge", sums, help="mesh-indexed study of a sum operation")
     p.add_argument("op", choices=("riemann", "area", "length", "work", "moment", "impulse"))
     p.add_argument("--expr", default=None)
-    p.add_argument("--f", default=None)
-    p.add_argument("--g", default=None)
-    p.add_argument("--rho", default=None)
-    p.add_argument("--integrand", default=None)
-    p.add_argument("--region", default=None)
-    p.add_argument("--rect", default=None)
-    p.add_argument("--curve", default=None)
-    p.add_argument("--field", default=None)
-    p.add_argument("--force", default=None)
-    p.add_argument("--on", default=None)
     p.add_argument("--meshes", required=True)
     p.add_argument("--oracle", default="simpson",
                    help="rational value, or 'simpson' for the quadrature oracle")
-    p.add_argument("--tags", default="min-vertex", choices=TAG_RULES)
     p.add_argument("--path", default="integral",
                    choices=("integral", "polygonal", "chord", "integrand"))
 
@@ -283,45 +266,41 @@ def _cmd_eval(args, cfg: Field) -> None:
     expr = parse(args.expr)
     env = _parse_env(args.at)
     value = eval_real(expr, env, cfg.precision)
-    _emit(args, "eval", {"expr": args.expr, "at": args.at or ""},
-          {"value": _fmt(value)}, _fmt(value))
+    _emit(args, "eval", {"value": _fmt(value)}, _fmt(value))
 
 
 def _cmd_st(args, cfg: Field) -> None:
     x = parse_hyperreal(args.series, cfg.window, cfg.precision)
     value = x.st()
-    _emit(args, "st", {"series": args.series}, {"value": str(value)}, str(value))
+    _emit(args, "st", {"value": str(value)}, str(value))
 
 
 def _cmd_classify(args, cfg: Field) -> None:
     x = parse_hyperreal(args.series, cfg.window, cfg.precision)
     tag = x.classify().value
-    _emit(args, "classify", {"series": args.series}, {"classification": tag}, tag)
+    _emit(args, "classify", {"classification": tag}, tag)
 
 
 def _cmd_limit_seq(args, cfg: Field) -> None:
     res = calculus.seq_limit(parse(args.expr), cfg, method=args.method)
-    _emit(args, "limit-seq", {"expr": args.expr, "method": args.method},
-          _limit_json(res), str(res))
+    _emit(args, "limit-seq", _limit_json(res), str(res))
 
 
 def _cmd_limit_fn(args, cfg: Field) -> None:
     res = calculus.fn_limit(parse(args.expr), parse_rational(args.at), cfg)
-    _emit(args, "limit-fn", {"expr": args.expr, "at": args.at},
-          _limit_json(res), str(res))
+    _emit(args, "limit-fn", _limit_json(res), str(res))
 
 
 def _cmd_diff(args, cfg: Field) -> None:
     value = calculus.derivative(parse(args.expr), parse_rational(args.at), args.order, cfg)
-    _emit(args, "diff", {"expr": args.expr, "at": args.at, "order": args.order},
-          {"value": _fmt(value)}, _fmt(value))
+    _emit(args, "diff", {"value": _fmt(value)}, _fmt(value))
 
 
 def _cmd_jet(args, cfg: Field) -> None:
     jet = calculus.taylor_jet(parse(args.expr), parse_rational(args.at), args.order, cfg)
     coeffs = [_fmt(c) for c in jet.coeffs]
-    _emit(args, "jet", {"expr": args.expr, "at": args.at, "order": args.order},
-          {"base": _fmt(jet.base), "coefficients": coeffs}, "[" + ", ".join(coeffs) + "]")
+    _emit(args, "jet", {"base": _fmt(jet.base), "coefficients": coeffs},
+          "[" + ", ".join(coeffs) + "]")
 
 
 def _cmd_increment(args, cfg: Field) -> None:
@@ -330,8 +309,7 @@ def _cmd_increment(args, cfg: Field) -> None:
     inc = calculus.nth_increment(parse(args.expr), c, cfg.epsilon(), n, cfg)
     ratio = (inc / cfg.epsilon() ** n).st()
     text = f"{inc.render()}  st(/eps^{n}) = {ratio}"
-    _emit(args, "increment", {"expr": args.expr, "at": args.at, "order": n},
-          {"series": inc.render(), "ratio_st": str(ratio)}, text)
+    _emit(args, "increment", {"series": inc.render(), "ratio_st": str(ratio)}, text)
 
 
 def _cmd_tangent(args, cfg: Field) -> None:
@@ -340,8 +318,7 @@ def _cmd_tangent(args, cfg: Field) -> None:
     T = calculus.unit_tangent(curve, t0, cfg)
     cert = calculus.tangent_certificate(curve, t0, cfg)
     text = "T = (" + ", ".join(_fmt(x) for x in T) + f")  certificate = {_fmt(cert)}"
-    _emit(args, "tangent", {"curve": args.curve, "at": args.at},
-          {"vector": [_fmt(x) for x in T], "certificate": _fmt(cert)}, text)
+    _emit(args, "tangent", {"vector": [_fmt(x) for x in T], "certificate": _fmt(cert)}, text)
 
 
 def _cmd_curvature(args, cfg: Field) -> None:
@@ -361,7 +338,7 @@ def _cmd_curvature(args, cfg: Field) -> None:
         }
         text = (f"kappa = {_fmt(res.kappa)}  radius = {_fmt(res.radius)}  "
                 f"center = (" + ", ".join(_fmt(x) for x in res.center) + ")")
-    _emit(args, "curvature", {"curve": args.curve, "at": args.at}, result, text)
+    _emit(args, "curvature", result, text)
 
 
 def _cmd_jacobian(args, cfg: Field) -> None:
@@ -371,82 +348,80 @@ def _cmd_jacobian(args, cfg: Field) -> None:
     rows = [[_fmt(x) for x in row] for row in res.matrix]
     text = "\n".join("[" + ", ".join(row) + "]" for row in rows)
     text += f"\nresidual_order_ok = {res.residual_order_ok}"
-    _emit(args, "jacobian", {"map": args.map, "at": args.at},
-          {"matrix": rows, "residual_order_ok": res.residual_order_ok}, text)
+    _emit(args, "jacobian", {"matrix": rows, "residual_order_ok": res.residual_order_ok}, text)
 
 
 def _cmd_kinematics(args, cfg: Field) -> None:
     v, a = calculus.kinematics(parse(args.expr), parse_rational(args.at), cfg)
-    _emit(args, "kinematics", {"expr": args.expr, "at": args.at},
-          {"velocity": _fmt(v), "acceleration": _fmt(a)},
+    _emit(args, "kinematics", {"velocity": _fmt(v), "acceleration": _fmt(a)},
           f"v = {_fmt(v)}  a = {_fmt(a)}")
 
 
-def _cmd_integrate(args, cfg: Field) -> None:
-    expr = parse(args.expr)
-    if args.method in ("gauge", "mcshane"):  # the gauge sets the cells: no mesh
-        if not args.on or not args.gauge:
-            raise ParseError(0, "--on and --gauge for gauge methods", "missing")
-        a, b = _parse_interval(args.on)
-        mode = "mcshane" if args.method == "mcshane" else "tag-in-cell"
-        value = integration.gauge_sum(expr, a, b, Gauge(parse(args.gauge)), mode, cfg.precision)
-        _emit(args, "integrate", {"expr": args.expr, "method": args.method, "gauge": args.gauge},
-              {"value": _fmt(value)}, _pretty(value))
-        return
-    mesh = _parse_mesh(args.mesh)
-    params = {"expr": args.expr, "method": args.method, "mesh": args.mesh}
-    if args.method == "stieltjes":
-        if not args.on or not args.phi:
-            raise ParseError(0, "--on and --phi for stieltjes", "missing")
-        a, b = _parse_interval(args.on)
-        m = _cells_for(a, b, mesh)
-        value = integration.riemann_stieltjes_sum(
-            expr, parse(args.phi), a, b, PartitionSpec.simple(m), args.tags,
-            args.seed, cfg.precision)
-        params["phi"] = args.phi
-        _emit(args, "integrate", params, {"value": _fmt(value)}, _pretty(value))
-        return
-    if args.rect:
-        rect = _parse_rect(args.rect)
-    elif args.on:
-        rect = Rect.interval(*_parse_interval(args.on))
-    else:
-        raise ParseError(0, "--on or --rect", "missing")
-    spec = _spec(rect, mesh)
-    if args.method == "darboux":
-        res = integration.darboux_bounds(expr, rect, spec, args.samples, cfg.precision)
-        _emit(args, "integrate", params,
-              {"lower": _fmt(res.lower), "upper": _fmt(res.upper),
-               "nonmonotone_cells": res.nonmonotone_cells},
-              f"L = {_fmt(res.lower)}  U = {_fmt(res.upper)}")
-        return
-    value = integration.riemann_sum(expr, rect, spec, args.tags, args.seed, cfg.precision)
-    _emit(args, "integrate", params, {"value": _fmt(value)}, _pretty(value))
+# -- the sums of integrate, measure and converge ------------------------------------------
 
 
-# -- the sums of measure and converge -----------------------------------------------------
+class _Sum(NamedTuple):
+    """A sum kind: the options it must be given ("on|rect": either), every
+    option it reads in the order params list them ("mesh" where it reads a
+    mesh), and the result a study follows unless --path names another."""
 
-# each sum kind: the options it reads without a default, the other options it
-# reads, and the result a study follows unless --path names another
+    needs: tuple[str, ...]
+    reads: tuple[str, ...]
+    study: str = "value"
+
+
 _SUMS = {
-    "riemann": (("on", "expr"), ("tags",), "value"),
-    "area": (("on", "f", "g"), ("tags",), "value"),
-    "volume-rev": (("on", "f"), (), "value"),
-    "surface-rev": (("on", "f"), (), "value"),
-    "length": (("on", "curve"), ("path",), "integral"),
-    "mass": (("region",), ("rect", "rho"), "mass"),
-    "com": (("region",), ("rect", "rho"), "mass"),
-    "moment": (("region",), ("rect", "rho", "integrand"), "value"),
-    "work": (("on", "field", "curve"), ("path",), "integrand"),
-    "impulse": (("on", "force"), (), "value"),
-    "morley": ((), ("radius", "n", "edge"), "value"),
+    "riemann": _Sum(("on|rect", "expr"), ("expr", "rect", "on", "mesh", "tags")),
+    "darboux": _Sum(("on|rect",), ("expr", "rect", "on", "mesh", "samples")),
+    "stieltjes": _Sum(("on", "phi"), ("expr", "on", "phi", "mesh", "tags")),
+    "gauge": _Sum(("on", "gauge"), ("expr", "on", "gauge")),
+    "mcshane": _Sum(("on", "gauge"), ("expr", "on", "gauge")),
+    "area": _Sum(("on", "f", "g"), ("f", "g", "on", "mesh", "tags")),
+    "volume-rev": _Sum(("on", "f"), ("f", "on", "mesh")),
+    "surface-rev": _Sum(("on", "f"), ("f", "on", "mesh")),
+    "length": _Sum(("on", "curve"), ("curve", "on", "mesh", "path"), "integral"),
+    "mass": _Sum(("region",), ("rho", "region", "rect", "mesh"), "mass"),
+    "com": _Sum(("region",), ("rho", "region", "rect", "mesh"), "mass"),
+    "moment": _Sum(("region",), ("rho", "integrand", "region", "rect", "mesh")),
+    "work": _Sum(("on", "field", "curve"), ("curve", "field", "on", "mesh", "path"), "integrand"),
+    "impulse": _Sum(("on", "force"), ("force", "on", "mesh")),
+    "morley": _Sum((), ("radius", "n", "edge")),
 }
+# the option of each sum command that names its kind
+_KIND = {"integrate": "method", "measure": "kind", "converge": "op"}
 # measure kinds that run a convergence study for --meshes (and report --oracle)
 _MESH_KINDS = ("area", "moment", "mass", "impulse")
+# the common options, which no params list
+_COMMON = ("window", "precision", "format", "seed", "command")
 
 
-def _require(args, names: tuple[str, ...], what: str) -> None:
-    missing = [f"--{name}" for name in names if not getattr(args, name)]
+@cache
+def _reads(dest: str, kind: str, study: bool) -> tuple[str, ...]:
+    """The options a request of the sum kind reads: the kind, its own options,
+    and --meshes and --oracle in a study, else the --mesh it sums at."""
+    meshes = ("meshes", "oracle") if study else ("mesh",)
+    return (dest, *(read for name in _SUMS[kind].reads
+                    for read in (meshes if name == "mesh" else (name,))))
+
+
+def _params(args) -> dict:
+    """The options the request reads: the subcommand's own options that are set;
+    for a sum, those its kind reads, and --seed for seeded-random tags."""
+    dest = _KIND.get(args.command)
+    if dest is None:
+        return {k: v for k, v in vars(args).items() if k not in _COMMON and v is not None}
+    names = _reads(dest, getattr(args, dest), bool(getattr(args, "meshes", None)))
+    params = {k: v for k in names if (v := getattr(args, k, None)) is not None}
+    if "rect" in params:  # riemann and darboux read a box instead of --on
+        params.pop("on", None)
+    if params.get("tags") == "seeded-random":
+        params["seed"] = args.seed
+    return params
+
+
+def _require(args, needs: tuple[str, ...], what: str) -> None:
+    missing = [" or ".join(f"--{name}" for name in need.split("|")) for need in needs
+               if not any(getattr(args, name) for name in need.split("|"))]
     if missing:
         raise ParseError(0, f"{' and '.join(missing)} for {what}", "missing")
 
@@ -456,9 +431,10 @@ def _spec(rect: Rect, mesh: Fraction) -> PartitionSpec:
 
 
 def _parse_sum(args, kind: str, d: int):
-    """Parse the options of a sum kind once. Return the function of the mesh that
-    yields the kind's named exact results, and a thunk for the integrand of
-    converge's Simpson oracle (None where the kind has no single integrand)."""
+    """Parse the options of a sum kind once. Return the function of the mesh
+    (None for a kind that reads none) that yields the kind's named exact
+    results, and a thunk for the integrand of converge's Simpson oracle (None
+    where the kind has no single integrand over --on)."""
     if kind == "morley":
         radius = parse_rational(args.radius)
         return (lambda mesh: {"value": integration.morley_strip_sum(
@@ -482,11 +458,25 @@ def _parse_sum(args, kind: str, d: int):
             return result | {"centroid": props.centroid} if kind == "com" else result
 
         return mass, None
+    if kind in ("riemann", "darboux"):
+        rect = _parse_rect(args.rect) if args.rect else Rect.interval(*_parse_interval(args.on))
+        expr = parse(args.expr)
+        if kind == "darboux":
+            return (lambda mesh: integration.darboux_bounds(
+                expr, rect, _spec(rect, mesh), args.samples, d)._asdict()), None
+        return ((lambda mesh: {"value": integration.riemann_sum(
+            expr, rect, _spec(rect, mesh), args.tags, args.seed, d)}),
+                None if args.rect else lambda: expr)
     a, b = _parse_interval(args.on)
-    if kind == "riemann":
-        expr, rect = parse(args.expr), Rect.interval(a, b)
-        return (lambda mesh: {"value": integration.riemann_sum(
-            expr, rect, _spec(rect, mesh), args.tags, args.seed, d)}), lambda: expr
+    if kind in ("gauge", "mcshane"):
+        expr, gauge = parse(args.expr), Gauge(parse(args.gauge))
+        mode = "mcshane" if kind == "mcshane" else "tag-in-cell"
+        return (lambda mesh: {"value": integration.gauge_sum(expr, a, b, gauge, mode, d)}), None
+    if kind == "stieltjes":
+        expr, phi = parse(args.expr), parse(args.phi)
+        return (lambda mesh: {"value": integration.riemann_stieltjes_sum(
+            expr, phi, a, b, PartitionSpec.simple(_cells_for(a, b, mesh)), args.tags,
+            args.seed, d)}), None
     if kind == "area":
         f, g = parse(args.f), parse(args.g)
         return ((lambda mesh: {"value": integration.measure_area_between(
@@ -497,11 +487,7 @@ def _parse_sum(args, kind: str, d: int):
         return (lambda mesh: integration.measure_curve_length(
             curve, a, b, _cells_for(a, b, mesh), d)._asdict()), None
     if kind == "work":
-        # a request with both malformed reports measure's --field, converge's --curve
-        if args.command == "measure":
-            field, curve = _parse_exprs(args.field), _parse_curve(args.curve)
-        else:
-            curve, field = _parse_curve(args.curve), _parse_exprs(args.field)
+        curve, field = _parse_curve(args.curve), _parse_exprs(args.field)
         return (lambda mesh: integration.line_integral_work(
             field, curve, a, b, _cells_for(a, b, mesh), d)._asdict()), None
     # volume-rev, surface-rev and impulse sum one expression
@@ -511,15 +497,6 @@ def _parse_sum(args, kind: str, d: int):
              "impulse": integration.impulse}[kind]
     return (lambda mesh: {"value": total(expr, a, b, _cells_for(a, b, mesh), d)},
             (lambda: expr) if kind == "impulse" else None)
-
-
-def _params(args, kind: str) -> dict:
-    """The options a request of the sum kind reads, in the order of vars(args):
-    the kind's own, and --meshes and --oracle or else the --mesh it sums at."""
-    needs, optional, _ = _SUMS[kind]
-    meshes = ("meshes", "oracle") if args.meshes else ("mesh",) * (kind != "morley")
-    names = ("kind", "op", *needs, *optional, *meshes)
-    return {k: v for k, v in vars(args).items() if k in names and v is not None}
 
 
 def _study(args, kind: str, values, study: str, meshes: list[Fraction],
@@ -533,7 +510,7 @@ def _study(args, kind: str, values, study: str, meshes: list[Fraction],
         result = values(mesh)
         return result.get(path, result[study])
 
-    report = converge_study(operation, target, meshes, oracle or 0, _params(args, kind), notes)
+    report = converge_study(operation, target, meshes, oracle or 0, _params(args), notes)
     if oracle is None:
         report = dataclasses.replace(report, oracle=report.estimate)
     if args.format == "json":
@@ -549,30 +526,37 @@ def _measure_text(result: dict) -> str:
         return f"mass = {_fmt(result['mass'])}"
     if "value" in result:
         return _pretty(result["value"])
+    if "lower" in result:
+        return f"L = {_fmt(result['lower'])}  U = {_fmt(result['upper'])}"
     return "  ".join(f"{k} = {_pretty(v)}" for k, v in result.items())
 
 
 def _cmd_measure(args, cfg: Field) -> None:
-    needs, _, study = _SUMS[args.kind]
+    """integrate, and measure: the kind's results at one mesh, or measure's study
+    over --meshes."""
+    kind = getattr(args, _KIND[args.command])
+    needs, reads, study = _SUMS[kind]
+    what = f"{args.command} {kind}"
     # measure moment has no default --integrand; converge moment integrates rho alone
-    _require(args, needs + ("integrand",) * (args.kind == "moment"), f"measure {args.kind}")
-    if (args.meshes or args.oracle) and args.kind not in _MESH_KINDS:
+    _require(args, needs + ("integrand",) * (what == "measure moment"), what)
+    meshes, oracle = getattr(args, "meshes", None), getattr(args, "oracle", None)
+    if (meshes or oracle) and kind not in _MESH_KINDS:
         raise _UsageError(
-            f"--meshes and --oracle apply to measure {'/'.join(_MESH_KINDS)}, not {args.kind}"
+            f"--meshes and --oracle apply to measure {'/'.join(_MESH_KINDS)}, not {kind}"
         )
-    if args.meshes:
-        meshes = _parse_meshes(args.meshes)
-        oracle = parse_rational(args.oracle) if args.oracle else None
-        notes = () if args.oracle else ("oracle: extrapolated (no closed form supplied)",)
+    if meshes:
+        meshes = _parse_meshes(meshes)
+        oracle = parse_rational(oracle) if oracle else None
+        notes = () if oracle is not None else ("oracle: extrapolated (no closed form supplied)",)
         # the options are read at the first mesh, after converge_study has checked the meshes
-        values = cache(lambda: _parse_sum(args, args.kind, cfg.precision)[0])
-        _study(args, args.kind, lambda mesh: values()(mesh), study, meshes, oracle, notes)
+        values = cache(lambda: _parse_sum(args, kind, cfg.precision)[0])
+        _study(args, kind, lambda mesh: values()(mesh), study, meshes, oracle, notes)
         return
-    mesh = _parse_mesh(args.mesh)
-    result = _parse_sum(args, args.kind, cfg.precision)[0](mesh)
-    shown = {k: [_fmt(x) for x in v] if isinstance(v, tuple) else _fmt(v)
-             for k, v in result.items()}
-    _emit(args, f"measure {args.kind}", _params(args, args.kind), shown, _measure_text(result))
+    mesh = _parse_mesh(args.mesh) if "mesh" in reads else None
+    result = _parse_sum(args, kind, cfg.precision)[0](mesh)
+    shown = {k: [_fmt(x) for x in v] if isinstance(v, tuple) else v if isinstance(v, int)
+             else _fmt(v) for k, v in result.items()}  # darboux's cell count stays an int
+    _emit(args, what if args.command == "measure" else args.command, shown, _measure_text(result))
 
 
 def _cmd_converge(args, cfg: Field) -> None:
@@ -603,9 +587,8 @@ def _cmd_probe_supernear(args, cfg: Field) -> None:
     text_lines = ["supernearness probe (finite-scale emulation)"]
     text_lines += [f"  mesh {_fmt(m):>10}  max deviation {_fmt(dev)}" for m, dev in devs]
     text_lines.append(f"  decreasing: {rep.decreasing()}")
-    _emit(args, "probe-supernear",
-          {"generator": args.generator, "target": args.target, "on": args.on},
-          {"rows": rows, "decreasing": rep.decreasing()}, "\n".join(text_lines))
+    _emit(args, "probe-supernear", {"rows": rows, "decreasing": rep.decreasing()},
+          "\n".join(text_lines))
 
 
 _COMMANDS = {
@@ -621,7 +604,7 @@ _COMMANDS = {
     "curvature": _cmd_curvature,
     "jacobian": _cmd_jacobian,
     "kinematics": _cmd_kinematics,
-    "integrate": _cmd_integrate,
+    "integrate": _cmd_measure,
     "measure": _cmd_measure,
     "converge": _cmd_converge,
     "probe-supernear": _cmd_probe_supernear,

@@ -133,6 +133,12 @@ class TestValues:
         code, out, _ = invoke(capsys, "measure", "morley", "--radius", "1", "--n", "10")
         assert code == 0 and "(~ 1.9" in out
 
+    @pytest.mark.parametrize("mesh", ["0", "-1", "q"])
+    def test_measure_morley_ignores_mesh(self, capsys, mesh):
+        # the strip sum reads no mesh, so a malformed one is not an error
+        plain = invoke(capsys, "measure", "morley", "--n", "4")
+        assert invoke(capsys, "measure", "morley", "--n", "4", f"--mesh={mesh}") == plain
+
 
 class TestJson:
     def test_envelope(self, capsys):
@@ -150,7 +156,7 @@ class TestJson:
                               "--method", "mcshane", "--gauge", "1/4")
         doc = json.loads(out)
         assert code == 0 and set(doc["result"]) == {"value"}
-        assert doc["params"] == {"expr": "x", "method": "mcshane", "gauge": "1/4"}
+        assert doc["params"] == {"expr": "x", "method": "mcshane", "on": "0,1", "gauge": "1/4"}
 
     @pytest.mark.parametrize("argv, params", [
         # work sums at cell centers and reads no tag rule or morley option
@@ -188,6 +194,53 @@ class TestJson:
         code, out, err = invoke(capsys, "--format", "json", *argv)
         assert (code, err) == (0, "")
         assert json.loads(out)["params"] == params
+
+    @pytest.mark.parametrize("argv, params", [
+        (("integrate", "x", "--on=0,1", "--tags=center"),
+         {"expr": "x", "method": "riemann", "on": "0,1", "mesh": "1/64", "tags": "center"}),
+        # a box is read instead of --on
+        (("integrate", "x*y", "--rect=0,1;0,1", "--on=0,2", "--mesh=1/2"),
+         {"expr": "x*y", "method": "riemann", "rect": "0,1;0,1", "mesh": "1/2",
+          "tags": "min-vertex"}),
+        (("integrate", "x", "--on=0,1", "--tags=seeded-random", "--seed=3"),
+         {"expr": "x", "method": "riemann", "on": "0,1", "mesh": "1/64",
+          "tags": "seeded-random", "seed": "3"}),
+        (("integrate", "x", "--on=0,1", "--method=darboux", "--tags=center"),
+         {"expr": "x", "method": "darboux", "on": "0,1", "mesh": "1/64", "samples": "5"}),
+        (("integrate", "x", "--on=0,1", "--method=stieltjes", "--phi=x^2", "--gauge=1"),
+         {"expr": "x", "method": "stieltjes", "on": "0,1", "phi": "x^2", "mesh": "1/64",
+          "tags": "min-vertex"}),
+        (("measure", "area", "--f=0", "--g=x", "--on=0,1", "--tags=seeded-random"),
+         {"kind": "area", "f": "0", "g": "x", "on": "0,1", "mesh": "1/64",
+          "tags": "seeded-random", "seed": "0"}),
+        (("eval", "1/2"), {"expr": "1/2"}),
+        (("probe-supernear", "--generator=x", "--target=x", "--on=0,1", "--meshes=1/2,1/4"),
+         {"generator": "x", "target": "x", "on": "0,1", "meshes": "1/2,1/4"}),
+    ], ids=["integrate", "integrate-rect", "integrate-seed", "darboux", "stieltjes",
+            "area-seed", "eval", "probe-supernear"])
+    def test_params_are_the_options_read(self, capsys, argv, params):
+        code, out, err = invoke(capsys, "--format", "json", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"] == params
+
+    def test_study_text_lists_params_in_option_order(self, capsys):
+        code, out, _ = invoke(capsys, "converge", "area", "--tags=seeded-random", "--g=x",
+                              "--f=0", "--oracle=1/2", "--on=0,1", "--meshes=1/2,1/4")
+        assert code == 0
+        assert out.split("\n")[1:9] == [
+            "  op = area", "  f = 0", "  g = x", "  on = 0,1", "  meshes = 1/2,1/4",
+            "  oracle = 1/2", "  tags = seeded-random", "  seed = 0"]
+
+    def test_converge_riemann_reads_rect(self, capsys):
+        code, out, err = invoke(capsys, "--format=json", "converge", "riemann", "--expr=x",
+                                "--rect=0,2", "--on=0,1", "--meshes=1/2,1/4", "--oracle=2")
+        assert (code, err) == (0, "")
+        assert [row["value"] for row in json.loads(out)["rows"]] == ["3/2", "7/4"]
+        # the Simpson oracle integrates over an interval, not a box
+        code, out, err = invoke(capsys, "converge", "riemann", "--expr=x", "--rect=0,2",
+                                "--meshes=1/2,1/4")
+        assert (code, out) == (2, "")
+        assert err == "parse-error: expected a rational --oracle for this op at offset 0, found 'simpson'\n"
 
     def test_convergence_schema(self, capsys):
         code, out, _ = invoke(
