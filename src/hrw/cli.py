@@ -480,7 +480,7 @@ def _parse_sum(args, kind: str, d: int):
     if kind == "area":
         f, g = parse(args.f), parse(args.g)
         return ((lambda mesh: {"value": integration.measure_area_between(
-            f, g, a, b, _cells_for(a, b, mesh), args.tags, d)}),
+            f, g, a, b, _cells_for(a, b, mesh), args.tags, d, args.seed)}),
                 lambda: parse(f"({args.g})-({args.f})"))
     if kind == "length":
         curve = _parse_curve(args.curve)

@@ -514,6 +514,7 @@ def measure_area_between(
     m: int,
     tag_rule: str = "min-vertex",
     precision: int = DEFAULT_PRECISION,
+    seed: int = 0,
 ) -> Fraction:
     """Riemann sum of (g - f) on [a, b]; f <= g checked at partition points."""
     var = (first_variable("x", f, g),)
@@ -526,7 +527,7 @@ def measure_area_between(
             raise OrderViolation(
                 f"lower curve exceeds upper curve at {show_rational(Fraction(t, axis.q))}"
             )
-    return _box_sum(lambda n, d: _minus(fn_g(n, d), fn_f(n, d)), [axis], tag_rule, 0)
+    return _box_sum(lambda n, d: _minus(fn_g(n, d), fn_f(n, d)), [axis], tag_rule, seed)
 
 
 def _radius(f: Expr, var: str, precision: int) -> Callable[[int, int], tuple[int, int]]:

@@ -129,6 +129,18 @@ class TestValues:
                                 "--gauge=1", "--mesh=0")
         assert (code, out, err) == (0, "1\n", "")
 
+    def test_area_reads_the_seed(self, capsys):
+        area = ("--f=0", "--g=x", "--on=0,1", "--tags=seeded-random", "--format=json")
+
+        def read(*argv):
+            return [json.loads(invoke(capsys, *argv, *area, f"--seed={seed}")[1])
+                    for seed in (3, 4)]
+
+        measured = read("measure", "area", "--mesh=1/4")
+        assert measured[0]["result"] != measured[1]["result"]
+        studied = read("converge", "area", "--meshes=1/2,1/4", "--oracle=1/2")
+        assert studied[0]["rows"] != studied[1]["rows"]
+
     def test_measure_morley(self, capsys):
         code, out, _ = invoke(capsys, "measure", "morley", "--radius", "1", "--n", "10")
         assert code == 0 and "(~ 1.9" in out

@@ -234,6 +234,14 @@ class TestMeasures:
         assert abs(area - F(1, 3)) < F(1, 100)
         assert measure_area_between(parse("x"), parse("x"), F(0), F(1), 16) == 0
 
+    def test_area_seeded_tags_follow_the_seed(self):
+        # the seeded-random tags of the area sum are riemann_sum's for the same seed
+        f, g, on = parse("0"), parse("x"), Rect.interval(0, 1)
+        for seed in (0, 3, 4):
+            want = riemann_sum(g, on, PartitionSpec.simple(4), "seeded-random", seed)
+            assert measure_area_between(f, g, F(0), F(1), 4, "seeded-random", seed=seed) == want
+        assert measure_area_between(f, g, F(0), F(1), 4, "seeded-random", 40, 4) == want
+
     def test_area_order_violation(self):
         with pytest.raises(OrderViolation):
             measure_area_between(parse("x"), parse("0"), F(0), F(1), 4)
