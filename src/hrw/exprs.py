@@ -35,6 +35,7 @@ tree-walking oracle.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from functools import lru_cache
@@ -239,7 +240,12 @@ class _Parser:
         if t.kind == "number":
             self.next()
             self.height = 1
-            return Const(Fraction(t.text), t.pos)
+            try:
+                return Const(Fraction(t.text), t.pos)
+            except ValueError:  # past Python's int-to-str digit limit
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(t.pos, f"number of at most {limit} digits",
+                                 f"{len(t.text)} characters") from None
         if t.kind == "identifier":
             self.next()
             if self.peek().kind == "paren" and self.peek().text == "(":

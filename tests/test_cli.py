@@ -364,6 +364,12 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("parse-error:")
 
+    def test_number_past_the_digit_limit_is_a_parse_error(self, capsys):
+        code, out, err = invoke(capsys, "eval", "1" * 5000)
+        assert (code, out) == (2, "")
+        assert err == (f"parse-error: expected number of at most {sys.get_int_max_str_digits()} "
+                       f"digits at offset 0, found 5000 characters\n")
+
     def test_non_decimal_digit_is_a_parse_error(self, capsys):
         # '²' is a digit to str.isdigit but not a decimal digit to Fraction
         code, _, err = invoke(capsys, "eval", "2²")

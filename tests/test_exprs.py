@@ -1,5 +1,6 @@
 """Tokenizer, parser, renderer, dual evaluators, symbolic derivative."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -95,6 +96,16 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse("2*")
         assert err.value.pos == 2
+
+    @pytest.mark.parametrize("literal", ["1" * 5000, "2." + "5" * 5000], ids=["int", "decimal"])
+    def test_number_past_the_digit_limit(self, literal):
+        # Fraction refuses the literal; the error names its offset and size only
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ParseError) as err:
+            parse(f"x + {literal}")
+        assert str(err.value) == (f"expected number of at most {limit} digits at offset 4, "
+                                  f"found {len(literal)} characters")
+        assert parse(f"x + {'1' * limit}") == Binary("+", Var("x"), Const(F(int("1" * limit))))
 
     def test_decimals_are_exact(self):
         assert parse("0.25") == Const(F(1, 4))
