@@ -67,7 +67,8 @@ class ZeroMass(MathError):
 
 
 class DepthExceeded(MathError):
-    """Gauge partition bisection passed the depth cap or the cell cap."""
+    """A partition passed a cap: a gauge partition's bisection depth or cell
+    count, or the cells of a grid."""
 
 
 class UnknownFunctional(MathError):

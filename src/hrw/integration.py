@@ -25,7 +25,8 @@ cell volume, with integer widths per cell on uneven explicit axes
 vertex classifier otherwise), reading only the sign of each membership
 numerator, and then sum over the inner cells.
 ``PartitionSpec.breakpoints`` and ``tagged_partition`` are ``Fraction``
-views of the same grid.
+views of the same grid.  A grid holds at most 2^20 cells; a larger one is
+refused with ``DepthExceeded`` before any cell is built.
 
 Gauge partitions (``cousin_partition``) bisect on a dyadic integer grid: with
 [a, b] = [A/D, B/D], a point of depth j is an integer N over D 2^j, so cell
@@ -112,11 +113,21 @@ class _Axis(NamedTuple):
     q: int
 
 
+# the most cells of one grid: 1024 x 1024, the finest partition the examples use
+_GRID_CAP = 1 << 20
+
+
+def _bounded(cells: int) -> None:
+    if cells > _GRID_CAP:
+        raise DepthExceeded(f"grid of {cells} cells exceeds the cap of {_GRID_CAP} cells")
+
+
 def _axis(a, b, m: int) -> _Axis:
     """m equal-width cells of [a, b] = [A/D, B/D], D the lcm of the two
     denominators: breakpoint k is (A m + k (B - A)) / (D m)."""
     if m < 1:
         raise ValueError("need at least one cell")
+    _bounded(m)
     a, b = Fraction(a), Fraction(b)
     den = math.lcm(a.denominator, b.denominator)
     lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
@@ -162,12 +173,14 @@ class PartitionSpec:
                 counts = counts * rect.dimension
             if len(counts) != rect.dimension:
                 raise ValueError("one count per axis required")
+            _bounded(math.prod(counts))
             return [_axis(a, b, m) for (a, b), m in zip(rect.intervals, counts)]
         if len(self.points) != rect.dimension:
             raise ValueError("one breakpoint list per axis required")
         for axis, (a, b) in zip(self.points, rect.intervals):
             if axis[0] != a or axis[-1] != b:
                 raise ValueError("breakpoints must include the endpoints")
+        _bounded(math.prod(len(axis) - 1 for axis in self.points))
         return [_explicit_axis(axis) for axis in self.points]
 
     def breakpoints(self, rect: Rect) -> list[list[Fraction]]:

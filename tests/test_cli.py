@@ -344,6 +344,13 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: DepthExceeded: no gauge-fine cell after 64 bisections")
 
+    def test_solid_at_the_default_mesh_is_one(self, capsys):
+        # 128^3 cells at the default mesh 1/64: past the 2^20 cells of one grid
+        code, out, err = invoke(capsys, "measure", "mass", "--region", "x^2+y^2+z^2-1")
+        assert (code, out) == (1, "")
+        assert err == ("error: DepthExceeded: grid of 2097152 cells exceeds the cap of "
+                       "1048576 cells\n")
+
     def test_simpson_oracle_at_a_jump_is_one(self, capsys):
         code, out, err = invoke(capsys, "converge", "riemann", "--expr", "abs(x-1/3)/(x-1/3)",
                                 "--on", "0,1", "--meshes", "1/4,1/8", "--oracle", "simpson")

@@ -100,6 +100,26 @@ class TestPartitions:
             with pytest.raises(ValueError, match="need at least one cell"):
                 call()
 
+    @pytest.mark.parametrize("make", [
+        lambda: impulse(parse("t"), F(0), F(1), 2**20 + 1),
+        lambda: riemann_sum(parse("x"), Rect.interval(0, 1), PartitionSpec.simple(2**20 + 1)),
+        lambda: riemann_sum(parse("x*y*z"), Rect.box((0, 1), (0, 1), (0, 1)),
+                            PartitionSpec.simple(128)),
+        lambda: darboux_bounds(parse("x*y"), Rect.box((0, 1), (0, 1)),
+                               PartitionSpec.simple(1025, 1024)),
+        lambda: tagged_partition(Rect.box((0, 1), (0, 1)), PartitionSpec.explicit(
+            [F(k, 1100) for k in range(1101)], [F(k, 1000) for k in range(1001)])),
+    ], ids=["1-d", "1-d spec", "3-d", "2-d", "explicit"])
+    def test_grid_cell_cap(self, make):
+        # one grid holds at most 2^20 cells, a 1024 x 1024 square; larger
+        # ones are refused before any cell is built
+        t0 = time.time()
+        with pytest.raises(DepthExceeded, match=r"grid of (\d+) cells exceeds the cap of "
+                                                r"1048576 cells") as err:
+            make()
+        assert int(err.value.args[0].split()[2]) > 2**20
+        assert time.time() - t0 < 1
+
     def test_seeded_tags_reproducible(self):
         rect = Rect.interval(0, 1)
         a = tagged_partition(rect, PartitionSpec.simple(8), "seeded-random", seed=3)
