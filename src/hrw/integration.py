@@ -685,16 +685,17 @@ def morley_strip_sum(
     Each ring of width a/n is flattened to a rectangle; its area uses the
     chosen edge radius and its moment arm is that same edge.  The outer rule
     sums 2 pi a^4 p^3 / n^4 over p = 1..n, the inner rule uses p-1; the two
-    bracket pi a^4 / 2 and collapse to it as n grows.
+    bracket pi a^4 / 2 and collapse to it as n grows.  The cubes are summed
+    in closed form: 1^3 + ... + k^3 = (k (k + 1) / 2)^2.
     """
     if n < 1:
         raise ValueError("need at least one strip")
     a = Fraction(a)
     pi = approx.pi_approx(precision)
     if edge == "outer":
-        cubes = sum(p**3 for p in range(1, n + 1))
+        cubes = (n * (n + 1) // 2) ** 2
     elif edge == "inner":
-        cubes = sum(p**3 for p in range(n))
+        cubes = ((n - 1) * n // 2) ** 2
     else:
         raise ValueError("edge must be 'outer' or 'inner'")
     return 2 * pi * a**4 * Fraction(cubes, n**4)

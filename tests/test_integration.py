@@ -399,6 +399,18 @@ class TestMorley:
             assert morley_strip_sum(F(1), n, "outer") == (PI / 2) * (1 + F(2, n) + F(1, n**2))
             assert morley_strip_sum(F(1), n, "inner") == (PI / 2) * (1 - F(2, n) + F(1, n**2))
 
+    def test_equals_the_strip_loop(self):
+        a = F(3, 2)
+        for n in range(1, 201):
+            for edge, strips in (("outer", range(1, n + 1)), ("inner", range(n))):
+                want = 2 * PI * a**4 * F(sum(p**3 for p in strips), n**4)
+                assert morley_strip_sum(a, n, edge) == want
+
+    def test_a_billion_strips(self):
+        n = 10**9
+        assert morley_strip_sum(F(1), n, "outer") == (PI / 2) * (1 + F(2, n) + F(1, n**2))
+        assert morley_strip_sum(F(1), n, "inner") == (PI / 2) * (1 - F(2, n) + F(1, n**2))
+
     def test_radius_scaling(self):
         assert morley_strip_sum(F(2), 10, "outer") == 16 * morley_strip_sum(F(1), 10, "outer")
 
