@@ -391,7 +391,7 @@ _SUMS = {
 _KIND = {"integrate": "method", "measure": "kind", "converge": "op"}
 # measure kinds that run a convergence study for --meshes (and report --oracle)
 _MESH_KINDS = ("area", "moment", "mass", "impulse")
-# the common options, which no params list
+# the common options and the subcommand's name, which no params list
 _COMMON = ("window", "precision", "format", "seed", "command")
 
 
@@ -432,7 +432,7 @@ def _spec(rect: Rect, mesh: Fraction) -> PartitionSpec:
 
 def _parse_sum(args, kind: str, d: int):
     """Parse the options of a sum kind once. Return the function of the mesh
-    (None for a kind that reads none) that yields the kind's named exact
+    (given None for a kind that reads none) that yields the kind's named exact
     results, and a thunk for the integrand of converge's Simpson oracle (None
     where the kind has no single integrand over --on)."""
     if kind == "morley":

@@ -117,7 +117,7 @@ class _Axis(NamedTuple):
 _GRID_CAP = 1 << 20
 
 
-def _bounded(cells: int) -> None:
+def _check_grid_cells(cells: int) -> None:
     if cells > _GRID_CAP:
         raise DepthExceeded(f"grid of {cells} cells exceeds the cap of {_GRID_CAP} cells")
 
@@ -127,7 +127,7 @@ def _axis(a, b, m: int) -> _Axis:
     denominators: breakpoint k is (A m + k (B - A)) / (D m)."""
     if m < 1:
         raise ValueError("need at least one cell")
-    _bounded(m)
+    _check_grid_cells(m)
     a, b = Fraction(a), Fraction(b)
     den = math.lcm(a.denominator, b.denominator)
     lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
@@ -173,14 +173,14 @@ class PartitionSpec:
                 counts = counts * rect.dimension
             if len(counts) != rect.dimension:
                 raise ValueError("one count per axis required")
-            _bounded(math.prod(counts))
+            _check_grid_cells(math.prod(counts))
             return [_axis(a, b, m) for (a, b), m in zip(rect.intervals, counts)]
         if len(self.points) != rect.dimension:
             raise ValueError("one breakpoint list per axis required")
         for axis, (a, b) in zip(self.points, rect.intervals):
             if axis[0] != a or axis[-1] != b:
                 raise ValueError("breakpoints must include the endpoints")
-        _bounded(math.prod(len(axis) - 1 for axis in self.points))
+        _check_grid_cells(math.prod(len(axis) - 1 for axis in self.points))
         return [_explicit_axis(axis) for axis in self.points]
 
     def breakpoints(self, rect: Rect) -> list[list[Fraction]]:

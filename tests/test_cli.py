@@ -185,7 +185,10 @@ class TestJson:
         # the strip sum reads no mesh
         (("measure", "morley", "--n=4"),
          {"kind": "morley", "radius": "1", "n": "4", "edge": "outer"}),
-    ], ids=["work", "volume-rev", "area", "moment", "morley"])
+        (("measure", "area", "--f=0", "--g=x", "--on=0,1", "--tags=seeded-random"),
+         {"kind": "area", "f": "0", "g": "x", "on": "0,1", "mesh": "1/64",
+          "tags": "seeded-random", "seed": "0"}),
+    ], ids=["work", "volume-rev", "area", "moment", "morley", "area-seed"])
     def test_measure_params_are_the_options_read(self, capsys, argv, params):
         code, out, err = invoke(capsys, "--format", "json", *argv)
         assert (code, err) == (0, "")
@@ -222,15 +225,12 @@ class TestJson:
         (("integrate", "x", "--on=0,1", "--method=stieltjes", "--phi=x^2", "--gauge=1"),
          {"expr": "x", "method": "stieltjes", "on": "0,1", "phi": "x^2", "mesh": "1/64",
           "tags": "min-vertex"}),
-        (("measure", "area", "--f=0", "--g=x", "--on=0,1", "--tags=seeded-random"),
-         {"kind": "area", "f": "0", "g": "x", "on": "0,1", "mesh": "1/64",
-          "tags": "seeded-random", "seed": "0"}),
         (("eval", "1/2"), {"expr": "1/2"}),
         (("probe-supernear", "--generator=x", "--target=x", "--on=0,1", "--meshes=1/2,1/4"),
          {"generator": "x", "target": "x", "on": "0,1", "meshes": "1/2,1/4"}),
-    ], ids=["integrate", "integrate-rect", "integrate-seed", "darboux", "stieltjes",
-            "area-seed", "eval", "probe-supernear"])
-    def test_params_are_the_options_read(self, capsys, argv, params):
+    ], ids=["integrate", "integrate-rect", "integrate-seed", "darboux", "stieltjes", "eval",
+            "probe-supernear"])
+    def test_request_params_are_the_options_read(self, capsys, argv, params):
         code, out, err = invoke(capsys, "--format", "json", *argv)
         assert (code, err) == (0, "")
         assert json.loads(out)["params"] == params

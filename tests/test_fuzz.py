@@ -36,6 +36,12 @@ precision: a rounded exponent is refused there.
 ``measure K --meshes`` and ``converge K --meshes`` must tabulate the same
 study for seeded area, moment and impulse requests with a rational oracle.
 
+Random CLI requests over all sixteen subcommands and the expression
+grammar, in text and JSON, with options left out or malformed at random,
+must exit 0 with nothing on stderr, or exit 1 or 2 with nothing on stdout
+and one stderr line naming the error; no exception may leave ``run``, and
+a second run must give the same bytes.
+
 ``exp``, ``ln``, ``sin``, ``cos``, ``tan`` and ``sqrt`` at seeded rationals
 and 12, 20 and 40 digits must return the point of the 10^-digits grid
 nearest to a 200-digit ``decimal`` value (ties to even), whatever method the
