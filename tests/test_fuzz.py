@@ -1112,6 +1112,7 @@ CLI_COMMANDS = ("eval", "st", "classify", "limit-seq", "limit-fn", "diff", "jet"
 MESHES = ("1", "1/2", "2/3", "1/3", "1/4", "3/8", "1/5", "1/8", "1/16")
 REGIONS = ("x^2+y^2-1", "x^2+y^2-1/4", "abs(x)+abs(y)-1", "x^2+y^2+z^2-1", "x-y")
 GAUGES = ("1/4", "1/8", "1/16", "x/8+1/16", "abs(x)/4+1/32", "(x-1/3)^2", "0", "x", "1/(x-1)")
+REGION_KINDS = ("mass", "com", "moment")
 CLI_ERROR = re.compile(r"(error: [A-Z][A-Za-z]*: |parse-error: |usage-error: )[^\n]*\n")
 
 
@@ -1167,12 +1168,11 @@ class RequestGen:
         rng = self.rng
         terms = [f"{rand_rational(rng)}*eps^{rng.choice(['-1', '0', '1/2', '1', '2'])}"
                  for _ in range(rng.randint(1, 3))]
-        text = " + ".join(terms) if self.chance(0.9) else rng.choice(["", "0", "1*eps^", "3 +"])
-        return text
+        return " + ".join(terms) if self.chance(0.9) else rng.choice(["", "0", "1*eps^", "3 +"])
 
     def options(self, **drawn) -> list[str]:
         """--name=value for each (probability, draw) pair that comes up."""
-        return [f"--{name.rstrip('_')}={draw()}" for name, (p, draw) in drawn.items()
+        return [f"--{name}={draw()}" for name, (p, draw) in drawn.items()
                 if self.chance(p)]
 
     def request(self) -> list[str]:
@@ -1296,8 +1296,6 @@ class RequestGen:
                                   target=(0.97, lambda: self.expr("x")),
                                   on=(0.97, self.interval), meshes=(0.97, self.meshes))
 
-
-REGION_KINDS = ("mass", "com", "moment")
 
 
 def cli_outcome(argv: list[str]) -> tuple[int, str, str]:
