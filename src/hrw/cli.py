@@ -105,8 +105,11 @@ def _parse_mesh(text: str) -> Fraction:
 
 
 def _parse_meshes(text: str) -> list[Fraction]:
-    """The meshes of a study, widest first."""
-    return sorted(map(_parse_mesh, text.split(",")), reverse=True)
+    """The meshes of a study, widest first; a repeated mesh is refused."""
+    meshes = sorted(map(_parse_mesh, text.split(",")), reverse=True)
+    if len(set(meshes)) < len(meshes):
+        raise ValueError("meshes must be strictly decreasing")
+    return meshes
 
 
 def _cells_for(a: Fraction, b: Fraction, mesh: Fraction) -> int:
@@ -544,6 +547,8 @@ def _cmd_measure(args, cfg: Field) -> None:
         raise _UsageError(
             f"--meshes and --oracle apply to measure {'/'.join(_MESH_KINDS)}, not {kind}"
         )
+    if oracle and not meshes:
+        raise _UsageError("--oracle needs --meshes")
     if meshes:
         meshes = _parse_meshes(meshes)
         oracle = parse_rational(oracle) if oracle else None

@@ -227,10 +227,6 @@ class HyperReal:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def leading(self) -> Term | None:
-        """(least exponent, its coefficient), or None for the zero element."""
-        return self.terms[0] if self.terms else None
-
     def leading_exponent(self) -> Fraction | int | None:
         return self.terms[0][0] if self.terms else None
 
@@ -839,16 +835,9 @@ _ANALYTIC = {
 }
 
 
-def apply_analytic(fn: str, x: HyperReal, exponent: Rational | None = None) -> HyperReal:
-    """Apply an analytic map at a limited argument, or a real power.
-
-    ``fn`` is one of exp, ln, sin, cos, tan, pow_real; pow_real takes the
-    real exponent as ``exponent``.
-    """
-    if fn == "pow_real":
-        if exponent is None:
-            raise ValueError("pow_real requires an exponent")
-        return hr_pow(x, Fraction(exponent))
+def apply_analytic(fn: str, x: HyperReal) -> HyperReal:
+    """Apply an analytic map, one of exp, ln, sin, cos, tan, at a limited
+    argument; ``hr_pow`` takes real powers."""
     try:
         return _ANALYTIC[fn](x)
     except KeyError:

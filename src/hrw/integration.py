@@ -28,15 +28,17 @@ numerator, and then sum over the inner cells.
 views of the same grid.  A grid holds at most 2^20 cells; a larger one is
 refused with ``DepthExceeded`` before any cell is built.
 
-Gauge partitions (``cousin_partition``) bisect on a dyadic integer grid: with
-[a, b] = [A/D, B/D], a point of depth j is an integer N over D 2^j, so cell
-k of depth j is [A 2^j + k (B - A), A 2^j + (k + 1)(B - A)] / (D 2^j).  The
-gauge is compiled in the pair convention and called on (N, D 2^j); a cell
-lies in the ball of a tag of radius n/d when (x - u) d <= n S and
-(v - x) d <= n S, with x, u, v the integer tag and cell ends at the finer
-depth and S its denominator.  Fractions are built only for the returned
-partition, one per distinct endpoint or tag; ``gauge_sum`` adds its pair
-values with ``_total``.
+Gauge partitions bisect on a dyadic integer grid: with [a, b] = [A/D, B/D],
+a point of depth j is an integer N over D 2^j, so cell k of depth j is
+[A 2^j + k (B - A), A 2^j + (k + 1)(B - A)] / (D 2^j).  The gauge is
+compiled in the pair convention and called on (N, D 2^j).  The accepted
+cells are one more explicit axis of the grid (``_gauge_grid``), over
+Q = D 2^J with J the deepest cell or tag depth, and each tag is a pair
+(x, Q); every cell [u, v] is checked to lie in the ball of radius n/d of a
+fresh gauge value at its tag, (x - u) d <= n Q and (v - x) d <= n Q.
+``cousin_partition`` is the ``Fraction`` view of that axis, as
+``tagged_partition`` is of a box grid, and ``gauge_sum`` sums the integers
+like the box sums.
 """
 
 from __future__ import annotations
@@ -122,15 +124,20 @@ def _check_grid_cells(cells: int) -> None:
         raise DepthExceeded(f"grid of {cells} cells exceeds the cap of {_GRID_CAP} cells")
 
 
+def _ends(a, b) -> tuple[int, int, int]:
+    """[a, b] as [A/D, B/D], D the lcm of the two denominators: (A, B, D)."""
+    a, b = Fraction(a), Fraction(b)
+    den = math.lcm(a.denominator, b.denominator)
+    return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+
+
 def _axis(a, b, m: int) -> _Axis:
-    """m equal-width cells of [a, b] = [A/D, B/D], D the lcm of the two
-    denominators: breakpoint k is (A m + k (B - A)) / (D m)."""
+    """m equal-width cells of [a, b] = [A/D, B/D]: breakpoint k is
+    (A m + k (B - A)) / (D m)."""
     if m < 1:
         raise ValueError("need at least one cell")
     _check_grid_cells(m)
-    a, b = Fraction(a), Fraction(b)
-    den = math.lcm(a.denominator, b.denominator)
-    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    lo, hi, den = _ends(a, b)
     return _Axis([lo * m + k * (hi - lo) for k in range(m + 1)], den * m)
 
 
@@ -326,13 +333,21 @@ class TaggedPartition:
         return [_volume(cell) for cell in self.cells]
 
 
+def _partition(
+    rect: Rect, grid: list[_Axis], tags: Iterable[tuple[int, ...]], tag_rule: str,
+    tags_in_cells: bool = True,
+) -> TaggedPartition:
+    """The ``Fraction`` view of a grid and its pair-convention tags."""
+    cells = tuple(_cells([_fractions(axis) for axis in grid]))
+    points = (tuple(map(Fraction, args[::2], args[1::2])) for args in tags)
+    return TaggedPartition(rect, cells, tuple(points), tag_rule, tags_in_cells)
+
+
 def tagged_partition(
     rect: Rect, spec: PartitionSpec, tag_rule: str = "min-vertex", seed: int = 0
 ) -> TaggedPartition:
     grid = spec.grid(rect)
-    cells = tuple(_cells([_fractions(axis) for axis in grid]))
-    tags = (tuple(map(Fraction, args[::2], args[1::2])) for args in _tag_args(grid, tag_rule, seed))
-    return TaggedPartition(rect, cells, tuple(tags), tag_rule)
+    return _partition(rect, grid, _tag_args(grid, tag_rule, seed), tag_rule)
 
 
 # -- Riemann and Darboux sums --------------------------------------------------------
@@ -788,23 +803,6 @@ class Gauge:
 
     radius: Expr
 
-    def compiled(self, precision: int) -> Callable[[Fraction], Fraction]:
-        fn = compile_real(self.radius, (first_variable("x", self.radius),), precision)
-
-        def delta(x: Fraction) -> Fraction:
-            value = fn(x)
-            if value <= 0:
-                raise _not_positive(x, value)
-            return value
-
-        return delta
-
-
-def _not_positive(x: Fraction, value: Fraction) -> DomainError:
-    return DomainError(
-        f"gauge must be positive, delta({show_rational(x)}) = {show_rational(value)}"
-    )
-
 
 _BISECT_CAP = 64
 # bounds the work, not the depth: a gauge that vanishes to second order at a
@@ -813,42 +811,26 @@ _BISECT_CAP = 64
 _CELL_CAP = 2048
 
 
-def cousin_partition(
-    gauge: Gauge,
-    a: Fraction,
-    b: Fraction,
-    mode: str = "tag-in-cell",
-    precision: int = DEFAULT_PRECISION,
-) -> TaggedPartition:
-    """A partition of [a, b] fine for the gauge: every cell fits inside the
-    open ball (tag - delta(tag), tag + delta(tag)) of its tag.
-
-    Cells are found by recursive bisection, trying the left endpoint and then
-    the midpoint as in-cell tags; McShane mode first tries the nearest
-    already-accepted tag, which may lie outside the cell.  Positivity of the
-    gauge makes every bisection chain terminate, but not the partition: a
-    gauge that tends to 0 at a point needs ever more cells near it.  So a
-    depth cap of 64 guards against gauges that vanish at machine scale, and a
-    cap of 2048 accepted cells (a constant gauge of 1/2500 on a unit interval
-    still fits) against gauges that vanish at a point; passing either raises
-    DepthExceeded naming the cell reached.  The bisection runs on the dyadic
-    integer grid of the module docstring.
-    """
+def _gauge_grid(
+    gauge: Gauge, a: Fraction, b: Fraction, mode: str, precision: int
+) -> tuple[_Axis, list[tuple[int, int]]]:
+    """The gauge-fine cells of [a, b] (see ``cousin_partition``) as one axis
+    over Q = D 2^J, J the deepest cell or tag depth, and each cell's tag as
+    a pair (x, Q)."""
     if mode not in ("tag-in-cell", "mcshane"):
         raise ValueError("mode must be 'tag-in-cell' or 'mcshane'")
-    a, b = Fraction(a), Fraction(b)
-    if a >= b:
+    base, end, den = _ends(a, b)
+    if base >= end:
         raise ValueError("empty interval")
     fn = compile_real(gauge.radius, (first_variable("x", gauge.radius),), precision, pairs=True)
-    den = math.lcm(a.denominator, b.denominator)
-    base = a.numerator * (den // a.denominator)
-    width = b.numerator * (den // b.denominator) - base
+    width = end - base
 
     def radius(x: int, j: int) -> tuple[int, int]:
         """delta at x / (D 2^j) as an unreduced pair, refused unless positive."""
         n, d = fn(x, den << j)
         if n <= 0:
-            raise _not_positive(Fraction(x, den << j), Fraction(n, d))
+            at, value = show_rational(Fraction(x, den << j)), show_rational(Fraction(n, d))
+            raise DomainError(f"gauge must be positive, delta({at}) = {value}")
         return n, d
 
     def fits(u: int, j: int, tag: tuple[int, int, int, int]) -> bool:
@@ -902,33 +884,43 @@ def cousin_partition(
                 f"more than {_CELL_CAP} gauge-fine cells, the last {last} at depth {j}, {delta}"
             )
 
-    # neighbouring cells share an endpoint, and a McShane tag kept for the
-    # next cell is the same point
-    ends = [Fraction(u, den << j) for u, j in cells] + [b]
-    points = dict(zip(cells, ends))
-    tagged = []
-    for x, jx, _, _ in tags:
-        point = points.get((x, jx))
-        if point is None:
-            point = points[x, jx] = Fraction(x, den << jx)
-        tagged.append(point)
-    # post-condition, asserted on every construction: each returned cell
-    # [u, v] lies in the ball of a fresh gauge value n/d at its tag x,
-    # cross-multiplied on the reduced Fractions
-    for u, v, x in zip(ends, ends[1:], tagged):
-        (un, ud), (vn, vd) = u.as_integer_ratio(), v.as_integer_ratio()
-        xn, xd = x.as_integer_ratio()
-        n, d = fn(xn, xd)
-        if (xn * ud - un * xd) * d > n * xd * ud or (vn * xd - xn * vd) * d > n * xd * vd:
-            u, v, x = map(show_rational, (u, v, x))
+    deepest = max(max(j for _, j in cells), max(jx for _, jx, _, _ in tags))
+    q = den << deepest
+    nums = [u << (deepest - j) for u, j in cells] + [end << deepest]
+    points = [(x << (deepest - jx), q) for x, jx, _, _ in tags]
+    # post-condition, asserted on every construction: each cell [u, v] lies
+    # in the ball of a fresh gauge value n/d at its tag x, all over Q
+    for u, v, (x, _) in zip(nums, nums[1:], points):
+        n, d = fn(x, q)
+        if (x - u) * d > n * q or (v - x) * d > n * q:
+            u, v, x = (show_rational(Fraction(p, q)) for p in (u, v, x))
             raise AssertionError(f"cell [{u}, {v}] escapes the ball of tag {x}")
-    return TaggedPartition(
-        Rect.interval(a, b),
-        tuple(((u, v),) for u, v in zip(ends, ends[1:])),
-        tuple((t,) for t in tagged),
-        "gauge",
-        tags_in_cells=(mode == "tag-in-cell"),
-    )
+    return _Axis(nums, q), points
+
+
+def cousin_partition(
+    gauge: Gauge,
+    a: Fraction,
+    b: Fraction,
+    mode: str = "tag-in-cell",
+    precision: int = DEFAULT_PRECISION,
+) -> TaggedPartition:
+    """A partition of [a, b] fine for the gauge: every cell fits inside the
+    open ball (tag - delta(tag), tag + delta(tag)) of its tag.
+
+    Cells are found by recursive bisection, trying the left endpoint and then
+    the midpoint as in-cell tags; McShane mode first tries the nearest
+    already-accepted tag, which may lie outside the cell.  Positivity of the
+    gauge makes every bisection chain terminate, but not the partition: a
+    gauge that tends to 0 at a point needs ever more cells near it.  So a
+    depth cap of 64 guards against gauges that vanish at machine scale, and a
+    cap of 2048 accepted cells (a constant gauge of 1/2500 on a unit interval
+    still fits) against gauges that vanish at a point; passing either raises
+    DepthExceeded naming the cell reached.  The bisection runs on the dyadic
+    integer grid of the module docstring; this is its ``Fraction`` view.
+    """
+    axis, tags = _gauge_grid(gauge, a, b, mode, precision)
+    return _partition(Rect.interval(a, b), [axis], tags, "gauge", mode == "tag-in-cell")
 
 
 def gauge_sum(
@@ -940,16 +932,10 @@ def gauge_sum(
     precision: int = DEFAULT_PRECISION,
 ) -> Fraction:
     """Tagged Riemann sum over a gauge-fine partition of [a, b]."""
-    part = cousin_partition(gauge, a, b, mode, precision)
+    axis, tags = _gauge_grid(gauge, a, b, mode, precision)
     fn = compile_real(f, (first_variable("x", f),), precision, pairs=True)
-
-    def terms() -> Iterable[tuple[int, int]]:
-        for ((lo, hi),), (tag,) in zip(part.cells, part.tags):
-            n, d = fn(*tag.as_integer_ratio())
-            (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
-            yield n * (hn * ld - ln * hd), d * ld * hd  # f(tag) * (hi - lo)
-
-    return _total(terms())
+    scale, weights = _volumes([axis])
+    return scale * _total(starmap(fn, tags), weights)
 
 
 # -- supernearness probes ------------------------------------------------------------------------

@@ -607,7 +607,9 @@ class TestMeasureMeshes:
         area = ["--f", "0", "--g", "x^2", "--on", "0,1", "--meshes", "1/4,1/4,1/8"]
         measured = invoke(capsys, "measure", "area", *area)
         converged = invoke(capsys, "converge", "area", *area)
-        assert measured == converged
+        probed = invoke(capsys, "probe-supernear", "--generator", "x", "--target", "x",
+                        *area[-4:])
+        assert measured == converged == probed
         assert measured == (2, "", "usage-error: meshes must be strictly decreasing\n")
 
     def test_report_lists_meshes_in_decreasing_order(self, capsys):
@@ -624,3 +626,9 @@ class TestMeasureMeshes:
         assert (code, out) == (2, "")
         assert err == (f"usage-error: --meshes and --oracle apply to measure "
                        f"area/moment/mass/impulse, not {kind}\n")
+
+    @pytest.mark.parametrize("kind", ["area", "moment", "mass", "impulse"])
+    def test_oracle_without_meshes_refused(self, capsys, kind):
+        # one value at --mesh reads no oracle, so a given one is refused, not ignored
+        code, out, err = invoke(capsys, *_request("measure", kind), "--oracle", "7")
+        assert (code, out, err) == (2, "", "usage-error: --oracle needs --meshes\n")

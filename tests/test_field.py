@@ -411,7 +411,6 @@ class TestAnalytic:
 
     def test_dispatcher(self):
         assert apply_analytic("exp", FLD.zero()) == ONE
-        assert apply_analytic("pow_real", FLD.rational(9), exponent=F(1, 2)) == FLD.rational(3)
         with pytest.raises(ValueError):
             apply_analytic("sinh", EPS)
 

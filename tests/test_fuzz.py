@@ -481,9 +481,8 @@ def test_riemann_stieltjes_and_gauge_sums(seed):
         gauge = Gauge(parse(f"{F(rng.randint(1, 9), 16)} + x^2/{rng.randint(2, 9)}"))
 
         def naive_gauge():
-            part = cousin_partition(gauge, a, b, mode, PRECISION)
-            return sum((at(f, tag) * (hi - lo) for ((lo, hi),), tag in zip(part.cells, part.tags)),
-                       F(0))
+            cells, tags, _ = naive_cousin(gauge, a, b, mode)
+            return sum((at(f, tag) * (hi - lo) for ((lo, hi),), tag in zip(cells, tags)), F(0))
 
         got = outcome(gauge_sum, f, a, b, gauge, mode, PRECISION)
         assert got == outcome(naive_gauge), render(f)
@@ -502,7 +501,13 @@ def naive_cousin(gauge: Gauge, a: F, b: F, mode: str):
     and tags_in_cells: a cell is taken with the first fitting tag among the
     last accepted one (McShane mode), its left end and its midpoint; past 64
     bisections, or past 2048 cells, DepthExceeded."""
-    delta = gauge.compiled(PRECISION)
+    def delta(x: F) -> F:
+        value = at(gauge.radius, (x,))
+        if value <= 0:
+            raise DomainError(
+                f"gauge must be positive, delta({show_rational(x)}) = {show_rational(value)}")
+        return value
+
     cells, tags, stack = [], [], [(a, b, 0)]
     while stack:
         u, v, depth = stack.pop()

@@ -18,7 +18,7 @@ from hrw.errors import (
     OrderViolation,
     UnknownFunctional,
 )
-from hrw.exprs import compile_real, parse
+from hrw.exprs import compile_real, eval_real, parse
 from hrw.integration import (
     ConvergenceReport,
     DarbouxBounds,
@@ -504,9 +504,9 @@ class TestGauges:
     def test_growing_gauge_post_condition(self):
         gauge = Gauge(parse("x/2 + 1/100"))
         part = cousin_partition(gauge, F(0), F(1))
-        delta = gauge.compiled(40)
         for ((u, v),), (x,) in zip(part.cells, part.tags):
-            assert x - delta(x) <= u and v <= x + delta(x)
+            delta = eval_real(gauge.radius, {"x": x}, 40)
+            assert x - delta <= u and v <= x + delta
         assert sum(part.volumes()) == 1
 
     def test_vanishing_gauge_depth_cap(self):
@@ -569,7 +569,7 @@ class TestGauges:
     def test_mcshane_nearest_tag_matches_full_scan(self):
         # reference: the nearest accepted tag by a scan over every tag, ties to the smaller
         def by_scan(gauge):
-            delta = gauge.compiled(40)
+            delta = lambda x: eval_real(gauge.radius, {"x": x}, 40)  # noqa: E731
             cells, tags, stack = [], [], [(F(0), F(1))]
             while stack:
                 u, v = stack.pop()
@@ -613,11 +613,6 @@ class TestHugeRationalsInErrorTexts:
             cousin_partition(Gauge(parse("1/10^30")), self.TINY, F(1))
         assert str(err.value).startswith(
             f"no gauge-fine cell after 64 bisections near [{self.SHOWN}, <rational")
-
-    def test_compiled_gauge(self):
-        with pytest.raises(DomainError) as err:
-            Gauge(parse("x - 1")).compiled(40)(self.TINY)
-        assert str(err.value).startswith(f"gauge must be positive, delta({self.SHOWN}) = ")
 
     def test_negative_radius(self):
         with pytest.raises(NegativeRadius) as err:
