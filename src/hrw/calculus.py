@@ -126,17 +126,16 @@ def taylor_jet(
 
     def probe(fld: Field) -> Jet:
         value = _smooth(f, {name: fld.rational(x0) + fld.epsilon()}, fld, f"at {shown}")
-        if value.terms and value.terms[0][0] < 0:
+        lead = value.leading_exponent()
+        if lead is not None and lead < 0:
             raise DomainError(f"expression unbounded on the monad of {shown}")
         value.certify(order, f"jet of order {order}")
-        table = {}
-        for e, c in value.terms:
+        for e in value.exponents():
             if e > order:
                 break
             if e.denominator != 1:
                 raise NonSmoothAtPoint(f"fractional order eps^{e} at {shown}")
-            table[e] = c
-        return Jet(x0, tuple(table.get(k, Fraction(0)) for k in range(order + 1)))
+        return Jet(x0, tuple(value.coefficient(k) for k in range(order + 1)))
 
     return _widen(cfg, order + 1, probe)
 

@@ -503,8 +503,8 @@ def eval_hyper_traced(
                     if k is not None:
                         return base**k
                     r = go(node.right)
-                    standard = not r.saturated and all(ex == 0 for ex, _ in r.terms)
-                    lam = base.terms[0][0] if base.terms else 0  # a rounded r would move lam*r
+                    standard = not r.saturated and all(ex == 0 for ex in r.exponents())
+                    lam = base.leading_exponent() or 0  # a rounded r would move lam*r
                     if standard and (lam == 0 or _exact(node.right, env)):
                         return hr_pow(base, r.coefficient(0))
                     return hr_exp(hr_ln(base) * r)
@@ -521,9 +521,9 @@ def eval_hyper_traced(
                 return go(node.args[0]).nth_root(2)
             if node.fn == "root":
                 idx = go(node.args[0])
-                if len(idx.terms) != 1 or idx.terms[0][0] != 0:
+                if idx.exponents() != (0,):
                     raise DomainError("root index must be a standard integer >= 2", node.args[0].pos)
-                n = _require_root_index(idx.terms[0][1], node.args[0].pos)
+                n = _require_root_index(idx.coefficient(0), node.args[0].pos)
                 return go(node.args[1]).nth_root(n)
             return apply_analytic(node.fn, go(node.args[0]))
         except MathError as ex:

@@ -28,15 +28,23 @@ term), the reciprocal needs a leading term, and so do classification, order
 ideals and the analytic maps.  ``coefficient`` and ``compare`` read the
 stored terms only.
 
-A value holds its terms as a tuple of (exponent, coefficient) pairs sorted by
-increasing exponent, with no zero coefficient.  An integral exponent (and an
-integral window or order) is held as an ``int``, any other as a ``Fraction``;
-the two compare and hash alike, so this only spares the hot loops
-``Fraction`` arithmetic on exponent keys.  Coefficients are always
-``Fraction``.  The public ``HyperReal(...)`` constructor merges, sorts and
-normalises any terms it is given; every internal result is built by
-``_series``, which takes terms already in that form and applies only the
-order and window caps.
+A value holds its coefficients as integer numerators over one positive
+denominator shared by all its terms (the layout of FLINT's ``fmpq_poly``): a
+tuple of (exponent, numerator) pairs sorted by increasing exponent, with no
+zero numerator, and the denominator, reduced so that it and the numerators
+have no common factor.  Sums rescale only when the two denominators differ,
+products multiply numerators over the product of the denominators, and each
+result is reduced once, by one gcd, instead of per coefficient as
+``Fraction`` does.  An integral exponent (and an integral window or order) is
+held as an ``int``, any other as a ``Fraction``; the two compare and hash
+alike, so this only spares the hot loops ``Fraction`` arithmetic on exponent
+keys.  ``terms``, the (exponent, ``Fraction``) pairs, is built from the
+numerators on each read; ``coefficient``, ``leading_exponent`` and
+``exponents`` read one piece without building it.  The public
+``HyperReal(...)`` constructor merges, sorts and normalises any terms it is
+given; every internal result is built by ``_series``, which takes numerators
+already in that form and applies only the order and window caps and the one
+reduction.
 
 Every series map shares one kernel, ``_power_series``: factor x into a
 monomial head times (const + u) with u of positive leading exponent mu, then
@@ -69,7 +77,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import count
-from math import inf
+from math import gcd, inf, lcm
 from typing import Callable, Iterable, Iterator, Union
 
 from . import approx
@@ -144,6 +152,7 @@ ExtendedReal.POS_INF = ExtendedReal(None, 1)
 ExtendedReal.NEG_INF = ExtendedReal(None, -1)
 
 Term = tuple[Fraction | int, Fraction]  # (exponent, coefficient), coefficient != 0
+Num = tuple[Fraction | int, int]  # (exponent, numerator over the shared denominator), != 0
 
 
 def _exponent(q) -> Fraction | int:
@@ -169,7 +178,7 @@ def _plus(n, v):
 class HyperReal:
     """One element of the truncated series field.  Immutable."""
 
-    __slots__ = ("terms", "window", "precision", "order")
+    __slots__ = ("_nums", "_den", "window", "precision", "order")
 
     def __init__(
         self,
@@ -185,10 +194,19 @@ class HyperReal:
             if c:
                 e = _exponent(e)
                 merged[e] = merged[e] + c if e in merged else Fraction(c)
-        _fill(self, _canonical(merged), _exponent(window), int(precision), _order(order))
+        den = lcm(*(c.denominator for c in merged.values()))
+        nums = {e: c.numerator * (den // c.denominator) for e, c in merged.items()}
+        _fill(self, _canonical(nums), den, _exponent(window), int(precision), _order(order))
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("HyperReal is immutable")
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        """The (exponent, coefficient) pairs by increasing exponent, built
+        from the numerators on each read."""
+        d = self._den
+        return tuple((e, Fraction(n, d)) for e, n in self._nums)
 
     @property
     def saturated(self) -> bool:
@@ -197,9 +215,9 @@ class HyperReal:
 
     # -- construction helpers -------------------------------------------------
 
-    def _lift(self, terms: list[Term], order=inf) -> "HyperReal":
-        """A value of this configuration from terms in canonical form."""
-        return _series(terms, self.window, self.precision, order)
+    def _lift(self, nums: list[Num], den: int = 1, order=inf) -> "HyperReal":
+        """A value of this configuration from numerators in canonical form."""
+        return _series(nums, den, self.window, self.precision, order)
 
     def _uncertain(self, what: str) -> PrecisionExhausted:
         return PrecisionExhausted(
@@ -218,49 +236,69 @@ class HyperReal:
                 raise ValueError("operands carry different field configurations")
             return other
         if isinstance(other, (int, Fraction)):
-            return self._lift([(0, Fraction(other))] if other else [])
+            return self._lift([(0, other.numerator)] if other else [], other.denominator)
         return NotImplemented  # type: ignore[return-value]
 
     # -- structure inspection --------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def leading_exponent(self) -> Fraction | int | None:
-        return self.terms[0][0] if self.terms else None
+        return self._nums[0][0] if self._nums else None
+
+    def _leading(self) -> Term:
+        e, n = self._nums[0]
+        return e, Fraction(n, self._den)
+
+    def exponents(self) -> tuple[Fraction | int, ...]:
+        """The exponents of the stored terms, increasing."""
+        return tuple(e for e, _ in self._nums)
 
     def coefficient(self, exponent: Rational) -> Fraction:
         """The stored coefficient of eps^exponent; certified below ``order``."""
         e = _exponent(exponent)
-        for te, tc in self.terms:
+        for te, tn in self._nums:
             if te == e:
-                return tc
+                return Fraction(tn, self._den)
             if te > e:
                 break
         return Fraction(0)
 
     # -- ring operations -------------------------------------------------------
 
+    def _sum(self, o: "HyperReal", sign: int) -> "HyperReal":
+        """self + sign*o: numerators are added over the lcm of the two
+        denominators, rescaled only where they differ."""
+        den, db = self._den, o._den
+        ma, mb = 1, sign
+        if den != db:  # to the lcm of the two
+            g = gcd(den, db)
+            ma, mb = db // g, den // g * sign
+            den *= ma
+        acc = dict(self._nums) if ma == 1 else {e: n * ma for e, n in self._nums}
+        for e, n in o._nums:
+            n *= mb
+            acc[e] = acc[e] + n if e in acc else n
+        return self._lift(_canonical(acc), den, min(self.order, o.order))
+
     def __add__(self, other) -> "HyperReal":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        acc = dict(self.terms)
-        for e, c in o.terms:
-            acc[e] = acc[e] + c if e in acc else c
-        return self._lift(_canonical(acc), min(self.order, o.order))
+        return self._sum(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "HyperReal":
-        return self._lift([(e, -c) for e, c in self.terms], self.order)
+        return self._lift([(e, -n) for e, n in self._nums], self._den, self.order)
 
     def __sub__(self, other) -> "HyperReal":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return self._sum(o, -1)
 
     def __rsub__(self, other) -> "HyperReal":
         return (-self) + other
@@ -269,13 +307,13 @@ class HyperReal:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self.terms, o.terms
+        a, b = self._nums, o._nums
         na, nb = self.order, o.order
         va = a[0][0] if a else na
         vb = b[0][0] if b else nb
         order = inf if na == nb == inf else min(_plus(na, vb), _plus(nb, va))
         if not a or not b:
-            return self._lift([], order)
+            return self._lift([], 1, order)
         # the leading product cannot cancel, so the window cap is the result's
         # own; products at or above the order are uncertain and left out too
         cap = va + vb + self.window
@@ -284,17 +322,17 @@ class HyperReal:
         elif a[-1][0] + b[-1][0] >= cap:
             order = cap
         # b is sorted, so a row ends at its first exponent past the cap
-        acc: dict[Fraction | int, Fraction] = {}
-        for e1, c1 in a:
-            for e2, c2 in b:
+        acc: dict[Fraction | int, int] = {}
+        for e1, n1 in a:
+            for e2, n2 in b:
                 e = e1 + e2
                 if e >= cap:
                     break
                 if e in acc:
-                    acc[e] += c1 * c2
+                    acc[e] += n1 * n2
                 else:
-                    acc[e] = c1 * c2
-        return self._lift(_canonical(acc), order)
+                    acc[e] = n1 * n2
+        return self._lift(_canonical(acc), self._den * o._den, order)
 
     __rmul__ = __mul__
 
@@ -305,7 +343,7 @@ class HyperReal:
             if self.saturated:
                 raise self._uncertain("reciprocal")
             raise DivisionByZero("reciprocal of the zero element")
-        lam, a = self.terms[0]
+        lam, a = self._leading()
         return _power_series(
             self._shifted_tail(), _binomial(Fraction(-1), a), (-lam, 1 / a)
         )
@@ -330,10 +368,10 @@ class HyperReal:
         even when a = +-1."""
         if not isinstance(n, int):
             raise TypeError("series power requires an integer exponent")
-        if self.terms:
-            lead = self.terms[0][1]
+        if self._nums:
+            lead = self._leading()[1]
             guarded = abs(lead) != 1 and approx.power_too_large(lead, n)
-            wide = len(self.terms) > 1 and self.window * n.bit_length() ** 2 > approx.POWER_BITS
+            wide = len(self._nums) > 1 and self.window * n.bit_length() ** 2 > approx.POWER_BITS
             if wide or (guarded and lead < 0):
                 raise ApproxOverflow(
                     f"power {n} of a series with leading coefficient {show_rational(lead)}"
@@ -344,7 +382,7 @@ class HyperReal:
                 )
         if n < 0:
             return self.inv() ** (-n)
-        result = self._lift([(0, Fraction(1))])
+        result = self._lift([(0, 1)])
         base = self
         k = n
         while k:
@@ -376,7 +414,7 @@ class HyperReal:
             if r < 0:
                 raise DivisionByZero("0 raised to a negative power")
             return self
-        lam, a = self.terms[0]
+        lam, a = self._leading()
         if a <= 0:
             raise NonPositiveLeading(
                 f"{what} with non-positive leading coefficient {show_rational(a)}"
@@ -385,9 +423,11 @@ class HyperReal:
 
     def _shifted_tail(self) -> "HyperReal":
         """The terms after the leading one, shifted down by the leading exponent."""
-        lam = self.terms[0][0]
+        lam = self._nums[0][0]
         return self._lift(
-            [(_exponent(e - lam), c) for e, c in self.terms[1:]], _order(_plus(self.order, -lam))
+            [(_exponent(e - lam), n) for e, n in self._nums[1:]],
+            self._den,
+            _order(_plus(self.order, -lam)),
         )
 
     def sqrt(self) -> "HyperReal":
@@ -398,21 +438,22 @@ class HyperReal:
     def compare(self, other) -> int:
         """-1, 0, +1 by the sign of the leading coefficient of other - self."""
         if isinstance(other, (int, Fraction)):
-            return self._compare_scalar(
-                other if type(other) is Fraction else Fraction(other)
-            )
+            return self._compare_scalar(other)
         o = self._coerce(other)
         i = j = 0
-        a, b = self.terms, o.terms
+        a, b = self._nums, o._nums
+        da, db = self._den, o._den
         while i < len(a) and j < len(b):
-            ea, ca = a[i]
-            eb, cb = b[j]
+            ea, na = a[i]
+            eb, nb = b[j]
             if ea < eb:
-                return 1 if ca > 0 else -1
+                return 1 if na > 0 else -1
             if eb < ea:
-                return -1 if cb > 0 else 1
-            if ca != cb:
-                return -1 if ca < cb else 1
+                return -1 if nb > 0 else 1
+            na *= db
+            nb *= da
+            if na != nb:
+                return -1 if na < nb else 1
             i += 1
             j += 1
         if i < len(a):
@@ -421,25 +462,23 @@ class HyperReal:
             return -1 if b[j][1] > 0 else 1
         return 0
 
-    def _compare_scalar(self, q: Fraction) -> int:
-        """Sign of self - q without building a series for q."""
-        # signs are read from the integer numerators: comparing a Fraction
-        # with 0 costs several times more
-        q_sign = q.numerator
-        matched_zero = False
-        for e, c in self.terms:
+    def _compare_scalar(self, q: Rational) -> int:
+        """Sign of self - q without building a series for q: signs come from
+        the numerators, the exponent-0 coefficient is compared with q
+        crosswise."""
+        nums = self._nums
+        i = 0  # the index of the first term past exponent 0
+        if nums:
+            e, n = nums[0]
             if e.numerator < 0:
-                return 1 if c.numerator > 0 else -1
+                return 1 if n > 0 else -1
             if e.numerator == 0:
-                if c != q:
-                    return 1 if c > q else -1
-                matched_zero = True
-                continue
-            if not matched_zero and q_sign:
-                return -1 if q_sign > 0 else 1
-            return 1 if c.numerator > 0 else -1
-        if not matched_zero and q_sign:
-            return -1 if q_sign > 0 else 1
+                i = 1
+        lhs, rhs = (nums[0][1] * q.denominator if i else 0), q.numerator * self._den
+        if lhs != rhs:
+            return 1 if lhs > rhs else -1
+        if i < len(nums):
+            return 1 if nums[i][1] > 0 else -1
         return 0
 
     def __lt__(self, other):
@@ -459,7 +498,7 @@ class HyperReal:
             other = self._coerce(other)
         if not isinstance(other, HyperReal):
             return NotImplemented
-        return self.terms == other.terms and self.window == other.window
+        return (self._nums, self._den, self.window) == (other._nums, other._den, other.window)
 
     def __hash__(self):
         return hash((self.terms, self.window))
@@ -470,37 +509,37 @@ class HyperReal:
     # -- classification and standard part ---------------------------------------
 
     def classify(self) -> Classification:
-        if not self.terms:
+        if not self._nums:
             if self.saturated:
                 raise self._uncertain("classification")
             return Classification.ZERO
-        lam, a = self.terms[0]
+        lam, n = self._nums[0]
         if lam > 0:
             return Classification.INFINITESIMAL
         if lam == 0:
             return Classification.APPRECIABLE
         return (
             Classification.INFINITE_POSITIVE
-            if a > 0
+            if n > 0
             else Classification.INFINITE_NEGATIVE
         )
 
     @property
     def is_limited(self) -> bool:
-        if not self.terms and self.order >= 0:
+        if not self._nums and self.order >= 0:
             return True
         return self.classify().is_limited
 
     @property
     def is_infinitesimal(self) -> bool:
-        if not self.terms and self.order > 0:
+        if not self._nums and self.order > 0:
             return True
         return self.classify().is_infinitesimal
 
     def st(self) -> ExtendedReal:
         """Standard part: the exponent-0 coefficient, or a signed infinity."""
-        if self.terms and self.terms[0][0] < 0:
-            return ExtendedReal.POS_INF if self.terms[0][1] > 0 else ExtendedReal.NEG_INF
+        if self._nums and self._nums[0][0] < 0:
+            return ExtendedReal.POS_INF if self._nums[0][1] > 0 else ExtendedReal.NEG_INF
         self.certify(0, "standard part")
         return ExtendedReal(self.coefficient(0))
 
@@ -514,7 +553,7 @@ class HyperReal:
 
     def render(self) -> str:
         """Canonical text: terms joined by " + ", exponent-0 terms printed bare."""
-        if not self.terms:
+        if not self._nums:
             return "0"
         parts = []
         for e, c in self.terms:
@@ -531,42 +570,51 @@ class HyperReal:
         return f"HyperReal({self.render()!r})"
 
 
-def _fill(x: HyperReal, terms: list[Term], window, precision: int, order) -> None:
-    """Set x's slots from sorted, merged, nonzero terms: drop the terms at or
-    above the order, then apply the window cap, which lowers the order to
-    the cap when it drops a term."""
-    if terms and terms[-1][0] >= order:
-        terms = [t for t in terms if t[0] < order]
-    if terms:
-        cap = terms[0][0] + window
-        if terms[-1][0] >= cap:
-            terms = [t for t in terms if t[0] < cap]
+def _fill(x: HyperReal, nums: list[Num], den: int, window, precision: int, order) -> None:
+    """Set x's slots from sorted, merged, nonzero numerators over ``den``:
+    drop the terms at or above the order, then apply the window cap, which
+    lowers the order to the cap when it drops a term; then divide out the
+    gcd of ``den`` and the numerators kept."""
+    if nums and nums[-1][0] >= order:
+        nums = [t for t in nums if t[0] < order]
+    if nums:
+        cap = nums[0][0] + window
+        if nums[-1][0] >= cap:
+            nums = [t for t in nums if t[0] < cap]
             order = cap
-    object.__setattr__(x, "terms", tuple(terms))
+    if not nums:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *[n for _, n in nums])
+        if g != 1:
+            nums = [(e, n // g) for e, n in nums]
+            den //= g
+    object.__setattr__(x, "_nums", tuple(nums))
+    object.__setattr__(x, "_den", den)
     object.__setattr__(x, "window", window)
     object.__setattr__(x, "precision", precision)
     object.__setattr__(x, "order", order)
 
 
-def _series(terms: list[Term], window, precision: int, order=inf) -> HyperReal:
+def _series(nums: list[Num], den: int, window, precision: int, order=inf) -> HyperReal:
     """The canonical constructor of internal results.
 
-    ``terms`` must already be merged, sorted by exponent, free of zero
-    coefficients and hold integral exponents as ints; ``window`` and a
-    finite ``order`` are normalised the same way.  Only the order and window
-    caps are applied.
+    ``nums`` must already be merged, sorted by exponent, free of zero
+    numerators and hold integral exponents as ints; ``den`` is positive;
+    ``window`` and a finite ``order`` are normalised the same way.  Only the
+    order and window caps and the one gcd reduction are applied.
     """
     x = object.__new__(HyperReal)
-    _fill(x, terms, window, precision, order)
+    _fill(x, nums, den, window, precision, order)
     return x
 
 
-def _canonical(acc: dict) -> list[Term]:
-    """Accumulated exponent -> coefficient sums as canonical terms."""
+def _canonical(acc: dict) -> list[Num]:
+    """Accumulated exponent -> numerator sums as canonical numerators."""
     return [
-        (e if type(e) is int else _exponent(e), c)
-        for e, c in sorted(acc.items())
-        if c
+        (e if type(e) is int else _exponent(e), n)
+        for e, n in sorted(acc.items())
+        if n
     ]
 
 
@@ -608,7 +656,8 @@ class Field:
     def monomial(self, coeff: Rational, exponent: Rational) -> HyperReal:
         c = Fraction(coeff)
         return _series(
-            [(_exponent(exponent), c)] if c else [],
+            [(_exponent(exponent), c.numerator)] if c else [],
+            c.denominator,
             _exponent(self.window),
             int(self.precision),
         )
@@ -632,6 +681,8 @@ _ORDER_SYMBOL = {-1: "<", 0: "=", 1: ">"}
 
 def compare(x: HyperReal, y) -> str:
     """Total order against another series or a plain rational."""
+    if isinstance(y, (int, Fraction)):
+        return _ORDER_SYMBOL[x._compare_scalar(y)]
     return _ORDER_SYMBOL[x.compare(y)]
 
 
@@ -660,9 +711,9 @@ def in_order_ideal(x: HyperReal, e: HyperReal) -> bool:
     """
     if e.classify() is not Classification.INFINITESIMAL:
         raise NotInfinitesimal(f"order-ideal generator must be a nonzero infinitesimal, got {e}")
-    lam = e.terms[0][0]
-    if x.terms:
-        return x.terms[0][0] > lam
+    lam = e.leading_exponent()
+    if not x.is_zero:
+        return x.leading_exponent() > lam
     x.certify(lam, "order-ideal membership")
     return True
 
@@ -677,7 +728,7 @@ def close_of_order(a: HyperReal, b: HyperReal, e: HyperReal, n: int) -> bool:
 
 def _split_limited(x: HyperReal, what: str) -> tuple[Fraction, HyperReal]:
     """Split a limited x into (standard part, infinitesimal tail)."""
-    if x.terms and x.terms[0][0] < 0:
+    if not x.is_zero and x.leading_exponent() < 0:
         raise TranscendentalOnUnlimited(f"{what} of an unlimited argument")
     x.certify(0, f"standard part of the {what} argument")
     s = x.coefficient(0)
@@ -703,18 +754,22 @@ def _power_series(
     """
     shift, scale = head
     window, trunc = u.window, u.order
-    if not u.terms:  # u = O(eps^N): c_0 is the whole known part
+    if not u._nums:  # u = O(eps^N): c_0 is the whole known part
         c0 = next(coeffs)
         if trunc != inf:
             trunc = _exponent(shift + next(k for k, c in enumerate(coeffs, 1) if c) * trunc)
         c0 *= scale
-        return _series([(shift, c0)] if c0 else [], window, u.precision, trunc)
-    mu = u.terms[0][0]
+        return _series([(shift, c0.numerator)] if c0 else [], c0.denominator, window,
+                       u.precision, trunc)
+    mu = u._nums[0][0]
     if not scale:
-        return _series([], window, u.precision, _exponent(shift + min(window, trunc)))
-    acc: dict[Fraction | int, Fraction] = {}
+        return _series([], 1, window, u.precision, _exponent(shift + min(window, trunc)))
+    # c_k u^k is kept unreduced as (numerator, denominator, u^k numerators);
+    # the blocks meet over the lcm of their denominators once, at the end
+    blocks: list[tuple[int, int, list[Num]]] = []
     cap = None
-    upow: list[Term] = [(0, Fraction(1))]
+    upow: list[Num] = [(0, 1)]
+    pden = 1  # the denominator of u^k's numerators: u's to the k-th power
     for k, c in enumerate(coeffs):
         if c:
             if cap is None:
@@ -723,15 +778,11 @@ def _power_series(
                 cap = min(cap, trunc + (k - 1) * mu)
                 trunc = inf
             c *= scale
-            for e, a in upow:
-                if e in acc:
-                    acc[e] += c * a
-                else:
-                    acc[e] = c * a
+            blocks.append((c.numerator, c.denominator * pden, upow))
         limit = (k + 1) * mu + window if cap is None else cap
-        nxt: dict[Fraction | int, Fraction] = {}
+        nxt: dict[Fraction | int, int] = {}
         for e1, a1 in upow:
-            for e2, a2 in u.terms:
+            for e2, a2 in u._nums:
                 e = e1 + e2
                 if e >= limit:
                     break
@@ -742,9 +793,19 @@ def _power_series(
         upow = [t for t in nxt.items() if t[1]]
         if not upow:
             break
+        pden *= u._den
+    den = lcm(*[d for _, d, _ in blocks])
+    acc: dict[Fraction | int, int] = {}
+    for n, d, power in blocks:
+        n *= den // d
+        for e, a in power:
+            if e in acc:
+                acc[e] += n * a
+            else:
+                acc[e] = n * a
     if shift:
-        acc = {e + shift: c for e, c in acc.items()}
-    return _series(_canonical(acc), window, u.precision, _exponent(shift + limit))
+        acc = {e + shift: n for e, n in acc.items()}
+    return _series(_canonical(acc), den, window, u.precision, _exponent(shift + limit))
 
 
 # Coefficient rules c_0, c_1, ... for _power_series.

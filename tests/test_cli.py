@@ -514,6 +514,13 @@ class TestDeterminism:
         assert proc.stdout == out
 
 
+@pytest.mark.parametrize("module", ["hrw", "hrw.cli"])
+def test_module_entry_points(module):
+    proc = subprocess.run([sys.executable, "-m", module, "eval", "1/3 + 1/6"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1/2\n", "")
+
+
 class TestEnvPrecision:
     def test_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("HRW_PRECISION", "6")

@@ -606,12 +606,59 @@ def _ref_ln(x):
     return _ref_series(h, lambda k: const if k == 0 else F((-1) ** (k + 1), k) / s**k, (0, 1))
 
 
-def _grid_series(limited=False):
+def _ref_trig(x, a, b):
+    """a*cos(h) + b*sin(h) on the infinitesimal tail h of x."""
+    s = x.coefficient(0)
+    h = _ref_add(x, HyperReal([(0, -s)], x.window, x.precision))
+    fact = [1]
+    for k in range(1, 200):
+        fact.append(fact[-1] * k)
+    return _ref_series(
+        h, lambda k: (a if k % 2 == 0 else b) * F(1 if k % 4 < 2 else -1, fact[k]), (0, 1))
+
+
+def _ref_sin(x):
+    sin_s, cos_s = approx.sin_cos_approx(x.coefficient(0), x.precision)
+    return _ref_trig(x, sin_s, cos_s)
+
+
+def _ref_cos(x):
+    sin_s, cos_s = approx.sin_cos_approx(x.coefficient(0), x.precision)
+    return _ref_trig(x, cos_s, -sin_s)
+
+
+def _ref_tan(x):
+    t = approx.tan_approx(x.coefficient(0), x.precision)
+    return _ref_mul(_ref_trig(x, t, F(1)), _ref_inv(_ref_trig(x, F(1), -t)))
+
+
+def _ref_real_power(x, r):
+    u, lam, a = _ref_tail(x)
+    head = (F(lam) * r, approx.pow_approx(a, r, x.precision))
+    return _ref_series(u, lambda k: _binom(r, k) / a**k, head)
+
+
+def _grid_series(limited=False, coefficients=coeffs):
     exps = [F(k, d) for d in (1, 2, 3) for k in range(0 if limited else -4, 10)]
     # integral exponents are given as Fraction or int at random
     exponent = st_.sampled_from(exps).flatmap(
         lambda e: st_.sampled_from([e, int(e)] if e.denominator == 1 else [e]))
-    return st_.lists(st_.tuples(exponent, coeffs), max_size=4)
+    return st_.lists(st_.tuples(exponent, coefficients), max_size=4)
+
+
+# coefficients whose denominators are large and pairwise coprime, so that the
+# denominator one series shares over its terms grows with every operation:
+# primes near 10^6, and 40-digit kernel constants, alone or over such a prime
+PRIMES = [999953, 999959, 999961, 999979, 999983, 1000003, 1000033, 1000037, 1000039]
+GRID_CONSTANTS = [approx.pi_approx(40), approx.exp_approx(F(1, 3), 40),
+                  approx.ln_approx(F(2), 40), approx.sin_approx(F(1), 40)]
+wide_coeffs = st_.one_of(
+    coeffs,
+    st_.builds(F, st_.integers(-10**6, 10**6).filter(bool), st_.sampled_from(PRIMES)),
+    st_.builds(lambda c, p, sign: sign * c / p, st_.sampled_from(GRID_CONSTANTS),
+               st_.sampled_from([1] + PRIMES), st_.sampled_from([1, -1])),
+)
+REAL_POWERS = st_.sampled_from([F(1, 2), F(-1, 3), F(5, 2), F(-7, 4)])
 
 
 # certified orders: exact, or a truncation inside or past the exponent grid
@@ -634,6 +681,35 @@ def _same(got, want):
     assert hash(got) == hash(want)
 
 
+def _check_ring_ops(x, y):
+    w = x.window
+    _same(x + y, _ref_add(x, y))
+    _same(x - y, _ref_add(x, HyperReal([(e, -c) for e, c in y.terms], w, 40, y.order)))
+    _same(-x, HyperReal([(e, -c) for e, c in x.terms], w, 40, x.order))
+    _same(x * y, _ref_mul(x, y))
+    _same(x * 3 + 1, _ref_add(_ref_mul(x, HyperReal([(0, 3)], w, 40)), HyperReal([(0, 1)], w, 40)))
+    _same(x**3, _ref_pow(x, 3))
+    if not x.is_zero:
+        _same(x.inv(), _ref_inv(x))
+        _same(x**-2, _ref_pow(_ref_inv(x), 2))
+        if x.terms[0][1] > 0:
+            _same(x.nth_root(2), _ref_root(x, 2))
+            _same(x.nth_root(3), _ref_root(x, 3))
+
+
+def _check_trig_and_real_powers(x, r):
+    if x.terms and x.terms[0][1] > 0:
+        _same(hr_pow(x, r), _ref_real_power(x, r))
+    if x.order <= 0:  # the standard part is not certified
+        for fn in (hr_sin, hr_cos, hr_tan):
+            with pytest.raises(PrecisionExhausted):
+                fn(x)
+        return
+    _same(hr_sin(x), _ref_sin(x))
+    _same(hr_cos(x), _ref_cos(x))
+    _same(hr_tan(x), _ref_tan(x))
+
+
 class TestRepresentation:
     def test_integral_exponents_are_ints(self):
         x = HyperReal([(F(2), F(3)), (F(1, 2), 1), (0, F(1))])
@@ -652,19 +728,13 @@ class TestRepresentation:
     @settings(max_examples=150, deadline=None)
     @given(st_.sampled_from(WINDOWS), _grid_series(), _grid_series(), ORDERS, ORDERS)
     def test_ring_ops_match_naive_reference(self, w, xs, ys, nx, ny):
-        x, y = HyperReal(xs, w, 40, nx), HyperReal(ys, w, 40, ny)
-        _same(x + y, _ref_add(x, y))
-        _same(x - y, _ref_add(x, HyperReal([(e, -c) for e, c in y.terms], w, 40, y.order)))
-        _same(-x, HyperReal([(e, -c) for e, c in x.terms], w, 40, x.order))
-        _same(x * y, _ref_mul(x, y))
-        _same(x * 3 + 1, _ref_add(_ref_mul(x, HyperReal([(0, 3)], w, 40)), HyperReal([(0, 1)], w, 40)))
-        _same(x**3, _ref_pow(x, 3))
-        if not x.is_zero:
-            _same(x.inv(), _ref_inv(x))
-            _same(x**-2, _ref_pow(_ref_inv(x), 2))
-            if x.terms[0][1] > 0:
-                _same(x.nth_root(2), _ref_root(x, 2))
-                _same(x.nth_root(3), _ref_root(x, 3))
+        _check_ring_ops(HyperReal(xs, w, 40, nx), HyperReal(ys, w, 40, ny))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st_.sampled_from(WINDOWS), _grid_series(coefficients=wide_coeffs),
+           _grid_series(coefficients=wide_coeffs), ORDERS, ORDERS)
+    def test_ring_ops_on_wide_denominators(self, w, xs, ys, nx, ny):
+        _check_ring_ops(HyperReal(xs, w, 40, nx), HyperReal(ys, w, 40, ny))
 
     @settings(max_examples=60, deadline=None)
     @given(st_.sampled_from(WINDOWS), _grid_series(limited=True), coeffs, ORDERS)
@@ -678,3 +748,19 @@ class TestRepresentation:
         _same(hr_exp(x), _ref_exp(x))
         if x.coefficient(0) > 0:
             _same(hr_ln(x), _ref_ln(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st_.sampled_from(WINDOWS), _grid_series(limited=True), coeffs, ORDERS, REAL_POWERS)
+    def test_trig_and_real_powers_match_naive_reference(self, w, xs, s, n, r):
+        _check_trig_and_real_powers(HyperReal(xs + [(0, s)], w, 40, n), r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st_.sampled_from(WINDOWS), _grid_series(limited=True, coefficients=wide_coeffs),
+           wide_coeffs, ORDERS, REAL_POWERS)
+    def test_series_maps_on_wide_denominators(self, w, xs, s, n, r):
+        x = HyperReal(xs + [(0, s)], w, 40, n)
+        _check_trig_and_real_powers(x, r)
+        if n > 0:
+            _same(hr_exp(x), _ref_exp(x))
+            if x.coefficient(0) > 0:
+                _same(hr_ln(x), _ref_ln(x))
