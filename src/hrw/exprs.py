@@ -20,10 +20,9 @@ the truncated series field (:func:`eval_hyper`); a rule-based symbolic
 derivative for +,-,*,/ and integer powers serves as an independent oracle.
 
 For the partition sums, :func:`compile_real` generates straight-line Python
-over integer numerator/denominator pairs: ``+ - *`` cross-multiply without a
-gcd, denominators stay positive (a division moves the divisor's sign up),
-and the result is reduced once, on return, or, in the pair calling
-convention the partition grid uses, returned unreduced.  An integer power is
+that takes each variable as an integer numerator/denominator pair and returns
+one unreduced pair: ``+ - *`` cross-multiply without a gcd, and denominators
+stay positive (a division moves the divisor's sign up).  An integer power is
 taken on the unreduced parts only while they cannot trip the 200 000-bit
 exact-power guard (``approx.POWER_BITS``); otherwise ``approx.int_pow`` sees
 the reduced value, so guarded powers come out as in :func:`eval_real`.
@@ -621,29 +620,24 @@ def symbolic_derivative(e: Expr, var: str) -> Expr:
 
 
 def compile_real(
-    e: Expr, names: tuple[str, ...], precision: int = 40, *, pairs: bool = False
-) -> Callable[..., Fraction | tuple[int, int]]:
-    """Compile to a function of rationals with eval_real's values and errors.
+    e: Expr, names: tuple[str, ...], precision: int = 40
+) -> Callable[..., tuple[int, int]]:
+    """Compile to a function of integer pairs with eval_real's values and errors.
 
-    The i-th positional argument binds ``names[i]``.  The generated code is
-    straight-line arithmetic on Python ints: each argument is split once into
-    numerator and denominator, ``+ - *`` cross-multiply without taking a gcd
-    (a denominator known to be 1 is left out when the code is generated), and
-    ``/`` raises on a zero divisor and moves the divisor's sign into the
-    numerator, so every denominator stays positive.  An integer power n
-    raises both parts while the unreduced operand has at most
+    The i-th variable ``names[i]`` is passed as two ints, a numerator and a
+    positive denominator that need not be reduced (``f(n0, d0, n1, d1,
+    ...)``), and the function returns its unreduced ``(numerator,
+    denominator)``, the denominator positive.  The generated code is
+    straight-line arithmetic on Python ints: ``+ - *`` cross-multiply without
+    taking a gcd (a denominator known to be 1 is left out when the code is
+    generated), and ``/`` raises on a zero divisor and moves the divisor's
+    sign into the numerator, so every denominator stays positive.  An integer
+    power n raises both parts while the unreduced operand has at most
     ``POWER_BITS // |n|`` bits; past that it calls ``approx.int_pow`` on the
-    reduced value, whose own size guard then decides as in eval_real.
-    ``sqrt``, ``root``, real powers and the transcendental calls take
-    ``Fraction`` operands.  The result is reduced once, on return.
-
-    With ``pairs`` the same code serves a second calling convention: each
-    argument is two ints, a numerator and a positive denominator that need
-    not be reduced (``f(n0, d0, n1, d1, ...)``), and the function returns
-    its unreduced ``(numerator, denominator)``, the denominator positive.
-    The power size check may then see operands with common factors; they
-    can only make it fail, which defers to ``approx.int_pow`` on the reduced
-    value, so values and errors are those of eval_real at n_i / d_i.
+    reduced value, whose own size guard then decides as in eval_real, so
+    common factors can only send a power the slower way.  ``sqrt``,
+    ``root``, real powers and the transcendental calls take ``Fraction``
+    operands.  Values and errors are those of eval_real at n_i / d_i.
 
     A MathError carries the offset of the node that raised it, as in
     eval_real; an unbound variable is refused here, at compile time.
@@ -653,15 +647,9 @@ def compile_real(
     """
     gen = _Codegen(names, precision)
     n, d = gen.part(e)
-    if pairs:
-        params = [f"n{i}, d{i}" for i in range(len(names))]
-        lines = [*gen.lines, f"return {n}, {d or 1}"]
-    else:
-        params = [f"a{i}" for i in range(len(names))]
-        head = [f"n{i} = a{i}.numerator; d{i} = a{i}.denominator" for i in sorted(gen.used)]
-        lines = [*head, *gen.lines, f"return {_fraction((n, d))}"]
-    make = _function_maker(len(gen.consts), ", ".join(params), "\n".join(lines))
-    return make(*gen.consts)
+    params = ", ".join(f"n{i}, d{i}" for i in range(len(names)))
+    body = "\n".join([*gen.lines, f"return {n}, {d or 1}"])
+    return _function_maker(len(gen.consts), params, body)(*gen.consts)
 
 
 Part = tuple[str, Union[str, None]]  # code for (numerator, denominator); None means 1
@@ -678,7 +666,6 @@ class _Codegen:
     def __init__(self, names: tuple[str, ...], precision: int):
         self.names = names
         self.lines: list[str] = []
-        self.used: set[int] = set()
         self.consts: list = []
         self.temps = 0
         self.precision = precision
@@ -722,7 +709,6 @@ class _Codegen:
         if isinstance(node, Var):
             if node.name in self.names:
                 i = self.names.index(node.name)
-                self.used.add(i)
                 return f"n{i}", f"d{i}"
             return self.const_part(_named_constant(node.name, self.precision, node.pos))
         if isinstance(node, Unary):

@@ -14,28 +14,27 @@ tag as integers over the axis denominator: the min-vertex lo / q, the center
 (lo + hi) / 2q, the corner nearest the origin, or seeded-random
 ((lo << 30) + r (hi - lo)) / (q << 30), where the i-th cell draws 30 bits r
 per axis from ``Random(_mix_seed(seed, i))``; a deterministic rule is
-applied once per axis interval, not per cell.  Integrands are compiled in
-the pair convention of ``compile_real`` and return unreduced
-(numerator, denominator) pairs.  ``_total`` adds the numerators per
-distinct denominator and reduces once; the sum is then scaled by the one
-cell volume, with integer widths per cell on uneven explicit axes
-(``_volumes``).  Region sums (``inner_sum``, ``measure_moment``,
-``measure_mass_moment_com``) classify the region once per call with
-``_inner_cells`` (a sweep sharing vertex columns in the plane, a cached
-vertex classifier otherwise), reading only the sign of each membership
-numerator, and then sum over the inner cells.
+applied once per axis interval, not per cell.  Integrands are compiled by
+``compile_real``, which takes and returns unreduced (numerator, denominator)
+pairs.  ``_total`` adds the numerators per distinct denominator and reduces
+once; the sum is then scaled by the one cell volume, with integer widths
+per cell on uneven explicit axes (``_volumes``).  Region sums
+(``inner_sum``, ``measure_moment``, ``measure_mass_moment_com``) classify
+the region once per call with ``_inner_cells`` (a sweep sharing vertex
+columns in the plane, a cached vertex classifier otherwise), reading only
+the sign of each membership numerator, and then sum over the inner cells.
 ``PartitionSpec.breakpoints`` and ``tagged_partition`` are ``Fraction``
 views of the same grid.  A grid holds at most 2^20 cells; a larger one is
 refused with ``DepthExceeded`` before any cell is built.
 
 Gauge partitions bisect on a dyadic integer grid: with [a, b] = [A/D, B/D],
 a point of depth j is an integer N over D 2^j, so cell k of depth j is
-[A 2^j + k (B - A), A 2^j + (k + 1)(B - A)] / (D 2^j).  The gauge is
-compiled in the pair convention and called on (N, D 2^j).  The accepted
-cells are one more explicit axis of the grid (``_gauge_grid``), over
-Q = D 2^J with J the deepest cell or tag depth, and each tag is a pair
-(x, Q); every cell [u, v] is checked to lie in the ball of radius n/d of a
-fresh gauge value at its tag, (x - u) d <= n Q and (v - x) d <= n Q.
+[A 2^j + k (B - A), A 2^j + (k + 1)(B - A)] / (D 2^j), where the compiled
+gauge is called on (N, D 2^j).  The accepted cells are one more explicit
+axis of the grid (``_gauge_grid``), over Q = D 2^J with J the deepest cell
+or tag depth, and each tag is a pair (x, Q); every cell [u, v] is checked
+to lie in the ball of radius n/d of a fresh gauge value at its tag,
+(x - u) d <= n Q and (v - x) d <= n Q.
 ``cousin_partition`` is the ``Fraction`` view of that axis, as
 ``tagged_partition`` is of a box grid, and ``gauge_sum`` sums the integers
 like the box sums.
@@ -301,7 +300,7 @@ def _minus(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 
 
 def _box_sum(fn, grid: list[_Axis], rule: str, seed: int) -> Fraction:
-    """sum of fn(tag) * volume(cell) over the grid, fn in the pair convention."""
+    """sum of fn(tag) * volume(cell) over the grid, fn on integer pairs."""
     scale, weights = _volumes(grid)
     return scale * _total(starmap(fn, _tag_args(grid, rule, seed)), weights)
 
@@ -362,7 +361,7 @@ def riemann_sum(
     precision: int = DEFAULT_PRECISION,
 ) -> Fraction:
     """sum f(tag) * volume(cell) over the tagged partition; exact rational."""
-    fn = compile_real(f, axis_names(rect.dimension), precision, pairs=True)
+    fn = compile_real(f, axis_names(rect.dimension), precision)
     return _box_sum(fn, spec.grid(rect), tag_rule, seed)
 
 
@@ -386,7 +385,7 @@ def darboux_bounds(
     """
     if samples_per_axis < 2:
         raise ValueError("need at least the two endpoint samples per axis")
-    fn = compile_real(f, axis_names(rect.dimension), precision, pairs=True)
+    fn = compile_real(f, axis_names(rect.dimension), precision)
     s = samples_per_axis
     grid = spec.grid(rect)
     samples = [  # per axis interval, once: s points over q (s - 1)
@@ -463,7 +462,7 @@ class _InnerCells(NamedTuple):
 def _inner_cells(region: Region, spec: PartitionSpec, precision: int) -> _InnerCells:
     """Classify every cell of the bounding box's grid (see ``inner_sum``)."""
     rect = region.bounding
-    member = compile_real(region.membership, axis_names(rect.dimension), precision, pairs=True)
+    member = compile_real(region.membership, axis_names(rect.dimension), precision)
     grid = spec.grid(rect)
     scale, weights = _volumes(grid)
     classify = _sweep_2d if rect.dimension == 2 else _classify_cells
@@ -523,7 +522,7 @@ def inner_sum(
     vertex+center sampling is exact for convex and smooth-boundary regions
     at fine meshes and heuristic in general.
     """
-    fn = compile_real(f, axis_names(region.bounding.dimension), precision, pairs=True)
+    fn = compile_real(f, axis_names(region.bounding.dimension), precision)
     cells = _inner_cells(region, spec, precision)
     value = cells.scale * _total(starmap(fn, cells.corners), cells.weights)
     return InnerSumResult(
@@ -546,8 +545,8 @@ def measure_area_between(
 ) -> Fraction:
     """Riemann sum of (g - f) on [a, b]; f <= g checked at partition points."""
     var = (first_variable("x", f, g),)
-    fn_f = compile_real(f, var, precision, pairs=True)
-    fn_g = compile_real(g, var, precision, pairs=True)
+    fn_f = compile_real(f, var, precision)
+    fn_g = compile_real(g, var, precision)
     axis = _axis(a, b, m)
     for t in axis.nums:
         lower = fn_f(t, axis.q)
@@ -559,8 +558,8 @@ def measure_area_between(
 
 
 def _radius(f: Expr, var: str, precision: int) -> Callable[[int, int], tuple[int, int]]:
-    """f compiled in the pair convention, refused where negative."""
-    fn = compile_real(f, (var,), precision, pairs=True)
+    """f compiled, refused where negative."""
+    fn = compile_real(f, (var,), precision)
 
     def radius(lo: int, q: int) -> tuple[int, int]:
         n, d = fn(lo, q)
@@ -621,7 +620,7 @@ def measure_curve_length(
     """
     fns = [compile_real(c, (curve.param,), precision) for c in curve.components]
     axis = _axis(a, b, m)
-    points = [tuple(fn(t) for fn in fns) for t in _fractions(axis)]
+    points = [tuple(Fraction(*fn(t, axis.q)) for fn in fns) for t in axis.nums]
     polygonal = sum(
         (approx.sqrt_approx(_norm_sq(list(map(sub, q, p))), precision)
          for p, q in zip(points, points[1:])),
@@ -662,7 +661,7 @@ def measure_mass_moment_com(
     """Mass and first moments: inner-rectangle sums of rho and coord*rho,
     accumulated in one pass over one classification of the region."""
     dim = region.bounding.dimension
-    fn = compile_real(rho, axis_names(dim), precision, pairs=True)
+    fn = compile_real(rho, axis_names(dim), precision)
     cells = _inner_cells(region, spec, precision)
     masses: list[tuple[int, int]] = []
     moments: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
@@ -744,18 +743,17 @@ def line_integral_work(
     names = axis_names(curve.dimension)
     field_fns = [compile_real(comp, names, precision) for comp in field_components]
     comp_fns = [compile_real(c, (curve.param,), precision) for c in curve.components]
-    breaks = _fractions(_axis(a, b, m))
-    points = [tuple(fn(t) for fn in comp_fns) for t in breaks]
+    nums, q = _axis(a, b, m)
+    points = [tuple(Fraction(*fn(t, q)) for fn in comp_fns) for t in nums]
     cfg = Field(precision=precision)
     chord = integrand = Fraction(0)
-    for lo, hi, prev, here in zip(breaks, breaks[1:], points, points[1:]):
-        tag = (lo + hi) / 2
-        pos = [fn(tag) for fn in comp_fns]
-        force = [fn(*pos) for fn in field_fns]
-        velocity = [j.derivative(1) for j in curve.jets(tag, 1, cfg)]
+    for lo, hi, prev, here in zip(nums, nums[1:], points, points[1:]):
+        pos = [v for fn in comp_fns for v in fn(lo + hi, 2 * q)]  # the center's pairs
+        force = [Fraction(*fn(*pos)) for fn in field_fns]
+        velocity = [j.derivative(1) for j in curve.jets(Fraction(lo + hi, 2 * q), 1, cfg)]
         chord += sum(map(mul, force, map(sub, here, prev)), Fraction(0))
         integrand += sum(map(mul, force, velocity), Fraction(0))
-    return WorkResult(chord, integrand * (breaks[1] - breaks[0]))
+    return WorkResult(chord, integrand * Fraction(nums[1] - nums[0], q))
 
 
 def riemann_stieltjes_sum(
@@ -771,8 +769,8 @@ def riemann_stieltjes_sum(
     """sum f(tag_i) (phi(t_i) - phi(t_{i-1})) over a partition of [a, b]."""
     rect = Rect.interval(a, b)
     fvar = first_variable("x", f)
-    fn = compile_real(f, (fvar,), precision, pairs=True)
-    fphi = compile_real(phi, (first_variable(fvar, phi),), precision, pairs=True)
+    fn = compile_real(f, (fvar,), precision)
+    fphi = compile_real(phi, (first_variable(fvar, phi),), precision)
     axis = spec.grid(rect)[0]
     nums, q = axis
     tags = _tag_args([axis], tag_rule, seed)
@@ -790,7 +788,7 @@ def impulse(
     force: Expr, a: Fraction, b: Fraction, m: int, precision: int = DEFAULT_PRECISION
 ) -> Fraction:
     """Impulse of a time-dependent force: plain Riemann sum of F over [a, b]."""
-    fn = compile_real(force, (first_variable("t", force),), precision, pairs=True)
+    fn = compile_real(force, (first_variable("t", force),), precision)
     return _box_sum(fn, [_axis(a, b, m)], "min-vertex", 0)
 
 
@@ -822,7 +820,7 @@ def _gauge_grid(
     base, end, den = _ends(a, b)
     if base >= end:
         raise ValueError("empty interval")
-    fn = compile_real(gauge.radius, (first_variable("x", gauge.radius),), precision, pairs=True)
+    fn = compile_real(gauge.radius, (first_variable("x", gauge.radius),), precision)
     width = end - base
 
     def radius(x: int, j: int) -> tuple[int, int]:
@@ -933,7 +931,7 @@ def gauge_sum(
 ) -> Fraction:
     """Tagged Riemann sum over a gauge-fine partition of [a, b]."""
     axis, tags = _gauge_grid(gauge, a, b, mode, precision)
-    fn = compile_real(f, (first_variable("x", f),), precision, pairs=True)
+    fn = compile_real(f, (first_variable("x", f),), precision)
     scale, weights = _volumes([axis])
     return scale * _total(starmap(fn, tags), weights)
 
@@ -1000,12 +998,12 @@ def supernearness_probe(
     fn_target = compile_real(target, (var,), precision)
     rows = []
     for m in meshes:
-        breaks = _fractions(_axis(a, b, m))
+        nums, q = _axis(a, b, m)
         worst = Fraction(0)
-        for lo, hi in zip(breaks, breaks[1:]):
-            avg = (fn_anti(hi) - fn_anti(lo)) / (hi - lo)
-            for p in (lo, hi, (lo + hi) / 2):
-                dev = abs(avg - fn_target(p))
+        for lo, hi in zip(nums, nums[1:]):
+            avg = (Fraction(*fn_anti(hi, q)) - Fraction(*fn_anti(lo, q))) / Fraction(hi - lo, q)
+            for p in ((lo, q), (hi, q), (lo + hi, 2 * q)):
+                dev = abs(avg - Fraction(*fn_target(*p)))
                 if dev > worst:
                     worst = dev
         rows.append(((Fraction(b) - Fraction(a)) / m, worst))
@@ -1020,8 +1018,13 @@ _SIMPSON_CAP = 10**6  # intervals
 _SIMPSON_DEPTH = 1000  # halvings of [a, b]
 
 
-def adaptive_simpson(fn: Callable[[Fraction], Fraction], a: Fraction, b: Fraction) -> Fraction:
+def adaptive_simpson(
+    integrand: Callable[[int, int], tuple[int, int]], a: Fraction, b: Fraction
+) -> Fraction:
     """Adaptive Simpson quadrature in exact rational arithmetic.
+
+    The integrand maps a point's (numerator, positive denominator) to its
+    value as such a pair, not necessarily reduced, as compiled code does.
 
     Interval splits stop once |S(half) - S(whole)| <= 15 * local tolerance,
     the tolerance 10^-SIMPSON_DIGITS halved with each split.  An interval
@@ -1032,6 +1035,9 @@ def adaptive_simpson(fn: Callable[[Fraction], Fraction], a: Fraction, b: Fractio
     explicit stack, so no caller's stack limits the depth.
     """
     a, b = Fraction(a), Fraction(b)
+
+    def fn(x: Fraction) -> Fraction:
+        return Fraction(*integrand(x.numerator, x.denominator))
 
     def simpson(lo: Fraction, hi: Fraction, flo, fhi, fmid) -> Fraction:
         return (hi - lo) / 6 * (flo + 4 * fmid + fhi)
