@@ -304,18 +304,42 @@ def unreduced(q: F, k: int) -> tuple[int, int]:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_compiled_equals_tree_walk(seed):
+    # arguments as reduced pairs (n, d)
+    rng = random.Random(seed)
+    gen = ExprGen(rng)
+    for _ in range(100):
+        e = parsed(gen.tree(rng.randint(1, 4)))
+        fn = compile_real(e, ("x", "y"), PRECISION)
+        for _ in range(5):
+            x, y = rand_rational(rng), rand_rational(rng)
+            args = (*unreduced(x, 1), *unreduced(y, 1))
+            want = outcome(eval_real, e, {"x": x, "y": y}, PRECISION)
+            assert pair_outcome(fn, *args) == want, (render(e), x, y)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_pair_convention_equals_tree_walk(seed):
     # arguments (k n, k d): a common factor must change no value, error or offset
-    for rng in (random.Random(seed), random.Random(1200 + seed)):
-        gen = ExprGen(rng)
-        for _ in range(100):
-            e = parsed(gen.tree(rng.randint(1, 4)))
-            fn = compile_real(e, ("x", "y"), PRECISION)
-            for _ in range(5):
-                x, y = rand_rational(rng), rand_rational(rng)
-                args = (*unreduced(x, rng.randint(1, 6)), *unreduced(y, rng.randint(1, 6)))
-                want = outcome(eval_real, e, {"x": x, "y": y}, PRECISION)
-                assert pair_outcome(fn, *args) == want, (render(e), args)
+    rng = random.Random(1200 + seed)
+    gen = ExprGen(rng)
+    for _ in range(100):
+        e = parsed(gen.tree(rng.randint(1, 4)))
+        fn = compile_real(e, ("x", "y"), PRECISION)
+        for _ in range(5):
+            x, y = rand_rational(rng), rand_rational(rng)
+            args = (*unreduced(x, rng.randint(1, 6)), *unreduced(y, rng.randint(1, 6)))
+            want = outcome(eval_real, e, {"x": x, "y": y}, PRECISION)
+            assert pair_outcome(fn, *args) == want, (render(e), args)
+
+
+def test_power_guard_reads_the_reduced_value():
+    # x*2/2 at 3/7 is 6/14 unreduced (7 bits) and 3/7 reduced (5 bits): the
+    # guard at 200 000 bits passes 40 000 * 5 and refuses 40 001 * 5
+    for k in (40000, 40001, -40000, -40001):
+        e = parse(f"(x*2/2)^{k}")
+        assert pair_outcome(compile_real(e, ("x",)), 3, 7) == outcome(eval_real, e, {"x": F(3, 7)})
+    assert F(*compile_real(parse("(x*2/2)^40000"), ("x",))(3, 7)) == F(3, 7) ** 40000
 
 
 def test_pair_power_guard_reads_the_reduced_value():
