@@ -485,50 +485,57 @@ def eval_hyper_traced(
 ) -> tuple[HyperReal, EvalTrace]:
     trace = EvalTrace()
 
-    def go(node: Expr) -> HyperReal:
+    def series(node: Expr) -> HyperReal:
+        v = go(node)
+        return v if isinstance(v, HyperReal) else cfg.rational(v)
+
+    def go(node: Expr) -> HyperReal | Fraction:
         if isinstance(node, Const):
-            return cfg.rational(node.value)
+            return node.value
         if isinstance(node, Var):
             if node.name in env:
                 return env[node.name]
-            return cfg.rational(_named_constant(node.name, cfg.precision, node.pos))
+            return _named_constant(node.name, cfg.precision, node.pos)
         if isinstance(node, Unary):
             return -go(node.operand)
         if isinstance(node, Binary):
             try:
                 if node.op == "^":
-                    base = go(node.left)
+                    base = series(node.left)
                     k = int_exponent(node)
                     if k is not None:
                         return base**k
-                    r = go(node.right)
+                    r = series(node.right)
                     standard = not r.saturated and all(ex == 0 for ex in r.exponents())
                     lam = base.leading_exponent() or 0  # a rounded r would move lam*r
                     if standard and (lam == 0 or _exact(node.right, env)):
                         return hr_pow(base, r.coefficient(0))
                     return hr_exp(hr_ln(base) * r)
-                return _ARITH[node.op](go(node.left), go(node.right))
+                a, b = go(node.left), go(node.right)
+                if not isinstance(a, HyperReal) and not isinstance(b, HyperReal):
+                    a, b = cfg.rational(a), cfg.rational(b)
+                return _ARITH[node.op](a, b)
             except MathError as ex:
                 raise _at(ex, node.pos) from None
         try:
             if node.fn == "abs":
-                v = go(node.args[0])
+                v = series(node.args[0])
                 if not v.is_zero and v.coefficient(0) == 0 and v.is_limited:
                     trace.abs_nonsmooth = True
                 return abs(v)
             if node.fn == "sqrt":
-                return go(node.args[0]).nth_root(2)
+                return series(node.args[0]).nth_root(2)
             if node.fn == "root":
-                idx = go(node.args[0])
+                idx = series(node.args[0])
                 if idx.exponents() != (0,):
                     raise DomainError("root index must be a standard integer >= 2", node.args[0].pos)
                 n = _require_root_index(idx.coefficient(0), node.args[0].pos)
-                return go(node.args[1]).nth_root(n)
-            return apply_analytic(node.fn, go(node.args[0]))
+                return series(node.args[1]).nth_root(n)
+            return apply_analytic(node.fn, series(node.args[0]))
         except MathError as ex:
             raise _at(ex, node.pos) from None
 
-    return go(e), trace
+    return series(e), trace
 
 
 def eval_hyper(e: Expr, env: dict[str, HyperReal], cfg: Field) -> HyperReal:
@@ -538,7 +545,11 @@ def eval_hyper(e: Expr, env: dict[str, HyperReal], cfg: Field) -> HyperReal:
     a base a*eps^lam), any other as exp(r ln x).  At a
     rational point the standard part equals ``eval_real`` there (constants
     come from the same ``approx`` kernels), or both refuse at the same
-    offset."""
+    offset.  A literal, ``pi`` or ``e`` stays a ``Fraction``, a plain operand
+    of the series arithmetic; ``cfg.rational`` lifts it only as the base or
+    exponent of ``^``, as a call argument, where both operands of ``+ - * /``
+    are rational (constant subtrees keep the series rules and error texts),
+    and as the result."""
     value, _ = eval_hyper_traced(e, env, cfg)
     return value
 

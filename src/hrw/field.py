@@ -46,6 +46,12 @@ given; every internal result is built by ``_series``, which takes numerators
 already in that form and applies only the order and window caps and the one
 reduction.
 
+A plain rational operand of ``+``, ``-``, ``*`` or ``/`` is applied to the
+numerators and never lifted into a series: a product scales them, a sum adds
+at exponent 0 over the lcm of the denominators, a quotient multiplies by the
+reciprocal.  Each result still takes the order and window caps, so it equals
+the operation on the lifted constant; a zero divisor and ``q / x`` lift it.
+
 Every series map shares one kernel, ``_power_series``: factor x into a
 monomial head times (const + u) with u of positive leading exponent mu, then
 sum c_k*u^k from a per-map coefficient rule (geometric for the reciprocal,
@@ -73,6 +79,7 @@ classes and live here only through these finitely supported series.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -153,6 +160,9 @@ ExtendedReal.NEG_INF = ExtendedReal(None, -1)
 
 Term = tuple[Fraction | int, Fraction]  # (exponent, coefficient), coefficient != 0
 Num = tuple[Fraction | int, int]  # (exponent, numerator over the shared denominator), != 0
+# the exact types of a plain rational operand of + - * /; a subclass (or bool)
+# is lifted by _coerce instead, to the same value
+_PLAIN = (int, Fraction)
 
 
 def _exponent(q) -> Fraction | int:
@@ -283,7 +293,29 @@ class HyperReal:
             acc[e] = acc[e] + n if e in acc else n
         return self._lift(_canonical(acc), den, min(self.order, o.order))
 
+    def _shift(self, p: int, d: int) -> "HyperReal":
+        """self + p/d (d > 0): rescaled to the lcm of the denominators as
+        ``_sum`` does, p/d added at exponent 0."""
+        den = self._den
+        g = gcd(den, d)
+        m = d // g
+        c = p * (den // g)
+        nums = self._nums if m == 1 else [(e, n * m) for e, n in self._nums]
+        i = j = bisect_left(nums, (0,))  # the first exponent >= 0
+        if i < len(nums) and nums[i][0] == 0:
+            c += nums[i][1]
+            j += 1
+        return self._lift([*nums[:i], *([(0, c)] if c else ()), *nums[j:]], den * m, self.order)
+
+    def _scaled(self, p: int, d: int) -> "HyperReal":
+        """self * p/d (d > 0); a zero factor gives the exact 0."""
+        if not p:
+            return self._lift([])
+        return self._lift([(e, n * p) for e, n in self._nums], self._den * d, self.order)
+
     def __add__(self, other) -> "HyperReal":
+        if type(other) in _PLAIN:
+            return self._shift(other.numerator, other.denominator)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -295,6 +327,8 @@ class HyperReal:
         return self._lift([(e, -n) for e, n in self._nums], self._den, self.order)
 
     def __sub__(self, other) -> "HyperReal":
+        if type(other) in _PLAIN:
+            return self._shift(-other.numerator, other.denominator)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -304,6 +338,8 @@ class HyperReal:
         return (-self) + other
 
     def __mul__(self, other) -> "HyperReal":
+        if type(other) in _PLAIN:
+            return self._scaled(other.numerator, other.denominator)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -349,6 +385,9 @@ class HyperReal:
         )
 
     def __truediv__(self, other) -> "HyperReal":
+        if type(other) in _PLAIN and other:
+            p, d = other.numerator, other.denominator
+            return self._scaled(d, p) if p > 0 else self._scaled(-d, -p)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented

@@ -764,3 +764,72 @@ class TestRepresentation:
             _same(hr_exp(x), _ref_exp(x))
             if x.coefficient(0) > 0:
                 _same(hr_ln(x), _ref_ln(x))
+
+
+# -- plain rational operands ------------------------------------------------------
+#
+# + - * / with an int or a Fraction act on the numerators without lifting the
+# rational into a series; each result must be the one the lifted rational
+# gives, value, configuration and certified order alike, or the same error.
+
+SCALARS = [0, 1, -1, F(0), F(1), F(-1), 7, -12, F(-3, 7), F(22, 5), 10**30 + 1,
+           *GRID_CONSTANTS, -GRID_CONSTANTS[0], F(GRID_CONSTANTS[1].numerator, PRIMES[0])]
+SCALAR_OPS = {
+    "x+q": lambda x, q: x + q, "q+x": lambda x, q: q + x,
+    "x-q": lambda x, q: x - q, "q-x": lambda x, q: q - x,
+    "x*q": lambda x, q: x * q, "q*x": lambda x, q: q * x,
+    "x/q": lambda x, q: x / q, "q/x": lambda x, q: q / x,
+}
+
+
+def _scalar_outcome(op, x, q):
+    try:
+        v = op(x, q)
+    except Exception as ex:  # noqa: BLE001 - any difference counts
+        return type(ex), str(ex)
+    assert type(v) is HyperReal
+    return v._nums, v._den, v.window, v.precision, v.order
+
+
+def _check_scalar_ops(x):
+    for q in SCALARS:
+        lifted = HyperReal([(0, q)], x.window, x.precision)
+        for name, op in SCALAR_OPS.items():
+            got, want = _scalar_outcome(op, x, q), _scalar_outcome(op, x, lifted)
+            assert got == want, (name, x, x.order, q)
+
+
+class TestScalarOperands:
+    def test_named_series(self):
+        for w in WINDOWS + [F(1), 2]:
+            for terms, order in [
+                ([], INF),  # exact 0
+                ([], F(3, 2)),  # empty saturated: O(eps^(3/2))
+                ([], F(-1)),
+                ([(0, F(5, 3)), (1, -2), (3, F(1, 7))], INF),
+                ([(0, F(5, 3)), (1, -2)], 2),  # saturated
+                ([(F(1, 2), 3), (F(4, 3), F(-1, 9))], INF),  # fractional exponents
+                ([(-2, F(7, 4)), (-1, 1), (0, F(-1, 2))], INF),  # infinite lead
+                ([(-1, 1), (F(1, 3), -4)], F(5, 2)),
+                ([(0, -1), (2, approx.pi_approx(40))], 4),
+            ]:
+                _check_scalar_ops(HyperReal(terms, w, 40, order))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st_.sampled_from(WINDOWS), _grid_series(coefficients=wide_coeffs), ORDERS,
+           st_.sampled_from([12, 40]))
+    def test_seeded_series(self, w, xs, n, precision):
+        _check_scalar_ops(HyperReal(xs, w, precision, n))
+
+    def test_window_cap_of_a_sum(self):
+        # 1 + (eps + eps^2) at window 2 leads at 0, so eps^2 falls at the cap
+        x = HyperReal([(1, 1), (2, 1)], 2)
+        for got in (x + 1, 1 + x, x - F(-1), x + F(1)):
+            assert got.terms == ((0, F(1)), (1, F(1)))
+            assert got.order == 2
+
+    def test_zero_factor_and_divisor(self):
+        x = HyperReal([(0, 1)], 16, 40, F(1, 2))
+        assert (x * 0).order == INF and (x * 0).is_zero and (0 * x).order == INF
+        with pytest.raises(DivisionByZero, match="reciprocal of the zero element"):
+            x / F(0)

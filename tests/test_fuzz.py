@@ -31,7 +31,10 @@ powers included, since both evaluators take a^r from ``pow_approx``, and
 integer powers past the exact-power guard, whose a^n both take from
 ``int_pow``.  At an
 infinitesimal or unlimited base the order of a power must not depend on the
-precision: a rounded exponent is refused there.
+precision: a rounded exponent is refused there.  The series evaluation,
+whose constants meet series as plain rationals, must give the value,
+certified order and ``abs`` flag of a walk written out here that lifts every
+constant into a series first, or the same refusal at the same offset.
 
 ``measure K --meshes`` and ``converge K --meshes`` must tabulate the same
 study for seeded area, moment and impulse requests with a rational oracle.
@@ -64,6 +67,7 @@ import contextlib
 import io
 import json
 import math
+import operator
 import random
 import re
 from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
@@ -90,17 +94,24 @@ from hrw.exprs import (
     Binary,
     Call,
     Const,
+    EvalTrace,
     Expr,
     Unary,
     Var,
+    _at,
+    _exact,
+    _named_constant,
+    _require_root_index,
     compile_real,
     eval_hyper,
+    eval_hyper_traced,
     eval_real,
+    int_exponent,
     parse,
     render,
     symbolic_derivative,
 )
-from hrw.field import Field
+from hrw.field import Field, apply_analytic, hr_exp, hr_ln, hr_pow
 from hrw.integration import (
     TAG_RULES,
     Gauge,
@@ -286,6 +297,89 @@ def test_power_order_does_not_depend_on_precision(seed):
             got = refusal_or_value(eval_hyper, e, env, fld)
             leads.add(None if isinstance(got, MathError) else got.leading_exponent())
         assert len(leads) == 1, (render(e), c, k, y, leads)
+
+
+ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def lifting_walk(e: Expr, env: dict, cfg: Field):
+    """The series walk as it was before constants stayed rationals: every
+    literal, ``pi`` and ``e`` is lifted by ``cfg.rational`` where it is read.
+    The reference of ``eval_hyper_traced``."""
+    trace = EvalTrace()
+
+    def go(node: Expr):
+        if isinstance(node, Const):
+            return cfg.rational(node.value)
+        if isinstance(node, Var):
+            if node.name in env:
+                return env[node.name]
+            return cfg.rational(_named_constant(node.name, cfg.precision, node.pos))
+        if isinstance(node, Unary):
+            return -go(node.operand)
+        if isinstance(node, Binary):
+            try:
+                if node.op == "^":
+                    base = go(node.left)
+                    k = int_exponent(node)
+                    if k is not None:
+                        return base**k
+                    r = go(node.right)
+                    standard = not r.saturated and all(ex == 0 for ex in r.exponents())
+                    lam = base.leading_exponent() or 0
+                    if standard and (lam == 0 or _exact(node.right, env)):
+                        return hr_pow(base, r.coefficient(0))
+                    return hr_exp(hr_ln(base) * r)
+                a, b = go(node.left), go(node.right)
+                return ARITH[node.op](a, b)
+            except MathError as ex:
+                raise _at(ex, node.pos) from None
+        try:
+            if node.fn == "abs":
+                v = go(node.args[0])
+                if not v.is_zero and v.coefficient(0) == 0 and v.is_limited:
+                    trace.abs_nonsmooth = True
+                return abs(v)
+            if node.fn == "sqrt":
+                return go(node.args[0]).nth_root(2)
+            if node.fn == "root":
+                idx = go(node.args[0])
+                if idx.exponents() != (0,):
+                    raise DomainError("root index must be a standard integer >= 2", node.args[0].pos)
+                return go(node.args[1]).nth_root(_require_root_index(idx.coefficient(0), node.args[0].pos))
+            return apply_analytic(node.fn, go(node.args[0]))
+        except MathError as ex:
+            raise _at(ex, node.pos) from None
+
+    return go(e), trace
+
+
+def walk_outcome(fn, *args):
+    """A series walk's value (numerators, denominator, order) and abs flag,
+    or the exception's type, text and offset."""
+    try:
+        value, trace = fn(*args)
+    except Exception as ex:  # noqa: BLE001 - any difference counts
+        return type(ex).__name__, str(ex), getattr(ex, "pos", None)
+    return value._nums, value._den, value.window, value.order, trace.abs_nonsmooth
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_series_walk_equals_lifting_walk(seed):
+    # constants meet series as plain rationals; the value, the certified
+    # order, the abs flag and every refusal must be those of lifting them
+    rng = random.Random(1700 + seed)
+    gen = ExprGen(rng, ("x", "y"))
+    for _ in range(60):
+        e = parsed(gen.tree(rng.randint(1, 4)))
+        for window, precision in product((4, 16, F(5, 2)), (12, 40)):
+            if rng.random() < 0.5:
+                continue
+            fld = Field(window, precision)
+            x0, y0 = rng.choice([F(0), F(1, 2), F(-1, 2), F(3, 4)]), rand_rational(rng)
+            env = {"x": fld.rational(x0) + fld.epsilon(), "y": fld.rational(y0)}
+            got = walk_outcome(eval_hyper_traced, e, env, fld)
+            assert got == walk_outcome(lifting_walk, e, env, fld), (render(e), window, precision, x0, y0)
 
 
 def pair_outcome(fn, *args):
