@@ -421,12 +421,12 @@ class HyperReal:
                 )
         if n < 0:
             return self.inv() ** (-n)
-        result = self._lift([(0, 1)])
-        base = self
-        k = n
+        if n == 0:
+            return self._lift([(0, 1)])
+        result, base, k = None, self, n  # start from the first factor, not from 1
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
         return result

@@ -2,8 +2,8 @@
 
 Infinite-mesh statements are emulated by sequences of finite partitions with
 shrinking mesh; every sum is an exact rational, so results are identical
-across runs and across any evaluation order.  A rational adaptive-Simpson
-quadrature serves as the independent oracle for convergence studies.
+across runs and across any evaluation order.  An adaptive-Simpson quadrature
+on the gauge grid serves as the independent oracle for convergence studies.
 
 Every box sum runs on one integer grid.  An axis (``_Axis``) is a list of
 integer breakpoint numerators over one positive denominator q: m equal
@@ -27,14 +27,14 @@ the sign of each membership numerator, and then sum over the inner cells.
 views of the same grid.  A grid holds at most 2^20 cells; a larger one is
 refused with ``DepthExceeded`` before any cell is built.
 
-Gauge partitions bisect on a dyadic integer grid: with [a, b] = [A/D, B/D],
-a point of depth j is an integer N over D 2^j, so cell k of depth j is
-[A 2^j + k (B - A), A 2^j + (k + 1)(B - A)] / (D 2^j), where the compiled
-gauge is called on (N, D 2^j).  The accepted cells are one more explicit
-axis of the grid (``_gauge_grid``), over Q = D 2^J with J the deepest cell
-or tag depth, and each tag is a pair (x, Q); every cell [u, v] is checked
-to lie in the ball of radius n/d of a fresh gauge value at its tag,
-(x - u) d <= n Q and (v - x) d <= n Q.
+Gauge partitions and the Simpson oracle bisect on a dyadic integer grid:
+with [a, b] = [A/D, B/D], a point of depth j is an integer N over D 2^j, so
+cell k of depth j is [A 2^j + k (B - A), A 2^j + (k + 1)(B - A)] / (D 2^j),
+where the compiled gauge or integrand is called on (N, D 2^j).  The accepted
+gauge cells are one more explicit axis of the grid (``_gauge_grid``), over
+Q = D 2^J with J the deepest cell or tag depth, and each tag is a pair
+(x, Q); every cell [u, v] is checked to lie in the ball of radius n/d of a
+fresh gauge value at its tag, (x - u) d <= n Q and (v - x) d <= n Q.
 ``cousin_partition`` is the ``Fraction`` view of that axis, as
 ``tagged_partition`` is of a box grid, and ``gauge_sum`` sums the integers
 like the box sums.
@@ -278,10 +278,12 @@ def _volumes(grid: list[_Axis]) -> tuple[Fraction, list[int] | None]:
     return scale, list(map(math.prod, product(*widths))) if uneven else None
 
 
-def _total(values: Iterable[tuple[int, int]], weights: Iterable[int] | None = None) -> Fraction:
+def _pair_sum(
+    values: Iterable[tuple[int, int]], weights: Iterable[int] | None = None
+) -> tuple[int, int]:
     """The sum of (numerator, positive denominator) pairs, each numerator
-    times its weight if weights are given: numerators are added per distinct
-    denominator, then over the lcm of those, and reduced once."""
+    times its weight if weights are given, as an unreduced pair: numerators
+    are added per distinct denominator, then over the lcm of those."""
     sums: dict[int, int] = {}
     if weights is None:
         for n, d in values:
@@ -290,7 +292,12 @@ def _total(values: Iterable[tuple[int, int]], weights: Iterable[int] | None = No
         for (n, d), w in zip(values, weights):
             sums[d] = sums.get(d, 0) + n * w
     den = math.lcm(*sums)
-    return Fraction(sum(n * (den // d) for d, n in sums.items()), den)
+    return sum(n * (den // d) for d, n in sums.items()), den
+
+
+def _total(values: Iterable[tuple[int, int]], weights: Iterable[int] | None = None) -> Fraction:
+    """``_pair_sum`` reduced once."""
+    return Fraction(*_pair_sum(values, weights))
 
 
 def _minus(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -1024,50 +1031,52 @@ def adaptive_simpson(
     """Adaptive Simpson quadrature in exact rational arithmetic.
 
     The integrand maps a point's (numerator, positive denominator) to its
-    value as such a pair, not necessarily reduced, as compiled code does.
+    value as such a pair, as compiled code does; neither pair need be reduced.
+    With [a, b] = [A/D, B/D] (``_ends``) and W = B - A, the intervals are the
+    cells [u, u + W] / (D 2^j) of the gauge grid, sampled (f0 ... f4) at the
+    points (4u + kW) / (D 2^(j+2)), passed unreduced: for [1/2, 1/3], D = 6
+    and a arrives as (3, 6); compiled code returns eval_real's value at n/d.
 
-    Interval splits stop once |S(half) - S(whole)| <= 15 * local tolerance,
-    the tolerance 10^-SIMPSON_DIGITS halved with each split.  An interval
-    that would need more than 1000 halvings of [a, b] (a jump no dyadic point
-    hits, a root steeper than x^(1/40) at 0), or more than 10^6 intervals in
-    all, raises OracleFailure rather than returning a silently degraded
-    value.  Intervals are visited depth first, left before right, from an
-    explicit stack, so no caller's stack limits the depth.
+    A cell is halved while |S(half) - S(whole)| > 15 * 10^-SIMPSON_DIGITS *
+    2^-j, the tolerance halved with each split.  S(half) - S(whole) is
+    W E / (12 D 2^j), E = -f0 + 4 f1 - 6 f2 + 4 f3 - f4 the fourth difference
+    of the samples, so the test |E| |W| 10^SIMPSON_DIGITS <= 180 D is free of
+    the depth.  An accepted cell adds S(half) + (S(half) - S(whole)) / 15,
+    which is Boole's rule W / (90 D 2^j) (7 f0 + 32 f1 + 12 f2 + 32 f3 + 7 f4);
+    these are added per denominator and reduced once (``_pair_sum``).
+
+    A cell that would need more than 1000 halvings of [a, b] (a jump no dyadic
+    point hits, a root steeper than x^(1/40) at 0), or more than 10^6 cells in
+    all, raises OracleFailure rather than returning a silently degraded value.
+    Cells are visited depth first, left before right, from an explicit stack,
+    so no caller's stack limits the depth.
     """
-    a, b = Fraction(a), Fraction(b)
-
-    def fn(x: Fraction) -> Fraction:
-        return Fraction(*integrand(x.numerator, x.denominator))
-
-    def simpson(lo: Fraction, hi: Fraction, flo, fhi, fmid) -> Fraction:
-        return (hi - lo) / 6 * (flo + 4 * fmid + fhi)
-
-    fa, fb = fn(a), fn(b)
-    fm = fn((a + b) / 2)
-    total = Fraction(0)
-    stack = [(a, b, fa, fb, fm, simpson(a, b, fa, fb, fm), Fraction(1, 10**SIMPSON_DIGITS), 0)]
+    base, end, den = _ends(a, b)
+    width = end - base
+    limit = abs(width) * 10**SIMPSON_DIGITS
+    fa, fb = integrand(base, den), integrand(end, den)
+    stack = [(base, 0, fa, integrand(base + end, 2 * den), fb)]  # (u, j, f0, f2, f4)
+    parts: list[tuple[int, int]] = []  # each accepted cell's Boole sum, over d 2^j
     used = 0
     while stack:
         used += 1
         if used > _SIMPSON_CAP:
             raise OracleFailure(f"quadrature exceeded {_SIMPSON_CAP} intervals")
-        lo, hi, flo, fhi, fmid, whole, budget, depth = stack.pop()
-        mid = (lo + hi) / 2
-        flmid = fn((lo + mid) / 2)
-        frmid = fn((mid + hi) / 2)
-        left = simpson(lo, mid, flo, fmid, flmid)
-        right = simpson(mid, hi, fmid, fhi, frmid)
-        if abs(left + right - whole) <= 15 * budget:
-            total += left + right + (left + right - whole) / 15
-        elif depth == _SIMPSON_DEPTH:
-            raise OracleFailure(
-                f"quadrature exceeded {_SIMPSON_DEPTH} halvings near {decimal_str(lo)}"
-            )
+        u, j, f0, f2, f4 = stack.pop()
+        q = den << (j + 2)
+        f1, f3 = integrand(4 * u + width, q), integrand(4 * u + 3 * width, q)
+        samples = (f0, f1, f2, f3, f4)
+        n, d = _pair_sum(samples, (-1, 4, -6, 4, -1))
+        if abs(n) * limit <= 180 * den * d:
+            n, d = _pair_sum(samples, (7, 32, 12, 32, 7))
+            parts.append((n, d << j))
+        elif j == _SIMPSON_DEPTH:
+            near = decimal_str(Fraction(u, den << j))
+            raise OracleFailure(f"quadrature exceeded {_SIMPSON_DEPTH} halvings near {near}")
         else:
-            half = budget / 2
-            stack.append((mid, hi, fmid, fhi, frmid, right, half, depth + 1))
-            stack.append((lo, mid, flo, fmid, flmid, left, half, depth + 1))
-    return total
+            stack.append((2 * u + width, j + 1, f2, f3, f4))
+            stack.append((2 * u, j + 1, f0, f1, f2))
+    return Fraction(width, 90 * den) * _total(parts)
 
 
 @dataclass(frozen=True)

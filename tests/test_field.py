@@ -530,11 +530,14 @@ def _ref_add(x, y):
 
 
 def _ref_pow(x, n):
-    """Square and multiply, in the order HyperReal.__pow__ uses."""
-    result, base = HyperReal([(0, 1)], x.window, x.precision), x
+    """Square and multiply, in the order HyperReal.__pow__ uses: the first
+    factor starts the product, and n = 0 gives the exact 1."""
+    if not n:
+        return HyperReal([(0, 1)], x.window, x.precision)
+    result, base = None, x
     while n:
         if n & 1:
-            result = _ref_mul(result, base)
+            result = base if result is None else _ref_mul(result, base)
         base = _ref_mul(base, base) if n > 1 else base
         n >>= 1
     return result
@@ -833,3 +836,31 @@ class TestScalarOperands:
         assert (x * 0).order == INF and (x * 0).is_zero and (0 * x).order == INF
         with pytest.raises(DivisionByZero, match="reciprocal of the zero element"):
             x / F(0)
+
+
+# -- integer powers ----------------------------------------------------------------
+#
+# square and multiply starts from the first factor, not from the exact 1; each
+# power must be the left-folded product of its factors, numerators, shared
+# denominator, configuration and certified order alike.
+
+def _layout(x):
+    return x._nums, x._den, x.window, x.precision, x.order
+
+
+class TestIntegerPowers:
+    def test_power_equals_left_folded_product(self, rng):
+        grid = [F(k, d) for d in (1, 2, 3) for k in range(-2, 7)]
+        orders = [INF, INF, 0, F(1, 2), 1, F(7, 3), 4, 9]
+        kinds = set()
+        for _ in range(250):
+            exps = rng.sample(grid, rng.randint(0, 4))
+            order = rng.choice(orders)
+            x = HyperReal([(e, rand_fraction(rng, -9, 9)) for e in exps],
+                          rng.choice(WINDOWS), rng.choice([12, 40]), order)
+            kinds.add((x.saturated, any(type(e) is F for e in x.exponents())))
+            folded = HyperReal([(0, 1)], x.window, x.precision)
+            for n in range(12):
+                assert _layout(x**n) == _layout(folded), (x, x.order, n)
+                folded = x if n == 0 else folded * x
+        assert kinds == {(s, f) for s in (False, True) for f in (False, True)}

@@ -88,6 +88,7 @@ from hrw.errors import (
     NegativeRadius,
     NonPositiveLeading,
     OrderViolation,
+    OracleFailure,
     PrecisionExhausted,
 )
 from hrw.exprs import (
@@ -112,13 +113,16 @@ from hrw.exprs import (
     symbolic_derivative,
 )
 from hrw.field import Field, apply_analytic, hr_exp, hr_ln, hr_pow
+from hrw import integration
 from hrw.integration import (
+    SIMPSON_DIGITS,
     TAG_RULES,
     Gauge,
     PartitionSpec,
     Rect,
     Region,
     SupernearReport,
+    adaptive_simpson,
     cousin_partition,
     darboux_bounds,
     gauge_sum,
@@ -136,7 +140,7 @@ from hrw.integration import (
     supernearness_probe,
     tagged_partition,
 )
-from hrw.rationals import show_rational
+from hrw.rationals import decimal_str, show_rational
 
 PRECISION = 12
 NAMES = ("x", "y", "z")
@@ -932,6 +936,83 @@ def test_tagged_partition_tags(seed):
             assert part.cells == tuple(cells)
             assert part.tags == tuple(naive_tag(cell, rule, tag_seed, i)
                                       for i, cell in enumerate(cells)), (rect, rule)
+
+
+def naive_simpson(integrand, a: F, b: F) -> F:
+    """adaptive_simpson on Fractions: Simpson's rule S on [lo, hi] and on its
+    halves, split while |S(half) - S(whole)| > 15 tol, tol = 10^-SIMPSON_DIGITS
+    halved with each split, else S(half) + (S(half) - S(whole)) / 15 added to
+    the total; intervals depth first, left before right, the integrand called
+    on reduced points, and the caps of hrw.integration read at call time."""
+    def fn(x: F) -> F:
+        return F(*integrand(x.numerator, x.denominator))
+
+    def simpson(lo: F, hi: F, flo: F, fhi: F, fmid: F) -> F:
+        return (hi - lo) / 6 * (flo + 4 * fmid + fhi)
+
+    a, b = F(a), F(b)
+    fa, fb = fn(a), fn(b)
+    fm = fn((a + b) / 2)
+    total, used = F(0), 0
+    stack = [(a, b, fa, fb, fm, simpson(a, b, fa, fb, fm), F(1, 10**SIMPSON_DIGITS), 0)]
+    while stack:
+        used += 1
+        if used > integration._SIMPSON_CAP:
+            raise OracleFailure(f"quadrature exceeded {integration._SIMPSON_CAP} intervals")
+        lo, hi, flo, fhi, fmid, whole, tol, depth = stack.pop()
+        mid = (lo + hi) / 2
+        flmid, frmid = fn((lo + mid) / 2), fn((mid + hi) / 2)
+        left, right = simpson(lo, mid, flo, fmid, flmid), simpson(mid, hi, fmid, fhi, frmid)
+        if abs(left + right - whole) <= 15 * tol:
+            total += left + right + (left + right - whole) / 15
+        elif depth == integration._SIMPSON_DEPTH:
+            raise OracleFailure(
+                f"quadrature exceeded {depth} halvings near {decimal_str(lo)}")
+        else:
+            stack.append((mid, hi, fmid, fhi, frmid, right, tol / 2, depth + 1))
+            stack.append((lo, mid, flo, fmid, flmid, left, tol / 2, depth + 1))
+    return total
+
+
+def rand_integrand(rng: random.Random, family: str, a: F, b: F) -> str:
+    """A seeded integrand of one family on [a, b]: a steep root sits at a, a
+    jump or a kink at a point k/7 of the way (never on the dyadic grid) or
+    k/8 (on it)."""
+    c, m = F(rng.randint(-40, 40), rng.choice([3, 4, 10])), F(rng.randint(-9, 9), 7)
+    k = rng.randint(3, 12)
+    inner = a + (b - a) * F(rng.randint(1, 6), rng.choice([7, 8]))
+    return {
+        "polynomial": f"{c}*x^3 - {m}*x^2 + {k}*x - 1/3",
+        "rational": f"({c}*x + 1)/({k}/10 + (x - {m})^2)",
+        "trigonometric": f"{c}*{rng.choice(['sin', 'cos'])}({k}*x/3 + {m}) + x/5",
+        "steep root": f"abs(x - {a})^(1/{k // 2})",
+        "jump": f"abs(x - {inner})/(x - {inner})",
+        "kink": f"{c}*abs(x - {inner})",
+    }[family]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_simpson_equals_fraction_loop(seed):
+    # odd and decimal denominators; forward, reversed and empty intervals
+    rng = random.Random(1200 + seed)
+    dens = [1, 3, 7, 10, 25, 4, 9]
+    for family in ("polynomial", "rational", "trigonometric", "steep root", "jump", "kink"):
+        a = F(rng.randint(-20, 20), rng.choice(dens))
+        b = a + F(rng.randint(1, 20), rng.choice(dens))
+        fn = compile_real(parse(rand_integrand(rng, family, a, b)), ("x",), PRECISION)
+        for lo, hi in ((a, b), (b, a), (a, a)):
+            for integrand in (fn, lambda n, d: tuple(6 * v for v in fn(n, d))):
+                want = outcome(naive_simpson, integrand, lo, hi)
+                assert outcome(adaptive_simpson, integrand, lo, hi) == want, (family, lo, hi)
+
+
+def test_simpson_pole_reaches_the_interval_cap(monkeypatch):
+    # without the cap, the Fraction loop takes minutes to reach 10^6 intervals
+    monkeypatch.setattr(integration, "_SIMPSON_CAP", 5000)
+    fn = compile_real(parse("-(x/x) - x^(-3)"), ("x",))
+    want = ("OracleFailure", "quadrature exceeded 5000 intervals")
+    assert outcome(naive_simpson, fn, F(-1, 3), F(2)) == want
+    assert outcome(adaptive_simpson, fn, F(-1, 3), F(2)) == want
 
 
 # -- jets: certified orders against one wide evaluation and the symbolic derivative ----------
