@@ -152,7 +152,8 @@ def build_parser() -> _Parser:
         common.add_argument("--precision", type=int, default=d(None),
                             help="decimal digits for constants (default 40 or HRW_PRECISION)")
         common.add_argument("--format", choices=("text", "json"), default=d("text"))
-        common.add_argument("--seed", type=int, default=d(0), help="seed for random tag rules")
+        common.add_argument("--seed", type=int, default=d(0),
+                            help="seeded-random tags: SplitMix64 seed, taken mod 2^64")
         return common
 
     top = _Parser(prog="hrw", description="hyperreal workbench", parents=[make_common(True)])

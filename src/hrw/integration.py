@@ -12,9 +12,9 @@ explicit breakpoints are written over the lcm of their denominators.  Cells
 run in row-major order (first axis outermost).  ``_tag_args`` writes each
 tag as integers over the axis denominator: the min-vertex lo / q, the center
 (lo + hi) / 2q, the corner nearest the origin, or seeded-random
-((lo << 30) + r (hi - lo)) / (q << 30), where the i-th cell draws 30 bits r
-per axis from ``Random(_mix_seed(seed, i))``; a deterministic rule is
-applied once per axis interval, not per cell.  Integrands are compiled by
+((lo << 30) + r (hi - lo)) / (q << 30), r the top 30 bits of the next
+output of SplitMix64 from seed mod 2^64; a deterministic rule is applied
+once per axis interval, not per cell.  Integrands are compiled by
 ``compile_real``, which takes and returns unreduced (numerator, denominator)
 pairs.  ``_total`` adds the numerators per distinct denominator and reduces
 once; the sum is then scaled by the one cell volume, with integer widths
@@ -43,7 +43,6 @@ like the box sums.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -223,16 +222,12 @@ def _row_major(axes: Sequence[Sequence[tuple]]) -> Iterable[tuple]:
     return cells
 
 
-def _mix_seed(seed: int, index: int) -> int:
-    return ((seed + 1) * 2654435761 + index * 40503) % (1 << 63)
-
-
 def _tag_args(grid: list[_Axis], rule: str, seed: int) -> Iterable[tuple[int, ...]]:
     """The tag of every cell as pair-convention arguments, in row-major order.
 
     A deterministic rule takes each coordinate from that axis's interval
-    alone, so it is computed once per interval; seeded-random draws 30 bits
-    per axis for the i-th cell from ``Random(_mix_seed(seed, i))``.
+    alone, so it is computed once per interval; seeded-random takes one
+    SplitMix64 output per coordinate, from seed mod 2^64 (``_seeded_args``).
     """
     if rule == "seeded-random":
         return _seeded_args(grid, seed)
@@ -251,14 +246,18 @@ def _tag_args(grid: list[_Axis], rule: str, seed: int) -> Iterable[tuple[int, ..
 
 
 def _seeded_args(grid: list[_Axis], seed: int) -> Iterable[tuple[int, ...]]:
-    rng = random.Random()
+    """SplitMix64 from seed mod 2^64, one output per coordinate in row-major
+    order; r is its top 30 bits, which the final z ^ z >> 31 leaves as is."""
     spans = [[(lo << 30, hi - lo) for lo, hi in zip(nums, nums[1:])] for nums, _ in grid]
     dens = [q << 30 for _, q in grid]
-    for i, cell in enumerate(product(*spans)):
-        rng.seed(_mix_seed(seed, i))
+    x = seed % (1 << 64)
+    for cell in product(*spans):
         args: list[int] = []
         for (lo, width), den in zip(cell, dens):
-            args += (lo + rng.getrandbits(30) * width, den)
+            x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+            z = ((x ^ x >> 30) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+            z = ((z ^ z >> 27) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+            args += (lo + (z >> 34) * width, den)
         yield tuple(args)
 
 

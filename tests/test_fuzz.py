@@ -467,8 +467,34 @@ def naive_tag(cell, rule: str, seed: int, index: int) -> tuple[F, ...]:
         return tuple((lo + hi) / 2 for lo, hi in cell)
     if rule == "corner-nearest-origin":
         return tuple(lo if abs(lo) <= abs(hi) else hi for lo, hi in cell)
-    rng = random.Random(((seed + 1) * 2654435761 + index * 40503) % (1 << 63))
-    return tuple(lo + F(rng.getrandbits(30), 1 << 30) * (hi - lo) for lo, hi in cell)
+    stream = SplitMix64(seed)
+    for _ in range(index * len(cell)):
+        stream.next()
+    return tuple(lo + F(stream.next() >> 34, 1 << 30) * (hi - lo) for lo, hi in cell)
+
+
+class SplitMix64:
+    """Vigna's splitmix64.c: the state steps by the golden gamma on each
+    ``next()``, which returns the state's mix."""
+
+    MASK = (1 << 64) - 1
+
+    def __init__(self, seed: int):
+        self.x = seed & self.MASK
+
+    def next(self) -> int:
+        self.x = (self.x + 0x9E3779B97F4A7C15) & self.MASK
+        z = self.x
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        return z ^ (z >> 31)
+
+
+def test_splitmix64_check_values():
+    assert SplitMix64(0).next() == 0xE220A8397B1DCDAF
+    stream = SplitMix64(1234567)
+    assert [stream.next() for _ in range(3)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423]
 
 
 def naive_cells(rect: Rect, counts) -> list:

@@ -1,5 +1,6 @@
 """Partition sums, measures, gauges, supernearness, convergence."""
 
+import json
 import random
 import time
 from decimal import Decimal, localcontext
@@ -10,6 +11,7 @@ import pytest
 from hrw import integration
 from hrw.approx import pi_approx, sqrt_approx
 from hrw.calculus import CurveDef
+from hrw.cli import run
 from hrw.errors import (
     DepthExceeded,
     DomainError,
@@ -127,6 +129,47 @@ class TestPartitions:
         c = tagged_partition(rect, PartitionSpec.simple(8), "seeded-random", seed=4)
         assert a.tags == b.tags
         assert a.tags != c.tags
+
+    def test_seeded_tags_pinned(self):
+        # SplitMix64 from seed 7: the tag of coordinate a of cell i reads
+        # output i*2 + a + 1
+        rect = Rect.box((0, 1), (F(-1, 2), F(1, 3)))
+        part = tagged_partition(rect, PartitionSpec.simple(2, 2), "seeded-random", seed=7)
+        assert part.tags == (
+            (F(418576505, 2147483648), F(-6352319479, 12884901888)),
+            (F(30224513, 67108864), F(171320113, 1073741824)),
+            (F(1559547609, 2147483648), F(-1701108553, 4294967296)),
+            (F(197025317, 268435456), F(57300563, 1073741824)),
+        )
+
+    def test_seed_is_taken_mod_2_64(self, capsys):
+        values = []
+        for seed in ("-1", str(2**64 - 1)):
+            assert run(["--format=json", "integrate", "x^2", "--on=0,1", "--mesh=1/8",
+                        "--tags=seeded-random", f"--seed={seed}"]) == 0
+            values.append(json.loads(capsys.readouterr().out)["result"])
+        assert values[0] == values[1]
+
+    def test_seeded_draws_are_not_reused(self):
+        # no two axes of a cell and no two adjacent seeds share an output:
+        # neither the same one nor one shifted by a draw
+        rect = Rect.box((0, 1), (0, 1))
+        r = {}
+        for s in (5, 6):
+            tags = tagged_partition(rect, PartitionSpec.simple(64, 64), "seeded-random", s).tags
+            # a tag on a 1/64 grid is its cell's corner plus r / 2^30 / 64
+            r[s] = [[t[a] * 64 % 1 for t in tags] for a in (0, 1)]
+        assert len(r[5][0]) == 4096
+        assert all(x != y for x, y in zip(r[5][0], r[5][1]))
+        assert sum(x != y for x, y in zip(r[5][0], r[6][0])) >= 0.99 * 4096
+        assert sum(x != y for x, y in zip(r[5][1], r[6][0])) >= 0.99 * 4096
+
+    def test_seeded_tags_lie_in_their_cells(self):
+        rect = Rect.box((F(-3, 2), F(5, 7)), (0, F(1, 3)))
+        for seed in (0, 1, 2**64 - 1, -12345):
+            part = tagged_partition(rect, PartitionSpec.simple(40, 30), "seeded-random", seed)
+            for cell, tag in zip(part.cells, part.tags):
+                assert all(lo <= t < hi for (lo, hi), t in zip(cell, tag))
 
 
 class TestRiemann:
