@@ -531,7 +531,11 @@ def _measure_text(result: dict) -> str:
     if "value" in result:
         return _pretty(result["value"])
     if "lower" in result:
-        return f"L = {_fmt(result['lower'])}  U = {_fmt(result['upper'])}"
+        text = f"L = {_fmt(result['lower'])}  U = {_fmt(result['upper'])}"
+        flagged = result["nonmonotone_cells"]
+        if flagged:  # such a cell's bounds come from its samples alone
+            text += f"  ({flagged} nonmonotone cell{'s' * (flagged > 1)}: inner estimate)"
+        return text
     return "  ".join(f"{k} = {_pretty(v)}" for k, v in result.items())
 
 

@@ -19,26 +19,30 @@ Expressions evaluate both over exact rationals (:func:`eval_real`) and over
 the truncated series field (:func:`eval_hyper`); a rule-based symbolic
 derivative for +,-,*,/ and integer powers serves as an independent oracle.
 
-For the partition sums, :func:`compile_real` generates straight-line Python
+For the hot loops, :func:`compile_real` generates straight-line Python
 that takes each variable as an integer numerator/denominator pair and returns
 one unreduced pair: ``+ - *`` cross-multiply without a gcd, and denominators
 stay positive (a division moves the divisor's sign up).  An integer power is
 taken on the unreduced parts only while they cannot trip the 200 000-bit
 exact-power guard (``approx.POWER_BITS``); otherwise ``approx.int_pow`` sees
 the reduced value, so guarded powers come out as in :func:`eval_real`.
-Every MathError from compiled code carries the offset of the node that
-raised it, exactly as from :func:`eval_real`, which stays the independent
-tree-walking oracle.
+:func:`compile_rows` puts the same statements in a loop over a row of
+points that share their denominators, with the statements that do not read
+the row before the loop; the partition sums call it once per row.  Every
+MathError from compiled code carries the offset of the node that raised it,
+exactly as from :func:`eval_real`, which stays the independent tree-walking
+oracle.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import sys
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Union
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Union
 
 from . import approx
 from .errors import DivisionByZero, DomainError, MathError, ParseError, UnsupportedNode
@@ -655,12 +659,176 @@ def compile_real(
 
     Constants, offsets and the precision enter the code as closure
     variables, so expressions of one shape share one compiled code object.
+
+    This is the point entry: one call per point.  The partition sums of
+    ``hrw.integration`` take whole rows of points through
+    :func:`compile_rows`; the callers that do field or ``approx`` work per
+    point keep this one: the gauge of a gauge partition, the radius of the
+    volume and surface of revolution, the curves and fields of curve length
+    and line work, the supernearness probe and the Simpson oracle.
     """
     gen = _Codegen(names, precision)
-    n, d = gen.part(e)
-    params = ", ".join(f"n{i}, d{i}" for i in range(len(names)))
-    body = "\n".join([*gen.lines, f"return {n}, {d or 1}"])
+    return _point_function(gen, *gen.part(e))
+
+
+def _point_function(gen: "_Codegen", n: str, d: str | None) -> Callable[..., tuple[int, int]]:
+    """The function of every variable's pair that runs gen's statements in
+    order and returns (n, d)."""
+    params = ", ".join(f"{vn}, {vd}" for vn, vd in gen.vars)
+    body = "\n".join([*gen.general, f"return {n}, {d or 1}"])
     return _function_maker(len(gen.consts), params, body)(*gen.consts)
+
+
+def compile_rows(
+    e: Expr, names: tuple[str, ...], precision: int = 40, loop: int = 1
+) -> "RowKernel":
+    """Compile to a row kernel: e at every point of a row, with the values
+    and the first error of :func:`compile_real`'s function called point by
+    point, in row order.
+
+    The last ``loop`` variables run over the row; the others are fixed.
+    Each entry point of the kernel takes every fixed variable as a
+    (numerator, positive denominator) pair, then the one denominator shared
+    by each row variable, then ``row``, the non-empty list of the row
+    variables' numerators (ints when ``loop`` is 1, else tuples):
+    ``k.values(n0, d0, ..., dj, ..., row)`` returns the list of unreduced
+    (numerator, denominator) pairs, and ``k.sum(..., row, weights=None)``
+    the unreduced pair of sum_j value_j * weights[j] for integer weights,
+    each weight 1 when weights is None.
+
+    The loop runs inside generated code, one function per entry point, made
+    on its first use.  Statements that do not read a row numerator run once,
+    before the loop.  When the result's denominator is then row-invariant
+    (no division by a row-dependent value, no call, and every power of a
+    row value takes the exact path), a sum adds the numerators into one
+    int; otherwise it adds them per distinct denominator, as ``pair_sum``
+    does.  When the statements run before the loop raise, or a power of a
+    row value needs the ``int_pow`` fallback, the row is evaluated again
+    point by point, by compile_real's function made from the same
+    statements, so that the first error is the one of the point loop.
+    """
+    gen = _Codegen(names, precision, loop)
+    n, d = gen.part(e)
+    return RowKernel(gen, n, d or "1")
+
+
+class RowKernel:
+    """An expression compiled for rows (see :func:`compile_rows`): the
+    statements of one ``_Codegen`` walk, and ``sum``, ``values`` and
+    ``point`` generated from them on first use.  ``point`` is compile_real's
+    function of the same statements, called on every variable's pair: the
+    point by point path after an error or an int_pow fallback."""
+
+    def __init__(self, gen: "_Codegen", n: str, d: str):
+        self._gen, self._n, self._d = gen, n, d
+
+    def __getattr__(self, mode: str):
+        gen, n, d = self._gen, self._n, self._d
+        if mode == "point":
+            self.point = _point_function(gen, n, d)
+            return self.point
+        if mode not in ("sum", "values"):
+            raise AttributeError(mode)
+        head, var, pair = _row_params(len(gen.names), gen.loop)
+        body = "\n".join(gen.body)
+        if mode == "values":
+            params, start, sofar = f"{head}, row", "_out = []\n_app = _out.append", "_out"
+            if "V" not in d and not d.isidentifier():  # one denominator, computed once
+                start, d = f"{start}\n_d = {d}", "_d"
+            code = (f"{start}\n_it = iter(row)\nfor {var} in _it:\n{_indent(body, 1)}"
+                    f"    _app(({n}, {d}))\nreturn _out")
+            rest = ""
+        else:
+            params = f"{head}, row, weights=None"
+            rest = "None if weights is None else [_w, *_wt], "
+            if "V" in d:  # the denominator depends on the row: one sum per distinct one
+                start, result = "_s = {}", "_sum_of(_s)"
+                add = f"_t = {d}; _s[_t] = _s.get(_t, 0) + {n}"
+            else:
+                start, add, result = f"_acc = 0\n_d = {d}", f"_acc += {n}", "_acc, _d"
+            sofar, body = f"({result})", _indent(body, 2)
+            code = (f"{start}\n_it = iter(row)\nif weights is None:\n    for {var} in _it:\n"
+                    f"{body}        {add}\nelse:\n    _wt = iter(weights)\n"
+                    f"    for {pair}, _w in zip(_it, _wt):\n{body}        {add} * _w\n"
+                    f"return {result}")
+        consts = gen.consts
+        if gen.slow or gen.guard:  # point by point, after an error or an int_pow fallback
+            again = f"c{len(consts)}({params.replace('=None', '')}, None)"
+            consts = [*consts, partial(self._point_by_point, mode)]
+            if gen.slow:  # on from the point that needs int_pow, with the result so far
+                resume = f"c{len(consts) - 1}({head}, [{pair}, *_it], {rest}{sofar})"
+                code = f"try:\n{_indent(code, 1)}except _Slow:\n    return {resume}"
+        hoisted = "\n".join(gen.hoisted)
+        if gen.guard:
+            code = f"try:\n{_indent(hoisted, 1)}except _ME:\n    return {again}\n{code}"
+        elif hoisted:
+            code = f"{hoisted}\n{code}"
+        fn = _function_maker(len(consts), params, code)(*consts)
+        setattr(self, mode, fn)
+        return fn
+
+    def _point_by_point(self, mode: str, *args):
+        """An entry point's result for the points of row, from compile_real's
+        function of the same statements called point by point, added to the
+        result so far of the points before them (None if none)."""
+        gen = self._gen
+        *head, row, weights, sofar = args if mode == "sum" else (*args[:-1], None, args[-1])
+        fixed, dens = head[:2 * gen.first], head[2 * gen.first:]
+        if len(dens) == 1:
+            values = [self.point(*fixed, n, dens[0]) for n in row]
+        else:
+            values = [self.point(*fixed, *(v for pair in zip(nums, dens) for v in pair))
+                      for nums in row]
+        if mode == "values":
+            return values if sofar is None else sofar + values
+        total = pair_sum(values, weights)
+        return total if sofar is None else pair_sum([sofar, total])
+
+
+@lru_cache(maxsize=None)
+def _row_params(count: int, loop: int) -> tuple[str, str, str]:
+    """A row function's leading parameters (the fixed variables' pairs and
+    the row variables' denominators), its loop target, and the target in
+    parentheses when it is a tuple."""
+    first = count - loop
+    params = ", ".join([*(f"n{i}, d{i}" for i in range(first)),
+                        *(f"d{i}" for i in range(first, count))])
+    var = ", ".join(f"Vn{i}" for i in range(first, count))
+    return params, var, f"({var})" if loop > 1 else var
+
+
+def _indent(code: str, depth: int) -> str:
+    """Lines of code, each indented by depth levels and ended by a newline."""
+    pad = "    " * depth
+    return pad + code.replace("\n", "\n" + pad) + "\n" if code else ""
+
+
+class _Slow(Exception):
+    """A power of a row value needs the int_pow fallback: the row kernel
+    evaluates the row again point by point."""
+
+
+def _sum_of(sums: dict[int, int]) -> tuple[int, int]:
+    """Numerators keyed by their positive denominators, added over the lcm
+    of the denominators: an unreduced pair."""
+    den = math.lcm(*sums)
+    return sum(n * (den // d) for d, n in sums.items()), den
+
+
+def pair_sum(
+    values: Iterable[tuple[int, int]], weights: Iterable[int] | None = None
+) -> tuple[int, int]:
+    """The sum of (numerator, positive denominator) pairs, each numerator
+    times its weight if weights are given, as an unreduced pair: numerators
+    are added per distinct denominator, then over the lcm of those."""
+    sums: dict[int, int] = {}
+    if weights is None:
+        for n, d in values:
+            sums[d] = sums.get(d, 0) + n
+    else:
+        for (n, d), w in zip(values, weights):
+            sums[d] = sums.get(d, 0) + n * w
+    return _sum_of(sums)
 
 
 Part = tuple[str, Union[str, None]]  # code for (numerator, denominator); None means 1
@@ -671,80 +839,119 @@ class _Codegen:
 
     Part code is pure int arithmetic on names and closure constants, so it
     may be evaluated later than it is generated; whatever can raise becomes
-    a statement in evaluation order.
+    a statement in evaluation order.  A statement of one or more lines is
+    kept in ``general``, in order, and, for a row kernel, in ``hoisted`` if
+    it does not read the row and in ``body`` if it does.  The numerators of
+    the last ``loop`` variables are the row variables ``Vn<i>``,
+    temporaries computed from them are ``V<k>``, and no other code holds a
+    ``V``: a statement reads the row exactly when it contains one.
+    ``guard`` tells whether a hoisted statement may raise.  A positive power
+    of a row value over a row-invariant denominator has a ``body`` form
+    that raises ``_Slow`` where the general one calls int_pow, and its
+    denominator is hoisted (``slow``).
     """
 
-    def __init__(self, names: tuple[str, ...], precision: int):
+    def __init__(self, names: tuple[str, ...], precision: int, loop: int = 0):
         self.names = names
-        self.lines: list[str] = []
+        first = len(names) - loop
+        self.vars = [(f"Vn{i}" if i >= first else f"n{i}", f"d{i}") for i in range(len(names))]
+        self.first, self.loop = first, loop
+        self.general: list[str] = []
+        self.hoisted: list[str] = []
+        self.body: list[str] = []
+        self.guard = self.slow = False
         self.consts: list = []
         self.temps = 0
         self.precision = precision
         self.digits = self.const(precision)  # its name in the code
 
     def const(self, value) -> str:
-        self.consts.append(value)
-        return f"c{len(self.consts) - 1}"
+        consts = self.consts
+        consts.append(value)
+        return f"c{len(consts) - 1}"
 
-    def const_part(self, value: Fraction) -> Part:
-        den = self.const(value.denominator) if value.denominator != 1 else None
-        return self.const(value.numerator), den
+    def const_part(self, value: Fraction | int) -> Part:
+        den = value.denominator
+        return self.const(value.numerator), self.const(den) if den != 1 else None
 
-    def temp(self) -> str:
+    def temp(self, varying: bool) -> str:
         self.temps += 1
-        return f"t{self.temps - 1}"
+        return f"{'V' if varying else 't'}{self.temps - 1}"
+
+    def line(self, text: str, raises: bool = True) -> None:
+        """A statement; raises tells whether it may raise."""
+        self.general.append(text)
+        if "V" in text:
+            self.body.append(text)
+        else:
+            self.hoisted.append(text)
+            self.guard = self.guard or raises
 
     def atom(self, text: str | None) -> str | None:
         """The text itself if it is a name (or None), else a new temporary."""
         if text is None or text.isidentifier():
             return text
-        name = self.temp()
-        self.lines.append(f"{name} = {text}")
+        name = self.temp("V" in text)
+        self.line(f"{name} = {text}", False)
         return name
+
+    def fixed(self, text: str) -> str:
+        """An operand of row-dependent code: a temporary, computed before
+        the loop, if it is row-invariant and not a name."""
+        return text if "V" in text or text.isidentifier() else self.atom(text)
+
+    def times(self, a: str | None, b: str | None) -> str | None:
+        """Product code; a factor that is None (1) is left out."""
+        if a is None or b is None:
+            return b if a is None else a
+        if self.loop and "V" in a + b:
+            a, b = self.fixed(a), self.fixed(b)
+        return f"({a} * {b})"
 
     def shallow(self, text: str | None) -> str | None:
         """Bound the nesting of generated expressions (Python's parser
         refuses 200 levels): deep code goes to a temporary."""
-        return self.atom(text) if text and text.count("(") > 40 else text
+        if text is None or text.count("(") <= 40:
+            return text
+        return self.atom(text)
 
     def call(self, pos: int, head: str) -> Part:
         """Finish a helper call with the node's offset; the helper's
         (numerator, denominator) result goes to two temporaries."""
-        n, d = self.temp(), self.temp()
-        self.lines.append(f"{n}, {d} = {head}, {self.const(pos)})")
+        n, d = self.temp("V" in head), self.temp("V" in head)
+        self.line(f"{n}, {d} = {head}, {self.const(pos)})")
         return n, d
 
     def part(self, node: Expr) -> Part:
-        if isinstance(node, Const):
-            return self.const_part(Fraction(node.value))
-        if isinstance(node, Var):
-            if node.name in self.names:
-                i = self.names.index(node.name)
-                return f"n{i}", f"d{i}"
-            return self.const_part(_named_constant(node.name, self.precision, node.pos))
-        if isinstance(node, Unary):
-            n, d = self.part(node.operand)
-            return self.shallow(f"(-{n})"), d
-        if isinstance(node, Binary):
+        kind = type(node)
+        if kind is Binary:
             # both operands are generated here, so a level takes one frame; an
             # integer exponent or a nonzero constant divisor is folded instead
             left, r = self.part(node.left), node.right
             if node.op == "^":
-                whole = int_exponent(node) is not None
-                return self.power(node, left, None if whole else self.part(r))
-            folded = node.op == "/" and isinstance(r, Const) and r.value != 0
+                k = int_exponent(node)
+                return self.power(node, left, k, None if k is not None else self.part(r))
+            folded = node.op == "/" and type(r) is Const and r.value != 0
             n, d = self.binary(node, left, None if folded else self.part(r))
             return self.shallow(n), self.shallow(d)
+        if kind is Const:
+            return self.const_part(node.value)
+        if kind is Var:
+            if node.name in self.names:
+                return self.vars[self.names.index(node.name)]
+            return self.const_part(_named_constant(node.name, self.precision, node.pos))
+        if kind is Unary:
+            n, d = self.part(node.operand)
+            return self.shallow(f"(-{n})"), d
         p = self.digits
         if node.fn == "root":
             index = node.args[0]
             if isinstance(index, Const) and index.value.denominator == 1 and index.value >= 2:
-                k = str(int(index.value))
+                k = self.const(int(index.value))
             else:
-                k = self.temp()
-                self.lines.append(
-                    f"{k} = _index({_fraction(self.part(index))}, {self.const(index.pos)})"
-                )
+                arg = _fraction(self.part(index))
+                k = self.temp("V" in arg)
+                self.line(f"{k} = _index({arg}, {self.const(index.pos)})")
             radicand = _fraction(self.part(node.args[1]))
             return self.call(node.pos, f"_approx(_real_root, {k}, {radicand}, {p}")
         n, d = self.part(node.args[0])
@@ -757,58 +964,65 @@ class _Codegen:
         an, ad = left
         if right is None:
             bn, bd = self.const_part(1 / node.right.value)  # the sign is in bn
-            return _times(an, bn), _times(ad, bd)
+            return self.times(an, bn), self.times(ad, bd)
         bn, bd = right
         if node.op == "*":
-            return _times(an, bn), _times(ad, bd)
+            return self.times(an, bn), self.times(ad, bd)
         if node.op == "/":
+            # numerator and denominator apart, so a row-invariant divisor
+            # leaves a row-invariant denominator
             bn = self.atom(bn)
-            n, d = self.temp(), self.temp()
-            self.lines += [
-                f"if {bn} == 0: raise _DZ('division by zero', {self.const(node.pos)})",
-                f"{n} = {_times(an, bd)}; {d} = {_times(ad, bn)}",
-                f"if {bn} < 0: {n} = -{n}; {d} = -{d}",
-            ]
+            num, den = self.times(an, bd), self.times(ad, bn)
+            n, d = self.temp("V" in num + bn), self.temp("V" in den)
+            self.line(f"if {bn} == 0: raise _DZ('division by zero', {self.const(node.pos)})")
+            self.line(f"{n} = {num} if {bn} > 0 else -{num}", False)
+            self.line(f"{d} = {den} if {bn} > 0 else -{den}", False)
             return n, d
-        if ad == bd:  # both 1, or one shared denominator
-            return f"({an} {node.op} {bn})", ad
-        ad, bd = self.atom(ad), self.atom(bd)
-        return f"({_times(an, bd)} {node.op} {_times(bn, ad)})", _times(ad, bd)
+        if ad != bd:  # else both 1, or one shared denominator
+            ad, bd = self.atom(ad), self.atom(bd)
+            an, bn = self.times(an, bd), self.times(bn, ad)
+        if self.loop and "V" in an + bn:
+            an, bn = self.fixed(an), self.fixed(bn)
+        return f"({an} {node.op} {bn})", self.times(ad, bd) if ad != bd else ad
 
-    def power(self, node: Binary, base: Part, exponent: Part | None) -> Part:
-        """exponent is None for an integer literal exponent."""
+    def power(self, node: Binary, base: Part, k: int | None, exponent: Part | None) -> Part:
+        """k is the integer literal exponent, or None and exponent its code."""
         if exponent is not None:
             return self.call(node.pos, f"_approx(_A.pow_approx, {_fraction(base)}, "
                                        f"{_fraction(exponent)}, {self.digits}")
-        k = int_exponent(node)
         if k == 0:
             return self.const_part(Fraction(1))
         an, ad = self.atom(base[0]), self.atom(base[1])
-        m, limit = abs(k), approx.POWER_BITS // abs(k)
+        # closure constants, so powers of any degree share one code object
+        m, limit = self.const(abs(k)), self.const(approx.POWER_BITS // abs(k))
         if ad:
             small = f"{an}.bit_length() + {ad}.bit_length() <= {limit}"
         else:
             small = f"{an}.bit_length() < {limit}"  # a reduced denominator 1 has 1 bit
         d_pow = f"{ad} ** {m}" if ad else "1"
-        n, d = self.temp(), self.temp()
+        fallback = (f"_approx(_A.int_pow, {_fraction((an, ad))}, {self.const(k)}, {self.digits}, "
+                    f"{self.const(node.pos)})")
+        if k > 0 and "V" in an and "V" not in (ad or ""):  # a row value over a fixed denominator
+            n, d, bits = self.temp(True), self.temp(False), self.temp(False)
+            fits = f"{an}.bit_length() < {limit}"
+            if ad:
+                fits = f"{an}.bit_length() <= {bits}"
+                self.hoisted.append(f"{bits} = {limit} - {ad}.bit_length()")
+            self.hoisted.append(f"{d} = {d_pow}")
+            self.body.append(f"if {fits}: {n} = {an} ** {m}\nelse: raise _Slow")
+            self.general.append(f"if {small}: {n} = {an} ** {m}; {d} = {d_pow}\n"
+                                f"else: {n}, {d} = {fallback}")
+            self.slow = True
+            return n, d
+        varying = "V" in an + (ad or "")
+        n, d = self.temp(varying), self.temp(varying)
         if k > 0:
-            self.lines.append(f"if {small}: {n} = {an} ** {m}; {d} = {d_pow}")
+            head = f"if {small}: {n} = {an} ** {m}; {d} = {d_pow}"
         else:  # a zero base takes the int_pow path, which raises DivisionByZero
-            self.lines += [
-                f"if {an} and {small}:",
-                f"    {n} = {d_pow}; {d} = {an} ** {m}",
-                f"    if {d} < 0: {n} = -{n}; {d} = -{d}",
-            ]
-        fallback = f"_approx(_A.int_pow, {_fraction((an, ad))}, {k}, {self.digits}"
-        self.lines.append(f"else: {n}, {d} = {fallback}, {self.const(node.pos)})")
+            head = (f"if {an} and {small}:\n    {n} = {d_pow}; {d} = {an} ** {m}\n"
+                    f"    if {d} < 0: {n} = -{n}; {d} = -{d}")
+        self.line(f"{head}\nelse: {n}, {d} = {fallback}")
         return n, d
-
-
-def _times(a: str | None, b: str | None) -> str | None:
-    """Product code; a factor that is None (1) is left out."""
-    if a is None or b is None:
-        return b if a is None else a
-    return f"({a} * {b})"
 
 
 def _fraction(part: Part) -> str:
@@ -841,11 +1055,14 @@ def _approx(fn, *args) -> tuple[int, int]:
 _COMPILED_SCOPE = {
     "_F": Fraction,
     "_DZ": DivisionByZero,
+    "_ME": MathError,
+    "_Slow": _Slow,
     "_A": approx,
     "_R": _REAL_CALLS,
     "_approx": _approx,
     "_real_root": _real_root,
     "_index": _require_root_index,
+    "_sum_of": _sum_of,
 }
 
 

@@ -9,20 +9,31 @@ Every box sum runs on one integer grid.  An axis (``_Axis``) is a list of
 integer breakpoint numerators over one positive denominator q: m equal
 widths of [A/D, B/D] put breakpoint k at (A m + k (B - A)) / (D m), and
 explicit breakpoints are written over the lcm of their denominators.  Cells
-run in row-major order (first axis outermost).  ``_tag_args`` writes each
+run in row-major order (first axis outermost).  ``_tag_rows`` writes each
 tag as integers over the axis denominator: the min-vertex lo / q, the center
 (lo + hi) / 2q, the corner nearest the origin, or seeded-random
 ((lo << 30) + r (hi - lo)) / (q << 30), r the top 30 bits of the next
 output of SplitMix64 from seed mod 2^64; a deterministic rule is applied
-once per axis interval, not per cell.  Integrands are compiled by
-``compile_real``, which takes and returns unreduced (numerator, denominator)
-pairs.  ``_total`` adds the numerators per distinct denominator and reduces
-once; the sum is then scaled by the one cell volume, with integer widths
-per cell on uneven explicit axes (``_volumes``).  Region sums
-(``inner_sum``, ``measure_moment``, ``measure_mass_moment_com``) classify
-the region once per call with ``_inner_cells`` (a sweep sharing vertex
-columns in the plane, a cached vertex classifier otherwise), reading only
-the sign of each membership numerator, and then sum over the inner cells.
+once per axis interval, not per cell.
+
+Sums compile their integrands into row kernels (``compile_rows``): a row is
+a line of points whose varying coordinates share one denominator, and the
+kernel loops over it in generated code, returning the row's values or their
+weighted sum as unreduced (numerator, denominator) pairs.  Rows are the
+lines of tags along the last axis (under seeded-random, whose tags vary in
+every coordinate, all coordinates run), Darboux's samples, Stieltjes'
+breakpoints and tags, the gauge tags, the inner cells' min-vertices, and the
+lines of vertices and centers of a region's classification (``_sweep_2d`` in
+the plane, ``_classify_cells`` otherwise, reading only the sign of each
+membership numerator).  ``_total`` adds the rows' pairs per distinct
+denominator and reduces once; the sum is then scaled by the one cell volume,
+with integer widths per cell on uneven explicit axes (``_volumes``).  Where
+rows take points out of the point loop's order, a row that raises is
+replayed point by point in that order (``_replay``), so the first error is
+the same.  Volume and surface of revolution, curve length, line work, the
+supernearness probe, gauge partitions and the Simpson oracle do field or
+``approx`` work per point and keep ``compile_real``'s point functions.
+
 ``PartitionSpec.breakpoints`` and ``tagged_partition`` are ``Fraction``
 views of the same grid.  A grid holds at most 2^20 cells; a larger one is
 refused with ``DepthExceeded`` before any cell is built.
@@ -45,7 +56,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import product, repeat, starmap
 from operator import add, mul, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -61,7 +71,19 @@ from .errors import (
     UnknownFunctional,
     ZeroMass,
 )
-from .exprs import Binary, Const, Expr, Unary, Var, compile_real, free_vars, int_exponent
+from .errors import MathError
+from .exprs import (
+    Binary,
+    Const,
+    Expr,
+    Unary,
+    Var,
+    compile_real,
+    compile_rows,
+    free_vars,
+    int_exponent,
+    pair_sum,
+)
 from .field import DEFAULT_PRECISION, Field
 from .rationals import decimal_str, format_rational, show_rational
 
@@ -222,81 +244,93 @@ def _row_major(axes: Sequence[Sequence[tuple]]) -> Iterable[tuple]:
     return cells
 
 
-def _tag_args(grid: list[_Axis], rule: str, seed: int) -> Iterable[tuple[int, ...]]:
-    """The tag of every cell as pair-convention arguments, in row-major order.
+def _tag_rows(grid: list[_Axis], rule: str, seed: int) -> Iterable[tuple[tuple[int, ...], list]]:
+    """The tags in row-major order, as rows for a row kernel: (args, row),
+    args the pairs of the fixed variables and then the denominators of the
+    row variables, row their numerators; a row is one line of cells along
+    the last axis.
 
     A deterministic rule takes each coordinate from that axis's interval
-    alone, so it is computed once per interval; seeded-random takes one
-    SplitMix64 output per coordinate, from seed mod 2^64 (``_seeded_args``).
+    alone, so it is computed once per interval, and only the last coordinate
+    runs over the row; seeded-random takes one SplitMix64 output per
+    coordinate, from seed mod 2^64 (``_seeded_rows``), and every coordinate
+    runs.
     """
     if rule == "seeded-random":
-        return _seeded_args(grid, seed)
+        dens = tuple(q << 30 for _, q in grid)
+        return ((dens, row) for row in _seeded_rows(grid, seed))
     per_axis = []
     for nums, q in grid:
         cells = zip(nums, nums[1:])
         if rule == "min-vertex":
-            per_axis.append([(lo, q) for lo in nums[:-1]])
+            per_axis.append((nums[:-1], q))
         elif rule == "center":
-            per_axis.append([(lo + hi, 2 * q) for lo, hi in cells])
+            per_axis.append(([lo + hi for lo, hi in cells], 2 * q))
         elif rule == "corner-nearest-origin":
-            per_axis.append([(lo if abs(lo) <= abs(hi) else hi, q) for lo, hi in cells])
+            per_axis.append(([lo if abs(lo) <= abs(hi) else hi for lo, hi in cells], q))
         else:
             raise ValueError(f"unknown tag rule {rule!r}; choose from {TAG_RULES}")
-    return _row_major(per_axis)
+    *outer, (row, den) = per_axis
+    heads = _row_major([[(n, q) for n in nums] for nums, q in outer]) if outer else [()]
+    return ((head + (den,), row) for head in heads)
 
 
-def _seeded_args(grid: list[_Axis], seed: int) -> Iterable[tuple[int, ...]]:
-    """SplitMix64 from seed mod 2^64, one output per coordinate in row-major
-    order; r is its top 30 bits, which the final z ^ z >> 31 leaves as is."""
+def _seeded_rows(grid: list[_Axis], seed: int) -> Iterable[list]:
+    """The seeded-random tag numerators over q << 30, one line of cells
+    along the last axis at a time: an int per cell in one dimension, else a
+    tuple.  Coordinate a of row-major cell i takes r from output i d + a + 1
+    of SplitMix64 (``_splitmix_tops``)."""
     spans = [[(lo << 30, hi - lo) for lo, hi in zip(nums, nums[1:])] for nums, _ in grid]
-    dens = [q << 30 for _, q in grid]
+    draw = _splitmix_tops(seed).__next__
+    *outer, last = spans
+    for head in product(*outer):
+        if outer:
+            yield [tuple(lo + draw() * width for lo, width in (*head, tail)) for tail in last]
+        else:
+            yield [lo + draw() * width for lo, width in last]
+
+
+def _splitmix_tops(seed: int) -> Iterable[int]:
+    """SplitMix64 from seed mod 2^64: the top 30 bits of each output, which
+    the final z ^ z >> 31 leaves as they are."""
     x = seed % (1 << 64)
-    for cell in product(*spans):
-        args: list[int] = []
-        for (lo, width), den in zip(cell, dens):
-            x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            z = ((x ^ x >> 30) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-            z = ((z ^ z >> 27) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-            args += (lo + (z >> 34) * width, den)
-        yield tuple(args)
+    while True:
+        x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        z = ((x ^ x >> 30) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ z >> 27) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        yield z >> 34
+
+
+def _tag_args(grid: list[_Axis], rule: str, seed: int) -> Iterable[tuple[int, ...]]:
+    """The tag of every cell as pair-convention arguments, in row-major order."""
+    for args, row in _tag_rows(grid, rule, seed):
+        if rule != "seeded-random":
+            yield from (args[:-1] + (n, args[-1]) for n in row)
+        else:
+            for nums in row:
+                yield tuple(v for pair in zip(nums if len(grid) > 1 else (nums,), args)
+                            for v in pair)
 
 
 def _volumes(grid: list[_Axis]) -> tuple[Fraction, list[int] | None]:
     """Every cell's volume as scale * weight: the integer weights in
     row-major order, or None when all cells have the one volume ``scale``."""
-    scale, widths, uneven = Fraction(1), [], False
+    num, den, widths, uneven = 1, 1, [], False
     for nums, q in grid:
         w = [hi - lo for lo, hi in zip(nums, nums[1:])]
         if w.count(w[0]) == len(w):
-            scale *= Fraction(w[0], q)
+            num *= w[0]
             w = [1] * len(w)
         else:
-            scale /= q
             uneven = True
+        den *= q
         widths.append(w)
-    return scale, list(map(math.prod, product(*widths))) if uneven else None
-
-
-def _pair_sum(
-    values: Iterable[tuple[int, int]], weights: Iterable[int] | None = None
-) -> tuple[int, int]:
-    """The sum of (numerator, positive denominator) pairs, each numerator
-    times its weight if weights are given, as an unreduced pair: numerators
-    are added per distinct denominator, then over the lcm of those."""
-    sums: dict[int, int] = {}
-    if weights is None:
-        for n, d in values:
-            sums[d] = sums.get(d, 0) + n
-    else:
-        for (n, d), w in zip(values, weights):
-            sums[d] = sums.get(d, 0) + n * w
-    den = math.lcm(*sums)
-    return sum(n * (den // d) for d, n in sums.items()), den
+    return Fraction(num, den), list(map(math.prod, product(*widths))) if uneven else None
 
 
 def _total(values: Iterable[tuple[int, int]], weights: Iterable[int] | None = None) -> Fraction:
-    """``_pair_sum`` reduced once."""
-    return Fraction(*_pair_sum(values, weights))
+    """``pair_sum`` reduced once."""
+    return Fraction(*pair_sum(values, weights))
 
 
 def _minus(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -309,6 +343,24 @@ def _box_sum(fn, grid: list[_Axis], rule: str, seed: int) -> Fraction:
     """sum of fn(tag) * volume(cell) over the grid, fn on integer pairs."""
     scale, weights = _volumes(grid)
     return scale * _total(starmap(fn, _tag_args(grid, rule, seed)), weights)
+
+
+def _row_sum(kernel, grid: list[_Axis], rule: str, seed: int) -> Fraction:
+    """``_box_sum`` of a row kernel, one kernel call per row of
+    ``_tag_rows``."""
+    scale, weights = _volumes(grid)
+    m = len(grid[-1].nums) - 1
+    return scale * _total(kernel.sum(*args, row, weights and weights[k * m:(k + 1) * m])
+                          for k, (args, row) in enumerate(_tag_rows(grid, rule, seed)))
+
+
+def _replay(points: Iterable[tuple]) -> None:
+    """Evaluate (kernel, args, numerator) points of one-variable-in-the-row
+    kernels one at a time, in order, so that the first of them to raise
+    raises: the error a point by point loop meets first, after a row kernel
+    raised on rows taken out of that order."""
+    for kernel, args, n in points:
+        kernel.point(*args[:-1], n, args[-1])
 
 
 @dataclass(frozen=True)
@@ -367,14 +419,18 @@ def riemann_sum(
     precision: int = DEFAULT_PRECISION,
 ) -> Fraction:
     """sum f(tag) * volume(cell) over the tagged partition; exact rational."""
-    fn = compile_real(f, axis_names(rect.dimension), precision)
-    return _box_sum(fn, spec.grid(rect), tag_rule, seed)
+    names = axis_names(rect.dimension)
+    # seeded-random tags vary in every coordinate of a row of _tag_rows
+    kernel = compile_rows(f, names, precision, len(names) if tag_rule == "seeded-random" else 1)
+    return _row_sum(kernel, spec.grid(rect), tag_rule, seed)
 
 
 class DarbouxBounds(NamedTuple):
     lower: Fraction
     upper: Fraction
-    nonmonotone_cells: int  # cells whose sampled grid is not per-axis monotone
+    # cells whose samples are not monotone along some axis line; a cell whose
+    # samples are monotone while f is not between them goes uncounted
+    nonmonotone_cells: int
 
 
 def darboux_bounds(
@@ -387,23 +443,33 @@ def darboux_bounds(
     """Per-cell inf/sup estimated on a sample grid that includes every vertex.
 
     Exact whenever f is monotone along each axis inside each cell (extrema at
-    vertices); an inner estimate otherwise, with such cells counted.
+    vertices); an inner estimate otherwise.  ``nonmonotone_cells`` counts the
+    cells whose samples are not monotone along some axis line; an extremum
+    that falls between two samples of a monotone-looking line is not seen,
+    and its cell is not counted.
     """
     if samples_per_axis < 2:
         raise ValueError("need at least the two endpoint samples per axis")
-    fn = compile_real(f, axis_names(rect.dimension), precision)
+    kernel = compile_rows(f, axis_names(rect.dimension), precision)
     s = samples_per_axis
     grid = spec.grid(rect)
-    samples = [  # per axis interval, once: s points over q (s - 1)
-        [[(lo * (s - 1) + j * (hi - lo), q * (s - 1)) for j in range(s)]
-         for lo, hi in zip(nums, nums[1:])]
+    samples = [  # per axis interval, once: s numerators over q (s - 1)
+        [[lo * (s - 1) + j * (hi - lo) for j in range(s)] for lo, hi in zip(nums, nums[1:])]
         for nums, q in grid
     ]
+    q = grid[-1].q * (s - 1)
+    if len(grid) == 1:  # one row of every cell's samples
+        flat = kernel.values(q, [n for cell in samples[0] for n in cell])
+        cells = (flat[k:k + s] for k in range(0, len(flat), s))
+    else:  # per cell, a row along the last axis for each sample of the others
+        outer = [[[(n, axis.q * (s - 1)) for n in cell] for cell in intervals]
+                 for intervals, axis in zip(samples[:-1], grid)]
+        cells = ([v for head in _row_major(heads) for v in kernel.values(*head, q, row)]
+                 for *heads, row in product(*outer, samples[-1]))
     lows: list[tuple[int, int]] = []
     highs: list[tuple[int, int]] = []
     flagged = 0
-    for axes in product(*samples):
-        values = list(starmap(fn, _row_major(axes)))
+    for values in cells:
         den = values[0][1]
         if all(d == den for _, d in values):  # compare numerators
             keys = [n for n, _ in values]
@@ -414,7 +480,7 @@ def darboux_bounds(
             low, high = min(keys), max(keys)
             lows.append((low.numerator, low.denominator))
             highs.append((high.numerator, high.denominator))
-        if not _grid_monotone(keys, len(axes), s):
+        if not _grid_monotone(keys, len(grid), s):
             flagged += 1
     scale, weights = _volumes(grid)
     return DarbouxBounds(scale * _total(lows, weights), scale * _total(highs, weights), flagged)
@@ -457,8 +523,12 @@ class InnerSumResult(NamedTuple):
 
 
 class _InnerCells(NamedTuple):
-    corners: list[tuple[int, ...]]  # min-vertex of each inner cell, pair-convention arguments
-    weights: list[int] | None  # their integer volume weights (see ``_volumes``)
+    # the inner cells' min-vertices, as rows along the last axis: (args,
+    # numerators, weights), args the pairs of the other axes and then the
+    # last axis's denominator, weights the integer volume weights (see
+    # ``_volumes``) or None
+    rows: list[tuple[tuple[int, ...], list[int], list[int] | None]]
+    inner: int
     scale: Fraction
     boundary: int
     exterior: int
@@ -468,51 +538,84 @@ class _InnerCells(NamedTuple):
 def _inner_cells(region: Region, spec: PartitionSpec, precision: int) -> _InnerCells:
     """Classify every cell of the bounding box's grid (see ``inner_sum``)."""
     rect = region.bounding
-    member = compile_real(region.membership, axis_names(rect.dimension), precision)
+    member = compile_rows(region.membership, axis_names(rect.dimension), precision)
     grid = spec.grid(rect)
     scale, weights = _volumes(grid)
+    *outer, (zs, q) = grid
+    heads = _row_major([[(n, axis.q) for n in axis.nums[:-1]] for axis in outer]) if outer else [()]
+    full = 2 ** len(grid) + 1  # every vertex and the center inside
+    m = len(zs) - 1
+    rows: list[tuple[tuple[int, ...], list[int], list[int] | None]] = []
+    inner = boundary = exterior = boundary_weight = 0
     classify = _sweep_2d if rect.dimension == 2 else _classify_cells
-    corners: list[tuple[int, ...]] = []
-    inner_weights: list[int] = []
-    boundary = exterior = boundary_weight = 0
-    for (corner, flags), w in zip(classify(member, grid), weights or repeat(1)):
-        if all(flags):
-            corners.append(corner)
-            inner_weights.append(w)
-        elif not any(flags):
-            exterior += 1
-        else:
-            boundary += 1
-            boundary_weight += w
-    return _InnerCells(corners, inner_weights if weights else None, scale, boundary, exterior,
-                       scale * boundary_weight)
+    for k, (head, counts) in enumerate(zip(heads, classify(member, grid))):
+        ws = weights[k * m:(k + 1) * m] if weights else repeat(1, m)
+        row = [z for z, c in zip(zs, counts) if c == full]
+        if row:
+            kept = [w for w, c in zip(ws, counts) if c == full] if weights else None
+            rows.append((head + (q,), row, kept))
+        inner += len(row)
+        exterior += counts.count(0)
+        edge = [w for w, c in zip(ws, counts) if 0 < c < full]
+        boundary += len(edge)
+        boundary_weight += sum(edge)
+    return _InnerCells(rows, inner, scale, boundary, exterior, scale * boundary_weight)
 
 
-def _classify_cells(member, grid: list[_Axis]):
-    """Any dimension: vertex verdicts cached across the cells sharing them.
-    Yields each cell's min-vertex arguments and its vertex and center flags."""
-    inside = cache(lambda *point: member(*point)[0] <= 0)
-    intervals = [
-        [((lo, q), (hi, q), (lo + hi, 2 * q)) for lo, hi in zip(nums, nums[1:])]
-        for nums, q in grid
-    ]
-    for cell in product(*intervals):
-        flags = [inside(*vertex) for vertex in _row_major([(lo, hi) for lo, hi, _ in cell])]
-        flags.append(member(*sum((mid for _, _, mid in cell), ()))[0] <= 0)
-        yield sum((lo for lo, _, _ in cell), ()), flags
+def _classify_cells(member, grid: list[_Axis]) -> Iterable[list[int]]:
+    """Yields, for each line of cells along the last axis in row-major
+    order, how many of each cell's vertices and center lie in the region.
+    Each line of vertex or center verdicts along the last axis is one row,
+    made when a cell first needs it; a MathError is replayed in the order
+    of a cell by cell classification (``_cell_points``)."""
+    *outer, (zs, qz) = grid
+    z_mids = [lo + hi for lo, hi in zip(zs, zs[1:])]
+    lines: dict[tuple, list[bool]] = {}
+
+    def line(head: tuple[int, ...], den: int, row: list[int]) -> list[bool]:
+        if (head, den) not in lines:
+            lines[head, den] = [n <= 0 for n, _ in member.values(*head, den, row)]
+        return lines[head, den]
+
+    try:
+        for index in product(*(range(len(nums) - 1) for nums, _ in outer)):
+            ends = [[(nums[i], q), (nums[i + 1], q)] for i, (nums, q) in zip(index, outer)]
+            vertices = [line(head, qz, zs) for head in (_row_major(ends) if outer else [()])]
+            center = sum(((nums[i] + nums[i + 1], 2 * q) for i, (nums, q) in zip(index, outer)), ())
+            flags = [w for v in vertices for w in (v, v[1:])]  # each cell's low and high vertex
+            yield list(map(sum, zip(*flags, line(center, 2 * qz, z_mids))))
+    except MathError:
+        _replay((member, (*p[:-2], p[-1]), p[-2]) for p in _cell_points(grid))
+        raise
 
 
-def _sweep_2d(member, grid: list[_Axis]):
-    """Plane case: columns of vertex verdicts shared between adjacent cells."""
+def _sweep_2d(member, grid: list[_Axis]) -> Iterable[list[int]]:
+    """Plane case of ``_classify_cells``: columns of vertex verdicts shared
+    between adjacent columns of cells, each column of vertices or of
+    centers one row, in the order of a cell by cell sweep."""
     (xs, qx), (ys, qy) = grid
     y_mids = [lo + hi for lo, hi in zip(ys, ys[1:])]
-    left = [member(xs[0], qx, y, qy)[0] <= 0 for y in ys]
+    left = [n <= 0 for n, _ in member.values(xs[0], qx, qy, ys)]
     for x_lo, x_hi in zip(xs, xs[1:]):
-        right = [member(x_hi, qx, y, qy)[0] <= 0 for y in ys]
-        for j, y_mid in enumerate(y_mids):
-            center = member(x_lo + x_hi, 2 * qx, y_mid, 2 * qy)[0] <= 0
-            yield (x_lo, qx, ys[j], qy), (left[j], left[j + 1], right[j], right[j + 1], center)
+        right = [n <= 0 for n, _ in member.values(x_hi, qx, qy, ys)]
+        centers = member.values(x_lo + x_hi, 2 * qx, 2 * qy, y_mids)
+        yield [a + b + c + d + (e <= 0)
+               for a, b, c, d, (e, _) in zip(left, left[1:], right, right[1:], centers)]
         left = right
+
+
+def _cell_points(grid: list[_Axis]) -> Iterable[tuple[int, ...]]:
+    """The points of a cell by cell classification, in its order, as
+    pair-convention arguments: each cell's vertices, a vertex when first
+    met, and then its center."""
+    seen = set()
+    for cell in product(*([((lo, q), (hi, q), (lo + hi, 2 * q)) for lo, hi in zip(nums, nums[1:])]
+                          for nums, q in grid)):
+        for vertex in _row_major([(lo, hi) for lo, hi, _ in cell]):
+            if vertex not in seen:
+                seen.add(vertex)
+                yield vertex
+        yield sum((mid for _, _, mid in cell), ())
 
 
 def inner_sum(
@@ -528,12 +631,10 @@ def inner_sum(
     vertex+center sampling is exact for convex and smooth-boundary regions
     at fine meshes and heuristic in general.
     """
-    fn = compile_real(f, axis_names(region.bounding.dimension), precision)
+    kernel = compile_rows(f, axis_names(region.bounding.dimension), precision)
     cells = _inner_cells(region, spec, precision)
-    value = cells.scale * _total(starmap(fn, cells.corners), cells.weights)
-    return InnerSumResult(
-        value, len(cells.corners), cells.boundary, cells.exterior, cells.boundary_volume
-    )
+    value = cells.scale * _total(kernel.sum(*args, row, ws) for args, row, ws in cells.rows)
+    return InnerSumResult(value, cells.inner, cells.boundary, cells.exterior, cells.boundary_volume)
 
 
 # -- one-dimensional measures --------------------------------------------------------------
@@ -549,18 +650,33 @@ def measure_area_between(
     precision: int = DEFAULT_PRECISION,
     seed: int = 0,
 ) -> Fraction:
-    """Riemann sum of (g - f) on [a, b]; f <= g checked at partition points."""
+    """Riemann sum of (g - f) on [a, b]; f <= g checked at partition points.
+
+    Each curve has its own row kernel: the check takes f and then g at each
+    point and compares them before the next, the sum g and then f at each
+    tag, and a failing row is replayed in that order, so the first error is
+    the one of a point by point loop.
+    """
     var = (first_variable("x", f, g),)
-    fn_f = compile_real(f, var, precision)
-    fn_g = compile_real(g, var, precision)
+    fn_f = compile_rows(f, var, precision)
+    fn_g = compile_rows(g, var, precision)
     axis = _axis(a, b, m)
-    for t in axis.nums:
-        lower = fn_f(t, axis.q)
-        if _minus(fn_g(t, axis.q), lower)[0] < 0:
-            raise OrderViolation(
-                f"lower curve exceeds upper curve at {show_rational(Fraction(t, axis.q))}"
-            )
-    return _box_sum(lambda n, d: _minus(fn_g(n, d), fn_f(n, d)), [axis], tag_rule, seed)
+    nums, q = axis
+    try:
+        curves = zip(fn_f.values(q, nums), fn_g.values(q, nums))
+    except MathError:  # point by point, each point checked before the next
+        curves = ((fn_f.point(t, q), fn_g.point(t, q)) for t in nums)
+    for t, (lower, upper) in zip(nums, curves):
+        if _minus(upper, lower)[0] < 0:
+            at = show_rational(Fraction(t, q))
+            raise OrderViolation(f"lower curve exceeds upper curve at {at}")
+    ((den,), tags), = _tag_rows([axis], tag_rule, seed)
+    try:
+        upper, lower = fn_g.sum(den, tags), fn_f.sum(den, tags)
+    except MathError:
+        _replay(p for t in tags for p in ((fn_g, (den,), t), (fn_f, (den,), t)))
+        raise
+    return _volumes([axis])[0] * Fraction(*_minus(upper, lower))
 
 
 def _radius(f: Expr, var: str, precision: int) -> Callable[[int, int], tuple[int, int]]:
@@ -667,18 +783,19 @@ def measure_mass_moment_com(
     """Mass and first moments: inner-rectangle sums of rho and coord*rho,
     accumulated in one pass over one classification of the region."""
     dim = region.bounding.dimension
-    fn = compile_real(rho, axis_names(dim), precision)
+    kernel = compile_rows(rho, axis_names(dim), precision)
     cells = _inner_cells(region, spec, precision)
     masses: list[tuple[int, int]] = []
     moments: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
-    for corner, w in zip(cells.corners, cells.weights or repeat(1)):
-        n, d = fn(*corner)
-        masses.append((n * w, d))
-        for k, terms in enumerate(moments):
-            terms.append((corner[2 * k] * n * w, corner[2 * k + 1] * d))
+    for args, row, ws in cells.rows:
+        for z, (n, d), w in zip(row, kernel.values(*args, row), ws or repeat(1)):
+            corner = (*args[:-1], z, args[-1])
+            masses.append((n * w, d))
+            for k, terms in enumerate(moments):
+                terms.append((corner[2 * k] * n * w, corner[2 * k + 1] * d))
     mass = cells.scale * _total(masses)
     counts = InnerSumResult(
-        mass, len(cells.corners), cells.boundary, cells.exterior, cells.boundary_volume
+        mass, cells.inner, cells.boundary, cells.exterior, cells.boundary_volume
     )
     return MassProperties(mass, tuple(cells.scale * _total(t) for t in moments), counts)
 
@@ -772,30 +889,41 @@ def riemann_stieltjes_sum(
     seed: int = 0,
     precision: int = DEFAULT_PRECISION,
 ) -> Fraction:
-    """sum f(tag_i) (phi(t_i) - phi(t_{i-1})) over a partition of [a, b]."""
+    """sum f(tag_i) (phi(t_i) - phi(t_{i-1})) over a partition of [a, b].
+
+    phi is taken once per breakpoint and f once per tag, by row kernels; a
+    failing row is replayed in the order f(tag_i), phi(t_i), phi(t_{i-1}),
+    cell by cell, so the first error is the one of a point by point loop.
+    When phi's values share one denominator, its steps are the integer
+    weights of f's sum.
+    """
     rect = Rect.interval(a, b)
     fvar = first_variable("x", f)
-    fn = compile_real(f, (fvar,), precision)
-    fphi = compile_real(phi, (first_variable(fvar, phi),), precision)
+    fn = compile_rows(f, (fvar,), precision)
+    fphi = compile_rows(phi, (first_variable(fvar, phi),), precision)
     axis = spec.grid(rect)[0]
     nums, q = axis
-    tags = _tag_args([axis], tag_rule, seed)
-
-    def terms() -> Iterable[tuple[int, int]]:
-        for tag, lo, hi in zip(tags, nums, nums[1:]):
-            n, d = fn(*tag)
-            dn, dd = _minus(fphi(hi, q), fphi(lo, q))
-            yield n * dn, d * dd
-
-    return _total(terms())
+    ((den,), tags), = _tag_rows([axis], tag_rule, seed)
+    try:
+        phis = fphi.values(q, nums)
+        common = phis[0][1]
+        if all(d == common for _, d in phis):
+            n, d = fn.sum(den, tags, [hi - lo for (lo, _), (hi, _) in zip(phis, phis[1:])])
+            return Fraction(n, d * common)
+        steps = map(_minus, phis[1:], phis)
+        return _total((n * dn, d * dd) for (n, d), (dn, dd) in zip(fn.values(den, tags), steps))
+    except MathError:
+        _replay(p for tag, lo, hi in zip(tags, nums, nums[1:])
+                for p in ((fn, (den,), tag), (fphi, (q,), hi), (fphi, (q,), lo)))
+        raise
 
 
 def impulse(
     force: Expr, a: Fraction, b: Fraction, m: int, precision: int = DEFAULT_PRECISION
 ) -> Fraction:
     """Impulse of a time-dependent force: plain Riemann sum of F over [a, b]."""
-    fn = compile_real(force, (first_variable("t", force),), precision)
-    return _box_sum(fn, [_axis(a, b, m)], "min-vertex", 0)
+    kernel = compile_rows(force, (first_variable("t", force),), precision)
+    return _row_sum(kernel, [_axis(a, b, m)], "min-vertex", 0)
 
 
 # -- gauge partitions -----------------------------------------------------------------------------
@@ -937,9 +1065,9 @@ def gauge_sum(
 ) -> Fraction:
     """Tagged Riemann sum over a gauge-fine partition of [a, b]."""
     axis, tags = _gauge_grid(gauge, a, b, mode, precision)
-    fn = compile_real(f, (first_variable("x", f),), precision)
+    kernel = compile_rows(f, (first_variable("x", f),), precision)
     scale, weights = _volumes([axis])
-    return scale * _total(starmap(fn, tags), weights)
+    return scale * Fraction(*kernel.sum(axis.q, [x for x, _ in tags], weights))
 
 
 # -- supernearness probes ------------------------------------------------------------------------
@@ -1042,7 +1170,7 @@ def adaptive_simpson(
     of the samples, so the test |E| |W| 10^SIMPSON_DIGITS <= 180 D is free of
     the depth.  An accepted cell adds S(half) + (S(half) - S(whole)) / 15,
     which is Boole's rule W / (90 D 2^j) (7 f0 + 32 f1 + 12 f2 + 32 f3 + 7 f4);
-    these are added per denominator and reduced once (``_pair_sum``).
+    these are added per denominator and reduced once (``pair_sum``).
 
     A cell that would need more than 1000 halvings of [a, b] (a jump no dyadic
     point hits, a root steeper than x^(1/40) at 0), or more than 10^6 cells in
@@ -1065,9 +1193,9 @@ def adaptive_simpson(
         q = den << (j + 2)
         f1, f3 = integrand(4 * u + width, q), integrand(4 * u + 3 * width, q)
         samples = (f0, f1, f2, f3, f4)
-        n, d = _pair_sum(samples, (-1, 4, -6, 4, -1))
+        n, d = pair_sum(samples, (-1, 4, -6, 4, -1))
         if abs(n) * limit <= 180 * den * d:
-            n, d = _pair_sum(samples, (7, 32, 12, 32, 7))
+            n, d = pair_sum(samples, (7, 32, 12, 32, 7))
             parts.append((n, d << j))
         elif j == _SIMPSON_DEPTH:
             near = decimal_str(Fraction(u, den << j))

@@ -110,6 +110,16 @@ class TestValues:
         )
         assert code == 0 and out == "L = 3/8  U = 5/8\n"
 
+    def test_integrate_darboux_names_nonmonotone_cells(self, capsys):
+        # the one cell of [0, 3] holds the peak of sin: its bounds come from
+        # the samples alone, and the text says so as the JSON does
+        args = ("integrate", "sin(x)", "--on", "0,3", "--method", "darboux", "--mesh", "3")
+        code, out, _ = invoke(capsys, *args)
+        assert code == 0 and out.startswith("L = 0  U = 29924849598121632928251701134")
+        assert out.endswith("  (1 nonmonotone cell: inner estimate)\n")
+        code, out, _ = invoke(capsys, *args, "--format", "json")
+        assert code == 0 and json.loads(out)["result"]["nonmonotone_cells"] == 1
+
     def test_integrate_stieltjes(self, capsys):
         code, out, _ = invoke(
             capsys, "integrate", "1", "--on", "0,1", "--method", "stieltjes",

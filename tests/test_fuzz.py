@@ -20,7 +20,11 @@ mixed denominators; ``tagged_partition`` must return those cells and tags.
 ``cousin_partition`` must return the cells and tags of a recursive bisection
 on Fractions written out here, or raise the same exception with the same
 text, for seeded gauges over odd and decimal denominators in both modes,
-non-positive gauges and both caps included.  Surface of revolution, both
+non-positive gauges and both caps included.  Every sum that runs on row
+kernels must give the value, or the first error, of the point loop it
+replaced: ``compile_real``'s function called once per point in the old
+order, trees with variable divisors, calls and powers past the exact-power
+guard included.  Surface of revolution, both
 paths of curve length and of line work, and the supernearness probe must
 equal cell loops on Fractions written out here, slopes and velocities taken
 from ``taylor_jet``, or raise the same exception with the same text.
@@ -1040,6 +1044,205 @@ def test_simpson_pole_reaches_the_interval_cap(monkeypatch):
     assert outcome(naive_simpson, fn, F(-1, 3), F(2)) == want
     assert outcome(adaptive_simpson, fn, F(-1, 3), F(2)) == want
 
+
+# -- row kernels against the point loops they replaced -----------------------------------------
+
+
+def point_at(e: Expr, names):
+    """e's compile_real function, called once per point: the point loop."""
+    fn = compile_real(e, names, PRECISION)
+    return lambda point: F(*fn(*(v for c in point for v in (c.numerator, c.denominator))))
+
+
+def point_riemann(f: Expr, rect: Rect, spec: PartitionSpec, rule: str, seed: int) -> F:
+    value = point_at(f, NAMES[:rect.dimension])
+    part = tagged_partition(rect, spec, rule, seed)
+    return sum((value(tag) * v for tag, v in zip(part.tags, part.volumes())), F(0))
+
+
+def point_darboux(f: Expr, rect: Rect, spec: PartitionSpec, s: int):
+    value, dim = point_at(f, NAMES[:rect.dimension]), rect.dimension
+    lower = upper = F(0)
+    flagged = 0
+    for cell in cells_of(spec.breakpoints(rect)):
+        grid = [[lo + (hi - lo) * j / (s - 1) for j in range(s)] for lo, hi in cell]
+        values = dict(zip(product(range(s), repeat=dim), map(value, product(*grid))))
+        lower += min(values.values()) * volume(cell)
+        upper += max(values.values()) * volume(cell)
+        flagged += not naive_monotone(values, dim, s)
+    return lower, upper, flagged
+
+
+def point_stieltjes(f: Expr, phi: Expr, a: F, b: F, spec: PartitionSpec, rule: str, seed: int):
+    # f(tag), phi(t_i), phi(t_{i-1}), cell by cell
+    value_f, value_phi = point_at(f, ("x",)), point_at(phi, ("x",))
+    part = tagged_partition(Rect.interval(a, b), spec, rule, seed)
+    return sum((value_f(tag) * (value_phi((hi,)) - value_phi((lo,)))
+                for ((lo, hi),), tag in zip(part.cells, part.tags)), F(0))
+
+
+def point_area(f: Expr, g: Expr, a: F, b: F, m: int, rule: str) -> F:
+    # f and then g at each breakpoint, g and then f at each tag
+    value_f, value_g = point_at(f, ("x",)), point_at(g, ("x",))
+    for t in naive_breaks(a, b, m):
+        lower = value_f((t,))
+        if value_g((t,)) < lower:
+            raise OrderViolation(f"lower curve exceeds upper curve at {show_rational(t)}")
+    part = tagged_partition(Rect.interval(a, b), PartitionSpec.simple(m), rule, 0)
+    return sum(((value_g(tag) - value_f(tag)) * v for tag, v in zip(part.tags, part.volumes())),
+               F(0))
+
+
+def point_inner(f: Expr, region: Region, spec: PartitionSpec, moments: bool = False):
+    """Classify in the order of the point classifiers (in the plane a sweep
+    of vertex columns, each followed by the centers of the cells to its
+    left; else cell by cell), each point once, then sum f at the inner
+    cells' min-vertices."""
+    names = NAMES[:region.bounding.dimension]
+    member, value = point_at(region.membership, names), point_at(f, names)
+    breaks = spec.breakpoints(region.bounding)
+    cells = cells_of(breaks)
+    if len(breaks) == 2:
+        (xs, ys), mid = breaks, lambda lo, hi: (lo + hi) / 2
+        order = [(xs[0], y) for y in ys]
+        for x0, x1 in zip(xs, xs[1:]):
+            order += [(x1, y) for y in ys] + [(mid(x0, x1), mid(*c)) for c in zip(ys, ys[1:])]
+    else:
+        order = [p for cell in cells
+                 for p in [*product(*cell), tuple((lo + hi) / 2 for lo, hi in cell)]]
+    inside = {}
+    for p in order:
+        if p not in inside:
+            inside[p] = member(p) <= 0
+    counts = [0, 0, 0]  # inner, boundary, exterior
+    total, edge, firsts = F(0), F(0), [F(0)] * len(names)
+    for cell in cells:
+        center = tuple((lo + hi) / 2 for lo, hi in cell)
+        flags = [inside[p] for p in product(*cell)] + [inside[center]]
+        if all(flags):
+            counts[0] += 1
+            corner = [lo for lo, _ in cell]
+            w = value(corner) * volume(cell)
+            total += w
+            firsts = [mu + x * w for mu, x in zip(firsts, corner)]
+        elif any(flags):
+            counts[1] += 1
+            edge += volume(cell)
+        else:
+            counts[2] += 1
+    result = (total, *counts, edge)
+    return (total, tuple(firsts), result) if moments else result
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_row_kernels_equal_point_loop(seed):
+    # trees with variable divisors, calls and powers past the 200 000-bit
+    # guard, on simple and explicit uneven grids in 1 to 3 dimensions: every
+    # row-kernel sum gives the value or the first error of its point loop
+    rng = random.Random(1300 + seed)
+    for dim in (1, 2, 3):
+        gen, names = ExprGen(rng, NAMES[:dim]), NAMES[:dim]
+        rect = rand_rect(rng, dim)
+        counts = [rng.randint(1, (8, 4, 2)[dim - 1]) for _ in range(dim)]
+        specs = (PartitionSpec.simple(*counts),
+                 PartitionSpec.explicit(*rand_explicit(rng, rect, (8, 4, 2)[dim - 1])))
+        for spec in specs:
+            for rule in TAG_RULES:
+                f, tag_seed = parsed(gen.tree(3)), rng.getrandbits(32)
+                got = outcome(riemann_sum, f, rect, spec, rule, tag_seed, PRECISION)
+                assert got == outcome(point_riemann, f, rect, spec, rule, tag_seed), (
+                    render(f), spec, rule)
+            f, s = parsed(gen.tree(3)), rng.randint(2, 4)
+            got = outcome(lambda: tuple(darboux_bounds(f, rect, spec, s, PRECISION)))
+            assert got == outcome(point_darboux, f, rect, spec, s), (render(f), spec, s)
+            membership = rand_ball(rng, rect) if rng.random() < 0.6 else parsed(gen.tree(2))
+            region, f = Region(rect, membership), parsed(gen.tree(3))
+            got = outcome(lambda: tuple(inner_sum(f, region, spec, PRECISION)))
+            assert got == outcome(point_inner, f, region, spec), (render(f), render(membership))
+            got = outcome(mass_properties, f, region, spec)
+            assert got == outcome(point_inner, f, region, spec, True), (
+                render(f), render(membership))
+    gen = ExprGen(rng, ("x",))
+    for rule in TAG_RULES:
+        (a, b), = rand_rect(rng, 1).intervals
+        m, tag_seed = rng.randint(1, 8), rng.getrandbits(32)
+        f, phi = parsed(gen.tree(3)), parsed(gen.tree(2))
+        spec = PartitionSpec.simple(m)
+        got = outcome(riemann_stieltjes_sum, f, phi, a, b, spec, rule, tag_seed, PRECISION)
+        assert got == outcome(point_stieltjes, f, phi, a, b, spec, rule, tag_seed), (
+            render(f), render(phi), rule)
+        g = parsed(Binary("+", parsed(gen.tree(2)), parse(f"x^2 + {rand_rational(rng)}")))
+        f = parsed(gen.tree(2))
+        got = outcome(measure_area_between, f, g, a, b, m, rule, PRECISION)
+        assert got == outcome(point_area, f, g, a, b, m, rule), (render(f), render(g), rule)
+        got = outcome(impulse, f, a, b, m, PRECISION)
+        assert got == outcome(point_riemann, f, Rect.interval(a, b), spec, "min-vertex", 0)
+        gauge = Gauge(parse(f"{F(rng.randint(1, 9), 16)} + x^2/{rng.randint(2, 9)}"))
+        mode = rng.choice(["tag-in-cell", "mcshane"])
+
+        def point_gauge():
+            part = cousin_partition(gauge, a, b, mode, PRECISION)
+            value = point_at(f, ("x",))
+            return sum((value(tag) * v for tag, v in zip(part.tags, part.volumes())), F(0))
+
+        assert outcome(gauge_sum, f, a, b, gauge, mode, PRECISION) == outcome(point_gauge)
+
+
+def test_row_kernels_keep_the_first_error():
+    # the hoisted 1/x of a y-row must not pre-empt 1/y at the first point
+    unit = Rect.box((0, 1), (0, 1))
+    got = outcome(riemann_sum, parse("1/y + 1/x"), unit, PartitionSpec.simple(2, 2))
+    assert got == ("DivisionByZero", "division by zero (at offset 1)")
+    assert got == outcome(point_riemann, parse("1/y + 1/x"), unit, PartitionSpec.simple(2, 2),
+                          "min-vertex", 0)
+    # f and phi both raise: f's error at the first tag comes before phi's at
+    # a later breakpoint, phi's at the first cell's end before f's at the
+    # second tag, and phi's at the first cell's start before f's later
+    spec = PartitionSpec.simple(2)
+    for f, phi, want in [
+        ("2 + 1/x", "1/(x - 1)", "division by zero (at offset 5)"),
+        ("2 + 1/(x - 1/2)", "1/(x - 1/2)", "division by zero (at offset 1)"),
+        ("3 + 4 + 1/(x - 1/2)", "1 + 1/x", "division by zero (at offset 5)"),
+    ]:
+        args = (parse(f), parse(phi), F(0), F(1), spec)
+        got = outcome(riemann_stieltjes_sum, *args, "min-vertex", 0, PRECISION)
+        assert got == ("DivisionByZero", want) == outcome(point_stieltjes, *args, "min-vertex", 0)
+    # both curves raise at one point: f's error first in the check, g's first
+    # in the sum; and f's at the first tag before g's at the second
+    for f, g, rule, want in [
+        ("1/x", "4 + 1/x", "min-vertex", "division by zero (at offset 1)"),
+        ("1/(x - 1/4)", "4 + 1/(x - 1/4)", "center", "division by zero (at offset 5)"),
+        ("1/(x - 1/4)", "9 + 1/(x - 3/4)", "center", "division by zero (at offset 1)"),
+    ]:
+        args = (parse(f), parse(g), F(0), F(1), 2, rule)
+        got = outcome(measure_area_between, *args, PRECISION)
+        assert got == ("DivisionByZero", want) == outcome(point_area, *args)
+    # a membership that raises at the first cell's center and at a vertex of
+    # the second: the center comes first cell by cell, the vertex row first
+    region = Region(Rect.box((0, 1), (0, 1), (0, 1)), parse("1/(4*z - 1) + 1/(z - 1)"))
+    spec = PartitionSpec.simple(1, 1, 2)
+    got = outcome(inner_sum, parse("1"), region, spec, PRECISION)
+    assert got == ("DivisionByZero", "division by zero (at offset 1)")
+    assert got == outcome(point_inner, parse("1"), region, spec)
+    # in the plane the point loop swept whole vertex columns first: the
+    # vertex (1, 1) raises before the first cell's center
+    region = Region(Rect.box((0, 1), (0, 1)), parse("1/(4*y - 1) + 1/(x + y - 2)"))
+    spec = PartitionSpec.simple(1, 2)
+    got = outcome(inner_sum, parse("1"), region, spec, PRECISION)
+    assert got == ("DivisionByZero", "division by zero (at offset 15)")
+    assert got == outcome(point_inner, parse("1"), region, spec)
+
+
+def test_row_kernels_resume_past_the_power_guard():
+    # x^20000 has a 10-bit guard: at tags n/32 the numerators up to 15 pass
+    # it inside the loop and 16 to 31 need int_pow, so the row goes on point
+    # by point from 16, with the sum or the values so far
+    f, unit = parse("x^20000"), Rect.interval(0, 1)
+    spec = PartitionSpec.simple(32)
+    assert riemann_sum(f, unit, spec, "min-vertex", 0, PRECISION) == point_riemann(
+        f, unit, spec, "min-vertex", 0)
+    got = tuple(darboux_bounds(f, unit, PartitionSpec.simple(16), 3, PRECISION))
+    assert got == point_darboux(f, unit, PartitionSpec.simple(16), 3)
 
 # -- jets: certified orders against one wide evaluation and the symbolic derivative ----------
 

@@ -219,6 +219,13 @@ class TestDarboux:
         db = darboux_bounds(parse("x^2"), Rect.interval(-1, 1), PartitionSpec.simple(1))
         assert db.nonmonotone_cells == 1
 
+    @pytest.mark.xfail(strict=True, reason="cells are counted by their samples: the peak of "
+                       "sin at pi/2 lies between the first two samples of [3/2, 9/4], which "
+                       "decrease, so the cell reads monotone and its U = 2.59103 < 2.59291")
+    def test_extremum_between_samples_is_counted(self):
+        db = darboux_bounds(parse("sin(x)"), Rect.interval(0, 3), PartitionSpec.simple(4))
+        assert db.nonmonotone_cells >= 1
+
     @pytest.mark.parametrize("source,rect", DARBOUX_CORPUS)
     def test_sandwich(self, source, rect):
         expr = parse(source)
@@ -412,17 +419,27 @@ class TestMeasures:
         ],
     )
     def test_mass_com_tests_each_vertex_and_centre_once(self, monkeypatch, box, counts, calls):
+        # every point of every membership row, as (n0, d0, ..., n, d)
         region = Region(Rect.box(*box), parse("x^2+y^2-1"))
         seen = []
-        compile_real = integration.compile_real
+        compile_rows = integration.compile_rows
 
-        def counting(e, names, precision):
-            fn = compile_real(e, names, precision)
+        def counting(e, names, precision, loop=1):
+            kernel = compile_rows(e, names, precision, loop)
             if e is not region.membership:
-                return fn
-            return lambda *p: seen.append(p) or fn(*p)
+                return kernel
 
-        monkeypatch.setattr(integration, "compile_real", counting)
+            values = kernel.values
+
+            def rows(*args):
+                *head, den, row = args
+                seen.extend((*head, n, den) for n in row)
+                return values(*args)
+
+            kernel.values = rows
+            return kernel
+
+        monkeypatch.setattr(integration, "compile_rows", counting)
         measure_mass_moment_com(parse("1 + x"), region, PartitionSpec.simple(*counts))
         assert len(seen) == len(set(seen)) == calls
 
