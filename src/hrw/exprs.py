@@ -866,13 +866,12 @@ class _Codegen:
         self.digits = self.const(precision)  # its name in the code
 
     def const(self, value) -> str:
-        consts = self.consts
-        consts.append(value)
-        return f"c{len(consts) - 1}"
+        self.consts.append(value)
+        return f"c{len(self.consts) - 1}"
 
-    def const_part(self, value: Fraction | int) -> Part:
-        den = value.denominator
-        return self.const(value.numerator), self.const(den) if den != 1 else None
+    def const_part(self, value: Fraction) -> Part:
+        den = self.const(value.denominator) if value.denominator != 1 else None
+        return self.const(value.numerator), den
 
     def temp(self, varying: bool) -> str:
         self.temps += 1
@@ -911,9 +910,7 @@ class _Codegen:
     def shallow(self, text: str | None) -> str | None:
         """Bound the nesting of generated expressions (Python's parser
         refuses 200 levels): deep code goes to a temporary."""
-        if text is None or text.count("(") <= 40:
-            return text
-        return self.atom(text)
+        return self.atom(text) if text and text.count("(") > 40 else text
 
     def call(self, pos: int, head: str) -> Part:
         """Finish a helper call with the node's offset; the helper's
@@ -923,26 +920,25 @@ class _Codegen:
         return n, d
 
     def part(self, node: Expr) -> Part:
-        kind = type(node)
-        if kind is Binary:
+        if isinstance(node, Const):
+            return self.const_part(Fraction(node.value))
+        if isinstance(node, Var):
+            if node.name in self.names:
+                return self.vars[self.names.index(node.name)]
+            return self.const_part(_named_constant(node.name, self.precision, node.pos))
+        if isinstance(node, Unary):
+            n, d = self.part(node.operand)
+            return self.shallow(f"(-{n})"), d
+        if isinstance(node, Binary):
             # both operands are generated here, so a level takes one frame; an
             # integer exponent or a nonzero constant divisor is folded instead
             left, r = self.part(node.left), node.right
             if node.op == "^":
-                k = int_exponent(node)
-                return self.power(node, left, k, None if k is not None else self.part(r))
-            folded = node.op == "/" and type(r) is Const and r.value != 0
+                whole = int_exponent(node) is not None
+                return self.power(node, left, None if whole else self.part(r))
+            folded = node.op == "/" and isinstance(r, Const) and r.value != 0
             n, d = self.binary(node, left, None if folded else self.part(r))
             return self.shallow(n), self.shallow(d)
-        if kind is Const:
-            return self.const_part(node.value)
-        if kind is Var:
-            if node.name in self.names:
-                return self.vars[self.names.index(node.name)]
-            return self.const_part(_named_constant(node.name, self.precision, node.pos))
-        if kind is Unary:
-            n, d = self.part(node.operand)
-            return self.shallow(f"(-{n})"), d
         p = self.digits
         if node.fn == "root":
             index = node.args[0]
@@ -985,11 +981,12 @@ class _Codegen:
             an, bn = self.fixed(an), self.fixed(bn)
         return f"({an} {node.op} {bn})", self.times(ad, bd) if ad != bd else ad
 
-    def power(self, node: Binary, base: Part, k: int | None, exponent: Part | None) -> Part:
-        """k is the integer literal exponent, or None and exponent its code."""
+    def power(self, node: Binary, base: Part, exponent: Part | None) -> Part:
+        """exponent is None for an integer literal exponent."""
         if exponent is not None:
             return self.call(node.pos, f"_approx(_A.pow_approx, {_fraction(base)}, "
                                        f"{_fraction(exponent)}, {self.digits}")
+        k = int_exponent(node)
         if k == 0:
             return self.const_part(Fraction(1))
         an, ad = self.atom(base[0]), self.atom(base[1])
@@ -1004,11 +1001,11 @@ class _Codegen:
                     f"{self.const(node.pos)})")
         if k > 0 and "V" in an and "V" not in (ad or ""):  # a row value over a fixed denominator
             n, d, bits = self.temp(True), self.temp(False), self.temp(False)
-            fits = f"{an}.bit_length() < {limit}"
-            if ad:
-                fits = f"{an}.bit_length() <= {bits}"
+            fits, d_row = f"{an}.bit_length() < {limit}", "1"
+            if ad:  # past the guard no numerator fits, so the power is not taken
+                fits, d_row = f"{an}.bit_length() <= {bits}", f"{d_pow} if {bits} >= 0 else 1"
                 self.hoisted.append(f"{bits} = {limit} - {ad}.bit_length()")
-            self.hoisted.append(f"{d} = {d_pow}")
+            self.hoisted.append(f"{d} = {d_row}")
             self.body.append(f"if {fits}: {n} = {an} ** {m}\nelse: raise _Slow")
             self.general.append(f"if {small}: {n} = {an} ** {m}; {d} = {d_pow}\n"
                                 f"else: {n}, {d} = {fallback}")

@@ -894,8 +894,6 @@ def riemann_stieltjes_sum(
     phi is taken once per breakpoint and f once per tag, by row kernels; a
     failing row is replayed in the order f(tag_i), phi(t_i), phi(t_{i-1}),
     cell by cell, so the first error is the one of a point by point loop.
-    When phi's values share one denominator, its steps are the integer
-    weights of f's sum.
     """
     rect = Rect.interval(a, b)
     fvar = first_variable("x", f)
@@ -906,10 +904,6 @@ def riemann_stieltjes_sum(
     ((den,), tags), = _tag_rows([axis], tag_rule, seed)
     try:
         phis = fphi.values(q, nums)
-        common = phis[0][1]
-        if all(d == common for _, d in phis):
-            n, d = fn.sum(den, tags, [hi - lo for (lo, _), (hi, _) in zip(phis, phis[1:])])
-            return Fraction(n, d * common)
         steps = map(_minus, phis[1:], phis)
         return _total((n * dn, d * dd) for (n, d), (dn, dd) in zip(fn.values(den, tags), steps))
     except MathError:

@@ -74,6 +74,7 @@ import math
 import operator
 import random
 import re
+import time
 from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction as F
 from itertools import product
@@ -1243,6 +1244,23 @@ def test_row_kernels_resume_past_the_power_guard():
         f, unit, spec, "min-vertex", 0)
     got = tuple(darboux_bounds(f, unit, PartitionSpec.simple(16), 3, PRECISION))
     assert got == point_darboux(f, unit, PartitionSpec.simple(16), 3)
+
+
+def test_row_kernels_keep_the_power_guard_for_the_denominator():
+    # x^30000000 has no room under the guard for a row denominator of 2 or
+    # more bits, so every point takes int_pow (exp/ln here); the row's
+    # denominator to that power (tens of millions of bits, half a minute of
+    # int arithmetic) must not be computed before the loop either
+    f, unit = parse("x^30000000"), Rect.interval(0, 1)
+    spec = PartitionSpec.simple(3)
+    start = time.perf_counter()
+    got = riemann_sum(f, unit, spec, "min-vertex", 0, PRECISION)
+    assert time.perf_counter() - start < 2
+    assert got == point_riemann(f, unit, spec, "min-vertex", 0)
+    start = time.perf_counter()
+    bounds = tuple(darboux_bounds(f, unit, spec, 5, PRECISION))
+    assert time.perf_counter() - start < 2
+    assert bounds == point_darboux(f, unit, spec, 5)
 
 # -- jets: certified orders against one wide evaluation and the symbolic derivative ----------
 
