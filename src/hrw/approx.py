@@ -1,29 +1,46 @@
 """Rational approximations of elementary constants.
 
-Every function returns an exact :class:`Fraction` within 10^-digits of the
-true real value: an exact value, a point of the 10^-digits grid (a guarded
-approximation rounded to nearest, ties to even), or for sqrt(v/m^2) that
-point for sqrt(v) divided by m.  No floating point is involved anywhere, so
-results are identical across runs and platforms and can be cached by value.
+Every value is exact and within 10^-digits of the true real value: an exact
+value, a point of the 10^-digits grid (a guarded approximation rounded to
+nearest, ties to even), or for sqrt(v/m^2) that point for sqrt(v) divided by
+m.  No floating point is involved anywhere, so results are identical across
+runs and platforms.
 
-Each kernel runs on integers, from its argument's numerator n and
-denominator d to its final rounding.  A series value is an integer S that
-stands for S/10^g, g = digits + guard digits; the result is S rounded once
-to the 10^-digits grid by one ``divmod`` (``rationals.round_half_even``),
-and the kernel builds no :class:`Fraction` but that result.  Two series
-kernels do the work:
+Each kernel is an integer function of its argument's numerator n and
+positive denominator d, which need not be reduced: it reduces the pair by
+one gcd, so its series runs on the same operands whatever common factor the
+pair carries, and its errors name the reduced value.  ``exp_grid``,
+``ln_grid``, ``sin_grid``, ``cos_grid``, ``sin_cos_grid`` and ``tan_grid``
+return grid numerators, integers N standing for N/10^digits (exact cases
+too: exp 0 is 10^digits); ``sqrt_pair`` returns a (numerator, denominator)
+pair, since exact roots and sqrt(v/m^2) keep denominators of their own.
+Compiled code (``hrw.exprs``) calls the kernels once per point, with no
+:class:`Fraction` and no cache, and a sum over its grid values adds
+numerators over the one denominator 10^digits.
+
+The public :class:`Fraction` functions ``pi_approx``, ``exp_approx``,
+``ln_approx``, ``sin_cos_approx`` (with ``sin_approx`` and ``cos_approx``),
+``tan_approx`` and ``sqrt_approx`` are thin wrappers over the same kernels,
+cached by value, for ``eval_real``, the series field and the measures.
+``int_pow``, ``pow_approx`` and ``nth_root_approx`` stay :class:`Fraction`
+functions, their real powers taken as exp(r ln x) through the wrappers.
+
+Inside a kernel, a series value is an integer S that stands for S/10^g, g =
+digits + guard digits; the result is S rounded once to the 10^-digits grid
+by one ``divmod`` (``rationals.round_half_even``).  Two series kernels do
+the work:
 
 * ``_taylor_sums(n, d, scale)`` sums ``floor((n/d)^k/k! * scale)`` grouped by
   ``k mod 4``, so ``exp = S0+S2 ± (S1+S3)``, ``cos = S0-S2`` and
   ``sin = ±(S1-S3)`` (arguments reduced to |y| <= 1/2 for exp, |y| <= 4
   for sin and cos);
 * ``_atan_sums(n, d, scale)`` sums ``floor((n/d)^(2k+1)/(2k+1) * scale)``
-  over even and odd k, so ``arctan = A0-A1`` (pi by Machin) and
-  ``artanh = A0+A1`` (``ln``, with ``ln 2 = 2 artanh(1/3)``, summed once
-  per scale), for n/d <= 1/3.
+  over even and odd k, so ``arctan = A0-A1`` (pi by Machin, kept per
+  precision) and ``artanh = A0+A1`` (``ln``, with ``ln 2 = 2
+  artanh(1/3)``, summed once per scale), for n/d <= 1/3.
 
 A floor of ``m*n // (d*k)`` depends only on the ratio n/d, so no fraction is
-ever reduced.  The range reductions are integer operations too:
+reduced past the kernel's first gcd.  The range reductions are integer operations too:
 
 * exp halves its argument h times, to |x|/2^h <= 1/2, by shifting d, then
   squares the series value h times, each square rounded back to the grid:
@@ -31,8 +48,8 @@ ever reduced.  The range reductions are integer operations too:
 * ln writes x = 2^e2 * t with t in [3/4, 3/2], e2 taken from bit lengths,
   and sums ln t = 2 artanh((t-1)/(t+1)), |(t-1)/(t+1)| <= 1/5;
 * sin and cos past |x| = 4 subtract k*2pi, k = round(x/2pi), as
-  ``(n*Q - k*P*d) / (d*Q)`` with 2pi = P/Q, pi and the series carrying
-  extra digits for the size of x.
+  ``(n*Q - k*P*d) / (d*Q)`` with 2pi = P/Q, Q = 10^g', pi and the series
+  carrying extra digits for the size of x.
 
 Error budget.  Each term is computed from the previous one by one floor
 division, which loses less than one grid unit; the error carried from
@@ -53,7 +70,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import ApproxOverflow, DivisionByZero, DomainError
 from .rationals import round_half_even, show_rational
@@ -94,36 +111,43 @@ def _atan_sums(n: int, d: int, scale: int) -> list[int]:
     return sums
 
 
-def _grid(n: int, d: int, digits: int) -> Fraction:
-    """round(n/d) / 10^digits, ties to even, for d > 0: a kernel's one rounding."""
-    return Fraction(round_half_even(n, d), 10**digits)
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms, for d > 0: a kernel's one gcd."""
+    g = gcd(n, d)
+    return (n // g, d // g) if g > 1 else (n, d)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def pi_approx(digits: int) -> Fraction:
-    """pi via Machin: 16*arctan(1/5) - 4*arctan(1/239)."""
-    g = digits + _GUARD + 2
-    scale = 10**g
-    a0, a1 = _atan_sums(1, 5, scale)
-    b0, b1 = _atan_sums(1, 239, scale)
-    return _grid(16 * (a0 - a1) - 4 * (b0 - b1), 10 ** (g - digits), digits)
+_PI: dict[int, int] = {}  # digits -> pi's grid numerator over 10^digits
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def exp_approx(x: Fraction, digits: int) -> Fraction:
-    """e^x with absolute error < 10^-digits.
+def _pi_grid(digits: int) -> int:
+    """pi via Machin, 16*arctan(1/5) - 4*arctan(1/239), as a grid numerator."""
+    pi = _PI.get(digits)
+    if pi is None:
+        if len(_PI) >= CACHE_SIZE:
+            _PI.clear()
+        g = digits + _GUARD + 2
+        scale = 10**g
+        a0, a1 = _atan_sums(1, 5, scale)
+        b0, b1 = _atan_sums(1, 239, scale)
+        pi = _PI[digits] = round_half_even(16 * (a0 - a1) - 4 * (b0 - b1), 10 ** (g - digits))
+    return pi
+
+
+def exp_grid(n: int, d: int, digits: int) -> int:
+    """e^(n/d) for d > 0 as a numerator over 10^digits, error < 10^-digits.
 
     Underflows to exact 0 once e^x < 10^-(digits+1); arguments past the
     magnitude cap raise ApproxOverflow rather than materializing an enormous
     numerator (callers probing divergence treat that as an oversize sample).
     """
-    n, d = x.numerator, x.denominator
-    if n == 0:
-        return ONE
+    if not n:
+        return 10**digits
     if n <= -3 * (digits + 2) * d:  # e^{-3k} < 10^{-1.3k}
-        return ZERO
+        return 0
+    n, d = _lowest(n, d)
     if n > _EXP_ARG_CAP * d:
-        raise ApproxOverflow(f"exp argument {show_rational(x)} exceeds magnitude cap")
+        raise ApproxOverflow(f"exp argument {show_rational(Fraction(n, d))} exceeds magnitude cap")
     a = abs(n)
     halvings = 0  # the least h with a/(d*2^h) <= 1/2
     if 2 * a > d:
@@ -137,23 +161,22 @@ def exp_approx(x: Fraction, digits: int) -> Fraction:
     r = s0 + s2 + (s1 + s3 if n > 0 else -(s1 + s3))
     for _ in range(halvings):
         r = round_half_even(r * r, scale)
-    return _grid(r, 10 ** (g - digits), digits)
+    return round_half_even(r, 10 ** (g - digits))
 
 
 _ARTANH_THIRD: dict[int, int] = {}  # g -> A0+A1 of artanh(1/3) over 10^g (ln 2 = 2 artanh(1/3))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def ln_approx(x: Fraction, digits: int) -> Fraction:
-    """ln x for x > 0, absolute error < 10^-digits.
+def ln_grid(n: int, d: int, digits: int) -> int:
+    """ln(n/d) for n/d > 0, d > 0, as a numerator over 10^digits, error < 10^-digits.
 
     x = 2^e2 * t with t in [3/4, 3/2], and ln t = 2 artanh((t-1)/(t+1)).
     """
-    n, d = x.numerator, x.denominator
+    n, d = _lowest(n, d)
     if n <= 0:
-        raise DomainError(f"ln of non-positive value {show_rational(x)}")
+        raise DomainError(f"ln of non-positive value {show_rational(Fraction(n, d))}")
     if n == d:
-        return ZERO
+        return 0
     e2 = 0
     if 2 * n > 3 * d:  # the least e2 with t = n/(d*2^e2) <= 3/2
         e2 = (2 * n).bit_length() - (3 * d).bit_length()
@@ -177,34 +200,133 @@ def ln_approx(x: Fraction, digits: int) -> Fraction:
                 _ARTANH_THIRD.clear()
             third = _ARTANH_THIRD[g] = sum(_atan_sums(1, 3, scale))
         total += e2 * third
-    return _grid(2 * total, 10 ** (g - digits), digits)
+    return round_half_even(2 * total, 10 ** (g - digits))
 
 
-def _sin_cos(x: Fraction, g: int) -> tuple[int, int, int]:
-    """(S, C, g'): sin x and cos x as S/10^g' and C/10^g', each within 10^-(g-4).
+def _sin_cos(n: int, d: int, g: int) -> tuple[int, int, int]:
+    """(S, C, g'): sin and cos of n/d (d > 0) as S/10^g' and C/10^g', each
+    within 10^-(g-4).
 
     Arguments past 4 are first reduced by the nearest multiple of 2pi, with
     pi and the series carrying g' - g extra digits for the size of x.
     """
-    n, d = x.numerator, x.denominator
     if abs(n) > 4 * d:
         g += _digits_of(abs(n) // d) + 2
-        pi = pi_approx(g)
-        p, q = 2 * pi.numerator, pi.denominator  # 2pi = p/q
+        p, q = 2 * _pi_grid(g), 10**g  # 2pi = p/q
         k = round_half_even(n * q, p * d)
         n, d = n * q - k * p * d, d * q
     s0, s1, s2, s3 = _taylor_sums(abs(n), d, 10**g)
     return (s1 - s3 if n >= 0 else s3 - s1), s0 - s2, g
 
 
+def sin_cos_grid(n: int, d: int, digits: int) -> tuple[int, int]:
+    """(sin, cos) of n/d for d > 0 as numerators over 10^digits, each within
+    10^-digits, from one pass."""
+    if not n:
+        return 0, 10**digits
+    n, d = _lowest(n, d)
+    s, c, g = _sin_cos(n, d, digits + _GUARD)
+    unit = 10 ** (g - digits)
+    return round_half_even(s, unit), round_half_even(c, unit)
+
+
+def sin_grid(n: int, d: int, digits: int) -> int:
+    return sin_cos_grid(n, d, digits)[0]
+
+
+def cos_grid(n: int, d: int, digits: int) -> int:
+    return sin_cos_grid(n, d, digits)[1]
+
+
+def tan_grid(n: int, d: int, digits: int) -> int:
+    """tan(n/d) for d > 0 as a numerator over 10^digits; refuses arguments
+    with |cos x| < 10^-max(2, digits).
+
+    The error of s/c grows as 1/cos^2, so when |cos x| < 10^-k (k leading
+    zero digits) sin and cos are recomputed with 2k more guard digits.
+    """
+    if not n:
+        return 0
+    n, d = _lowest(n, d)
+    g = digits + _GUARD + 4
+    s, c, gs = _sin_cos(n, d, g + _GUARD)
+    c = round_half_even(c, 10 ** (gs - g))  # cos x over 10^g
+    if abs(c) < 10 ** (g - max(2, digits)):
+        raise DomainError(f"tan undefined near {show_rational(Fraction(n, d))}: cos too close to 0")
+    k = g - _digits_of(c)
+    if k > 0:
+        g += 2 * k
+        s, c, gs = _sin_cos(n, d, g + _GUARD)
+        c = round_half_even(c, 10 ** (gs - g))
+    s = round_half_even(s, 10 ** (gs - g))
+    if c < 0:
+        s, c = -s, -c
+    return round_half_even(s * 10**digits, c)
+
+
+def _sqrt_grid(n: int, d: int, digits: int) -> int:
+    """sqrt(n/d) for n, d > 0 as a numerator over 10^digits, from the integer
+    square root at 6 more digits."""
+    g = digits + 6
+    return round_half_even(isqrt(n * d * 10 ** (2 * g)), d * 10 ** (g - digits))
+
+
+def sqrt_pair(n: int, d: int, digits: int) -> tuple[int, int]:
+    """sqrt(n/d) for n/d >= 0, d > 0, as a (numerator, denominator) pair,
+    error < 10^-digits.
+
+    Perfect-square parts of the reduced numerator and denominator are
+    factored out before approximating, so sqrt(v/m^2) = sqrt~(v)/m exactly;
+    polygonal sums of scaled copies of one segment then agree exactly across
+    mesh sizes.  sqrt(m^2/v) is m/sqrt~(v) rounded, sqrt~(v) taken to 6 more
+    digits and to as many more as m/v has integer digits.  Every other value
+    is a grid numerator over 10^digits.
+    """
+    n, d = _lowest(n, d)
+    if n <= 0:
+        if n == 0:
+            return 0, 1
+        raise DomainError(f"sqrt of negative value {show_rational(Fraction(n, d))}")
+    sn, sd = isqrt(n), isqrt(d)
+    num_square, den_square = sn * sn == n, sd * sd == d
+    if num_square and den_square:
+        return sn, sd
+    unit = 10**digits
+    if d > 1 and den_square:
+        return _sqrt_grid(n, 1, digits), unit * sd
+    if num_square:  # d > 1, as d is not a square
+        wide = digits + 6 + (_digits_of(sn // d) if sn > d else 0)
+        return round_half_even(sn * 10**wide * unit, _sqrt_grid(d, 1, wide)), unit
+    return _sqrt_grid(n, d, digits), unit
+
+
+# -- the cached Fraction functions: eval_real, the series field and the measures ----------
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def pi_approx(digits: int) -> Fraction:
+    """pi within 10^-digits."""
+    return Fraction(_pi_grid(digits), 10**digits)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def exp_approx(x: Fraction, digits: int) -> Fraction:
+    """e^x within 10^-digits: ``exp_grid``."""
+    return Fraction(exp_grid(x.numerator, x.denominator, digits), 10**digits)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def ln_approx(x: Fraction, digits: int) -> Fraction:
+    """ln x for x > 0 within 10^-digits: ``ln_grid``."""
+    return Fraction(ln_grid(x.numerator, x.denominator, digits), 10**digits)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def sin_cos_approx(x: Fraction, digits: int) -> tuple[Fraction, Fraction]:
-    """(sin x, cos x), each within 10^-digits, from one pass."""
-    if x == 0:
-        return ZERO, ONE
-    s, c, g = _sin_cos(x, digits + _GUARD)
-    unit = 10 ** (g - digits)
-    return _grid(s, unit, digits), _grid(c, unit, digits)
+    """(sin x, cos x), each within 10^-digits, from one pass: ``sin_cos_grid``."""
+    s, c = sin_cos_grid(x.numerator, x.denominator, digits)
+    unit = 10**digits
+    return Fraction(s, unit), Fraction(c, unit)
 
 
 def sin_approx(x: Fraction, digits: int) -> Fraction:
@@ -217,27 +339,14 @@ def cos_approx(x: Fraction, digits: int) -> Fraction:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def tan_approx(x: Fraction, digits: int) -> Fraction:
-    """tan x; refuses arguments with |cos x| < 10^-max(2, digits).
+    """tan x within 10^-digits, refused near a pole: ``tan_grid``."""
+    return Fraction(tan_grid(x.numerator, x.denominator, digits), 10**digits)
 
-    The error of s/c grows as 1/cos^2, so when |cos x| < 10^-k (k leading
-    zero digits) sin and cos are recomputed with 2k more guard digits.
-    """
-    if x == 0:
-        return ZERO
-    g = digits + _GUARD + 4
-    s, c, gs = _sin_cos(x, g + _GUARD)
-    c = round_half_even(c, 10 ** (gs - g))  # cos x over 10^g
-    if abs(c) < 10 ** (g - max(2, digits)):
-        raise DomainError(f"tan undefined near {show_rational(x)}: cos too close to 0")
-    k = g - _digits_of(c)
-    if k > 0:
-        g += 2 * k
-        s, c, gs = _sin_cos(x, g + _GUARD)
-        c = round_half_even(c, 10 ** (gs - g))
-    s = round_half_even(s, 10 ** (gs - g))
-    if c < 0:
-        s, c = -s, -c
-    return _grid(s * 10**digits, c, digits)
+
+@lru_cache(maxsize=CACHE_SIZE)
+def sqrt_approx(x: Fraction, digits: int) -> Fraction:
+    """sqrt(x) for x >= 0 within 10^-digits: ``sqrt_pair``."""
+    return Fraction(*sqrt_pair(x.numerator, x.denominator, digits))
 
 
 def _int_nthroot(a: int, n: int) -> int:
@@ -273,34 +382,6 @@ def exact_nth_root(x: Fraction, n: int) -> Fraction | None:
     return Fraction(rn, rd)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def sqrt_approx(x: Fraction, digits: int) -> Fraction:
-    """sqrt(x) for x >= 0, error < 10^-digits.
-
-    Perfect-square parts of the numerator and denominator are factored out
-    before approximating, so sqrt(v/m^2) = sqrt~(v)/m exactly; polygonal sums
-    of scaled copies of one segment then agree exactly across mesh sizes.
-    sqrt(m^2/v) is m/sqrt~(v) rounded, sqrt~(v) taken to 6 more digits and
-    to as many more as m/v has integer digits.
-    """
-    if x < 0:
-        raise DomainError(f"sqrt of negative value {show_rational(x)}")
-    if x == 0:
-        return ZERO
-    num, den = x.numerator, x.denominator
-    sn, sd = isqrt(num), isqrt(den)
-    num_square, den_square = sn * sn == num, sd * sd == den
-    if num_square and den_square:
-        return Fraction(sn, sd)
-    if den > 1 and den_square:
-        return sqrt_approx(Fraction(num), digits) / sd
-    if num_square:  # den > 1, as den is not a square
-        r = sqrt_approx(Fraction(den), digits + 6 + (_digits_of(sn // den) if sn > den else 0))
-        return _grid(sn * r.denominator * 10**digits, r.numerator, digits)
-    g = digits + 6
-    return _grid(isqrt(num * den * 10 ** (2 * g)), den * 10 ** (g - digits), digits)
-
-
 def power_too_large(x: Fraction, n: int) -> bool:
     """True when the exact x^n would exceed POWER_BITS (|n| times the size of x)."""
     return abs(n) * (x.numerator.bit_length() + x.denominator.bit_length()) > POWER_BITS
@@ -315,7 +396,7 @@ def _exp_ln(x: Fraction, r: Fraction, g: int, digits: int) -> Fraction:
         base = show_rational(x) if x.denominator == 1 else f"({show_rational(x)})"
         power = show_rational(r) if r.denominator == 1 else f"({show_rational(r)})"
         raise ApproxOverflow(f"power {base}^{power} exceeds magnitude cap") from None
-    return _grid(v.numerator * 10**digits, v.denominator, digits)
+    return Fraction(round_half_even(v.numerator * 10**digits, v.denominator), 10**digits)
 
 
 def int_pow(x: Fraction, n: int, digits: int) -> Fraction:

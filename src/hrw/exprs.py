@@ -26,12 +26,14 @@ stay positive (a division moves the divisor's sign up).  An integer power is
 taken on the unreduced parts only while they cannot trip the 200 000-bit
 exact-power guard (``approx.POWER_BITS``); otherwise ``approx.int_pow`` sees
 the reduced value, so guarded powers come out as in :func:`eval_real`.
-:func:`compile_rows` puts the same statements in a loop over a row of
-points that share their denominators, with the statements that do not read
-the row before the loop; the partition sums call it once per row.  Every
-MathError from compiled code carries the offset of the node that raised it,
-exactly as from :func:`eval_real`, which stays the independent tree-walking
-oracle.
+The one-argument calls other than ``root`` and ``abs`` call approx's
+integer kernels on the unreduced pair, with no Fraction and no cache; their
+grid values share the denominator 10^precision.  :func:`compile_rows` puts
+the same statements in a loop over a row of points that share their
+denominators, with the statements that do not read the row before the loop;
+the partition sums call it once per row.  Every MathError from compiled
+code carries the offset of the node that raised it, exactly as from
+:func:`eval_real`, which stays the independent tree-walking oracle.
 """
 
 from __future__ import annotations
@@ -423,8 +425,9 @@ def _at(ex: MathError, pos: int) -> MathError:
 # divisor before the table sees it
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
-# the one-argument calls over the rationals, read by eval_real and by compiled
-# code (as ``_R``); dict values, so a wrapper installed here reaches both
+# the one-argument calls over the rationals, read by eval_real; dict values,
+# so a wrapper installed here reaches eval_real only: compiled code calls the
+# integer kernels of ``_KERNELS`` directly
 _REAL_CALLS = {
     "sqrt": approx.sqrt_approx,
     "sin": approx.sin_approx,
@@ -432,6 +435,17 @@ _REAL_CALLS = {
     "tan": approx.tan_approx,
     "exp": approx.exp_approx,
     "ln": approx.ln_approx,
+}
+
+# the same calls in compiled code, as integer kernels of a (numerator,
+# denominator) pair: a grid numerator over 10^precision, or for sqrt a pair
+_KERNELS = {
+    "sqrt": approx.sqrt_pair,
+    "sin": approx.sin_grid,
+    "cos": approx.cos_grid,
+    "tan": approx.tan_grid,
+    "exp": approx.exp_grid,
+    "ln": approx.ln_grid,
 }
 
 
@@ -650,9 +664,12 @@ def compile_real(
     power n raises both parts while the unreduced operand has at most
     ``POWER_BITS // |n|`` bits; past that it calls ``approx.int_pow`` on the
     reduced value, whose own size guard then decides as in eval_real, so
-    common factors can only send a power the slower way.  ``sqrt``,
-    ``root``, real powers and the transcendental calls take ``Fraction``
-    operands.  Values and errors are those of eval_real at n_i / d_i.
+    common factors can only send a power the slower way.  ``sin``, ``cos``,
+    ``tan``, ``exp``, ``ln`` and ``sqrt`` call approx's integer kernels on
+    the unreduced pair, uncached: the first five give a numerator over the
+    closure constant 10^precision, sqrt a pair.  ``root`` and real powers
+    take ``Fraction`` operands.  Values and errors are those of eval_real at
+    n_i / d_i.
 
     A MathError carries the offset of the node that raised it, as in
     eval_real; an unbound variable is refused here, at compile time.
@@ -864,6 +881,7 @@ class _Codegen:
         self.temps = 0
         self.precision = precision
         self.digits = self.const(precision)  # its name in the code
+        self.unit: str | None = None  # the name of 10^precision, once a call needs it
 
     def const(self, value) -> str:
         self.consts.append(value)
@@ -953,7 +971,20 @@ class _Codegen:
         n, d = self.part(node.args[0])
         if node.fn == "abs":
             return f"abs({n})", d
-        return self.call(node.pos, f"_approx(_R[{node.fn!r}], {_fraction((n, d))}, {p}")
+        # a direct call of the integer kernel, its MathError located here
+        head = f"{self.const(_KERNELS[node.fn])}({n}, {d or 1}, {p})"
+        varying = "V" in head
+        if node.fn == "sqrt":
+            n, d = self.temp(varying), self.temp(varying)
+            target = f"{n}, {d}"
+        else:
+            n = target = self.temp(varying)
+            if self.unit is None:
+                self.unit = self.const(10**self.precision)
+            d = self.unit
+        self.line(f"try: {target} = {head}\n"
+                  f"except _ME as _e: raise _at(_e, {self.const(node.pos)}) from None")
+        return n, d
 
     def binary(self, node: Binary, left: Part, right: Part | None) -> Part:
         """right is None for a nonzero constant divisor."""
@@ -1055,7 +1086,7 @@ _COMPILED_SCOPE = {
     "_ME": MathError,
     "_Slow": _Slow,
     "_A": approx,
-    "_R": _REAL_CALLS,
+    "_at": _at,
     "_approx": _approx,
     "_real_root": _real_root,
     "_index": _require_root_index,

@@ -3,6 +3,7 @@
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -349,3 +350,111 @@ def test_tan_next_to_the_pole_refusal(digits):
 @example(F(-3, 20), 1)
 def test_round_to_digits_matches_fraction_round(x, digits):
     assert round_to_digits(x, digits) == F(round(x * 10**digits), 10**digits)
+
+
+# -- the integer kernels under the cached Fraction functions ---------------------------
+
+KERNEL_DIGITS = (12, 20, 40)
+
+# each grid kernel and its cached Fraction function
+GRID_KERNELS = [
+    (approx.sin_grid, approx.sin_approx),
+    (approx.cos_grid, approx.cos_approx),
+    (approx.tan_grid, approx.tan_approx),
+    (approx.exp_grid, approx.exp_approx),
+    (approx.ln_grid, approx.ln_approx),
+]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as ex:  # noqa: BLE001 - the type and text are compared
+        return type(ex), str(ex)
+
+
+def _kernel_args(seed: int) -> list[F]:
+    """Seeded arguments of both signs, past 4 and past the exp cap too."""
+    rng = random.Random(seed)
+    xs = [F(0), F(1), F(-1), F(1, 2), F(-7, 3), F(100), F(355, 113), F(300), F(301)]
+    xs += [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(12)]
+    xs += [F(rng.randint(1, 10**9), rng.randint(1, 10**6)) for _ in range(8)]
+    return xs
+
+
+@pytest.mark.parametrize("digits", KERNEL_DIGITS)
+def test_grid_kernels_equal_the_cached_functions(digits):
+    # (k n, k d) for k = 1..6: one grid numerator over 10^digits, the cached
+    # Fraction function's value, and the same error where that refuses
+    unit = 10**digits
+    for x in _kernel_args(digits):
+        for kernel, cached in GRID_KERNELS:
+            want = _outcome(cached, x, digits)
+            got = {_outcome(kernel, k * x.numerator, k * x.denominator, digits) for k in range(1, 7)}
+            assert len(got) == 1, (kernel.__name__, x)
+            got = got.pop()
+            if isinstance(want, F):
+                assert isinstance(got, int) and F(got, unit) == want, (kernel.__name__, x)
+            else:
+                assert got == want, (kernel.__name__, x)
+        pairs = {approx.sin_cos_grid(k * x.numerator, k * x.denominator, digits) for k in range(1, 7)}
+        assert len(pairs) == 1, x
+        s, c = pairs.pop()
+        assert (F(s, unit), F(c, unit)) == approx.sin_cos_approx(x, digits), x
+
+
+@pytest.mark.parametrize("digits", KERNEL_DIGITS)
+def test_sqrt_pair_equals_the_cached_function(digits):
+    # the pair itself does not depend on k: its exact roots and sqrt(v/m^2)
+    # keep their own denominators, every other value is over 10^digits
+    xs = [abs(x) for x in _kernel_args(100 + digits)]
+    xs += [F(9, 16), F(5, 64), F(64, 5), F(10**8 + 3, 4), F(4, 10**6 + 3), F(2)]
+    for x in xs:
+        got = {approx.sqrt_pair(k * x.numerator, k * x.denominator, digits) for k in range(1, 7)}
+        assert len(got) == 1, x
+        n, d = got.pop()
+        assert F(n, d) == approx.sqrt_approx(x, digits), x
+        root, den_root = approx.exact_nth_root(x, 2), isqrt(x.denominator)
+        if root is not None:
+            assert (n, d) == (root.numerator, root.denominator), x
+        elif den_root**2 == x.denominator:
+            assert d == 10**digits * den_root, x
+        else:
+            assert d == 10**digits, x
+
+
+@pytest.mark.parametrize("digits", KERNEL_DIGITS)
+def test_kernel_exact_cases(digits):
+    unit = 10**digits
+    for k in range(1, 7):
+        assert approx.sin_grid(0, k, digits) == 0
+        assert approx.cos_grid(0, k, digits) == unit
+        assert approx.sin_cos_grid(0, k, digits) == (0, unit)
+        assert approx.tan_grid(0, k, digits) == 0
+        assert approx.exp_grid(0, k, digits) == unit
+        assert approx.ln_grid(k, k, digits) == 0
+        assert approx.sqrt_pair(0, k, digits) == (0, 1)
+        assert approx.sqrt_pair(9 * k, 16 * k, digits) == (3, 4)
+        # sqrt(v/m^2) = sqrt~(v)/m, and sqrt(m^2/v) = m/sqrt~(v) rounded
+        root5 = approx.sqrt_pair(5, 1, digits)
+        assert root5[1] == unit
+        assert approx.sqrt_pair(5 * k, 64 * k, digits) == (root5[0], 8 * unit)
+        n, d = approx.sqrt_pair(64 * k, 5 * k, digits)
+        assert d == unit and abs(F(n, d) - 8 / F(root5[0], unit)) < F(1, unit)
+
+
+def test_kernel_errors_name_the_reduced_value():
+    with pytest.raises(DomainError, match=r"^ln of non-positive value -3/2$"):
+        approx.ln_grid(-6, 4, 40)
+    with pytest.raises(DomainError, match=r"^ln of non-positive value 0$"):
+        approx.ln_grid(0, 4, 40)
+    with pytest.raises(DomainError, match=r"^sqrt of negative value -3/2$"):
+        approx.sqrt_pair(-6, 4, 40)
+    with pytest.raises(ApproxOverflow, match=r"^exp argument 601/2 exceeds magnitude cap$"):
+        approx.exp_grid(1803, 6, 40)
+    assert approx.exp_grid(1800, 6, 12) == approx.exp_grid(300, 1, 12)  # the cap itself passes
+    half_pi = approx.pi_approx(60) / 2
+    n, d = half_pi.numerator, half_pi.denominator
+    for digits in KERNEL_DIGITS:
+        with pytest.raises(DomainError, match=rf"^tan undefined near {n}/{d}: cos too close to 0$"):
+            approx.tan_grid(3 * n, 3 * d, digits)

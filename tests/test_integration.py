@@ -1,5 +1,6 @@
 """Partition sums, measures, gauges, supernearness, convergence."""
 
+import itertools
 import json
 import random
 import time
@@ -8,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hrw import integration
+from hrw import approx, integration
 from hrw.approx import pi_approx, sqrt_approx
 from hrw.calculus import CurveDef
 from hrw.cli import run
@@ -243,6 +244,45 @@ class TestDarboux:
         fine = darboux_bounds(expr, rect, PartitionSpec.simple(*(4,) * rect.dimension))
         assert fine.lower >= coarse.lower
         assert fine.upper <= coarse.upper
+
+
+class TestCompiledKernels:
+    """Compiled sums call approx's integer kernels directly: no cached
+    Fraction function sees their points, and their values are eval_real's."""
+
+    CASES = [
+        ("sin(3*x) + cos(x/2) - tan(x/3) + exp(-x)*ln(1 + x) + sqrt(x + 1/3)",
+         Rect.interval(0, 1), [[0, F(1, 7), F(1, 3), F(2, 5), F(3, 4), 1]]),
+        ("sin(x*y) + cos(x - y) + tan(y/3) + exp(x - y) - ln(1 + x*y) + sqrt(x + y)",
+         Rect.box((0, 1), (0, 2)), [[0, F(1, 3), F(5, 6), 1], [0, F(1, 4), F(3, 5), 2]]),
+    ]
+
+    @staticmethod
+    def caches():
+        return {name: fn.cache_info() for name, fn in vars(approx).items()
+                if hasattr(fn, "cache_info")}
+
+    @pytest.mark.parametrize("source,rect,axes", CASES)
+    def test_compiled_sums_keep_no_cache(self, source, rect, axes):
+        expr, spec = parse(source), PartitionSpec.explicit(*axes)
+        names = integration.axis_names(rect.dimension)
+        before = self.caches()
+        total = riemann_sum(expr, rect, spec, "seeded-random", seed=29)
+        bounds = darboux_bounds(expr, rect, spec)
+        assert self.caches() == before
+        # the same sums as Fraction loops over eval_real
+        part = tagged_partition(rect, spec, "seeded-random", seed=29)
+        assert total == sum(eval_real(expr, dict(zip(names, tag))) * v
+                            for tag, v in zip(part.tags, part.volumes()))
+        lower = upper = F(0)
+        for cell in tagged_partition(rect, spec).cells:
+            axes_samples = [[lo + j * (hi - lo) / 4 for j in range(5)] for lo, hi in cell]
+            values = [eval_real(expr, dict(zip(names, point)))
+                      for point in itertools.product(*axes_samples)]
+            volume = integration._volume(cell)
+            lower += min(values) * volume
+            upper += max(values) * volume
+        assert (bounds.lower, bounds.upper) == (lower, upper)
 
 
 class TestInnerSum:
