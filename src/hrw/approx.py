@@ -3,7 +3,9 @@
 Every value is exact and within 10^-digits of the true real value: an exact
 value, a point of the 10^-digits grid (a guarded approximation rounded to
 nearest, ties to even), or for sqrt(v/m^2) that point for sqrt(v) divided by
-m.  No floating point is involved anywhere, so results are identical across
+m.  sin, cos and tan are correctly rounded: their grid point is the one
+nearest the true value, whatever method computed it (Ziv's test, below).
+No floating point is involved anywhere, so results are identical across
 runs and platforms.
 
 Each kernel is an integer function of its argument's numerator n and
@@ -32,7 +34,7 @@ the work:
 
 * ``_taylor_sums(n, d, scale)`` sums ``floor((n/d)^k/k! * scale)`` grouped by
   ``k mod 4``, so ``exp = S0+S2 ± (S1+S3)``, ``cos = S0-S2`` and
-  ``sin = ±(S1-S3)`` (arguments reduced to |y| <= 1/2 for exp, |y| <= 4
+  ``sin = ±(S1-S3)`` (arguments reduced to |y| <= 1/2 for exp, |y| <= 1/64
   for sin and cos);
 * ``_atan_sums(n, d, scale)`` sums ``floor((n/d)^(2k+1)/(2k+1) * scale)``
   over even and odd k, so ``arctan = A0-A1`` (pi by Machin, kept per
@@ -49,7 +51,14 @@ reduced past the kernel's first gcd.  The range reductions are integer operation
   and sums ln t = 2 artanh((t-1)/(t+1)), |(t-1)/(t+1)| <= 1/5;
 * sin and cos past |x| = 4 subtract k*2pi, k = round(x/2pi), as
   ``(n*Q - k*P*d) / (d*Q)`` with 2pi = P/Q, Q = 10^g', pi and the series
-  carrying extra digits for the size of x.
+  carrying extra digits for the size of x;
+* then they split |y| = j/32 + delta, j the nearest integer to 32|y| and
+  |delta| <= 1/64, and combine the series of delta with sin and cos of j/32
+  by angle addition: four integer products, each sum floored back to
+  10^-g'.  sin and cos of j/32 come from a table kept per precision g',
+  each entry summed by ``_taylor_sums`` at g' + 4 digits on first use and
+  rounded; like pi and ln 2, it is a plain dict cleared at ``CACHE_SIZE``
+  entries (j <= 128, so at most 129 entries per precision).
 
 Error budget.  Each term is computed from the previous one by one floor
 division, which loses less than one grid unit; the error carried from
@@ -62,6 +71,20 @@ tail is below one unit.  Each of exp's h squarings doubles the relative
 error of R and adds half a unit, so they multiply the series error by at
 most 2^h < 10^h, and the value e^x has at most (|x| log10 e) + 1 integer
 digits: exp carries h plus that many more guard digits.
+
+sin and cos, in units of 10^-g': the delta series has ratios |delta|/k <=
+1/64, so each term is off by under 1.02 units, and it has at most g'/1.8 + 1
+terms (64^k k! > 10^g' past that); a table entry is off by under 0.6 +
+g'/1000 units (ten units a term at g' + 4 digits, then rounded); angle
+addition weighs the series error by |sin| + |cos| <= 1.42 and floors once.
+That is under g' + 5 units.  The 2pi reduction adds |k| times the error of
+2pi, under two units, to the argument.  So ``_sin_cos`` returns each value
+with the bound e = 2(g' + |k|) + 8 units.  Ziv's test then rounds: when
+[v - e, v + e] holds no midpoint of the 10^-digits grid, every value in it,
+the true one too, rounds to the same point; otherwise the sums run again
+with _GUARD more digits.  For tan = s/c the bound is e(c + |s|)/(c(c - e))
+for c > 0.  The retries end, because sin, cos and tan of a nonzero rational
+are transcendental (Lindemann), so never a midpoint.
 
 Exact cases short-circuit: integer powers, perfect roots, sin(0), ln(1).
 """
@@ -84,8 +107,16 @@ CACHE_SIZE = 4096  # entries kept per cached function (least recently used evict
 POWER_BITS = 200_000  # largest exact power built, in bits
 
 
+_LOG10_2 = 30102999566398119521373889472449302676  # floor(log10(2) * 10^38)
+
+
 def _digits_of(n: int) -> int:
-    return len(str(abs(int(n)))) if n else 1
+    """The decimal digits of |n| (1 for 0), exact at any size: the bit length
+    b gives t = floor((b-1) log10 2) + 1 <= digits <= t + 1, and one
+    comparison with 10^t settles which."""
+    n = abs(n)
+    t = (max(n.bit_length(), 1) - 1) * _LOG10_2 // 10**38 + 1
+    return t + 1 if n >= 10**t else t
 
 
 def _taylor_sums(n: int, d: int, scale: int) -> list[int]:
@@ -203,31 +234,68 @@ def ln_grid(n: int, d: int, digits: int) -> int:
     return round_half_even(2 * total, 10 ** (g - digits))
 
 
-def _sin_cos(n: int, d: int, g: int) -> tuple[int, int, int]:
-    """(S, C, g'): sin and cos of n/d (d > 0) as S/10^g' and C/10^g', each
-    within 10^-(g-4).
+_STEP = 32  # sin and cos split |y| = j/_STEP + delta, |delta| <= 1/(2 _STEP)
+_TABLE: dict[tuple[int, int], tuple[int, int]] = {}  # (g, j) -> sin, cos of j/_STEP over 10^g
 
-    Arguments past 4 are first reduced by the nearest multiple of 2pi, with
-    pi and the series carrying g' - g extra digits for the size of x.
+
+def _node(j: int, g: int) -> tuple[int, int]:
+    """sin and cos of j/_STEP (0 <= j <= 4 _STEP) over 10^g, each summed at
+    g + 4 digits and rounded: within 0.6 + g/1000 units."""
+    entry = _TABLE.get((g, j))
+    if entry is None:
+        if len(_TABLE) >= CACHE_SIZE:
+            _TABLE.clear()
+        s0, s1, s2, s3 = _taylor_sums(j, _STEP, 10 ** (g + 4))
+        entry = _TABLE[g, j] = round_half_even(s1 - s3, 10**4), round_half_even(s0 - s2, 10**4)
+    return entry
+
+
+def _sin_cos(n: int, d: int, g: int) -> tuple[int, int, int, int]:
+    """(S, C, g', e): sin and cos of n/d (d > 0) as S/10^g' and C/10^g', each
+    within e/10^g'.
+
+    Arguments past 4 are first reduced by the nearest multiple k of 2pi, with
+    pi and the series carrying g' - g extra digits for the size of x.  Then
+    |y| = j/_STEP + delta, and the table's sin and cos of j/_STEP meet the
+    series of delta by angle addition.
     """
+    k = 0
     if abs(n) > 4 * d:
         g += _digits_of(abs(n) // d) + 2
         p, q = 2 * _pi_grid(g), 10**g  # 2pi = p/q
         k = round_half_even(n * q, p * d)
         n, d = n * q - k * p * d, d * q
-    s0, s1, s2, s3 = _taylor_sums(abs(n), d, 10**g)
-    return (s1 - s3 if n >= 0 else s3 - s1), s0 - s2, g
+    a, scale = abs(n), 10**g
+    j = (2 * _STEP * a + d) // (2 * d)  # the node nearest |y|
+    sj, cj = _node(j, g)
+    t = _STEP * a - j * d  # delta = t/(_STEP d)
+    s0, s1, s2, s3 = _taylor_sums(abs(t), _STEP * d, scale)
+    sd, cd = (s1 - s3 if t >= 0 else s3 - s1), s0 - s2
+    s = (sj * cd + cj * sd) // scale
+    return (s if n >= 0 else -s), (cj * cd - sj * sd) // scale, g, 2 * (g + abs(k)) + 8
+
+
+def _nearest(v: int, e: int, unit: int) -> int | None:
+    """Ziv's test: the integer nearest w/unit, the same for every w within e
+    of v, or None when [v - e, v + e] holds a midpoint (unit even)."""
+    q, r = divmod(v + (unit >> 1), unit)
+    return q if e <= r < unit - e else None
 
 
 def sin_cos_grid(n: int, d: int, digits: int) -> tuple[int, int]:
-    """(sin, cos) of n/d for d > 0 as numerators over 10^digits, each within
-    10^-digits, from one pass."""
+    """(sin, cos) of n/d for d > 0 as numerators over 10^digits, each
+    correctly rounded, from one pass."""
     if not n:
         return 0, 10**digits
     n, d = _lowest(n, d)
-    s, c, g = _sin_cos(n, d, digits + _GUARD)
-    unit = 10 ** (g - digits)
-    return round_half_even(s, unit), round_half_even(c, unit)
+    g = digits + _GUARD
+    while True:  # ends: sin and cos of a nonzero rational are transcendental
+        s, c, gs, e = _sin_cos(n, d, g)
+        unit = 10 ** (gs - digits)
+        s, c = _nearest(s, e, unit), _nearest(c, e, unit)
+        if s is not None and c is not None:
+            return s, c
+        g += _GUARD
 
 
 def sin_grid(n: int, d: int, digits: int) -> int:
@@ -239,8 +307,8 @@ def cos_grid(n: int, d: int, digits: int) -> int:
 
 
 def tan_grid(n: int, d: int, digits: int) -> int:
-    """tan(n/d) for d > 0 as a numerator over 10^digits; refuses arguments
-    with |cos x| < 10^-max(2, digits).
+    """tan(n/d) for d > 0 as a correctly rounded numerator over 10^digits;
+    refuses arguments with |cos x| < 10^-max(2, digits).
 
     The error of s/c grows as 1/cos^2, so when |cos x| < 10^-k (k leading
     zero digits) sin and cos are recomputed with 2k more guard digits.
@@ -249,19 +317,22 @@ def tan_grid(n: int, d: int, digits: int) -> int:
         return 0
     n, d = _lowest(n, d)
     g = digits + _GUARD + 4
-    s, c, gs = _sin_cos(n, d, g + _GUARD)
-    c = round_half_even(c, 10 ** (gs - g))  # cos x over 10^g
-    if abs(c) < 10 ** (g - max(2, digits)):
+    s, c, gs, e = _sin_cos(n, d, g + _GUARD)
+    c_g = round_half_even(c, 10 ** (gs - g))  # cos x over 10^g
+    if abs(c_g) < 10 ** (g - max(2, digits)):
         raise DomainError(f"tan undefined near {show_rational(Fraction(n, d))}: cos too close to 0")
-    k = g - _digits_of(c)
-    if k > 0:
-        g += 2 * k
-        s, c, gs = _sin_cos(n, d, g + _GUARD)
-        c = round_half_even(c, 10 ** (gs - g))
-    s = round_half_even(s, 10 ** (gs - g))
-    if c < 0:
-        s, c = -s, -c
-    return round_half_even(s * 10**digits, c)
+    more, unit = 2 * max(0, g - _digits_of(c_g)), 10**digits
+    while True:  # ends: tan of a nonzero rational is transcendental
+        if more:
+            g += more
+            s, c, gs, e = _sin_cos(n, d, g + _GUARD)
+        if c < 0:
+            s, c = -s, -c
+        # |s/c - tan x| <= e(c + |s|)/(c(c - e)); in grid units over 2c(c - e)
+        t = _nearest(2 * s * unit * (c - e), 2 * e * unit * (c + abs(s)), 2 * c * (c - e))
+        if t is not None:
+            return t
+        more = _GUARD
 
 
 def _sqrt_grid(n: int, d: int, digits: int) -> int:

@@ -438,7 +438,8 @@ _REAL_CALLS = {
 }
 
 # the same calls in compiled code, as integer kernels of a (numerator,
-# denominator) pair: a grid numerator over 10^precision, or for sqrt a pair
+# denominator) pair: a grid numerator over 10^precision, or for sqrt a pair;
+# a call of sin and one of cos of the same argument become one sin_cos_grid call
 _KERNELS = {
     "sqrt": approx.sqrt_pair,
     "sin": approx.sin_grid,
@@ -667,9 +668,10 @@ def compile_real(
     common factors can only send a power the slower way.  ``sin``, ``cos``,
     ``tan``, ``exp``, ``ln`` and ``sqrt`` call approx's integer kernels on
     the unreduced pair, uncached: the first five give a numerator over the
-    closure constant 10^precision, sqrt a pair.  ``root`` and real powers
-    take ``Fraction`` operands.  Values and errors are those of eval_real at
-    n_i / d_i.
+    closure constant 10^precision, sqrt a pair, and a sin and a cos of the
+    same argument code take both from one ``sin_cos_grid`` call.  ``root``
+    and real powers take ``Fraction`` operands.  Values and errors are those
+    of eval_real at n_i / d_i.
 
     A MathError carries the offset of the node that raised it, as in
     eval_real; an unbound variable is refused here, at compile time.
@@ -882,6 +884,7 @@ class _Codegen:
         self.precision = precision
         self.digits = self.const(precision)  # its name in the code
         self.unit: str | None = None  # the name of 10^precision, once a call needs it
+        self.sin_cos: dict[Part, dict] = {}  # argument code -> its sin or cos call
 
     def const(self, value) -> str:
         self.consts.append(value)
@@ -971,8 +974,12 @@ class _Codegen:
         n, d = self.part(node.args[0])
         if node.fn == "abs":
             return f"abs({n})", d
+        arg, sin_cos = (n, d), node.fn in ("sin", "cos")
+        if sin_cos and arg in self.sin_cos:
+            return self.share(self.sin_cos[arg], node.fn), self.unit
         # a direct call of the integer kernel, its MathError located here
-        head = f"{self.const(_KERNELS[node.fn])}({n}, {d or 1}, {p})"
+        kernel = self.const(_KERNELS[node.fn])
+        head = f"{kernel}({n}, {d or 1}, {p})"
         varying = "V" in head
         if node.fn == "sqrt":
             n, d = self.temp(varying), self.temp(varying)
@@ -982,9 +989,28 @@ class _Codegen:
             if self.unit is None:
                 self.unit = self.const(10**self.precision)
             d = self.unit
-        self.line(f"try: {target} = {head}\n"
-                  f"except _ME as _e: raise _at(_e, {self.const(node.pos)}) from None")
+        line = (f"try: {target} = {head}\n"
+                f"except _ME as _e: raise _at(_e, {self.const(node.pos)}) from None")
+        self.line(line)
+        if sin_cos:
+            self.sin_cos[arg] = {node.fn: n, "line": line, "kernel": int(kernel[1:])}
         return n, d
+
+    def share(self, call: dict, fn: str) -> str:
+        """The numerator of fn (sin or cos) from the call made for the same
+        argument code: a call of the other one becomes, in place, a call of
+        sin_cos_grid that returns both.  Until then the call has the shape
+        of every other kernel call, so their code objects stay shared."""
+        if fn not in call:
+            other = call["cos" if fn == "sin" else "sin"]
+            call[fn] = self.temp(other.startswith("V"))
+            line = call["line"]
+            call["line"] = line.replace(f"try: {other} =", f"try: {call['sin']}, {call['cos']} =", 1)
+            self.consts[call["kernel"]] = approx.sin_cos_grid
+            for lines in (self.general, self.hoisted, self.body):
+                if line in lines:
+                    lines[lines.index(line)] = call["line"]
+        return call[fn]
 
     def binary(self, node: Binary, left: Part, right: Part | None) -> Part:
         """right is None for a nonzero constant divisor."""

@@ -1,4 +1,4 @@
-"""Shared generators for randomized algebra tests.
+"""Shared generators for randomized algebra tests, and decimal oracles.
 
 A deterministic series generator (seeded random.Random) backs both the
 hypothesis strategies and the large seeded loops in the acceptance suite.
@@ -9,6 +9,7 @@ and without an example database, so every run draws the same examples.
 from __future__ import annotations
 
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,39 @@ def rand_hyper(
     return HyperReal(
         [(e, rand_fraction(rng)) for e in exps], field.window, field.precision
     )
+
+
+def decimal_pi(prec: int) -> Decimal:
+    """pi to about prec digits by the Gauss-Legendre iteration, independent of
+    hrw.approx, which sums Machin's series."""
+    with localcontext() as ctx:
+        ctx.prec = prec + 10
+        a, b, t, p = Decimal(1), 1 / Decimal(2).sqrt(), Decimal(1) / 4, 1
+        while abs(a - b) > Decimal(10) ** -prec:
+            a, b, t, p = (a + b) / 2, (a * b).sqrt(), t - p * ((a - b) / 2) ** 2, 2 * p
+        return (a + b) ** 2 / (4 * t)
+
+
+def decimal_sin_cos(x: Fraction, digits: int) -> tuple[Decimal, Decimal]:
+    """(sin x, cos x) within 10^-(digits+30), from ``decimal``: x less the
+    nearest multiple of 2 pi, taken with as many more digits as x has
+    integer digits, then the Taylor series."""
+    size = Decimal(abs(x.numerator)).adjusted() - Decimal(x.denominator).adjusted()
+    wide = digits + 40 + max(0, size)
+    with localcontext() as ctx:
+        ctx.prec = wide
+        y = Decimal(x.numerator) / Decimal(x.denominator)
+        two_pi = 2 * decimal_pi(wide)
+        y -= (y / two_pi).to_integral_value() * two_pi
+        ctx.prec = digits + 40
+        y = +y
+        parts = [Decimal(0)] * 4  # Taylor terms grouped by k mod 4
+        term, k = Decimal(1), 0
+        while k < 8 or abs(term) > Decimal(10) ** -(digits + 40):
+            parts[k % 4] += term
+            k += 1
+            term = term * y / k
+        return parts[1] - parts[3], parts[0] - parts[2]
 
 
 @pytest.fixture

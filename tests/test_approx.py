@@ -1,11 +1,12 @@
 """Constant approximation kernel: accuracy, exactness, determinism."""
 
 import random
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction as F
 from math import isqrt
 
 import pytest
+from conftest import decimal_sin_cos
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -296,12 +297,86 @@ def test_exp_at_the_underflow_edge_and_the_cap(digits):
         approx.exp_approx(F(300) + NUDGE, digits)
 
 
-@pytest.mark.parametrize("digits", EDGE_DIGITS)
+def _grid_point(v: Decimal, digits: int) -> F:
+    """v rounded to the 10^-digits grid, ties to even."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 60
+        return F(int(v.scaleb(digits).to_integral_value(ROUND_HALF_EVEN)), 10**digits)
+
+
+def _sin_cos_tan(x: F, digits: int) -> tuple[F, F, F]:
+    """sin, cos and tan of x correctly rounded to 10^-digits, from decimal."""
+    s, c = decimal_sin_cos(x, digits)
+    with localcontext() as ctx:
+        ctx.prec = digits + 40
+        t = s / c
+    return _grid_point(s, digits), _grid_point(c, digits), _grid_point(t, digits)
+
+
+@pytest.mark.parametrize("digits", (12, 40, 80))
 def test_sin_cos_where_the_reduction_starts(digits):
-    for x in (F(4), F(-4), F(4) + NUDGE, F(4) - NUDGE, F(-4) + NUDGE, F(-4) - NUDGE):
-        s, c = _decimal_taylor(x)
-        assert abs(approx.sin_approx(x, digits) - F(s)) < F(1, 10**digits), x
-        assert abs(approx.cos_approx(x, digits) - F(c)) < F(1, 10**digits), x
+    # correctly rounded where a reduction starts or turns: at 4, past which
+    # 2pi is taken off; at the table's nodes j/32; halfway between two nodes,
+    # where the nearest node changes; and far out, where 2pi is taken off
+    # up to 10^8/(2pi) times
+    xs = [F(4) + s * NUDGE for s in (0, 1, -1)]
+    xs += [F(j, 32) for j in range(1, 129)]
+    xs += [F(2 * j + 1, 64) + s * F(1, 10**9) for j in range(128) for s in (1, -1)]
+    xs += [F(10**k) + F(1, 7) for k in range(1, 8)] + [F(10**8), F(355 * 10**6, 113)]
+    for x in xs + [-x for x in xs]:
+        s, c, t = _sin_cos_tan(x, digits)
+        assert approx.sin_cos_approx(x, digits) == (s, c), x
+        assert approx.tan_approx(x, digits) == t, x
+
+
+def test_sin_cos_table_is_bounded(monkeypatch):
+    # cleared once it holds CACHE_SIZE entries, like the other kernel tables
+    full = {(-1, j): (0, 0) for j in range(approx.CACHE_SIZE)}
+    monkeypatch.setattr(approx, "_TABLE", full)
+    assert approx.sin_cos_grid(1, 3, 40) == approx.sin_cos_grid(2, 6, 40)
+    assert list(full) == [(40 + approx._GUARD, 11)]  # 1/3 is nearest 11/32
+
+
+@pytest.mark.parametrize("digits", (12, 40, 80))
+def test_ziv_retry_fires_and_rounds_correctly(monkeypatch, digits):
+    # with 3 guard digits the error bound of a value often holds a grid
+    # midpoint: the kernel sums again with more digits, and every result
+    # is still the nearest grid point
+    runs, sin_cos = [], approx._sin_cos
+    monkeypatch.setattr(approx, "_sin_cos", lambda n, d, g: runs.append(g) or sin_cos(n, d, g))
+    monkeypatch.setattr(approx, "_GUARD", 3)
+    monkeypatch.setattr(approx, "_PI", {})  # pi at 3 guard digits stays in this test
+    rng = random.Random(digits)
+    xs = []
+    for _ in range(60):
+        d, bound = rng.randint(1, 10**9), rng.choice([4, 100])
+        xs.append(F(rng.randint(-bound * d, bound * d), d))
+    retried = 0
+    approx.sin_cos_approx.cache_clear()
+    approx.tan_approx.cache_clear()
+    try:
+        for x in xs:
+            s, c, t = _sin_cos_tan(x, digits)
+            runs.clear()
+            assert approx.sin_approx(x, digits) == s, x
+            retried += len(runs) > 1
+            assert approx.cos_approx(x, digits) == c, x
+            assert approx.tan_approx(x, digits) == t, x
+    finally:
+        approx.sin_cos_approx.cache_clear()
+        approx.tan_approx.cache_clear()
+    assert 0 < retried < len(xs), retried
+
+
+def test_digits_of_is_exact_past_the_int_to_str_limit():
+    # counted from the bit length, not str, which refuses past 4 300 digits
+    for k in (1, 2, 3, 9, 10, 99, 100, 4299, 4300, 4301, 10**4, 3 * 10**4):
+        assert approx._digits_of(10**k) == k + 1
+        assert approx._digits_of(10**k - 1) == k
+        assert approx._digits_of(-(10**k) - 1) == k + 1
+    rng = random.Random(7)
+    for n in [0, 1, -1, 7, -9] + [rng.randint(-(2**b), 2**b) for b in range(1, 4000, 7)]:
+        assert approx._digits_of(n) == len(str(abs(n))), n
 
 
 @pytest.mark.parametrize("digits", EDGE_DIGITS)

@@ -5,10 +5,12 @@ import re
 import shlex
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import decimal_sin_cos
 
 from hrw.cli import run
 
@@ -347,6 +349,26 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert out == f"{Decimal(7**40000)}/{Decimal(3**40000)}\n"
         assert sys.get_int_max_str_digits() == limit  # the process-wide limit is kept
+
+    @pytest.mark.parametrize("source", ["sin(10^5000)", "tan(10^5000)", "cos(-10^6000)",
+                                        "sqrt(10^10000/7)"])
+    def test_arguments_past_the_int_to_str_limit(self, capsys, source):
+        # the kernels count an argument's integer digits from its bit length;
+        # str of an int past 4 300 digits raises ValueError, which the CLI
+        # reported as a usage error
+        code, out, err = invoke(capsys, "eval", source)
+        assert (code, err) == (0, "")
+        num, _, den = out.strip().partition("/")
+        with localcontext() as ctx:
+            ctx.prec = len(num) + 60
+            got = Decimal(num) / Decimal(den or 1)
+            if source.startswith("sqrt"):
+                want = (Decimal(10) ** 10000 / 7).sqrt()
+            else:
+                x = -Fraction(10**6000) if "6000" in source else Fraction(10**5000)
+                s, c = decimal_sin_cos(x, 40)
+                want = {"sin": s, "cos": c, "tan": s / c}[source[:3]]
+            assert abs(got - want) < Decimal(10) ** -40
 
     def test_gauge_cap_with_a_large_radius_is_one(self, capsys):
         # the radius in the cap's text is past the int-to-str digit limit

@@ -1522,7 +1522,7 @@ def test_kernels_round_correctly(seed):
                 got = kernel(x, digits)
                 assert (got * 10**digits).denominator == 1, (name, x, digits)
                 want, near_midpoint = nearest_grid_point(decimal_value(name, x), digits)
-                if near_midpoint:
+                if near_midpoint and name not in ("sin", "cos", "tan"):  # no Ziv test yet
                     skipped += 1
                     continue
                 checked += 1

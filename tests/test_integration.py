@@ -284,6 +284,18 @@ class TestCompiledKernels:
             upper += max(values) * volume
         assert (bounds.lower, bounds.upper) == (lower, upper)
 
+    def test_sin_and_cos_of_one_argument_share_one_series(self, monkeypatch):
+        # the compiled sin(x) and both cos(x) take their values from one
+        # sin_cos_grid call: one series a tag, not one a call
+        expr, rect, spec = parse("sin(x)*cos(x) + cos(x)"), Rect.interval(0, 1), PartitionSpec.simple(16)
+        runs, sin_cos = [], approx._sin_cos
+        monkeypatch.setattr(approx, "_sin_cos", lambda n, d, g: runs.append((n, d)) or sin_cos(n, d, g))
+        total = riemann_sum(expr, rect, spec, "seeded-random", seed=31)
+        assert len(runs) == len(set(runs)) == 16
+        part = tagged_partition(rect, spec, "seeded-random", seed=31)
+        assert total == sum(eval_real(expr, {"x": tag[0]}) * v
+                            for tag, v in zip(part.tags, part.volumes()))
+
 
 class TestInnerSum:
     DISC = Region(Rect.box((-1, 1), (-1, 1)), parse("x^2+y^2-1"))
