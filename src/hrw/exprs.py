@@ -978,9 +978,10 @@ class _Codegen:
         if sin_cos and arg in self.sin_cos:
             return self.share(self.sin_cos[arg], node.fn), self.unit
         # a direct call of the integer kernel, its MathError located here
+        slot = len(self.consts)
         kernel = self.const(_KERNELS[node.fn])
-        head = f"{kernel}({n}, {d or 1}, {p})"
-        varying = "V" in head
+        args = f"{n}, {d or 1}, {p}"
+        varying = "V" in args
         if node.fn == "sqrt":
             n, d = self.temp(varying), self.temp(varying)
             target = f"{n}, {d}"
@@ -989,27 +990,32 @@ class _Codegen:
             if self.unit is None:
                 self.unit = self.const(10**self.precision)
             d = self.unit
-        line = (f"try: {target} = {head}\n"
-                f"except _ME as _e: raise _at(_e, {self.const(node.pos)}) from None")
-        self.line(line)
+        pos = self.const(node.pos)
         if sin_cos:
-            self.sin_cos[arg] = {node.fn: n, "line": line, "kernel": int(kernel[1:])}
+            lines = self.body if varying else self.hoisted
+            self.sin_cos[arg] = {node.fn: n, "slot": slot, "kernel": kernel, "args": args,
+                                 "pos": pos, "at": (len(self.general), lines, len(lines))}
+        self.line(self.kernel_call(target, kernel, args, pos))
         return n, d
+
+    @staticmethod
+    def kernel_call(target: str, kernel: str, args: str, pos: str) -> str:
+        return (f"try: {target} = {kernel}({args})\n"
+                f"except _ME as _e: raise _at(_e, {pos}) from None")
 
     def share(self, call: dict, fn: str) -> str:
         """The numerator of fn (sin or cos) from the call made for the same
-        argument code: a call of the other one becomes, in place, a call of
-        sin_cos_grid that returns both.  Until then the call has the shape
-        of every other kernel call, so their code objects stay shared."""
+        argument code.  The first of the two has the one-target shape of
+        every other kernel call, so their code objects stay shared; the
+        second turns that statement, in the places recorded for it, into a
+        sin_cos_grid call that returns both."""
         if fn not in call:
-            other = call["cos" if fn == "sin" else "sin"]
-            call[fn] = self.temp(other.startswith("V"))
-            line = call["line"]
-            call["line"] = line.replace(f"try: {other} =", f"try: {call['sin']}, {call['cos']} =", 1)
-            self.consts[call["kernel"]] = approx.sin_cos_grid
-            for lines in (self.general, self.hoisted, self.body):
-                if line in lines:
-                    lines[lines.index(line)] = call["line"]
+            call[fn] = self.temp("V" in call["args"])
+            self.consts[call["slot"]] = approx.sin_cos_grid
+            line = self.kernel_call(f"{call['sin']}, {call['cos']}", call["kernel"],
+                                    call["args"], call["pos"])
+            general, lines, index = call["at"]
+            self.general[general] = lines[index] = line
         return call[fn]
 
     def binary(self, node: Binary, left: Part, right: Part | None) -> Part:
