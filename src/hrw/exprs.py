@@ -31,9 +31,12 @@ integer kernels on the unreduced pair, with no Fraction and no cache; their
 grid values share the denominator 10^precision.  :func:`compile_rows` puts
 the same statements in a loop over a row of points that share their
 denominators, with the statements that do not read the row before the loop;
-the partition sums call it once per row.  Every MathError from compiled
-code carries the offset of the node that raised it, exactly as from
-:func:`eval_real`, which stays the independent tree-walking oracle.
+the partition sums call it once per row.  When those statements raise, or a
+power of a row value needs ``int_pow``, the row kernel runs the row again
+from its first point through compile_real's function, its one fallback.
+Every MathError from compiled code carries the offset of the node that
+raised it, exactly as from :func:`eval_real`, which stays the independent
+tree-walking oracle.
 """
 
 from __future__ import annotations
@@ -438,8 +441,7 @@ _REAL_CALLS = {
 }
 
 # the same calls in compiled code, as integer kernels of a (numerator,
-# denominator) pair: a grid numerator over 10^precision, or for sqrt a pair;
-# a call of sin and one of cos of the same argument become one sin_cos_grid call
+# denominator) pair: a grid numerator over 10^precision, or for sqrt a pair
 _KERNELS = {
     "sqrt": approx.sqrt_pair,
     "sin": approx.sin_grid,
@@ -668,10 +670,9 @@ def compile_real(
     common factors can only send a power the slower way.  ``sin``, ``cos``,
     ``tan``, ``exp``, ``ln`` and ``sqrt`` call approx's integer kernels on
     the unreduced pair, uncached: the first five give a numerator over the
-    closure constant 10^precision, sqrt a pair, and a sin and a cos of the
-    same argument code take both from one ``sin_cos_grid`` call.  ``root``
-    and real powers take ``Fraction`` operands.  Values and errors are those
-    of eval_real at n_i / d_i.
+    closure constant 10^precision, sqrt a pair.  ``root`` and real powers
+    take ``Fraction`` operands.  Values and errors are those of eval_real at
+    n_i / d_i.
 
     A MathError carries the offset of the node that raised it, as in
     eval_real; an unbound variable is refused here, at compile time.
@@ -686,15 +687,18 @@ def compile_real(
     volume and surface of revolution, the curves and fields of curve length
     and line work, the supernearness probe and the Simpson oracle.
     """
+    return _compile_point(e, names, precision)
+
+
+def _compile_point(
+    e: Expr, names: tuple[str, ...], precision: int
+) -> Callable[..., tuple[int, int]]:
+    """compile_real's function.  Row kernels build their ``point`` here, so
+    that a wrapper of the public name sees its callers only."""
     gen = _Codegen(names, precision)
-    return _point_function(gen, *gen.part(e))
-
-
-def _point_function(gen: "_Codegen", n: str, d: str | None) -> Callable[..., tuple[int, int]]:
-    """The function of every variable's pair that runs gen's statements in
-    order and returns (n, d)."""
+    n, d = gen.part(e)  # with no row, every statement is in hoisted
     params = ", ".join(f"{vn}, {vd}" for vn, vd in gen.vars)
-    body = "\n".join([*gen.general, f"return {n}, {d or 1}"])
+    body = "\n".join([*gen.hoisted, f"return {n}, {d or 1}"])
     return _function_maker(len(gen.consts), params, body)(*gen.consts)
 
 
@@ -723,85 +727,74 @@ def compile_rows(
     int; otherwise it adds them per distinct denominator, as ``pair_sum``
     does.  When the statements run before the loop raise, or a power of a
     row value needs the ``int_pow`` fallback, the row is evaluated again
-    point by point, by compile_real's function made from the same
-    statements, so that the first error is the one of the point loop.
+    from its first point, point by point, by compile_real's function of e,
+    so that the first error is the one of the point loop.  An error raised
+    inside the loop is that first error already, and propagates as it is.
     """
     gen = _Codegen(names, precision, loop)
     n, d = gen.part(e)
-    return RowKernel(gen, n, d or "1")
+    return RowKernel(e, gen, n, d or "1")
 
 
 class RowKernel:
     """An expression compiled for rows (see :func:`compile_rows`): the
-    statements of one ``_Codegen`` walk, and ``sum``, ``values`` and
-    ``point`` generated from them on first use.  ``point`` is compile_real's
-    function of the same statements, called on every variable's pair: the
-    point by point path after an error or an int_pow fallback."""
+    statements of one ``_Codegen`` walk, with ``sum`` and ``values``
+    generated from them on first use, and ``point``, compile_real's
+    function of the same expression, made on its first use.  ``point`` takes
+    every variable's pair; the entry points call it on each point of the row
+    when they fall back."""
 
-    def __init__(self, gen: "_Codegen", n: str, d: str):
-        self._gen, self._n, self._d = gen, n, d
+    def __init__(self, e: Expr, gen: "_Codegen", n: str, d: str):
+        self._e, self._gen, self._n, self._d = e, gen, n, d
 
     def __getattr__(self, mode: str):
         gen, n, d = self._gen, self._n, self._d
         if mode == "point":
-            self.point = _point_function(gen, n, d)
+            self.point = _compile_point(self._e, gen.names, gen.precision)
             return self.point
         if mode not in ("sum", "values"):
             raise AttributeError(mode)
         head, var, pair = _row_params(len(gen.names), gen.loop)
         body = "\n".join(gen.body)
         if mode == "values":
-            params, start, sofar = f"{head}, row", "_out = []\n_app = _out.append", "_out"
+            params, start, result = f"{head}, row", "_out = []\n_app = _out.append", "_out"
             if "V" not in d and not d.isidentifier():  # one denominator, computed once
                 start, d = f"{start}\n_d = {d}", "_d"
-            code = (f"{start}\n_it = iter(row)\nfor {var} in _it:\n{_indent(body, 1)}"
-                    f"    _app(({n}, {d}))\nreturn _out")
-            rest = ""
+            loop = f"for {var} in row:\n{_indent(body, 1)}    _app(({n}, {d}))"
         else:
             params = f"{head}, row, weights=None"
-            rest = "None if weights is None else [_w, *_wt], "
             if "V" in d:  # the denominator depends on the row: one sum per distinct one
                 start, result = "_s = {}", "_sum_of(_s)"
                 add = f"_t = {d}; _s[_t] = _s.get(_t, 0) + {n}"
             else:
                 start, add, result = f"_acc = 0\n_d = {d}", f"_acc += {n}", "_acc, _d"
-            sofar, body = f"({result})", _indent(body, 2)
-            code = (f"{start}\n_it = iter(row)\nif weights is None:\n    for {var} in _it:\n"
-                    f"{body}        {add}\nelse:\n    _wt = iter(weights)\n"
-                    f"    for {pair}, _w in zip(_it, _wt):\n{body}        {add} * _w\n"
-                    f"return {result}")
-        consts = gen.consts
-        if gen.slow or gen.guard:  # point by point, after an error or an int_pow fallback
-            again = f"c{len(consts)}({params.replace('=None', '')}, None)"
-            consts = [*consts, partial(self._point_by_point, mode)]
-            if gen.slow:  # on from the point that needs int_pow, with the result so far
-                resume = f"c{len(consts) - 1}({head}, [{pair}, *_it], {rest}{sofar})"
-                code = f"try:\n{_indent(code, 1)}except _Slow:\n    return {resume}"
+            body = _indent(body, 2)
+            loop = (f"if weights is None:\n    for {var} in row:\n{body}        {add}\n"
+                    f"else:\n    for {pair}, _w in zip(row, weights):\n{body}        {add} * _w")
+        # point by point, from the row's first point, after an error before
+        # the loop or an int_pow fallback in it
+        again = f"return c{len(gen.consts)}({params.replace('=None', '')})"
+        code = f"{start}\ntry:\n{_indent(loop, 1)}except _Slow:\n    {again}\nreturn {result}"
         hoisted = "\n".join(gen.hoisted)
-        if gen.guard:
-            code = f"try:\n{_indent(hoisted, 1)}except _ME:\n    return {again}\n{code}"
-        elif hoisted:
-            code = f"{hoisted}\n{code}"
+        if hoisted:
+            code = f"try:\n{_indent(hoisted, 1)}except _ME:\n    {again}\n{code}"
+        consts = [*gen.consts, partial(self._point_by_point, mode)]
         fn = _function_maker(len(consts), params, code)(*consts)
         setattr(self, mode, fn)
         return fn
 
     def _point_by_point(self, mode: str, *args):
-        """An entry point's result for the points of row, from compile_real's
-        function of the same statements called point by point, added to the
-        result so far of the points before them (None if none)."""
-        gen = self._gen
-        *head, row, weights, sofar = args if mode == "sum" else (*args[:-1], None, args[-1])
-        fixed, dens = head[:2 * gen.first], head[2 * gen.first:]
+        """An entry point's result for its arguments, from ``point`` called
+        at each point of the row, in order."""
+        first = self._gen.first
+        *head, row, weights = args if mode == "sum" else (*args, None)
+        fixed, dens = head[:2 * first], head[2 * first:]
         if len(dens) == 1:
             values = [self.point(*fixed, n, dens[0]) for n in row]
         else:
             values = [self.point(*fixed, *(v for pair in zip(nums, dens) for v in pair))
                       for nums in row]
-        if mode == "values":
-            return values if sofar is None else sofar + values
-        total = pair_sum(values, weights)
-        return total if sofar is None else pair_sum([sofar, total])
+        return values if mode == "values" else pair_sum(values, weights)
 
 
 @lru_cache(maxsize=None)
@@ -824,7 +817,7 @@ def _indent(code: str, depth: int) -> str:
 
 class _Slow(Exception):
     """A power of a row value needs the int_pow fallback: the row kernel
-    evaluates the row again point by point."""
+    evaluates the row again point by point, from its first point."""
 
 
 def _sum_of(sums: dict[int, int]) -> tuple[int, int]:
@@ -859,15 +852,14 @@ class _Codegen:
     Part code is pure int arithmetic on names and closure constants, so it
     may be evaluated later than it is generated; whatever can raise becomes
     a statement in evaluation order.  A statement of one or more lines is
-    kept in ``general``, in order, and, for a row kernel, in ``hoisted`` if
-    it does not read the row and in ``body`` if it does.  The numerators of
-    the last ``loop`` variables are the row variables ``Vn<i>``,
-    temporaries computed from them are ``V<k>``, and no other code holds a
-    ``V``: a statement reads the row exactly when it contains one.
-    ``guard`` tells whether a hoisted statement may raise.  A positive power
-    of a row value over a row-invariant denominator has a ``body`` form
-    that raises ``_Slow`` where the general one calls int_pow, and its
-    denominator is hoisted (``slow``).
+    kept once, in order: in ``hoisted`` if it does not read the row and in
+    ``body`` if it does, so with ``loop`` 0 ``hoisted`` holds them all.  The
+    numerators of the last ``loop`` variables are the row variables
+    ``Vn<i>``, temporaries computed from them are ``V<k>``, and no other
+    code holds a ``V``: a statement reads the row exactly when it contains
+    one.  A positive power of a row value over a row-invariant denominator
+    hoists its denominator and raises ``_Slow`` in the loop where
+    compile_real's function would call int_pow.
     """
 
     def __init__(self, names: tuple[str, ...], precision: int, loop: int = 0):
@@ -875,16 +867,13 @@ class _Codegen:
         first = len(names) - loop
         self.vars = [(f"Vn{i}" if i >= first else f"n{i}", f"d{i}") for i in range(len(names))]
         self.first, self.loop = first, loop
-        self.general: list[str] = []
         self.hoisted: list[str] = []
         self.body: list[str] = []
-        self.guard = self.slow = False
         self.consts: list = []
         self.temps = 0
         self.precision = precision
         self.digits = self.const(precision)  # its name in the code
         self.unit: str | None = None  # the name of 10^precision, once a call needs it
-        self.sin_cos: dict[Part, dict] = {}  # argument code -> its sin or cos call
 
     def const(self, value) -> str:
         self.consts.append(value)
@@ -898,21 +887,16 @@ class _Codegen:
         self.temps += 1
         return f"{'V' if varying else 't'}{self.temps - 1}"
 
-    def line(self, text: str, raises: bool = True) -> None:
-        """A statement; raises tells whether it may raise."""
-        self.general.append(text)
-        if "V" in text:
-            self.body.append(text)
-        else:
-            self.hoisted.append(text)
-            self.guard = self.guard or raises
+    def line(self, text: str) -> None:
+        """A statement: in body if it reads the row, else in hoisted."""
+        (self.body if "V" in text else self.hoisted).append(text)
 
     def atom(self, text: str | None) -> str | None:
         """The text itself if it is a name (or None), else a new temporary."""
         if text is None or text.isidentifier():
             return text
         name = self.temp("V" in text)
-        self.line(f"{name} = {text}", False)
+        self.line(f"{name} = {text}")
         return name
 
     def fixed(self, text: str) -> str:
@@ -974,11 +958,7 @@ class _Codegen:
         n, d = self.part(node.args[0])
         if node.fn == "abs":
             return f"abs({n})", d
-        arg, sin_cos = (n, d), node.fn in ("sin", "cos")
-        if sin_cos and arg in self.sin_cos:
-            return self.share(self.sin_cos[arg], node.fn), self.unit
         # a direct call of the integer kernel, its MathError located here
-        slot = len(self.consts)
         kernel = self.const(_KERNELS[node.fn])
         args = f"{n}, {d or 1}, {p}"
         varying = "V" in args
@@ -990,33 +970,9 @@ class _Codegen:
             if self.unit is None:
                 self.unit = self.const(10**self.precision)
             d = self.unit
-        pos = self.const(node.pos)
-        if sin_cos:
-            lines = self.body if varying else self.hoisted
-            self.sin_cos[arg] = {node.fn: n, "slot": slot, "kernel": kernel, "args": args,
-                                 "pos": pos, "at": (len(self.general), lines, len(lines))}
-        self.line(self.kernel_call(target, kernel, args, pos))
+        self.line(f"try: {target} = {kernel}({args})\n"
+                  f"except _ME as _e: raise _at(_e, {self.const(node.pos)}) from None")
         return n, d
-
-    @staticmethod
-    def kernel_call(target: str, kernel: str, args: str, pos: str) -> str:
-        return (f"try: {target} = {kernel}({args})\n"
-                f"except _ME as _e: raise _at(_e, {pos}) from None")
-
-    def share(self, call: dict, fn: str) -> str:
-        """The numerator of fn (sin or cos) from the call made for the same
-        argument code.  The first of the two has the one-target shape of
-        every other kernel call, so their code objects stay shared; the
-        second turns that statement, in the places recorded for it, into a
-        sin_cos_grid call that returns both."""
-        if fn not in call:
-            call[fn] = self.temp("V" in call["args"])
-            self.consts[call["slot"]] = approx.sin_cos_grid
-            line = self.kernel_call(f"{call['sin']}, {call['cos']}", call["kernel"],
-                                    call["args"], call["pos"])
-            general, lines, index = call["at"]
-            self.general[general] = lines[index] = line
-        return call[fn]
 
     def binary(self, node: Binary, left: Part, right: Part | None) -> Part:
         """right is None for a nonzero constant divisor."""
@@ -1034,8 +990,8 @@ class _Codegen:
             num, den = self.times(an, bd), self.times(ad, bn)
             n, d = self.temp("V" in num + bn), self.temp("V" in den)
             self.line(f"if {bn} == 0: raise _DZ('division by zero', {self.const(node.pos)})")
-            self.line(f"{n} = {num} if {bn} > 0 else -{num}", False)
-            self.line(f"{d} = {den} if {bn} > 0 else -{den}", False)
+            self.line(f"{n} = {num} if {bn} > 0 else -{num}")
+            self.line(f"{d} = {den} if {bn} > 0 else -{den}")
             return n, d
         if ad != bd:  # else both 1, or one shared denominator
             ad, bd = self.atom(ad), self.atom(bd)
@@ -1055,25 +1011,22 @@ class _Codegen:
         an, ad = self.atom(base[0]), self.atom(base[1])
         # closure constants, so powers of any degree share one code object
         m, limit = self.const(abs(k)), self.const(approx.POWER_BITS // abs(k))
-        if ad:
-            small = f"{an}.bit_length() + {ad}.bit_length() <= {limit}"
-        else:
-            small = f"{an}.bit_length() < {limit}"  # a reduced denominator 1 has 1 bit
         d_pow = f"{ad} ** {m}" if ad else "1"
-        fallback = (f"_approx(_A.int_pow, {_fraction((an, ad))}, {self.const(k)}, {self.digits}, "
-                    f"{self.const(node.pos)})")
         if k > 0 and "V" in an and "V" not in (ad or ""):  # a row value over a fixed denominator
             n, d, bits = self.temp(True), self.temp(False), self.temp(False)
             fits, d_row = f"{an}.bit_length() < {limit}", "1"
             if ad:  # past the guard no numerator fits, so the power is not taken
                 fits, d_row = f"{an}.bit_length() <= {bits}", f"{d_pow} if {bits} >= 0 else 1"
-                self.hoisted.append(f"{bits} = {limit} - {ad}.bit_length()")
-            self.hoisted.append(f"{d} = {d_row}")
-            self.body.append(f"if {fits}: {n} = {an} ** {m}\nelse: raise _Slow")
-            self.general.append(f"if {small}: {n} = {an} ** {m}; {d} = {d_pow}\n"
-                                f"else: {n}, {d} = {fallback}")
-            self.slow = True
+                self.line(f"{bits} = {limit} - {ad}.bit_length()")
+            self.line(f"{d} = {d_row}")
+            self.line(f"if {fits}: {n} = {an} ** {m}\nelse: raise _Slow")
             return n, d
+        if ad:
+            small = f"{an}.bit_length() + {ad}.bit_length() <= {limit}"
+        else:
+            small = f"{an}.bit_length() < {limit}"  # a reduced denominator 1 has 1 bit
+        fallback = (f"_approx(_A.int_pow, {_fraction((an, ad))}, {self.const(k)}, {self.digits}, "
+                    f"{self.const(node.pos)})")
         varying = "V" in an + (ad or "")
         n, d = self.temp(varying), self.temp(varying)
         if k > 0:

@@ -255,6 +255,7 @@ class TestCompiledKernels:
          Rect.interval(0, 1), [[0, F(1, 7), F(1, 3), F(2, 5), F(3, 4), 1]]),
         ("sin(x*y) + cos(x - y) + tan(y/3) + exp(x - y) - ln(1 + x*y) + sqrt(x + y)",
          Rect.box((0, 1), (0, 2)), [[0, F(1, 3), F(5, 6), 1], [0, F(1, 4), F(3, 5), 2]]),
+        ("sin(x)*cos(x) + cos(x)", Rect.interval(0, 1), [[0, F(1, 8), F(1, 2), F(5, 7), 1]]),
     ]
 
     @staticmethod
@@ -283,18 +284,6 @@ class TestCompiledKernels:
             lower += min(values) * volume
             upper += max(values) * volume
         assert (bounds.lower, bounds.upper) == (lower, upper)
-
-    def test_sin_and_cos_of_one_argument_share_one_series(self, monkeypatch):
-        # the compiled sin(x) and both cos(x) take their values from one
-        # sin_cos_grid call: one series a tag, not one a call
-        expr, rect, spec = parse("sin(x)*cos(x) + cos(x)"), Rect.interval(0, 1), PartitionSpec.simple(16)
-        runs, sin_cos = [], approx._sin_cos
-        monkeypatch.setattr(approx, "_sin_cos", lambda n, d, g: runs.append((n, d)) or sin_cos(n, d, g))
-        total = riemann_sum(expr, rect, spec, "seeded-random", seed=31)
-        assert len(runs) == len(set(runs)) == 16
-        part = tagged_partition(rect, spec, "seeded-random", seed=31)
-        assert total == sum(eval_real(expr, {"x": tag[0]}) * v
-                            for tag, v in zip(part.tags, part.volumes()))
 
 
 class TestInnerSum:
