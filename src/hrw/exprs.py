@@ -693,7 +693,7 @@ def compile_real(
 def _compile_point(
     e: Expr, names: tuple[str, ...], precision: int
 ) -> Callable[..., tuple[int, int]]:
-    """compile_real's function.  Row kernels build their ``point`` here, so
+    """compile_real's function.  Row kernels build their ``_point`` here, so
     that a wrapper of the public name sees its callers only."""
     gen = _Codegen(names, precision)
     n, d = gen.part(e)  # with no row, every statement is in hoisted
@@ -730,6 +730,8 @@ def compile_rows(
     from its first point, point by point, by compile_real's function of e,
     so that the first error is the one of the point loop.  An error raised
     inside the loop is that first error already, and propagates as it is.
+    That fallback is the one use of the kernel's ``_point``; a caller that
+    wants single points calls :func:`compile_real`.
     """
     gen = _Codegen(names, precision, loop)
     n, d = gen.part(e)
@@ -739,19 +741,19 @@ def compile_rows(
 class RowKernel:
     """An expression compiled for rows (see :func:`compile_rows`): the
     statements of one ``_Codegen`` walk, with ``sum`` and ``values``
-    generated from them on first use, and ``point``, compile_real's
-    function of the same expression, made on its first use.  ``point`` takes
-    every variable's pair; the entry points call it on each point of the row
-    when they fall back."""
+    generated from them on first use, and ``_point``, compile_real's
+    function of the same expression, made on its first use.  ``_point``
+    takes every variable's pair; only the entry points' fallback calls it,
+    on each point of the row."""
 
     def __init__(self, e: Expr, gen: "_Codegen", n: str, d: str):
         self._e, self._gen, self._n, self._d = e, gen, n, d
 
     def __getattr__(self, mode: str):
         gen, n, d = self._gen, self._n, self._d
-        if mode == "point":
-            self.point = _compile_point(self._e, gen.names, gen.precision)
-            return self.point
+        if mode == "_point":
+            self._point = _compile_point(self._e, gen.names, gen.precision)
+            return self._point
         if mode not in ("sum", "values"):
             raise AttributeError(mode)
         head, var, pair = _row_params(len(gen.names), gen.loop)
@@ -784,15 +786,15 @@ class RowKernel:
         return fn
 
     def _point_by_point(self, mode: str, *args):
-        """An entry point's result for its arguments, from ``point`` called
+        """An entry point's result for its arguments, from ``_point`` called
         at each point of the row, in order."""
         first = self._gen.first
         *head, row, weights = args if mode == "sum" else (*args, None)
         fixed, dens = head[:2 * first], head[2 * first:]
         if len(dens) == 1:
-            values = [self.point(*fixed, n, dens[0]) for n in row]
+            values = [self._point(*fixed, n, dens[0]) for n in row]
         else:
-            values = [self.point(*fixed, *(v for pair in zip(nums, dens) for v in pair))
+            values = [self._point(*fixed, *(v for pair in zip(nums, dens) for v in pair))
                       for nums in row]
         return values if mode == "values" else pair_sum(values, weights)
 

@@ -27,10 +27,11 @@ lines of vertices and centers of a region's classification (``_sweep_2d`` in
 the plane, ``_classify_cells`` otherwise, reading only the sign of each
 membership numerator).  ``_total`` adds the rows' pairs per distinct
 denominator and reduces once; the sum is then scaled by the one cell volume,
-with integer widths per cell on uneven explicit axes (``_volumes``).  Where
-rows take points out of the point loop's order, a row that raises is
-replayed point by point in that order (``_replay``), so the first error is
-the same.  Volume and surface of revolution, curve length, line work, the
+with integer widths per cell on uneven explicit axes (``_volumes``).  A
+sum raises the first MathError its own evaluation meets: its row kernels
+run in the order the code calls them, each over its rows in order, and
+inside a row the kernel's rule holds, the first point and at that point the
+first node.  Volume and surface of revolution, curve length, line work, the
 supernearness probe, gauge partitions and the Simpson oracle do field or
 ``approx`` work per point and keep ``compile_real``'s point functions.
 
@@ -71,7 +72,6 @@ from .errors import (
     UnknownFunctional,
     ZeroMass,
 )
-from .errors import MathError
 from .exprs import (
     Binary,
     Const,
@@ -354,15 +354,6 @@ def _row_sum(kernel, grid: list[_Axis], rule: str, seed: int) -> Fraction:
                           for k, (args, row) in enumerate(_tag_rows(grid, rule, seed)))
 
 
-def _replay(points: Iterable[tuple]) -> None:
-    """Evaluate (kernel, args, numerator) points of one-variable-in-the-row
-    kernels one at a time, in order, so that the first of them to raise
-    raises: the error a point by point loop meets first, after a row kernel
-    raised on rows taken out of that order."""
-    for kernel, args, n in points:
-        kernel.point(*args[:-1], n, args[-1])
-
-
 @dataclass(frozen=True)
 class TaggedPartition:
     """Ordered cells covering a rectangle plus one evaluation point per cell.
@@ -566,8 +557,8 @@ def _classify_cells(member, grid: list[_Axis]) -> Iterable[list[int]]:
     """Yields, for each line of cells along the last axis in row-major
     order, how many of each cell's vertices and center lie in the region.
     Each line of vertex or center verdicts along the last axis is one row,
-    made when a cell first needs it; a MathError is replayed in the order
-    of a cell by cell classification (``_cell_points``)."""
+    made when a line of cells first needs it: the vertex rows at the line's
+    corners, in row-major order, and then its center row."""
     *outer, (zs, qz) = grid
     z_mids = [lo + hi for lo, hi in zip(zs, zs[1:])]
     lines: dict[tuple, list[bool]] = {}
@@ -577,22 +568,18 @@ def _classify_cells(member, grid: list[_Axis]) -> Iterable[list[int]]:
             lines[head, den] = [n <= 0 for n, _ in member.values(*head, den, row)]
         return lines[head, den]
 
-    try:
-        for index in product(*(range(len(nums) - 1) for nums, _ in outer)):
-            ends = [[(nums[i], q), (nums[i + 1], q)] for i, (nums, q) in zip(index, outer)]
-            vertices = [line(head, qz, zs) for head in (_row_major(ends) if outer else [()])]
-            center = sum(((nums[i] + nums[i + 1], 2 * q) for i, (nums, q) in zip(index, outer)), ())
-            flags = [w for v in vertices for w in (v, v[1:])]  # each cell's low and high vertex
-            yield list(map(sum, zip(*flags, line(center, 2 * qz, z_mids))))
-    except MathError:
-        _replay((member, (*p[:-2], p[-1]), p[-2]) for p in _cell_points(grid))
-        raise
+    for index in product(*(range(len(nums) - 1) for nums, _ in outer)):
+        ends = [[(nums[i], q), (nums[i + 1], q)] for i, (nums, q) in zip(index, outer)]
+        vertices = [line(head, qz, zs) for head in (_row_major(ends) if outer else [()])]
+        center = sum(((nums[i] + nums[i + 1], 2 * q) for i, (nums, q) in zip(index, outer)), ())
+        flags = [w for v in vertices for w in (v, v[1:])]  # each cell's low and high vertex
+        yield list(map(sum, zip(*flags, line(center, 2 * qz, z_mids))))
 
 
 def _sweep_2d(member, grid: list[_Axis]) -> Iterable[list[int]]:
-    """Plane case of ``_classify_cells``: columns of vertex verdicts shared
-    between adjacent columns of cells, each column of vertices or of
-    centers one row, in the order of a cell by cell sweep."""
+    """Plane case of ``_classify_cells``, with the same rows in the same
+    order: each column of vertex verdicts is made once and shared between
+    the two columns of cells beside it."""
     (xs, qx), (ys, qy) = grid
     y_mids = [lo + hi for lo, hi in zip(ys, ys[1:])]
     left = [n <= 0 for n, _ in member.values(xs[0], qx, qy, ys)]
@@ -602,20 +589,6 @@ def _sweep_2d(member, grid: list[_Axis]) -> Iterable[list[int]]:
         yield [a + b + c + d + (e <= 0)
                for a, b, c, d, (e, _) in zip(left, left[1:], right, right[1:], centers)]
         left = right
-
-
-def _cell_points(grid: list[_Axis]) -> Iterable[tuple[int, ...]]:
-    """The points of a cell by cell classification, in its order, as
-    pair-convention arguments: each cell's vertices, a vertex when first
-    met, and then its center."""
-    seen = set()
-    for cell in product(*([((lo, q), (hi, q), (lo + hi, 2 * q)) for lo, hi in zip(nums, nums[1:])]
-                          for nums, q in grid)):
-        for vertex in _row_major([(lo, hi) for lo, hi, _ in cell]):
-            if vertex not in seen:
-                seen.add(vertex)
-                yield vertex
-        yield sum((mid for _, _, mid in cell), ())
 
 
 def inner_sum(
@@ -652,30 +625,21 @@ def measure_area_between(
 ) -> Fraction:
     """Riemann sum of (g - f) on [a, b]; f <= g checked at partition points.
 
-    Each curve has its own row kernel: the check takes f and then g at each
-    point and compares them before the next, the sum g and then f at each
-    tag, and a failing row is replayed in that order, so the first error is
-    the one of a point by point loop.
+    Each curve has its own row kernel, and the rows run in this order: f
+    and then g over the breakpoints, the check of f <= g at each breakpoint
+    from the left, and then g and f over the tags.
     """
     var = (first_variable("x", f, g),)
     fn_f = compile_rows(f, var, precision)
     fn_g = compile_rows(g, var, precision)
     axis = _axis(a, b, m)
     nums, q = axis
-    try:
-        curves = zip(fn_f.values(q, nums), fn_g.values(q, nums))
-    except MathError:  # point by point, each point checked before the next
-        curves = ((fn_f.point(t, q), fn_g.point(t, q)) for t in nums)
-    for t, (lower, upper) in zip(nums, curves):
+    for t, lower, upper in zip(nums, fn_f.values(q, nums), fn_g.values(q, nums)):
         if _minus(upper, lower)[0] < 0:
             at = show_rational(Fraction(t, q))
             raise OrderViolation(f"lower curve exceeds upper curve at {at}")
     ((den,), tags), = _tag_rows([axis], tag_rule, seed)
-    try:
-        upper, lower = fn_g.sum(den, tags), fn_f.sum(den, tags)
-    except MathError:
-        _replay(p for t in tags for p in ((fn_g, (den,), t), (fn_f, (den,), t)))
-        raise
+    upper, lower = fn_g.sum(den, tags), fn_f.sum(den, tags)
     return _volumes([axis])[0] * Fraction(*_minus(upper, lower))
 
 
@@ -891,9 +855,8 @@ def riemann_stieltjes_sum(
 ) -> Fraction:
     """sum f(tag_i) (phi(t_i) - phi(t_{i-1})) over a partition of [a, b].
 
-    phi is taken once per breakpoint and f once per tag, by row kernels; a
-    failing row is replayed in the order f(tag_i), phi(t_i), phi(t_{i-1}),
-    cell by cell, so the first error is the one of a point by point loop.
+    phi is taken once per breakpoint and f once per tag, by row kernels,
+    in this order: phi over the breakpoints, and then f over the tags.
     """
     rect = Rect.interval(a, b)
     fvar = first_variable("x", f)
@@ -902,14 +865,9 @@ def riemann_stieltjes_sum(
     axis = spec.grid(rect)[0]
     nums, q = axis
     ((den,), tags), = _tag_rows([axis], tag_rule, seed)
-    try:
-        phis = fphi.values(q, nums)
-        steps = map(_minus, phis[1:], phis)
-        return _total((n * dn, d * dd) for (n, d), (dn, dd) in zip(fn.values(den, tags), steps))
-    except MathError:
-        _replay(p for tag, lo, hi in zip(tags, nums, nums[1:])
-                for p in ((fn, (den,), tag), (fphi, (q,), hi), (fphi, (q,), lo)))
-        raise
+    phis = fphi.values(q, nums)
+    steps = map(_minus, phis[1:], phis)
+    return _total((n * dn, d * dd) for (n, d), (dn, dd) in zip(fn.values(den, tags), steps))
 
 
 def impulse(

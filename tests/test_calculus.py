@@ -20,7 +20,7 @@ from hrw.calculus import (
     unit_tangent,
 )
 from hrw import approx
-from hrw.errors import DomainError, NonSmoothAtPoint, PrecisionExhausted, ZeroVelocity
+from hrw.errors import DomainError, MathError, NonSmoothAtPoint, PrecisionExhausted, ZeroVelocity
 from hrw.exprs import Binary, Call, Const, Var, eval_real, parse, symbolic_derivative
 from hrw.field import DEFAULT_FIELD as FLD
 from hrw.field import ExtendedReal, Field, in_order_ideal
@@ -252,6 +252,20 @@ class TestSeqLimits:
         assert abs(res.value.as_fraction()) < F(1, 10**6)
         res = seq_limit(parse("(1/n)^10*root(n,n)"))
         assert abs(res.value.as_fraction()) < F(1, 10**6)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the fallback samples n = 2^10 .. 2^40 and accepts a Cauchy "
+                       "tail of 10^-8, and these sequences move only near 2^70")
+    @pytest.mark.parametrize("source, limit", [
+        ("exp(-n/2^70)", ExtendedReal.of(0)),
+        ("exp(n/2^70)*2^(-n/2^70)", ExtendedReal.POS_INF),
+    ])
+    def test_numeric_fallback_is_right_or_refused(self, source, limit):
+        try:
+            res = seq_limit(parse(source))
+        except MathError:
+            return
+        assert res.value == limit, str(res)
 
     def test_divergence(self):
         assert seq_limit(parse("n^2")).value is ExtendedReal.POS_INF

@@ -21,10 +21,11 @@ mixed denominators; ``tagged_partition`` must return those cells and tags.
 on Fractions written out here, or raise the same exception with the same
 text, for seeded gauges over odd and decimal denominators in both modes,
 non-positive gauges and both caps included.  Every sum that runs on row
-kernels must give the value, or the first error, of the point loop it
-replaced: ``compile_real``'s function called once per point in the old
-order, trees with variable divisors, calls and powers past the exact-power
-guard included.  Surface of revolution, both
+kernels must give the value, or the first error, of a point loop:
+``compile_real``'s function called once per point, over the sum's rows in
+the order its code runs them, trees with variable divisors, calls and powers
+past the exact-power guard included; the plane's sweep must classify as the
+general classifier does.  Surface of revolution, both
 paths of curve length and of line work, and the supernearness probe must
 equal cell loops on Fractions written out here, slopes and velocities taken
 from ``taylor_jet``, or raise the same exception with the same text.
@@ -109,6 +110,7 @@ from hrw.exprs import (
     _named_constant,
     _require_root_index,
     compile_real,
+    compile_rows,
     eval_hyper,
     eval_hyper_traced,
     eval_real,
@@ -617,11 +619,11 @@ def test_riemann_stieltjes_and_gauge_sums(seed):
 
 
 def naive_stieltjes(f: Expr, phi: Expr, breaks, rule: str, tag_seed: int) -> F:
-    total = F(0)
-    for i, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
-        (tag,) = naive_tag(((lo, hi),), rule, tag_seed, i)
-        total += at(f, (tag,)) * (at(phi, (hi,)) - at(phi, (lo,)))
-    return total
+    # phi at every breakpoint, then f at every tag
+    phis = [at(phi, (t,)) for t in breaks]
+    values = [at(f, naive_tag((cell,), rule, tag_seed, i))
+              for i, cell in enumerate(zip(breaks, breaks[1:]))]
+    return sum((v * (hi - lo) for v, lo, hi in zip(values, phis, phis[1:])), F(0))
 
 
 def naive_cousin(gauge: Gauge, a: F, b: F, mode: str):
@@ -842,14 +844,16 @@ def test_one_dimensional_measures(seed):
         g = parsed(Binary("+", f, gap))
 
         def naive_area():
-            for t in breaks:
-                if at(f, (t,)) > at(g, (t,)):
+            # f and g at every breakpoint, their order, then g and f at every tag
+            lowers, uppers = [at(f, (t,)) for t in breaks], [at(g, (t,)) for t in breaks]
+            for t, lower, upper in zip(breaks, lowers, uppers):
+                if lower > upper:
                     raise OrderViolation(f"lower curve exceeds upper curve at {t}")
-            total = F(0)
-            for i, cell in enumerate(zip(breaks, breaks[1:])):
-                tag = naive_tag((cell,), rule, 0, i)
-                total += (at(g, tag) - at(f, tag)) * (cell[1] - cell[0])
-            return total
+            cells = list(zip(breaks, breaks[1:]))
+            tags = [naive_tag((cell,), rule, 0, i) for i, cell in enumerate(cells)]
+            uppers, lowers = [at(g, tag) for tag in tags], [at(f, tag) for tag in tags]
+            return sum(((upper - lower) * (hi - lo)
+                        for upper, lower, (lo, hi) in zip(uppers, lowers, cells)), F(0))
 
         got = outcome(measure_area_between, f, g, a, b, m, rule, PRECISION)
         assert got == outcome(naive_area), (render(f), render(g), rule)
@@ -1075,46 +1079,47 @@ def point_darboux(f: Expr, rect: Rect, spec: PartitionSpec, s: int):
 
 
 def point_stieltjes(f: Expr, phi: Expr, a: F, b: F, spec: PartitionSpec, rule: str, seed: int):
-    # f(tag), phi(t_i), phi(t_{i-1}), cell by cell
+    # phi at every breakpoint, then f at every tag
     value_f, value_phi = point_at(f, ("x",)), point_at(phi, ("x",))
-    part = tagged_partition(Rect.interval(a, b), spec, rule, seed)
-    return sum((value_f(tag) * (value_phi((hi,)) - value_phi((lo,)))
-                for ((lo, hi),), tag in zip(part.cells, part.tags)), F(0))
+    rect = Rect.interval(a, b)
+    phis = [value_phi((t,)) for t in spec.breakpoints(rect)[0]]
+    values = [value_f(tag) for tag in tagged_partition(rect, spec, rule, seed).tags]
+    return sum((v * (hi - lo) for v, lo, hi in zip(values, phis, phis[1:])), F(0))
 
 
 def point_area(f: Expr, g: Expr, a: F, b: F, m: int, rule: str) -> F:
-    # f and then g at each breakpoint, g and then f at each tag
+    # f and then g at every breakpoint, their order at each breakpoint from
+    # the left, then g and then f at every tag
     value_f, value_g = point_at(f, ("x",)), point_at(g, ("x",))
-    for t in naive_breaks(a, b, m):
-        lower = value_f((t,))
-        if value_g((t,)) < lower:
+    breaks = naive_breaks(a, b, m)
+    lowers, uppers = [value_f((t,)) for t in breaks], [value_g((t,)) for t in breaks]
+    for t, lower, upper in zip(breaks, lowers, uppers):
+        if upper < lower:
             raise OrderViolation(f"lower curve exceeds upper curve at {show_rational(t)}")
     part = tagged_partition(Rect.interval(a, b), PartitionSpec.simple(m), rule, 0)
-    return sum(((value_g(tag) - value_f(tag)) * v for tag, v in zip(part.tags, part.volumes())),
-               F(0))
+    uppers = [value_g(tag) for tag in part.tags]
+    lowers = [value_f(tag) for tag in part.tags]
+    return sum(((hi - lo) * v for hi, lo, v in zip(uppers, lowers, part.volumes())), F(0))
 
 
 def point_inner(f: Expr, region: Region, spec: PartitionSpec, moments: bool = False):
-    """Classify in the order of the point classifiers (in the plane a sweep
-    of vertex columns, each followed by the centers of the cells to its
-    left; else cell by cell), each point once, then sum f at the inner
-    cells' min-vertices."""
+    """Classify line by line along the last axis, each point once: for each
+    line of cells in row-major order, the vertex lines at its corners and
+    then its center line; then sum f at the inner cells' min-vertices."""
     names = NAMES[:region.bounding.dimension]
     member, value = point_at(region.membership, names), point_at(f, names)
     breaks = spec.breakpoints(region.bounding)
     cells = cells_of(breaks)
-    if len(breaks) == 2:
-        (xs, ys), mid = breaks, lambda lo, hi: (lo + hi) / 2
-        order = [(xs[0], y) for y in ys]
-        for x0, x1 in zip(xs, xs[1:]):
-            order += [(x1, y) for y in ys] + [(mid(x0, x1), mid(*c)) for c in zip(ys, ys[1:])]
-    else:
-        order = [p for cell in cells
-                 for p in [*product(*cell), tuple((lo + hi) / 2 for lo, hi in cell)]]
+    *outer, zs = breaks
+    z_mids = [(lo + hi) / 2 for lo, hi in zip(zs, zs[1:])]
     inside = {}
-    for p in order:
-        if p not in inside:
-            inside[p] = member(p) <= 0
+    for cell in cells_of(outer):
+        lines = [(corner, zs) for corner in product(*cell)]
+        lines.append((tuple((lo + hi) / 2 for lo, hi in cell), z_mids))
+        for head, row in lines:
+            for p in ((*head, z) for z in row):
+                if p not in inside:
+                    inside[p] = member(p) <= 0
     counts = [0, 0, 0]  # inner, boundary, exterior
     total, edge, firsts = F(0), F(0), [F(0)] * len(names)
     for cell in cells:
@@ -1189,6 +1194,31 @@ def test_row_kernels_equal_point_loop(seed):
         assert outcome(gauge_sum, f, a, b, gauge, mode, PRECISION) == outcome(point_gauge)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_plane_sweep_equals_general_classifier(seed):
+    # _sweep_2d is the plane's fast path of _classify_cells: on one grid and
+    # one row kernel it must give the same counts, or the same first error,
+    # for memberships that raise at no point, at one or at several
+    rng = random.Random(1700 + seed)
+    gen = ExprGen(rng, NAMES[:2])
+    unit = Rect.box((0, 1), (0, 1))
+    cases = [(unit, PartitionSpec.simple(1, 2), parse("1/(4*y - 1) + 1/(x + y - 2)"))]
+    for _ in range(6):
+        rect = rand_rect(rng, 2)
+        spec = (PartitionSpec.simple(rng.randint(1, 5), rng.randint(1, 5)) if rng.random() < 0.5
+                else PartitionSpec.explicit(*rand_explicit(rng, rect, 5)))
+        xs, ys = spec.breakpoints(rect)
+        y0 = rng.choice(ys + [(lo + hi) / 2 for lo, hi in zip(ys, ys[1:])])
+        poles = parse(f"1/(y - ({y0})) + 1/(x + y - ({rng.choice(xs) + rng.choice(ys)}))")
+        cases += [(rect, spec, m) for m in (rand_ball(rng, rect), parsed(gen.tree(2)), poles)]
+    for rect, spec, membership in cases:
+        grid = spec.grid(rect)
+        member = compile_rows(membership, NAMES[:2], PRECISION)
+        got = outcome(lambda: list(integration._sweep_2d(member, grid)))
+        want = outcome(lambda: list(integration._classify_cells(member, grid)))
+        assert got == want, (render(membership), spec)
+
+
 def test_row_kernels_keep_the_first_error():
     # the hoisted 1/x of a y-row must not pre-empt 1/y at the first point
     unit = Rect.box((0, 1), (0, 1))
@@ -1196,37 +1226,37 @@ def test_row_kernels_keep_the_first_error():
     assert got == ("DivisionByZero", "division by zero (at offset 1)")
     assert got == outcome(point_riemann, parse("1/y + 1/x"), unit, PartitionSpec.simple(2, 2),
                           "min-vertex", 0)
-    # f and phi both raise: f's error at the first tag comes before phi's at
-    # a later breakpoint, phi's at the first cell's end before f's at the
-    # second tag, and phi's at the first cell's start before f's later
+    # f and phi both raise: phi's row runs first, so phi's error at the
+    # last breakpoint comes before f's at the first tag, phi's at the first
+    # cell's end before f's at the second tag, and phi's at the first cell's
+    # start before f's later
     spec = PartitionSpec.simple(2)
     for f, phi, want in [
-        ("2 + 1/x", "1/(x - 1)", "division by zero (at offset 5)"),
+        ("2 + 1/x", "1/(x - 1)", "division by zero (at offset 1)"),
         ("2 + 1/(x - 1/2)", "1/(x - 1/2)", "division by zero (at offset 1)"),
         ("3 + 4 + 1/(x - 1/2)", "1 + 1/x", "division by zero (at offset 5)"),
     ]:
         args = (parse(f), parse(phi), F(0), F(1), spec)
         got = outcome(riemann_stieltjes_sum, *args, "min-vertex", 0, PRECISION)
         assert got == ("DivisionByZero", want) == outcome(point_stieltjes, *args, "min-vertex", 0)
-    # both curves raise at one point: f's error first in the check, g's first
-    # in the sum; and f's at the first tag before g's at the second
+    # both curves raise at one point: f's error first at the breakpoints, g's
+    # first at the tags; and g's at the second tag before f's at the first
     for f, g, rule, want in [
         ("1/x", "4 + 1/x", "min-vertex", "division by zero (at offset 1)"),
         ("1/(x - 1/4)", "4 + 1/(x - 1/4)", "center", "division by zero (at offset 5)"),
-        ("1/(x - 1/4)", "9 + 1/(x - 3/4)", "center", "division by zero (at offset 1)"),
+        ("1/(x - 1/4)", "9 + 1/(x - 3/4)", "center", "division by zero (at offset 5)"),
     ]:
         args = (parse(f), parse(g), F(0), F(1), 2, rule)
         got = outcome(measure_area_between, *args, PRECISION)
         assert got == ("DivisionByZero", want) == outcome(point_area, *args)
     # a membership that raises at the first cell's center and at a vertex of
-    # the second: the center comes first cell by cell, the vertex row first
+    # the second: the vertex line runs before the center line
     region = Region(Rect.box((0, 1), (0, 1), (0, 1)), parse("1/(4*z - 1) + 1/(z - 1)"))
     spec = PartitionSpec.simple(1, 1, 2)
     got = outcome(inner_sum, parse("1"), region, spec, PRECISION)
-    assert got == ("DivisionByZero", "division by zero (at offset 1)")
+    assert got == ("DivisionByZero", "division by zero (at offset 15)")
     assert got == outcome(point_inner, parse("1"), region, spec)
-    # in the plane the point loop swept whole vertex columns first: the
-    # vertex (1, 1) raises before the first cell's center
+    # so in the plane: the vertex (1, 1) raises before the first cell's center
     region = Region(Rect.box((0, 1), (0, 1)), parse("1/(4*y - 1) + 1/(x + y - 2)"))
     spec = PartitionSpec.simple(1, 2)
     got = outcome(inner_sum, parse("1"), region, spec, PRECISION)
