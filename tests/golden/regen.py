@@ -1,12 +1,15 @@
-"""Rewrite cli.jsonl, the kept CLI outputs that ``tests/test_golden.py``
-replays: 250 requests from each of eight seeds of ``test_fuzz.RequestGen``,
-one JSON entry a line.
+"""Rewrite the kept outputs that ``tests/test_golden.py`` replays, one JSON
+entry a line:
+
+* cli.jsonl: 250 requests from each of eight seeds of ``test_fuzz.RequestGen``;
+* measures.jsonl: surface of revolution, curve length and line work calls
+  (``measure_cases`` below), each with its outcome.
 
 Run from the repository root, after an intended change of output:
 
     PYTHONPATH=src python tests/golden/regen.py
 
-and read the file's diff: each changed line is a changed entry.
+and read the files' diffs: each changed line is a changed entry.
 """
 
 from __future__ import annotations
@@ -15,16 +18,139 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(TESTS))
 
-from test_fuzz import RequestGen  # noqa: E402
-from test_golden import GOLDEN, record  # noqa: E402
+from hrw import approx  # noqa: E402
+from hrw.exprs import Call, render  # noqa: E402
+from test_fuzz import POOL, ExprGen, RequestGen, rand_rect  # noqa: E402
+from test_golden import GOLDEN, MEASURES, measure_record, record  # noqa: E402
 
 SEEDS = range(8)
 PER_SEED = 250
+PRECISIONS = (12, 20, 40)
+
+
+def _dec(rng: random.Random, lo: float, hi: float) -> F:
+    """A decimal coefficient in [lo, hi] with two digits, as the benchmark draws them."""
+    return F(rng.randint(round(lo * 100), round(hi * 100)), 100)
+
+
+def _interval(rng: random.Random, lo=-1000, hi=0, len_lo=500, len_hi=1500) -> tuple[F, F]:
+    a = F(rng.randint(lo, hi), 1000)
+    return a, a + F(rng.randint(len_lo, len_hi), 1000)
+
+
+def _case(kind: str, p: int, a: F, b: F, m: int, **exprs) -> dict:
+    return {"measure": kind, "precision": p, "on": [str(a), str(b)], "m": m, **exprs}
+
+
+def _families(rng: random.Random, p: int) -> list[dict]:
+    """The benchmark's curve, force and surface families
+    (``bench/wl_trans.py``): circle arcs, catenaries and cycloids for the
+    curve length, cos and exp gradient fields along a circle for the work,
+    sphere zones and exp surfaces for the surface of revolution."""
+    out = []
+    for _ in range(2):
+        r, w = _dec(rng, 0.5, 2), _dec(rng, 0.5, 2)
+        arc = [f"{r}*cos({w}*t)", f"{r}*sin({w}*t)"]
+        out.append(_case("length", p, *_interval(rng), rng.randint(6, 10), curve=arc, param="t"))
+        catenary = ["t", "0.5*exp(t) + 0.5*exp(-t)"]
+        out.append(_case("length", p, *_interval(rng), rng.randint(6, 10), curve=catenary, param="t"))
+        r = _dec(rng, 0.5, 2)
+        cycloid = [f"{r}*(t - sin(t))", f"{r}*(1 - cos(t))"]
+        out.append(_case("length", p, *_interval(rng, 200, 1000, 1000, 3000), rng.randint(6, 10),
+                         curve=cycloid, param="t"))
+        k, r = _dec(rng, 0.5, 2), _dec(rng, 0.5, 1.5)
+        circle = [f"{r}*cos(t)", f"{r}*sin(t)"]
+        for fn in ("cos", "exp"):
+            out.append(_case("work", p, *_interval(rng), rng.randint(6, 10), curve=circle,
+                             param="t", field=[f"{k}*{fn}(x)", f"{k}*{fn}(y)"]))
+        R = _dec(rng, 1, 2)
+        a = F(rng.randint(-500, 0), 1000) * R
+        b = a + F(rng.randint(200, 500), 1000) * R
+        out.append(_case("surface", p, a, b, rng.randint(6, 10), f=f"sqrt({R * R} - x^2)"))
+        c, kk = _dec(rng, 0.5, 1), _dec(rng, 0.25, 1)
+        out.append(_case("surface", p, *_interval(rng), rng.randint(6, 10), f=f"{c}*exp({kk}*x)"))
+    return out
+
+
+def _trees(rng: random.Random, p: int) -> list[dict]:
+    """Seeded ``ExprGen`` trees in x (abs, tan, real powers and root among
+    their nodes), on intervals with endpoints from the fuzz pool."""
+    gen = ExprGen(rng, ("x",))
+    out = []
+    for _ in range(4):
+        (a, b), = rand_rect(rng, 1).intervals
+        if rng.random() < 0.5:  # a pool point as an endpoint, so tags meet zero divisors
+            a = rng.choice(POOL)
+            b = a + F(rng.randint(1, 4), rng.choice([1, 2, 3]))
+        m = rng.randint(1, 6)
+        radius = gen.tree(3, big=False)
+        radius = Call("abs", (radius,)) if rng.random() < 0.3 else radius
+        out.append(_case("surface", p, a, b, m, f=render(radius)))
+        curve = [render(gen.tree(2, big=False)) for _ in range(2)]
+        out.append(_case("length", p, a, b, m, curve=curve, param="x"))
+        force = [render(ExprGen(rng, ("x", "y")).tree(2, big=False)) for _ in range(2)]
+        out.append(_case("work", p, a, b, m, curve=curve, param="x", field=force))
+    return out
+
+
+def _edges(p: int) -> list[dict]:
+    """Points where a jet and a point evaluation part ways: removable
+    singularities, abs and sqrt at 0, poles, root of zero and of negative
+    values, tan at and near a pole, real powers, and a negative radius whose
+    slope also fails there."""
+    half_pi = approx.pi_approx(40) / 2  # within 10^-40 of pi/2: tan refuses it
+    near = F(355, 226)  # 1.3e-7 past pi/2: tan is about -7.5e6
+    one = ["t", "t"]
+    out = [
+        # m = 3 on [-1/2, 1/2] puts a centre tag at 0, m = 2 on [-1, 1] a min-vertex
+        _case("length", p, F(-1, 2), F(1, 2), 3, curve=["t", "sin(t)/t"], param="t"),
+        _case("length", p, F(-1, 2), F(1, 2), 3, curve=["(t^2)/t", "t"], param="t"),
+        _case("work", p, F(-1, 2), F(1, 2), 3, curve=["t", "sin(t)/t"], param="t",
+              field=["y", "x"]),
+        _case("work", p, F(-1, 2), F(1, 2), 3, curve=one, param="t", field=["sin(x)/x", "1"]),
+        _case("surface", p, F(-1), F(1), 2, f="sin(x)/x"),
+        _case("surface", p, F(-1), F(1), 2, f="(x^2)/x + 2"),
+        _case("length", p, F(-1, 2), F(1, 2), 3, curve=["t", "abs(t)"], param="t"),
+        _case("surface", p, F(-1), F(1), 2, f="abs(x) + 1"),
+        _case("length", p, F(-1, 2), F(1, 2), 3, curve=["t", "sqrt(t^2)"], param="t"),
+        _case("surface", p, F(-1), F(1), 2, f="sqrt(x^2) + 1"),
+        _case("surface", p, F(0), F(1), 2, f="sqrt(x) + 1"),
+        _case("length", p, F(0), F(1), 1, curve=["t", "1/(t - 1/2)"], param="t"),
+        _case("work", p, F(0), F(1), 1, curve=one, param="t", field=["1/(x - 1/2)", "1"]),
+        _case("surface", p, F(1, 2), F(1), 2, f="1/(x - 1/2)"),
+        _case("length", p, F(-1, 2), F(1, 2), 3, curve=["t", "root(3, t)"], param="t"),
+        _case("length", p, F(-1, 2), F(1, 2), 3, curve=["t", "root(2, t - 1/6)"], param="t"),
+        _case("surface", p, F(0), F(1), 3, f="root(2, x)"),
+        _case("surface", p, F(-1), F(1), 2, f="root(3, x - 1/2) + 2"),
+        _case("surface", p, half_pi, half_pi + F(1, 10), 1, f="tan(x)"),
+        _case("surface", p, near, near + F(1, 10), 1, f="-tan(x)"),
+        _case("length", p, half_pi - F(1, 20), half_pi + F(1, 20), 1, curve=["t", "tan(t)"],
+              param="t"),
+        _case("length", p, near - F(1, 20), near + F(1, 20), 1, curve=["t", "tan(t)"], param="t"),
+        _case("length", p, F(1), F(2), 4, curve=["t^(3/2)", "t^t"], param="t"),
+        _case("surface", p, F(0), F(1), 2, f="(1 + x^2)^(1/2)"),
+        _case("surface", p, F(0), F(1), 2, f="x^(3/2) + 1"),
+        _case("surface", p, F(0), F(1), 2, f="abs(x) - 1"),
+        _case("surface", p, F(0), F(1), 2, f="sqrt(x) - 1"),
+        _case("surface", p, F(0), F(1), 2, f="x^(1/2) - 1"),
+    ]
+    return out
+
+
+def measure_cases() -> list[dict]:
+    cases = []
+    for p in PRECISIONS:
+        rng = random.Random(2700 + p)
+        cases += _families(rng, p) + _edges(p)
+        for seed in range(10):
+            cases += _trees(random.Random(2800 + 10 * p + seed), p)
+    return cases
 
 
 def main() -> None:
@@ -34,6 +160,8 @@ def main() -> None:
         gen = RequestGen(random.Random(2600 + seed))
         lines += [json.dumps(record(gen.request())) for _ in range(PER_SEED)]
     GOLDEN.write_text("\n".join(lines) + "\n")
+    kept = [json.dumps(measure_record(case)) for case in measure_cases()]
+    MEASURES.write_text("\n".join(kept) + "\n")
 
 
 if __name__ == "__main__":
