@@ -36,7 +36,9 @@ power of a row value needs ``int_pow``, the row kernel runs the row again
 from its first point through compile_real's function, its one fallback.
 Every MathError from compiled code carries the offset of the node that
 raised it, exactly as from :func:`eval_real`, which stays the independent
-tree-walking oracle.
+tree-walking oracle.  ``_compile_tangent`` runs the same walk in tangent
+mode: beside each value it computes the value's first derivative in the one
+variable, by the series field's rules, for the measures that read slopes.
 """
 
 from __future__ import annotations
@@ -449,6 +451,7 @@ _KERNELS = {
     "tan": approx.tan_grid,
     "exp": approx.exp_grid,
     "ln": approx.ln_grid,
+    "sin_cos": approx.sin_cos_grid,  # both halves, for the tangent code
 }
 
 
@@ -682,10 +685,13 @@ def compile_real(
 
     This is the point entry: one call per point.  The partition sums of
     ``hrw.integration`` take whole rows of points through
-    :func:`compile_rows`; the callers that do field or ``approx`` work per
-    point keep this one: the gauge of a gauge partition, the radius of the
-    volume and surface of revolution, the curves and fields of curve length
-    and line work, the supernearness probe and the Simpson oracle.
+    :func:`compile_rows`; the callers that work point by point keep this
+    one: the gauge of a gauge partition, the radius of the volume and
+    surface of revolution, the curves and fields of curve length and line
+    work, the supernearness probe and the Simpson oracle.  Surface of
+    revolution, curve length and line work take each point's value and
+    slope from ``_compile_tangent``'s function, and this one where that
+    raises.
     """
     return _compile_point(e, names, precision)
 
@@ -700,6 +706,40 @@ def _compile_point(
     params = ", ".join(f"{vn}, {vd}" for vn, vd in gen.vars)
     body = "\n".join([*gen.hoisted, f"return {n}, {d or 1}"])
     return _function_maker(len(gen.consts), params, body)(*gen.consts)
+
+
+def _compile_tangent(e: Expr, name: str, precision: int) -> Callable[[int, int], tuple]:
+    """The tangent code of e in the variable ``name``: a function of that
+    variable's (numerator, positive denominator) pair returning
+    ``((n, d), (dn, dd))``, e's value pair from compile_real's statements
+    and the pair of its derivative, the eps^1 coefficient of e(x + eps)
+    that ``taylor_jet`` reads from the series field (Wengert's forward
+    mode, one derivative beside each value).
+
+    Each rule follows the field's own rounding, so the rationals are the
+    jet's: d sin u = cos~(u) u' and d cos u = -sin~(u) u', both from the one
+    ``sin_cos_grid`` call that gives the value; d exp u = exp~(u) u';
+    d ln u = u'/u; d sqrt u = sqrt~(u) u' / (2u); d tan u = (1 + tan~(u)^2)
+    u'; d |u| = sign(u) u'; and the exact sum, product, quotient and integer
+    power rules.  The function raises a MathError wherever compile_real's
+    does, and where the field's rule differs from these: abs or sqrt of
+    0, a power of 0 (``_dpow``), a power past the exact-power guard.  The
+    caller then evaluates that point the field's way.  An expression with a
+    real power or a root has no tangent code; its function raises at every
+    point.
+    """
+    gen = _Codegen((name,), precision)
+    try:
+        (n, d), deriv = gen.tangent(e)
+    except _Decline:
+        return _no_tangent
+    dn, dd = deriv or ("0", None)
+    body = "\n".join([*gen.hoisted, f"return ({n}, {d or 1}), ({dn}, {dd or 1})"])
+    return _function_maker(len(gen.consts), "n0, d0", body)(*gen.consts)
+
+
+def _no_tangent(n: int, d: int):
+    raise _NoTangent()
 
 
 def compile_rows(
@@ -946,7 +986,6 @@ class _Codegen:
             folded = node.op == "/" and isinstance(r, Const) and r.value != 0
             n, d = self.binary(node, left, None if folded else self.part(r))
             return self.shallow(n), self.shallow(d)
-        p = self.digits
         if node.fn == "root":
             index = node.args[0]
             if isinstance(index, Const) and index.value.denominator == 1 and index.value >= 2:
@@ -956,51 +995,58 @@ class _Codegen:
                 k = self.temp("V" in arg)
                 self.line(f"{k} = _index({arg}, {self.const(index.pos)})")
             radicand = _fraction(self.part(node.args[1]))
-            return self.call(node.pos, f"_approx(_real_root, {k}, {radicand}, {p}")
-        n, d = self.part(node.args[0])
+            return self.call(node.pos, f"_approx(_real_root, {k}, {radicand}, {self.digits}")
+        arg = self.part(node.args[0])
         if node.fn == "abs":
-            return f"abs({n})", d
-        # a direct call of the integer kernel, its MathError located here
-        kernel = self.const(_KERNELS[node.fn])
-        args = f"{n}, {d or 1}, {p}"
-        varying = "V" in args
+            return f"abs({arg[0]})", arg[1]
         if node.fn == "sqrt":
-            n, d = self.temp(varying), self.temp(varying)
-            target = f"{n}, {d}"
-        else:
-            n = target = self.temp(varying)
-            if self.unit is None:
-                self.unit = self.const(10**self.precision)
-            d = self.unit
-        self.line(f"try: {target} = {kernel}({args})\n"
-                  f"except _ME as _e: raise _at(_e, {self.const(node.pos)}) from None")
-        return n, d
+            return self.kernel("sqrt", node.pos, arg, 2)
+        return self.kernel(node.fn, node.pos, arg)[0], self.unit
+
+    def kernel(self, fn: str, pos: int, arg: Part, outputs: int = 1) -> tuple[str, ...]:
+        """The names of the outputs of a direct call of the integer kernel
+        ``_KERNELS[fn]`` on arg, its MathError located at pos.  Every kernel
+        but sqrt's gives numerators over ``unit``, the name of 10^precision."""
+        kernel = self.const(_KERNELS[fn])
+        args = f"{arg[0]}, {arg[1] or 1}, {self.digits}"
+        names = tuple(self.temp("V" in args) for _ in range(outputs))
+        if fn != "sqrt" and self.unit is None:
+            self.unit = self.const(10**self.precision)
+        self.line(f"try: {', '.join(names)} = {kernel}({args})\n"
+                  f"except _ME as _e: raise _at(_e, {self.const(pos)}) from None")
+        return names
 
     def binary(self, node: Binary, left: Part, right: Part | None) -> Part:
         """right is None for a nonzero constant divisor."""
-        an, ad = left
-        if right is None:
-            bn, bd = self.const_part(1 / node.right.value)  # the sign is in bn
-            return self.times(an, bn), self.times(ad, bd)
-        bn, bd = right
+        if right is None:  # the sign is in the constant's numerator
+            return self.product(left, self.const_part(1 / node.right.value))
         if node.op == "*":
-            return self.times(an, bn), self.times(ad, bd)
-        if node.op == "/":
-            # numerator and denominator apart, so a row-invariant divisor
-            # leaves a row-invariant denominator
-            bn = self.atom(bn)
-            num, den = self.times(an, bd), self.times(ad, bn)
-            n, d = self.temp("V" in num + bn), self.temp("V" in den)
-            self.line(f"if {bn} == 0: raise _DZ('division by zero', {self.const(node.pos)})")
-            self.line(f"{n} = {num} if {bn} > 0 else -{num}")
-            self.line(f"{d} = {den} if {bn} > 0 else -{den}")
-            return n, d
+            return self.product(left, right)
+        if node.op in "+-":
+            return self.sum_part(node.op, left, right)
+        # "/": numerator and denominator apart, so a row-invariant divisor
+        # leaves a row-invariant denominator
+        (an, ad), (bn, bd) = left, right
+        bn = self.atom(bn)
+        num, den = self.times(an, bd), self.times(ad, bn)
+        n, d = self.temp("V" in num + bn), self.temp("V" in den)
+        self.line(f"if {bn} == 0: raise _DZ('division by zero', {self.const(node.pos)})")
+        self.line(f"{n} = {num} if {bn} > 0 else -{num}")
+        self.line(f"{d} = {den} if {bn} > 0 else -{den}")
+        return n, d
+
+    def product(self, a: Part, b: Part) -> Part:
+        return self.times(a[0], b[0]), self.times(a[1], b[1])
+
+    def sum_part(self, op: str, left: Part, right: Part) -> Part:
+        """left op right for op + or -."""
+        (an, ad), (bn, bd) = left, right
         if ad != bd:  # else both 1, or one shared denominator
             ad, bd = self.atom(ad), self.atom(bd)
             an, bn = self.times(an, bd), self.times(bn, ad)
         if self.loop and "V" in an + bn:
             an, bn = self.fixed(an), self.fixed(bn)
-        return f"({an} {node.op} {bn})", self.times(ad, bd) if ad != bd else ad
+        return f"({an} {op} {bn})", self.times(ad, bd) if ad != bd else ad
 
     def power(self, node: Binary, base: Part, exponent: Part | None) -> Part:
         """exponent is None for an integer literal exponent."""
@@ -1038,6 +1084,142 @@ class _Codegen:
                     f"    if {d} < 0: {n} = -{n}; {d} = -{d}")
         self.line(f"{head}\nelse: {n}, {d} = {fallback}")
         return n, d
+
+    # -- tangent mode: forward mode of the first derivative, for _compile_tangent
+
+    def tangent(self, node: Expr) -> tuple[Part, Part | None]:
+        """node's value part, from the statements ``part`` makes for it, and
+        the part of its derivative in the one variable, None where that is
+        0.  Each rule gives the eps^1 coefficient of node(x + eps) in the
+        series field, with the field's own constants (see
+        :func:`_compile_tangent`).  A real power or a root raises _Decline."""
+        if isinstance(node, (Const, Var)):
+            variable = isinstance(node, Var) and node.name in self.names
+            return self.part(node), _ONE if variable else None
+        if isinstance(node, Unary):
+            (n, d), du = self.tangent(node.operand)
+            return (self.shallow(f"(-{n})"), d), du and self.shallow_part(self.negated(du))
+        if isinstance(node, Binary):
+            (left, dl), r = self.tangent(node.left), node.right
+            if node.op == "^":
+                return self.tangent_power(node, left, dl)
+            if node.op == "/" and isinstance(r, Const) and r.value != 0:
+                value = self.binary(node, left, None)
+                deriv = self.dmul(self.const_part(1 / r.value), dl)
+            else:
+                right, dr = self.tangent(r)
+                if node.op in "+-":
+                    value, deriv = self.binary(node, left, right), self.dsum(node.op, dl, dr)
+                else:  # the product and quotient rules
+                    if dl or dr:  # the operands are read again
+                        left, right = self.atoms(left), self.atoms(right)
+                    value = self.binary(node, left, right)
+                    deriv = self.dsum("+" if node.op == "*" else "-",
+                                      self.dmul(right, dl), self.dmul(left, dr))
+                    if deriv and node.op == "/":  # (a'b - ab') / b^2, b^2 > 0
+                        bn, bd = right
+                        deriv = self.product(deriv, (self.times(bd, bd), self.times(bn, bn)))
+            return self.shallow_part(value), deriv and self.shallow_part(deriv)
+        if node.fn == "root":
+            raise _Decline
+        arg, du = self.tangent(node.args[0])
+        arg = self.atoms(arg) if du else arg  # read again by the derivative
+        n, d = arg
+        if node.fn == "abs":
+            if du:  # |u| has no derivative where u = 0
+                self.line(f"if {n} == 0: raise _NT()")
+            return (f"abs({n})", d), du and (f"({du[0]} if {n} > 0 else -{du[0]})", du[1])
+        if node.fn == "sqrt":
+            root = self.kernel("sqrt", node.pos, arg, 2)
+            if du:  # sqrt~(u) u' / (2u), the series' rule, refused at u = 0
+                self.line(f"if {n} == 0: raise _NT()")
+            return root, du and self.product(self.dmul(root, du), (d, f"(2 * {n})"))
+        if node.fn in ("sin", "cos"):  # both from one series
+            sin, cos = self.kernel("sin_cos", node.pos, arg, 2)
+            value, slope = (sin, cos) if node.fn == "sin" else (cos, f"(-{sin})")
+            return (value, self.unit), self.dmul((slope, self.unit), du)
+        t = self.kernel(node.fn, node.pos, arg)[0]
+        value = t, self.unit
+        if node.fn == "exp" or du is None:
+            return value, self.dmul(value, du)
+        if node.fn == "ln":
+            return value, self.product(du, (d, n))
+        square = self.const(10 ** (2 * self.precision))  # tan: (1 + tan~(u)^2) u'
+        return value, self.dmul((f"({square} + {t} * {t})", square), du)
+
+    def tangent_power(self, node: Binary, base: Part, db: Part | None
+                      ) -> tuple[Part, Part | None]:
+        """An integer power and its derivative k u^(k-1) u', taken by
+        ``_dpow``, which refuses where compiled code took int_pow."""
+        k = int_exponent(node)
+        if k is None:
+            raise _Decline
+        if not k or db is None:
+            return self.power(node, base, None), None
+        base = self.atoms(base)
+        value = self.power(node, base, None)
+        dn, dd = self.temp(False), self.temp(False)
+        self.line(f"{dn}, {dd} = _dpow({base[0]}, {base[1] or 1}, {db[0]}, {db[1] or 1}, "
+                  f"{self.const(k)})")
+        return value, (dn, dd)
+
+    def atoms(self, part: Part) -> Part:
+        return self.atom(part[0]), self.atom(part[1])
+
+    def shallow_part(self, part: Part) -> Part:
+        return self.shallow(part[0]), self.shallow(part[1])
+
+    @staticmethod
+    def negated(part: Part) -> Part:
+        return f"(-{part[0]})", part[1]
+
+    def dmul(self, factor: Part, deriv: Part | None) -> Part | None:
+        """factor times a derivative part (None is 0)."""
+        if deriv is None or deriv is _ONE:
+            return deriv and factor
+        return self.product(factor, deriv)
+
+    def dsum(self, op: str, a: Part | None, b: Part | None) -> Part | None:
+        """a op b for op + or -, for derivative parts (None is 0)."""
+        if b is None:
+            return a
+        if a is None:
+            return b if op == "+" else self.negated(b)
+        return self.sum_part(op, a, b)
+
+
+_ONE: Part = ("1", None)  # the derivative of the variable
+
+
+class _Decline(Exception):
+    """An expression the tangent mode has no rule for: a real power or a root."""
+
+
+class _NoTangent(MathError):
+    """A point where the tangent code's rule and the series field's part
+    ways; the caller evaluates the point the field's way."""
+
+    def __init__(self):
+        super().__init__("no first-order rule at this point")
+
+
+def _dpow(n: int, d: int, dn: int, dd: int, k: int) -> tuple[int, int]:
+    """The derivative pair of u^k, u = n/d with derivative dn/dd, k != 0, where
+    compiled code took the power exactly; where it took ``int_pow`` (past
+    the unreduced guard) it raises _NoTangent.  At u = 0 the series' power
+    guard reads the leading coefficient, u' when that is not 0, so a 0
+    derivative or a guard the field would trip raises _NoTangent too."""
+    if (n.bit_length() + d.bit_length()) * abs(k) > approx.POWER_BITS:
+        raise _NoTangent()
+    if not n:  # k > 0, since compiled code refuses 0^k for k < 0
+        lead = Fraction(dn, dd)
+        if not dn or (abs(lead) != 1 and approx.power_too_large(lead, k)):
+            raise _NoTangent()
+        return (dn, dd) if k == 1 else (0, 1)
+    if k > 0:
+        return k * n ** (k - 1) * dn, d ** (k - 1) * dd
+    num, den = k * d ** (1 - k) * dn, n ** (1 - k) * dd
+    return (num, den) if den > 0 else (-num, -den)
 
 
 def _fraction(part: Part) -> str:
@@ -1078,6 +1260,8 @@ _COMPILED_SCOPE = {
     "_real_root": _real_root,
     "_index": _require_root_index,
     "_sum_of": _sum_of,
+    "_NT": _NoTangent,
+    "_dpow": _dpow,
 }
 
 

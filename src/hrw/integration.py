@@ -32,8 +32,12 @@ sum raises the first MathError its own evaluation meets: its row kernels
 run in the order the code calls them, each over its rows in order, and
 inside a row the kernel's rule holds, the first point and at that point the
 first node.  Volume and surface of revolution, curve length, line work, the
-supernearness probe, gauge partitions and the Simpson oracle do field or
-``approx`` work per point and keep ``compile_real``'s point functions.
+supernearness probe, gauge partitions and the Simpson oracle keep
+``compile_real``'s point functions.  Surface of revolution, curve length and
+line work read a point's value and first derivative from one call of the
+expression's tangent code (``exprs._compile_tangent``); a point where that
+code raises takes the jet path, compile_real's value, the radius check or
+the force, then ``taylor_jet``, so its value or error is that path's.
 
 ``PartitionSpec.breakpoints`` and ``tagged_partition`` are ``Fraction``
 views of the same grid.  A grid holds at most 2^20 cells; a larger one is
@@ -66,6 +70,7 @@ from .calculus import CurveDef, _norm_sq, taylor_jet
 from .errors import (
     DepthExceeded,
     DomainError,
+    MathError,
     NegativeRadius,
     OracleFailure,
     OrderViolation,
@@ -78,6 +83,7 @@ from .exprs import (
     Expr,
     Unary,
     Var,
+    _compile_tangent,
     compile_real,
     compile_rows,
     free_vars,
@@ -649,12 +655,17 @@ def _radius(f: Expr, var: str, precision: int) -> Callable[[int, int], tuple[int
 
     def radius(lo: int, q: int) -> tuple[int, int]:
         n, d = fn(lo, q)
-        if n < 0:
-            x, r = show_rational(Fraction(lo, q)), show_rational(Fraction(n, d))
-            raise NegativeRadius(f"f({x}) = {r} < 0")
+        _nonnegative(lo, q, n, d)
         return n, d
 
     return radius
+
+
+def _nonnegative(lo: int, q: int, n: int, d: int) -> None:
+    """Refuse the radius f(lo/q) = n/d where it is negative."""
+    if n < 0:
+        x, r = show_rational(Fraction(lo, q)), show_rational(Fraction(n, d))
+        raise NegativeRadius(f"f({x}) = {r} < 0")
 
 
 def measure_volume_revolution(
@@ -673,16 +684,27 @@ def measure_volume_revolution(
 def measure_surface_revolution(
     f: Expr, a: Fraction, b: Fraction, m: int, precision: int = DEFAULT_PRECISION
 ) -> Fraction:
-    """Surface of revolution: Riemann sum of 2 pi f(x) sqrt(1 + f'(x)^2)."""
+    """Surface of revolution: Riemann sum of 2 pi f(x) sqrt(1 + f'(x)^2).
+
+    Each cell takes f and f' at its min-vertex from one call of f's tangent
+    code.  Where that raises, the cell runs the jet path: f from
+    compile_real, its sign check, then f' from ``taylor_jet``.
+    """
     var = first_variable("x", f)
     radius = _radius(f, var, precision)
+    tangent = _compile_tangent(f, var, precision)
     cfg = Field(precision=precision)
 
     def band(lo: int, q: int) -> tuple[int, int]:
-        n, d = radius(lo, q)
-        slope = taylor_jet(f, Fraction(lo, q), 1, cfg, var).derivative(1)
-        s = approx.sqrt_approx(1 + slope * slope, precision)
-        return n * s.numerator, d * s.denominator
+        try:
+            (n, d), (sn, sd) = tangent(lo, q)
+        except MathError:
+            n, d = radius(lo, q)
+            sn, sd = taylor_jet(f, Fraction(lo, q), 1, cfg, var).derivative(1).as_integer_ratio()
+        else:
+            _nonnegative(lo, q, n, d)
+        s, t = approx.sqrt_pair(sn * sn + sd * sd, sd * sd, precision)
+        return n * s, d * t
 
     return 2 * approx.pi_approx(precision) * _box_sum(band, [_axis(a, b, m)], "min-vertex", 0)
 
@@ -703,8 +725,11 @@ def measure_curve_length(
 
     The speed integral evaluates at cell centers, matching the chord sum's
     second-order accuracy so the two paths track each other at fine meshes.
+    It reads c'(t) from the components' tangent code, and from their jets
+    at a center where that raises.
     """
     fns = [compile_real(c, (curve.param,), precision) for c in curve.components]
+    tangents = [_compile_tangent(c, curve.param, precision) for c in curve.components]
     axis = _axis(a, b, m)
     points = [tuple(Fraction(*fn(t, axis.q)) for fn in fns) for t in axis.nums]
     polygonal = sum(
@@ -715,9 +740,12 @@ def measure_curve_length(
     cfg = Field(precision=precision)
 
     def speed(n: int, d: int) -> tuple[int, int]:
-        velocity = [j.derivative(1) for j in curve.jets(Fraction(n, d), 1, cfg)]
-        s = approx.sqrt_approx(_norm_sq(velocity), precision)
-        return s.numerator, s.denominator
+        try:
+            velocity = [tangent(n, d)[1] for tangent in tangents]
+        except MathError:
+            jets = curve.jets(Fraction(n, d), 1, cfg)
+            velocity = [j.derivative(1).as_integer_ratio() for j in jets]
+        return approx.sqrt_pair(*pair_sum((vn * vn, vd * vd) for vn, vd in velocity), precision)
 
     return LengthResult(polygonal, _box_sum(speed, [axis], "center", 0))
 
@@ -823,21 +851,31 @@ def line_integral_work(
     integrand sum_i F_i(c(t)) c_i'(t).
 
     The tags are the cell centers, whose second-order accuracy both paths
-    share; c'(t) is read from the curve's jets.
+    share.  A center's c(t) and c'(t) come from one call of each
+    component's tangent code.  Where one raises, the cell runs the jet
+    path: c(t) from compile_real, the force there, then c'(t) from the
+    curve's jets.
     """
     if len(field_components) != curve.dimension:
         raise ValueError("field dimension must match the curve")
     names = axis_names(curve.dimension)
     field_fns = [compile_real(comp, names, precision) for comp in field_components]
     comp_fns = [compile_real(c, (curve.param,), precision) for c in curve.components]
+    tangents = [_compile_tangent(c, curve.param, precision) for c in curve.components]
     nums, q = _axis(a, b, m)
     points = [tuple(Fraction(*fn(t, q)) for fn in comp_fns) for t in nums]
     cfg = Field(precision=precision)
     chord = integrand = Fraction(0)
     for lo, hi, prev, here in zip(nums, nums[1:], points, points[1:]):
-        pos = [v for fn in comp_fns for v in fn(lo + hi, 2 * q)]  # the center's pairs
+        try:
+            pairs = [tangent(lo + hi, 2 * q) for tangent in tangents]
+            pos = [v for value, _ in pairs for v in value]  # the center's pairs
+            velocity = [Fraction(*slope) for _, slope in pairs]
+        except MathError:
+            pos, velocity = [v for fn in comp_fns for v in fn(lo + hi, 2 * q)], None
         force = [Fraction(*fn(*pos)) for fn in field_fns]
-        velocity = [j.derivative(1) for j in curve.jets(Fraction(lo + hi, 2 * q), 1, cfg)]
+        if velocity is None:
+            velocity = [j.derivative(1) for j in curve.jets(Fraction(lo + hi, 2 * q), 1, cfg)]
         chord += sum(map(mul, force, map(sub, here, prev)), Fraction(0))
         integrand += sum(map(mul, force, velocity), Fraction(0))
     return WorkResult(chord, integrand * Fraction(nums[1] - nums[0], q))

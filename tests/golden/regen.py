@@ -59,7 +59,8 @@ def _families(rng: random.Random, p: int) -> list[dict]:
         arc = [f"{r}*cos({w}*t)", f"{r}*sin({w}*t)"]
         out.append(_case("length", p, *_interval(rng), rng.randint(6, 10), curve=arc, param="t"))
         catenary = ["t", "0.5*exp(t) + 0.5*exp(-t)"]
-        out.append(_case("length", p, *_interval(rng), rng.randint(6, 10), curve=catenary, param="t"))
+        out.append(_case("length", p, *_interval(rng), rng.randint(6, 10), curve=catenary,
+                         param="t"))
         r = _dec(rng, 0.5, 2)
         cycloid = [f"{r}*(t - sin(t))", f"{r}*(1 - cos(t))"]
         out.append(_case("length", p, *_interval(rng, 200, 1000, 1000, 3000), rng.randint(6, 10),

@@ -28,7 +28,10 @@ past the exact-power guard included; the plane's sweep must classify as the
 general classifier does.  Surface of revolution, both
 paths of curve length and of line work, and the supernearness probe must
 equal cell loops on Fractions written out here, slopes and velocities taken
-from ``taylor_jet``, or raise the same exception with the same text.
+from ``taylor_jet``, or raise the same exception with the same text, for
+random trees and for the benchmark's curve, force and surface families.
+The tangent code of every tree in x alone must give compile_real's value
+pair and the jet's derivative at each point, or raise a MathError there.
 
 The standard part of a series evaluation at a rational point must equal
 ``eval_real`` there exactly, or both must refuse at the same offset; real
@@ -106,6 +109,7 @@ from hrw.exprs import (
     Unary,
     Var,
     _at,
+    _compile_tangent,
     _exact,
     _named_constant,
     _require_root_index,
@@ -114,6 +118,7 @@ from hrw.exprs import (
     eval_hyper,
     eval_hyper_traced,
     eval_real,
+    free_vars,
     int_exponent,
     parse,
     render,
@@ -408,19 +413,34 @@ def unreduced(q: F, k: int) -> tuple[int, int]:
     return k * q.numerator, k * q.denominator
 
 
+def check_tangent(tangent, fn, e: Expr, x: F, args) -> None:
+    """The tangent code of e at x, passed as the pair args[:2], must give
+    the pair of compile_real's fn and the jet's derivative, or raise a
+    MathError: the measures then take that point's jet path."""
+    try:
+        value, (dn, dd) = tangent(*args[:2])
+    except MathError:
+        return
+    assert value == fn(*args) and dd > 0, (render(e), x)
+    assert F(dn, dd) == taylor_jet(e, x, 1, JET_FIELD, "x").derivative(1), (render(e), x)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_compiled_equals_tree_walk(seed):
-    # arguments as reduced pairs (n, d)
+    # arguments as reduced pairs (n, d); trees in x alone also by tangent code
     rng = random.Random(seed)
     gen = ExprGen(rng)
     for _ in range(100):
         e = parsed(gen.tree(rng.randint(1, 4)))
         fn = compile_real(e, ("x", "y"), PRECISION)
+        tangent = _compile_tangent(e, "x", PRECISION) if free_vars(e) <= {"x"} else None
         for _ in range(5):
             x, y = rand_rational(rng), rand_rational(rng)
             args = (*unreduced(x, 1), *unreduced(y, 1))
             want = outcome(eval_real, e, {"x": x, "y": y}, PRECISION)
             assert pair_outcome(fn, *args) == want, (render(e), x, y)
+            if tangent is not None:
+                check_tangent(tangent, fn, e, x, args)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -826,6 +846,25 @@ def test_mass_moments(seed):
         assert got == outcome(naive_mass_properties, rho, membership, cells, dim), render(rho)
 
 
+def bench_families(rng: random.Random, a: F, b: F):
+    """A radius, a curve in x and a force field from the benchmark's
+    families (``bench/wl_trans.py``): a sphere zone over [a, b] or an exp
+    surface; a circle arc, a catenary or a cycloid; a cos or an exp
+    gradient field."""
+    def coeff(lo: int, hi: int) -> str:
+        return str(F(rng.randint(lo, hi), 100))
+
+    R = max(abs(a), abs(b)) + F(rng.randint(1, 100), 100)
+    radius = rng.choice([f"sqrt({R * R} - x^2)", f"{coeff(50, 100)}*exp({coeff(25, 100)}*x)"])
+    r, w = coeff(50, 200), coeff(50, 200)
+    curve = rng.choice([[f"{r}*cos({w}*x)", f"{r}*sin({w}*x)"],
+                        ["x", "0.5*exp(x) + 0.5*exp(-x)"],
+                        [f"{r}*(x - sin(x))", f"{r}*(1 - cos(x))"]])
+    fn, k = rng.choice(["cos", "exp"]), coeff(50, 200)
+    return (parse(radius), CurveDef(tuple(map(parse, curve)), "x"),
+            [parse(f"{k}*{fn}(x)"), parse(f"{k}*{fn}(y)")])
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_one_dimensional_measures(seed):
     rng = random.Random(1000 + seed)
@@ -881,7 +920,7 @@ def test_one_dimensional_measures(seed):
         got = outcome(measure_volume_revolution, radius, a, b, m, PRECISION)
         assert got == outcome(naive_volume), render(radius)
 
-        def naive_surface():
+        def naive_surface(radius):
             total = F(0)
             for lo, hi in zip(breaks, breaks[1:]):
                 r = at(radius, (lo,))
@@ -891,19 +930,14 @@ def test_one_dimensional_measures(seed):
                 total += 2 * pi * r * approx.sqrt_approx(1 + slope * slope, PRECISION) * (hi - lo)
             return total
 
-        got = outcome(measure_surface_revolution, radius, a, b, m, PRECISION)
-        assert got == outcome(naive_surface), render(radius)
-
-        curve = CurveDef(tuple(parsed(gen.tree(2, big=False)) for _ in range(2)), "x")
-
-        def points():
+        def points(curve):
             return [tuple(at(c, (t,)) for c in curve.components) for t in breaks]
 
-        def speed(t):
+        def speed(curve, t):
             return [taylor_jet(c, t, 1, JET_FIELD, "x").derivative(1) for c in curve.components]
 
-        def naive_length():
-            ends = points()
+        def naive_length(curve):
+            ends = points(curve)
             polygonal = F(0)
             for p, q in zip(ends, ends[1:]):
                 polygonal += approx.sqrt_approx(
@@ -911,27 +945,33 @@ def test_one_dimensional_measures(seed):
             integral = F(0)
             for lo, hi in zip(breaks, breaks[1:]):
                 integral += approx.sqrt_approx(
-                    sum((v * v for v in speed((lo + hi) / 2)), F(0)), PRECISION) * (hi - lo)
+                    sum((v * v for v in speed(curve, (lo + hi) / 2)), F(0)), PRECISION) * (hi - lo)
             return polygonal, integral
 
-        got = outcome(measure_curve_length, curve, a, b, m, PRECISION)
-        assert got == outcome(naive_length), tuple(map(render, curve.components))
-
-        force = [parsed(ExprGen(rng, NAMES[:2]).tree(2, big=False)) for _ in range(2)]
-
-        def naive_work():
-            ends = points()
+        def naive_work(force, curve):
+            ends = points(curve)
             chord = integrand = F(0)
             for (lo, hi), p, q in zip(zip(breaks, breaks[1:]), ends, ends[1:]):
                 tag = (lo + hi) / 2
                 pos = tuple(at(c, (tag,)) for c in curve.components)
                 pull = [at(fc, pos) for fc in force]
                 chord += sum((fi * (x1 - x0) for fi, x0, x1 in zip(pull, p, q)), F(0))
-                integrand += sum((fi * vi for fi, vi in zip(pull, speed(tag))), F(0)) * (hi - lo)
+                slopes = speed(curve, tag)
+                integrand += sum((fi * vi for fi, vi in zip(pull, slopes)), F(0)) * (hi - lo)
             return chord, integrand
 
-        got = outcome(lambda: line_integral_work(force, curve, a, b, m, precision=PRECISION))
-        assert got == outcome(naive_work), tuple(map(render, [*force, *curve.components]))
+        # random trees, then the benchmark's families (their slopes are the
+        # tangent code's at every point)
+        curve = CurveDef(tuple(parsed(gen.tree(2, big=False)) for _ in range(2)), "x")
+        force = [parsed(ExprGen(rng, NAMES[:2]).tree(2, big=False)) for _ in range(2)]
+        for radius, curve, force in ((radius, curve, force), bench_families(rng, a, b)):
+            got = outcome(measure_surface_revolution, radius, a, b, m, PRECISION)
+            assert got == outcome(naive_surface, radius), render(radius)
+            got = outcome(measure_curve_length, curve, a, b, m, PRECISION)
+            assert got == outcome(naive_length, curve), tuple(map(render, curve.components))
+            got = outcome(lambda: line_integral_work(force, curve, a, b, m, precision=PRECISION))
+            shown = tuple(map(render, [*force, *curve.components]))
+            assert got == outcome(naive_work, force, curve), shown
 
         generator, target = parse(rand_poly(rng, "x")), parsed(gen.tree(2, big=False))
         meshes = [rng.randint(1, 6) for _ in range(2)]

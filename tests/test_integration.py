@@ -11,17 +11,21 @@ import pytest
 
 from hrw import approx, integration
 from hrw.approx import pi_approx, sqrt_approx
-from hrw.calculus import CurveDef
+from hrw.calculus import CurveDef, taylor_jet
 from hrw.cli import run
 from hrw.errors import (
+    ApproxOverflow,
     DepthExceeded,
+    DivisionByZero,
     DomainError,
     NegativeRadius,
+    NonSmoothAtPoint,
     OracleFailure,
     OrderViolation,
     UnknownFunctional,
 )
 from hrw.exprs import compile_real, eval_real, parse
+from hrw.field import Field
 from hrw.integration import (
     ConvergenceReport,
     DarbouxBounds,
@@ -707,6 +711,74 @@ class TestGauges:
             assert (part.cells, part.tags) == by_scan(gauge)
             outside += sum(not u <= t <= v for ((u, v),), (t,) in zip(part.cells, part.tags))
         assert outside > 0  # the nearest-tag rule was exercised
+
+
+def jet_surface(f: str, a: F, b: F, m: int) -> F:
+    """The surface sum with every slope from taylor_jet."""
+    e, h, total = parse(f), (b - a) / m, F(0)
+    for k in range(m):
+        x = a + k * h
+        slope = taylor_jet(e, x, 1, var="x").derivative(1)
+        total += eval_real(e, {"x": x}) * sqrt_approx(1 + slope * slope, 40) * h
+    return 2 * PI * total
+
+
+def jet_speed_integral(curve: CurveDef, a: F, b: F, m: int) -> F:
+    """The speed integral with every velocity from the curve's jets."""
+    h, total = (b - a) / m, F(0)
+    for k in range(m):
+        velocity = [j.derivative(1) for j in curve.jets(a + (2 * k + 1) * h / 2, 1, Field())]
+        total += sqrt_approx(sum(v * v for v in velocity), 40) * h
+    return total
+
+
+class TestTangentFallback:
+    """Where a measure's tangent code raises, the point takes the jet path
+    (the value, the radius check or the force, then the jet), so its value
+    or error is the jet path's."""
+
+    @pytest.mark.parametrize("comp", ["sin(t)/t", "(t^2)/t", "sqrt(t^2)", "t^3/t"])
+    def test_centre_at_a_removable_singularity(self, comp):
+        # m = 3 on [-1/2, 1/2] puts a centre at 0
+        curve = CurveDef.from_exprs([parse("t"), parse(comp)])
+        res = measure_curve_length(curve, F(-1, 2), F(1, 2), 3)
+        assert res.integral == jet_speed_integral(curve, F(-1, 2), F(1, 2), 3)
+
+    @pytest.mark.parametrize("f", ["sqrt(x^2) + 1", "x^(3/2) + 1", "root(3, x + 2)", "(x^2)^2 + 1"])
+    def test_min_vertex_where_tangent_code_has_no_rule(self, f):
+        # sqrt and a power of a base at 0, a real power and a root: the jet
+        assert measure_surface_revolution(parse(f), F(0), F(1), 2) == jet_surface(f, F(0), F(1), 2)
+
+    @pytest.mark.parametrize("call, error, text", [
+        (lambda: measure_surface_revolution(parse("abs(x) + 1"), F(-1), F(1), 2),
+         NonSmoothAtPoint, "abs argument vanishes at 0"),
+        (lambda: measure_curve_length(CurveDef.from_exprs([parse("t"), parse("1/(t - 1/2)")]),
+                                      F(0), F(1), 1),
+         DomainError, "expression unbounded on the monad of 1/2"),
+        (lambda: measure_surface_revolution(parse("2 + 1/(x - 1/2)"), F(1, 2), F(1), 2),
+         DivisionByZero, "division by zero (at offset 5)"),
+        (lambda: line_integral_work([parse("1/(x - 1/2)"), parse("1")],
+                                    CurveDef.from_exprs([parse("t"), parse("t")]), F(0), F(1), 1),
+         DivisionByZero, "division by zero (at offset 1)"),
+        (lambda: measure_surface_revolution(parse("tan(x)"), PI / 2, PI / 2 + 1, 1),
+         DomainError, f"tan undefined near {PI / 2}: cos too close to 0 (at offset 0)"),
+        # a power of a base at 0: the series refuses by the base's leading coefficient
+        (lambda: measure_surface_revolution(parse("(-1000*x^2)^30000 + 1"), F(0), F(1), 2),
+         ApproxOverflow, "power 30000 of a series with leading coefficient -1000 (at offset 11)"),
+        (lambda: measure_surface_revolution(parse("(-1000*x)^30000 + 1"), F(0), F(1), 2),
+         ApproxOverflow, "power 30000 of a series with leading coefficient -1000 (at offset 9)"),
+        (lambda: measure_surface_revolution(parse("(1000*x)^30000 + 1"), F(0), F(1), 2),
+         ApproxOverflow, "power 1000^30000 exceeds magnitude cap (at offset 8)"),
+        # the radius is refused before the slope, which fails at the same point
+        (lambda: measure_surface_revolution(parse("abs(x) - 1"), F(0), F(1), 2),
+         NegativeRadius, "f(0) = -1 < 0"),
+        (lambda: measure_surface_revolution(parse("sqrt(x) - 1"), F(0), F(1), 2),
+         NegativeRadius, "f(0) = -1 < 0"),
+    ])
+    def test_errors_are_the_jet_paths(self, call, error, text):
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value) == text
 
 
 class TestHugeRationalsInErrorTexts:
