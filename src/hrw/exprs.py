@@ -1123,11 +1123,18 @@ class _Codegen:
         if node.fn == "root":
             raise _Decline
         arg, du = self.tangent(node.args[0])
+        value, deriv = self.tangent_call(node, arg, du)
+        return value, deriv and self.shallow_part(deriv)
+
+    def tangent_call(self, node: Call, arg: Part, du: Part | None
+                     ) -> tuple[Part, Part | None]:
+        """A function of arg, whose derivative is du, and its derivative."""
         arg = self.atoms(arg) if du else arg  # read again by the derivative
         n, d = arg
         if node.fn == "abs":
-            if du:  # |u| has no derivative where u = 0
+            if du:  # |u| has no derivative where u = 0; u' is read twice
                 self.line(f"if {n} == 0: raise _NT()")
+                du = du if du is _ONE else (self.atom(du[0]), du[1])
             return (f"abs({n})", d), du and (f"({du[0]} if {n} > 0 else -{du[0]})", du[1])
         if node.fn == "sqrt":
             root = self.kernel("sqrt", node.pos, arg, 2)

@@ -868,6 +868,7 @@ def bench_families(rng: random.Random, a: F, b: F):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_one_dimensional_measures(seed):
     rng = random.Random(1000 + seed)
+    families = random.Random(f"families {seed}")  # leaves rng's draws as they were
     gen = ExprGen(rng, ("x",))
     pi = approx.pi_approx(PRECISION)
     for rule in TAG_RULES:
@@ -964,7 +965,7 @@ def test_one_dimensional_measures(seed):
         # tangent code's at every point)
         curve = CurveDef(tuple(parsed(gen.tree(2, big=False)) for _ in range(2)), "x")
         force = [parsed(ExprGen(rng, NAMES[:2]).tree(2, big=False)) for _ in range(2)]
-        for radius, curve, force in ((radius, curve, force), bench_families(rng, a, b)):
+        for radius, curve, force in ((radius, curve, force), bench_families(families, a, b)):
             got = outcome(measure_surface_revolution, radius, a, b, m, PRECISION)
             assert got == outcome(naive_surface, radius), render(radius)
             got = outcome(measure_curve_length, curve, a, b, m, PRECISION)

@@ -732,6 +732,33 @@ def jet_speed_integral(curve: CurveDef, a: F, b: F, m: int) -> F:
     return total
 
 
+def chain(fns: list[str], inner: str) -> str:
+    """fns[-1](...fns[0](inner)...)."""
+    for fn in fns:
+        inner = f"{fn}({inner})"
+    return inner
+
+
+class TestDeepTangentCode:
+    """A level of a function chain adds a bounded amount of tangent code
+    and of nesting to it, so chains near the parser's nesting limit compile
+    and give the jet path's values."""
+
+    @pytest.mark.parametrize("f", [
+        chain(["abs"] * 30, "x + 2"),
+        chain(["abs"] * 99, "x + 2"),
+        chain(["sqrt"] * 99, "x + 2"),
+        chain(["sin"] * 99, "x + 2"),
+        chain(["sqrt", "abs", "sin", "abs"] * 24, "x + 2"),
+        chain(["sqrt", "sin", "abs", "ln"] * 12, "x + 2").replace(")", ") + 2"),
+    ], ids=["abs30", "abs99", "sqrt99", "sin99", "sqrt-abs-sin", "sqrt-sin-abs-ln"])
+    def test_chains(self, f):
+        assert measure_surface_revolution(parse(f), F(0), F(1), 2) == jet_surface(f, F(0), F(1), 2)
+        curve = CurveDef.from_exprs([parse("t"), parse(f.replace("x", "t"))])
+        res = measure_curve_length(curve, F(0), F(1), 2)
+        assert res.integral == jet_speed_integral(curve, F(0), F(1), 2)
+
+
 class TestTangentFallback:
     """Where a measure's tangent code raises, the point takes the jet path
     (the value, the radius check or the force, then the jet), so its value
