@@ -3,7 +3,10 @@ entry a line:
 
 * cli.jsonl: 250 requests from each of eight seeds of ``test_fuzz.RequestGen``;
 * measures.jsonl: surface of revolution, curve length and line work calls
-  (``measure_cases`` below), each with its outcome.
+  (``measure_cases`` below), each with its outcome;
+* compiled.jsonl: seeded random trees with the arguments and outcomes of
+  their compiled point, row and tangent functions (``compiled_cases``);
+* pins.jsonl: the requests of ``PINS``, stored as cli.jsonl's are.
 
 Run from the repository root, after an intended change of output:
 
@@ -25,9 +28,10 @@ TESTS = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(TESTS))
 
 from hrw import approx  # noqa: E402
-from hrw.exprs import Call, render  # noqa: E402
-from test_fuzz import POOL, ExprGen, RequestGen, rand_rect  # noqa: E402
-from test_golden import GOLDEN, MEASURES, measure_record, record  # noqa: E402
+from hrw.exprs import Call, free_vars, render  # noqa: E402
+from test_fuzz import POOL, ExprGen, RequestGen, rand_rational, rand_rect  # noqa: E402
+from test_golden import (  # noqa: E402
+    COMPILED, GOLDEN, MEASURES, PINS, compiled_record, measure_record, record)
 
 SEEDS = range(8)
 PER_SEED = 250
@@ -154,15 +158,90 @@ def measure_cases() -> list[dict]:
     return cases
 
 
+def _args(rng: random.Random, count: int) -> tuple[list[int], list[int]]:
+    """count rational arguments as reduced (numerator, denominator) pairs,
+    and the same values with each pair times a factor from 2 to 6."""
+    point, scaled = [], []
+    for _ in range(count):
+        v, k = rand_rational(rng), rng.randint(2, 6)
+        point += [v.numerator, v.denominator]
+        scaled += [k * v.numerator, k * v.denominator]
+    return point, scaled
+
+
+def _row(rng: random.Random, loop: int) -> dict:
+    """A row of 1 to 5 points over three variables, the last loop of them
+    running over the row with one denominator each, and weights half the time."""
+    head, _ = _args(rng, 3 - loop)
+    dens = [rng.randint(1, 12) for _ in range(loop)]
+    size = rng.randint(1, 5)
+    nums = [[rng.randint(-3 * q, 3 * q) for q in dens] for _ in range(size)]
+    weights = [rng.randint(-3, 3) for _ in range(size)] if rng.random() < 0.5 else None
+    return {"loop": loop, "head": head + dens, "row": [n[0] if loop == 1 else n for n in nums],
+            "weights": weights}
+
+
+def compiled_cases() -> list[dict]:
+    """Trees of ``ExprGen`` at precisions 12 and 40, half of them in x
+    alone (those also at two points of their tangent code), powers at the
+    exact-power guard, real powers, roots and every call included."""
+    cases = []
+    for p in (12, 40):
+        rng = random.Random(2900 + p)
+        for i in range(150):
+            names = ("x",) if i % 2 else ("x", "y", "z")
+            e = ExprGen(rng, names).tree(rng.randint(1, 4))
+            point, scaled = _args(rng, 3)
+            case = {"expr": render(e), "precision": p, "point": point, "scaled": scaled,
+                    "rows": [_row(rng, 1), _row(rng, 3)]}
+            if free_vars(e) <= {"x"}:
+                case["slope_at"] = [point[:2], scaled[:2]]
+            cases.append(case)
+    return cases
+
+
+# the outputs CI pinned one by one: a gauge sum; a seeded sum (the SplitMix64
+# tag stream); row kernels (a hoisted x-part over y-rows, a per-denominator
+# sum, an inner-rectangle mass, and the division error of the first point,
+# not of the hoisted 1/x); integer kernels (grid values and sqrt pairs, a
+# seeded exp sum, the ln refusal naming the reduced value at the first
+# centre tag); correctly rounded tan and cos (a seeded cos sum whose
+# arguments pass 4) and sin of a 5 001-digit argument; one kernel call per
+# sin or cos; and the row kernel's one fallback (x^15000 passes the
+# exact-power guard mid-row)
+PINS_ARGV = [
+    ["integrate", "x", "--on", "0,1", "--method", "gauge", "--gauge", "1/100"],
+    ["integrate", "x", "--on", "0,1", "--mesh", "1/4", "--tags", "seeded-random", "--seed", "3"],
+    ["integrate", "x*y^2 + 3/(x+2)", "--rect", "0,1;-1,2", "--mesh", "1/4"],
+    ["integrate", "2.5/(x + 1.75)", "--on", "0,1", "--mesh", "1/16", "--tags", "center"],
+    ["measure", "mass", "--rho=1 + x^2", "--region=x^2 + y^2 - 9/16", "--rect=-1,1;-1,1",
+     "--mesh", "1/8"],
+    ["integrate", "1/y + 1/x", "--rect", "0,1;0,1", "--mesh", "1/2"],
+    ["integrate", "sin(x) + sqrt(x)", "--on", "0,1", "--mesh", "1/8", "--tags", "center"],
+    ["integrate", "exp(x)", "--on", "0,1", "--mesh", "1/8", "--tags", "seeded-random",
+     "--seed", "5"],
+    ["integrate", "x + ln(x - 1/3)", "--on", "0,1", "--mesh", "1/4", "--tags", "center"],
+    ["integrate", "tan(x)", "--on", "0,1", "--mesh", "1/8", "--tags", "center"],
+    ["integrate", "cos(4.5 + x)", "--on", "0,1", "--mesh", "1/8", "--tags", "seeded-random",
+     "--seed", "7"],
+    ["eval", "sin(10^5000)"],
+    ["integrate", "sin(x)*cos(x) + cos(x)", "--on", "0,1", "--mesh", "1/8", "--tags",
+     "seeded-random", "--seed", "31"],
+    ["integrate", "x^15000", "--on", "7/10,9/10", "--mesh", "1/20", "--tags", "center"],
+]
+
+
+def _write(path: Path, entries) -> None:
+    path.write_text("".join(json.dumps(entry) + "\n" for entry in entries))
+
+
 def main() -> None:
     os.environ.pop("HRW_PRECISION", None)
-    lines = []
-    for seed in SEEDS:
-        gen = RequestGen(random.Random(2600 + seed))
-        lines += [json.dumps(record(gen.request())) for _ in range(PER_SEED)]
-    GOLDEN.write_text("\n".join(lines) + "\n")
-    kept = [json.dumps(measure_record(case)) for case in measure_cases()]
-    MEASURES.write_text("\n".join(kept) + "\n")
+    gens = [RequestGen(random.Random(2600 + seed)) for seed in SEEDS]
+    _write(GOLDEN, (record(gen.request()) for gen in gens for _ in range(PER_SEED)))
+    _write(MEASURES, map(measure_record, measure_cases()))
+    _write(COMPILED, map(compiled_record, compiled_cases()))
+    _write(PINS, map(record, PINS_ARGV))
 
 
 if __name__ == "__main__":

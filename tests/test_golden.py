@@ -18,7 +18,21 @@ powers, a negative radius whose slope fails too).  Each value is stored as
 hex numerator and denominator, so values past Python's int-to-str limit
 compare too; each error as its type, text and offset.
 
-An intended change of output rewrites both files with
+The compiled-code file holds seeded random trees (``test_fuzz.ExprGen``)
+at precisions 12 and 40, each with its integer arguments and outcomes:
+``compile_real``'s function at a reduced point and at the same point
+unreduced; ``compile_rows``' ``values`` and ``sum`` over a row at loop 1
+and at loop = all; and for a tree in x alone the tangent code's value and
+slope at two points, or its error there, or "declined" where the tree has
+no tangent code.  Values are stored as reduced hex numerator and
+denominator, a value over 4 KB as the sha256 of that text.
+
+The pin file holds the CLI requests whose outputs were pinned one by one:
+seeded sums, row kernels, integer kernels, correctly rounded sin, cos and
+tan, and their error texts.  They are stored as cli.jsonl's requests are,
+and replayed the same way, on every Python that runs the tests.
+
+An intended change of output rewrites every file with
 ``python tests/golden/regen.py``; the files' diffs then show each changed
 entry.
 """
@@ -35,11 +49,13 @@ from pathlib import Path
 from hrw.calculus import CurveDef
 from hrw.cli import _parser, _UsageError, run
 from hrw.errors import MathError
-from hrw.exprs import parse
+from hrw.exprs import _compile_tangent, _no_tangent, compile_real, compile_rows, parse
 from hrw.integration import line_integral_work, measure_curve_length, measure_surface_revolution
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.jsonl"
 MEASURES = GOLDEN.with_name("measures.jsonl")
+COMPILED = GOLDEN.with_name("compiled.jsonl")
+PINS = GOLDEN.with_name("pins.jsonl")
 _KEPT_BYTES = 4096
 _USAGE = "usage-error: "
 
@@ -72,6 +88,13 @@ def test_cli_outputs_are_kept(monkeypatch):
         assert record(want["argv"]) == want, f"{GOLDEN.name} line {number}"
 
 
+def test_pinned_outputs_are_kept(monkeypatch):
+    monkeypatch.delenv("HRW_PRECISION", raising=False)
+    for number, line in enumerate(PINS.read_text().splitlines(), 1):
+        want = json.loads(line)
+        assert record(want["argv"]) == want, f"{PINS.name} line {number}"
+
+
 def _measure(case: dict) -> tuple[Fraction, ...]:
     a, b = (Fraction(v) for v in case["on"])
     m, precision = case["m"], case["precision"]
@@ -99,3 +122,54 @@ def test_measure_outputs_are_kept():
         want = json.loads(line)
         case = {k: v for k, v in want.items() if k not in ("values", "error", "text", "offset")}
         assert measure_record(case) == want, f"{MEASURES.name} line {number}"
+
+
+_NAMES = ("x", "y", "z")
+
+
+def _pair(n: int, d: int) -> list[str] | dict:
+    """A (numerator, denominator) pair as the reduced hex pair, or the sha256
+    of that pair's text when it is over 4 KB."""
+    v = Fraction(n, d)
+    pair = [hex(v.numerator), hex(v.denominator)]
+    text = "/".join(pair)
+    return pair if len(text) <= _KEPT_BYTES else {"sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def _outcome(thunk, kept) -> dict:
+    try:
+        return {"value": kept(thunk())}
+    except MathError as ex:
+        return {"error": type(ex).__name__, "text": str(ex), "offset": ex.pos}
+
+
+def compiled_record(case: dict) -> dict:
+    """One tree's compiled calls (case) and their outcomes, under "out"."""
+    e, precision = parse(case["expr"]), case["precision"]
+    fn = compile_real(e, _NAMES, precision)
+    out = {"real": [_outcome(lambda: fn(*args), lambda v: _pair(*v))
+                    for args in (case["point"], case["scaled"])]}
+    rows = []
+    for row in case["rows"]:
+        kernel = compile_rows(e, _NAMES, precision, row["loop"])
+        cells = [tuple(v) if isinstance(v, list) else v for v in row["row"]]
+        rows.append({
+            "values": _outcome(lambda: kernel.values(*row["head"], cells),
+                               lambda vs: [_pair(*v) for v in vs]),
+            "sum": _outcome(lambda: kernel.sum(*row["head"], cells, row["weights"]),
+                            lambda v: _pair(*v)),
+        })
+    out["rows"] = rows
+    if "slope_at" in case:
+        tangent = _compile_tangent(e, "x", precision)
+        out["tangent"] = "declined" if tangent is _no_tangent else [
+            _outcome(lambda: tangent(*args), lambda v: [_pair(*v[0]), _pair(*v[1])])
+            for args in case["slope_at"]]
+    return {**case, "out": out}
+
+
+def test_compiled_outputs_are_kept():
+    for number, line in enumerate(COMPILED.read_text().splitlines(), 1):
+        want = json.loads(line)
+        case = {k: v for k, v in want.items() if k != "out"}
+        assert compiled_record(case) == want, f"{COMPILED.name} line {number}"
