@@ -36,9 +36,11 @@ power of a row value needs ``int_pow``, the row kernel runs the row again
 from its first point through compile_real's function, its one fallback.
 Every MathError from compiled code carries the offset of the node that
 raised it, exactly as from :func:`eval_real`, which stays the independent
-tree-walking oracle.  ``_compile_tangent`` runs the same walk in tangent
-mode: beside each value it computes the value's first derivative in the one
-variable, by the series field's rules, for the measures that read slopes.
+tree-walking oracle.  All three functions come from one code-generator
+walk.  For the measures that read slopes, ``_compile_tangent`` runs it in
+tangent mode, which carries beside each value part the part of its first
+derivative in the one variable, by the series field's rules; its value
+statements are compile_real's.
 """
 
 from __future__ import annotations
@@ -697,14 +699,19 @@ def compile_real(
 
 
 def _compile_point(
-    e: Expr, names: tuple[str, ...], precision: int
-) -> Callable[..., tuple[int, int]]:
-    """compile_real's function.  Row kernels build their ``_point`` here, so
-    that a wrapper of the public name sees its callers only."""
-    gen = _Codegen(names, precision)
-    n, d = gen.part(e)  # with no row, every statement is in hoisted
+    e: Expr, names: tuple[str, ...], precision: int, tangent: bool = False
+) -> Callable:
+    """compile_real's function, or with ``tangent`` (one name) the tangent
+    code's.  Row kernels build their ``_point`` here, so that a wrapper of
+    the public name sees its callers only."""
+    gen = _Codegen(names, precision, tangent=tangent)
+    (n, d), deriv = gen.part(e)  # with no row, every statement is in hoisted
+    result = f"{n}, {d or 1}"
+    if tangent:
+        dn, dd = deriv or ("0", None)
+        result = f"({result}), ({dn}, {dd or 1})"
     params = ", ".join(f"{vn}, {vd}" for vn, vd in gen.vars)
-    body = "\n".join([*gen.hoisted, f"return {n}, {d or 1}"])
+    body = "\n".join([*gen.hoisted, f"return {result}"])
     return _function_maker(len(gen.consts), params, body)(*gen.consts)
 
 
@@ -713,8 +720,10 @@ def _compile_tangent(e: Expr, name: str, precision: int) -> Callable[[int, int],
     variable's (numerator, positive denominator) pair returning
     ``((n, d), (dn, dd))``, e's value pair from compile_real's statements
     and the pair of its derivative, the eps^1 coefficient of e(x + eps)
-    that ``taylor_jet`` reads from the series field (Wengert's forward
-    mode, one derivative beside each value).
+    that ``taylor_jet`` reads from the series field.  It is compile_real's
+    walk in tangent mode, which carries beside each value the derivative of
+    that value (Wengert's forward mode), so the value part is compile_real's
+    by construction.
 
     Each rule follows the field's own rounding, so the rationals are the
     jet's: d sin u = cos~(u) u' and d cos u = -sin~(u) u', both from the one
@@ -728,14 +737,10 @@ def _compile_tangent(e: Expr, name: str, precision: int) -> Callable[[int, int],
     real power or a root has no tangent code; its function raises at every
     point.
     """
-    gen = _Codegen((name,), precision)
     try:
-        (n, d), deriv = gen.tangent(e)
+        return _compile_point(e, (name,), precision, tangent=True)
     except _Decline:
         return _no_tangent
-    dn, dd = deriv or ("0", None)
-    body = "\n".join([*gen.hoisted, f"return ({n}, {d or 1}), ({dn}, {dd or 1})"])
-    return _function_maker(len(gen.consts), "n0, d0", body)(*gen.consts)
 
 
 def _no_tangent(n: int, d: int):
@@ -774,7 +779,7 @@ def compile_rows(
     wants single points calls :func:`compile_real`.
     """
     gen = _Codegen(names, precision, loop)
-    n, d = gen.part(e)
+    (n, d), _ = gen.part(e)
     return RowKernel(e, gen, n, d or "1")
 
 
@@ -889,7 +894,14 @@ Part = tuple[str, Union[str, None]]  # code for (numerator, denominator); None m
 
 
 class _Codegen:
-    """Statements and (numerator, denominator) code for one expression.
+    """Statements and (numerator, denominator) code for one expression, by
+    one walk of its tree (``part``), for compile_real, compile_rows and the
+    tangent code.
+
+    Built with ``tangent`` (one variable, no row), the walk carries beside
+    each node's value part the part of its derivative in that variable, by
+    the rules of :func:`_compile_tangent`; otherwise every derivative is
+    None, and no statement or constant is made for one.
 
     Part code is pure int arithmetic on names and closure constants, so it
     may be evaluated later than it is generated; whatever can raise becomes
@@ -904,8 +916,9 @@ class _Codegen:
     compile_real's function would call int_pow.
     """
 
-    def __init__(self, names: tuple[str, ...], precision: int, loop: int = 0):
-        self.names = names
+    def __init__(self, names: tuple[str, ...], precision: int, loop: int = 0,
+                 tangent: bool = False):
+        self.names, self.tangent = names, tangent
         first = len(names) - loop
         self.vars = [(f"Vn{i}" if i >= first else f"n{i}", f"d{i}") for i in range(len(names))]
         self.first, self.loop = first, loop
@@ -966,42 +979,91 @@ class _Codegen:
         self.line(f"{n}, {d} = {head}, {self.const(pos)})")
         return n, d
 
-    def part(self, node: Expr) -> Part:
+    def part(self, node: Expr) -> tuple[Part, Part | None]:
+        """node's value part and the part of its derivative in the variable,
+        None where that is 0, so always None but in tangent mode.  In tangent
+        mode a real power or a root raises _Decline."""
         if isinstance(node, Const):
-            return self.const_part(Fraction(node.value))
+            return self.const_part(Fraction(node.value)), None
         if isinstance(node, Var):
             if node.name in self.names:
-                return self.vars[self.names.index(node.name)]
-            return self.const_part(_named_constant(node.name, self.precision, node.pos))
+                return self.vars[self.names.index(node.name)], _ONE if self.tangent else None
+            return self.const_part(_named_constant(node.name, self.precision, node.pos)), None
         if isinstance(node, Unary):
-            n, d = self.part(node.operand)
-            return self.shallow(f"(-{n})"), d
+            (n, d), du = self.part(node.operand)
+            return (self.shallow(f"(-{n})"), d), du and self.shallow_part(self.negated(du))
         if isinstance(node, Binary):
             # both operands are generated here, so a level takes one frame; an
             # integer exponent or a nonzero constant divisor is folded instead
-            left, r = self.part(node.left), node.right
+            (left, dl), r = self.part(node.left), node.right
             if node.op == "^":
-                whole = int_exponent(node) is not None
-                return self.power(node, left, None if whole else self.part(r))
-            folded = node.op == "/" and isinstance(r, Const) and r.value != 0
-            n, d = self.binary(node, left, None if folded else self.part(r))
-            return self.shallow(n), self.shallow(d)
+                if int_exponent(node) is not None:
+                    return self.power(node, left, dl)
+                if self.tangent:
+                    raise _Decline
+                head = f"_approx(_A.pow_approx, {_fraction(left)}, {_fraction(self.part(r)[0])}"
+                return self.call(node.pos, f"{head}, {self.digits}"), None
+            if node.op == "/" and isinstance(r, Const) and r.value != 0:
+                factor = self.const_part(1 / r.value)  # the sign is in its numerator
+                value, deriv = self.product(left, factor), self.dmul(factor, dl)
+            else:
+                right, dr = self.part(r)
+                if node.op in "+-":
+                    value, deriv = self.sum_part(node.op, left, right), self.dsum(node.op, dl, dr)
+                else:  # the product and quotient rules
+                    if dl or dr:  # the operands are read again
+                        left, right = self.atoms(left), self.atoms(right)
+                    value = self.product(left, right) if node.op == "*" else self.quotient(
+                        node.pos, left, right)
+                    deriv = self.dsum("+" if node.op == "*" else "-",
+                                      self.dmul(right, dl), self.dmul(left, dr))
+                    if deriv and node.op == "/":  # (a'b - ab') / b^2, b^2 > 0
+                        bn, bd = right
+                        deriv = self.product(deriv, (self.times(bd, bd), self.times(bn, bn)))
+            return self.shallow_part(value), deriv and self.shallow_part(deriv)
         if node.fn == "root":
+            if self.tangent:
+                raise _Decline
             index = node.args[0]
             if isinstance(index, Const) and index.value.denominator == 1 and index.value >= 2:
                 k = self.const(int(index.value))
             else:
-                arg = _fraction(self.part(index))
+                arg = _fraction(self.part(index)[0])
                 k = self.temp("V" in arg)
                 self.line(f"{k} = _index({arg}, {self.const(index.pos)})")
-            radicand = _fraction(self.part(node.args[1]))
-            return self.call(node.pos, f"_approx(_real_root, {k}, {radicand}, {self.digits}")
-        arg = self.part(node.args[0])
+            radicand = _fraction(self.part(node.args[1])[0])
+            return self.call(node.pos, f"_approx(_real_root, {k}, {radicand}, {self.digits}"), None
+        value, deriv = self.function(node, *self.part(node.args[0]))
+        return value, deriv and self.shallow_part(deriv)
+
+    def function(self, node: Call, arg: Part, du: Part | None) -> tuple[Part, Part | None]:
+        """A one-argument call on arg, whose derivative is du, and its
+        derivative.  Each rule follows the series field's rounding (see
+        :func:`_compile_tangent`)."""
+        arg = self.atoms(arg) if du else arg  # read again by the derivative
+        n, d = arg
         if node.fn == "abs":
-            return f"abs({arg[0]})", arg[1]
+            if du:  # |u| has no derivative where u = 0; u' is read twice
+                self.line(f"if {n} == 0: raise _NT()")
+                du = du if du is _ONE else (self.atom(du[0]), du[1])
+            return (f"abs({n})", d), du and (f"({du[0]} if {n} > 0 else -{du[0]})", du[1])
         if node.fn == "sqrt":
-            return self.kernel("sqrt", node.pos, arg, 2)
-        return self.kernel(node.fn, node.pos, arg)[0], self.unit
+            root = self.kernel("sqrt", node.pos, arg, 2)
+            if du:  # sqrt~(u) u' / (2u), the series' rule, refused at u = 0
+                self.line(f"if {n} == 0: raise _NT()")
+            return root, du and self.product(self.dmul(root, du), (d, f"(2 * {n})"))
+        if du and node.fn in ("sin", "cos"):  # both from one series
+            sin, cos = self.kernel("sin_cos", node.pos, arg, 2)
+            value, slope = (sin, cos) if node.fn == "sin" else (cos, f"(-{sin})")
+            return (value, self.unit), self.dmul((slope, self.unit), du)
+        t = self.kernel(node.fn, node.pos, arg)[0]
+        value = t, self.unit
+        if node.fn == "exp" or du is None:
+            return value, self.dmul(value, du)
+        if node.fn == "ln":
+            return value, self.product(du, (d, n))
+        square = self.const(10 ** (2 * self.precision))  # tan: (1 + tan~(u)^2) u'
+        return value, self.dmul((f"({square} + {t} * {t})", square), du)
 
     def kernel(self, fn: str, pos: int, arg: Part, outputs: int = 1) -> tuple[str, ...]:
         """The names of the outputs of a direct call of the integer kernel
@@ -1016,21 +1078,14 @@ class _Codegen:
                   f"except _ME as _e: raise _at(_e, {self.const(pos)}) from None")
         return names
 
-    def binary(self, node: Binary, left: Part, right: Part | None) -> Part:
-        """right is None for a nonzero constant divisor."""
-        if right is None:  # the sign is in the constant's numerator
-            return self.product(left, self.const_part(1 / node.right.value))
-        if node.op == "*":
-            return self.product(left, right)
-        if node.op in "+-":
-            return self.sum_part(node.op, left, right)
-        # "/": numerator and denominator apart, so a row-invariant divisor
-        # leaves a row-invariant denominator
+    def quotient(self, pos: int, left: Part, right: Part) -> Part:
+        """left / right, numerator and denominator apart, so a row-invariant
+        divisor leaves a row-invariant denominator."""
         (an, ad), (bn, bd) = left, right
         bn = self.atom(bn)
         num, den = self.times(an, bd), self.times(ad, bn)
         n, d = self.temp("V" in num + bn), self.temp("V" in den)
-        self.line(f"if {bn} == 0: raise _DZ('division by zero', {self.const(node.pos)})")
+        self.line(f"if {bn} == 0: raise _DZ('division by zero', {self.const(pos)})")
         self.line(f"{n} = {num} if {bn} > 0 else -{num}")
         self.line(f"{d} = {den} if {bn} > 0 else -{den}")
         return n, d
@@ -1048,14 +1103,13 @@ class _Codegen:
             an, bn = self.fixed(an), self.fixed(bn)
         return f"({an} {op} {bn})", self.times(ad, bd) if ad != bd else ad
 
-    def power(self, node: Binary, base: Part, exponent: Part | None) -> Part:
-        """exponent is None for an integer literal exponent."""
-        if exponent is not None:
-            return self.call(node.pos, f"_approx(_A.pow_approx, {_fraction(base)}, "
-                                       f"{_fraction(exponent)}, {self.digits}")
+    def power(self, node: Binary, base: Part, db: Part | None) -> tuple[Part, Part | None]:
+        """An integer power of base, whose derivative is db, and the power's
+        derivative k u^(k-1) u' from ``_dpow``, which refuses where the
+        power took int_pow."""
         k = int_exponent(node)
         if k == 0:
-            return self.const_part(Fraction(1))
+            return self.const_part(Fraction(1)), None
         an, ad = self.atom(base[0]), self.atom(base[1])
         # closure constants, so powers of any degree share one code object
         m, limit = self.const(abs(k)), self.const(approx.POWER_BITS // abs(k))
@@ -1068,7 +1122,7 @@ class _Codegen:
                 self.line(f"{bits} = {limit} - {ad}.bit_length()")
             self.line(f"{d} = {d_row}")
             self.line(f"if {fits}: {n} = {an} ** {m}\nelse: raise _Slow")
-            return n, d
+            return (n, d), None  # no row in tangent mode
         if ad:
             small = f"{an}.bit_length() + {ad}.bit_length() <= {limit}"
         else:
@@ -1083,92 +1137,11 @@ class _Codegen:
             head = (f"if {an} and {small}:\n    {n} = {d_pow}; {d} = {an} ** {m}\n"
                     f"    if {d} < 0: {n} = -{n}; {d} = -{d}")
         self.line(f"{head}\nelse: {n}, {d} = {fallback}")
-        return n, d
-
-    # -- tangent mode: forward mode of the first derivative, for _compile_tangent
-
-    def tangent(self, node: Expr) -> tuple[Part, Part | None]:
-        """node's value part, from the statements ``part`` makes for it, and
-        the part of its derivative in the one variable, None where that is
-        0.  Each rule gives the eps^1 coefficient of node(x + eps) in the
-        series field, with the field's own constants (see
-        :func:`_compile_tangent`).  A real power or a root raises _Decline."""
-        if isinstance(node, (Const, Var)):
-            variable = isinstance(node, Var) and node.name in self.names
-            return self.part(node), _ONE if variable else None
-        if isinstance(node, Unary):
-            (n, d), du = self.tangent(node.operand)
-            return (self.shallow(f"(-{n})"), d), du and self.shallow_part(self.negated(du))
-        if isinstance(node, Binary):
-            (left, dl), r = self.tangent(node.left), node.right
-            if node.op == "^":
-                return self.tangent_power(node, left, dl)
-            if node.op == "/" and isinstance(r, Const) and r.value != 0:
-                value = self.binary(node, left, None)
-                deriv = self.dmul(self.const_part(1 / r.value), dl)
-            else:
-                right, dr = self.tangent(r)
-                if node.op in "+-":
-                    value, deriv = self.binary(node, left, right), self.dsum(node.op, dl, dr)
-                else:  # the product and quotient rules
-                    if dl or dr:  # the operands are read again
-                        left, right = self.atoms(left), self.atoms(right)
-                    value = self.binary(node, left, right)
-                    deriv = self.dsum("+" if node.op == "*" else "-",
-                                      self.dmul(right, dl), self.dmul(left, dr))
-                    if deriv and node.op == "/":  # (a'b - ab') / b^2, b^2 > 0
-                        bn, bd = right
-                        deriv = self.product(deriv, (self.times(bd, bd), self.times(bn, bn)))
-            return self.shallow_part(value), deriv and self.shallow_part(deriv)
-        if node.fn == "root":
-            raise _Decline
-        arg, du = self.tangent(node.args[0])
-        value, deriv = self.tangent_call(node, arg, du)
-        return value, deriv and self.shallow_part(deriv)
-
-    def tangent_call(self, node: Call, arg: Part, du: Part | None
-                     ) -> tuple[Part, Part | None]:
-        """A function of arg, whose derivative is du, and its derivative."""
-        arg = self.atoms(arg) if du else arg  # read again by the derivative
-        n, d = arg
-        if node.fn == "abs":
-            if du:  # |u| has no derivative where u = 0; u' is read twice
-                self.line(f"if {n} == 0: raise _NT()")
-                du = du if du is _ONE else (self.atom(du[0]), du[1])
-            return (f"abs({n})", d), du and (f"({du[0]} if {n} > 0 else -{du[0]})", du[1])
-        if node.fn == "sqrt":
-            root = self.kernel("sqrt", node.pos, arg, 2)
-            if du:  # sqrt~(u) u' / (2u), the series' rule, refused at u = 0
-                self.line(f"if {n} == 0: raise _NT()")
-            return root, du and self.product(self.dmul(root, du), (d, f"(2 * {n})"))
-        if node.fn in ("sin", "cos"):  # both from one series
-            sin, cos = self.kernel("sin_cos", node.pos, arg, 2)
-            value, slope = (sin, cos) if node.fn == "sin" else (cos, f"(-{sin})")
-            return (value, self.unit), self.dmul((slope, self.unit), du)
-        t = self.kernel(node.fn, node.pos, arg)[0]
-        value = t, self.unit
-        if node.fn == "exp" or du is None:
-            return value, self.dmul(value, du)
-        if node.fn == "ln":
-            return value, self.product(du, (d, n))
-        square = self.const(10 ** (2 * self.precision))  # tan: (1 + tan~(u)^2) u'
-        return value, self.dmul((f"({square} + {t} * {t})", square), du)
-
-    def tangent_power(self, node: Binary, base: Part, db: Part | None
-                      ) -> tuple[Part, Part | None]:
-        """An integer power and its derivative k u^(k-1) u', taken by
-        ``_dpow``, which refuses where compiled code took int_pow."""
-        k = int_exponent(node)
-        if k is None:
-            raise _Decline
-        if not k or db is None:
-            return self.power(node, base, None), None
-        base = self.atoms(base)
-        value = self.power(node, base, None)
+        if db is None:
+            return (n, d), None
         dn, dd = self.temp(False), self.temp(False)
-        self.line(f"{dn}, {dd} = _dpow({base[0]}, {base[1] or 1}, {db[0]}, {db[1] or 1}, "
-                  f"{self.const(k)})")
-        return value, (dn, dd)
+        self.line(f"{dn}, {dd} = _dpow({an}, {ad or 1}, {db[0]}, {db[1] or 1}, {self.const(k)})")
+        return (n, d), (dn, dd)
 
     def atoms(self, part: Part) -> Part:
         return self.atom(part[0]), self.atom(part[1])

@@ -112,6 +112,7 @@ from hrw.exprs import (
     _compile_tangent,
     _exact,
     _named_constant,
+    _no_tangent,
     _require_root_index,
     compile_real,
     compile_rows,
@@ -863,6 +864,46 @@ def bench_families(rng: random.Random, a: F, b: F):
     fn, k = rng.choice(["cos", "exp"]), coeff(50, 200)
     return (parse(radius), CurveDef(tuple(map(parse, curve)), "x"),
             [parse(f"{k}*{fn}(x)"), parse(f"{k}*{fn}(y)")])
+
+
+def holds_real_power_or_root(e: Expr) -> bool:
+    if isinstance(e, Unary):
+        return holds_real_power_or_root(e.operand)
+    if isinstance(e, Binary):
+        real = e.op == "^" and int_exponent(e) is None
+        return real or holds_real_power_or_root(e.left) or holds_real_power_or_root(e.right)
+    if isinstance(e, Call):
+        return e.fn == "root" or any(map(holds_real_power_or_root, e.args))
+    return False
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_tangent_code_declines_only_what_it_must(seed):
+    # a tree has no tangent code exactly when it holds a real power or a
+    # root; and the benchmark's families take no point's slope from a jet:
+    # their tangent code answers at every breakpoint and centre of their
+    # benchmark ranges (``bench/wl_trans.py``) at 40 digits, the curves also
+    # over the cycloid's
+    rng = random.Random(2900 + seed)
+    gen = ExprGen(rng, ("x",))
+    for _ in range(100):
+        e = parsed(gen.tree(rng.randint(1, 4)))
+        declined = _compile_tangent(e, "x", PRECISION) is _no_tangent
+        assert declined == holds_real_power_or_root(e), render(e)
+    for _ in range(10):
+        a = F(rng.randint(-1000, 0), 1000)
+        b = a + F(rng.randint(500, 1500), 1000)
+        start = F(rng.randint(200, 1000), 1000)
+        cycloid = start, start + F(rng.randint(1000, 3000), 1000)
+        radius, curve, _ = bench_families(rng, a, b)
+        m = rng.randint(6, 10)
+        cases = [(radius, [(a, b)]), *((c, [(a, b), cycloid]) for c in curve.components)]
+        for e, ranges in cases:
+            tangent = _compile_tangent(e, "x", 40)
+            for lo, hi in ranges:
+                for i in range(2 * m + 1):
+                    t = lo + (hi - lo) * F(i, 2 * m)
+                    tangent(t.numerator, t.denominator)  # a MathError fails the test
 
 
 @pytest.mark.parametrize("seed", SEEDS)
