@@ -1001,8 +1001,8 @@ class _Codegen:
                     return self.power(node, left, dl)
                 if self.tangent:
                     raise _Decline
-                head = f"_approx(_A.pow_approx, {_fraction(left)}, {_fraction(self.part(r)[0])}"
-                return self.call(node.pos, f"{head}, {self.digits}"), None
+                args = f"{_fraction(left)}, {_fraction(self.part(r)[0])}, {self.digits}"
+                return self.call(node.pos, f"_approx(_A.pow_approx, {args}"), None
             if node.op == "/" and isinstance(r, Const) and r.value != 0:
                 factor = self.const_part(1 / r.value)  # the sign is in its numerator
                 value, deriv = self.product(left, factor), self.dmul(factor, dl)
@@ -1013,8 +1013,10 @@ class _Codegen:
                 else:  # the product and quotient rules
                     if dl or dr:  # the operands are read again
                         left, right = self.atoms(left), self.atoms(right)
-                    value = self.product(left, right) if node.op == "*" else self.quotient(
-                        node.pos, left, right)
+                    if node.op == "*":
+                        value = self.product(left, right)
+                    else:
+                        value = self.quotient(node.pos, left, right)
                     deriv = self.dsum("+" if node.op == "*" else "-",
                                       self.dmul(right, dl), self.dmul(left, dr))
                     if deriv and node.op == "/":  # (a'b - ab') / b^2, b^2 > 0
