@@ -6,7 +6,7 @@ entry a line:
   (``measure_cases`` below), each with its outcome;
 * compiled.jsonl: seeded random trees with the arguments and outcomes of
   their compiled point, row and tangent functions (``compiled_cases``);
-* pins.jsonl: the requests of ``PINS``, stored as cli.jsonl's are.
+* pins.jsonl: the requests of ``PINS_ARGV``, stored as cli.jsonl's are.
 
 Run from the repository root, after an intended change of output:
 

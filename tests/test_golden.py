@@ -132,8 +132,8 @@ def _pair(n: int, d: int) -> list[str] | dict:
     of that pair's text when it is over 4 KB."""
     v = Fraction(n, d)
     pair = [hex(v.numerator), hex(v.denominator)]
-    text = "/".join(pair)
-    return pair if len(text) <= _KEPT_BYTES else {"sha256": hashlib.sha256(text.encode()).hexdigest()}
+    text = "/".join(pair).encode()
+    return pair if len(text) <= _KEPT_BYTES else {"sha256": hashlib.sha256(text).hexdigest()}
 
 
 def _outcome(thunk, kept) -> dict:
