@@ -6,6 +6,8 @@ entry a line:
   (``measure_cases`` below), each with its outcome;
 * compiled.jsonl: seeded random trees with the arguments and outcomes of
   their compiled point, row and tangent functions (``compiled_cases``);
+* sums.jsonl: partition sums, measures, gauge sums and partitions and the
+  Simpson oracle (``sum_cases``), each with its outcome;
 * pins.jsonl: the requests of ``PINS_ARGV``, stored as cli.jsonl's are.
 
 Run from the repository root, after an intended change of output:
@@ -29,9 +31,12 @@ sys.path.insert(0, str(TESTS))
 
 from hrw import approx  # noqa: E402
 from hrw.exprs import Call, free_vars, render  # noqa: E402
-from test_fuzz import POOL, ExprGen, RequestGen, rand_rational, rand_rect  # noqa: E402
+from hrw.integration import TAG_RULES, Rect  # noqa: E402
+from test_fuzz import (  # noqa: E402
+    NAMES, POOL, ExprGen, RequestGen, rand_ball, rand_explicit, rand_gauge, rand_integrand,
+    rand_rational, rand_rect)
 from test_golden import (  # noqa: E402
-    COMPILED, GOLDEN, MEASURES, PINS, compiled_record, measure_record, record)
+    COMPILED, GOLDEN, MEASURES, PINS, SUMS, compiled_record, measure_record, record, sum_record)
 
 SEEDS = range(8)
 PER_SEED = 250
@@ -200,6 +205,182 @@ def compiled_cases() -> list[dict]:
     return cases
 
 
+def _box(rng: random.Random, dim: int, most: int) -> dict:
+    """A box of rand_rect, half the time with an endpoint from the fuzz
+    pool, and equal counts of at most most cells per axis or uneven
+    explicit breakpoints (``rand_explicit``)."""
+    rect = rand_rect(rng, dim)
+    if rng.random() < 0.5:
+        a = rng.choice(POOL)
+        rect = Rect(((a, a + F(rng.randint(1, 4), rng.choice([1, 2, 3]))), *rect.intervals[1:]))
+    box = {"rect": [[str(a), str(b)] for a, b in rect.intervals]}
+    if rng.random() < 0.5:
+        box["counts"] = [rng.randint(1, most) for _ in range(dim)]
+    else:
+        box["points"] = [list(map(str, axis)) for axis in rand_explicit(rng, rect, most)]
+    return box
+
+
+def _lattice_pole(rng: random.Random, box: dict, s: int) -> str:
+    """A term with a pole or a refused ln at a Darboux sample of the box:
+    sample j of cell k on an axis, s samples a cell."""
+    k = rng.randrange(len(box["rect"]))
+    if "counts" in box:
+        a, b = (F(v) for v in box["rect"][k])
+        m = box["counts"][k]
+        breaks = [a + (b - a) * i / m for i in range(m + 1)]
+    else:
+        breaks = [F(v) for v in box["points"][k]]
+    i = rng.randrange(len(breaks) - 1)
+    at = breaks[i] + (breaks[i + 1] - breaks[i]) * rng.randrange(s) / (s - 1)
+    name = NAMES[k]
+    return rng.choice([f"1/({name} - ({at}))", f"ln({name} - ({at}))",
+                       f"ln(({name} - ({at}))^2)", f"sqrt(({at}) - {name})"])
+
+
+def _family(rng: random.Random, dim: int) -> str:
+    """A rational or a transcendental integrand in the first dim names."""
+    c, m = F(rng.randint(-40, 40), rng.choice([3, 4, 10])), F(rng.randint(-9, 9), 7)
+    k = rng.randint(3, 12)
+    square = " + ".join(f"({name} - {m})^2" for name in NAMES[:dim])
+    linear = " + ".join(f"{rng.randint(-5, 5)}*{name}" for name in NAMES[:dim])
+    return rng.choice([
+        f"({c}*{NAMES[dim - 1]} + 1)/({k}/10 + {square})",
+        f"{c}*{rng.choice(['sin', 'cos'])}({linear} + {m}) + x/5",
+        f"exp({linear}/{k}) - {c}*ln({k}/10 + {square})",
+        f"sqrt({k}/10 + {square}) - {c}/(1 + {square})",
+    ])
+
+
+def _darboux(rng: random.Random, p: int) -> list[dict]:
+    """Darboux bounds in one to three dimensions at 2, 3 and 5 samples, on
+    seeded trees, rational and transcendental integrands, and both plus a
+    pole on a sample point."""
+    out = []
+    for dim, most in ((1, 8), (2, 4), (3, 3)):
+        gen = ExprGen(rng, NAMES[:dim])
+        for s in (2, 3, 5):
+            for i in range(12):
+                box = _box(rng, dim, most)
+                text = render(gen.tree(3, big=False)) if i % 2 else _family(rng, dim)
+                if i >= 8:
+                    text = f"{text} + {_lattice_pole(rng, box, s)}"
+                out.append({"sum": "darboux", "precision": p, "f": text, **box, "samples": s})
+    return out
+
+
+def _first_errors(p: int) -> list[dict]:
+    """Darboux calls whose samples fail in more than one line of the
+    sample lattice, so the first error shows the order of the rows: a pole
+    on an outer sample head of the first cell beside one on the last axis
+    of a later cell."""
+    out = []
+    for s in (2, 3, 5):
+        for f in ("1/(x - 1/4) + ln(7/8 - y)", "ln(x - 1/4) + 1/(y - 3/4)",
+                  "1/(x - 1/2) + 1/(y - 1/2)"):
+            out.append({"sum": "darboux", "precision": p, "f": f, "rect": [["0", "1"], ["0", "1"]],
+                        "counts": [2, 2], "samples": s})
+        out.append({"sum": "darboux", "precision": p, "f": "1/(y - 1/4) + ln(7/8 - z) + x",
+                    "rect": [["0", "1"], ["0", "1"], ["0", "1"]], "counts": [2, 2, 2],
+                    "samples": s})
+    return out
+
+
+def _riemann(rng: random.Random, p: int) -> list[dict]:
+    """Riemann sums under every tag rule in one to three dimensions, and
+    one-dimensional Stieltjes sums, areas, volumes and impulses."""
+    out = []
+    for dim, most in ((1, 8), (2, 4), (3, 2)):
+        gen = ExprGen(rng, NAMES[:dim])
+        for rule in TAG_RULES:
+            for _ in range(2):
+                out.append({"sum": "riemann", "precision": p, "f": render(gen.tree(3, big=False)),
+                            **_box(rng, dim, most), "rule": rule, "seed": rng.getrandbits(32)})
+    gen = ExprGen(rng, ("x",))
+    for rule in TAG_RULES:
+        for _ in range(2):
+            box = _box(rng, 1, 8)
+            case = {"sum": "stieltjes", "precision": p, "f": render(gen.tree(3, big=False)),
+                    "phi": render(gen.tree(2, big=False)), "on": box.pop("rect")[0], **box,
+                    "rule": rule, "seed": rng.getrandbits(32)}
+            out.append(case)
+            f, g = render(gen.tree(2, big=False)), render(gen.tree(2, big=False))
+            out.append({"sum": "area", "precision": p, "f": f"({f}) - 2", "g": f"({g})^2 + 2",
+                        "on": case["on"], "m": rng.randint(1, 8), "rule": rule,
+                        "seed": rng.getrandbits(32)})
+    for _ in range(6):
+        (a, b), = rand_rect(rng, 1).intervals
+        on, m = [str(a), str(b)], rng.randint(1, 8)
+        out.append({"sum": "volume", "precision": p, "f": render(gen.tree(3, big=False)),
+                    "on": on, "m": m})
+        force = render(ExprGen(rng, ("t",)).tree(3, big=False))
+        out.append({"sum": "impulse", "precision": p, "f": force, "on": on, "m": m})
+    return out
+
+
+def _regions(rng: random.Random, p: int) -> list[dict]:
+    """Inner sums, mass and moments over balls in two and three dimensions."""
+    out = []
+    for dim, most in ((2, 6), (3, 3)):
+        gen = ExprGen(rng, NAMES[:dim])
+        for kind in ("inner", "mass", "moment"):
+            for _ in range(3):
+                box = _box(rng, dim, most)
+                rect = Rect(tuple((F(a), F(b)) for a, b in box["rect"]))
+                case = {"sum": kind, "precision": p, "region": render(rand_ball(rng, rect)), **box}
+                if kind == "inner":
+                    case["f"] = render(gen.tree(3, big=False))
+                else:
+                    case["rho"] = render(gen.tree(2, big=False))
+                if kind == "moment":
+                    case["integrand"] = render(gen.tree(2, big=False))
+                out.append(case)
+    return out
+
+
+def _gauges(rng: random.Random, p: int) -> list[dict]:
+    """Gauge sums and Cousin partitions in both modes: seeded positive
+    gauges, a gauge that reaches 0, and one past the bisection cap."""
+    out = []
+    gen = ExprGen(rng, ("x",))
+    for mode in ("tag-in-cell", "mcshane"):
+        for kind in ("gauge", "cousin"):
+            for i in range(4):
+                a = F(rng.randint(-20, 20), rng.choice([1, 3, 7, 10]))
+                b = a + F(rng.randint(1, 20), rng.choice([1, 3, 7, 10]))
+                gauge = [rand_gauge(rng), rand_gauge(rng), f"{(a + b) / 2} - x",
+                         "1/10^21"][i]
+                case = {"sum": kind, "precision": p, "gauge": gauge, "on": [str(a), str(b)],
+                        "mode": mode}
+                if kind == "gauge":
+                    case["f"] = render(gen.tree(3, big=False))
+                out.append(case)
+    return out
+
+
+def _simpson(rng: random.Random, p: int) -> list[dict]:
+    """Adaptive Simpson on the smooth families of the fuzz test, and on a
+    pole with the interval cap lowered."""
+    out = []
+    for family in ("polynomial", "rational", "trigonometric"):
+        a = F(rng.randint(-20, 20), rng.choice([1, 3, 7, 10]))
+        b = a + F(rng.randint(1, 10), rng.choice([1, 3, 7, 10]))
+        out.append({"sum": "simpson", "precision": p, "f": rand_integrand(rng, family, a, b),
+                    "on": [str(a), str(b)]})
+    out.append({"sum": "simpson", "precision": p, "f": "-(x/x) - x^(-3)", "on": ["-1/3", "2"],
+                "cap": 2000})
+    return out
+
+
+def sum_cases() -> list[dict]:
+    cases = []
+    for p in (12, 40):
+        rng = random.Random(3000 + p)
+        cases += _darboux(rng, p) + _first_errors(p) + _riemann(rng, p) + _regions(rng, p)
+        cases += _gauges(rng, p) + _simpson(rng, p)
+    return cases
+
+
 # the outputs CI pinned one by one: a gauge sum; a seeded sum (the SplitMix64
 # tag stream); row kernels (a hoisted x-part over y-rows, a per-denominator
 # sum, an inner-rectangle mass, and the division error of the first point,
@@ -241,6 +422,7 @@ def main() -> None:
     _write(GOLDEN, (record(gen.request()) for gen in gens for _ in range(PER_SEED)))
     _write(MEASURES, map(measure_record, measure_cases()))
     _write(COMPILED, map(compiled_record, compiled_cases()))
+    _write(SUMS, map(sum_record, sum_cases()))
     _write(PINS, map(record, PINS_ARGV))
 
 

@@ -27,6 +27,19 @@ slope at two points, or its error there, or "declined" where the tree has
 no tangent code.  Values are stored as reduced hex numerator and
 denominator, a value over 4 KB as the sha256 of that text.
 
+The sums file holds the partition sums and the Simpson oracle: Darboux
+bounds in one to three dimensions at 2, 3 and 5 samples per axis on
+simple and uneven explicit axes, Riemann sums under every tag rule,
+Riemann-Stieltjes sums, area between curves, volume of revolution,
+impulse, inner sums, mass and moments in two and three dimensions, gauge
+sums and Cousin partitions in both modes, and adaptive Simpson on smooth
+integrands and on a pole with the interval cap lowered to the case's
+``cap``.  The integrands are seeded random trees and chosen poles on
+sample points, so errors occur too.  Values are stored as
+``compiled.jsonl``'s are, counts as integers, a Cousin partition as its
+breakpoints and then its tags, and a value list over 4 KB as the sha256 of
+its JSON text.
+
 The pin file holds the CLI requests whose outputs were pinned one by one:
 seeded sums, row kernels, integer kernels, correctly rounded sin, cos and
 tan, and their error texts.  They are stored as cli.jsonl's requests are,
@@ -45,17 +58,40 @@ import io
 import json
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
+from hrw import integration
 from hrw.calculus import CurveDef
 from hrw.cli import _parser, _UsageError, run
 from hrw.errors import MathError
 from hrw.exprs import _compile_tangent, _no_tangent, compile_real, compile_rows, parse
-from hrw.integration import line_integral_work, measure_curve_length, measure_surface_revolution
+from hrw.integration import (
+    Gauge,
+    PartitionSpec,
+    Rect,
+    Region,
+    adaptive_simpson,
+    cousin_partition,
+    darboux_bounds,
+    gauge_sum,
+    impulse,
+    inner_sum,
+    line_integral_work,
+    measure_area_between,
+    measure_curve_length,
+    measure_mass_moment_com,
+    measure_moment,
+    measure_surface_revolution,
+    measure_volume_revolution,
+    riemann_stieltjes_sum,
+    riemann_sum,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.jsonl"
 MEASURES = GOLDEN.with_name("measures.jsonl")
 COMPILED = GOLDEN.with_name("compiled.jsonl")
 PINS = GOLDEN.with_name("pins.jsonl")
+SUMS = GOLDEN.with_name("sums.jsonl")
 _KEPT_BYTES = 4096
 _USAGE = "usage-error: "
 
@@ -173,3 +209,69 @@ def test_compiled_outputs_are_kept():
         want = json.loads(line)
         case = {k: v for k, v in want.items() if k != "out"}
         assert compiled_record(case) == want, f"{COMPILED.name} line {number}"
+
+
+def _spec(case: dict) -> PartitionSpec:
+    if "counts" in case:
+        return PartitionSpec.simple(*case["counts"])
+    return PartitionSpec.explicit(*([Fraction(v) for v in axis] for axis in case["points"]))
+
+
+def _sum(case: dict) -> tuple:
+    """The values and counts of one sum call (case), in its result's order."""
+    kind, p = case["sum"], case["precision"]
+    e = {k: parse(case[k]) for k in ("f", "g", "phi", "rho", "integrand", "region", "gauge")
+         if k in case}
+    if "rect" in case:
+        rect = Rect(tuple((Fraction(a), Fraction(b)) for a, b in case["rect"]))
+        region = Region(rect, e["region"]) if "region" in e else None
+    else:
+        a, b = (Fraction(v) for v in case["on"])
+    if kind == "darboux":
+        return tuple(darboux_bounds(e["f"], rect, _spec(case), case["samples"], p))
+    if kind == "riemann":
+        return (riemann_sum(e["f"], rect, _spec(case), case["rule"], case["seed"], p),)
+    if kind == "stieltjes":
+        return (riemann_stieltjes_sum(e["f"], e["phi"], a, b, _spec(case), case["rule"],
+                                      case["seed"], p),)
+    if kind == "area":
+        return (measure_area_between(e["f"], e["g"], a, b, case["m"], case["rule"], p,
+                                     case["seed"]),)
+    if kind == "volume":
+        return (measure_volume_revolution(e["f"], a, b, case["m"], p),)
+    if kind == "impulse":
+        return (impulse(e["f"], a, b, case["m"], p),)
+    if kind == "inner":
+        return tuple(inner_sum(e["f"], region, _spec(case), p))
+    if kind == "mass":
+        props = measure_mass_moment_com(e["rho"], region, _spec(case), p)
+        return (props.mass, *props.moments, *props.counts[1:])
+    if kind == "moment":
+        return (measure_moment(e["rho"], e["integrand"], region, _spec(case), p),)
+    if kind == "gauge":
+        return (gauge_sum(e["f"], a, b, Gauge(e["gauge"]), case["mode"], p),)
+    if kind == "cousin":
+        part = cousin_partition(Gauge(e["gauge"]), a, b, case["mode"], p)
+        return (*(lo for (lo, _), in part.cells), part.cells[-1][0][1], *(t for t, in part.tags))
+    with mock.patch.object(integration, "_SIMPSON_CAP", case.get("cap", integration._SIMPSON_CAP)):
+        return (adaptive_simpson(compile_real(e["f"], ("x",), p), a, b),)
+
+
+def sum_record(case: dict) -> dict:
+    """One sum call (case) and its outcome, under "out": its values as
+    reduced hex pairs and its counts as integers, or its error."""
+    def kept(values: tuple) -> list | dict:
+        out = [v if isinstance(v, int) else _pair(v.numerator, v.denominator) for v in values]
+        text = json.dumps(out)
+        if len(text) > _KEPT_BYTES:
+            return {"sha256": hashlib.sha256(text.encode()).hexdigest()}
+        return out
+
+    return {**case, "out": _outcome(lambda: _sum(case), kept)}
+
+
+def test_sum_outputs_are_kept():
+    for number, line in enumerate(SUMS.read_text().splitlines(), 1):
+        want = json.loads(line)
+        case = {k: v for k, v in want.items() if k != "out"}
+        assert sum_record(case) == want, f"{SUMS.name} line {number}"
