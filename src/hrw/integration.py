@@ -20,19 +20,19 @@ Sums compile their integrands into row kernels (``compile_rows``): a row is
 a line of points whose varying coordinates share one denominator, and the
 kernel loops over it in generated code, returning the row's values or their
 weighted sum as unreduced (numerator, denominator) pairs.  Rows are the
-lines of tags along the last axis (under seeded-random, whose tags vary in
-every coordinate, all coordinates run), Darboux's samples, Stieltjes'
-breakpoints and tags, the gauge tags, the inner cells' min-vertices, and the
-lines of vertices and centers of a region's classification (``_sweep_2d`` in
-the plane, ``_classify_cells`` otherwise, reading only the sign of each
-membership numerator).  ``_total`` adds the rows' pairs per distinct
-denominator and reduces once; the sum is then scaled by the one cell volume,
-with integer widths per cell on uneven explicit axes (``_volumes``).  A
-sum raises the first MathError its own evaluation meets: its row kernels
-run in the order the code calls them, each over its rows in order, and
-inside a row the kernel's rule holds, the first point and at that point the
-first node.  Volume and surface of revolution, curve length, line work, the
-supernearness probe, gauge partitions and the Simpson oracle keep
+lines along the last axis of the tags (under seeded-random, whose tags vary
+in every coordinate, all coordinates run), of Darboux's sample lattice, of
+the inner cells' min-vertices and of the vertices and centers of a region's
+classification (``_sweep_2d`` in the plane, ``_classify_cells`` otherwise,
+reading only the sign of each membership numerator), and Stieltjes'
+breakpoints and tags and the gauge tags.  ``_total`` adds the rows' pairs
+per distinct denominator and reduces once; the sum is then scaled by the one
+cell volume, with integer widths per cell on uneven explicit axes
+(``_volumes``).  A sum raises the first MathError its own evaluation meets:
+its row kernels run in the order the code calls them, each over its rows in
+order, and inside a row the kernel's rule holds, the first point and at that
+point the first node.  Volume and surface of revolution, curve length, line
+work, the supernearness probe, gauge partitions and the Simpson oracle keep
 ``compile_real``'s point functions.  Surface of revolution, curve length and
 line work read a point's value and first derivative from one call of the
 expression's tangent code (``exprs._compile_tangent``); a point where that
@@ -243,9 +243,9 @@ def first_variable(default: str, *exprs: Expr) -> str:
 def _row_major(axes: Sequence[Sequence[tuple]]) -> Iterable[tuple]:
     """One tuple per cell, the concatenation of its entries on each axis, in
     row-major order; an entry is (numerator, denominator), so a cell's tuple
-    is the pair-convention argument list (n0, d0, n1, d1, ...)."""
-    cells = axes[0]
-    for axis in axes[1:]:
+    is the pair-convention argument list (n0, d0, n1, d1, ...); no axes give ()."""
+    cells: Iterable[tuple] = [()]
+    for axis in axes:
         cells = starmap(add, product(cells, axis))
     return cells
 
@@ -277,7 +277,7 @@ def _tag_rows(grid: list[_Axis], rule: str, seed: int) -> Iterable[tuple[tuple[i
         else:
             raise ValueError(f"unknown tag rule {rule!r}; choose from {TAG_RULES}")
     *outer, (row, den) = per_axis
-    heads = _row_major([[(n, q) for n in nums] for nums, q in outer]) if outer else [()]
+    heads = _row_major([[(n, q) for n in nums] for nums, q in outer])
     return ((head + (den,), row) for head in heads)
 
 
@@ -444,25 +444,26 @@ def darboux_bounds(
     cells whose samples are not monotone along some axis line; an extremum
     that falls between two samples of a monotone-looking line is not seen,
     and its cell is not counted.
+
+    An axis's samples are one lattice, a cell's last sample the next one's
+    first; each cell of the outer axes runs one row along the last axis's
+    lattice per outer sample, and each cell reads its samples from them.
     """
     if samples_per_axis < 2:
         raise ValueError("need at least the two endpoint samples per axis")
     kernel = compile_rows(f, axis_names(rect.dimension), precision)
     s = samples_per_axis
     grid = spec.grid(rect)
-    samples = [  # per axis interval, once: s numerators over q (s - 1)
-        [[lo * (s - 1) + j * (hi - lo) for j in range(s)] for lo, hi in zip(nums, nums[1:])]
+    *outer, (last, q) = [  # per axis, the lattice numerators over q (s - 1)
+        ([lo * (s - 1) + j * (hi - lo) for lo, hi in zip(nums, nums[1:]) for j in range(s - 1)]
+         + [nums[-1] * (s - 1)], q * (s - 1))
         for nums, q in grid
     ]
-    q = grid[-1].q * (s - 1)
-    if len(grid) == 1:  # one row of every cell's samples
-        flat = kernel.values(q, [n for cell in samples[0] for n in cell])
-        cells = (flat[k:k + s] for k in range(0, len(flat), s))
-    else:  # per cell, a row along the last axis for each sample of the others
-        outer = [[[(n, axis.q * (s - 1)) for n in cell] for cell in intervals]
-                 for intervals, axis in zip(samples[:-1], grid)]
-        cells = ([v for head in _row_major(heads) for v in kernel.values(*head, q, row)]
-                 for *heads, row in product(*outer, samples[-1]))
+    heads = [[[(n, q) for n in nums[k:k + s]] for k in range(0, len(nums) - 1, s - 1)]
+             for nums, q in outer]
+    rows = ([kernel.values(*head, q, last) for head in _row_major(cell)] for cell in product(*heads))
+    cells = ([v for row in lines for v in row[k:k + s]]
+             for lines in rows for k in range(0, len(last) - 1, s - 1))
     lows: list[tuple[int, int]] = []
     highs: list[tuple[int, int]] = []
     flagged = 0
@@ -474,11 +475,9 @@ def darboux_bounds(
             highs.append((max(keys), den))
         else:
             keys = list(starmap(Fraction, values))
-            low, high = min(keys), max(keys)
-            lows.append((low.numerator, low.denominator))
-            highs.append((high.numerator, high.denominator))
-        if not _grid_monotone(keys, len(grid), s):
-            flagged += 1
+            lows.append(min(keys).as_integer_ratio())
+            highs.append(max(keys).as_integer_ratio())
+        flagged += not _grid_monotone(keys, len(grid), s)
     scale, weights = _volumes(grid)
     return DarbouxBounds(scale * _total(lows, weights), scale * _total(highs, weights), flagged)
 
@@ -539,7 +538,7 @@ def _inner_cells(region: Region, spec: PartitionSpec, precision: int) -> _InnerC
     grid = spec.grid(rect)
     scale, weights = _volumes(grid)
     *outer, (zs, q) = grid
-    heads = _row_major([[(n, axis.q) for n in axis.nums[:-1]] for axis in outer]) if outer else [()]
+    heads = _row_major([[(n, axis.q) for n in axis.nums[:-1]] for axis in outer])
     full = 2 ** len(grid) + 1  # every vertex and the center inside
     m = len(zs) - 1
     rows: list[tuple[tuple[int, ...], list[int], list[int] | None]] = []
@@ -576,7 +575,7 @@ def _classify_cells(member, grid: list[_Axis]) -> Iterable[list[int]]:
 
     for index in product(*(range(len(nums) - 1) for nums, _ in outer)):
         ends = [[(nums[i], q), (nums[i + 1], q)] for i, (nums, q) in zip(index, outer)]
-        vertices = [line(head, qz, zs) for head in (_row_major(ends) if outer else [()])]
+        vertices = [line(head, qz, zs) for head in _row_major(ends)]
         center = sum(((nums[i] + nums[i + 1], 2 * q) for i, (nums, q) in zip(index, outer)), ())
         flags = [w for v in vertices for w in (v, v[1:])]  # each cell's low and high vertex
         yield list(map(sum, zip(*flags, line(center, 2 * qz, z_mids))))

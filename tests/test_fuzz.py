@@ -1657,8 +1657,11 @@ CLI_ERROR = re.compile(r"(error: [A-Z][A-Za-z]*: |parse-error: |usage-error: )[^
 class RequestGen:
     """Random argv lists over every subcommand.  Options are drawn, left
     out or malformed at random, so parse, usage and math errors all occur;
-    meshes stay at 1/16 or wider, orders at 5 or less, and intervals inside
-    the rationals of POOL, so a request takes milliseconds."""
+    a drawn mesh is 1/16 or wider, orders stay at 5 or less, and intervals
+    inside the rationals of POOL.  A left-out mesh is the command's default,
+    1/64 for integrate, so a box sum in the plane without one has tens of
+    thousands of cells and can take about a second; most requests take
+    milliseconds."""
 
     def __init__(self, rng: random.Random):
         self.rng = rng

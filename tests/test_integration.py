@@ -24,7 +24,7 @@ from hrw.errors import (
     OrderViolation,
     UnknownFunctional,
 )
-from hrw.exprs import compile_real, eval_real, parse
+from hrw.exprs import compile_real, compile_rows, eval_real, parse
 from hrw.field import Field
 from hrw.integration import (
     ConvergenceReport,
@@ -230,6 +230,29 @@ class TestDarboux:
     def test_extremum_between_samples_is_counted(self):
         db = darboux_bounds(parse("sin(x)"), Rect.interval(0, 3), PartitionSpec.simple(4))
         assert db.nonmonotone_cells >= 1
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("s", [2, 3, 5])
+    def test_one_kernel_row_per_outer_sample(self, monkeypatch, dim, s):
+        # an axis of m cells is one lattice of m (s - 1) + 1 samples, and the
+        # kernel runs one row along the last axis's lattice for each sample
+        # of each cell of the outer axes
+        rows = []
+
+        class Counted:
+            def __init__(self, kernel):
+                self.kernel = kernel
+
+            def values(self, *args):
+                rows.append(len(args[-1]))
+                return self.kernel.values(*args)
+
+        monkeypatch.setattr(integration, "compile_rows",
+                            lambda *args: Counted(compile_rows(*args)))
+        m, names = 3, ("x", "y", "z")[:dim]
+        rect = Rect.box(*[(0, 1)] * dim)
+        darboux_bounds(parse(" + ".join(names)), rect, PartitionSpec.simple(m), s)
+        assert rows == [m * (s - 1) + 1] * (m * s) ** (dim - 1)
 
     @pytest.mark.parametrize("source,rect", DARBOUX_CORPUS)
     def test_sandwich(self, source, rect):
