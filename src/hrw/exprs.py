@@ -41,6 +41,15 @@ walk.  For the measures that read slopes, ``_compile_tangent`` runs it in
 tangent mode, which carries beside each value part the part of its first
 derivative in the one variable, by the series field's rules; its value
 statements are compile_real's.
+
+That walk runs once per expression shape.  A light walk of each tree
+(``_shape``) gives its key, which holds what the generator branches on
+(node kinds, operators, calls, names, which literals are integers, the
+signs of integer exponents, the precision and the mode), and its nodes in
+pre-order.  A tree whose key is cached binds its own literals and offsets
+to that shape's template and calls the template's compiled maker: no walk,
+no source text.  The cache keeps the templates of the 1 024 shapes used
+last (``_template.cache_info()``).
 """
 
 from __future__ import annotations
@@ -683,7 +692,9 @@ def compile_real(
     eval_real; an unbound variable is refused here, at compile time.
 
     Constants, offsets and the precision enter the code as closure
-    variables, so expressions of one shape share one compiled code object.
+    variables, so expressions of one shape share one compiled code object,
+    and the code generator walks one tree per shape: another tree of that
+    shape only binds its own constants to the shape's cached template.
 
     This is the point entry: one call per point.  The partition sums of
     ``hrw.integration`` take whole rows of points through
@@ -704,15 +715,8 @@ def _compile_point(
     """compile_real's function, or with ``tangent`` (one name) the tangent
     code's.  Row kernels build their ``_point`` here, so that a wrapper of
     the public name sees its callers only."""
-    gen = _Codegen(names, precision, tangent=tangent)
-    (n, d), deriv = gen.part(e)  # with no row, every statement is in hoisted
-    result = f"{n}, {d or 1}"
-    if tangent:
-        dn, dd = deriv or ("0", None)
-        result = f"({result}), ({dn}, {dd or 1})"
-    params = ", ".join(f"{vn}, {vd}" for vn, vd in gen.vars)
-    body = "\n".join([*gen.hoisted, f"return {result}"])
-    return _function_maker(len(gen.consts), params, body)(*gen.consts)
+    template, consts = _bound(e, names, precision, "tangent" if tangent else "point")
+    return template.maker(None)(*consts)
 
 
 def _compile_tangent(e: Expr, name: str, precision: int) -> Callable[[int, int], tuple]:
@@ -778,62 +782,36 @@ def compile_rows(
     That fallback is the one use of the kernel's ``_point``; a caller that
     wants single points calls :func:`compile_real`.
     """
-    gen = _Codegen(names, precision, loop)
-    (n, d), _ = gen.part(e)
-    return RowKernel(e, gen, n, d or "1")
+    template, consts = _bound(e, names, precision, "rows", loop)
+    return RowKernel(e, template, consts)
 
 
 class RowKernel:
-    """An expression compiled for rows (see :func:`compile_rows`): the
-    statements of one ``_Codegen`` walk, with ``sum`` and ``values``
-    generated from them on first use, and ``_point``, compile_real's
+    """An expression compiled for rows (see :func:`compile_rows`): its
+    shape's template, whose ``sum`` and ``values`` makers bind the
+    expression's constants on first use, and ``_point``, compile_real's
     function of the same expression, made on its first use.  ``_point``
     takes every variable's pair; only the entry points' fallback calls it,
     on each point of the row."""
 
-    def __init__(self, e: Expr, gen: "_Codegen", n: str, d: str):
-        self._e, self._gen, self._n, self._d = e, gen, n, d
+    def __init__(self, e: Expr, template: "_Template", consts: list):
+        self._e, self._template, self._consts = e, template, consts
 
     def __getattr__(self, mode: str):
-        gen, n, d = self._gen, self._n, self._d
+        template = self._template
         if mode == "_point":
-            self._point = _compile_point(self._e, gen.names, gen.precision)
+            self._point = _compile_point(self._e, template.names, template.precision)
             return self._point
         if mode not in ("sum", "values"):
             raise AttributeError(mode)
-        head, var, pair = _row_params(len(gen.names), gen.loop)
-        body = "\n".join(gen.body)
-        if mode == "values":
-            params, start, result = f"{head}, row", "_out = []\n_app = _out.append", "_out"
-            if "V" not in d and not d.isidentifier():  # one denominator, computed once
-                start, d = f"{start}\n_d = {d}", "_d"
-            loop = f"for {var} in row:\n{_indent(body, 1)}    _app(({n}, {d}))"
-        else:
-            params = f"{head}, row, weights=None"
-            if "V" in d:  # the denominator depends on the row: one sum per distinct one
-                start, result = "_s = {}", "_sum_of(_s)"
-                add = f"_t = {d}; _s[_t] = _s.get(_t, 0) + {n}"
-            else:
-                start, add, result = f"_acc = 0\n_d = {d}", f"_acc += {n}", "_acc, _d"
-            body = _indent(body, 2)
-            loop = (f"if weights is None:\n    for {var} in row:\n{body}        {add}\n"
-                    f"else:\n    for {pair}, _w in zip(row, weights):\n{body}        {add} * _w")
-        # point by point, from the row's first point, after an error before
-        # the loop or an int_pow fallback in it
-        again = f"return c{len(gen.consts)}({params.replace('=None', '')})"
-        code = f"{start}\ntry:\n{_indent(loop, 1)}except _Slow:\n    {again}\nreturn {result}"
-        hoisted = "\n".join(gen.hoisted)
-        if hoisted:
-            code = f"try:\n{_indent(hoisted, 1)}except _ME:\n    {again}\n{code}"
-        consts = [*gen.consts, partial(self._point_by_point, mode)]
-        fn = _function_maker(len(consts), params, code)(*consts)
+        fn = template.maker(mode)(*self._consts, partial(self._point_by_point, mode))
         setattr(self, mode, fn)
         return fn
 
     def _point_by_point(self, mode: str, *args):
         """An entry point's result for its arguments, from ``_point`` called
         at each point of the row, in order."""
-        first = self._gen.first
+        first = self._template.first
         *head, row, weights = args if mode == "sum" else (*args, None)
         fixed, dens = head[:2 * first], head[2 * first:]
         if len(dens) == 1:
@@ -891,12 +869,39 @@ def pair_sum(
 
 
 Part = tuple[str, Union[str, None]]  # code for (numerator, denominator); None means 1
+Where = tuple[Expr, int]  # a node and its place in the walk's pre-order
+
+# what a closure constant reads from its node (``_Codegen.read``): a
+# literal's parts, |k| and the power guard's bit limit for an integer
+# exponent k, the parts of a divisor's reciprocal (its sign goes to the
+# numerator), an offset
+_num = operator.attrgetter("value.numerator")
+_den = operator.attrgetter("value.denominator")
+_pos = operator.attrgetter("pos")
+
+
+def _abs_num(c: Const) -> int:
+    return abs(c.value.numerator)
+
+
+def _signed_den(c: Const) -> int:
+    v = c.value
+    return v.denominator if v.numerator > 0 else -v.denominator
+
+
+def _power_limit(c: Const) -> int:
+    return approx.POWER_BITS // abs(c.value.numerator)
 
 
 class _Codegen:
     """Statements and (numerator, denominator) code for one expression, by
     one walk of its tree (``part``), for compile_real, compile_rows and the
-    tangent code.
+    tangent code: the template of the tree's shape.  A closure constant
+    that depends on more than the shape key is made by ``read``, which
+    records the node it comes from, by the node's place in the walk's
+    pre-order, and the projection (a literal's part, an exponent's |k|,
+    an offset, ...) that gives it, so that other trees of the shape bind
+    theirs.
 
     Built with ``tangent`` (one variable, no row), the walk carries beside
     each node's value part the part of its derivative in that variable, by
@@ -925,6 +930,10 @@ class _Codegen:
         self.hoisted: list[str] = []
         self.body: list[str] = []
         self.consts: list = []
+        # (constant, node, projection): the constants read from a node, the
+        # node given by its place in the walk's pre-order (see ``_shape``)
+        self.reads: list[tuple[int, int, Callable]] = []
+        self.nodes = 0  # nodes met so far: the next node's place
         self.temps = 0
         self.precision = precision
         self.digits = self.const(precision)  # its name in the code
@@ -934,9 +943,28 @@ class _Codegen:
         self.consts.append(value)
         return f"c{len(self.consts) - 1}"
 
+    def read(self, where: Where, proj: Callable) -> str:
+        """The constant proj(node) of where's node: another tree of the shape
+        binds its own node's."""
+        node, at = where
+        self.reads.append((len(self.consts), at, proj))
+        return self.const(proj(node))
+
     def const_part(self, value: Fraction) -> Part:
         den = self.const(value.denominator) if value.denominator != 1 else None
         return self.const(value.numerator), den
+
+    def read_part(self, where: Where, num: Callable, den: Callable) -> Part:
+        """const_part of the fraction whose parts where's node gives by num and den."""
+        den = self.read(where, den) if den(where[0]) != 1 else None
+        return self.read(where, num), den
+
+    def place(self, node: Expr) -> Where:
+        """node and the next place in the walk's pre-order.  Every node
+        walked takes one, and so does every folded exponent, divisor or root
+        index, which is read but not walked."""
+        self.nodes += 1
+        return node, self.nodes - 1
 
     def temp(self, varying: bool) -> str:
         self.temps += 1
@@ -972,19 +1000,20 @@ class _Codegen:
         refuses 200 levels): deep code goes to a temporary."""
         return self.atom(text) if text and text.count("(") > 40 else text
 
-    def call(self, pos: int, head: str) -> Part:
+    def call(self, where: Where, head: str) -> Part:
         """Finish a helper call with the node's offset; the helper's
         (numerator, denominator) result goes to two temporaries."""
         n, d = self.temp("V" in head), self.temp("V" in head)
-        self.line(f"{n}, {d} = {head}, {self.const(pos)})")
+        self.line(f"{n}, {d} = {head}, {self.read(where, _pos)})")
         return n, d
 
     def part(self, node: Expr) -> tuple[Part, Part | None]:
         """node's value part and the part of its derivative in the variable,
         None where that is 0, so always None but in tangent mode.  In tangent
         mode a real power or a root raises _Decline."""
+        where = self.place(node)
         if isinstance(node, Const):
-            return self.const_part(Fraction(node.value)), None
+            return self.read_part(where, _num, _den), None
         if isinstance(node, Var):
             if node.name in self.names:
                 return self.vars[self.names.index(node.name)], _ONE if self.tangent else None
@@ -998,13 +1027,14 @@ class _Codegen:
             (left, dl), r = self.part(node.left), node.right
             if node.op == "^":
                 if int_exponent(node) is not None:
-                    return self.power(node, left, dl)
+                    return self.power(where, self.place(r), left, dl)
                 if self.tangent:
                     raise _Decline
                 args = f"{_fraction(left)}, {_fraction(self.part(r)[0])}, {self.digits}"
-                return self.call(node.pos, f"_approx(_A.pow_approx, {args}"), None
+                return self.call(where, f"_approx(_A.pow_approx, {args}"), None
             if node.op == "/" and isinstance(r, Const) and r.value != 0:
-                factor = self.const_part(1 / r.value)  # the sign is in its numerator
+                # the sign is in the reciprocal's numerator
+                factor = self.read_part(self.place(r), _signed_den, _abs_num)
                 value, deriv = self.product(left, factor), self.dmul(factor, dl)
             else:
                 right, dr = self.part(r)
@@ -1016,7 +1046,7 @@ class _Codegen:
                     if node.op == "*":
                         value = self.product(left, right)
                     else:
-                        value = self.quotient(node.pos, left, right)
+                        value = self.quotient(where, left, right)
                     deriv = self.dsum("+" if node.op == "*" else "-",
                                       self.dmul(right, dl), self.dmul(left, dr))
                     if deriv and node.op == "/":  # (a'b - ab') / b^2, b^2 > 0
@@ -1028,20 +1058,22 @@ class _Codegen:
                 raise _Decline
             index = node.args[0]
             if isinstance(index, Const) and index.value.denominator == 1 and index.value >= 2:
-                k = self.const(int(index.value))
+                k = self.read(self.place(index), _num)
             else:
+                placed = index, self.nodes  # the place its walk takes
                 arg = _fraction(self.part(index)[0])
                 k = self.temp("V" in arg)
-                self.line(f"{k} = _index({arg}, {self.const(index.pos)})")
+                self.line(f"{k} = _index({arg}, {self.read(placed, _pos)})")
             radicand = _fraction(self.part(node.args[1])[0])
-            return self.call(node.pos, f"_approx(_real_root, {k}, {radicand}, {self.digits}"), None
-        value, deriv = self.function(node, *self.part(node.args[0]))
+            return self.call(where, f"_approx(_real_root, {k}, {radicand}, {self.digits}"), None
+        value, deriv = self.function(where, *self.part(node.args[0]))
         return value, deriv and self.shallow_part(deriv)
 
-    def function(self, node: Call, arg: Part, du: Part | None) -> tuple[Part, Part | None]:
-        """A one-argument call on arg, whose derivative is du, and its
-        derivative.  Each rule follows the series field's rounding (see
-        :func:`_compile_tangent`)."""
+    def function(self, where: Where, arg: Part, du: Part | None) -> tuple[Part, Part | None]:
+        """A one-argument call, where's node, on arg, whose derivative is du,
+        and its derivative.  Each rule follows the series field's rounding
+        (see :func:`_compile_tangent`)."""
+        node = where[0]
         arg = self.atoms(arg) if du else arg  # read again by the derivative
         n, d = arg
         if node.fn == "abs":
@@ -1050,15 +1082,15 @@ class _Codegen:
                 du = du if du is _ONE else (self.atom(du[0]), du[1])
             return (f"abs({n})", d), du and (f"({du[0]} if {n} > 0 else -{du[0]})", du[1])
         if node.fn == "sqrt":
-            root = self.kernel("sqrt", node.pos, arg, 2)
+            root = self.kernel("sqrt", where, arg, 2)
             if du:  # sqrt~(u) u' / (2u), the series' rule, refused at u = 0
                 self.line(f"if {n} == 0: raise _NT()")
             return root, du and self.product(self.dmul(root, du), (d, f"(2 * {n})"))
         if du and node.fn in ("sin", "cos"):  # both from one series
-            sin, cos = self.kernel("sin_cos", node.pos, arg, 2)
+            sin, cos = self.kernel("sin_cos", where, arg, 2)
             value, slope = (sin, cos) if node.fn == "sin" else (cos, f"(-{sin})")
             return (value, self.unit), self.dmul((slope, self.unit), du)
-        t = self.kernel(node.fn, node.pos, arg)[0]
+        t = self.kernel(node.fn, where, arg)[0]
         value = t, self.unit
         if node.fn == "exp" or du is None:
             return value, self.dmul(value, du)
@@ -1067,9 +1099,9 @@ class _Codegen:
         square = self.const(10 ** (2 * self.precision))  # tan: (1 + tan~(u)^2) u'
         return value, self.dmul((f"({square} + {t} * {t})", square), du)
 
-    def kernel(self, fn: str, pos: int, arg: Part, outputs: int = 1) -> tuple[str, ...]:
+    def kernel(self, fn: str, where: Where, arg: Part, outputs: int = 1) -> tuple[str, ...]:
         """The names of the outputs of a direct call of the integer kernel
-        ``_KERNELS[fn]`` on arg, its MathError located at pos.  Every kernel
+        ``_KERNELS[fn]`` on arg, its MathError located at where's node.  Every kernel
         but sqrt's gives numerators over ``unit``, the name of 10^precision."""
         kernel = self.const(_KERNELS[fn])
         args = f"{arg[0]}, {arg[1] or 1}, {self.digits}"
@@ -1077,17 +1109,17 @@ class _Codegen:
         if fn != "sqrt" and self.unit is None:
             self.unit = self.const(10**self.precision)
         self.line(f"try: {', '.join(names)} = {kernel}({args})\n"
-                  f"except _ME as _e: raise _at(_e, {self.const(pos)}) from None")
+                  f"except _ME as _e: raise _at(_e, {self.read(where, _pos)}) from None")
         return names
 
-    def quotient(self, pos: int, left: Part, right: Part) -> Part:
+    def quotient(self, where: Where, left: Part, right: Part) -> Part:
         """left / right, numerator and denominator apart, so a row-invariant
         divisor leaves a row-invariant denominator."""
         (an, ad), (bn, bd) = left, right
         bn = self.atom(bn)
         num, den = self.times(an, bd), self.times(ad, bn)
         n, d = self.temp("V" in num + bn), self.temp("V" in den)
-        self.line(f"if {bn} == 0: raise _DZ('division by zero', {self.const(pos)})")
+        self.line(f"if {bn} == 0: raise _DZ('division by zero', {self.read(where, _pos)})")
         self.line(f"{n} = {num} if {bn} > 0 else -{num}")
         self.line(f"{d} = {den} if {bn} > 0 else -{den}")
         return n, d
@@ -1105,16 +1137,17 @@ class _Codegen:
             an, bn = self.fixed(an), self.fixed(bn)
         return f"({an} {op} {bn})", self.times(ad, bd) if ad != bd else ad
 
-    def power(self, node: Binary, base: Part, db: Part | None) -> tuple[Part, Part | None]:
-        """An integer power of base, whose derivative is db, and the power's
-        derivative k u^(k-1) u' from ``_dpow``, which refuses where the
-        power took int_pow."""
-        k = int_exponent(node)
+    def power(self, where: Where, exponent: Where, base: Part,
+              db: Part | None) -> tuple[Part, Part | None]:
+        """An integer power of base, where's node, whose derivative is db,
+        and the power's derivative k u^(k-1) u' from ``_dpow``, which
+        refuses where the power took int_pow."""
+        k = int_exponent(where[0])
         if k == 0:
             return self.const_part(Fraction(1)), None
         an, ad = self.atom(base[0]), self.atom(base[1])
         # closure constants, so powers of any degree share one code object
-        m, limit = self.const(abs(k)), self.const(approx.POWER_BITS // abs(k))
+        m, limit = self.read(exponent, _abs_num), self.read(exponent, _power_limit)
         d_pow = f"{ad} ** {m}" if ad else "1"
         if k > 0 and "V" in an and "V" not in (ad or ""):  # a row value over a fixed denominator
             n, d, bits = self.temp(True), self.temp(False), self.temp(False)
@@ -1129,8 +1162,8 @@ class _Codegen:
             small = f"{an}.bit_length() + {ad}.bit_length() <= {limit}"
         else:
             small = f"{an}.bit_length() < {limit}"  # a reduced denominator 1 has 1 bit
-        fallback = (f"_approx(_A.int_pow, {_fraction((an, ad))}, {self.const(k)}, {self.digits}, "
-                    f"{self.const(node.pos)})")
+        fallback = (f"_approx(_A.int_pow, {_fraction((an, ad))}, {self.read(exponent, _num)}, "
+                    f"{self.digits}, {self.read(where, _pos)})")
         varying = "V" in an + (ad or "")
         n, d = self.temp(varying), self.temp(varying)
         if k > 0:
@@ -1142,7 +1175,8 @@ class _Codegen:
         if db is None:
             return (n, d), None
         dn, dd = self.temp(False), self.temp(False)
-        self.line(f"{dn}, {dd} = _dpow({an}, {ad or 1}, {db[0]}, {db[1] or 1}, {self.const(k)})")
+        self.line(f"{dn}, {dd} = _dpow({an}, {ad or 1}, {db[0]}, {db[1] or 1}, "
+                  f"{self.read(exponent, _num)})")
         return (n, d), (dn, dd)
 
     def atoms(self, part: Part) -> Part:
@@ -1209,10 +1243,184 @@ def _fraction(part: Part) -> str:
     return f"_F({n}, {d})" if d is not None else f"_F({n})"
 
 
-@lru_cache(maxsize=256)
+# -- one walk per shape -----------------------------------------------------------------
+
+
+def _shape(node: Expr, key: list, nodes: list) -> None:
+    """Append to key what ``_Codegen.part`` branches on at node and below,
+    and to nodes the nodes, both in the walk's pre-order, where a folded
+    exponent, divisor or root index follows its parent's walked operands.
+    Such a child adds no token of its own: its parent's token holds what
+    the walk branches on (the exponent's sign; whether the divisor's
+    reciprocal, or the index, is an integer).  A variable's token is its
+    name; no other token is an identifier, and each fixes how many subtrees
+    follow it, so a key is the shape of one tree."""
+    nodes.append(node)
+    if isinstance(node, Binary):
+        op, right = node.op, node.right
+        if isinstance(right, Const) and op in "^/":
+            v = right.value
+            n = v.numerator
+            if op == "^" and v.denominator == 1:
+                key.append("^0" if n == 0 else "^+" if n > 0 else "^-")
+                _shape(node.left, key, nodes)
+                nodes.append(right)
+                return
+            if op == "/" and n != 0:
+                key.append("/1" if abs(n) == 1 else "/q")
+                _shape(node.left, key, nodes)
+                nodes.append(right)
+                return
+        key.append(op)
+        _shape(node.left, key, nodes)
+        _shape(right, key, nodes)
+    elif isinstance(node, Const):
+        key.append(0 if node.value.denominator == 1 else 1)
+    elif isinstance(node, Var):
+        key.append(node.name)
+    elif isinstance(node, Unary):
+        key.append("u-")
+        _shape(node.operand, key, nodes)
+    else:
+        args = node.args
+        index = args[0]
+        if (node.fn == "root" and isinstance(index, Const)
+                and index.value.denominator == 1 and index.value.numerator >= 2):
+            key.append("root#")
+            nodes.append(index)
+            _shape(args[1], key, nodes)
+            return
+        key.append(_CALL_TOKENS[node.fn])
+        for arg in args:
+            _shape(arg, key, nodes)
+
+
+_CALL_TOKENS = {fn: f"{fn}(" for fn in FUNCTIONS}
+
+
+class _Template:
+    """The code of one expression shape, from one ``_Codegen`` walk of a
+    tree of that shape (``_walk``): the statements, and for each closure
+    constant its value where the key fixes it, or else the node it is read
+    from and how (``reads``), so that another tree of the shape binds its
+    own constants (``bind``) without a walk.  ``maker`` compiles a
+    function maker per entry on first use: None for the point or tangent
+    function, ``sum`` and ``values`` for a row kernel, whose makers take
+    one more constant, the kernel's point-by-point fallback."""
+
+    def __init__(self, gen: "_Codegen", value: Part, deriv: Part | None):
+        self.names, self.precision, self.loop, self.first = (
+            gen.names, gen.precision, gen.loop, gen.first)
+        self.reads = gen.reads
+        self.consts = list(gen.consts)  # the read ones are bound per tree
+        for j, _, _ in self.reads:
+            self.consts[j] = None
+        self.makers: dict = {}
+        n, d = value
+        if gen.loop:
+            self.n, self.d = n, d or "1"
+            self.hoisted, self.body = "\n".join(gen.hoisted), "\n".join(gen.body)
+            return
+        result = f"{n}, {d or 1}"
+        if gen.tangent:
+            dn, dd = deriv or ("0", None)
+            result = f"({result}), ({dn}, {dd or 1})"
+        self.params = ", ".join(f"{vn}, {vd}" for vn, vd in gen.vars)
+        self.code = "\n".join([*gen.hoisted, f"return {result}"])
+
+    def bind(self, nodes: list) -> list:
+        """The closure constants of the tree whose ``_shape`` nodes are nodes."""
+        consts = self.consts.copy()
+        for j, at, proj in self.reads:
+            consts[j] = proj(nodes[at])
+        return consts
+
+    def maker(self, entry: str | None):
+        """The function maker of an entry, compiled on its first use."""
+        maker = self.makers.get(entry)
+        if maker is None:
+            params, code = self.source(entry)
+            maker = _function_maker(len(self.consts) + (entry is not None), params, code)
+            self.makers[entry] = maker
+        return maker
+
+    def source(self, entry: str | None) -> tuple[str, str]:
+        """The parameters and body of an entry's function."""
+        if entry is None:
+            return self.params, self.code
+        n, d = self.n, self.d
+        head, var, pair = _row_params(len(self.names), self.loop)
+        if entry == "values":
+            params, start, result = f"{head}, row", "_out = []\n_app = _out.append", "_out"
+            if "V" not in d and not d.isidentifier():  # one denominator, computed once
+                start, d = f"{start}\n_d = {d}", "_d"
+            loop = f"for {var} in row:\n{_indent(self.body, 1)}    _app(({n}, {d}))"
+        else:
+            params = f"{head}, row, weights=None"
+            if "V" in d:  # the denominator depends on the row: one sum per distinct one
+                start, result = "_s = {}", "_sum_of(_s)"
+                add = f"_t = {d}; _s[_t] = _s.get(_t, 0) + {n}"
+            else:
+                start, add, result = f"_acc = 0\n_d = {d}", f"_acc += {n}", "_acc, _d"
+            body = _indent(self.body, 2)
+            loop = (f"if weights is None:\n    for {var} in row:\n{body}        {add}\n"
+                    f"else:\n    for {pair}, _w in zip(row, weights):\n{body}        {add} * _w")
+        # point by point, from the row's first point, after an error before
+        # the loop or an int_pow fallback in it
+        again = f"return c{len(self.consts)}({params.replace('=None', '')})"
+        code = f"{start}\ntry:\n{_indent(loop, 1)}except _Slow:\n    {again}\nreturn {result}"
+        if self.hoisted:
+            code = f"try:\n{_indent(self.hoisted, 1)}except _ME:\n    {again}\n{code}"
+        return params, code
+
+
+def _walk(e: Expr, names: tuple[str, ...], precision: int, mode: str,
+          loop: int) -> tuple[_Template, list]:
+    """One ``_Codegen`` walk of e: its shape's template and e's constants."""
+    gen = _Codegen(names, precision, loop, mode == "tangent")
+    value, deriv = gen.part(e)
+    return _Template(gen, value, deriv), gen.consts
+
+
+class _Shape(tuple):
+    """A shape key, and on a miss its ``tree`` to walk: ``_template``'s
+    argument, hashed and compared as the key alone."""
+
+
+# 1 024 shapes: a 1 400-round partition-poly run meets about 235, the kept
+# compiled-code file 912
+@lru_cache(maxsize=1024)
+def _template(shape: _Shape) -> _Template | None:
+    """The template of a shape, from one walk of its tree; None where the
+    tangent mode declines it.  An unbound variable is refused by the walk,
+    and nothing is kept."""
+    mode, names, precision, loop = shape[:4]
+    try:
+        template = _walk(shape.tree, names, precision, mode, loop)[0]
+    except _Decline:
+        template = None
+    shape.tree = None  # the cache keeps the key, not the tree
+    return template
+
+
+def _bound(e: Expr, names: tuple[str, ...], precision: int, mode: str = "point",
+           loop: int = 0) -> tuple[_Template, list]:
+    """The template of e's shape in mode (point, tangent or rows, over the
+    last ``loop`` names) and e's closure constants.  Only a miss walks e;
+    a tree that the tangent mode declines raises _Decline."""
+    key, nodes = [mode, names, precision, loop], []
+    _shape(e, key, nodes)
+    shape = _Shape(key)
+    shape.tree = e
+    template = _template(shape)
+    if template is None:
+        raise _Decline
+    return template, template.bind(nodes)
+
+
 def _function_maker(n_consts: int, params: str, body: str):
-    """Compile ``body`` once per shape: the returned function binds the
-    constants and returns the compiled function of ``params``."""
+    """Compile ``body`` once: the returned function binds the constants and
+    returns the compiled function of ``params``."""
     consts = ", ".join(f"c{i}" for i in range(n_consts))
     indented = "".join(f"        {line}\n" for line in body.split("\n"))
     source = f"def _make({consts}):\n    def _f({params}):\n{indented}    return _f\n"

@@ -1,5 +1,6 @@
 """Tokenizer, parser, renderer, dual evaluators, symbolic derivative."""
 
+import math
 import sys
 from fractions import Fraction as F
 
@@ -11,10 +12,12 @@ from hrw.errors import (
     ApproxOverflow,
     DivisionByZero,
     DomainError,
+    MathError,
     ParseError,
     TranscendentalOnUnlimited,
     UnsupportedNode,
 )
+from hrw import exprs
 from hrw.exprs import (
     MAX_HEIGHT,
     MAX_NESTING,
@@ -24,7 +27,9 @@ from hrw.exprs import (
     FunctionDef,
     Unary,
     Var,
+    _compile_tangent,
     compile_real,
+    compile_rows,
     eval_hyper,
     eval_hyper_traced,
     eval_real,
@@ -355,6 +360,146 @@ class TestCompiled:
         for source in ("+".join(["x*0.5"] * 250), "*".join(f"(x + {i})" for i in range(250))):
             expr = parse(source)
             assert F(*compile_real(expr, ("x",))(1, 3)) == eval_real(expr, {"x": F(1, 3)})
+
+
+def bound(e, names, precision, mode, loop, bind=None):
+    """The (params, body) of each function compiled for e in mode, and the
+    closure constants e binds, from the template cache (``_bound``) or a
+    fresh walk (``_walk``); "declined" where the tangent mode has no rule."""
+    try:
+        template, consts = (bind or exprs._bound)(e, names, precision, mode, loop)
+    except exprs._Decline:
+        return "declined"
+    entries = ("values", "sum") if mode == "rows" else (None,)
+    return [template.source(entry) for entry in entries], consts
+
+
+def error_or(thunk):
+    """thunk's value, or its MathError's type, text and offset."""
+    try:
+        return thunk()
+    except MathError as ex:
+        return type(ex).__name__, str(ex), ex.pos
+
+
+class TestShapeTemplates:
+    """Trees of one shape share one template, made by one ``_Codegen``
+    walk; each binds its own constants and offsets to it."""
+
+    NAMES = ("y", "x")  # y fixed, x over the row at loop 1; both at loop 2
+    MODES = [("point", NAMES, 0), ("rows", NAMES, 1), ("rows", NAMES, 2), ("tangent", ("x",), 0)]
+    Y, XS = F(2, 3), [F(-1), F(0), F(1, 4), F(1, 3), F(3, 4), F(5, 2)]
+
+    # compiled one after another, in every mode: each must keep its own
+    # constants and offsets, and share the previous one's key or not
+    GROUPS = [
+        [("1/(x - 1/4)", 40, None), ("1 / (x  -  3/4)", 40, True)],  # own poles and offsets
+        [("x/4", 40, None), ("x/3", 40, True)],  # the folded divisor
+        [("x^3", 40, None), ("x^5", 40, True), ("x^-2", 40, False)],
+        [("root(3, x)", 40, None), ("root(2.5, x)", 40, False)],
+        [("pi*x", 12, None), ("pi*x", 40, False)],
+    ]
+
+    def expected(self, e, precision, x):
+        return error_or(lambda: eval_real(e, {"x": x, "y": self.Y}, precision))
+
+    def compiled(self, e, precision, mode, loop):
+        """e's values at (Y, x) for every x of XS, by the mode's function."""
+        y, xs = (self.Y.numerator, self.Y.denominator), self.XS
+        if mode == "point":
+            fn = compile_real(e, self.NAMES, precision)
+            return [error_or(lambda: F(*fn(*y, x.numerator, x.denominator))) for x in xs]
+        if mode == "tangent":
+            fn = _compile_tangent(e, "x", precision)
+            return [error_or(lambda: F(*fn(x.numerator, x.denominator)[0])) for x in xs]
+        kernel = compile_rows(e, self.NAMES, precision, loop)
+        den = math.lcm(*(x.denominator for x in xs))
+        row = [x.numerator * (den // x.denominator) for x in xs]
+        if loop == 1:
+            values = error_or(lambda: kernel.values(*y, den, row))
+        else:
+            values = error_or(lambda: kernel.values(y[1], den, [(y[0], n) for n in row]))
+        return values if isinstance(values, tuple) else [F(*v) for v in values]
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_trees_of_one_key_keep_their_constants(self, group):
+        cache = exprs._template
+        cache.cache_clear()
+        for source, precision, shared in group:
+            e = parse(source)
+            for mode, names, loop in self.MODES:
+                hits = cache.cache_info().hits
+                assert bound(e, names, precision, mode, loop) == \
+                    bound(e, names, precision, mode, loop, exprs._walk), (source, mode, loop)
+                if shared is not None:
+                    assert (cache.cache_info().hits > hits) == shared, (source, mode, loop)
+                got = self.compiled(e, precision, mode, loop)
+                if mode == "tangent" and source.startswith("root"):
+                    assert all(v[0] == "_NoTangent" for v in got), source  # declined
+                    continue
+                want = [self.expected(e, precision, x) for x in self.XS]
+                if mode == "rows":  # the row's first error, or every value
+                    errors = [v for v in want if isinstance(v, tuple)]
+                    want = errors[0] if errors else want
+                assert got == want, (source, mode, loop)
+
+    def test_offsets_of_one_shape(self):
+        for source, offset in (("1/(x - 1/4)", 1), ("1 / (x  -  3/4)", 2)):
+            pole = F(1, 4) if "1/4" in source else F(3, 4)
+            with pytest.raises(DivisionByZero) as info:
+                compile_real(parse(source), ("x",))(pole.numerator, pole.denominator)
+            assert info.value.pos == offset
+
+    def test_unbound_name_is_refused_at_its_own_offset(self):
+        cache = exprs._template
+        for source, offset in (("x + q", 4), ("x  +  q", 6)):
+            size = cache.cache_info().currsize
+            for mode, names, loop in self.MODES:
+                with pytest.raises(DomainError, match="unbound variable 'q'") as info:
+                    exprs._bound(parse(source), names, 40, mode, loop)
+                assert info.value.pos == offset
+            assert cache.cache_info().currsize == size  # nothing kept
+
+    def test_one_walk_per_shape(self, monkeypatch):
+        # six trees of one shape, each compiled in four modes: one walk per mode
+        walks = []
+        depth = 0
+        part = exprs._Codegen.part
+
+        def counted(gen, node):
+            nonlocal depth
+            if depth == 0:
+                walks.append(node)
+            depth += 1
+            try:
+                return part(gen, node)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(exprs._Codegen, "part", counted)
+        names = ("w", "u")  # a shape no other test compiles, at precision 29
+        for i in range(2, 8):
+            e = parse(f"{i}/7*u^3 - {i + 1}*u + {i}.5")
+            assert F(*compile_real(e, names, 29)(0, 1, 1, 2)) == eval_real(e, {"u": F(1, 2)})
+            compile_rows(e, names, 29, 1).sum(0, 1, 2, [1, 3])
+            compile_rows(e, names, 29, 2).values(1, 2, [(0, 1)])
+            _compile_tangent(e, "u", 29)(1, 2)
+        assert len(walks) == 4
+
+    def test_cache_is_bounded_and_an_evicted_shape_recompiles(self):
+        cache, e = exprs._template, parse("x/3 + 1")
+        first = compile_real(e, ("x",), 1)
+        want = bound(e, ("x",), 1, "point", 0, exprs._walk)
+        maxsize = cache.cache_info().maxsize
+        for precision in range(2, maxsize + 20):  # one shape per precision
+            compile_real(e, ("x",), precision)
+            assert cache.cache_info().currsize <= maxsize
+        misses = cache.cache_info().misses
+        again = compile_real(e, ("x",), 1)
+        assert cache.cache_info().misses == misses + 1  # evicted
+        assert bound(e, ("x",), 1, "point", 0) == want
+        assert again.__code__ is compile_real(e, ("x",), 1).__code__  # cached again
+        assert again(2, 5) == first(2, 5)
 
 
 class TestFunctionDefs:

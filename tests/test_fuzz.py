@@ -32,6 +32,10 @@ from ``taylor_jet``, or raise the same exception with the same text, for
 random trees and for the benchmark's curve, force and surface families.
 The tangent code of every tree in x alone must give compile_real's value
 pair and the jet's derivative at each point, or raise a MathError there.
+A tree and its sibling, the tree with every literal redrawn so that both
+have one shape key, must each bind the code and constants of a fresh
+``_Codegen`` walk in point, row and tangent modes, the sibling from the
+tree's template.
 
 The standard part of a series evaluation at a rational point must equal
 ``eval_real`` there exactly, or both must refuse at the same offset; real
@@ -126,7 +130,7 @@ from hrw.exprs import (
     symbolic_derivative,
 )
 from hrw.field import Field, apply_analytic, hr_exp, hr_ln, hr_pow
-from hrw import integration
+from hrw import exprs, integration
 from hrw.integration import (
     SIMPSON_DIGITS,
     TAG_RULES,
@@ -479,6 +483,72 @@ def test_pair_power_guard_reads_the_reduced_value():
         for args in ((3, 7), (6, 14), (3 << 20, 7 << 20)):
             assert pair_outcome(fn, *args) == want, (k, base, args)
     assert compile_real(parse("x^2"), ("x",))(2, 4) == (4, 16)
+
+
+def sibling(rng: random.Random, e: Expr) -> Expr:
+    """e with every literal redrawn and every offset kept.  A literal keeps
+    its sign, whether it is an integer, and whether its numerator is +-1;
+    an integer from -1 to 1 is kept.  So the sibling has e's shape key."""
+    def redraw(v: F) -> F:
+        sign = 1 if v > 0 else -1
+        if v.denominator == 1:
+            return v if abs(v) < 2 else sign * F(rng.randint(2, 9))
+        q = rng.randint(2, 12)
+        if abs(v.numerator) == 1:
+            return F(sign, q)
+        return sign * rng.choice([F(p, q) for p in range(2, 16) if math.gcd(p, q) == 1])
+
+    def go(node: Expr) -> Expr:
+        if isinstance(node, Const):
+            return Const(redraw(node.value), node.pos)
+        if isinstance(node, Unary):
+            return Unary(node.op, go(node.operand), node.pos)
+        if isinstance(node, Binary):
+            return Binary(node.op, go(node.left), go(node.right), node.pos)
+        if isinstance(node, Call):
+            return Call(node.fn, tuple(map(go, node.args)), node.pos)
+        return node
+
+    return go(e)
+
+
+TEMPLATE_MODES = [("point", ("x", "y"), 0), ("rows", ("x", "y"), 1), ("rows", ("x", "y"), 2),
+                  ("tangent", ("x",), 0)]
+
+
+def compiled_shape(e: Expr, names, mode: str, loop: int, bind) -> tuple:
+    """The (params, body) of each function compiled for e in mode and e's
+    closure constants, by bind (``_bound`` or ``_walk``), or its error."""
+    try:
+        template, consts = bind(e, names, PRECISION, mode, loop)
+    except (exprs._Decline, MathError) as ex:
+        return type(ex).__name__, str(ex)
+    entries = ("values", "sum") if mode == "rows" else (None,)
+    return [template.source(entry) for entry in entries], consts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_siblings_bind_their_own_constants(seed):
+    # a tree, then its sibling, the sibling a hit of the tree's template:
+    # both bind what a fresh walk of each gives, in every mode
+    rng = random.Random(3100 + seed)
+    gen = ExprGen(rng)
+    cache = exprs._template
+    for _ in range(60):
+        e = parsed(gen.tree(rng.randint(1, 4)))
+        twin = sibling(rng, e)
+        for mode, names, loop in TEMPLATE_MODES:
+            want = compiled_shape(e, names, mode, loop, exprs._walk)
+            assert compiled_shape(e, names, mode, loop, exprs._bound) == want, render(e)
+            hits = cache.cache_info().hits
+            got = compiled_shape(twin, names, mode, loop, exprs._bound)
+            assert got == compiled_shape(twin, names, mode, loop, exprs._walk), render(twin)
+            assert cache.cache_info().hits == hits + (want[0] != "DomainError"), render(twin)
+        fn = compile_real(twin, ("x", "y"), PRECISION)
+        for _ in range(3):
+            x, y = rand_rational(rng), rand_rational(rng)
+            want = outcome(eval_real, twin, {"x": x, "y": y}, PRECISION)
+            assert pair_outcome(fn, *unreduced(x, 1), *unreduced(y, 1)) == want, render(twin)
 
 
 # -- partition sums against naive sums written here -------------------------------------------

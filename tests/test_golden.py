@@ -45,6 +45,11 @@ seeded sums, row kernels, integer kernels, correctly rounded sin, cos and
 tan, and their error texts.  They are stored as cli.jsonl's requests are,
 and replayed the same way, on every Python that runs the tests.
 
+The compiled-code and sums files are also replayed through both paths of
+the template cache: with the cache cleared before every entry, so that
+each shape's code comes from a walk of that entry's tree, and then twice
+more, the second time with every compile a hit.
+
 An intended change of output rewrites every file with
 ``python tests/golden/regen.py``; the files' diffs then show each changed
 entry.
@@ -60,7 +65,9 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-from hrw import integration
+import pytest
+
+from hrw import exprs, integration
 from hrw.calculus import CurveDef
 from hrw.cli import _parser, _UsageError, run
 from hrw.errors import MathError
@@ -275,3 +282,22 @@ def test_sum_outputs_are_kept():
         want = json.loads(line)
         case = {k: v for k, v in want.items() if k != "out"}
         assert sum_record(case) == want, f"{SUMS.name} line {number}"
+
+
+@pytest.mark.parametrize("path,record", [(COMPILED, compiled_record), (SUMS, sum_record)],
+                         ids=["compiled", "sums"])
+def test_kept_outputs_by_walk_and_by_template(path, record):
+    cache = exprs._template
+    entries = [json.loads(line) for line in path.read_text().splitlines()]
+    cases = [{k: v for k, v in want.items() if k != "out"} for want in entries]
+    for number, (case, want) in enumerate(zip(cases, entries), 1):
+        cache.cache_clear()
+        assert record(case) == want, f"{path.name} line {number}, by walk"
+        assert cache.cache_info().misses > 0
+    # each file's shapes (912 and 425) fit in the cache, so the second run hits
+    for run in ("warm", "hit"):
+        before = cache.cache_info()
+        for number, (case, want) in enumerate(zip(cases, entries), 1):
+            assert record(case) == want, f"{path.name} line {number}, {run}"
+        after = cache.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
