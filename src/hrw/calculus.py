@@ -18,13 +18,19 @@ field cannot vouch for.  A coefficient read at any window is the exact one,
 so results do not depend on the window they were certified at.
 ``nth_increment`` returns its whole series, so it evaluates in the caller's
 field and only checks that the order it is read at is certified.
+
+The points of one probe family differ only by a dilation.  For a monomial
+step h = a*eps^q, one evaluation at c + h serves every point c + j*h of an
+increment (``HyperReal._dilated``), and the left side of a limit serves the
+right, j = -1, unless the walk read a leading coefficient that the dilation
+moves (``EvalTrace.dilatable``); then each point is evaluated on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import approx
 from .errors import (
@@ -165,21 +171,50 @@ def nth_increment(
 
     The whole series is returned, so it is evaluated in the caller's field;
     it must be certified up to h^n, the order the increment is read at.
+
+    For n >= 2 and a monomial h = a*eps^q, one evaluation at c + h serves
+    every point c + j*h, j >= 1, as its dilation (``HyperReal._dilated``),
+    and f(c) is evaluated on its own.  The points are evaluated one by one,
+    from c + n*h down, when that walk clears ``EvalTrace.dilatable`` or
+    meets an ``abs`` argument that vanishes, or when either evaluation
+    raises, so every value and refusal is that of the pointwise sum.
     """
     if n < 1:
         raise ValueError("increment order must be >= 1")
     c = Fraction(c)
     name = infer_variable(f, var)
+    where = f"near {show_rational(c)}"
+    values = _dilated_points(f, name, c, h, n, cfg, where) if n >= 2 else None
+    if values is None:
+        points = (cfg.rational(c) + h * j for j in range(n, -1, -1))
+        values = [_smooth(f, {name: point}, cfg, where) for point in points]
     total = cfg.zero()
     binom = 1
-    for k in range(n + 1):
+    for k, value in enumerate(values):
         if k:
             binom = binom * (n - k + 1) // k
-        point = cfg.rational(c) + h * (n - k)
-        value = _smooth(f, {name: point}, cfg, f"near {show_rational(c)}")
         total = total + value * Fraction((-1) ** k * binom)
     total.certify(n * (h.leading_exponent() or 0), f"increment of order {n}")
     return total
+
+
+def _dilated_points(
+    f: Expr, name: str, c: Fraction, h: HyperReal, n: int, cfg: Field, where: str
+) -> list[HyperReal] | None:
+    """f(c + j*h) for j = n, ..., 0 from one walk at c + h, or None where
+    the points must be evaluated one by one."""
+    exponents = h.exponents()
+    if len(exponents) != 1 or not exponents[0]:
+        return None
+    q = exponents[0]
+    try:
+        value, trace = eval_hyper_traced(f, {name: cfg.rational(c) + h}, cfg, (q, n))
+        if not trace.dilatable or trace.abs_nonsmooth:
+            return None
+        at_c = _smooth(f, {name: cfg.rational(c)}, cfg, where)
+    except MathError:
+        return None
+    return [value._dilated(j, q) for j in range(n, 0, -1)] + [at_c]
 
 
 # -- limits -------------------------------------------------------------------------
@@ -298,7 +333,7 @@ def fn_limit(
     p = Fraction(p)
     name = infer_variable(f, var)
 
-    left, right = _side(f, name, p, -1, cfg), _side(f, name, p, +1, cfg)
+    left, right = _sides(f, name, p, cfg)
     if left is None and right is None:
         return LimitResult(None, "field-evaluation", left, right, note="neither side evaluable")
     if left is None or right is None:
@@ -323,21 +358,40 @@ def continuity_check(
         at_p = eval_real(f, {name: p}, cfg.precision)
     except MathError as ex:
         raise DomainError(f"function undefined at {show_rational(p)}: {ex.case}") from ex
-    for sign in (-1, 1):
-        s = _side(f, name, p, sign, cfg)
+    for s in _sides(f, name, p, cfg):
         if s is None or not s.is_finite or s.as_fraction() != at_p:
             return False
     return True
 
 
-def _side(f: Expr, name: str, p: Fraction, sign: int, cfg: Field) -> ExtendedReal | None:
-    """st(f(p + sign*eps)), widened from the narrowest window that holds the
-    probe point itself; None when that side is not evaluable.  PrecisionExhausted
-    propagates: the side is evaluable but no window certifies it."""
+def _sides(f: Expr, name: str, p: Fraction, cfg: Field) -> Iterator[ExtendedReal | None]:
+    """st(f(p - eps)), then st(f(p + eps)); None for a side that is not
+    evaluable.  The right side is the left side's series under the dilation
+    eps -> -eps (``HyperReal._dilated(-1, 1)``) when the left walk keeps
+    ``EvalTrace.dilatable``: the two walks then take the same branches and
+    certify at the same windows.  Otherwise it is evaluated on its own."""
+    left = _side(f, name, p, -1, cfg)
+    yield None if left is None else left[0]
+    if left is not None and left[1] is not None:
+        yield left[1]._dilated(-1, 1).st()
+    else:
+        right = _side(f, name, p, 1, cfg)
+        yield None if right is None else right[0]
 
-    def probe(fld: Field) -> ExtendedReal:
+
+def _side(
+    f: Expr, name: str, p: Fraction, sign: int, cfg: Field
+) -> tuple[ExtendedReal, HyperReal | None] | None:
+    """st(f(p + sign*eps)), widened from the narrowest window that holds the
+    probe point itself, and the series it was read from, or None in its
+    place when the walk cleared ``EvalTrace.dilatable``; None when the side
+    is not evaluable.  PrecisionExhausted propagates: the side is evaluable
+    but no window certifies it."""
+
+    def probe(fld: Field) -> tuple[ExtendedReal, HyperReal | None]:
         point = fld.rational(p) + fld.epsilon() * sign
-        return eval_hyper_traced(f, {name: point}, fld)[0].st()
+        value, trace = eval_hyper_traced(f, {name: point}, fld, (1, 1))
+        return value.st(), value if trace.dilatable else None
 
     try:
         return _widen(cfg, 2 if p else 1, probe)

@@ -507,18 +507,54 @@ def eval_real(e: Expr, env: dict[str, Fraction], precision: int = 40) -> Fractio
 
 
 class EvalTrace:
-    """Side observations from a series evaluation."""
+    """Side observations from a series evaluation.
 
-    __slots__ = ("abs_nonsmooth",)
+    ``abs_nonsmooth``: an ``abs`` argument was a nonzero infinitesimal.
+
+    ``dilatable``: with ``dilation=(q, reach)`` given to the walk of a point
+    c + h, h = a*eps^q, whose values all lie on the lattice qZ, the walk's
+    value v gives the walk at c + j*h as ``v._dilated(j, q)`` for every
+    integer 0 < |j| <= reach.  The map keeps every exponent, so only a rule
+    that reads a leading coefficient at a nonzero exponent lambda can tell
+    the two apart, and the walk clears the flag at each of them, applied to
+    a base with lambda != 0: a rounded head (``sqrt``, ``root``, a ``^``
+    whose exponent is not an integer literal); an integer power k whose
+    exact-power guard could trip at the largest dilation, where the leading
+    coefficient a has grown to at most bits(a) + |lambda/q|*bits(reach)
+    bits; and ``abs``, whose sign a negative j turns.  Without a dilation
+    the flag stays False."""
+
+    __slots__ = ("abs_nonsmooth", "dilatable")
 
     def __init__(self):
         self.abs_nonsmooth = False
+        self.dilatable = False
 
 
 def eval_hyper_traced(
-    e: Expr, env: dict[str, HyperReal], cfg: Field
+    e: Expr,
+    env: dict[str, HyperReal],
+    cfg: Field,
+    dilation: tuple[Fraction | int, int] | None = None,
 ) -> tuple[HyperReal, EvalTrace]:
     trace = EvalTrace()
+    if dilation is not None:
+        step, reach_bits = Fraction(dilation[0]), dilation[1].bit_length()
+        trace.dilatable = True
+
+    def keep(base: HyperReal, k: int | None = None) -> None:
+        """Clear ``trace.dilatable`` where the rule applied to base, an
+        integer power k or (k None) a rounded head or abs, could tell the
+        dilated base's result from the dilated result."""
+        lam = base.leading_exponent() if trace.dilatable else 0
+        if not lam:
+            return
+        if k is not None:
+            a = base.coefficient(lam)
+            bits = a.numerator.bit_length() + a.denominator.bit_length()
+            if abs(k) * (bits + abs(lam / step) * reach_bits + 1) <= approx.POWER_BITS:
+                return
+        trace.dilatable = False
 
     def series(node: Expr) -> HyperReal:
         v = go(node)
@@ -538,6 +574,7 @@ def eval_hyper_traced(
                 if node.op == "^":
                     base = series(node.left)
                     k = int_exponent(node)
+                    keep(base, k)
                     if k is not None:
                         return base**k
                     r = series(node.right)
@@ -557,15 +594,20 @@ def eval_hyper_traced(
                 v = series(node.args[0])
                 if not v.is_zero and v.coefficient(0) == 0 and v.is_limited:
                     trace.abs_nonsmooth = True
+                keep(v)
                 return abs(v)
             if node.fn == "sqrt":
-                return series(node.args[0]).nth_root(2)
+                v = series(node.args[0])
+                keep(v)
+                return v.nth_root(2)
             if node.fn == "root":
                 idx = series(node.args[0])
                 if idx.exponents() != (0,):
                     raise DomainError("root index must be a standard integer >= 2", node.args[0].pos)
                 n = _require_root_index(idx.coefficient(0), node.args[0].pos)
-                return series(node.args[1]).nth_root(n)
+                v = series(node.args[1])
+                keep(v)
+                return v.nth_root(n)
             return apply_analytic(node.fn, series(node.args[0]))
         except MathError as ex:
             raise _at(ex, node.pos) from None
@@ -1453,59 +1495,3 @@ _COMPILED_SCOPE = {
     "_NT": _NoTangent,
     "_dpow": _dpow,
 }
-
-
-# -- function definition files ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FunctionDef:
-    """A named function ``name(params) = body`` from a definition file."""
-
-    name: str
-    params: tuple[str, ...]
-    body: Expr
-
-    def inline(self, args: dict[str, Expr]) -> Expr:
-        missing = set(self.params) - set(args)
-        if missing:
-            raise DomainError(f"missing arguments {sorted(missing)} for {self.name}")
-        return substitute(self.body, args)
-
-
-def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    if isinstance(e, Var) and e.name in mapping:
-        return mapping[e.name]
-    if isinstance(e, Unary):
-        return Unary(e.op, substitute(e.operand, mapping), e.pos)
-    if isinstance(e, Binary):
-        return Binary(e.op, substitute(e.left, mapping), substitute(e.right, mapping), e.pos)
-    if isinstance(e, Call):
-        return Call(e.fn, tuple(substitute(a, mapping) for a in e.args), e.pos)
-    return e
-
-
-def parse_definitions(text: str) -> dict[str, FunctionDef]:
-    """Parse a definition file: one ``name(params) = body`` per line, # comments."""
-    defs: dict[str, FunctionDef] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, sep, body_text = line.partition("=")
-        if not sep:
-            raise ParseError(0, f"name(params) = body on line {lineno}", repr(raw))
-        head = head.strip()
-        if "(" not in head or not head.endswith(")"):
-            raise ParseError(0, f"name(params) on line {lineno}", repr(head))
-        name, _, params_text = head[:-1].partition("(")
-        name = name.strip()
-        params = tuple(p.strip() for p in params_text.split(",") if p.strip())
-        body = parse(body_text.strip())
-        stray = free_vars(body) - set(params)
-        if stray:
-            raise ParseError(
-                0, f"body of {name} restricted to its parameters", f"free {sorted(stray)}"
-            )
-        defs[name] = FunctionDef(name, params, body)
-    return defs

@@ -313,6 +313,33 @@ class HyperReal:
             return self._lift([])
         return self._lift([(e, n * p) for e, n in self._nums], self._den * d, self.order)
 
+    def _dilated(self, j: int, q) -> "HyperReal":
+        """The dilation eps^q -> j*eps^q: each term c*eps^e becomes
+        j^(e/q)*c*eps^e, for an integer j != 0 and an exponent q != 0.
+
+        Precondition: every exponent lies on the lattice qZ (e/q is an
+        integer, of either sign); ValueError otherwise.  On that lattice the
+        map is a ring automorphism that keeps every exponent, so the window
+        cap and the order are kept too: a walk that gives self at c + h for
+        h = a*eps^q gives self._dilated(j, q) at c + j*h, unless it reads
+        a leading coefficient at a nonzero exponent (see ``EvalTrace``)."""
+        if j == 1:
+            return self
+        qn, qd = q.numerator, q.denominator
+        steps = []
+        for e, _ in self._nums:
+            m, r = divmod(e.numerator * qd, e.denominator * qn)
+            if r:
+                raise ValueError(
+                    f"exponent {format_rational(e)} is off the lattice of {format_rational(q)}"
+                )
+            steps.append(m)
+        low = min([0, *steps])  # j^low goes to the denominator
+        den = self._den * j**-low
+        sign = -1 if den < 0 else 1  # the shared denominator stays positive
+        nums = [(e, sign * n * j ** (m - low)) for (e, n), m in zip(self._nums, steps)]
+        return self._lift(nums, sign * den, self.order)
+
     def __add__(self, other) -> "HyperReal":
         if type(other) in _PLAIN:
             return self._shift(other.numerator, other.denominator)

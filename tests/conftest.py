@@ -1,4 +1,4 @@
-"""Shared generators for randomized algebra tests, and decimal oracles.
+"""Shared generators for randomized algebra tests, and reference oracles.
 
 A deterministic series generator (seeded random.Random) backs both the
 hypothesis strategies and the large seeded loops in the acceptance suite.
@@ -8,6 +8,7 @@ and without an example database, so every run draws the same examples.
 
 from __future__ import annotations
 
+import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -15,7 +16,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+from hrw.errors import NonSmoothAtPoint
+from hrw.exprs import Expr, eval_hyper_traced
 from hrw.field import DEFAULT_FIELD, Field, HyperReal
+from hrw.rationals import show_rational
 
 settings.load_profile("ci")
 
@@ -43,6 +47,21 @@ def rand_hyper(
     return HyperReal(
         [(e, rand_fraction(rng)) for e in exps], field.window, field.precision
     )
+
+
+def pointwise_increment(
+    e: Expr, c: Fraction, h: HyperReal, n: int, fld: Field = DEFAULT_FIELD
+) -> HyperReal:
+    """The n-th increment of e at c + h as one series walk per point
+    c + j*h, j = n, ..., 0: the reference of ``nth_increment``."""
+    total = fld.zero()
+    for k in range(n + 1):
+        value, trace = eval_hyper_traced(e, {"x": fld.rational(c) + h * (n - k)}, fld)
+        if trace.abs_nonsmooth:
+            raise NonSmoothAtPoint(f"abs argument vanishes near {show_rational(c)}")
+        total = total + value * Fraction((-1) ** k * math.comb(n, k))
+    total.certify(n * (h.leading_exponent() or 0), f"increment of order {n}")
+    return total
 
 
 def decimal_pi(prec: int) -> Decimal:

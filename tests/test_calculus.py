@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import pointwise_increment
 from hrw.calculus import (
     CurveDef,
     Jet,
@@ -20,7 +21,14 @@ from hrw.calculus import (
     unit_tangent,
 )
 from hrw import approx
-from hrw.errors import DomainError, MathError, NonSmoothAtPoint, PrecisionExhausted, ZeroVelocity
+from hrw.errors import (
+    ApproxOverflow,
+    DomainError,
+    MathError,
+    NonSmoothAtPoint,
+    PrecisionExhausted,
+    ZeroVelocity,
+)
 from hrw.exprs import Binary, Call, Const, Var, eval_real, parse, symbolic_derivative
 from hrw.field import DEFAULT_FIELD as FLD
 from hrw.field import ExtendedReal, Field, in_order_ideal
@@ -228,6 +236,38 @@ class TestIncrements:
             for n in (1, 2):
                 ratio = (nth_increment(expr, point, -EPS, n) / (-EPS) ** n).st_fraction()
                 assert ratio == derivative(expr, point, n), (source, n)
+
+
+class TestDilatedProbes:
+    """One walk at c + h serves the points c + j*h only while no rule reads a
+    leading coefficient at a nonzero exponent; each case here goes wrong when
+    one of those rules is dropped."""
+
+    def test_power_guard_at_the_largest_dilation(self):
+        # (eps)^66667 is exact, (2*eps)^66667 passes the exact-power guard
+        fld = Field(4, 12)
+        with pytest.raises(ApproxOverflow):
+            nth_increment(parse("(x-1)^66667"), F(1), fld.epsilon(), 2, fld)
+
+    @pytest.mark.parametrize(
+        "source", ["sqrt(2*(x-1)^2)", "root(3, 5*(x-1)^3) + x", "(2*(x-1)^2)^(1/2)"])
+    def test_rounded_heads(self, source):
+        # the root of 8 (or 40) is rounded on its own, not as 2 times a rounded root
+        f = parse(source)
+        got = nth_increment(f, F(1), EPS, 2)
+        assert got == pointwise_increment(f, F(1), EPS, 2)
+        assert not got.is_zero
+
+    @pytest.mark.parametrize("source", ["abs(x-1)/(x-1)", "sqrt((x-1)^2)/(x-1)"])
+    def test_sides_a_sign_change_tells_apart(self, source):
+        res = fn_limit(parse(source), F(1))
+        assert str(res) == "NoLimit{left: -1, right: 1} (method: field-evaluation)"
+
+    @pytest.mark.parametrize("source,point", SMOOTH_CORPUS)
+    def test_steps_off_the_unit_lattice(self, source, point):
+        f = parse(source)
+        for h in (FLD.epsilon(F(1, 2)) / 3, -FLD.epsilon(3) / 7, EPS + FLD.epsilon(2)):
+            assert nth_increment(f, point, h, 3) == pointwise_increment(f, point, h, 3)
 
 
 class TestSeqLimits:

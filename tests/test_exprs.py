@@ -24,7 +24,6 @@ from hrw.exprs import (
     Binary,
     Call,
     Const,
-    FunctionDef,
     Unary,
     Var,
     _compile_tangent,
@@ -35,7 +34,6 @@ from hrw.exprs import (
     eval_real,
     free_vars,
     parse,
-    parse_definitions,
     render,
     symbolic_derivative,
     tokenize,
@@ -501,26 +499,3 @@ class TestShapeTemplates:
         assert again.__code__ is compile_real(e, ("x",), 1).__code__  # cached again
         assert again(2, 5) == first(2, 5)
 
-
-class TestFunctionDefs:
-    def test_parse_and_inline(self):
-        defs = parse_definitions(
-            """
-            # helper definitions
-            square(u) = u^2
-            wave(t) = sin(t) + 0.5   # trailing comment
-            plane(x, y) = x + 2*y
-            """
-        )
-        assert set(defs) == {"square", "wave", "plane"}
-        assert defs["plane"].params == ("x", "y")
-        inlined = defs["square"].inline({"u": parse("x+1")})
-        assert eval_real(inlined, {"x": F(2)}) == 9
-
-    def test_free_variable_check(self):
-        with pytest.raises(ParseError):
-            parse_definitions("broken(u) = u + v")
-
-    def test_constants_allowed_in_body(self):
-        defs = parse_definitions("circ(r) = 2*pi*r")
-        assert defs["circ"].params == ("r",)

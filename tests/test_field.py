@@ -802,6 +802,40 @@ def _check_scalar_ops(x):
             assert got == want, (name, x, x.order, q)
 
 
+class TestDilation:
+    """x._dilated(j, q) sends each term c*eps^e to j^(e/q)*c*eps^e."""
+
+    @staticmethod
+    def parts(x: HyperReal):
+        return x._nums, x._den, x.window, x.precision, x.order
+
+    @pytest.mark.parametrize("q", [1, -1, F(1, 2), F(-3, 2)])
+    @pytest.mark.parametrize("j", [-3, -1, 2, 5])
+    def test_terms_scale_by_powers_of_j(self, j, q):
+        # exponents -3q .. q: an odd negative power of a negative j would
+        # leave the shared denominator negative
+        terms = [(k * q, F(k + 5, 7 - k)) for k in range(-3, 2)]
+        order = max(e for e, _ in terms) + F(1, 3)
+        x = HyperReal(terms, F(17, 2), 12, order)
+        got = x._dilated(j, q)
+        want = HyperReal([(e, c * F(j) ** int(e / F(q))) for e, c in terms], F(17, 2), 12, order)
+        assert self.parts(got) == self.parts(want)
+        assert got._den > 0
+
+    def test_is_a_ring_map(self):
+        x = HyperReal([(-1, F(2, 3)), (0, 1), (2, F(-5, 4))], 6, 12)
+        y = HyperReal([(1, F(3)), (3, F(1, 9))], 6, 12)
+        for j in (-2, 3):
+            xj, yj = x._dilated(j, 1), y._dilated(j, 1)
+            assert self.parts((x * y)._dilated(j, 1)) == self.parts(xj * yj)
+            assert self.parts((x - y)._dilated(j, 1)) == self.parts(xj - yj)
+            assert self.parts(x.inv()._dilated(j, 1)) == self.parts(xj.inv())
+
+    def test_off_the_lattice(self):
+        with pytest.raises(ValueError, match="off the lattice"):
+            (FLD.one() + FLD.epsilon(F(1, 2)))._dilated(2, 1)
+
+
 class TestScalarOperands:
     def test_named_series(self):
         for w in WINDOWS + [F(1), 2]:

@@ -71,6 +71,12 @@ polynomial) must equal the coefficients of one direct evaluation at window
 coefficient must equal ``eval_real`` at the point, unless that divides by
 zero there.  Jets of rational expressions must equal ``eval_real`` of the
 n-fold ``symbolic_derivative`` divided by n!.
+
+``nth_increment``, ``fn_limit`` and ``continuity_check``, which read the
+points c + j*h of one step (and both sides of a limit) off one dilated
+series walk, must give the value, certified order and refusal of one walk
+per point, for random trees under seven steps (monomials in eps, its
+square, root and cube, with signs and factors, and a sum of two powers).
 """
 
 from __future__ import annotations
@@ -91,8 +97,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pointwise_increment
 from hrw import approx
-from hrw.calculus import CurveDef, taylor_jet
+from hrw.calculus import (
+    CurveDef,
+    _widen,
+    continuity_check,
+    fn_limit,
+    nth_increment,
+    taylor_jet,
+)
 from hrw.cli import run
 from hrw.errors import (
     DepthExceeded,
@@ -1579,6 +1593,71 @@ def test_rational_jets_equal_symbolic_derivatives(seed):
                 d, fact = symbolic_derivative(d, "x"), fact * k
             assert got.coeffs[k] == eval_real(d, {"x": x0}) / fact, (render(e), x0, k)
     assert returned >= 10
+
+
+def separate_side(e: Expr, p: F, sign: int, fld: Field):
+    """st(eval_hyper) at p + sign*eps, widened as the limit probes widen;
+    None where that side is not evaluable."""
+
+    def probe(w: Field):
+        return eval_hyper(e, {"x": w.rational(p) + w.epsilon() * sign}, w).st()
+
+    try:
+        return _widen(fld, 2 if p else 1, probe)
+    except PrecisionExhausted:
+        raise
+    except MathError:
+        return None
+
+
+def separate_continuity(e: Expr, p: F, fld: Field) -> bool:
+    """continuity_check's rule with each side evaluated on its own."""
+    at_p = eval_real(e, {"x": p}, fld.precision)
+    for sign in (-1, 1):
+        s = separate_side(e, p, sign, fld)
+        if s is None or not s.is_finite or s.as_fraction() != at_p:
+            return False
+    return True
+
+
+def series_outcome(fn, *args):
+    """A series' numerators, denominator, window, precision and order, any
+    other value as it is, or the exception's type and text."""
+    got = outcome(fn, *args)
+    if hasattr(got, "_nums"):
+        return got._nums, got._den, got.window, got.precision, got.order
+    return got
+
+
+DILATION_FIELDS = (Field(4, PRECISION), Field(F(5, 2), PRECISION), Field(8, 20))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dilated_probes_equal_pointwise_walks(seed):
+    # one walk at c + h serves the points c + j*h of an increment, and the
+    # left side of a limit serves the right: values, certified orders and
+    # refusals must be those of one walk per point
+    rng = random.Random(3100 + seed)
+    gen = ExprGen(rng, ("x",))
+    for _ in range(12):
+        e = parsed(gen.tree(rng.randint(1, 3), big=rng.random() < 0.3))
+        fld = rng.choice(DILATION_FIELDS)
+        eps = fld.epsilon()
+        c = rng.choice(POOL)
+        for h in (eps, -eps, eps * 2, fld.epsilon(2), fld.epsilon(F(1, 2)) / 3,
+                  -fld.epsilon(3) / 7, eps + fld.epsilon(2)):
+            if rng.random() < 0.5:
+                n = rng.randint(1, 5)
+                got = series_outcome(nth_increment, e, c, h, n, fld, "x")
+                want = series_outcome(pointwise_increment, e, c, h, n, fld)
+                assert got == want, (render(e), c, h, n)
+        res = outcome(fn_limit, e, c, fld, "x")
+        sides = outcome(lambda: (separate_side(e, c, -1, fld), separate_side(e, c, 1, fld)))
+        assert (res if isinstance(res, tuple) else (res.left, res.right)) == sides, (render(e), c)
+        want = outcome(separate_continuity, e, c, fld)
+        if isinstance(want, tuple):  # undefined at c: refused by name
+            want = ("DomainError", f"function undefined at {show_rational(c)}: {want[0]}")
+        assert outcome(continuity_check, e, c, fld, "x") == want, (render(e), c)
 
 
 jet_exprs = st.recursive(
