@@ -8,7 +8,9 @@ entry a line:
   their compiled point, row and tangent functions (``compiled_cases``);
 * sums.jsonl: partition sums, measures, gauge sums and partitions and the
   Simpson oracle (``sum_cases``), each with its outcome;
-* pins.jsonl: the requests of ``PINS_ARGV``, stored as cli.jsonl's are.
+* pins.jsonl: the requests of ``PINS_ARGV``, stored as cli.jsonl's are;
+* kernels.jsonl: integer kernel calls at 12, 40 and 80 digits, seeded and
+  at the edges of their reductions and refusals (``kernel_cases``).
 
 Run from the repository root, after an intended change of output:
 
@@ -33,10 +35,11 @@ from hrw import approx  # noqa: E402
 from hrw.exprs import Call, free_vars, render  # noqa: E402
 from hrw.integration import TAG_RULES, Rect  # noqa: E402
 from test_fuzz import (  # noqa: E402
-    NAMES, POOL, ExprGen, RequestGen, rand_ball, rand_explicit, rand_gauge, rand_integrand,
-    rand_rational, rand_rect)
+    NAMES, POOL, ExprGen, RequestGen, kernel_argument, rand_ball, rand_explicit, rand_gauge,
+    rand_integrand, rand_rational, rand_rect)
 from test_golden import (  # noqa: E402
-    COMPILED, GOLDEN, MEASURES, PINS, SUMS, compiled_record, measure_record, record, sum_record)
+    COMPILED, GOLDEN, KERNELS, MEASURES, PINS, SUMS, compiled_record, kernel_record,
+    measure_record, record, sum_record)
 
 SEEDS = range(8)
 PER_SEED = 250
@@ -381,6 +384,58 @@ def sum_cases() -> list[dict]:
     return cases
 
 
+def _tag_argument(rng: random.Random) -> F:
+    """beta + alpha*t as the benchmark's integrands take it (alpha in [1/4, 1],
+    beta in [2, 3]), t a dyadic 64-bit tag of one of 48 cells of a fresh
+    interval in [-1, 3/2]: a value in [1, 5]."""
+    alpha, beta = _dec(rng, 0.25, 1), _dec(rng, 2, 3)
+    a, b = _interval(rng)
+    width = (b - a) / 48
+    t = a + width * rng.randrange(48) + width * F(rng.getrandbits(64), 1 << 64)
+    return beta + alpha * t
+
+
+def _kernel_case(kernel: str, digits: int, x: F, k: int = 1) -> dict:
+    """A call of kernel at x, its numerator and denominator both times k."""
+    return {"kernel": kernel, "digits": digits, "arg": [hex(k * x.numerator), hex(k * x.denominator)]}
+
+
+def kernel_cases() -> list[dict]:
+    """Each integer kernel at 12, 40 and 80 digits: at seeded benchmark tags
+    and ``kernel_argument``'s arguments (half of them unreduced), and at the
+    edges of its reductions and refusals (sin and cos at 10^5000 at 12
+    digits, at 10^1000 at the others); and pi."""
+    nudge = F(1, 10**6)
+    cases = []
+    for digits in (12, 40, 80):
+        rng = random.Random(3200 + digits)
+        unit = F(1, 10**digits)
+        half_pi = approx.pi_approx(digits + 40) / 2
+        edge = F(-3 * (digits + 2))
+        edges = {
+            "exp": [edge - nudge, edge, edge + nudge, F(-1, 2) - nudge, F(1, 2) + nudge,
+                    F(300) - nudge, F(300), F(300) + nudge, F(601, 2), F(-10**6)],
+            "ln": [F(0), F(-3, 2), F(-10**40), F(3, 4), F(3, 2), F(1, 10**30), F(10**40 + 1)]
+                  + [3 * F(2) ** j * (1 + s * nudge) for j in (-9, -1, 0, 1, 9) for s in (1, -1)],
+            # 2pi to 5 000 digits takes 0.4 s, so 10^5000 at one precision only
+            "sin_cos": [F(4) - nudge, F(4), F(4) + nudge, F(9, 2), F(-100),
+                        F(10**5000 if digits == 12 else 10**1000),
+                        F(355 * 10**6, 113), F(10**7) + F(1, 7), F(1, 32), F(63, 64)],
+            "tan": [half_pi, -half_pi, 3 * half_pi, F(355, 226), F(157, 100), F(11, 7)]
+                   + [half_pi + s * f * unit for s in (1, -1) for f in (F(9, 10), F(11, 10))],
+            "sqrt": [F(0), F(-3, 2), F(9, 16), F(5, 64), F(64, 5), F(10**8 + 3, 4),
+                     F(4, 10**6 + 3), F(2), F(10**16, 7), F(7, 10**16)],
+        }
+        for kernel, xs in edges.items():
+            fuzz = "sin" if kernel == "sin_cos" else kernel
+            xs = xs + [_tag_argument(rng) for _ in range(20)]
+            xs += [kernel_argument(rng, fuzz, digits) for _ in range(20)]
+            cases += [_kernel_case(kernel, digits, x, rng.choice([1, rng.randint(2, 6)]))
+                      for x in xs]
+        cases.append({"kernel": "pi", "digits": digits})
+    return cases
+
+
 # the outputs CI pinned one by one: a gauge sum; a seeded sum (the SplitMix64
 # tag stream); row kernels (a hoisted x-part over y-rows, a per-denominator
 # sum, an inner-rectangle mass, and the division error of the first point,
@@ -424,6 +479,7 @@ def main() -> None:
     _write(COMPILED, map(compiled_record, compiled_cases()))
     _write(SUMS, map(sum_record, sum_cases()))
     _write(PINS, map(record, PINS_ARGV))
+    _write(KERNELS, map(kernel_record, kernel_cases()))
 
 
 if __name__ == "__main__":

@@ -45,6 +45,16 @@ seeded sums, row kernels, integer kernels, correctly rounded sin, cos and
 tan, and their error texts.  They are stored as cli.jsonl's requests are,
 and replayed the same way, on every Python that runs the tests.
 
+The kernel file holds calls of the integer kernels of ``hrw.approx`` at
+12, 40 and 80 digits: ``exp_grid``, ``ln_grid``, ``sin_cos_grid`` and
+``tan_grid`` at seeded arguments of the benchmark's kind (dyadic 64-bit
+tags of a cell mapped into [1, 5]) and of ``test_fuzz.kernel_argument``'s
+ranges, and at the edges: exp at its underflow edge and past its magnitude
+cap, ln of 0 and of negative values, sin and cos past 4 and at 10^5000, tan
+next to a pole; ``sqrt_pair`` at seeded arguments with and without square
+parts; and ``pi_approx``.  Arguments and values are stored in hex; a
+refusal as its error's type, text and offset.
+
 The compiled-code and sums files are also replayed through both paths of
 the template cache: with the cache cleared before every entry, so that
 each shape's code comes from a walk of that entry's tree, and then twice
@@ -67,7 +77,7 @@ from unittest import mock
 
 import pytest
 
-from hrw import exprs, integration
+from hrw import approx, exprs, integration
 from hrw.calculus import CurveDef
 from hrw.cli import _parser, _UsageError, run
 from hrw.errors import MathError
@@ -99,6 +109,7 @@ MEASURES = GOLDEN.with_name("measures.jsonl")
 COMPILED = GOLDEN.with_name("compiled.jsonl")
 PINS = GOLDEN.with_name("pins.jsonl")
 SUMS = GOLDEN.with_name("sums.jsonl")
+KERNELS = GOLDEN.with_name("kernels.jsonl")
 _KEPT_BYTES = 4096
 _USAGE = "usage-error: "
 
@@ -282,6 +293,37 @@ def test_sum_outputs_are_kept():
         want = json.loads(line)
         case = {k: v for k, v in want.items() if k != "out"}
         assert sum_record(case) == want, f"{SUMS.name} line {number}"
+
+
+# each kernel of a kernel entry and its arguments' call; a grid value is an
+# int, sin_cos_grid's and sqrt_pair's are pairs
+_KERNEL_CALLS = {
+    "exp": approx.exp_grid,
+    "ln": approx.ln_grid,
+    "sin_cos": approx.sin_cos_grid,
+    "tan": approx.tan_grid,
+    "sqrt": approx.sqrt_pair,
+}
+
+
+def kernel_record(case: dict) -> dict:
+    """One kernel call (case) and its outcome, under "out": an int value in
+    hex, a pair as two hex ints, pi as its grid numerator in hex."""
+    digits = case["digits"]
+    if case["kernel"] == "pi":
+        grid = approx.pi_approx(digits) * 10**digits
+        return {**case, "out": {"value": hex(grid.numerator)}}
+    n, d = (int(v, 16) for v in case["arg"])
+    call = _KERNEL_CALLS[case["kernel"]]
+    return {**case, "out": _outcome(lambda: call(n, d, digits),
+                                    lambda v: hex(v) if isinstance(v, int) else list(map(hex, v)))}
+
+
+def test_kernel_outputs_are_kept():
+    for number, line in enumerate(KERNELS.read_text().splitlines(), 1):
+        want = json.loads(line)
+        case = {k: v for k, v in want.items() if k != "out"}
+        assert kernel_record(case) == want, f"{KERNELS.name} line {number}"
 
 
 @pytest.mark.parametrize("path,record", [(COMPILED, compiled_record), (SUMS, sum_record)],
