@@ -1,12 +1,12 @@
 """Rational approximations of elementary constants.
 
 Every value is exact and within 10^-digits of the true real value: an exact
-value, a point of the 10^-digits grid (a guarded approximation rounded to
-nearest, ties to even), or for sqrt(v/m^2) that point for sqrt(v) divided by
-m.  sin, cos and tan are correctly rounded: their grid point is the one
-nearest the true value, whatever method computed it (Ziv's test, below).
-No floating point is involved anywhere, so results are identical across
-runs and platforms.
+value, the point of the 10^-digits grid nearest the true value, or for
+sqrt(v/m^2) that point for sqrt(v) divided by m.  exp, ln, sin, cos, tan,
+sqrt and pi are correctly rounded: their grid point is the one nearest the
+true value, whatever method computed it (Ziv's test, below).  No floating
+point is involved anywhere, so results are identical across runs and
+platforms.
 
 Each kernel is an integer function of its argument's numerator n and
 positive denominator d, which need not be reduced: it reduces the pair by
@@ -27,64 +27,72 @@ cached by value, for ``eval_real``, the series field and the measures.
 ``int_pow``, ``pow_approx`` and ``nth_root_approx`` stay :class:`Fraction`
 functions, their real powers taken as exp(r ln x) through the wrappers.
 
-Inside a kernel, a series value is an integer S that stands for S/10^g, g =
-digits + guard digits; the result is S rounded once to the 10^-digits grid
-by one ``divmod`` (``rationals.round_half_even``).  Two series kernels do
-the work:
+Binary fixed point.  Inside a kernel a value is an integer V standing for
+V/2^p, p bits past the point; p starts at the bits of digits + _GUARD
+decimal digits.  The argument enters once, as the integer nearest n 2^p/d
+(one division), and two series run on it, each term from the previous by
+one product, one shift and one division by a small integer:
 
-* ``_taylor_sums(n, d, scale)`` sums ``floor((n/d)^k/k! * scale)`` grouped by
-  ``k mod 4``, so ``exp = S0+S2 ± (S1+S3)``, ``cos = S0-S2`` and
-  ``sin = ±(S1-S3)`` (arguments reduced to |y| <= 1/2 for exp, |y| <= 1/64
-  for sin and cos);
-* ``_atan_sums(n, d, scale)`` sums ``floor((n/d)^(2k+1)/(2k+1) * scale)``
-  over even and odd k, so ``arctan = A0-A1`` (pi by Machin, kept per
-  precision) and ``artanh = A0+A1`` (``ln``, with ``ln 2 = 2
-  artanh(1/3)``, summed once per scale), for n/d <= 1/3.
+* ``_taylor(x, p)`` sums the terms x^k/k!, T_k = (T_{k-1} x >> p) // k,
+  grouped by k mod 4, so exp = S0+S1+S2+S3 (S0-S1+S2-S3 for -x),
+  cos = S0-S2 and sin = S1-S3;
+* ``_odd(x, p)`` sums the terms x^(2k+1)/(2k+1) over even and odd k, so
+  arctan = A0-A1 and artanh = A0+A1.
 
-A floor of ``m*n // (d*k)`` depends only on the ratio n/d, so no fraction is
-reduced past the kernel's first gcd.  The range reductions are integer operations too:
+The range reductions leave those series short arguments, and each takes
+what it removes from a table kept per precision p: a plain dict cleared at
+``CACHE_SIZE`` entries, filled on first use, each entry correctly rounded
+to p bits (summed at p + 32 bits and rounded by Ziv's test, at 32 more bits
+until the test passes):
 
-* exp halves its argument h times, to |x|/2^h <= 1/2, by shifting d, then
-  squares the series value h times, each square rounded back to the grid:
-  ``R = round_half_even(R*R, 10^g)``;
-* ln writes x = 2^e2 * t with t in [3/4, 3/2], e2 taken from bit lengths,
-  and sums ln t = 2 artanh((t-1)/(t+1)), |(t-1)/(t+1)| <= 1/5;
-* sin and cos past |x| = 4 subtract k*2pi, k = round(x/2pi), as
-  ``(n*Q - k*P*d) / (d*Q)`` with 2pi = P/Q, Q = 10^g', pi and the series
-  carrying extra digits for the size of x;
-* then they split |y| = j/32 + delta, j the nearest integer to 32|y| and
-  |delta| <= 1/64, and combine the series of delta with sin and cos of j/32
-  by angle addition: four integer products, each sum floored back to
-  10^-g'.  sin and cos of j/32 come from a table kept per precision g',
-  each entry summed by ``_taylor_sums`` at g' + 4 digits on first use and
-  rounded; like pi and ln 2, it is a plain dict cleared at ``CACHE_SIZE``
-  entries (j <= 128, so at most 129 entries per precision).
+* sin and cos: |y| = j/32 + delta, j the nearest integer to 32|y| and
+  |delta| <= 1/64, then angle addition with sin and cos of j/32 (j <= 128);
+  past |x| = 4 they first take off k 2pi, k the nearest integer to x/2pi,
+  at as many more bits as x has integer bits;
+* exp: x = m ln 2 + j/32 + delta, m the nearest integer to x log2 e (from a
+  64-bit log2 e, so give or take one) and j to 32(x - m ln 2), |delta| <=
+  1/64, and e^x = 2^m e^(j/32) e^delta; the table holds e^(j/32), |j| <=
+  11, and the value is read with m fewer bits past the point;
+* ln: x = 2^e2 t with t in [3/4, 3/2], e2 from bit lengths, then t = c_j
+  (1 + w) with c_j = 1 + j/64 the nearest node, -16 <= j <= 32, and ln t =
+  ln c_j + 2 artanh(u), u = (t - c_j)/(t + c_j), |u| <= 1/190; the table
+  holds ln c_j = 2 artanh(j/(128 + j)), and ln 2 is its node c_64 = 2;
+* pi = 16 arctan(1/5) - 4 arctan(1/239) (Machin), kept per p; its value at
+  p + 1 bits is 2pi at p bits.
 
-Error budget.  Each term is computed from the previous one by one floor
-division, which loses less than one grid unit; the error carried from
-earlier terms is multiplied by the term ratio (|y|/k <= 4/k, or u^2 <= 1/9),
-so it stays below ten units per term.  A series has at most a few hundred
-terms, so the floors cost less than 10^4 units of 10^-g, and the guard
-digits (at least 12) keep that below 10^-(digits+8): far under the final
-rounding.  A series stops when its scaled term reaches 0, after which the
-tail is below one unit.  Each of exp's h squarings doubles the relative
-error of R and adds half a unit, so they multiply the series error by at
-most 2^h < 10^h, and the value e^x has at most (|x| log10 e) + 1 integer
-digits: exp carries h plus that many more guard digits.
+Error budget, in units of 2^-p (ulps).  A table entry or constant is within
+1/2.  A floor loses under 1.  The argument x is within 1/2.
 
-sin and cos, in units of 10^-g': the delta series has ratios |delta|/k <=
-1/64, so each term is off by under 1.02 units, and it has at most g'/1.8 + 1
-terms (64^k k! > 10^g' past that); a table entry is off by under 0.6 +
-g'/1000 units (ten units a term at g' + 4 digits, then rounded); angle
-addition weighs the series error by |sin| + |cos| <= 1.42 and floors once.
-That is under g' + 5 units.  The 2pi reduction adds |k| times the error of
-2pi, under two units, to the argument.  So ``_sin_cos`` returns each value
-with the bound e = 2(g' + |k|) + 8 units.  Ziv's test then rounds: when
-[v - e, v + e] holds no midpoint of the 10^-digits grid, every value in it,
-the true one too, rounds to the same point; otherwise the sums run again
-with _GUARD more digits.  For tan = s/c the bound is e(c + |s|)/(c(c - e))
-for c > 0.  The retries end, because sin, cos and tan of a nonzero rational
-are transcendental (Lindemann), so never a midpoint.
+* ``_taylor`` at |x| <= 1/64 + 2^-p: T_k is off by e_k <= e_{k-1} |x|/k + 1
+  < 1.02, and once T_n = 0 the exact tail is under 1.02 (1 + 1/64 + ...) <
+  1.04, so n terms are within 2n.  At |x| <= 4 (the table's sin and cos of
+  j/32) e_k stays under 6 and the tail under 11: within 8n + 16.
+* ``_odd`` at |x| <= 1/3: the power p_k = p_{k-1} x^2 >> p, with x^2 >> p
+  itself floored, is off by e_k <= e_{k-1}/9 + 4/3 < 1.5; term k >= 1 is
+  then off by under 1.5, term 0 is exact, and the tail once p_n = 0 is
+  under 0.6: n terms are within 2n + 1.
+* sin and cos: the reduced y is within (1 + |k|)/2, since 2pi is within
+  1/2; the series of delta are within 2n each; angle addition weighs them
+  by |sin| + |cos| <= 1.42 and the table's 1/2 by |sin delta| + |cos delta|
+  <= 1.02, and floors once: within e = 4n + |k| + 3.
+* exp: x - m ln 2 is within (1 + |m|)/2; e^delta is within 2n, weighed by
+  e^(j/32) <= 1.42; the table's 1/2 is weighed by e^delta <= 1.02, the
+  product floored once, and the argument's error weighed by e^|r| <= 1.42:
+  within e = 4n + |m| + 3 units of e^r, that is of 2^-(p-m) for e^x.
+* ln: u is within 1/2, so 2 artanh(u) is within 2(2n + 1 + 0.51); ln c_j
+  adds 1/2 and e2 ln 2 adds |e2|/2: within e = 4n + |e2| + 4.
+* pi: 16 and 4 times the arctan series at 1/5 and 1/239, each within 2n +
+  1 plus 1/2 for its argument.
+
+Ziv's test then rounds: when [V - e, V + e] holds no midpoint of the
+10^-digits grid, every value in it, the true one too, rounds to the same
+point; otherwise the kernel runs again at _GUARD more digits.  For tan = s/c
+the bound is e(c + |s|)/(c(c - e)) for c > 0, and the refusal |cos x| <
+10^-max(2, digits) is decided the same way.  The retries end, because exp,
+ln, sin, cos and tan of a nonzero rational other than ln 1 are
+transcendental (Lindemann), so never a midpoint, and |cos x| is never a
+power of 10.  sqrt needs no retry: the grid point nearest sqrt(n/d) is
+(isqrt(4 n d 10^(2 digits)) // d + 1) // 2 when n/d is not a square.
 
 Exact cases short-circuit: integer powers, perfect roots, sin(0), ln(1).
 """
@@ -108,6 +116,7 @@ POWER_BITS = 200_000  # largest exact power built, in bits
 
 
 _LOG10_2 = 30102999566398119521373889472449302676  # floor(log10(2) * 10^38)
+_LOG2_E = 0x171547652B82FE177  # floor(log2(e) * 2^64)
 
 
 def _digits_of(n: int) -> int:
@@ -119,27 +128,59 @@ def _digits_of(n: int) -> int:
     return t + 1 if n >= 10**t else t
 
 
-def _taylor_sums(n: int, d: int, scale: int) -> list[int]:
-    """[S0, S1, S2, S3]: S_j sums floor((n/d)^k/k! * scale) over k = j mod 4, n >= 0."""
-    sums = [0, 0, 0, 0]
-    m, k = scale, 0
-    while m:
-        sums[k & 3] += m
-        k += 1
-        m = (m * n) // (d * k)
-    return sums
+def _bits(digits: int) -> int:
+    """A number of bits b with 2^b > 10^digits (3402/1024 > log2 10)."""
+    return (digits * 3402 >> 10) + 1
 
 
-def _atan_sums(n: int, d: int, scale: int) -> list[int]:
-    """[A0, A1]: A_j sums floor((n/d)^(2k+1)/(2k+1) * scale) over k = j mod 2, n >= 0."""
-    n2, d2 = n * n, d * d
-    sums = [0, 0]
-    p, k = (n * scale) // d, 0  # p = floor((n/d)^(2k+1) * scale)
-    while p:
-        sums[k & 1] += p // (2 * k + 1)
-        k += 1
-        p = (p * n2) // d2
-    return sums
+def _taylor(x: int, p: int) -> tuple[int, int, int, int, int]:
+    """(S0, S1, S2, S3, n): S_j sums the terms x^k/k! over k = j mod 4, for
+    x >= 0, all over 2^p, and n counts the terms."""
+    s0 = s1 = s2 = s3 = 0
+    t, k = 1 << p, 0
+    while t:
+        s0 += t
+        t = (t * x >> p) // (k + 1)
+        if not t:
+            return s0, s1, s2, s3, k + 1
+        s1 += t
+        t = (t * x >> p) // (k + 2)
+        if not t:
+            return s0, s1, s2, s3, k + 2
+        s2 += t
+        t = (t * x >> p) // (k + 3)
+        if not t:
+            return s0, s1, s2, s3, k + 3
+        s3 += t
+        k += 4
+        t = (t * x >> p) // k
+    return s0, s1, s2, s3, k
+
+
+def _odd(x: int, p: int) -> tuple[int, int, int]:
+    """(A0, A1, n): A_j sums the terms x^(2k+1)/(2k+1) over k = j mod 2, for
+    0 <= x <= 2^p/3, all over 2^p, and n counts the terms."""
+    x2 = x * x >> p
+    a0 = a1 = 0
+    k = 1
+    while x:
+        a0 += x // k
+        x = x * x2 >> p
+        if not x:
+            return a0, a1, (k + 1) // 2
+        a1 += x // (k + 2)
+        x = x * x2 >> p
+        k += 4
+    return a0, a1, (k - 1) // 2
+
+
+def _nearest(v: int, e: int, bits: int) -> int | None:
+    """Ziv's test: the integer nearest w/2^bits, the same for every w within
+    e of v, or None when [v - e, v + e] holds a midpoint."""
+    unit = 1 << bits
+    v += unit >> 1
+    r = v & (unit - 1)
+    return v >> bits if e <= r < unit - e else None
 
 
 def _lowest(n: int, d: int) -> tuple[int, int]:
@@ -148,25 +189,147 @@ def _lowest(n: int, d: int) -> tuple[int, int]:
     return (n // g, d // g) if g > 1 else (n, d)
 
 
-_PI: dict[int, int] = {}  # digits -> pi's grid numerator over 10^digits
+def _fixed(n: int, d: int, p: int) -> int:
+    """The integer nearest n 2^p/d, for d > 0: n/d over 2^p, within 1/2."""
+    return ((n << (p + 1)) // d + 1) >> 1
 
 
-def _pi_grid(digits: int) -> int:
-    """pi via Machin, 16*arctan(1/5) - 4*arctan(1/239), as a grid numerator."""
-    pi = _PI.get(digits)
-    if pi is None:
-        if len(_PI) >= CACHE_SIZE:
-            _PI.clear()
-        g = digits + _GUARD + 2
-        scale = 10**g
-        a0, a1 = _atan_sums(1, 5, scale)
-        b0, b1 = _atan_sums(1, 239, scale)
-        pi = _PI[digits] = round_half_even(16 * (a0 - a1) - 4 * (b0 - b1), 10 ** (g - digits))
-    return pi
+def _entry(table: dict, node, j: int, p: int) -> tuple[int, ...]:
+    """table[p, j]: the values of node j, correctly rounded to p bits, kept.
+
+    node(j, q) returns values over 2^q, each within its bound e; they are
+    summed at p + 32 bits and rounded by Ziv's test, at 32 more bits until
+    every value passes.  The table is cleared at CACHE_SIZE entries."""
+    if len(table) >= CACHE_SIZE:
+        table.clear()
+    extra = 32
+    while True:
+        values, e = node(j, p + extra)
+        entry = tuple(_nearest(v, e, extra) for v in values)
+        if None not in entry:
+            table[p, j] = entry
+            return entry
+        extra += 32
+
+
+_PI: dict[tuple[int, int], tuple[int]] = {}  # (p, 0) -> (pi over 2^p,)
+
+
+def _machin(_: int, q: int) -> tuple[tuple[int], int]:
+    """pi = 16 arctan(1/5) - 4 arctan(1/239) over 2^q, and its bound."""
+    a0, a1, n = _odd(_fixed(1, 5, q), q)
+    b0, b1, m = _odd(_fixed(1, 239, q), q)
+    return (16 * (a0 - a1) - 4 * (b0 - b1),), 16 * (2 * n + 2) + 4 * (2 * m + 2)
+
+
+def _pi(p: int) -> int:
+    """pi over 2^p, correctly rounded."""
+    return (_PI.get((p, 0)) or _entry(_PI, _machin, 0, p))[0]
+
+
+_SIN_COS: dict[tuple[int, int], tuple[int, int]] = {}  # (p, j) -> sin, cos of j/32 over 2^p
+
+
+def _sin_cos_node(j: int, q: int) -> tuple[tuple[int, int], int]:
+    """sin and cos of j/32 (0 <= j <= 128) over 2^q, and their bound."""
+    s0, s1, s2, s3, n = _taylor(j << (q - 5), q)
+    return (s1 - s3, s0 - s2), 8 * n + 16
+
+
+def _sin_cos(n: int, d: int, p: int) -> tuple[int, int, int, int]:
+    """(S, C, q, e): sin and cos of n/d (d > 0) as S/2^q and C/2^q, each
+    within e units.
+
+    Arguments past 4 first lose the nearest multiple k of 2pi, at q = p plus
+    the integer bits of |x|.  Then |y| = j/32 + delta, and the table's sin
+    and cos of j/32 meet the series of delta by angle addition.
+    """
+    k = 0
+    if abs(n) > 4 * d:
+        p += (abs(n) // d).bit_length()
+        two_pi = _pi(p + 1)  # 2pi over 2^p
+        y = _fixed(n, d, p)
+        k = (2 * y + two_pi) // (2 * two_pi)
+        y -= k * two_pi
+    else:
+        y = _fixed(n, d, p)
+    a = abs(y)
+    j = (a + (1 << (p - 6))) >> (p - 5)  # the node nearest |y|
+    t = a - (j << (p - 5))  # delta over 2^p
+    sj, cj = _SIN_COS.get((p, j)) or _entry(_SIN_COS, _sin_cos_node, j, p)
+    s0, s1, s2, s3, terms = _taylor(abs(t), p)
+    sd, cd = (s1 - s3 if t >= 0 else s3 - s1), s0 - s2
+    s = (sj * cd + cj * sd) >> p
+    return (s if y >= 0 else -s), (cj * cd - sj * sd) >> p, p, 4 * terms + abs(k) + 3
+
+
+def sin_cos_grid(n: int, d: int, digits: int) -> tuple[int, int]:
+    """(sin, cos) of n/d for d > 0 as numerators over 10^digits, each
+    correctly rounded, from one pass."""
+    if not n:
+        return 0, 10**digits
+    n, d = _lowest(n, d)
+    p, unit = _bits(digits + _GUARD), 10**digits
+    while True:  # ends: sin and cos of a nonzero rational are transcendental
+        s, c, q, e = _sin_cos(n, d, p)
+        s, c = _nearest(s * unit, e * unit, q), _nearest(c * unit, e * unit, q)
+        if s is not None and c is not None:
+            return s, c
+        p += _bits(_GUARD)
+
+
+def sin_grid(n: int, d: int, digits: int) -> int:
+    return sin_cos_grid(n, d, digits)[0]
+
+
+def cos_grid(n: int, d: int, digits: int) -> int:
+    return sin_cos_grid(n, d, digits)[1]
+
+
+def tan_grid(n: int, d: int, digits: int) -> int:
+    """tan(n/d) for d > 0 as a correctly rounded numerator over 10^digits;
+    refuses arguments with |cos x| < 10^-max(2, digits).
+
+    The error of s/c grows as 1/cos^2, so when |cos x| < 2^-z, z > 4, sin
+    and cos are summed again with 2z more bits.
+    """
+    if not n:
+        return 0
+    n, d = _lowest(n, d)
+    limit, unit = 10 ** max(2, digits), 10**digits
+    p, widened = _bits(digits + _GUARD), False
+    while True:  # ends: tan of a nonzero rational is transcendental, |cos x| no power of 10
+        s, c, q, e = _sin_cos(n, d, p)
+        if c < 0:
+            s, c = -s, -c
+        if (c + e) * limit < 1 << q:
+            raise DomainError(f"tan undefined near {show_rational(Fraction(n, d))}: cos too close to 0")
+        if (c - e) * limit >= 1 << q:  # else too close to the refusal's edge to tell
+            zeros = q - c.bit_length()
+            if not widened and zeros > 4:
+                p += 2 * zeros
+                widened = True
+                continue
+            # |s/c - tan x| <= e(c + |s|)/(c(c - e)), and the quotient floors once
+            t = (s << q) // c
+            et = (e * (c + abs(s)) << q) // (c * (c - e)) + 2
+            t = _nearest(t * unit, et * unit, q)
+            if t is not None:
+                return t
+        p += _bits(_GUARD)
+
+
+_EXP: dict[tuple[int, int], tuple[int]] = {}  # (p, j) -> (e^(j/32) over 2^p,)
+
+
+def _exp_node(j: int, q: int) -> tuple[tuple[int], int]:
+    """e^(j/32) (|j| <= 11) over 2^q, and its bound."""
+    s0, s1, s2, s3, n = _taylor(abs(j) << (q - 5), q)
+    return (s0 + s2 + (s1 + s3 if j >= 0 else -(s1 + s3)),), 8 * n + 16
 
 
 def exp_grid(n: int, d: int, digits: int) -> int:
-    """e^(n/d) for d > 0 as a numerator over 10^digits, error < 10^-digits.
+    """e^(n/d) for d > 0 as a correctly rounded numerator over 10^digits.
 
     Underflows to exact 0 once e^x < 10^-(digits+1); arguments past the
     magnitude cap raise ApproxOverflow rather than materializing an enormous
@@ -179,29 +342,46 @@ def exp_grid(n: int, d: int, digits: int) -> int:
     n, d = _lowest(n, d)
     if n > _EXP_ARG_CAP * d:
         raise ApproxOverflow(f"exp argument {show_rational(Fraction(n, d))} exceeds magnitude cap")
-    a = abs(n)
-    halvings = 0  # the least h with a/(d*2^h) <= 1/2
-    if 2 * a > d:
-        halvings = (2 * a).bit_length() - d.bit_length()
-        if d << halvings < 2 * a:
-            halvings += 1
-    extra = (a // d * 4343) // 10000 + 2  # digits of e^|x|
-    g = digits + _GUARD + halvings + extra
-    scale = 10**g
-    s0, s1, s2, s3 = _taylor_sums(a, d << halvings, scale)
-    r = s0 + s2 + (s1 + s3 if n > 0 else -(s1 + s3))
-    for _ in range(halvings):
-        r = round_half_even(r * r, scale)
-    return round_half_even(r, 10 ** (g - digits))
+    m = (n * _LOG2_E // d + (1 << 63)) >> 64  # x log2 e, rounded
+    g, unit = _bits(digits + _GUARD), 10**digits
+    while True:  # ends: e^x of a nonzero rational is transcendental
+        p = g + max(m, 0)
+        r = _fixed(n, d, p)
+        if m:
+            r -= m * _ln(64, p)  # x - m ln 2
+        j = (r + (1 << (p - 6))) >> (p - 5)  # the node nearest r
+        t = r - (j << (p - 5))  # delta over 2^p
+        s0, s1, s2, s3, terms = _taylor(abs(t), p)
+        ej, = _EXP.get((p, j)) or _entry(_EXP, _exp_node, j, p)
+        v = ej * (s0 + s2 + (s1 + s3 if t >= 0 else -(s1 + s3))) >> p
+        # v is e^r over 2^p, so e^x = 2^m e^r over 2^(p - m)
+        v = _nearest(v * unit, (4 * terms + abs(m) + 3) * unit, p - m)
+        if v is not None:
+            return v
+        g += _bits(_GUARD)
 
 
-_ARTANH_THIRD: dict[int, int] = {}  # g -> A0+A1 of artanh(1/3) over 10^g (ln 2 = 2 artanh(1/3))
+_LN: dict[tuple[int, int], tuple[int]] = {}  # (p, j) -> (ln(1 + j/64) over 2^p,)
+
+
+def _ln_node(j: int, q: int) -> tuple[tuple[int], int]:
+    """ln c_j = ln(1 + j/64) = 2 artanh(j/(128 + j)) (j >= -16; c_64 = 2)
+    over 2^q, and its bound."""
+    a0, a1, n = _odd(_fixed(abs(j), 128 + j, q), q)
+    return (2 * (a0 + a1) if j >= 0 else -2 * (a0 + a1),), 4 * n + 4
+
+
+def _ln(j: int, p: int) -> int:
+    """ln c_j over 2^p, correctly rounded."""
+    return (_LN.get((p, j)) or _entry(_LN, _ln_node, j, p))[0]
 
 
 def ln_grid(n: int, d: int, digits: int) -> int:
-    """ln(n/d) for n/d > 0, d > 0, as a numerator over 10^digits, error < 10^-digits.
+    """ln(n/d) for n/d > 0, d > 0, as a correctly rounded numerator over
+    10^digits.
 
-    x = 2^e2 * t with t in [3/4, 3/2], and ln t = 2 artanh((t-1)/(t+1)).
+    x = 2^e2 t with t in [3/4, 3/2], t = c_j (1 + w), and ln t = ln c_j +
+    2 artanh((t - c_j)/(t + c_j)).
     """
     n, d = _lowest(n, d)
     if n <= 0:
@@ -219,139 +399,36 @@ def ln_grid(n: int, d: int, digits: int) -> int:
         if (4 * n) << -e2 < 3 * d:
             e2 -= 1
         n <<= -e2
-    g = digits + _GUARD + _digits_of(e2)
-    scale = 10**g
-    total = sum(_atan_sums(abs(n - d), n + d, scale))  # artanh |t-1|/(t+1)
-    if n < d:
-        total = -total
-    if e2:
-        third = _ARTANH_THIRD.get(g)
-        if third is None:
-            if len(_ARTANH_THIRD) >= CACHE_SIZE:
-                _ARTANH_THIRD.clear()
-            third = _ARTANH_THIRD[g] = sum(_atan_sums(1, 3, scale))
-        total += e2 * third
-    return round_half_even(2 * total, 10 ** (g - digits))
-
-
-_STEP = 32  # sin and cos split |y| = j/_STEP + delta, |delta| <= 1/(2 _STEP)
-_TABLE: dict[tuple[int, int], tuple[int, int]] = {}  # (g, j) -> sin, cos of j/_STEP over 10^g
-
-
-def _node(j: int, g: int) -> tuple[int, int]:
-    """sin and cos of j/_STEP (0 <= j <= 4 _STEP) over 10^g, each summed at
-    g + 4 digits and rounded: within 0.6 + g/1000 units."""
-    entry = _TABLE.get((g, j))
-    if entry is None:
-        if len(_TABLE) >= CACHE_SIZE:
-            _TABLE.clear()
-        s0, s1, s2, s3 = _taylor_sums(j, _STEP, 10 ** (g + 4))
-        entry = _TABLE[g, j] = round_half_even(s1 - s3, 10**4), round_half_even(s0 - s2, 10**4)
-    return entry
-
-
-def _sin_cos(n: int, d: int, g: int) -> tuple[int, int, int, int]:
-    """(S, C, g', e): sin and cos of n/d (d > 0) as S/10^g' and C/10^g', each
-    within e/10^g'.
-
-    Arguments past 4 are first reduced by the nearest multiple k of 2pi, with
-    pi and the series carrying g' - g extra digits for the size of x.  Then
-    |y| = j/_STEP + delta, and the table's sin and cos of j/_STEP meet the
-    series of delta by angle addition.
-    """
-    k = 0
-    if abs(n) > 4 * d:
-        g += _digits_of(abs(n) // d) + 2
-        p, q = 2 * _pi_grid(g), 10**g  # 2pi = p/q
-        k = round_half_even(n * q, p * d)
-        n, d = n * q - k * p * d, d * q
-    a, scale = abs(n), 10**g
-    j = (2 * _STEP * a + d) // (2 * d)  # the node nearest |y|
-    sj, cj = _node(j, g)
-    t = _STEP * a - j * d  # delta = t/(_STEP d)
-    s0, s1, s2, s3 = _taylor_sums(abs(t), _STEP * d, scale)
-    sd, cd = (s1 - s3 if t >= 0 else s3 - s1), s0 - s2
-    s = (sj * cd + cj * sd) // scale
-    return (s if n >= 0 else -s), (cj * cd - sj * sd) // scale, g, 2 * (g + abs(k)) + 8
-
-
-def _nearest(v: int, e: int, unit: int) -> int | None:
-    """Ziv's test: the integer nearest w/unit, the same for every w within e
-    of v, or None when [v - e, v + e] holds a midpoint (unit even)."""
-    q, r = divmod(v + (unit >> 1), unit)
-    return q if e <= r < unit - e else None
-
-
-def sin_cos_grid(n: int, d: int, digits: int) -> tuple[int, int]:
-    """(sin, cos) of n/d for d > 0 as numerators over 10^digits, each
-    correctly rounded, from one pass."""
-    if not n:
-        return 0, 10**digits
-    n, d = _lowest(n, d)
-    g = digits + _GUARD
-    while True:  # ends: sin and cos of a nonzero rational are transcendental
-        s, c, gs, e = _sin_cos(n, d, g)
-        unit = 10 ** (gs - digits)
-        s, c = _nearest(s, e, unit), _nearest(c, e, unit)
-        if s is not None and c is not None:
-            return s, c
-        g += _GUARD
-
-
-def sin_grid(n: int, d: int, digits: int) -> int:
-    return sin_cos_grid(n, d, digits)[0]
-
-
-def cos_grid(n: int, d: int, digits: int) -> int:
-    return sin_cos_grid(n, d, digits)[1]
-
-
-def tan_grid(n: int, d: int, digits: int) -> int:
-    """tan(n/d) for d > 0 as a correctly rounded numerator over 10^digits;
-    refuses arguments with |cos x| < 10^-max(2, digits).
-
-    The error of s/c grows as 1/cos^2, so when |cos x| < 10^-k (k leading
-    zero digits) sin and cos are recomputed with 2k more guard digits.
-    """
-    if not n:
-        return 0
-    n, d = _lowest(n, d)
-    g = digits + _GUARD + 4
-    s, c, gs, e = _sin_cos(n, d, g + _GUARD)
-    c_g = round_half_even(c, 10 ** (gs - g))  # cos x over 10^g
-    if abs(c_g) < 10 ** (g - max(2, digits)):
-        raise DomainError(f"tan undefined near {show_rational(Fraction(n, d))}: cos too close to 0")
-    more, unit = 2 * max(0, g - _digits_of(c_g)), 10**digits
-    while True:  # ends: tan of a nonzero rational is transcendental
-        if more:
-            g += more
-            s, c, gs, e = _sin_cos(n, d, g + _GUARD)
-        if c < 0:
-            s, c = -s, -c
-        # |s/c - tan x| <= e(c + |s|)/(c(c - e)); in grid units over 2c(c - e)
-        t = _nearest(2 * s * unit * (c - e), 2 * e * unit * (c + abs(s)), 2 * c * (c - e))
-        if t is not None:
-            return t
-        more = _GUARD
+    j = (128 * n + d) // (2 * d) - 64  # the node c_j = 1 + j/64 nearest t
+    a, b = 64 * n - (64 + j) * d, 64 * n + (64 + j) * d  # u = a/b
+    p, unit = _bits(digits + _GUARD), 10**digits
+    while True:  # ends: ln of a rational other than 1 is transcendental
+        a0, a1, terms = _odd(_fixed(abs(a), b, p), p)
+        v = 2 * (a0 + a1) if a >= 0 else -2 * (a0 + a1)
+        v += _ln(j, p)
+        if e2:
+            v += e2 * _ln(64, p)
+        v = _nearest(v * unit, (4 * terms + abs(e2) + 4) * unit, p)
+        if v is not None:
+            return v
+        p += _bits(_GUARD)
 
 
 def _sqrt_grid(n: int, d: int, digits: int) -> int:
-    """sqrt(n/d) for n, d > 0 as a numerator over 10^digits, from the integer
-    square root at 6 more digits."""
-    g = digits + 6
-    return round_half_even(isqrt(n * d * 10 ** (2 * g)), d * 10 ** (g - digits))
+    """sqrt(n/d) for n, d > 0, n/d not a square, as the nearest numerator
+    over 10^digits: isqrt gives floor(2 sqrt(n/d) 10^digits), never a tie."""
+    return (isqrt(4 * n * d * 10 ** (2 * digits)) // d + 1) // 2
 
 
 def sqrt_pair(n: int, d: int, digits: int) -> tuple[int, int]:
     """sqrt(n/d) for n/d >= 0, d > 0, as a (numerator, denominator) pair,
     error < 10^-digits.
 
-    Perfect-square parts of the reduced numerator and denominator are
-    factored out before approximating, so sqrt(v/m^2) = sqrt~(v)/m exactly;
-    polygonal sums of scaled copies of one segment then agree exactly across
-    mesh sizes.  sqrt(m^2/v) is m/sqrt~(v) rounded, sqrt~(v) taken to 6 more
-    digits and to as many more as m/v has integer digits.  Every other value
-    is a grid numerator over 10^digits.
+    Perfect-square parts of the reduced denominator are factored out before
+    approximating, so sqrt(v/m^2) = sqrt~(v)/m exactly; polygonal sums of
+    scaled copies of one segment then agree exactly across mesh sizes.
+    Every other value that is not exact is the nearest grid numerator over
+    10^digits.
     """
     n, d = _lowest(n, d)
     if n <= 0:
@@ -359,15 +436,12 @@ def sqrt_pair(n: int, d: int, digits: int) -> tuple[int, int]:
             return 0, 1
         raise DomainError(f"sqrt of negative value {show_rational(Fraction(n, d))}")
     sn, sd = isqrt(n), isqrt(d)
-    num_square, den_square = sn * sn == n, sd * sd == d
-    if num_square and den_square:
+    den_square = sd * sd == d
+    if den_square and sn * sn == n:
         return sn, sd
     unit = 10**digits
     if d > 1 and den_square:
         return _sqrt_grid(n, 1, digits), unit * sd
-    if num_square:  # d > 1, as d is not a square
-        wide = digits + 6 + (_digits_of(sn // d) if sn > d else 0)
-        return round_half_even(sn * 10**wide * unit, _sqrt_grid(d, 1, wide)), unit
     return _sqrt_grid(n, d, digits), unit
 
 
@@ -376,8 +450,13 @@ def sqrt_pair(n: int, d: int, digits: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def pi_approx(digits: int) -> Fraction:
-    """pi within 10^-digits."""
-    return Fraction(_pi_grid(digits), 10**digits)
+    """pi correctly rounded to 10^-digits."""
+    p, unit = _bits(digits + _GUARD), 10**digits
+    while True:  # ends: pi is irrational
+        v = _nearest(_pi(p) * unit, unit, p)  # pi over 2^p is within 1/2
+        if v is not None:
+            return Fraction(v, unit)
+        p += _bits(_GUARD)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

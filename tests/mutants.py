@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 DILATED = "tests/test_calculus.py::TestDilatedProbes"
 SHAPES = "tests/test_fuzz.py::test_siblings_bind_their_own_constants"
+ZIV = "tests/test_approx.py::test_ziv_retry_fires_and_rounds_correctly"
 
 MUTANTS = (
     Mutant(
@@ -102,6 +103,62 @@ MUTANTS = (
         "key.append(0)",
         (SHAPES,),
         "1/3 bound to the template of 3, which has no denominator slot, reads as 1",
+    ),
+    Mutant(
+        "ziv-sin-cos-bound", "hrw/approx.py",
+        "p, 4 * terms + abs(k) + 3",
+        "p, 0",
+        (ZIV,),
+        "sin, cos and tan round a value whose error bound holds a grid midpoint",
+    ),
+    Mutant(
+        "ziv-tan-bound", "hrw/approx.py",
+        "et = (e * (c + abs(s)) << q) // (c * (c - e)) + 2",
+        "et = 0",
+        (ZIV,),
+        "tan = s/c rounds a quotient whose error bound holds a grid midpoint",
+    ),
+    Mutant(
+        "ziv-exp-bound", "hrw/approx.py",
+        "(4 * terms + abs(m) + 3) * unit",
+        "0",
+        (ZIV,),
+        "exp rounds a value whose error bound holds a grid midpoint",
+    ),
+    Mutant(
+        "ziv-ln-bound", "hrw/approx.py",
+        "(4 * terms + abs(e2) + 4) * unit",
+        "0",
+        (ZIV,),
+        "ln rounds a value whose error bound holds a grid midpoint",
+    ),
+    Mutant(
+        "reduction-k-error", "hrw/approx.py",
+        "4 * terms + abs(k) + 3",
+        "4 * terms + 3",
+        ("tests/test_approx.py::test_sin_far_out_next_to_a_midpoint",),
+        "each of the k 2pi taken off sin's argument carries the rounding error of 2pi",
+    ),
+    Mutant(
+        "exp-nearest-node", "hrw/approx.py",
+        "j = (r + (1 << (p - 6))) >> (p - 5)  # the node nearest r",
+        "j = r >> (p - 5)  # the node nearest r",
+        ("tests/test_approx.py::test_series_run_on_short_arguments",),
+        "a node below r leaves delta up to 1/32, outside the range exp's series is sized for",
+    ),
+    Mutant(
+        "ln-u-sign", "hrw/approx.py",
+        "v = 2 * (a0 + a1) if a >= 0 else -2 * (a0 + a1)",
+        "v = 2 * (a0 + a1)",
+        ("tests/test_approx.py::test_ln_matches_decimal",),
+        "t below its node c_j has ln t = ln c_j - 2 artanh|u|, not plus",
+    ),
+    Mutant(
+        "table-entry-rounding", "hrw/approx.py",
+        "entry = tuple(_nearest(v, e, extra) for v in values)",
+        "entry = tuple(v >> extra for v in values)",
+        ("tests/test_approx.py::test_table_entries_are_correctly_rounded",),
+        "a truncated table entry is off by up to one unit, twice the half unit the bounds count",
     ),
 )
 

@@ -1,12 +1,12 @@
 """Constant approximation kernel: accuracy, exactness, determinism."""
 
 import random
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction as F
 from math import isqrt
 
 import pytest
-from conftest import decimal_sin_cos
+from conftest import decimal_pi, decimal_sin_cos
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -330,42 +330,165 @@ def test_sin_cos_where_the_reduction_starts(digits):
 
 
 def test_sin_cos_table_is_bounded(monkeypatch):
-    # cleared once it holds CACHE_SIZE entries, like the other kernel tables
-    full = {(-1, j): (0, 0) for j in range(approx.CACHE_SIZE)}
-    monkeypatch.setattr(approx, "_TABLE", full)
+    # each table and constant is cleared once it holds CACHE_SIZE entries,
+    # like the other kernel caches, and filled with what a call needs only
+    tables = {name: {(-1, j): (0,) for j in range(approx.CACHE_SIZE)}
+              for name in ("_SIN_COS", "_EXP", "_LN", "_PI")}
+    for name, full in tables.items():
+        monkeypatch.setattr(approx, name, full)
+    p = approx._bits(40 + approx._GUARD)
     assert approx.sin_cos_grid(1, 3, 40) == approx.sin_cos_grid(2, 6, 40)
-    assert list(full) == [(40 + approx._GUARD, 11)]  # 1/3 is nearest 11/32
+    assert list(tables["_SIN_COS"]) == [(p, 11)]  # 1/3 is nearest 11/32
+    approx.sin_cos_grid(9, 2, 40)  # 9/2 - 2pi = -1.78..., nearest 57/32, at 3 more bits
+    assert list(tables["_PI"]) == [(p + 4, 0)]  # pi at p + 4 bits is 2pi at p + 3
+    assert list(tables["_SIN_COS"]) == [(p, 11), (p + 3, 57)]
+    approx.exp_grid(2, 1, 40)  # 2 = 3 ln 2 - 3/32 - 0.017..., at 3 more bits
+    assert list(tables["_EXP"]) == [(p + 3, -3)]
+    assert list(tables["_LN"]) == [(p + 3, 64)]  # ln 2 is ln c_64
+    approx.ln_grid(5, 4, 40)  # 5/4 is c_16
+    assert list(tables["_LN"]) == [(p + 3, 64), (p, 16)]
+    assert approx.pi_approx(60) == approx.pi_approx.__wrapped__(60)
+    assert len(tables["_PI"]) == 2 and len(tables["_EXP"]) == 1
+
+
+@pytest.mark.parametrize("p", (40, 173, 400))
+def test_table_entries_are_correctly_rounded(p):
+    # every table entry and constant is the integer nearest its value times
+    # 2^p, against decimal: sin and cos of j/32, e^(j/32), ln(1 + j/64) and pi
+    def nearest(v: Decimal) -> int:
+        return int((v * 2**p).to_integral_value(ROUND_HALF_EVEN))
+
+    with localcontext() as ctx:
+        ctx.prec = 200
+        for j in range(129):
+            s, c = decimal_sin_cos(F(j, 32), 140)
+            assert approx._entry({}, approx._sin_cos_node, j, p) == (nearest(s), nearest(c)), j
+        for j in range(-11, 12):
+            want = nearest((Decimal(j) / 32).exp())
+            assert approx._entry({}, approx._exp_node, j, p) == (want,), j
+        for j in list(range(-16, 33)) + [64]:
+            want = nearest((1 + Decimal(j) / 64).ln())
+            assert approx._entry({}, approx._ln_node, j, p) == (want,), j
+        assert approx._entry({}, approx._machin, 0, p) == (nearest(decimal_pi(150)),)
+
+
+def test_series_run_on_short_arguments(monkeypatch):
+    # the reductions leave exp's and sin's delta within 1/64 of a node j/32
+    # and ln's u within 1/190: the series' terms shrink by 2^6 and 190^2
+    rng = random.Random(64)
+    args = {
+        "exp": [F(rng.randint(-60 * d, 60 * d), d) for d in (rng.randint(1, 10**9) for _ in range(300))],
+        "sin_cos": [F(rng.randint(-100 * d, 100 * d), d) for d in (rng.randint(1, 10**9) for _ in range(300))],
+        "ln": [F(rng.randint(1, 10**12), rng.randint(1, 10**12)) for _ in range(300)],
+    }
+    args["exp"] += [F(j, 64) for j in range(-64, 65)]
+    args["ln"] += [F(64 + j, 64) + F(k, 128 * 64) for j in range(-16, 33) for k in (-1, 1)]
+    kernels = {"exp": approx.exp_grid, "sin_cos": approx.sin_cos_grid, "ln": approx.ln_grid}
+    for name, xs in args.items():  # fill the tables, whose entries sum at longer arguments
+        for x in xs:
+            kernels[name](x.numerator, x.denominator, 40)
+    seen = []
+    for series in ("_taylor", "_odd"):
+        fn = getattr(approx, series)
+        monkeypatch.setattr(approx, series, lambda x, p, fn=fn: seen.append((x, p)) or fn(x, p))
+    for name, xs in args.items():
+        seen.clear()
+        for x in xs:
+            kernels[name](x.numerator, x.denominator, 40)
+        if name == "ln":
+            assert all(190 * x <= 1 << p for x, p in seen)
+        else:
+            assert all(x <= 1 << (p - 6) for x, p in seen)
+        assert max(F(x, 1 << p) for x, p in seen) > F(1, 80 if name != "ln" else 210)
+
+
+def _next_to_a_midpoint(x: F, digits: int) -> F:
+    """A point a near x where sin a is a midpoint of the 10^-digits grid,
+    within 10^-60: the midpoint nearest sin x, by Newton's method in decimal."""
+    s, _ = decimal_sin_cos(x, 60)
+    with localcontext() as ctx:
+        ctx.prec = 100
+        m = F(int(s.scaleb(digits).to_integral_value(ROUND_FLOOR)) * 2 + 1, 2 * 10**digits)
+        for _ in range(3):
+            s, c = decimal_sin_cos(x, 60)
+            x -= (F(s) - m) / F(c)
+            x = F(round(x * 2**260), 2**260)
+    return x
+
+
+def test_sin_far_out_next_to_a_midpoint():
+    # 2pi is taken off k times, and each time its rounding error too: at
+    # sin x = midpoint + 2^-90, 10^5 to 10^8 turns out, that error crosses
+    # the midpoint unless the Ziv bound counts it
+    digits = 12
+    for turns in (10**5 + 3, 10**6 + 7, 10**7 + 1, 10**8 + 9):
+        two_pi = F(2 * decimal_pi(60))
+        a = _next_to_a_midpoint(turns * two_pi + F(1, 3), digits)
+        c = F(decimal_sin_cos(a, 60)[1])
+        for side in (1, -1):
+            x = a + side * F(1, 2**90) / c  # sin x = midpoint + side 2^-90
+            s, _ = decimal_sin_cos(x, digits)
+            want = _grid_point(s, digits)
+            assert approx.sin_cos_grid(x.numerator, x.denominator, digits)[0] == want * 10**digits, x
+
+
+def test_pi_is_correctly_rounded():
+    # at every precision to 300 digits and at 500, 1 000 and 2 000, against
+    # the Gauss-Legendre iteration in decimal
+    ref = decimal_pi(2100)
+    for digits in list(range(1, 301)) + [500, 1000, 2000]:
+        assert approx.pi_approx(digits) == _grid_point(ref, digits), digits
+
+
+def _exp_ln(name: str, x: F, digits: int) -> F:
+    """exp or ln of x correctly rounded to 10^-digits, from decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 3 * digits + 200
+        return _grid_point(getattr(_dec(x), name)(), digits)
 
 
 @pytest.mark.parametrize("digits", (12, 40, 80))
 def test_ziv_retry_fires_and_rounds_correctly(monkeypatch, digits):
-    # with 3 guard digits the error bound of a value often holds a grid
-    # midpoint: the kernel sums again with more digits, and every result
-    # is still the nearest grid point
-    runs, sin_cos = [], approx._sin_cos
-    monkeypatch.setattr(approx, "_sin_cos", lambda n, d, g: runs.append(g) or sin_cos(n, d, g))
-    monkeypatch.setattr(approx, "_GUARD", 3)
-    monkeypatch.setattr(approx, "_PI", {})  # pi at 3 guard digits stays in this test
+    # with 2 guard digits the error bound of a value often holds a grid
+    # midpoint: the kernel sums again with more bits, and every result is
+    # still the nearest grid point
+    failed, nearest = [], approx._nearest
+    monkeypatch.setattr(approx, "_nearest",
+                        lambda v, e, bits: failed.append(v) if (out := nearest(v, e, bits)) is None
+                        else out)
+    monkeypatch.setattr(approx, "_GUARD", 2)
     rng = random.Random(digits)
     xs = []
     for _ in range(60):
         d, bound = rng.randint(1, 10**9), rng.choice([4, 100])
         xs.append(F(rng.randint(-bound * d, bound * d), d))
-    retried = 0
+    positive = [F(rng.randint(1, 10 ** rng.randint(1, 12)), rng.randint(1, 10 ** rng.randint(0, 12)))
+                for _ in range(60)]
+    retried = dict.fromkeys(("sin", "cos", "tan", "exp", "ln"), 0)
     approx.sin_cos_approx.cache_clear()
     approx.tan_approx.cache_clear()
+    approx.exp_approx.cache_clear()
+    approx.ln_approx.cache_clear()
     try:
-        for x in xs:
+        for x, y in zip(xs, positive):
             s, c, t = _sin_cos_tan(x, digits)
-            runs.clear()
-            assert approx.sin_approx(x, digits) == s, x
-            retried += len(runs) > 1
-            assert approx.cos_approx(x, digits) == c, x
-            assert approx.tan_approx(x, digits) == t, x
+            z = x / 4  # up to e^25
+            for name, fn, arg, want in (
+                ("sin", approx.sin_approx, x, s), ("cos", approx.cos_approx, x + 1, None),
+                ("tan", approx.tan_approx, x, t), ("exp", approx.exp_approx, z, None),
+                ("ln", approx.ln_approx, y, None),
+            ):
+                if want is None:
+                    want = (_sin_cos_tan(arg, digits)[1] if name == "cos"
+                            else _exp_ln(name, arg, digits))
+                failed.clear()
+                assert fn(arg, digits) == want, (name, arg)
+                retried[name] += bool(failed)
     finally:
-        approx.sin_cos_approx.cache_clear()
-        approx.tan_approx.cache_clear()
-    assert 0 < retried < len(xs), retried
+        for cached in (approx.sin_cos_approx, approx.tan_approx, approx.exp_approx, approx.ln_approx):
+            cached.cache_clear()
+    # each kernel retried, and not every call: the first pass's rounding counts too
+    assert all(retried.values()) and sum(retried.values()) < 5 * len(xs), retried
 
 
 def test_digits_of_is_exact_past_the_int_to_str_limit():
