@@ -50,9 +50,10 @@ until the test passes):
   past |x| = 4 they first take off k 2pi, k the nearest integer to x/2pi,
   at as many more bits as x has integer bits;
 * exp: x = m ln 2 + j/32 + delta, m the nearest integer to x log2 e (from a
-  64-bit log2 e, so give or take one) and j to 32(x - m ln 2), |delta| <=
-  1/64, and e^x = 2^m e^(j/32) e^delta; the table holds e^(j/32), |j| <=
-  11, and the value is read with m fewer bits past the point;
+  64-bit log2 e, so |x log2 e - m| <= 1/2 + 2^-55 for |x| <= 300) and j
+  to 32(x - m ln 2), |delta| <= 1/64, and e^x = 2^m e^(j/32) e^delta; the
+  table holds e^(j/32), |j| <= 11, and the value is read with m fewer bits
+  past the point;
 * ln: x = 2^e2 t with t in [3/4, 3/2], e2 from bit lengths, then t = c_j
   (1 + w) with c_j = 1 + j/64 the nearest node, -16 <= j <= 32, and ln t =
   ln c_j + 2 artanh(u), u = (t - c_j)/(t + c_j), |u| <= 1/190; the table
