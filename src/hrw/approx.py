@@ -41,9 +41,8 @@ one product, one shift and one division by a small integer:
 
 The range reductions leave those series short arguments, and each takes
 what it removes from a table kept per precision p: a plain dict cleared at
-``CACHE_SIZE`` entries, filled on first use, each entry correctly rounded
-to p bits (summed at p + 32 bits and rounded by Ziv's test, at 32 more bits
-until the test passes):
+``CACHE_SIZE`` entries, filled on first use, each entry summed once at p +
+32 bits and rounded to p (``_entry``):
 
 * sin and cos: |y| = j/32 + delta, j the nearest integer to 32|y| and
   |delta| <= 1/64, then angle addition with sin and cos of j/32 (j <= 128);
@@ -62,7 +61,8 @@ until the test passes):
   p + 1 bits is 2pi at p bits.
 
 Error budget, in units of 2^-p (ulps).  A table entry or constant is within
-1/2.  A floor loses under 1.  The argument x is within 1/2.
+1 (1/2 for its rounding, under 2^-20 for its sum at p + 32 bits).  A floor
+loses under 1.  The argument x is within 1/2.
 
 * ``_taylor`` at |x| <= 1/64 + 2^-p: T_k is off by e_k <= e_{k-1} |x|/k + 1
   < 1.02, and once T_n = 0 the exact tail is under 1.02 (1 + 1/64 + ...) <
@@ -72,16 +72,17 @@ Error budget, in units of 2^-p (ulps).  A table entry or constant is within
   itself floored, is off by e_k <= e_{k-1}/9 + 4/3 < 1.5; term k >= 1 is
   then off by under 1.5, term 0 is exact, and the tail once p_n = 0 is
   under 0.6: n terms are within 2n + 1.
-* sin and cos: the reduced y is within (1 + |k|)/2, since 2pi is within
-  1/2; the series of delta are within 2n each; angle addition weighs them
-  by |sin| + |cos| <= 1.42 and the table's 1/2 by |sin delta| + |cos delta|
-  <= 1.02, and floors once: within e = 4n + |k| + 3.
-* exp: x - m ln 2 is within (1 + |m|)/2; e^delta is within 2n, weighed by
-  e^(j/32) <= 1.42; the table's 1/2 is weighed by e^delta <= 1.02, the
-  product floored once, and the argument's error weighed by e^|r| <= 1.42:
-  within e = 4n + |m| + 3 units of e^r, that is of 2^-(p-m) for e^x.
+* sin and cos: the reduced y is within 1/2 + |k|, since 2pi is within 1;
+  the series of delta are within 2n each; angle addition weighs them by
+  |sin| + |cos| <= 1.42 and the table's 1 by |sin delta| + |cos delta| <=
+  1.02, and floors once: 2.84n + |k| + 2.52, within e = 4n + |k| + 3.
+* exp: r = x - m ln 2 is within 1/2 + |m|, weighed by e^|r| <= 1.42;
+  e^delta is within 2n, weighed by e^(j/32) <= 1.42; the table's 1 is
+  weighed by e^delta <= 1.02, and the product floored once: 2.84n + 1.42|m|
+  + 2.73, within e = 4n + 2|m| + 3 units of e^r, that is of 2^-(p-m) for
+  e^x.
 * ln: u is within 1/2, so 2 artanh(u) is within 2(2n + 1 + 0.51); ln c_j
-  adds 1/2 and e2 ln 2 adds |e2|/2: within e = 4n + |e2| + 4.
+  adds 1 and e2 ln 2 adds |e2|: within e = 4n + |e2| + 5.
 * pi: 16 and 4 times the arctan series at 1/5 and 1/239, each within 2n +
   1 plus 1/2 for its argument.
 
@@ -196,45 +197,41 @@ def _fixed(n: int, d: int, p: int) -> int:
 
 
 def _entry(table: dict, node, j: int, p: int) -> tuple[int, ...]:
-    """table[p, j]: the values of node j, correctly rounded to p bits, kept.
+    """table[p, j]: the values of node j over 2^p, each within one unit,
+    filled on first use and cleared at CACHE_SIZE entries.
 
-    node(j, q) returns values over 2^q, each within its bound e; they are
-    summed at p + 32 bits and rounded by Ziv's test, at 32 more bits until
-    every value passes.  The table is cleared at CACHE_SIZE entries."""
-    if len(table) >= CACHE_SIZE:
-        table.clear()
-    extra = 32
-    while True:
-        values, e = node(j, p + extra)
-        entry = tuple(_nearest(v, e, extra) for v in values)
-        if None not in entry:
-            table[p, j] = entry
-            return entry
-        extra += 32
+    node(j, q) returns values over 2^q, each within the bound e its
+    docstring states; they are summed once at q = p + 32 bits and rounded
+    to p, so an entry is within 1/2 + e 2^-32 units, under 1 while e <
+    2^31 (every node's e is under 8q + 200, so for any p below 2^27 bits).
+    """
+    entry = table.get((p, j))
+    if entry is None:
+        if len(table) >= CACHE_SIZE:
+            table.clear()
+        entry = table[p, j] = tuple((v + (1 << 31)) >> 32 for v in node(j, p + 32))
+    return entry
 
 
 _PI: dict[tuple[int, int], tuple[int]] = {}  # (p, 0) -> (pi over 2^p,)
 
 
-def _machin(_: int, q: int) -> tuple[tuple[int], int]:
-    """pi = 16 arctan(1/5) - 4 arctan(1/239) over 2^q, and its bound."""
-    a0, a1, n = _odd(_fixed(1, 5, q), q)
-    b0, b1, m = _odd(_fixed(1, 239, q), q)
-    return (16 * (a0 - a1) - 4 * (b0 - b1),), 16 * (2 * n + 2) + 4 * (2 * m + 2)
-
-
-def _pi(p: int) -> int:
-    """pi over 2^p, correctly rounded."""
-    return (_PI.get((p, 0)) or _entry(_PI, _machin, 0, p))[0]
+def _machin(_: int, q: int) -> tuple[int]:
+    """(pi,) = 16 arctan(1/5) - 4 arctan(1/239) over 2^q, within 16(2n + 2)
+    + 4(2m + 2) units for n and m terms."""
+    a0, a1, _ = _odd(_fixed(1, 5, q), q)
+    b0, b1, _ = _odd(_fixed(1, 239, q), q)
+    return (16 * (a0 - a1) - 4 * (b0 - b1),)
 
 
 _SIN_COS: dict[tuple[int, int], tuple[int, int]] = {}  # (p, j) -> sin, cos of j/32 over 2^p
 
 
-def _sin_cos_node(j: int, q: int) -> tuple[tuple[int, int], int]:
-    """sin and cos of j/32 (0 <= j <= 128) over 2^q, and their bound."""
-    s0, s1, s2, s3, n = _taylor(j << (q - 5), q)
-    return (s1 - s3, s0 - s2), 8 * n + 16
+def _sin_cos_node(j: int, q: int) -> tuple[int, int]:
+    """sin and cos of j/32 (0 <= j <= 128) over 2^q, each within 8n + 16
+    units for n terms."""
+    s0, s1, s2, s3, _ = _taylor(j << (q - 5), q)
+    return s1 - s3, s0 - s2
 
 
 def _sin_cos(n: int, d: int, p: int) -> tuple[int, int, int, int]:
@@ -248,7 +245,7 @@ def _sin_cos(n: int, d: int, p: int) -> tuple[int, int, int, int]:
     k = 0
     if abs(n) > 4 * d:
         p += (abs(n) // d).bit_length()
-        two_pi = _pi(p + 1)  # 2pi over 2^p
+        two_pi = _entry(_PI, _machin, 0, p + 1)[0]  # 2pi over 2^p
         y = _fixed(n, d, p)
         k = (2 * y + two_pi) // (2 * two_pi)
         y -= k * two_pi
@@ -257,7 +254,7 @@ def _sin_cos(n: int, d: int, p: int) -> tuple[int, int, int, int]:
     a = abs(y)
     j = (a + (1 << (p - 6))) >> (p - 5)  # the node nearest |y|
     t = a - (j << (p - 5))  # delta over 2^p
-    sj, cj = _SIN_COS.get((p, j)) or _entry(_SIN_COS, _sin_cos_node, j, p)
+    sj, cj = _entry(_SIN_COS, _sin_cos_node, j, p)
     s0, s1, s2, s3, terms = _taylor(abs(t), p)
     sd, cd = (s1 - s3 if t >= 0 else s3 - s1), s0 - s2
     s = (sj * cd + cj * sd) >> p
@@ -323,10 +320,10 @@ def tan_grid(n: int, d: int, digits: int) -> int:
 _EXP: dict[tuple[int, int], tuple[int]] = {}  # (p, j) -> (e^(j/32) over 2^p,)
 
 
-def _exp_node(j: int, q: int) -> tuple[tuple[int], int]:
-    """e^(j/32) (|j| <= 11) over 2^q, and its bound."""
-    s0, s1, s2, s3, n = _taylor(abs(j) << (q - 5), q)
-    return (s0 + s2 + (s1 + s3 if j >= 0 else -(s1 + s3)),), 8 * n + 16
+def _exp_node(j: int, q: int) -> tuple[int]:
+    """(e^(j/32),) (|j| <= 11) over 2^q, within 8n + 16 units for n terms."""
+    s0, s1, s2, s3, _ = _taylor(abs(j) << (q - 5), q)
+    return (s0 + s2 + (s1 + s3 if j >= 0 else -(s1 + s3)),)
 
 
 def exp_grid(n: int, d: int, digits: int) -> int:
@@ -349,14 +346,14 @@ def exp_grid(n: int, d: int, digits: int) -> int:
         p = g + max(m, 0)
         r = _fixed(n, d, p)
         if m:
-            r -= m * _ln(64, p)  # x - m ln 2
+            r -= m * _entry(_LN, _ln_node, 64, p)[0]  # x - m ln 2
         j = (r + (1 << (p - 6))) >> (p - 5)  # the node nearest r
         t = r - (j << (p - 5))  # delta over 2^p
         s0, s1, s2, s3, terms = _taylor(abs(t), p)
-        ej, = _EXP.get((p, j)) or _entry(_EXP, _exp_node, j, p)
+        ej, = _entry(_EXP, _exp_node, j, p)
         v = ej * (s0 + s2 + (s1 + s3 if t >= 0 else -(s1 + s3))) >> p
         # v is e^r over 2^p, so e^x = 2^m e^r over 2^(p - m)
-        v = _nearest(v * unit, (4 * terms + abs(m) + 3) * unit, p - m)
+        v = _nearest(v * unit, (4 * terms + 2 * abs(m) + 3) * unit, p - m)
         if v is not None:
             return v
         g += _bits(_GUARD)
@@ -365,16 +362,11 @@ def exp_grid(n: int, d: int, digits: int) -> int:
 _LN: dict[tuple[int, int], tuple[int]] = {}  # (p, j) -> (ln(1 + j/64) over 2^p,)
 
 
-def _ln_node(j: int, q: int) -> tuple[tuple[int], int]:
-    """ln c_j = ln(1 + j/64) = 2 artanh(j/(128 + j)) (j >= -16; c_64 = 2)
-    over 2^q, and its bound."""
-    a0, a1, n = _odd(_fixed(abs(j), 128 + j, q), q)
-    return (2 * (a0 + a1) if j >= 0 else -2 * (a0 + a1),), 4 * n + 4
-
-
-def _ln(j: int, p: int) -> int:
-    """ln c_j over 2^p, correctly rounded."""
-    return (_LN.get((p, j)) or _entry(_LN, _ln_node, j, p))[0]
+def _ln_node(j: int, q: int) -> tuple[int]:
+    """(ln c_j,) = 2 artanh(j/(128 + j)), c_j = 1 + j/64 (j >= -16; c_64 =
+    2), over 2^q, within 4n + 4 units for n terms."""
+    a0, a1, _ = _odd(_fixed(abs(j), 128 + j, q), q)
+    return (2 * (a0 + a1) if j >= 0 else -2 * (a0 + a1),)
 
 
 def ln_grid(n: int, d: int, digits: int) -> int:
@@ -406,10 +398,10 @@ def ln_grid(n: int, d: int, digits: int) -> int:
     while True:  # ends: ln of a rational other than 1 is transcendental
         a0, a1, terms = _odd(_fixed(abs(a), b, p), p)
         v = 2 * (a0 + a1) if a >= 0 else -2 * (a0 + a1)
-        v += _ln(j, p)
+        v += _entry(_LN, _ln_node, j, p)[0]
         if e2:
-            v += e2 * _ln(64, p)
-        v = _nearest(v * unit, (4 * terms + abs(e2) + 4) * unit, p)
+            v += e2 * _entry(_LN, _ln_node, 64, p)[0]
+        v = _nearest(v * unit, (4 * terms + abs(e2) + 5) * unit, p)
         if v is not None:
             return v
         p += _bits(_GUARD)
@@ -454,7 +446,7 @@ def pi_approx(digits: int) -> Fraction:
     """pi correctly rounded to 10^-digits."""
     p, unit = _bits(digits + _GUARD), 10**digits
     while True:  # ends: pi is irrational
-        v = _nearest(_pi(p) * unit, unit, p)  # pi over 2^p is within 1/2
+        v = _nearest(_entry(_PI, _machin, 0, p)[0] * unit, unit, p)  # pi over 2^p is within 1
         if v is not None:
             return Fraction(v, unit)
         p += _bits(_GUARD)

@@ -120,14 +120,14 @@ MUTANTS = (
     ),
     Mutant(
         "ziv-exp-bound", "hrw/approx.py",
-        "(4 * terms + abs(m) + 3) * unit",
+        "(4 * terms + 2 * abs(m) + 3) * unit",
         "0",
         (ZIV,),
         "exp rounds a value whose error bound holds a grid midpoint",
     ),
     Mutant(
         "ziv-ln-bound", "hrw/approx.py",
-        "(4 * terms + abs(e2) + 4) * unit",
+        "(4 * terms + abs(e2) + 5) * unit",
         "0",
         (ZIV,),
         "ln rounds a value whose error bound holds a grid midpoint",
@@ -155,10 +155,10 @@ MUTANTS = (
     ),
     Mutant(
         "table-entry-rounding", "hrw/approx.py",
-        "entry = tuple(_nearest(v, e, extra) for v in values)",
-        "entry = tuple(v >> extra for v in values)",
-        ("tests/test_approx.py::test_table_entries_are_correctly_rounded",),
-        "a truncated table entry is off by up to one unit, twice the half unit the bounds count",
+        "tuple((v + (1 << 31)) >> 32 for v in node(j, p + 32))",
+        "tuple(v >> 32 for v in node(j, p + 32))",
+        ("tests/test_approx.py::test_table_entries_are_within_half_a_unit",),
+        "a truncated table entry is off by up to 1 + 2^-20 units, more than the one unit the bounds count",
     ),
 )
 

@@ -352,24 +352,25 @@ def test_sin_cos_table_is_bounded(monkeypatch):
 
 
 @pytest.mark.parametrize("p", (40, 173, 400))
-def test_table_entries_are_correctly_rounded(p):
-    # every table entry and constant is the integer nearest its value times
-    # 2^p, against decimal: sin and cos of j/32, e^(j/32), ln(1 + j/64) and pi
-    def nearest(v: Decimal) -> int:
-        return int((v * 2**p).to_integral_value(ROUND_HALF_EVEN))
+def test_table_entries_are_within_half_a_unit(p):
+    # every table entry and constant, summed at p + 32 bits and rounded
+    # once, is within 1/2 + 2^-20 units of its value times 2^p, against
+    # decimal: sin and cos of j/32, e^(j/32), ln(1 + j/64) and pi
+    def check(entry: int, v: Decimal, j: int) -> None:
+        assert abs(entry - v * 2**p) <= Decimal(1) / 2 + Decimal(2) ** -20, (j, entry, v)
 
     with localcontext() as ctx:
         ctx.prec = 200
         for j in range(129):
             s, c = decimal_sin_cos(F(j, 32), 140)
-            assert approx._entry({}, approx._sin_cos_node, j, p) == (nearest(s), nearest(c)), j
+            entry = approx._entry({}, approx._sin_cos_node, j, p)
+            check(entry[0], s, j)
+            check(entry[1], c, j)
         for j in range(-11, 12):
-            want = nearest((Decimal(j) / 32).exp())
-            assert approx._entry({}, approx._exp_node, j, p) == (want,), j
+            check(*approx._entry({}, approx._exp_node, j, p), (Decimal(j) / 32).exp(), j)
         for j in list(range(-16, 33)) + [64]:
-            want = nearest((1 + Decimal(j) / 64).ln())
-            assert approx._entry({}, approx._ln_node, j, p) == (want,), j
-        assert approx._entry({}, approx._machin, 0, p) == (nearest(decimal_pi(150)),)
+            check(*approx._entry({}, approx._ln_node, j, p), (1 + Decimal(j) / 64).ln(), j)
+        check(*approx._entry({}, approx._machin, 0, p), decimal_pi(150), 0)
 
 
 def test_series_run_on_short_arguments(monkeypatch):
@@ -449,21 +450,21 @@ def _exp_ln(name: str, x: F, digits: int) -> F:
 
 @pytest.mark.parametrize("digits", (12, 40, 80))
 def test_ziv_retry_fires_and_rounds_correctly(monkeypatch, digits):
-    # with 2 guard digits the error bound of a value often holds a grid
+    # with 3 guard digits the error bound of a value often holds a grid
     # midpoint: the kernel sums again with more bits, and every result is
     # still the nearest grid point
     failed, nearest = [], approx._nearest
     monkeypatch.setattr(approx, "_nearest",
                         lambda v, e, bits: failed.append(v) if (out := nearest(v, e, bits)) is None
                         else out)
-    monkeypatch.setattr(approx, "_GUARD", 2)
+    monkeypatch.setattr(approx, "_GUARD", 3)
     rng = random.Random(digits)
     xs = []
-    for _ in range(60):
+    for _ in range(120):
         d, bound = rng.randint(1, 10**9), rng.choice([4, 100])
         xs.append(F(rng.randint(-bound * d, bound * d), d))
     positive = [F(rng.randint(1, 10 ** rng.randint(1, 12)), rng.randint(1, 10 ** rng.randint(0, 12)))
-                for _ in range(60)]
+                for _ in range(120)]
     retried = dict.fromkeys(("sin", "cos", "tan", "exp", "ln"), 0)
     approx.sin_cos_approx.cache_clear()
     approx.tan_approx.cache_clear()
@@ -487,8 +488,8 @@ def test_ziv_retry_fires_and_rounds_correctly(monkeypatch, digits):
     finally:
         for cached in (approx.sin_cos_approx, approx.tan_approx, approx.exp_approx, approx.ln_approx):
             cached.cache_clear()
-    # each kernel retried, and not every call: the first pass's rounding counts too
-    assert all(retried.values()) and sum(retried.values()) < 5 * len(xs), retried
+    # each kernel retried, and not on every call: its first pass's rounding counts too
+    assert all(0 < r < len(xs) for r in retried.values()), retried
 
 
 def test_digits_of_is_exact_past_the_int_to_str_limit():
