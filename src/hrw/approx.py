@@ -12,7 +12,7 @@ Each kernel is an integer function of its argument's numerator n and
 positive denominator d, which need not be reduced: it reduces the pair by
 one gcd, so its series runs on the same operands whatever common factor the
 pair carries, and its errors name the reduced value.  ``exp_grid``,
-``ln_grid``, ``sin_grid``, ``cos_grid``, ``sin_cos_grid`` and ``tan_grid``
+``ln_grid``, ``sin_cos_grid`` (sin and cos from one pass) and ``tan_grid``
 return grid numerators, integers N standing for N/10^digits (exact cases
 too: exp 0 is 10^digits); ``sqrt_pair`` returns a (numerator, denominator)
 pair, since exact roots and sqrt(v/m^2) keep denominators of their own.
@@ -274,14 +274,6 @@ def sin_cos_grid(n: int, d: int, digits: int) -> tuple[int, int]:
         if s is not None and c is not None:
             return s, c
         p += _bits(_GUARD)
-
-
-def sin_grid(n: int, d: int, digits: int) -> int:
-    return sin_cos_grid(n, d, digits)[0]
-
-
-def cos_grid(n: int, d: int, digits: int) -> int:
-    return sin_cos_grid(n, d, digits)[1]
 
 
 def tan_grid(n: int, d: int, digits: int) -> int:
@@ -569,8 +561,8 @@ def pow_approx(x: Fraction, r: Fraction, digits: int) -> Fraction:
     if x < 0:
         raise DomainError(f"non-integer power of negative value {show_rational(x)}")
     root = exact_nth_root(x, r.denominator)
-    if root is not None:
-        return pow_approx(root, Fraction(r.numerator), digits)
+    if root is not None:  # root^1 needs no power built, so no size guard either
+        return root if r.numerator == 1 else pow_approx(root, Fraction(r.numerator), digits)
     g = digits + _GUARD + _digits_of(r.numerator) + _digits_of(r.denominator)
     return _exp_ln(x, r, g, digits)
 
@@ -586,7 +578,4 @@ def nth_root_approx(x: Fraction, n: int, digits: int) -> Fraction:
         return x
     if n == 2:
         return sqrt_approx(x, digits)
-    exact = exact_nth_root(x, n)
-    if exact is not None:
-        return exact
     return pow_approx(x, Fraction(1, n), digits)

@@ -320,7 +320,7 @@ def _cmd_tangent(args, cfg: Field) -> None:
     curve = _parse_curve(args.curve)
     t0 = parse_rational(args.at)
     T = calculus.unit_tangent(curve, t0, cfg)
-    cert = calculus.tangent_certificate(curve, t0, cfg)
+    cert = calculus.tangent_certificate(curve, t0, cfg, vector=T)
     text = "T = (" + ", ".join(_fmt(x) for x in T) + f")  certificate = {_fmt(cert)}"
     _emit(args, "tangent", {"vector": [_fmt(x) for x in T], "certificate": _fmt(cert)}, text)
 

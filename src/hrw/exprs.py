@@ -457,12 +457,10 @@ _REAL_CALLS = {
 # denominator) pair: a grid numerator over 10^precision, or for sqrt a pair
 _KERNELS = {
     "sqrt": approx.sqrt_pair,
-    "sin": approx.sin_grid,
-    "cos": approx.cos_grid,
+    "sin_cos": approx.sin_cos_grid,  # both halves, for sin and cos
     "tan": approx.tan_grid,
     "exp": approx.exp_grid,
     "ln": approx.ln_grid,
-    "sin_cos": approx.sin_cos_grid,  # both halves, for the tangent code
 }
 
 
@@ -1128,7 +1126,7 @@ class _Codegen:
             if du:  # sqrt~(u) u' / (2u), the series' rule, refused at u = 0
                 self.line(f"if {n} == 0: raise _NT()")
             return root, du and self.product(self.dmul(root, du), (d, f"(2 * {n})"))
-        if du and node.fn in ("sin", "cos"):  # both from one series
+        if node.fn in ("sin", "cos"):  # both from one series
             sin, cos = self.kernel("sin_cos", where, arg, 2)
             value, slope = (sin, cos) if node.fn == "sin" else (cos, f"(-{sin})")
             return (value, self.unit), self.dmul((slope, self.unit), du)

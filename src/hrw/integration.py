@@ -31,13 +31,14 @@ cell volume, with integer widths per cell on uneven explicit axes
 (``_volumes``).  A sum raises the first MathError its own evaluation meets:
 its row kernels run in the order the code calls them, each over its rows in
 order, and inside a row the kernel's rule holds, the first point and at that
-point the first node.  Volume and surface of revolution, curve length, line
-work, the supernearness probe, gauge partitions and the Simpson oracle keep
-``compile_real``'s point functions.  Surface of revolution, curve length and
-line work read a point's value and first derivative from one call of the
-expression's tangent code (``exprs._compile_tangent``); a point where that
-code raises takes the jet path, compile_real's value, the radius check or
-the force, then ``taylor_jet``, so its value or error is that path's.
+point the first node.  Volume of revolution, the chords of curve length and
+line work, the supernearness probe, gauge partitions and the Simpson oracle
+keep ``compile_real``'s point functions.  Surface of revolution, curve
+length and line work read an expression at a point through ``_reader``:
+value and slope from one call of its tangent code (``exprs._compile_tangent``),
+or where that raises, compile_real's value and ``taylor_jet``'s slope.  A
+measure reads the values, checks the radius or takes the force, then reads
+the slopes (curve length only slopes), so its value or error is the jet path's.
 
 ``PartitionSpec.breakpoints`` and ``tagged_partition`` are ``Fraction``
 views of the same grid.  A grid holds at most 2^20 cells; a larger one is
@@ -61,12 +62,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product, repeat, starmap
-from operator import add, mul, sub
+from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import approx
-from .calculus import CurveDef, _norm_sq, taylor_jet
+from .calculus import CurveDef, taylor_jet
 from .errors import (
     DepthExceeded,
     DomainError,
@@ -345,15 +347,14 @@ def _minus(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (an - bn, ad) if ad == bd else (an * bd - bn * ad, ad * bd)
 
 
-def _box_sum(fn, grid: list[_Axis], rule: str, seed: int) -> Fraction:
-    """sum of fn(tag) * volume(cell) over the grid, fn on integer pairs."""
-    scale, weights = _volumes(grid)
-    return scale * _total(starmap(fn, _tag_args(grid, rule, seed)), weights)
+def _times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a * b for (numerator, positive denominator) pairs, not reduced."""
+    return a[0] * b[0], a[1] * b[1]
 
 
 def _row_sum(kernel, grid: list[_Axis], rule: str, seed: int) -> Fraction:
-    """``_box_sum`` of a row kernel, one kernel call per row of
-    ``_tag_rows``."""
+    """sum of kernel(tag) * volume(cell) over the grid, one kernel call per
+    row of ``_tag_rows``."""
     scale, weights = _volumes(grid)
     m = len(grid[-1].nums) - 1
     return scale * _total(kernel.sum(*args, row, weights and weights[k * m:(k + 1) * m])
@@ -648,36 +649,51 @@ def measure_area_between(
     return _volumes([axis])[0] * Fraction(*_minus(upper, lower))
 
 
-def _radius(f: Expr, var: str, precision: int) -> Callable[[int, int], tuple[int, int]]:
-    """f compiled, refused where negative."""
-    fn = compile_real(f, (var,), precision)
-
-    def radius(lo: int, q: int) -> tuple[int, int]:
-        n, d = fn(lo, q)
-        _nonnegative(lo, q, n, d)
-        return n, d
-
-    return radius
-
-
-def _nonnegative(lo: int, q: int, n: int, d: int) -> None:
-    """Refuse the radius f(lo/q) = n/d where it is negative."""
-    if n < 0:
-        x, r = show_rational(Fraction(lo, q)), show_rational(Fraction(n, d))
+def _nonnegative(lo: int, q: int, radius: tuple[int, int]) -> tuple[int, int]:
+    """The radius f(lo/q), refused where negative."""
+    if radius[0] < 0:
+        x, r = show_rational(Fraction(lo, q)), show_rational(Fraction(*radius))
         raise NegativeRadius(f"f({x}) = {r} < 0")
+    return radius
 
 
 def measure_volume_revolution(
     f: Expr, a: Fraction, b: Fraction, m: int, precision: int = DEFAULT_PRECISION
 ) -> Fraction:
     """Solid of revolution about the axis: Riemann sum of pi * f(x)^2."""
-    radius = _radius(f, first_variable("x", f), precision)
+    fn = compile_real(f, (first_variable("x", f),), precision)
+    nums, q = _axis(a, b, m)
+    radii = [_nonnegative(lo, q, fn(lo, q)) for lo in nums[:-1]]
+    return approx.pi_approx(precision) * Fraction(nums[1] - nums[0], q) * _total(
+        _times(r, r) for r in radii)
 
-    def squared(lo: int, q: int) -> tuple[int, int]:
-        n, d = radius(lo, q)
-        return n * n, d * d
 
-    return approx.pi_approx(precision) * _box_sum(squared, [_axis(a, b, m)], "min-vertex", 0)
+def _reader(e: Expr, var: str, precision: int, fn: Callable | None = None):
+    """e's value and slope at a point as integer pairs: ``read(n, d)``
+    returns two functions of no arguments, the value's and the slope's.
+    Both come from one call of e's tangent code; where that raises, the
+    value from compile_real's function (fn, else compiled on first use) and
+    the slope from ``taylor_jet``, each computed only when the measure calls
+    for it, so the measure chooses what is read and in what order."""
+    tangent = _compile_tangent(e, var, precision)
+    cfg = Field(precision=precision)
+
+    def point(n: int, d: int) -> tuple[int, int]:
+        nonlocal fn
+        fn = fn or compile_real(e, (var,), precision)
+        return fn(n, d)
+
+    def jet(n: int, d: int) -> tuple[int, int]:
+        return taylor_jet(e, Fraction(n, d), 1, cfg, var).derivative(1).as_integer_ratio()
+
+    def read(n: int, d: int) -> tuple[Callable, Callable]:
+        try:
+            value, slope = tangent(n, d)
+        except MathError:
+            return partial(point, n, d), partial(jet, n, d)
+        return (lambda: value), (lambda: slope)
+
+    return read
 
 
 def measure_surface_revolution(
@@ -685,32 +701,29 @@ def measure_surface_revolution(
 ) -> Fraction:
     """Surface of revolution: Riemann sum of 2 pi f(x) sqrt(1 + f'(x)^2).
 
-    Each cell takes f and f' at its min-vertex from one call of f's tangent
-    code.  Where that raises, the cell runs the jet path: f from
-    compile_real, its sign check, then f' from ``taylor_jet``.
+    Each cell reads f at its min-vertex, refuses it where negative, then
+    reads f' (``_reader``).
     """
-    var = first_variable("x", f)
-    radius = _radius(f, var, precision)
-    tangent = _compile_tangent(f, var, precision)
-    cfg = Field(precision=precision)
+    read = _reader(f, first_variable("x", f), precision)
+    nums, q = _axis(a, b, m)
 
-    def band(lo: int, q: int) -> tuple[int, int]:
-        try:
-            (n, d), (sn, sd) = tangent(lo, q)
-        except MathError:
-            n, d = radius(lo, q)
-            sn, sd = taylor_jet(f, Fraction(lo, q), 1, cfg, var).derivative(1).as_integer_ratio()
-        else:
-            _nonnegative(lo, q, n, d)
-        s, t = approx.sqrt_pair(sn * sn + sd * sd, sd * sd, precision)
-        return n * s, d * t
+    def band(lo: int) -> tuple[int, int]:
+        value, slope = read(lo, q)
+        radius = _nonnegative(lo, q, value())
+        return _times(radius, _norm([(1, 1), slope()], precision))
 
-    return 2 * approx.pi_approx(precision) * _box_sum(band, [_axis(a, b, m)], "min-vertex", 0)
+    return 2 * approx.pi_approx(precision) * Fraction(nums[1] - nums[0], q) * _total(
+        map(band, nums[:-1]))
 
 
 class LengthResult(NamedTuple):
     polygonal: Fraction
     integral: Fraction
+
+
+def _norm(v: Iterable[tuple[int, int]], precision: int) -> tuple[int, int]:
+    """The Euclidean norm of a vector of pairs, as ``sqrt_pair`` gives it."""
+    return approx.sqrt_pair(*pair_sum((n * n, d * d) for n, d in v), precision)
 
 
 def measure_curve_length(
@@ -724,29 +737,21 @@ def measure_curve_length(
 
     The speed integral evaluates at cell centers, matching the chord sum's
     second-order accuracy so the two paths track each other at fine meshes.
-    It reads c'(t) from the components' tangent code, and from their jets
-    at a center where that raises.
+    It reads only c'(t) (``_reader``), so a center where a component has a
+    removable singularity still has a speed.
     """
     fns = [compile_real(c, (curve.param,), precision) for c in curve.components]
-    tangents = [_compile_tangent(c, curve.param, precision) for c in curve.components]
-    axis = _axis(a, b, m)
-    points = [tuple(Fraction(*fn(t, axis.q)) for fn in fns) for t in axis.nums]
-    polygonal = sum(
-        (approx.sqrt_approx(_norm_sq(list(map(sub, q, p))), precision)
-         for p, q in zip(points, points[1:])),
-        Fraction(0),
-    )
-    cfg = Field(precision=precision)
+    readers = [_reader(c, curve.param, precision) for c in curve.components]
+    nums, q = _axis(a, b, m)
+    points = [[fn(t, q) for fn in fns] for t in nums]
+    polygonal = _total(_norm(map(_minus, here, prev), precision)
+                       for prev, here in zip(points, points[1:]))
 
-    def speed(n: int, d: int) -> tuple[int, int]:
-        try:
-            velocity = [tangent(n, d)[1] for tangent in tangents]
-        except MathError:
-            jets = curve.jets(Fraction(n, d), 1, cfg)
-            velocity = [j.derivative(1).as_integer_ratio() for j in jets]
-        return approx.sqrt_pair(*pair_sum((vn * vn, vd * vd) for vn, vd in velocity), precision)
+    def speed(lo: int, hi: int) -> tuple[int, int]:
+        return _norm((read(lo + hi, 2 * q)[1]() for read in readers), precision)
 
-    return LengthResult(polygonal, _box_sum(speed, [axis], "center", 0))
+    return LengthResult(polygonal, Fraction(nums[1] - nums[0], q) * _total(
+        starmap(speed, zip(nums, nums[1:]))))
 
 
 # -- mass, moments, centroid ------------------------------------------------------------------
@@ -850,34 +855,26 @@ def line_integral_work(
     integrand sum_i F_i(c(t)) c_i'(t).
 
     The tags are the cell centers, whose second-order accuracy both paths
-    share.  A center's c(t) and c'(t) come from one call of each
-    component's tangent code.  Where one raises, the cell runs the jet
-    path: c(t) from compile_real, the force there, then c'(t) from the
-    curve's jets.
+    share.  A center reads every component's c(t), then the force there,
+    then every c'(t) (``_reader``).
     """
     if len(field_components) != curve.dimension:
         raise ValueError("field dimension must match the curve")
     names = axis_names(curve.dimension)
     field_fns = [compile_real(comp, names, precision) for comp in field_components]
     comp_fns = [compile_real(c, (curve.param,), precision) for c in curve.components]
-    tangents = [_compile_tangent(c, curve.param, precision) for c in curve.components]
+    readers = [_reader(c, curve.param, precision, fn)
+               for c, fn in zip(curve.components, comp_fns)]
     nums, q = _axis(a, b, m)
-    points = [tuple(Fraction(*fn(t, q)) for fn in comp_fns) for t in nums]
-    cfg = Field(precision=precision)
-    chord = integrand = Fraction(0)
+    points = [[fn(t, q) for fn in comp_fns] for t in nums]
+    chord, integrand = [], []
     for lo, hi, prev, here in zip(nums, nums[1:], points, points[1:]):
-        try:
-            pairs = [tangent(lo + hi, 2 * q) for tangent in tangents]
-            pos = [v for value, _ in pairs for v in value]  # the center's pairs
-            velocity = [Fraction(*slope) for _, slope in pairs]
-        except MathError:
-            pos, velocity = [v for fn in comp_fns for v in fn(lo + hi, 2 * q)], None
-        force = [Fraction(*fn(*pos)) for fn in field_fns]
-        if velocity is None:
-            velocity = [j.derivative(1) for j in curve.jets(Fraction(lo + hi, 2 * q), 1, cfg)]
-        chord += sum(map(mul, force, map(sub, here, prev)), Fraction(0))
-        integrand += sum(map(mul, force, velocity), Fraction(0))
-    return WorkResult(chord, integrand * Fraction(nums[1] - nums[0], q))
+        center = [read(lo + hi, 2 * q) for read in readers]
+        pos = [v for value, _ in center for v in value()]
+        force = [fn(*pos) for fn in field_fns]
+        chord += map(_times, force, map(_minus, here, prev))
+        integrand += (_times(f, slope()) for f, (_, slope) in zip(force, center))
+    return WorkResult(_total(chord), _total(integrand) * Fraction(nums[1] - nums[0], q))
 
 
 def riemann_stieltjes_sum(

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 DILATED = "tests/test_calculus.py::TestDilatedProbes"
 SHAPES = "tests/test_fuzz.py::test_siblings_bind_their_own_constants"
 ZIV = "tests/test_approx.py::test_ziv_retry_fires_and_rounds_correctly"
+FALLBACK = "tests/test_integration.py::TestTangentFallback"
 
 MUTANTS = (
     Mutant(
@@ -159,6 +160,20 @@ MUTANTS = (
         "tuple(v >> 32 for v in node(j, p + 32))",
         ("tests/test_approx.py::test_table_entries_are_within_half_a_unit",),
         "a truncated table entry is off by up to 1 + 2^-20 units, more than the one unit the bounds count",
+    ),
+    Mutant(
+        "reader-slope-first", "hrw/integration.py",
+        "return partial(point, n, d), partial(jet, n, d)",
+        "return partial(point, n, d), (lambda slope=jet(n, d): slope)",
+        (f"{FALLBACK}::test_errors_are_the_jet_paths",),
+        "a jet taken before the radius check or the force raises the jet's error in their place",
+    ),
+    Mutant(
+        "reader-value-from-jet", "hrw/integration.py",
+        "return fn(n, d)",
+        "return taylor_jet(e, Fraction(n, d), 1, cfg, var).coeffs[0].as_integer_ratio()",
+        (f"{FALLBACK}::test_errors_are_the_jet_paths",),
+        "the jet's constant term has a value where compile_real refuses, as at 0 of t^2/t",
     ),
 )
 

@@ -90,6 +90,13 @@ def test_exact_shortcuts():
     assert approx.exp_approx(F(0), 40) == 1
 
 
+def test_perfect_roots_past_the_power_guard_are_exact():
+    # the root of a perfect power exists already: nothing past POWER_BITS is built
+    big = F(2**100001 + 1, 3**63100)  # 200 010 bits, past the guard's 200 000
+    assert approx.nth_root_approx(big**3, 3, 40) == big
+    assert approx.pow_approx(big**3, F(1, 3), 40) == big
+
+
 def test_sqrt_scale_coherence():
     # perfect-square denominators factor out, so scaled sums telescope exactly
     root5 = approx.sqrt_approx(F(5), 40)
@@ -555,10 +562,19 @@ def test_round_to_digits_matches_fraction_round(x, digits):
 
 KERNEL_DIGITS = (12, 20, 40)
 
-# each grid kernel and its cached Fraction function
+
+def sin_half(n: int, d: int, digits: int) -> int:
+    return approx.sin_cos_grid(n, d, digits)[0]
+
+
+def cos_half(n: int, d: int, digits: int) -> int:
+    return approx.sin_cos_grid(n, d, digits)[1]
+
+
+# each grid kernel, or half of sin_cos_grid's pair, and its cached Fraction function
 GRID_KERNELS = [
-    (approx.sin_grid, approx.sin_approx),
-    (approx.cos_grid, approx.cos_approx),
+    (sin_half, approx.sin_approx),
+    (cos_half, approx.cos_approx),
     (approx.tan_grid, approx.tan_approx),
     (approx.exp_grid, approx.exp_approx),
     (approx.ln_grid, approx.ln_approx),
@@ -626,8 +642,6 @@ def test_sqrt_pair_equals_the_cached_function(digits):
 def test_kernel_exact_cases(digits):
     unit = 10**digits
     for k in range(1, 7):
-        assert approx.sin_grid(0, k, digits) == 0
-        assert approx.cos_grid(0, k, digits) == unit
         assert approx.sin_cos_grid(0, k, digits) == (0, unit)
         assert approx.tan_grid(0, k, digits) == 0
         assert approx.exp_grid(0, k, digits) == unit

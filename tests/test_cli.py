@@ -93,6 +93,15 @@ class TestValues:
         code, out, _ = invoke(capsys, "curvature", "--curve", "t; t^2", "--at", "0")
         assert code == 0 and "kappa = 2" in out and "center = (0, 1/2)" in out
 
+    def test_tangent_takes_one_jet_per_component(self, capsys, monkeypatch):
+        # the certificate is taken against the printed T, not a second one
+        from hrw import calculus
+        jets, jet = [], calculus.taylor_jet
+        monkeypatch.setattr(calculus, "taylor_jet", lambda *args: jets.append(args) or jet(*args))
+        code, out, _ = invoke(capsys, "tangent", "--curve=t^2; sin(t)", "--at=1/3")
+        assert code == 0 and "certificate = 1" in out
+        assert len(jets) == 2
+
     def test_jacobian(self, capsys):
         code, out, _ = invoke(capsys, "jacobian", "--map", "x^2*y; x+y", "--at", "1,2")
         assert code == 0

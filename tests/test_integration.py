@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import decimal_pi
-from hrw import approx, integration
+from hrw import approx, calculus, integration
 from hrw.approx import pi_approx, sqrt_approx
 from hrw.calculus import CurveDef, taylor_jet
 from hrw.cli import run
@@ -784,9 +784,29 @@ class TestDeepTangentCode:
 
 
 class TestTangentFallback:
-    """Where a measure's tangent code raises, the point takes the jet path
-    (the value, the radius check or the force, then the jet), so its value
-    or error is the jet path's."""
+    """Where a component's tangent code raises, its value comes from
+    compile_real and its slope from its jet; a measure reads the values,
+    then checks the radius or takes the force, then reads the slopes, so a
+    point's value or error is the jet path's."""
+
+    @pytest.mark.parametrize("measure", [
+        lambda curve: measure_curve_length(curve, F(1), F(2), 4),
+        lambda curve: line_integral_work([parse("y"), parse("x")], curve, F(1), F(2), 4),
+    ], ids=["length", "work"])
+    def test_only_the_declining_component_takes_jets(self, monkeypatch, measure):
+        # t^(3/2) has no tangent code, sin(t) has: one jet per centre, all of t^(3/2)
+        jets = []
+        jet = taylor_jet
+
+        def counted(e, *args):
+            jets.append(e)
+            return jet(e, *args)
+
+        monkeypatch.setattr(calculus, "taylor_jet", counted)
+        monkeypatch.setattr(integration, "taylor_jet", counted)
+        curve = CurveDef.from_exprs([parse("t^(3/2)"), parse("sin(t)")])
+        measure(curve)
+        assert jets == [curve.components[0]] * 4
 
     @pytest.mark.parametrize("comp", ["sin(t)/t", "(t^2)/t", "sqrt(t^2)", "t^3/t"])
     def test_centre_at_a_removable_singularity(self, comp):
@@ -825,6 +845,20 @@ class TestTangentFallback:
          NegativeRadius, "f(0) = -1 < 0"),
         (lambda: measure_surface_revolution(parse("sqrt(x) - 1"), F(0), F(1), 2),
          NegativeRadius, "f(0) = -1 < 0"),
+        (lambda: measure_surface_revolution(parse("x^(1/2) - 1"), F(0), F(1), 2),
+         NegativeRadius, "f(0) = -1 < 0"),
+        # the force is taken before the slope, whose jet fails at the same point
+        (lambda: line_integral_work([parse("1/x"), parse("1")],
+                                    CurveDef.from_exprs([parse("t"), parse("abs(t)^(1/2)")]),
+                                    F(-1), F(1), 1),
+         DivisionByZero, "division by zero (at offset 1)"),
+        # the value is compile_real's, which fails where the jet has a value
+        (lambda: line_integral_work([parse("x"), parse("y")],
+                                    CurveDef.from_exprs([parse("t"), parse("(t^2)/t")]),
+                                    F(-1), F(1), 1),
+         DivisionByZero, "division by zero (at offset 5)"),
+        (lambda: measure_surface_revolution(parse("(x^2)/x + 1"), F(0), F(1), 2),
+         DivisionByZero, "division by zero (at offset 5)"),
     ])
     def test_errors_are_the_jet_paths(self, call, error, text):
         with pytest.raises(error) as err:
